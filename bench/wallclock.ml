@@ -229,6 +229,64 @@ let sweep_points () =
           floor_s);
   List.rev !points
 
+(* ------------------------------------------------------------------ *)
+(* The CH analytic suite, native vs interpreted                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The 8 CH analytic queries on CH at MRDB_BENCH_SCALE under the layouts
+   the IP optimizer picks for them, best-of-N under Compiled and Jit: how
+   many run natively (no Jit fallback), and the geometric mean of the
+   per-query Jit/Compiled time ratio.  Skipped without a C compiler. *)
+let ch_points () =
+  if not (Engines.Compiled.cc_available ()) then begin
+    Common.note "CH suite: no C compiler, skipped";
+    []
+  end
+  else begin
+    let scale = Common.scale_env "MRDB_BENCH_SCALE" 1.0 in
+    let reps = int_of_float (Common.scale_env "MRDB_WALLCLOCK_REPS" 5.0) in
+    let ch = Workloads.Ch.build ~scale () in
+    let cat = ch.Workloads.Ch.cat in
+    let queries = ch.Workloads.Ch.queries in
+    Layoutopt.Optimizer.apply cat
+      (Layoutopt.Optimizer.optimize ~algorithm:Layoutopt.Optimizer.Ip cat
+         (Workloads.Workload.plans ~use_indexes:false queries));
+    Common.note "CH suite: scale %g, IP layouts, best of %d" scale reps;
+    let fallbacks () =
+      Obs.Metrics.counter_value
+        (Obs.Metrics.counter "mrdb_compiled_fallbacks_total")
+    in
+    let points = ref [] and native = ref 0 and log_sum = ref 0.0 in
+    let add metric ?unit_ v =
+      points := Common.pt ~bench:"wallclock" ~metric ?unit_ v :: !points
+    in
+    List.iter
+      (fun (q : Workloads.Workload.query) ->
+        let plan = Relalg.Planner.plan cat (Relalg.Sql.parse cat q.sql) in
+        let params = q.Workloads.Workload.params in
+        let run engine () = Engines.Engine.run engine cat plan ~params in
+        (* the first run pays the cc invocation *)
+        ignore (run Engines.Engine.Compiled ());
+        let f0 = fallbacks () in
+        let c = best_of reps (run Engines.Engine.Compiled) in
+        if fallbacks () = f0 then incr native;
+        let j = best_of reps (run Engines.Engine.Jit) in
+        log_sum := !log_sum +. Float.log (j /. c);
+        Common.note "%-5s compiled %9.3f ms  jit %9.3f ms  %6.1fx" q.name
+          (c *. 1e3) (j *. 1e3) (j /. c);
+        add (Printf.sprintf "compiled.ch.%s.seconds" q.name) ~unit_:"s" c;
+        add (Printf.sprintf "jit.ch.%s.seconds" q.name) ~unit_:"s" j)
+      queries;
+    let speedup =
+      Float.exp (!log_sum /. float_of_int (List.length queries))
+    in
+    Common.note "CH suite: %d/%d native, geomean %.2fx over jit" !native
+      (List.length queries) speedup;
+    add "compiled.ch.native_queries" (float_of_int !native);
+    add "compiled.ch.vs_jit.geomean_speedup" speedup;
+    List.rev !points
+  end
+
 let run () =
   Common.header "Wall-clock (Bechamel) — real execution, no simulator";
   let tests = engine_tests () @ layout_tests () in
@@ -240,6 +298,8 @@ let run () =
      from bulk only in the CPU cycles charged to the simulator.)";
   Common.header "Wall-clock scaling — domains x morsel size";
   let sweep = sweep_points () in
+  Common.header "Wall-clock CH suite — compiled vs jit";
+  let ch = ch_points () in
   Common.write_bench "BENCH_wallclock.json"
     (List.map
        (fun (name, est) ->
@@ -247,4 +307,4 @@ let run () =
            ~metric:(metric_of_test_name name ^ ".ns_per_run")
            ~unit_:"ns" est)
        estimates
-    @ sweep)
+    @ sweep @ ch)

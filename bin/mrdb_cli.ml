@@ -338,15 +338,21 @@ let explain_cmd =
       $ advisor_flag $ compress_db_flag)
 
 let codegen_cmd =
-  let codegen db scale sql =
+  let codegen db scale sql params =
     let cat, _ = load_db db scale in
     let plan = Relalg.Planner.plan cat (Relalg.Sql.parse cat sql) in
-    print_string (Engines.C_emitter.emit cat plan)
+    match Engines.C_emitter.emit_unit cat plan ~params:(parse_params params) with
+    | Ok info -> print_string info.Engines.C_emitter.source
+    | Error reason -> Printf.printf "jit fallback: %s\n" reason
   in
   Cmd.v
     (Cmd.info "codegen"
-       ~doc:"Render the C99 code the JiT compiler corresponds to (Fig. 2c).")
-    Term.(const codegen $ db_arg $ scale_arg $ sql_arg)
+       ~doc:
+         "Print the C99 translation unit the compiled engine builds for the \
+          query (the style of the paper's Fig. 2c), or the reason it falls \
+          back to Jit.  Parameters shape only the types in the unit; their \
+          values are read at run time.")
+    Term.(const codegen $ db_arg $ scale_arg $ sql_arg $ param_arg)
 
 let layout_cmd =
   let show db scale =

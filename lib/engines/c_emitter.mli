@@ -1,36 +1,68 @@
-(** C99 rendering of JiT-compiled plans — the style of the paper's Fig. 2c.
+(** C99 backend of the compiled engine, in the data-centric style of the
+    paper's Fig. 2c.
 
-    HyPer generates LLVM assembler; for inspection the paper shows the
-    equivalent C.  This module renders the code our closure compiler would
-    correspond to: one struct per stored partition (PDSM-aware), operators
-    fused into loops, values kept in locals until no longer needed.  The
-    output is documentation, not compiled — the executable semantics live in
-    {!Jit}.
+    {!emit_unit} lowers a physical plan to a self-contained C99 translation
+    unit: operators fuse into one loop per pipeline, reads go straight to
+    the partition bytes (PDSM-aware: [base + row * width + offset]), a
+    global aggregate accumulates in locals, and only pipeline breakers
+    materialize — a hash-join build (separate build and probe loops), a
+    keyed group-by table, a sort buffer.  Its [mrdb_query] entry point
+    reproduces the interpreted engines' results row for row: 63-bit
+    wrapping integer arithmetic, total-order float comparison, SQL null
+    propagation, insertion-order group emission, join matches in
+    build-insertion order under [Runtime.Sim_hash]'s rule (equal
+    [Hash_index.key_of_values] folds and [Value.equal] keys, so NULL keys
+    match each other and an Int key matches an equal Date key), and stable
+    sorts in [Value.compare] order.  Varchar columns travel as pointers to
+    their fixed-width NUL-padded fields and may be group keys, join keys,
+    build payload, sort payload and output.
 
-    {!emit_unit} below is the real backend behind {!Compiled}: it turns a
-    restricted plan subset into a self-contained C99 translation unit whose
-    [mrdb_query] entry point reproduces the interpreted engines' semantics
-    exactly (63-bit wrapping integer arithmetic, total-order float
-    comparison, SQL null propagation, structural group-key equality,
-    insertion-order group emission). *)
+    Entry point:
+    {v
+int64_t mrdb_query(const unsigned char *const *parts, const int64_t *nrows,
+                   const unsigned char *params, mrdb_out *out);
+    v}
+    [parts] holds the partition payloads of every scanned table in
+    {!unit_info.tables} order, each offset to its view's first row;
+    [nrows] the row count of each scanned table; [params] the parameter
+    vector in the 16-byte records of {!param_bytes}.  The unit grows
+    [out]'s heap buffer itself: an 8-byte row count, then per field a tag
+    byte (0 null, 1 int, 2 float, 3 bool, 4 date, 5 string) followed by 8
+    payload bytes, a 4-byte length and the bytes of a string, or nothing
+    for a null.  It returns the result size, or -1 when out of memory. *)
 
-val emit : Storage.Catalog.t -> Relalg.Physical.t -> string
+type scanned = {
+  name : string;
+  groups : int list list;  (** partition groups of the layout compiled for *)
+  widths : int array;  (** byte width of each partition *)
+}
+(** A scanned table as the unit's addressing assumes it. *)
 
 type unit_info = {
   source : string;  (** complete C99 translation unit *)
-  table : string;  (** driver relation scanned by the pipeline *)
-  n_parts : int;  (** partitions of the driver relation at emission time *)
+  tables : scanned array;  (** scanned tables, in ABI order *)
   out_arity : int;  (** columns per output row *)
 }
+
+val scanned_of : string -> Storage.Relation.t -> scanned
+(** The addressing-relevant shape of a relation now; a unit may run on it
+    only while this equals the shape it was compiled for and the relation
+    stays plain-encoded. *)
 
 val emit_unit :
   Storage.Catalog.t ->
   Relalg.Physical.t ->
   params:Storage.Value.t array ->
   (unit_info, string) result
-(** [emit_unit cat plan ~params] compiles [plan] (with parameters
-    substituted as constants) to a C99 translation unit, or returns
-    [Error reason] when the plan uses features outside the compiled subset
-    — joins, sorts, DML, index access, [LIKE], varchar values outside null
-    tests, compressed relation encodings, or unbound parameters.  Callers
-    fall back to an interpreted engine on [Error]. *)
+(** [emit_unit cat plan ~params] compiles [plan] to a C99 translation
+    unit, or returns [Error reason] when the plan uses features outside
+    the compiled subset: index access, [LIKE] and other string predicates,
+    string constants, parameters or arithmetic, compressed relation
+    encodings, DML, or unbound parameters.  Only the {e types} of
+    [params] shape the source — their values are read at run time — so
+    every parameter vector of one type signature yields the same unit.
+    Callers fall back to an interpreted engine on [Error]. *)
+
+val param_bytes : Storage.Value.t array -> Bytes.t
+(** The run-time parameter records [mrdb_query] reads: per parameter an
+    8-byte tag and 8 payload bytes, little-endian. *)

@@ -1,7 +1,7 @@
 (* Compiled query pipelines: emit a C99 translation unit per plan
    (C_emitter.emit_unit), build it with the system cc into a shared
    object, dlopen it and run the [mrdb_query] entry point directly over
-   the relation's partition bytes.
+   the scanned relations' partition bytes.
 
    Objects are cached twice: a process-local table maps source digests to
    resolved function pointers, and the object files themselves live in a
@@ -20,7 +20,7 @@ external dlsym_stub : nativeint -> string -> nativeint = "mrdb_dlsym_stub"
 external dlclose_stub : nativeint -> unit = "mrdb_dlclose_stub"
 
 external call_query :
-  nativeint -> Bytes.t array -> int array -> int -> Bytes.t -> int
+  nativeint -> Bytes.t array -> int array -> int array -> Bytes.t -> Bytes.t
   = "mrdb_call_query_stub"
 
 (* ---------------- metrics ---------------- *)
@@ -128,128 +128,153 @@ let write_source path source =
   Sys.rename tmp path
 
 (* Resolve the entry point for [source], compiling at most once per
-   digest per process.  Returns [None] when no compiler is available or
-   the compile/load failed (recorded, so the cost is paid once). *)
+   digest per process.  Returns [None] when the compile/load failed
+   (recorded, so the cost is paid once).  Callers check {!cc_available}
+   first. *)
 let lookup_fn source =
-  if not (cc_available ()) then None
-  else
-    let digest = Digest.to_hex (Digest.string source) in
-    with_lock (fun () ->
-        match Hashtbl.find_opt fns digest with
-        | Some fn -> fn
-        | None ->
-            let fn =
-              try
-                let dir = cache_dir () in
-                ensure_dir dir;
-                let obj = Filename.concat dir (digest ^ ".so") in
-                let ok =
-                  if Sys.file_exists obj then begin
-                    Obs.Metrics.incr (Lazy.force cache_hits);
-                    true
-                  end
-                  else begin
-                    Obs.Metrics.incr (Lazy.force cache_misses);
-                    let src = Filename.concat dir (digest ^ ".c") in
-                    write_source src source;
-                    compile_object ~cc:(cc_name ()) ~src_path:src
-                      ~obj_path:obj
-                  end
-                in
-                if not ok then None
+  let digest = Digest.to_hex (Digest.string source) in
+  with_lock (fun () ->
+      match Hashtbl.find_opt fns digest with
+      | Some fn -> fn
+      | None ->
+          let fn =
+            try
+              let dir = cache_dir () in
+              ensure_dir dir;
+              let obj = Filename.concat dir (digest ^ ".so") in
+              let ok =
+                if Sys.file_exists obj then begin
+                  Obs.Metrics.incr (Lazy.force cache_hits);
+                  true
+                end
+                else begin
+                  Obs.Metrics.incr (Lazy.force cache_misses);
+                  let src = Filename.concat dir (digest ^ ".c") in
+                  write_source src source;
+                  compile_object ~cc:(cc_name ()) ~src_path:src
+                    ~obj_path:obj
+                end
+              in
+              if not ok then None
+              else
+                let h = dlopen_stub obj in
+                if h = 0n then None
                 else
-                  let h = dlopen_stub obj in
-                  if h = 0n then None
-                  else
-                    let fn = dlsym_stub h "mrdb_query" in
-                    if fn = 0n then begin
-                      dlclose_stub h;
-                      None
-                    end
-                    else Some fn
-              with Sys_error _ | Unix.Unix_error _ -> None
-            in
-            Hashtbl.add fns digest fn;
-            fn)
+                  let fn = dlsym_stub h "mrdb_query" in
+                  if fn = 0n then begin
+                    dlclose_stub h;
+                    None
+                  end
+                  else Some fn
+            with Sys_error _ | Unix.Unix_error _ -> None
+          in
+          Hashtbl.add fns digest fn;
+          fn)
 
 (* ---------------- execution ---------------- *)
 
-let decode_rows out ~rowcount ~out_arity =
-  let rows = ref [] in
-  for r = rowcount - 1 downto 0 do
-    let base = 8 + (r * out_arity * 9) in
-    let row =
-      Array.init out_arity (fun i ->
-          let off = base + (i * 9) in
-          let tag = Char.code (Bytes.get out off) in
-          let bits = Bytes.get_int64_le out (off + 1) in
-          match tag with
-          | 0 -> Value.Null
-          | 1 -> Value.VInt (Int64.to_int bits)
-          | 2 -> Value.VFloat (Int64.float_of_bits bits)
-          | 3 -> Value.VBool (bits <> 0L)
-          | 4 -> Value.VDate (Int64.to_int bits)
-          | _ -> invalid_arg "Compiled: bad tag in result buffer")
-    in
+let decode_rows out ~out_arity =
+  let rows = ref [] and pos = ref 8 in
+  for _ = 1 to Int64.to_int (Bytes.get_int64_le out 0) do
+    let row = Array.make out_arity Value.Null in
+    for i = 0 to out_arity - 1 do
+      let p = !pos in
+      match Bytes.get out p with
+      | '\000' -> pos := p + 1
+      | '\005' ->
+          let len = Int32.to_int (Bytes.get_int32_le out (p + 1)) in
+          row.(i) <- Value.VStr (Bytes.sub_string out (p + 5) len);
+          pos := p + 5 + len
+      | tag ->
+          let bits = Bytes.get_int64_le out (p + 1) in
+          row.(i) <-
+            (match tag with
+            | '\001' -> Value.VInt (Int64.to_int bits)
+            | '\002' -> Value.VFloat (Int64.float_of_bits bits)
+            | '\003' -> Value.VBool (bits <> 0L)
+            | '\004' -> Value.VDate (Int64.to_int bits)
+            | _ -> invalid_arg "Compiled: bad tag in result buffer");
+          pos := p + 9
+    done;
     rows := row :: !rows
   done;
-  !rows
+  List.rev !rows
 
 exception Fallback_needed
 
-let execute_fn fn cat ~(info : C_emitter.unit_info) ~columns =
-  let rel = Catalog.find cat info.C_emitter.table in
-  let np = Relation.n_parts rel in
-  if np <> info.C_emitter.n_parts then raise Fallback_needed;
+(* Run a loaded unit over the current state of its scanned tables.  The
+   unit's addressing is baked in, so every scanned table must still have
+   the layout and partition widths it was compiled for, plain-encoded;
+   otherwise the run falls back. *)
+let execute_fn fn cat ~(info : C_emitter.unit_info) ~params ~columns =
+  let tables = info.C_emitter.tables in
+  let rels =
+    Array.map
+      (fun (t : C_emitter.scanned) ->
+        let rel = Catalog.find cat t.C_emitter.name in
+        if Relation.encodings rel <> [] || C_emitter.scanned_of t.name rel <> t
+        then raise Fallback_needed;
+        rel)
+      tables
+  in
+  let per_part f =
+    Array.concat
+      (Array.to_list
+         (Array.map
+            (fun rel -> Array.init (Relation.n_parts rel) (f rel))
+            rels))
+  in
   let parts =
-    Array.init np (fun p ->
+    per_part (fun rel p ->
         Storage.Buffer.unsafe_bytes (Relation.part_buffer rel p))
   in
-  let offs = Array.init np (fun p -> Relation.part_row_offset rel p) in
-  let nrows = Relation.nrows rel in
-  let out = ref (Bytes.create 65536) in
-  let need = ref (call_query fn parts offs nrows !out) in
-  if !need < 0 then raise Fallback_needed;
-  if !need > Bytes.length !out then begin
-    out := Bytes.create !need;
-    need := call_query fn parts offs nrows !out;
-    if !need < 0 || !need > Bytes.length !out then raise Fallback_needed
-  end;
-  let rowcount = Int64.to_int (Bytes.get_int64_le !out 0) in
-  {
-    Runtime.columns;
-    rows = decode_rows !out ~rowcount ~out_arity:info.C_emitter.out_arity;
-  }
+  let offs = per_part Relation.part_row_offset in
+  let nrows = Array.map Relation.nrows rels in
+  let out = call_query fn parts offs nrows params in
+  if Bytes.length out < 8 then raise Fallback_needed;
+  { Runtime.columns; rows = decode_rows out ~out_arity:info.C_emitter.out_arity }
 
 let fallback cat plan ~params () =
   Obs.Metrics.incr (Lazy.force fallbacks);
   Jit.run cat plan ~params
 
-(* Compile once, step many times: the returned thunk re-reads the
-   relation's row window on every call, so it serves as a {!Parallel}
-   preparer — morsel reslicing moves [row_base]/[nrows] between calls. *)
+(* Emit and load the plan's unit, or say why it must run on Jit. *)
+let compile cat plan ~params =
+  match C_emitter.emit_unit cat plan ~params with
+  | Error reason -> Error reason
+  | Ok info -> (
+      if not (cc_available ()) then Error "no C compiler"
+      else
+        match lookup_fn info.C_emitter.source with
+        | None -> Error "compile or load failed"
+        | Some fn -> Ok (fn, info))
+
+(* Compile once, step many times: the returned thunk re-reads the scanned
+   relations' row windows on every call, so it serves as a {!Parallel}
+   preparer — morsel reslicing moves [row_base]/[nrows] between calls.
+   The [#compile] phase of a profile is labelled with the verdict. *)
 let prepare cat plan ~params =
   let path = Prof.child Prof.root 0 in
-  let emitted =
-    Prof.phase_at path "#compile" (fun () ->
-        match C_emitter.emit_unit cat plan ~params with
-        | Error _ -> None
-        | Ok info -> (
-            match lookup_fn info.C_emitter.source with
-            | None -> None
-            | Some fn -> Some (fn, info)))
+  let compiled =
+    Prof.phase_at path "#compile" (fun () -> compile cat plan ~params)
   in
-  match emitted with
-  | None -> fun () -> fallback cat plan ~params ()
-  | Some (fn, info) ->
+  Obs.Profile.annotate
+    ~id:(Obs.Span.phase_id path "#compile")
+    (match compiled with
+    | Ok _ -> "native"
+    | Error reason -> "jit fallback: " ^ reason);
+  match compiled with
+  | Error _ -> fun () -> fallback cat plan ~params ()
+  | Ok (fn, info) ->
       let schema = Physical.schema cat plan in
       let columns =
         Array.map (fun (a : Storage.Schema.attr) -> a.Storage.Schema.name)
           schema
       in
+      let param_bytes = C_emitter.param_bytes params in
       fun () ->
         Prof.op_id path ~label:"compiled pipeline" (fun () ->
-            try execute_fn fn cat ~info ~columns
+            try execute_fn fn cat ~info ~params:param_bytes ~columns
             with Fallback_needed -> fallback cat plan ~params ())
 
 let run cat plan ~params = prepare cat plan ~params ()

@@ -579,9 +579,10 @@ let run_case ?(mutate = false) ?(recovery = true) (c : Case.t) =
       in
       add par.divergences;
       (* compiled pipelines against the same oracle on a bounded mode
-         subset: Nsm runs real native code, Comp (encoded relations) and
+         subset: Nsm and Pdsm (the partially decomposed layouts the IP
+         advisor picks) run real native code, Comp (encoded relations) and
          every unsupported shape exercise the in-engine Jit fallback *)
-      if mode = Case.Nsm || mode = Case.Comp then begin
+      if mode = Case.Nsm || mode = Case.Pdsm || mode = Case.Comp then begin
         let comp =
           run_combo ~engine:Engine.Compiled ~mode ~fastpath:true c ~oracle
         in

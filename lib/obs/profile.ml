@@ -131,6 +131,14 @@ let phase_at ~id name f =
       enter s n;
       Fun.protect ~finally:(fun () -> exit_top s) f
 
+let annotate ~id note =
+  match current () with
+  | None -> ()
+  | Some s -> (
+      match Hashtbl.find_opt s.tbl id with
+      | Some n -> n.Span.label <- n.Span.label ^ " " ^ note
+      | None -> ())
+
 let add_domains ps =
   match current () with
   | None -> ()

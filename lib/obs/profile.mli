@@ -56,6 +56,11 @@ val phase_at : id:string -> string -> (unit -> 'a) -> 'a
     {e child}'s dynamic extent, so the innermost open span is not the
     operator the phase belongs to. *)
 
+val annotate : id:string -> string -> unit
+(** Append a note to the label of an existing span of the current session
+    (no-op without a session or span) — e.g. the verdict of a decision
+    taken inside a phase, shown on that phase's line. *)
+
 val add_domains : Span.profile list -> unit
 (** Attach finished per-worker-domain profiles to the calling domain's
     session (no-op without one). *)

@@ -4,7 +4,7 @@ type kind = Query | Op | Phase
 
 type node = {
   id : string;
-  label : string;
+  mutable label : string;
   kind : kind;
   mutable calls : int;
   self : Stats.t;

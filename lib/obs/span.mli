@@ -20,7 +20,7 @@ type kind = Query | Op | Phase
 
 type node = {
   id : string;
-  label : string;
+  mutable label : string;
   kind : kind;
   mutable calls : int;
   self : Memsim.Stats.t;  (** exclusive counters *)

@@ -187,10 +187,13 @@ let handle_client srv fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
   let session = { client_id = "anon"; txn = None; txn_started = 0.0 } in
+  let alive = ref true in
   let send reply =
-    output_string oc (Wire.encode_reply reply);
-    output_char oc '\n';
-    flush oc
+    try
+      output_string oc (Wire.encode_reply reply);
+      output_char oc '\n';
+      flush oc
+    with Sys_error _ -> (* the client is gone *) alive := false
   in
   let rec loop () =
     match input_line ic with
@@ -237,7 +240,7 @@ let handle_client srv fd =
                                { tag = "ERROR"; msg = Printexc.to_string e });
                           true)))
         in
-        if continue && not (Atomic.get srv.stop) then loop ()
+        if continue && !alive && not (Atomic.get srv.stop) then loop ()
   in
   Fun.protect
     ~finally:(fun () ->
@@ -269,6 +272,9 @@ let shed fd max_clients =
   try Unix.close fd with Unix.Unix_error _ -> ()
 
 let accept_loop srv listen_fd =
+  (* a client that vanishes mid-reply must cost its connection, not the
+     process: writes to it then fail with EPIPE *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let domains = ref [] in
   (try
      while not (Atomic.get srv.stop) do

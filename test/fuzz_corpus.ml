@@ -215,6 +215,103 @@ let boundary_per_engine engine () =
       Alcotest.failf "boundary case diverged: %a" Fuzz.Driver.pp_divergence d
 
 (* ------------------------------------------------------------------ *)
+(* Pinned join/sort case                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Hand-written case for the compiled engine's widest shape: a hash join
+   feeding a group-by on a varchar key, sorted on every output column and
+   cut by a limit, over partially decomposed layouts (each table split
+   into two partitions).  Under [Pdsm] the compiled combo must run it
+   natively and agree with the oracle row for row. *)
+let join_sort_case =
+  let names = [| ""; "ab"; "abc"; "b"; "ab" |] in
+  let rows0 =
+    List.init 30 (fun i ->
+        [|
+          V.VInt i;
+          V.VInt (i mod 6);
+          (if i mod 7 = 3 then V.Null else V.VStr names.(i mod 5));
+        |])
+  in
+  let rows1 = List.init 8 (fun i -> [| V.VInt (i mod 5); V.VInt (10 * i) |]) in
+  let join =
+    Plan.Join
+      {
+        left = Plan.Scan "t1";
+        right = Plan.Scan "t0";
+        left_keys = [ 0 ];
+        right_keys = [ 1 ];
+      }
+  in
+  let grouped =
+    Plan.Group_by
+      {
+        child = join;
+        keys = [ (Expr.Col 4, "k") ];
+        aggs =
+          [
+            Relalg.Aggregate.(make Sum ~expr:(Expr.Col 1) "s");
+            Relalg.Aggregate.(make Count_star "n");
+          ];
+      }
+  in
+  let sorted =
+    Plan.Sort
+      {
+        child = grouped;
+        keys = [ (1, Plan.Desc); (0, Plan.Asc); (2, Plan.Asc) ];
+      }
+  in
+  {
+    Case.seed = 0;
+    tables =
+      [
+        {
+          Case.tname = "t0";
+          cols =
+            [
+              { Case.cname = "c0"; ty = V.Int; nullable = false };
+              { Case.cname = "c1"; ty = V.Int; nullable = false };
+              { Case.cname = "c2"; ty = V.Varchar 5; nullable = true };
+            ];
+          groups = [ [ 0; 2 ]; [ 1 ] ];
+          rows = rows0;
+        };
+        {
+          Case.tname = "t1";
+          cols =
+            [
+              { Case.cname = "d0"; ty = V.Int; nullable = false };
+              { Case.cname = "d1"; ty = V.Int; nullable = false };
+            ];
+          groups = [ [ 1 ]; [ 0 ] ];
+          rows = rows1;
+        };
+      ];
+    episode = [ Case.Query sorted; Case.Query (Plan.Limit (sorted, 3)) ];
+    params = [| V.VInt 0; V.VInt 0 |];
+  }
+
+let test_join_sort_case () =
+  check_ok "pinned join/sort case" (Harness.replay_case join_sort_case);
+  let fallbacks () =
+    Obs.Metrics.counter_value
+      (Obs.Metrics.counter "mrdb_compiled_fallbacks_total")
+  in
+  let f0 = fallbacks () in
+  let oracle = Fuzz.Driver.oracle_results join_sort_case in
+  let out =
+    Fuzz.Driver.run_combo ~engine:Engines.Engine.Compiled ~mode:Case.Pdsm
+      ~fastpath:true join_sort_case ~oracle
+  in
+  (match out.Fuzz.Driver.divergences with
+  | [] -> ()
+  | d :: _ ->
+      Alcotest.failf "compiled pdsm diverged: %a" Fuzz.Driver.pp_divergence d);
+  if Engines.Compiled.cc_available () then
+    Alcotest.(check int) "both queries ran natively" f0 (fallbacks ())
+
+(* ------------------------------------------------------------------ *)
 (* Pinned advisor case                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -443,3 +540,7 @@ let suite =
        test_mutation_caught
   :: Helpers.across_engines "boundary case vs oracle" boundary_per_engine
   @ Helpers.across_engines "compressed case vs oracle" compressed_per_engine
+  @ [
+      Alcotest.test_case "pinned join/sort case over pdsm" `Quick
+        test_join_sort_case;
+    ]

@@ -1,61 +1,106 @@
-(* Tests for the Fig. 2c C-code renderer. *)
+(* The shape of the translation units the compiled engine builds: the
+   data-centric structure of the paper's Fig. 2c, asserted on the real
+   backend (these units are what cc compiles). *)
+
+module V = Storage.Value
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
+let count hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i acc =
+    if i + nn > nh then acc
+    else go (i + 1) (if String.sub hay i nn = needle then acc + 1 else acc)
+  in
+  go 0 0
+
+let plan_of cat sql = Relalg.Planner.plan cat (Relalg.Sql.parse cat sql)
+
+let unit_of cat plan ~params =
+  match Engines.C_emitter.emit_unit cat plan ~params with
+  | Ok info -> info.Engines.C_emitter.source
+  | Error reason -> Alcotest.failf "unexpected fallback: %s" reason
+
 let test_example_query_code () =
-  let hier = Memsim.Hierarchy.create () in
-  let cat = Workloads.Microbench.build ~hier ~n:100 () in
+  let cat = Workloads.Microbench.build ~n:100 () in
   Storage.Catalog.set_layout cat "R" Workloads.Microbench.pdsm_layout;
-  let code = Engines.C_emitter.emit cat (Workloads.Microbench.plan cat ~sel:0.01) in
-  (* the structure of the paper's Fig. 2c *)
-  Alcotest.(check bool) "struct per relation" true (contains code "struct R_t");
-  Alcotest.(check bool) "A is its own array" true (contains code "int64_t A[N_R]");
-  Alcotest.(check bool) "B..E share a partition struct" true
-    (contains code "} p1[N_R]");
-  Alcotest.(check bool) "single fused loop" true
-    (contains code "for (int64_t tid");
-  Alcotest.(check bool) "predicate inlined" true (contains code "R->A[");
-  Alcotest.(check bool) "register accumulators" true (contains code "sum_B +=");
-  Alcotest.(check bool) "no accumulator in a hash table" false
-    (contains code "aggtable")
+  let params = Workloads.Microbench.params ~sel:0.01 in
+  let code =
+    unit_of cat (Workloads.Microbench.plan cat ~sel:0.01) ~params
+  in
+  (* scan loops are the only loops bounded by a table's row count *)
+  Alcotest.(check int) "one fused loop" 1 (count code " < N");
+  (* A is partition 0 on its own (8 bytes), B..E share partition 1 *)
+  Alcotest.(check bool) "predicate reads A's partition" true
+    (contains code "ld64(B0 + t");
+  Alcotest.(check bool) "aggregates read the B..E partition at offsets" true
+    (contains code "B1 + t" && contains code " * 32 + 8)");
+  Alcotest.(check bool) "register accumulators" true (contains code "_st[");
+  Alcotest.(check bool) "no aggregation table" false (contains code "_find(");
+  Alcotest.(check bool) "parameter read at run time" true
+    (contains code "ld64(params + 8)")
 
 let test_group_by_code () =
   let cat = Helpers.small_catalog ~n:10 () in
-  let plan =
-    Relalg.Planner.plan cat
-      (Relalg.Sql.parse cat "select grp, count(*) c from t group by grp")
+  let code =
+    unit_of cat (plan_of cat "select grp, count(*) c from t group by grp")
+      ~params:[||]
   in
-  let code = Engines.C_emitter.emit cat plan in
-  Alcotest.(check bool) "hash aggregation" true (contains code "aggtable");
-  Alcotest.(check bool) "update call" true (contains code ".update(")
+  Alcotest.(check int) "one scan loop" 1 (count code " < N");
+  Alcotest.(check bool) "hash aggregation table" true (contains code "_find(&");
+  Alcotest.(check bool) "groups emitted in insertion order" true
+    (contains code ".ents[")
 
 let test_join_code () =
   let cat = Helpers.join_catalog ~n_orders:10 ~n_customers:5 () in
-  let plan =
-    Relalg.Planner.plan cat
-      (Relalg.Sql.parse cat
-         "select region, total from cust join ord on cid = ocid")
+  let code =
+    unit_of cat
+      (plan_of cat "select region, total from cust join ord on cid = ocid")
+      ~params:[||]
   in
-  let code = Engines.C_emitter.emit cat plan in
-  Alcotest.(check bool) "hash table declared" true (contains code "hashtable");
-  Alcotest.(check bool) "build inserts" true (contains code ".insert(");
-  Alcotest.(check bool) "probe loops" true (contains code ".lookup(");
-  Alcotest.(check bool) "both structs emitted" true
-    (contains code "struct cust_t" && contains code "struct ord_t")
+  Alcotest.(check int) "separate build and probe loops" 2 (count code " < N");
+  Alcotest.(check bool) "build appends entries" true (contains code "_n++]");
+  Alcotest.(check bool) "chains threaded after the build" true
+    (contains code "_head[s] = e");
+  Alcotest.(check bool) "probe walks its key's chain" true
+    (contains code "_head[hslot(");
+  Alcotest.(check bool) "varchar payload travels as a pointer" true
+    (contains code "slen(")
 
 let test_index_scan_code () =
   let cat = Helpers.small_catalog ~n:10 () in
   Storage.Catalog.create_index cat "t" ~name:"pk" ~kind:Storage.Index.Hash
     ~attrs:[ "id" ];
-  let plan =
-    Relalg.Planner.plan cat (Relalg.Sql.parse cat "select * from t where id = $1")
+  let plan = plan_of cat "select * from t where id = $1" in
+  match Engines.C_emitter.emit_unit cat plan ~params:[| V.VInt 3 |] with
+  | Ok _ -> Alcotest.fail "index access compiled"
+  | Error reason -> Alcotest.(check string) "fallback reason" "index access" reason
+
+(* The unit depends on the parameters' types only: equal-typed vectors
+   share a source (hence one object), a NULL parameter changes it. *)
+let test_params_are_runtime () =
+  let cat = Helpers.small_catalog ~n:10 () in
+  let plan = plan_of cat "select id from t where amount > $1" in
+  let a = unit_of cat plan ~params:[| V.VInt 3 |] in
+  let b = unit_of cat plan ~params:[| V.VInt 77 |] in
+  let c = unit_of cat plan ~params:[| V.Null |] in
+  Alcotest.(check bool) "same types, same unit" true (String.equal a b);
+  Alcotest.(check bool) "NULL parameter, own unit" false (String.equal a c)
+
+let test_sort_code () =
+  let cat = Helpers.small_catalog ~n:10 () in
+  let code =
+    unit_of cat
+      (plan_of cat "select id, amount from t order by amount desc limit 3")
+      ~params:[||]
   in
-  let code = Engines.C_emitter.emit cat plan in
-  Alcotest.(check bool) "index lookup loop" true
-    (contains code "t_index_lookup")
+  Alcotest.(check bool) "stable sort on an arrival number" true
+    (contains code "icmp(a->seq, b->seq)" && contains code "qsort(");
+  Alcotest.(check bool) "limit ends the emission early" true
+    (contains code "_done;")
 
 let suite =
   [
@@ -63,4 +108,7 @@ let suite =
     Alcotest.test_case "group by" `Quick test_group_by_code;
     Alcotest.test_case "hash join" `Quick test_join_code;
     Alcotest.test_case "index scan" `Quick test_index_scan_code;
+    Alcotest.test_case "parameters are run-time values" `Quick
+      test_params_are_runtime;
+    Alcotest.test_case "sort and limit" `Quick test_sort_code;
   ]

@@ -196,6 +196,271 @@ let test_parallel_compiled () =
       ("select id from m where score > 0.5 and flag", [||]);
     ]
 
+(* Exact value identity: constructor and bits (Value.equal would let
+   -0. = 0., nan = nan and VInt = VDate pass). *)
+let exact (v : V.t) =
+  match v with
+  | V.Null -> "null"
+  | V.VInt x -> Printf.sprintf "i%d" x
+  | V.VFloat f -> Printf.sprintf "f%Lx" (Int64.bits_of_float f)
+  | V.VBool b -> Printf.sprintf "b%b" b
+  | V.VDate d -> Printf.sprintf "d%d" d
+  | V.VStr s -> Printf.sprintf "s%S" s
+
+let check_exact name (a : Runtime.result) (b : Runtime.result) =
+  Alcotest.(check (array string)) (name ^ " columns") a.columns b.columns;
+  Alcotest.(check (list (array string)))
+    (name ^ " rows")
+    (List.map (Array.map exact) a.rows)
+    (List.map (Array.map exact) b.rows)
+
+(* Run [sql] under Compiled and under each reference engine; with a
+   compiler present the compiled run must also be native. *)
+let check_native ?(params = [||]) ?(against = [ Engine.Jit; Engine.Bulk ]) cat
+    sql =
+  let plan = Relalg.Planner.plan cat (Relalg.Sql.parse cat sql) in
+  let fb0 = counter_value "mrdb_compiled_fallbacks_total" in
+  let compiled = Compiled.run cat plan ~params in
+  if Compiled.cc_available () then
+    Alcotest.(check int)
+      (sql ^ " ran natively")
+      fb0
+      (counter_value "mrdb_compiled_fallbacks_total");
+  List.iter
+    (fun engine ->
+      check_exact
+        (Printf.sprintf "[%s] %s" (Engine.name engine) sql)
+        (Engine.run engine cat plan ~params)
+        compiled)
+    against;
+  compiled
+
+(* All eight CH analytic queries at scale 0.01 under the layouts the IP
+   optimizer picks for them (hybrid, partially decomposed), row for row. *)
+let test_ch_suite () =
+  let ch = Workloads.Ch.build ~scale:0.01 () in
+  let cat = ch.Workloads.Ch.cat in
+  let plans =
+    Workloads.Workload.plans ~use_indexes:false ch.Workloads.Ch.queries
+  in
+  Layoutopt.Optimizer.apply cat
+    (Layoutopt.Optimizer.optimize ~algorithm:Layoutopt.Optimizer.Ip cat plans);
+  List.iter
+    (fun (q : Workloads.Workload.query) ->
+      ignore (check_native ~params:q.Workloads.Workload.params cat q.sql))
+    ch.Workloads.Ch.queries
+
+(* Two joinable tables with nullable keys, an int/date key pair, float
+   sort keys with nan and -0., and varchars sharing prefixes. *)
+let join_catalog () =
+  let cat = Storage.Catalog.create () in
+  let l =
+    Storage.Schema.make_nullable "l"
+      [
+        ("lk", V.Int, true);
+        ("lv", V.Int, false);
+        ("lname", V.Varchar 6, true);
+        ("lf", V.Float, true);
+      ]
+  in
+  let r =
+    Storage.Schema.make_nullable "r"
+      [ ("rk", V.Int, true); ("rd", V.Date, false); ("rv", V.Int, false) ]
+  in
+  let names = [| ""; "a"; "ab"; "abc"; "abcdef"; "b"; "ab" |] in
+  let floats = [| 0.0; -0.0; nan; 1.5; -2.0; nan; 0.0 |] in
+  let lrel =
+    Storage.Catalog.add cat l (Storage.Layout.of_indices l [ [ 0; 2 ]; [ 1; 3 ] ])
+  in
+  Storage.Relation.load lrel ~n:60 (fun ~row ->
+      [|
+        (if row mod 7 = 3 then V.Null else V.VInt (row mod 9));
+        V.VInt row;
+        (if row mod 11 = 5 then V.Null else V.VStr names.(row mod 7));
+        (if row mod 13 = 4 then V.Null else V.VFloat floats.(row mod 7));
+      |]);
+  let rrel = Storage.Catalog.add cat r (Storage.Layout.column r) in
+  Storage.Relation.load rrel ~n:25 (fun ~row ->
+      [|
+        (if row mod 5 = 2 then V.Null else V.VInt (row mod 8));
+        V.VDate (row mod 6);
+        V.VInt (100 + row);
+      |]);
+  cat
+
+let test_join_null_keys () =
+  let cat = join_catalog () in
+  let r = check_native cat "select lv, rv, lname from l join r on lk = rk" in
+  Alcotest.(check bool) "NULL keys matched each other" true
+    (List.exists (fun row -> row.(0) = V.VInt 3) r.Runtime.rows)
+
+let test_join_int_date () =
+  let cat = join_catalog () in
+  let r = check_native cat "select lk, rd, rv from l join r on lk = rd" in
+  Alcotest.(check bool) "int keys matched date keys" true (r.Runtime.rows <> [])
+
+let test_order_by_ties_limit () =
+  let cat = join_catalog () in
+  List.iter
+    (fun sql -> ignore (check_native cat sql))
+    [
+      "select lv, lk from l order by lk limit 7";
+      "select lv, lk from l order by lk desc limit 11";
+      "select rk, count(*) c from r group by rk order by c desc limit 3";
+      "select lv, rv from l join r on lk = rk order by rv limit 5";
+    ]
+
+let test_nan_zero_sort () =
+  let cat = join_catalog () in
+  List.iter
+    (fun sql -> ignore (check_native cat sql))
+    [
+      "select lf, lv from l order by lf";
+      "select lf, lv from l order by lf desc, lv desc";
+      "select lf, count(*) c from l group by lf order by lf";
+    ]
+
+let test_varchar_group_keys () =
+  let cat = join_catalog () in
+  let r =
+    check_native cat
+      "select lname, count(*) c, min(lv) mn from l group by lname"
+  in
+  let keys = List.map (fun row -> row.(0)) r.Runtime.rows in
+  List.iter
+    (fun k ->
+      Alcotest.(check bool)
+        (Printf.sprintf "group %s present" (V.to_display k))
+        true (List.mem k keys))
+    [ V.VStr ""; V.VStr "a"; V.VStr "ab"; V.VStr "abc"; V.VStr "abcdef"; V.Null ];
+  ignore
+    (check_native cat
+       "select lname, max(lname) mx, min(lname) mn, count(lname) n from l \
+        group by lname order by lname")
+
+(* Seeded random join + group + sort + limit SQL over the nullable,
+   partially decomposed tables above: every query native, every answer
+   exact.  The differential fuzzer generates joins rarely, so this sweeps
+   key type pairs (int/int, int/date, nullable), build/probe sides, varchar
+   and float payloads and sort directions directly. *)
+let test_random_joins () =
+  let cat = join_catalog () in
+  let rng = Random.State.make [| 14 |] in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let dir () = if Random.State.bool rng then " desc" else "" in
+  for _ = 1 to 30 do
+    let lk, rk = pick [| ("lk", "rk"); ("lk", "rd"); ("lv", "rv"); ("lv", "rk") |] in
+    let from =
+      if Random.State.bool rng then Printf.sprintf "l join r on %s = %s" lk rk
+      else Printf.sprintf "r join l on %s = %s" rk lk
+    in
+    let where =
+      pick [| ""; " where lv > 20"; " where rv < 110 or lf > 0.5"; " where lname is null" |]
+    in
+    let select, group, cols =
+      pick
+        [|
+          ("lv, rv, lname, lf", "", [ "lv"; "rv"; "lname"; "lf" ]);
+          ("lname, count(*) c, sum(rv) s, max(lf) m", " group by lname",
+           [ "lname"; "c"; "s"; "m" ]);
+          ("rd, min(lname) mn, avg(lv) a", " group by rd", [ "rd"; "mn"; "a" ]);
+        |]
+    in
+    let order =
+      if Random.State.bool rng then ""
+      else
+        " order by " ^ String.concat ", " (List.map (fun c -> c ^ dir ()) cols)
+        ^ if Random.State.bool rng then
+            Printf.sprintf " limit %d" (Random.State.int rng 12)
+          else ""
+    in
+    ignore
+      (check_native cat
+         (Printf.sprintf "select %s from %s%s%s%s" select from where group order))
+  done
+
+(* One call serves a result of any size: well past 64 KB, with NULLs and
+   varchars. *)
+let test_large_result () =
+  let cat = Storage.Catalog.create () in
+  let schema =
+    Storage.Schema.make_nullable "big"
+      [ ("id", V.Int, false); ("name", V.Varchar 24, true); ("x", V.Int, true) ]
+  in
+  let rel = Storage.Catalog.add cat schema (Storage.Layout.row schema) in
+  Storage.Relation.load rel ~n:4000 (fun ~row ->
+      [|
+        V.VInt row;
+        (if row mod 9 = 0 then V.Null
+         else
+           V.VStr (String.make (1 + (row mod 24)) (Char.chr (97 + (row mod 26)))));
+        (if row mod 4 = 0 then V.Null else V.VInt (row * 3));
+      |]);
+  let r = check_native cat "select id, name, x from big" in
+  let bytes =
+    List.fold_left
+      (fun acc row ->
+        Array.fold_left
+          (fun acc v ->
+            acc
+            + match v with V.Null -> 1 | V.VStr s -> 5 + String.length s | _ -> 9)
+          acc row)
+      8 r.Runtime.rows
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "result of %d bytes exceeds 64 KB" bytes)
+    true (bytes > 65536)
+
+(* Parameters are run-time values: two vectors of one type signature share
+   one object (one cache miss), a NULL parameter gets its own. *)
+let test_param_objects () =
+  if Compiled.cc_available () then begin
+    let dir = Filename.temp_dir "mrdb-params" "" in
+    Unix.putenv "MRDB_COMPILE_CACHE" dir;
+    Compiled.reset_cache ();
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.putenv "MRDB_COMPILE_CACHE" "";
+        Compiled.reset_cache ();
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+        Sys.rmdir dir)
+      (fun () ->
+        let cat = mixed_catalog () in
+        let sql = "select grp, count(*) c from m where amount > $1 group by grp" in
+        let misses () = counter_value "mrdb_compiled_cache_misses_total" in
+        let m0 = misses () in
+        ignore (check_native ~params:[| V.VInt 3 |] cat sql);
+        ignore (check_native ~params:[| V.VInt (-20) |] cat sql);
+        Alcotest.(check int) "one object for one type signature" (m0 + 1)
+          (misses ());
+        let r = check_native ~params:[| V.Null |] cat sql in
+        Alcotest.(check int) "a NULL parameter gets its own object" (m0 + 2)
+          (misses ());
+        Alcotest.(check int) "NULL compares false" 0 (List.length r.Runtime.rows))
+  end
+
+(* The #compile phase of a profile names the verdict. *)
+let compile_label cat sql =
+  let plan = Relalg.Planner.plan cat (Relalg.Sql.parse cat sql) in
+  let _, profile =
+    Obs.Profile.profiled (fun () -> Compiled.run cat plan ~params:[||])
+  in
+  match
+    Obs.Span.find profile
+      (Obs.Span.phase_id (Obs.Span.child Obs.Span.root_id 0) "#compile")
+  with
+  | Some n -> n.Obs.Span.label
+  | None -> Alcotest.fail "no #compile span"
+
+let test_fallback_reason () =
+  let cat = Helpers.small_catalog ~n:20 () in
+  Alcotest.(check string) "like falls back with its reason"
+    "#compile jit fallback: like"
+    (compile_label cat "select id from t where name like 'a%'");
+  if Compiled.cc_available () then
+    Alcotest.(check string) "a compiled plan says native" "#compile native"
+      (compile_label cat "select grp, count(*) c from t group by grp")
+
 let suite =
   [
     Alcotest.test_case "parity vs jit" `Quick (test_parity_vs Engine.Jit);
@@ -209,4 +474,18 @@ let suite =
       test_cache_hit_counting;
     Alcotest.test_case "morsel-parallel compiled" `Quick
       test_parallel_compiled;
+    Alcotest.test_case "CH suite native under IP layouts" `Quick test_ch_suite;
+    Alcotest.test_case "join on NULL keys" `Quick test_join_null_keys;
+    Alcotest.test_case "join int key to date key" `Quick test_join_int_date;
+    Alcotest.test_case "order by ties under limit" `Quick
+      test_order_by_ties_limit;
+    Alcotest.test_case "nan and -0. sort keys" `Quick test_nan_zero_sort;
+    Alcotest.test_case "varchar group keys" `Quick test_varchar_group_keys;
+    Alcotest.test_case "random join/group/sort SQL" `Quick test_random_joins;
+    Alcotest.test_case "result past 64 KB in one call" `Quick
+      test_large_result;
+    Alcotest.test_case "parameter objects by type signature" `Quick
+      test_param_objects;
+    Alcotest.test_case "fallback reason on #compile" `Quick
+      test_fallback_reason;
   ]

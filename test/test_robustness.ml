@@ -205,9 +205,13 @@ let qcheck_codegen_and_explain_total =
     (fun sql ->
       let cat = Helpers.small_catalog ~n:50 () in
       let plan = Relalg.Planner.plan cat (Relalg.Sql.parse cat sql) in
-      let code = Engines.C_emitter.emit cat plan in
+      let emitted =
+        match Engines.C_emitter.emit_unit cat plan ~params:[||] with
+        | Ok info -> String.length info.Engines.C_emitter.source > 0
+        | Error reason -> String.length reason > 0
+      in
       let explanation = Costmodel.Model.explain cat plan in
-      String.length code > 0 && String.length explanation > 0)
+      emitted && String.length explanation > 0)
 
 let suite =
   [
