@@ -13,7 +13,14 @@
                           from a pooled latency histogram
 
    The container may have a single CPU, so no gate assumes multi-client
-   scaling — throughput floors and abort-rate ceilings only. *)
+   scaling — throughput floors and abort-rate ceilings only.
+
+   The wire cell runs the same transfer (begin, two gets, two sets,
+   commit) from one Txn.Client over a unix socket against a Txn.Server
+   domain, and reports the replies the client waited for per transfer
+   (mrdb_client_round_trips_total) and committed transfers/sec.  The sets
+   are pipelined behind the next call, so a transfer costs 4 round trips
+   where a request-reply client pays 6. *)
 
 module V = Storage.Value
 module Catalog = Storage.Catalog
@@ -40,11 +47,25 @@ let vint = function
   | V.VInt n -> n
   | v -> failwith ("oltp: expected int, got " ^ V.to_display v)
 
-(* One transfer attempt inside an open transaction. *)
-let transfer txn rng =
+(* A transfer's source, destination and amount. *)
+let draw rng =
   let src = Rng.int rng accounts in
   let dst = (src + 1 + Rng.int rng (accounts - 1)) mod accounts in
-  let amount = 1 + Rng.int rng 10 in
+  (src, dst, 1 + Rng.int rng 10)
+
+(* Money is conserved under any interleaving. *)
+let check_conserved mgr =
+  let total =
+    Mvcc.snapshot mgr (fun txn ->
+        Array.fold_left
+          (fun a row -> a + vint row.(1))
+          0 (Mvcc.scan txn "acct"))
+  in
+  assert (total = accounts * init_balance)
+
+(* One transfer attempt inside an open transaction. *)
+let transfer txn rng =
+  let src, dst, amount = draw rng in
   let sb = vint (Mvcc.read txn "acct" src 1) in
   let db = vint (Mvcc.read txn "acct" dst 1) in
   Mvcc.update txn "acct" src 1 (V.VInt (sb - amount));
@@ -93,15 +114,44 @@ let run_round ~n_clients ~per_client =
   let wall = Unix.gettimeofday () -. t0 in
   let commits = Array.fold_left (fun a s -> a + s.commits) 0 stats in
   let conflicts = Array.fold_left (fun a s -> a + s.conflicts) 0 stats in
-  (* sanity: money is conserved under any interleaving *)
-  let total =
-    Mvcc.snapshot mgr (fun txn ->
-        Array.fold_left
-          (fun a row -> a + vint row.(1))
-          0 (Mvcc.scan txn "acct"))
-  in
-  assert (total = accounts * init_balance);
+  check_conserved mgr;
   (wall, commits, conflicts, hist)
+
+(* [txns] transfers over the wire; returns (round trips per transfer,
+   transfers/sec). *)
+let run_wire ~txns =
+  let cat = build_bank () in
+  let srv = Txn.Server.create (Mvcc.create cat) in
+  let sock =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "mrdb-bench-wire-%d.sock" (Unix.getpid ()))
+  in
+  let listen = Txn.Server.listen_unix sock in
+  let server = Domain.spawn (fun () -> Txn.Server.accept_loop srv listen) in
+  let c = Txn.Client.connect ~id:"bench-wire" (Txn.Client.Unix_sock sock) in
+  let rng = Rng.create 0xB41 in
+  let round_trips = Obs.Metrics.counter "mrdb_client_round_trips_total" in
+  let rt0 = Obs.Metrics.counter_value round_trips in
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to txns do
+    let src, dst, amount = draw rng in
+    Txn.Client.begin_ c;
+    let sb = vint (Txn.Client.get c ~table:"acct" ~tid:src ~attr:1) in
+    let db = vint (Txn.Client.get c ~table:"acct" ~tid:dst ~attr:1) in
+    Txn.Client.set c ~table:"acct" ~tid:src ~attr:1 (V.VInt (sb - amount));
+    Txn.Client.set c ~table:"acct" ~tid:dst ~attr:1 (V.VInt (db + amount));
+    ignore (Txn.Client.commit c)
+  done;
+  let wall = Unix.gettimeofday () -. t0 in
+  let rts = Obs.Metrics.counter_value round_trips - rt0 in
+  Txn.Client.close c;
+  Txn.Server.stop srv;
+  Txn.Server.poke sock;
+  (try Unix.close listen with Unix.Unix_error _ -> ());
+  Domain.join server;
+  (try Unix.unlink sock with Unix.Unix_error _ -> ());
+  check_conserved (Txn.Server.mgr srv);
+  (float_of_int rts /. float_of_int txns, float_of_int txns /. wall)
 
 let run () =
   Common.header "OLTP: concurrent transfers through the MVCC front door";
@@ -137,4 +187,13 @@ let run () =
       pt ~n "p50_seconds" ~unit_:"s" p50;
       pt ~n "p99_seconds" ~unit_:"s" p99)
     [ 1; 2; 4 ];
+  let round_trips, tps = run_wire ~txns:(2 * per_client) in
+  Common.note "wire, 1 client: %.2f round trips per transfer, %s txn/s"
+    round_trips (Common.pow10_label tps);
+  let wire metric ?unit_ v =
+    points :=
+      Common.pt ~bench:"oltp" ~metric:("wire." ^ metric) ?unit_ v :: !points
+  in
+  wire "round_trips_per_txn" round_trips;
+  wire "txns_per_sec" ~unit_:"txn/s" tps;
   Common.write_bench "BENCH_oltp.json" (List.rev !points)

@@ -57,9 +57,9 @@ let m_requests =
 let m_active_clients =
   Obs.Metrics.gauge "mrdb_server_active_clients" ~help:"Connected clients"
 
-(* Per-client commit-latency histogram, registered on first use.  Client
-   ids are free-form; anything non-alphanumeric is mangled to keep the
-   metric name well-formed. *)
+(* Per-client commit-latency histogram, registered at the session's first
+   commit and kept in the session.  Client ids are free-form; anything
+   non-alphanumeric is mangled to keep the metric name well-formed. *)
 let client_histogram id =
   let mangled =
     String.map
@@ -78,9 +78,18 @@ let client_histogram id =
 
 type session = {
   mutable client_id : string;
+  mutable commit_hist : Obs.Metrics.histogram Lazy.t;
   mutable txn : Mvcc.txn option;
   mutable txn_started : float;
 }
+
+(* Abort the session's open transaction, if any, and forget it. *)
+let drop_txn session =
+  (match session.txn with
+  | Some txn -> (
+      match Mvcc.status txn with Mvcc.Active -> Mvcc.abort txn | _ -> ())
+  | None -> ());
+  session.txn <- None
 
 let value_sum vs =
   (* SUM over a column: ints (and dates) sum to VInt, any float makes it
@@ -132,17 +141,13 @@ let execute srv session (req : Wire.request) : Wire.reply option =
   match req with
   | Wire.Hello id ->
       session.client_id <- id;
+      session.commit_hist <- lazy (client_histogram id);
       Some (Wire.Ok_ "mrdb")
   | Wire.Ping -> Some (Wire.Ok_ "")
   | Wire.Quit -> None
   | Wire.Begin ->
-      (match session.txn with
-      | Some txn -> (
-          (* a client restarting mid-transaction: drop the stale one *)
-          match Mvcc.status txn with
-          | Mvcc.Active -> Mvcc.abort txn
-          | _ -> ())
-      | None -> ());
+      (* a client restarting mid-transaction: drop the stale one *)
+      drop_txn session;
       session.txn <- Some (Mvcc.begin_ ?timeout:srv.txn_timeout srv.mgr);
       session.txn_started <- Unix.gettimeofday ();
       Some (Wire.Ok_ (string_of_int (Mvcc.begin_ts (Option.get session.txn))))
@@ -179,79 +184,94 @@ let execute srv session (req : Wire.request) : Wire.reply option =
           session.txn <- None;
           remember_commit srv session token ts;
           Obs.Metrics.observe
-            (client_histogram session.client_id)
+            (Lazy.force session.commit_hist)
             (Unix.gettimeofday () -. session.txn_started);
           Some (Wire.Ok_ (string_of_int ts)))
 
+(* Error messages are cut to this many bytes, so that the replies to a
+   client's pipelined writes stay small (see Client.max_pending). *)
+let max_err_msg = 256
+
+let err_reply e =
+  let msg =
+    match Errors.to_diagnostic e with
+    | Some m -> m
+    | None -> Printexc.to_string e
+  in
+  Wire.Err
+    {
+      tag = Option.value (Errors.wire_tag_of e) ~default:"ERROR";
+      msg =
+        (if String.length msg <= max_err_msg then msg
+         else String.sub msg 0 max_err_msg);
+    }
+
+(* Execute one request line.  [None] ends the session. *)
+let serve srv session line =
+  match Wire.parse_request line with
+  | exception Failure msg -> Some (err_reply (Errors.Bad_request msg))
+  | req -> (
+      match execute srv session req with
+      | reply -> reply
+      | exception e ->
+          (match (req, e) with
+          | (Wire.Set _ | Wire.Insert _), _ ->
+              (* the requests pipelined behind a failed write must not
+                 commit the rest of its transaction *)
+              drop_txn session
+          | _, (Errors.Txn_conflict _ | Errors.Txn_timeout _) ->
+              (* a failed COMMIT (conflict/timeout) leaves no open txn *)
+              session.txn <- None
+          | _ -> ());
+          Some (err_reply e))
+
+(* Replies are written when no complete request is left in the buffer, so
+   a pipelined batch costs one write(2). *)
 let handle_client srv fd =
-  let ic = Unix.in_channel_of_descr fd in
+  let r = Wire.reader fd in
   let oc = Unix.out_channel_of_descr fd in
-  let session = { client_id = "anon"; txn = None; txn_started = 0.0 } in
+  let session =
+    {
+      client_id = "anon";
+      commit_hist = lazy (client_histogram "anon");
+      txn = None;
+      txn_started = 0.0;
+    }
+  in
   let alive = ref true in
   let send reply =
     try
       output_string oc (Wire.encode_reply reply);
-      output_char oc '\n';
-      flush oc
+      output_char oc '\n'
     with Sys_error _ -> (* the client is gone *) alive := false
   in
+  let flush_replies () =
+    try flush oc with Sys_error _ -> alive := false
+  in
   let rec loop () =
-    match input_line ic with
-    | exception (End_of_file | Sys_error _) -> ()
+    match Wire.read_line r with
+    | exception (End_of_file | Unix.Unix_error _) -> ()
+    | exception (Errors.Bad_request _ as e) ->
+        (* an over-long line: answer once, then drop the connection *)
+        send (err_reply e)
     | line ->
         Obs.Metrics.incr m_requests;
         let continue =
-          match Wire.parse_request line with
-          | exception Failure msg ->
-              send (Wire.Err { tag = "BAD_REQUEST"; msg });
+          match serve srv session line with
+          | Some reply ->
+              send reply;
               true
-          | req -> (
-              match execute srv session req with
-              | Some reply ->
-                  send reply;
-                  true
-              | None -> false
-              | exception e -> (
-                  (* a failed COMMIT (conflict/timeout) leaves no open txn *)
-                  (match (e, session.txn) with
-                  | (Errors.Txn_conflict _ | Errors.Txn_timeout _), Some _ ->
-                      session.txn <- None
-                  | _ -> ());
-                  match Errors.wire_tag_of e with
-                  | Some tag ->
-                      send
-                        (Wire.Err
-                           {
-                             tag;
-                             msg =
-                               (match Errors.to_diagnostic e with
-                               | Some m -> m
-                               | None -> Printexc.to_string e);
-                           });
-                      true
-                  | None -> (
-                      match Errors.to_diagnostic e with
-                      | Some msg ->
-                          send (Wire.Err { tag = "ERROR"; msg });
-                          true
-                      | None ->
-                          send
-                            (Wire.Err
-                               { tag = "ERROR"; msg = Printexc.to_string e });
-                          true)))
+          | None -> false
         in
+        if not (Wire.has_line r) then flush_replies ();
         if continue && !alive && not (Atomic.get srv.stop) then loop ()
   in
   Fun.protect
     ~finally:(fun () ->
       (* a vanished client must not pin its snapshot (and with it the undo
          history the GC would otherwise prune): abort anything open *)
-      (match session.txn with
-      | Some txn -> (
-          match Mvcc.status txn with
-          | Mvcc.Active -> Mvcc.abort txn
-          | _ -> ())
-      | None -> ());
+      drop_txn session;
+      flush_replies ();
       (try Unix.close fd with Unix.Unix_error _ -> ());
       Atomic.decr srv.active;
       Obs.Metrics.set m_active_clients (float_of_int (Atomic.get srv.active)))

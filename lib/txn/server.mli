@@ -1,6 +1,13 @@
 (** The multi-client server core: a domain-per-client accept loop over the
     {!Wire} line protocol, executing against an {!Mvcc} manager.
 
+    Each session executes every complete request line it has buffered
+    before it writes the replies it owes, so a pipelined batch costs one
+    write(2).  A failed SET or INSERT aborts the session's transaction,
+    so a COMMIT pipelined behind it applies nothing.  A line past
+    {!Wire.max_line} bytes gets [ERR BAD_REQUEST] and the connection is
+    closed.
+
     Graceful degradation: connections past [max_clients] are shed with
     [ERR BUSY] (never queued); per-transaction timeouts abort with
     [ERR TIMEOUT]; commits carry client tokens and the server caches each

@@ -39,6 +39,10 @@ exception Txn_indoubt of string
     unreachable: it can neither commit nor abort unilaterally without
     risking cross-shard divergence. *)
 
+exception Bad_request of string
+(** A peer sent a request the protocol cannot accept: a line that does
+    not parse, or one longer than the line cap. *)
+
 let to_diagnostic = function
   | Unknown_table t -> Some (Printf.sprintf "unknown table %S" t)
   | Corrupt_log msg -> Some (Printf.sprintf "corrupt durability file: %s" msg)
@@ -47,6 +51,7 @@ let to_diagnostic = function
   | Server_busy msg -> Some (Printf.sprintf "server busy: %s" msg)
   | Shard_unavailable msg -> Some (Printf.sprintf "shard unavailable: %s" msg)
   | Txn_indoubt msg -> Some (Printf.sprintf "transaction in doubt: %s" msg)
+  | Bad_request msg -> Some (Printf.sprintf "bad request: %s" msg)
   | Invalid_argument msg -> Some msg
   | Failure msg -> Some msg
   | _ -> None
@@ -58,6 +63,7 @@ let exit_code_of = function
   | Server_busy _ -> Some 5
   | Shard_unavailable _ -> Some 6
   | Txn_indoubt _ -> Some 7
+  | Bad_request _ -> Some 8
   | _ -> None
 
 (* Wire tags used by the server protocol; one per taxonomy member so a
@@ -70,6 +76,7 @@ let wire_tag_of = function
   | Server_busy _ -> Some "BUSY"
   | Shard_unavailable _ -> Some "SHARD_UNAVAILABLE"
   | Txn_indoubt _ -> Some "TXN_INDOUBT"
+  | Bad_request _ -> Some "BAD_REQUEST"
   | _ -> None
 
 let of_wire_tag tag msg =
@@ -81,4 +88,5 @@ let of_wire_tag tag msg =
   | "BUSY" -> Some (Server_busy msg)
   | "SHARD_UNAVAILABLE" -> Some (Shard_unavailable msg)
   | "TXN_INDOUBT" -> Some (Txn_indoubt msg)
+  | "BAD_REQUEST" -> Some (Bad_request msg)
   | _ -> None

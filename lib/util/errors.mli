@@ -23,6 +23,10 @@ exception Txn_indoubt of string
 (** Recovery found a prepared transaction whose coordinator decision is
     unreachable — it can neither commit nor abort unilaterally. *)
 
+exception Bad_request of string
+(** A peer sent a request the protocol cannot accept: a line that does
+    not parse, or one longer than the line cap. *)
+
 val to_diagnostic : exn -> string option
 (** A one-line human-readable description for user-facing errors;
     [None] for unexpected exceptions (which should keep their backtrace). *)
@@ -30,7 +34,8 @@ val to_diagnostic : exn -> string option
 val exit_code_of : exn -> int option
 (** Distinct process exit code per taxonomy member: generic user errors 1,
     [Txn_conflict] 3, [Txn_timeout] 4, [Server_busy] 5,
-    [Shard_unavailable] 6, [Txn_indoubt] 7 (2 is cmdliner's).
+    [Shard_unavailable] 6, [Txn_indoubt] 7, [Bad_request] 8 (2 is
+    cmdliner's).
     [None] for unexpected exceptions. *)
 
 val wire_tag_of : exn -> string option

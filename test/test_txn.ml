@@ -178,6 +178,8 @@ let test_error_taxonomy () =
     (Errors.exit_code_of (Errors.Txn_timeout "x"));
   Alcotest.(check (option int)) "busy exit code" (Some 5)
     (Errors.exit_code_of (Errors.Server_busy "x"));
+  Alcotest.(check (option int)) "bad request exit code" (Some 8)
+    (Errors.exit_code_of (Errors.Bad_request "x"));
   List.iter
     (fun e ->
       match Errors.wire_tag_of e with
@@ -188,14 +190,16 @@ let test_error_taxonomy () =
               Alcotest.(check string) ("tag " ^ tag) (Printexc.exn_slot_name e)
                 (Printexc.exn_slot_name e')
           | None -> Alcotest.failf "tag %s does not round-trip" tag))
-    [ Errors.Txn_conflict "m"; Errors.Txn_timeout "m"; Errors.Server_busy "m" ];
+    [ Errors.Txn_conflict "m"; Errors.Txn_timeout "m"; Errors.Server_busy "m";
+      Errors.Bad_request "m" ];
   List.iter
     (fun e ->
       match Errors.to_diagnostic e with
       | Some d -> Alcotest.(check bool) "one-line diagnostic" false
                     (String.contains d '\n')
       | None -> Alcotest.failf "no diagnostic for %s" (Printexc.to_string e))
-    [ Errors.Txn_conflict "m"; Errors.Txn_timeout "m"; Errors.Server_busy "m" ]
+    [ Errors.Txn_conflict "m"; Errors.Txn_timeout "m"; Errors.Server_busy "m";
+      Errors.Bad_request "m" ]
 
 let test_wire_roundtrip () =
   let reqs =
@@ -244,6 +248,167 @@ let test_wire_roundtrip () =
   match Txn.Wire.exn_of_reply (Txn.Wire.Err { tag = "CONFLICT"; msg = "m" }) with
   | Some (Errors.Txn_conflict _) -> ()
   | _ -> Alcotest.fail "CONFLICT reply must map to Txn_conflict"
+
+(* The Printf encoders of the wire codec, kept as the byte-identity oracle
+   for its Printf-free ones. *)
+module Printf_wire = struct
+  module W = Txn.Wire
+
+  let must_escape c = c <= ' ' || c > '~' || c = '%' || c = '|'
+
+  let escape s =
+    if String.exists must_escape s then begin
+      let b = Buffer.create (String.length s + 8) in
+      String.iter
+        (fun c ->
+          if must_escape c then
+            Buffer.add_string b (Printf.sprintf "%%%02X" (Char.code c))
+          else Buffer.add_char b c)
+        s;
+      Buffer.contents b
+    end
+    else s
+
+  let encode_value = function
+    | V.Null -> "null"
+    | V.VInt i -> Printf.sprintf "i:%d" i
+    | V.VFloat f -> Printf.sprintf "f:%h" f
+    | V.VBool b -> Printf.sprintf "b:%b" b
+    | V.VDate d -> Printf.sprintf "d:%d" d
+    | V.VStr s -> "s:" ^ escape s
+
+  let encode_values vs =
+    String.concat "|" (Array.to_list (Array.map encode_value vs))
+
+  let encode_request = function
+    | W.Hello id -> "HELLO " ^ escape id
+    | W.Begin -> "BEGIN"
+    | W.Get { table; tid; attr } ->
+        Printf.sprintf "GET %s %d %d" (escape table) tid attr
+    | W.Set { table; tid; attr; value } ->
+        Printf.sprintf "SET %s %d %d %s" (escape table) tid attr
+          (encode_value value)
+    | W.Insert { table; values } ->
+        Printf.sprintf "INSERT %s %s" (escape table) (encode_values values)
+    | W.Rows table -> "ROWS " ^ escape table
+    | W.Sum { table; attr } -> Printf.sprintf "SUM %s %d" (escape table) attr
+    | W.Commit None -> "COMMIT"
+    | W.Commit (Some token) -> "COMMIT " ^ escape token
+    | W.Abort -> "ABORT"
+    | W.Ping -> "PING"
+    | W.Quit -> "QUIT"
+
+  let encode_reply = function
+    | W.Ok_ "" -> "OK"
+    | W.Ok_ detail -> "OK " ^ escape detail
+    | W.Val v -> "VAL " ^ encode_value v
+    | W.Err { tag; msg } -> Printf.sprintf "ERR %s %s" tag (escape msg)
+end
+
+let gen_wire_string =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl
+          [ ""; " "; "%"; "|"; "\n"; "a b|c% \xc3\xa9"; "%7C"; "\x00\xff~" ];
+        string_size ~gen:char (int_range 0 12);
+        string_size ~gen:printable (int_range 0 12);
+      ])
+
+(* Names sit in a line's last field, where an empty one would vanish. *)
+let gen_wire_name =
+  QCheck.Gen.map (fun s -> if s = "" then "t" else s) gen_wire_string
+
+let gen_wire_int =
+  QCheck.Gen.(
+    oneof [ oneofl [ min_int; max_int; 0; -1; -10 ]; int; int_range (-999) 999 ])
+
+let gen_wire_float =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl
+          [ Float.nan; -.Float.nan; infinity; neg_infinity; -0.; 0.; 4.9e-324;
+            max_float; min_float; 0.1 ];
+        float;
+        map Int64.float_of_bits ui64;
+      ])
+
+let gen_wire_value =
+  QCheck.Gen.(
+    oneof
+      [
+        return V.Null;
+        map (fun i -> V.VInt i) gen_wire_int;
+        map (fun f -> V.VFloat f) gen_wire_float;
+        map (fun b -> V.VBool b) bool;
+        map (fun d -> V.VDate d) gen_wire_int;
+        map (fun s -> V.VStr s) gen_wire_string;
+      ])
+
+let gen_wire_request =
+  let open QCheck.Gen in
+  let module W = Txn.Wire in
+  oneof
+    [
+      map (fun id -> W.Hello id) gen_wire_name;
+      return W.Begin;
+      map3
+        (fun table tid attr -> W.Get { table; tid; attr })
+        gen_wire_name gen_wire_int gen_wire_int;
+      map2
+        (fun (table, tid) (attr, value) -> W.Set { table; tid; attr; value })
+        (pair gen_wire_name gen_wire_int)
+        (pair gen_wire_int gen_wire_value);
+      map2
+        (fun table values -> W.Insert { table; values })
+        gen_wire_name
+        (array_size (int_range 1 6) gen_wire_value);
+      map (fun t -> W.Rows t) gen_wire_name;
+      map2 (fun table attr -> W.Sum { table; attr }) gen_wire_name gen_wire_int;
+      map (fun token -> W.Commit token) (opt gen_wire_name);
+      oneofl [ W.Abort; W.Ping; W.Quit ];
+    ]
+
+let gen_wire_reply =
+  let open QCheck.Gen in
+  let module W = Txn.Wire in
+  oneof
+    [
+      return (W.Ok_ "");
+      map (fun d -> W.Ok_ d) gen_wire_name;
+      map (fun v -> W.Val v) gen_wire_value;
+      map2
+        (fun tag msg -> W.Err { tag; msg })
+        (oneofl [ "CONFLICT"; "BAD_REQUEST"; "ERROR" ])
+        gen_wire_string;
+    ]
+
+(* [parse] inverts [encode] on [x]: the parse compares equal and encodes
+   back to the same bytes, which also tells -0. from 0. *)
+let inverts ~encode ~parse x =
+  let line = encode x in
+  let back = parse line in
+  compare back x = 0 && encode back = line
+
+let qcheck_wire_printf_free =
+  QCheck.Test.make ~count:2000
+    ~name:"Printf-free encoders match the Printf ones; parsing inverts them"
+    (QCheck.make
+       QCheck.Gen.(
+         triple gen_wire_request gen_wire_reply
+           (array_size (int_range 1 6) gen_wire_value)))
+    (fun (req, rep, vs) ->
+      let module W = Txn.Wire in
+      W.encode_request req = Printf_wire.encode_request req
+      && W.encode_reply rep = Printf_wire.encode_reply rep
+      && W.encode_values vs = Printf_wire.encode_values vs
+      && Array.for_all
+           (fun v -> W.encode_value v = Printf_wire.encode_value v)
+           vs
+      && inverts ~encode:W.encode_request ~parse:W.parse_request req
+      && inverts ~encode:W.encode_reply ~parse:W.parse_reply rep
+      && inverts ~encode:W.encode_values ~parse:W.decode_values vs)
 
 let test_backoff_deterministic () =
   let b1 = Txn.Backoff.create ~seed:9 () in
@@ -608,6 +773,197 @@ let test_server_idempotent_commit () =
           Alcotest.(check int) "applied exactly once" 5 (vint (M.read s "b" 0 1))))
 
 (* ------------------------------------------------------------------ *)
+(* The pipelined protocol                                             *)
+(* ------------------------------------------------------------------ *)
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
+let test_pipeline_error_at_next_read () =
+  with_server (small_cat ()) (fun _mgr addr ->
+      let c = Txn.Client.connect ~id:"pipe" addr in
+      Txn.Client.begin_ c;
+      (* row 100 is outside the snapshot: the SET returns at once and its
+         error arrives with the next call that waits *)
+      Txn.Client.set c ~table:"b" ~tid:100 ~attr:1 (V.VInt 1);
+      (match Txn.Client.get c ~table:"b" ~tid:0 ~attr:1 with
+      | _ -> Alcotest.fail "the failed SET must raise at the next GET"
+      | exception Failure msg ->
+          Alcotest.(check bool) "the SET's error, not the GET's" true
+            (contains msg "Mvcc.update"));
+      Txn.Client.ping c;
+      Txn.Client.close c)
+
+let test_pipeline_commit_behind_failed_write () =
+  with_server (small_cat ()) (fun mgr addr ->
+      let c = Txn.Client.connect ~id:"pipe" addr in
+      List.iter
+        (fun (what, bad_write) ->
+          Txn.Client.begin_ c;
+          Txn.Client.set c ~table:"b" ~tid:0 ~attr:1 (V.VInt 99);
+          bad_write c;
+          Txn.Client.insert c ~table:"b" [| V.VInt 4; V.VInt 40 |];
+          (match Txn.Client.commit c with
+          | _ -> Alcotest.failf "COMMIT behind a failed %s must raise" what
+          | exception Failure msg ->
+              Alcotest.(check bool)
+                (what ^ "'s error is raised first") true
+                (contains msg ("Mvcc." ^ what)));
+          M.snapshot mgr (fun s ->
+              Alcotest.(check int) (what ^ ": SET not applied") 0
+                (vint (M.read s "b" 0 1));
+              Alcotest.(check int) (what ^ ": INSERT not applied") 4
+                (M.visible_rows s "b")))
+        [
+          ("update", fun c -> Txn.Client.set c ~table:"b" ~tid:100 ~attr:1 (V.VInt 1));
+          ("insert", fun c -> Txn.Client.insert c ~table:"b" [| V.VInt 1 |]);
+        ];
+      Txn.Client.ping c;
+      Txn.Client.close c)
+
+let test_pipeline_bulk_insert () =
+  let n = 20_000 in
+  with_server (small_cat ()) (fun mgr addr ->
+      let c = Txn.Client.connect ~id:"bulk" addr in
+      let round_trips =
+        Obs.Metrics.counter "mrdb_client_round_trips_total"
+      in
+      let rt0 = Obs.Metrics.counter_value round_trips in
+      Txn.Client.begin_ c;
+      for i = 0 to n - 1 do
+        Txn.Client.insert c ~table:"b" [| V.VInt (4 + i); V.VInt i |]
+      done;
+      ignore (Txn.Client.commit c);
+      Txn.Client.close c;
+      Alcotest.(check bool) "the client waits once per max_pending writes" true
+        (Obs.Metrics.counter_value round_trips - rt0
+         >= n / Txn.Client.max_pending);
+      M.snapshot mgr (fun s ->
+          Alcotest.(check int) "every row visible" (4 + n) (M.visible_rows s "b");
+          Alcotest.(check int) "last row intact" (n - 1)
+            (vint (M.read s "b" (3 + n) 1))))
+
+(* A relay between a client and a real server.  Connection [k] forwards
+   request lines and their replies one by one until [close_on.(k)] holds
+   for a request line, which is not forwarded: both sides are closed
+   instead.  Returns, per connection, the request lines it forwarded. *)
+let with_relay server_addr close_on f =
+  incr sock_ctr;
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "mrdb-relay-%d-%d.sock" (Unix.getpid ()) !sock_ctr)
+  in
+  let lfd = S.listen_unix path in
+  let log = Array.make (Array.length close_on) [] in
+  let serve k fd =
+    let server_path =
+      match server_addr with Txn.Client.Unix_sock p -> p | _ -> assert false
+    in
+    let up = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect up (Unix.ADDR_UNIX server_path);
+    let from_client = Txn.Wire.reader fd and from_server = Txn.Wire.reader up in
+    let send fd line =
+      let s = line ^ "\n" in
+      ignore (Unix.write_substring fd s 0 (String.length s))
+    in
+    let rec loop () =
+      match Txn.Wire.read_line from_client with
+      | exception (End_of_file | Unix.Unix_error _) -> ()
+      | line when close_on.(k) line -> ()
+      | line ->
+          log.(k) <- line :: log.(k);
+          send up line;
+          if line <> "QUIT" then begin
+            send fd (Txn.Wire.read_line from_server);
+            loop ()
+          end
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.close up;
+        Unix.close fd)
+      loop
+  in
+  let relay =
+    Domain.spawn (fun () ->
+        Array.iteri (fun k _ -> serve k (fst (Unix.accept lfd))) close_on)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (* connections the test never made, so the relay can finish *)
+      Array.iter (fun _ -> S.poke path) close_on;
+      Domain.join relay;
+      Unix.close lfd;
+      try Unix.unlink path with Unix.Unix_error _ -> ())
+    (fun () -> f (Txn.Client.Unix_sock path));
+  Array.map List.rev log
+
+let test_pipeline_dead_connection () =
+  let never _ = false in
+  List.iter
+    (fun (call, trigger) ->
+      with_server (small_cat ()) (fun mgr addr ->
+          let log =
+            with_relay addr [| String.starts_with ~prefix:trigger; never |]
+              (fun relay ->
+                let c = Txn.Client.connect ~id:"dead" relay in
+                Txn.Client.begin_ c;
+                Txn.Client.set c ~table:"b" ~tid:0 ~attr:1 (V.VInt 99);
+                Txn.Client.insert c ~table:"b" [| V.VInt 4; V.VInt 40 |];
+                (match call c with
+                | () -> Alcotest.failf "%s after lost writes must raise" trigger
+                | exception Failure _ -> ());
+                Txn.Client.ping c;
+                Txn.Client.close c)
+          in
+          (* the COMMIT token alone may be re-sent: it applies nothing new *)
+          Alcotest.(check (list string))
+            (trigger ^ ": nothing of the lost transaction is replayed")
+            ([ "HELLO dead" ]
+            @ (if trigger = "COMMIT" then [ "COMMIT dead#1" ] else [])
+            @ [ "PING"; "QUIT" ])
+            log.(1);
+          M.snapshot mgr (fun s ->
+              Alcotest.(check int) (trigger ^ ": SET not applied") 0
+                (vint (M.read s "b" 0 1));
+              Alcotest.(check int) (trigger ^ ": INSERT not applied") 4
+                (M.visible_rows s "b"))))
+    [
+      ((fun c -> ignore (Txn.Client.get c ~table:"b" ~tid:1 ~attr:1)), "GET");
+      ((fun c -> ignore (Txn.Client.commit c)), "COMMIT");
+    ]
+
+let test_server_line_cap () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  with_server (small_cat ()) (fun _mgr addr ->
+      let path = match addr with Txn.Client.Unix_sock p -> p | _ -> assert false in
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      (* 2 MiB without a newline; the server stops reading at the cap *)
+      let flood = String.make (2 lsl 20) 'x' in
+      let writer =
+        Domain.spawn (fun () ->
+            try ignore (Unix.write_substring fd flood 0 (String.length flood))
+            with Unix.Unix_error _ -> ())
+      in
+      let r = Txn.Wire.reader fd in
+      (match Txn.Wire.exn_of_reply (Txn.Wire.parse_reply (Txn.Wire.read_line r)) with
+      | Some (Errors.Bad_request _) -> ()
+      | _ -> Alcotest.fail "an over-long line must get ERR BAD_REQUEST");
+      (match Txn.Wire.read_line r with
+      | _ -> Alcotest.fail "the connection must be closed after the error"
+      | exception (End_of_file | Unix.Unix_error _) -> ());
+      Domain.join writer;
+      Unix.close fd;
+      let c = Txn.Client.connect ~id:"next" addr in
+      Txn.Client.begin_ c;
+      Alcotest.(check int) "a second client is served" 10
+        (vint (Txn.Client.get c ~table:"b" ~tid:1 ~attr:1));
+      Txn.Client.close c)
+
+(* ------------------------------------------------------------------ *)
 (* Advisor repartition racing live transactions                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -712,6 +1068,17 @@ let suite =
     Alcotest.test_case "server: per-txn timeout" `Quick test_server_timeout;
     Alcotest.test_case "server: idempotent commit token" `Quick
       test_server_idempotent_commit;
+    Alcotest.test_case "server: over-long line gets BAD_REQUEST" `Quick
+      test_server_line_cap;
+    QCheck_alcotest.to_alcotest qcheck_wire_printf_free;
+    Alcotest.test_case "pipeline: write error raised at the next read" `Quick
+      test_pipeline_error_at_next_read;
+    Alcotest.test_case "pipeline: commit behind a failed write" `Quick
+      test_pipeline_commit_behind_failed_write;
+    Alcotest.test_case "pipeline: 20k inserts in one transaction" `Quick
+      test_pipeline_bulk_insert;
+    Alcotest.test_case "pipeline: dead connection with writes pending" `Quick
+      test_pipeline_dead_connection;
     Alcotest.test_case "advisor repartition races live transactions" `Quick
       test_advisor_repartition_races_mvcc;
   ]
