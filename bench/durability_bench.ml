@@ -5,7 +5,9 @@
      (logging is additive, off the traced path);
    - wall-clock logging overhead per updated tuple (in-memory sink and a
      real file sink), vs. the non-durable update;
-   - snapshot write / full recovery wall-clock vs. relation size.
+   - snapshot write / full recovery wall-clock vs. relation size;
+   - the CH catalog's snapshot: write and CRC-32 throughput, and the minor
+     words one checkpoint allocates per row (a count that repeats exactly).
 
    Results go to BENCH_durability.json. *)
 
@@ -68,6 +70,33 @@ let with_tmpdir f =
         (Sys.readdir dir);
       try Unix.rmdir dir with _ -> ())
     (fun () -> f dir)
+
+(* The CH catalog at [scale], best-of-3 [Durable.checkpoint] — the writer
+   [Durable.attach] seeds its first snapshot with.  Returns (rows, snapshot
+   bytes, write seconds, CRC-32 seconds, minor words of one checkpoint). *)
+let ch_snapshot scale =
+  let cat = (Workloads.Ch.build ~scale ()).Workloads.Ch.cat in
+  let rows =
+    List.fold_left
+      (fun acc name ->
+        acc + Storage.Relation.nrows (Storage.Catalog.find cat name))
+      0
+      (Storage.Catalog.names cat)
+  in
+  let env = F.memory () in
+  let d = D.attach env cat in
+  let w0 = Gc.minor_words () in
+  D.checkpoint d;
+  let words = Gc.minor_words () -. w0 in
+  let t_write = best_time ~repeat:3 (fun () -> D.checkpoint d) in
+  D.detach d;
+  let snap = Option.get (F.read_all env Durability.Snapshot.store_name) in
+  let len = Bytes.length snap in
+  let t_crc =
+    best_time ~repeat:3 (fun () ->
+        ignore (Durability.Checksum.bytes snap ~pos:0 ~len))
+  in
+  (rows, len, t_write, t_crc, words)
 
 let run () =
   Common.header "durability: logging overhead and recovery speed";
@@ -138,6 +167,15 @@ let run () =
       sizes
   in
 
+  let ch_rows, ch_bytes, t_ch, t_crc, ch_words = ch_snapshot scale in
+  let mb_per_s t = float_of_int ch_bytes /. 1e6 /. t in
+  let words_per_row = ch_words /. float_of_int (max 1 ch_rows) in
+  Printf.printf
+    "  CH %8d rows  snapshot %8.3f ms (%7d KiB, %6.1f MB/s)  crc32 %6.1f \
+     MB/s  %.2f minor words/row\n"
+    ch_rows (1000. *. t_ch) (ch_bytes / 1024) (mb_per_s t_ch)
+    (mb_per_s t_crc) words_per_row;
+
   let bench = "durability" in
   let pt = Common.pt ~bench in
   Common.write_bench "BENCH_durability.json"
@@ -154,6 +192,12 @@ let run () =
        pt ~metric:"logging_ns_per_tuple_memory" ~unit_:"ns"
          (per_tuple t_mem);
        pt ~metric:"logging_ns_per_tuple_file" ~unit_:"ns" (per_tuple t_file);
+       pt ~metric:"snapshot.ch.rows" ~unit_:"rows" (float_of_int ch_rows);
+       pt ~metric:"snapshot.ch.bytes" ~unit_:"bytes" (float_of_int ch_bytes);
+       pt ~metric:"snapshot.ch.write_mb_per_s" ~unit_:"MB/s" (mb_per_s t_ch);
+       pt ~metric:"crc32.mb_per_s" ~unit_:"MB/s" (mb_per_s t_crc);
+       pt ~metric:"snapshot.ch.minor_words_per_row" ~unit_:"words"
+         words_per_row;
      ]
     @ List.concat_map
         (fun (rows, t_snap, bytes, t_rec) ->

@@ -1,8 +1,9 @@
 (* Binary wire format helpers shared by the WAL and snapshots.
 
    Everything is little-endian and length-prefixed; readers raise
-   [Truncated] on any attempt to read past the end so callers can
-   distinguish a torn tail from valid data. *)
+   [Truncated] on any attempt to read past the end, and on any field whose
+   value is malformed, so callers can distinguish a torn or corrupt record
+   from valid data. *)
 
 module Value = Storage.Value
 module Schema = Storage.Schema
@@ -15,19 +16,59 @@ exception Truncated of string
 (* Writer                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type writer = Stdlib.Buffer.t
+(* A growable byte cursor: [buf.(0 .. pos-1)] holds what was written. *)
+type writer = { mutable buf : Bytes.t; mutable pos : int }
 
-let writer () = Stdlib.Buffer.create 256
-let contents (w : writer) = Stdlib.Buffer.contents w
+let writer ?(size = 256) () = { buf = Bytes.create (max 16 size); pos = 0 }
+let length w = w.pos
+let reset w = w.pos <- 0
+let unsafe_bytes w = w.buf
+let contents w = Bytes.sub_string w.buf 0 w.pos
 
-let u8 w v = Stdlib.Buffer.add_char w (Char.chr (v land 0xFF))
-let u32 w v = Stdlib.Buffer.add_int32_le w (Int32.of_int v)
-let i64 w v = Stdlib.Buffer.add_int64_le w (Int64.of_int v)
-let f64 w v = Stdlib.Buffer.add_int64_le w (Int64.bits_of_float v)
+let grow w n =
+  let bigger = Bytes.create (max (w.pos + n) (2 * Bytes.length w.buf)) in
+  Bytes.blit w.buf 0 bigger 0 w.pos;
+  w.buf <- bigger
+
+let[@inline] reserve w n = if w.pos + n > Bytes.length w.buf then grow w n
+
+(* The [put_*] stores assume the bytes were reserved. *)
+let[@inline] put_u8 w v =
+  Bytes.unsafe_set w.buf w.pos (Char.unsafe_chr (v land 0xFF));
+  w.pos <- w.pos + 1
+
+let[@inline] put_u32 w v =
+  Bytes.set_int32_le w.buf w.pos (Int32.of_int v);
+  w.pos <- w.pos + 4
+
+let[@inline] put_i64_bits w v =
+  Bytes.set_int64_le w.buf w.pos v;
+  w.pos <- w.pos + 8
+
+let[@inline] put_sub w src ~pos ~len =
+  Bytes.blit src pos w.buf w.pos len;
+  w.pos <- w.pos + len
+
+let u8 w v =
+  reserve w 1;
+  put_u8 w v
+
+let u32 w v =
+  reserve w 4;
+  put_u32 w v
+
+let i64 w v =
+  reserve w 8;
+  put_i64_bits w (Int64.of_int v)
+
+let raw w s =
+  let len = String.length s in
+  reserve w len;
+  put_sub w (Bytes.unsafe_of_string s) ~pos:0 ~len
 
 let str w s =
   u32 w (String.length s);
-  Stdlib.Buffer.add_string w s
+  raw w s
 
 let list w f xs =
   u32 w (List.length xs);
@@ -37,24 +78,51 @@ let array w f xs =
   u32 w (Array.length xs);
   Array.iter (f w) xs
 
+(* Values: a one-byte tag and its payload.  The unboxed emitters below are
+   the one owner of the tag format; [value] dispatches to them, and the
+   snapshot writer calls them with fields read straight from partition
+   bytes. *)
+
+let[@inline] tag w t payload =
+  reserve w (1 + payload);
+  put_u8 w t
+
+let vnull w = tag w 0 0
+
+let[@inline] vint w x =
+  tag w 1 8;
+  put_i64_bits w (Int64.of_int x)
+
+let[@inline] vfloat_bits w bits =
+  tag w 2 8;
+  put_i64_bits w bits
+
+let vfloat_sub w src ~pos =
+  tag w 2 8;
+  put_i64_bits w (Bytes.get_int64_le src pos)
+
+let[@inline] vbool w b =
+  tag w 3 1;
+  put_u8 w (if b then 1 else 0)
+
+let[@inline] vdate w d =
+  tag w 4 8;
+  put_i64_bits w (Int64.of_int d)
+
+let vstr_sub w src ~pos ~len =
+  tag w 5 (4 + len);
+  put_u32 w len;
+  put_sub w src ~pos ~len
+
 let value w (v : Value.t) =
   match v with
-  | Value.Null -> u8 w 0
-  | Value.VInt x ->
-      u8 w 1;
-      i64 w x
-  | Value.VFloat x ->
-      u8 w 2;
-      f64 w x
-  | Value.VBool b ->
-      u8 w 3;
-      u8 w (if b then 1 else 0)
-  | Value.VDate d ->
-      u8 w 4;
-      i64 w d
+  | Value.Null -> vnull w
+  | Value.VInt x -> vint w x
+  | Value.VFloat x -> vfloat_bits w (Int64.bits_of_float x)
+  | Value.VBool b -> vbool w b
+  | Value.VDate d -> vdate w d
   | Value.VStr s ->
-      u8 w 5;
-      str w s
+      vstr_sub w (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
 let ty w (t : Value.ty) =
   match t with
@@ -91,6 +159,43 @@ let index_kind w (k : Index.kind) =
   u8 w (match k with Index.Hash -> 0 | Index.Rbtree -> 1)
 
 (* ------------------------------------------------------------------ *)
+(* Frames:  u32 payload length | u32 CRC-32 of payload | payload      *)
+(* ------------------------------------------------------------------ *)
+
+let frame_header = 8
+
+let frame_open w =
+  let at = w.pos in
+  reserve w frame_header;
+  w.pos <- w.pos + frame_header;
+  at
+
+let frame_close w at =
+  let len = w.pos - at - frame_header in
+  Bytes.set_int32_le w.buf at (Int32.of_int len);
+  Bytes.set_int32_le w.buf (at + 4)
+    (Int32.of_int (Checksum.bytes w.buf ~pos:(at + frame_header) ~len))
+
+type frame =
+  | Framed of int
+  | Short
+  | Overlong of int
+  | Corrupt of int
+
+let u32_at buf pos = Int32.to_int (Bytes.get_int32_le buf pos) land 0xFFFFFFFF
+
+let read_frame ?(max_len = max_int) buf ~pos =
+  let avail = Bytes.length buf - pos - frame_header in
+  if avail < 0 then Short
+  else
+    let len = u32_at buf pos in
+    if len > max_len || len > avail then Overlong len
+    else if
+      Checksum.bytes buf ~pos:(pos + frame_header) ~len <> u32_at buf (pos + 4)
+    then Corrupt len
+    else Framed len
+
+(* ------------------------------------------------------------------ *)
 (* Reader                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -117,7 +222,7 @@ let ru8 r =
 
 let ru32 r =
   need r 4 "u32";
-  let v = Int32.to_int (Bytes.get_int32_le r.buf r.pos) land 0xFFFFFFFF in
+  let v = u32_at r.buf r.pos in
   r.pos <- r.pos + 4;
   v
 
@@ -177,7 +282,11 @@ let rschema r =
 
 let rlayout_groups r = rlist r (fun r -> rlist r ru32)
 
-let rencoding r = Encoding.of_code (ru8 r)
+let rencoding r =
+  let c = ru8 r in
+  try Encoding.of_code c
+  with Invalid_argument _ ->
+    raise (Truncated (Printf.sprintf "encoding: unknown code %d" c))
 
 let rencodings r =
   rlist r (fun r ->

@@ -163,8 +163,7 @@ let recover ?hier env =
   (r, t)
 
 let checkpoint t =
-  untraced t (fun () ->
-      Snapshot.write t.env ~last_txid:(t.next_txid - 1) t.cat);
+  Snapshot.write t.env ~last_txid:(t.next_txid - 1) t.cat;
   Wal.close t.w;
   t.w <- Wal.create t.env
 

@@ -231,55 +231,90 @@ let torn_bytes torn len =
 (* Sinks                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Un-flushed bytes live in [pending.(0 .. plen-1)].  The crash-point names
+   of a sink's writes and flushes are built once, at open. *)
 type sink = {
   env : t;
   name : string;
-  pending : Stdlib.Buffer.t;
+  write_point : string;
+  flush_point : string;
+  mutable pending : Bytes.t;
+  mutable plen : int;
   mutable dead : bool;
 }
 
-let create t name =
+let sink t name =
+  {
+    env = t;
+    name;
+    write_point = "write:" ^ name;
+    flush_point = "flush:" ^ name;
+    pending = Bytes.create 256;
+    plen = 0;
+    dead = false;
+  }
+
+let create ?pending t name =
   (match crash_here t ~name:("create:" ^ name) with
   | Some torn when torn < 1.0 -> raise (Crash "before truncate")
   | Some _ ->
       durable_truncate t name;
       raise (Crash "after truncate")
   | None -> durable_truncate t name);
-  { env = t; name; pending = Stdlib.Buffer.create 256; dead = false }
+  let s = sink t name in
+  Option.iter (fun b -> s.pending <- b) pending;
+  s
 
-let append t name =
-  { env = t; name; pending = Stdlib.Buffer.create 256; dead = false }
+let append t name = sink t name
 
 let check_alive s what =
   if s.dead then invalid_arg (Printf.sprintf "Faultio.%s: sink crashed" what)
 
-let write s chunk =
+(* The process dies mid-[what]: a [torn] fraction of the pending bytes
+   reaches the medium anyway. *)
+let die s torn what =
+  s.dead <- true;
+  durable_append s.env s.name s.pending 0 (torn_bytes torn s.plen);
+  raise (Crash (Printf.sprintf "during %s of %s" what s.name))
+
+let write_sub s b ~pos ~len =
   check_alive s "write";
-  Stdlib.Buffer.add_string s.pending chunk;
-  match crash_here s.env ~name:("write:" ^ s.name) with
-  | Some torn ->
-      s.dead <- true;
-      let b = Stdlib.Buffer.to_bytes s.pending in
-      durable_append s.env s.name b 0 (torn_bytes torn (Bytes.length b));
-      raise (Crash (Printf.sprintf "during write of %s" s.name))
+  (* bytes already at their place in the pending buffer are not copied *)
+  if not (b == s.pending && pos = s.plen) then begin
+    if s.plen + len > Bytes.length s.pending then begin
+      let bigger =
+        Bytes.create (max (s.plen + len) (2 * Bytes.length s.pending))
+      in
+      Bytes.blit s.pending 0 bigger 0 s.plen;
+      s.pending <- bigger
+    end;
+    Bytes.blit b pos s.pending s.plen len
+  end;
+  s.plen <- s.plen + len;
+  match crash_here s.env ~name:s.write_point with
+  | Some torn -> die s torn "write"
   | None -> ()
+
+let write s chunk =
+  write_sub s (Bytes.unsafe_of_string chunk) ~pos:0 ~len:(String.length chunk)
 
 let flush s =
   check_alive s "flush";
-  match crash_here s.env ~name:("flush:" ^ s.name) with
-  | Some torn ->
-      s.dead <- true;
-      let b = Stdlib.Buffer.to_bytes s.pending in
-      durable_append s.env s.name b 0 (torn_bytes torn (Bytes.length b));
-      raise (Crash (Printf.sprintf "during flush of %s" s.name))
+  match crash_here s.env ~name:s.flush_point with
+  | Some torn -> die s torn "flush"
   | None ->
-      let b = Stdlib.Buffer.to_bytes s.pending in
-      durable_append s.env s.name b 0 (Bytes.length b);
-      Stdlib.Buffer.clear s.pending
+      (match s.env.backend with
+      | Mem tbl when (mem_store tbl s.name).len = 0 ->
+          (* an empty in-memory store takes the pending bytes over whole —
+             a snapshot reaches its store without another copy *)
+          Hashtbl.replace tbl s.name { data = s.pending; len = s.plen };
+          s.pending <- Bytes.create 256
+      | _ -> durable_append s.env s.name s.pending 0 s.plen);
+      s.plen <- 0
 
 let close s =
   if not s.dead then begin
-    if Stdlib.Buffer.length s.pending > 0 then flush s;
+    if s.plen > 0 then flush s;
     s.dead <- true
   end
 

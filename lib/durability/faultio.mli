@@ -76,16 +76,25 @@ val truncate_store : t -> string -> int -> unit
 
 type sink
 
-val create : t -> string -> sink
-(** Truncate the store and open it for writing (one crash point). *)
+val create : ?pending:Bytes.t -> t -> string -> sink
+(** Truncate the store and open it for writing (one crash point).  With
+    [pending], that buffer holds the sink's un-flushed bytes: a write of
+    bytes already at their place in it is not copied, and a flush into an
+    empty in-memory store hands the buffer over whole.  The caller must not
+    modify it afterwards. *)
 
 val append : t -> string -> sink
 (** Open the store for appending. *)
 
+val write_sub : sink -> Bytes.t -> pos:int -> len:int -> unit
+(** Buffer [len] bytes of the given bytes from [pos] (one crash point; a
+    crash may tear the buffered tail). *)
+
 val write : sink -> string -> unit
-(** Buffer bytes (one crash point; a crash may tear the buffered tail). *)
+(** {!write_sub} of a whole string. *)
 
 val flush : sink -> unit
-(** Make all buffered bytes durable (one crash point). *)
+(** Make all buffered bytes durable (one crash point).  An empty in-memory
+    store takes the buffer over instead of copying it. *)
 
 val close : sink -> unit

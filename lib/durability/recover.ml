@@ -58,7 +58,7 @@ let m_recovery_seconds =
     ~help:"Wall time of one recovery run (snapshot load + WAL replay)"
 
 let run ?hier env =
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let warnings = ref [] in
   let warn s = warnings := s :: !warnings in
   let cat, watermark =
@@ -132,7 +132,7 @@ let run ?hier env =
         (Catalog.names cat));
   Obs.Metrics.incr m_recoveries;
   Obs.Metrics.add m_replayed !replayed;
-  Obs.Metrics.observe m_recovery_seconds (Sys.time () -. t0);
+  Obs.Metrics.observe m_recovery_seconds (Unix.gettimeofday () -. t0);
   {
     cat;
     last_txid = !last_txid;

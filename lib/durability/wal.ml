@@ -136,9 +136,7 @@ let decode_op r =
       Set_physical { table; layout; encodings }
   | t -> raise (Codec.Truncated (Printf.sprintf "op: unknown tag %d" t))
 
-let encode record =
-  let w = Codec.writer () in
-  (match record with
+let encode_into w = function
   | Begin txid ->
       Codec.u8 w 1;
       Codec.i64 w txid
@@ -154,7 +152,11 @@ let encode record =
       encode_op w op
   | Prepare txid ->
       Codec.u8 w 5;
-      Codec.i64 w txid);
+      Codec.i64 w txid
+
+let encode record =
+  let w = Codec.writer () in
+  encode_into w record;
   Codec.contents w
 
 let decode r =
@@ -171,18 +173,13 @@ let decode r =
 
 let decode_string s = decode (Codec.reader (Bytes.unsafe_of_string s))
 
-let frame payload =
-  let w = Codec.writer () in
-  Codec.u32 w (String.length payload);
-  Codec.u32 w (Checksum.string payload);
-  Codec.contents w ^ payload
-
 (* ------------------------------------------------------------------ *)
 (* Writer                                                             *)
 (* ------------------------------------------------------------------ *)
 
 type writer = {
   sink : Faultio.sink;
+  scratch : Codec.writer;  (* the record being framed *)
   mutable records : int;
   mutable bytes : int;
 }
@@ -197,16 +194,22 @@ let m_bytes =
   Obs.Metrics.counter "mrdb_wal_bytes_total"
     ~help:"Framed WAL bytes written (header + payload + checksum)"
 
-let create env = { sink = Faultio.create env store_name; records = 0; bytes = 0 }
-let append env = { sink = Faultio.append env store_name; records = 0; bytes = 0 }
+let make sink = { sink; scratch = Codec.writer (); records = 0; bytes = 0 }
+let create env = make (Faultio.create env store_name)
+let append env = make (Faultio.append env store_name)
 
 let write w record =
-  let framed = frame (encode record) in
+  let c = w.scratch in
+  Codec.reset c;
+  let hdr = Codec.frame_open c in
+  encode_into c record;
+  Codec.frame_close c hdr;
+  let n = Codec.length c in
   w.records <- w.records + 1;
-  w.bytes <- w.bytes + String.length framed;
+  w.bytes <- w.bytes + n;
   Obs.Metrics.incr m_records;
-  Obs.Metrics.add m_bytes (String.length framed);
-  Faultio.write w.sink framed
+  Obs.Metrics.add m_bytes n;
+  Faultio.write_sub w.sink (Codec.unsafe_bytes c) ~pos:0 ~len:n
 
 let flush w = Faultio.flush w.sink
 let close w = Faultio.close w.sink
@@ -255,38 +258,36 @@ let scan env =
       in
       (try
          while !pos < n do
-           if n - !pos < 8 then begin
-             warn "wal: torn tail (%d trailing bytes discarded)" (n - !pos);
-             taint ();
-             raise Exit
-           end;
-           let hdr = Codec.reader ~pos:!pos ~len:8 buf in
-           let len = Codec.ru32 hdr in
-           let crc = Codec.ru32 hdr in
-           if len > max_record || len > n - !pos - 8 then begin
-             warn
-               "wal: torn tail at byte %d (record claims %d bytes, %d \
-                remain)"
-               !pos len
-               (n - !pos - 8);
-             taint ();
-             raise Exit
-           end;
-           if Checksum.bytes buf ~pos:(!pos + 8) ~len <> crc then begin
-             warn "wal: checksum mismatch at byte %d — skipping record" !pos;
-             taint ()
-           end
-           else begin
-             match decode (Codec.reader ~pos:(!pos + 8) ~len buf) with
-             | record ->
-                 records := record :: !records;
-                 incr count
-             | exception Codec.Truncated what ->
-                 warn "wal: undecodable record at byte %d (%s) — skipping"
-                   !pos what;
-                 taint ()
-           end;
-           pos := !pos + 8 + len
+           match Codec.read_frame ~max_len:max_record buf ~pos:!pos with
+           | Codec.Short ->
+               warn "wal: torn tail (%d trailing bytes discarded)" (n - !pos);
+               taint ();
+               raise Exit
+           | Codec.Overlong len ->
+               warn
+                 "wal: torn tail at byte %d (record claims %d bytes, %d \
+                  remain)"
+                 !pos len
+                 (n - !pos - Codec.frame_header);
+               taint ();
+               raise Exit
+           | Codec.Corrupt len ->
+               warn "wal: checksum mismatch at byte %d — skipping record" !pos;
+               taint ();
+               pos := !pos + Codec.frame_header + len
+           | Codec.Framed len ->
+               (match
+                  decode
+                    (Codec.reader ~pos:(!pos + Codec.frame_header) ~len buf)
+                with
+               | record ->
+                   records := record :: !records;
+                   incr count
+               | exception Codec.Truncated what ->
+                   warn "wal: undecodable record at byte %d (%s) — skipping"
+                     !pos what;
+                   taint ());
+               pos := !pos + Codec.frame_header + len
          done
        with Exit -> ());
       {

@@ -92,6 +92,23 @@ let write_byte t off v =
   trace_write t off 1;
   Bytes.set t.bytes off (Char.chr (v land 0xff))
 
+(* Untraced stored-field reads for the snapshot writer; they agree with
+   the traced [read_value] below. *)
+
+let stored_payload t off ~nullable =
+  if not nullable then off
+  else if Bytes.get t.bytes off = '\000' then -1
+  else off + 1
+
+let stored_bool t off = Bytes.get t.bytes off <> '\000'
+
+let stored_varchar_length t off ~len =
+  let n = ref 0 in
+  while !n < len && Bytes.get t.bytes (off + !n) <> '\000' do
+    incr n
+  done;
+  !n
+
 let read_string t off ~len =
   trace_read t off len;
   let s = Bytes.sub_string t.bytes off len in

@@ -64,6 +64,28 @@ val write_string : t -> int -> len:int -> string -> unit
 val read_value : t -> int -> ty:Value.ty -> nullable:bool -> Value.t
 val write_value : t -> int -> ty:Value.ty -> nullable:bool -> Value.t -> unit
 
+(** {1 Untraced stored fields}
+
+    A stored field is a null byte (nullable attributes only; 0 marks NULL)
+    followed by the fixed-width payload: [Int] and [Date] as 8-byte
+    little-endian integers, [Float] as its 8 IEEE bytes little-endian,
+    [Bool] as one byte (nonzero is true), [Varchar n] as [n] bytes ending
+    at the first NUL.  The readers below neither touch the simulator nor
+    box a {!Value.t}: the snapshot writer copies rows through them.  Read
+    [Int] and [Date] payloads with {!untraced_read_int}, and copy a
+    [Float]'s bytes out of {!unsafe_bytes}. *)
+
+val stored_payload : t -> int -> nullable:bool -> int
+(** Offset of the payload of the field at the given offset, or [-1] when
+    the field holds NULL. *)
+
+val stored_bool : t -> int -> bool
+(** The [Bool] payload at the offset. *)
+
+val stored_varchar_length : t -> int -> len:int -> int
+(** Length of the [Varchar len] payload at the offset: up to its first NUL,
+    at most [len]. *)
+
 val unsafe_bytes : t -> Bytes.t
 (** The backing byte store.  Read-only use only: accesses through it are
     untraced, and {!grow} replaces the backing store, invalidating the

@@ -871,8 +871,7 @@ let untraced t f =
   | Some h -> Memsim.Hierarchy.without_tracing h f
   | None -> f ()
 
-(* Serialization hook: visit every stored tuple without generating simulated
-   traffic (snapshotting is setup work, like loads and index builds). *)
+(* Visit every stored tuple without generating simulated traffic. *)
 let iter_rows t f =
   untraced t (fun () ->
       for tid = 0 to t.nrows - 1 do

@@ -56,7 +56,7 @@ val set : t -> int -> int -> Value.t -> unit
 
 val iter_rows : t -> (int -> Value.t array -> unit) -> unit
 (** [iter_rows t f] calls [f tid tuple] for every stored tuple in tid order,
-    untraced — the serialization hook snapshots are built from. *)
+    untraced. *)
 
 val get_tuple : t -> int -> Value.t array
 (** Whole-tuple read.  When every attribute is plain, non-nullable and

@@ -20,6 +20,8 @@ module D = Durability.Durable
 module Wal = Durability.Wal
 module Snapshot = Durability.Snapshot
 module Recover = Durability.Recover
+module Codec = Durability.Codec
+module Checksum = Durability.Checksum
 
 (* ------------------------------------------------------------------ *)
 (* The scripted workload                                              *)
@@ -362,11 +364,14 @@ let gen_encodings schema groups : (int * Encoding.t) list QCheck.Gen.t =
   flatten_l
     (List.init (Schema.arity schema) (fun a ->
          let attr = Schema.attr schema a in
-         let* pick = int_range 0 3 in
+         let* pick = int_range 0 5 in
+         let* width = oneofl [ 1; 2; 4 ] in
          let enc =
-           match pick with
-           | 1 -> Encoding.Dict
-           | 2 when attr.Schema.nullable && singleton a -> Encoding.Sparse
+           match (pick, attr.Schema.ty) with
+           | 1, _ -> Encoding.Dict
+           | 2, _ when attr.Schema.nullable && singleton a -> Encoding.Sparse
+           | 3, _ when singleton a -> Encoding.Rle
+           | 4, (V.Int | V.Date) -> Encoding.For_bp width
            | _ -> Encoding.Plain
          in
          return (a, enc)))
@@ -382,7 +387,27 @@ let gen_row schema : V.t array QCheck.Gen.t =
            if null = 0 then return V.Null else gen_value attr.Schema.ty
          else gen_value attr.Schema.ty))
 
-(* a small random catalog: schemas, layouts, encodings, rows, an index *)
+(* In-place updates after the load: per field, 0 sets a nullable non-NULL
+   field to NULL (a Plain field keeps its stale payload behind the null
+   byte) and 1 rewrites a varchar with a shorter string. *)
+let update_pass rel updates =
+  List.iteri
+    (fun tid actions ->
+      List.iteri
+        (fun a action ->
+          let attr = Schema.attr (Relation.schema rel) a in
+          match (action, Relation.get rel tid a) with
+          | 0, v when attr.Schema.nullable && not (V.is_null v) ->
+              Relation.set rel tid a V.Null
+          | 1, V.VStr s when s <> "" ->
+              Relation.set rel tid a
+                (V.VStr (String.sub s 0 (String.length s / 2)))
+          | _ -> ())
+        actions)
+    updates
+
+(* a small random catalog: schemas, layouts, encodings, rows, updates, an
+   index *)
 let gen_catalog : Catalog.t QCheck.Gen.t =
   let open QCheck.Gen in
   let* ntables = int_range 1 3 in
@@ -394,16 +419,24 @@ let gen_catalog : Catalog.t QCheck.Gen.t =
            let* encodings = gen_encodings schema groups in
            let* nrows = int_range 0 12 in
            let* rows = flatten_l (List.init nrows (fun _ -> gen_row schema)) in
+           let* updates =
+             flatten_l
+               (List.init nrows (fun _ ->
+                    flatten_l
+                      (List.init (Schema.arity schema) (fun _ ->
+                           int_range 0 3))))
+           in
            let* want_index = bool in
-           return (schema, groups, encodings, rows, want_index)))
+           return (schema, groups, encodings, rows, updates, want_index)))
   in
   let cat = Catalog.create () in
   List.iter
-    (fun (schema, groups, encodings, rows, want_index) ->
+    (fun (schema, groups, encodings, rows, updates, want_index) ->
       let rel =
         Catalog.add ~encodings cat schema (Layout.of_indices schema groups)
       in
       List.iter (fun row -> ignore (Relation.append rel row)) rows;
+      update_pass rel updates;
       (* hash-index the first non-nullable attribute, if any *)
       if want_index then
         Array.to_list schema.Schema.attrs
@@ -421,6 +454,36 @@ let qcheck_snapshot_roundtrip =
       let payload = Snapshot.serialize_payload ~last_txid:42 cat in
       let cat', txid = Snapshot.deserialize_payload payload in
       txid = 42 && Snapshot.digest cat' = Snapshot.digest cat)
+
+(* The value-at-a-time snapshot encoder, kept as the oracle of the one that
+   copies fields straight from partition bytes: every row boxed through
+   [Relation.iter_rows], every field through [Codec.value]. *)
+let reference_state cat =
+  let w = Codec.writer () in
+  let names = Catalog.names cat in
+  Codec.u32 w (List.length names);
+  List.iter
+    (fun name ->
+      let rel = Catalog.find cat name in
+      Codec.schema w (Relation.schema rel);
+      Codec.layout_groups w (Layout.to_groups (Relation.layout rel));
+      Codec.encodings w (Relation.encodings rel);
+      Codec.i64 w (Relation.nrows rel);
+      Relation.iter_rows rel (fun _ row -> Array.iter (Codec.value w) row);
+      Codec.list w
+        (fun w (iname, kind, attrs) ->
+          Codec.str w iname;
+          Codec.index_kind w kind;
+          Codec.list w Codec.str attrs)
+        (List.sort compare (Catalog.index_defs cat name)))
+    names;
+  Codec.contents w
+
+let qcheck_state_matches_reference =
+  QCheck.Test.make ~count:200
+    ~name:"snapshot state equals value-at-a-time encoder"
+    (QCheck.make gen_catalog)
+    (fun cat -> Snapshot.serialize_state cat = reference_state cat)
 
 let gen_op : Wal.op QCheck.Gen.t =
   let open QCheck.Gen in
@@ -499,6 +562,163 @@ let test_counters_unchanged () =
     plain.Memsim.Stats.llc_rand_misses logged.Memsim.Stats.llc_rand_misses
 
 (* ------------------------------------------------------------------ *)
+(* Snapshot format and CRC-32 pins                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Bytes of a CH snapshot as the value-at-a-time writer produced them: the
+   store's MD5 and length, and the state digest every oracle compares. *)
+let test_pinned_snapshot_bytes () =
+  let cat = (Workloads.Ch.build ~scale:0.05 ()).Workloads.Ch.cat in
+  let env = F.memory () in
+  Snapshot.write env ~last_txid:7 cat;
+  let b = Option.get (F.read_all env Snapshot.store_name) in
+  Alcotest.(check int) "store bytes" 1_427_393 (Bytes.length b);
+  Alcotest.(check string) "store md5" "8c311d3c121f075ef2813e566b8fce16"
+    (Digest.to_hex (Digest.bytes b));
+  Alcotest.(check string) "state digest" "26fb838e5dc97d8ffbf38ef414724675"
+    (Snapshot.digest cat);
+  match Snapshot.read env with
+  | Snapshot.Loaded (cat', txid) ->
+      Alcotest.(check int) "watermark" 7 txid;
+      Alcotest.(check string) "reloads" (Snapshot.digest cat)
+        (Snapshot.digest cat')
+  | Snapshot.Missing | Snapshot.Invalid _ -> Alcotest.fail "snapshot unreadable"
+
+(* bit-at-a-time CRC-32: independent of the lookup tables *)
+let crc_reference b ~pos ~len =
+  let crc = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    crc := !crc lxor Char.code (Bytes.get b i);
+    for _ = 0 to 7 do
+      crc :=
+        if !crc land 1 <> 0 then 0xEDB88320 lxor (!crc lsr 1) else !crc lsr 1
+    done
+  done;
+  !crc lxor 0xFFFFFFFF
+
+let random_bytes ~seed n =
+  let st = Random.State.make [| seed |] in
+  Bytes.init n (fun _ -> Char.chr (Random.State.int st 256))
+
+let test_crc32 () =
+  Alcotest.(check int) "known answer" 0xCBF43926 (Checksum.string "123456789");
+  Alcotest.(check int) "empty" 0 (Checksum.string "");
+  let b = random_bytes ~seed:11 72 in
+  for pos = 0 to 7 do
+    for len = 0 to 64 do
+      Alcotest.(check int)
+        (Printf.sprintf "pos %d len %d" pos len)
+        (crc_reference b ~pos ~len)
+        (Checksum.bytes b ~pos ~len)
+    done
+  done;
+  let big = random_bytes ~seed:12 ((3 lsl 20) + 5) in
+  Alcotest.(check int) "3 MiB + 5"
+    (crc_reference big ~pos:0 ~len:(Bytes.length big))
+    (Checksum.bytes big ~pos:0 ~len:(Bytes.length big))
+
+(* attach and checkpoint each pass exactly these named points: the header
+   and the payload of a snapshot stay two writes *)
+let test_snapshot_crash_points () =
+  let expected =
+    [
+      ("create:snapshot.tmp", 1);
+      ("create:wal", 1);
+      ("flush:snapshot.tmp", 1);
+      ("rename:snapshot", 1);
+      ("write:snapshot.tmp", 2);
+    ]
+  in
+  let env = F.memory () in
+  let cat = Catalog.create () in
+  let rel = Catalog.add cat schema (Layout.row schema) in
+  Relation.load rel ~n:10 (fun ~row -> initial_row row);
+  let d = D.attach env cat in
+  Alcotest.(check (list (pair string int))) "attach" expected
+    (F.named_points env);
+  F.reset_points env;
+  D.checkpoint d;
+  Alcotest.(check (list (pair string int))) "checkpoint" expected
+    (F.named_points env);
+  D.detach d
+
+(* ------------------------------------------------------------------ *)
+(* Checksum-valid but malformed input                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* a frame around a hand-built payload, its CRC recomputed, so only the
+   payload's meaning is wrong *)
+let framed payload =
+  let w = Codec.writer () in
+  Codec.u32 w (String.length payload);
+  Codec.u32 w (Checksum.string payload);
+  Codec.raw w payload;
+  Codec.contents w
+
+let put env name bytes =
+  let sink = F.create env name in
+  F.write sink bytes;
+  F.flush sink;
+  F.close sink
+
+let one_int = Schema.make "t" [ ("a", V.Int) ]
+
+let test_snapshot_unknown_index_attr () =
+  let w = Codec.writer () in
+  Codec.raw w "MRDBSNP1";
+  Codec.i64 w 0;
+  Codec.u32 w 1;
+  Codec.schema w one_int;
+  Codec.layout_groups w [ [ 0 ] ];
+  Codec.encodings w [];
+  Codec.i64 w 1;
+  Codec.value w (V.VInt 5);
+  Codec.u32 w 1;
+  Codec.str w "ix";
+  Codec.index_kind w Storage.Index.Hash;
+  Codec.list w Codec.str [ "missing" ];
+  let env = F.memory () in
+  put env Snapshot.store_name (framed (Codec.contents w));
+  (match Snapshot.read env with
+  | Snapshot.Invalid _ -> ()
+  | Snapshot.Loaded _ -> Alcotest.fail "loaded an index on an unknown attribute"
+  | Snapshot.Missing -> Alcotest.fail "snapshot missing");
+  let r = Recover.run env in
+  Alcotest.(check bool) "warned" true (r.Recover.warnings <> []);
+  Alcotest.(check (list string)) "empty catalog" []
+    (Catalog.names r.Recover.cat)
+
+let test_wal_unknown_encoding () =
+  let w = Codec.writer () in
+  Codec.u8 w 4 (* Op *);
+  Codec.i64 w 1;
+  Codec.u8 w 1 (* Create_relation *);
+  Codec.str w "t";
+  Codec.schema w one_int;
+  Codec.layout_groups w [ [ 0 ] ];
+  Codec.u32 w 1;
+  Codec.u32 w 0;
+  Codec.u8 w 9 (* no such encoding *);
+  let env = F.memory () in
+  put env Wal.store_name
+    (framed (Wal.encode (Wal.Begin 1))
+    ^ framed (Codec.contents w)
+    ^ framed (Wal.encode (Wal.Commit 1)));
+  let scanned = Wal.scan env in
+  Alcotest.(check int) "clean prefix ends at the bad record" 1
+    scanned.Wal.clean;
+  Alcotest.(check int) "the other records decode" 2
+    (List.length scanned.Wal.records);
+  Alcotest.(check bool) "skip warned" true
+    (List.exists
+       (String.starts_with ~prefix:"wal: undecodable record")
+       scanned.Wal.warnings);
+  let r = Recover.run env in
+  Alcotest.(check int) "nothing replayed" 0 r.Recover.replayed;
+  Alcotest.(check (list string)) "empty catalog" []
+    (Catalog.names r.Recover.cat)
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [
@@ -516,4 +736,14 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_wal_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_snapshot_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_torn_prefix;
+    QCheck_alcotest.to_alcotest qcheck_state_matches_reference;
+    Alcotest.test_case "snapshot bytes pinned" `Quick
+      test_pinned_snapshot_bytes;
+    Alcotest.test_case "crc32 slicing-by-8 matches bitwise" `Quick test_crc32;
+    Alcotest.test_case "snapshot crash points pinned" `Quick
+      test_snapshot_crash_points;
+    Alcotest.test_case "snapshot index on unknown attribute is invalid" `Quick
+      test_snapshot_unknown_index_attr;
+    Alcotest.test_case "wal record with unknown encoding skipped" `Quick
+      test_wal_unknown_encoding;
   ]
