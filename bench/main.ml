@@ -27,6 +27,7 @@ let experiments =
     ("wallclock", Wallclock.run);
     ("parallel", Parallel.run);
     ("tracefast", Tracefast.run);
+    ("memsim_walk", Memsim_walk.run);
     ("durability", Durability_bench.run);
     ("oltp", Oltp.run);
     ("shard", Shard_bench.run);

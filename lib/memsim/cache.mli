@@ -1,7 +1,14 @@
 (** A single set-associative LRU cache level operating on line numbers.
 
     The cache does not store data, only tags: the simulator is a timing and
-    miss-count model, the actual bytes live in {!Storage.Buffer} byte arrays. *)
+    miss-count model, the actual bytes live in {!Storage.Buffer} byte arrays.
+
+    Each set is kept in recency order, most recently used way first, as one
+    tag word per way ([line lsl 1 lor pending], -1 for an invalid way).  A
+    hit moves its word to the front; a miss shifts the set one way towards
+    the tail and drops the tail word, which is an invalid way if the set has
+    one and the least recently used line otherwise.  Re-probing the front
+    line therefore changes nothing.  Line numbers are non-negative. *)
 
 type t
 
@@ -14,44 +21,46 @@ val block_bits : t -> int
 (** log2 of the block size: [line = addr lsr block_bits t]. *)
 
 val access : t -> int -> bool
-(** [access t line] looks up [line]; on a miss the line is inserted, evicting
-    the LRU way of its set.  Returns [true] on a hit. *)
+(** [access t line] looks up [line] and makes it the set's most recently
+    used line; on a miss the line is inserted, evicting the LRU way of its
+    set.  Returns [true] on a hit. *)
 
 type probe = Miss | Hit | Hit_pending
 
 val access_pending : t -> int -> probe
-(** Like {!access}, but also maintains a per-slot "pending prefetch" flag —
-    a fixed-size direct-mapped structure keyed by line address through the
-    set function, replacing an unbounded hash set of prefetched lines.
-    [Hit_pending] is returned exactly once per prefetch: on the first demand
-    touch of a line filled by {!insert_pending}.  A demand fill (miss, or
-    eviction by any fill) clears the victim slot's flag, so pendingness
-    tracks residency exactly. *)
+(** Like {!access}, but also reads and clears the line's "pending prefetch"
+    bit, kept in its tag word instead of an unbounded hash set of
+    prefetched lines.  [Hit_pending] is returned exactly once per prefetch:
+    on the first demand touch of a line filled by {!prefetch}.  A demand
+    fill writes a clear bit and an evicted line takes its bit with it, so
+    pendingness tracks residency exactly. *)
 
-val insert : t -> int -> unit
-(** [insert t line] fills [line] without counting it as a demand access (used
-    by the prefetcher). Inserting an already-present line refreshes its age. *)
-
-val insert_pending : t -> int -> unit
-(** {!insert} that marks the filled line pending (prefetched, not yet
-    demand-touched).  Refreshing an already-present line leaves its flag
-    unchanged. *)
+val prefetch : t -> int -> bool
+(** [prefetch t line] fills an absent [line] as the set's most recently
+    used line with its pending bit set, and returns [true].  A resident
+    line is left as it is — recency and pending bit unchanged — and the
+    result is [false]. *)
 
 val mem : t -> int -> bool
 (** [mem t line] is a lookup without any side effect. *)
 
+val clear : t -> unit
+(** Invalidate every way (and the reference probes' state, if any). *)
+
 (** Reference probes: the pre-batching implementation (mod-based set
-    indexing, separate find and victim walks), kept verbatim so that the
-    hierarchy's per-word reference path measures the original tracer's wall
-    clock.  Decisions are identical to the optimized probes; the per-slot
-    pending flags are not maintained (the reference hierarchy tracks
-    prefetched lines in a side table), so drive a given cache through one
-    family of probes only. *)
+    indexing, separate find and victim walks over a tag array and LRU
+    timestamps), kept verbatim so that the hierarchy's per-word reference
+    path measures the original tracer's wall clock.  Decisions are identical
+    to the fast probes; their state is separate and exists only after
+    {!use_reference} (the reference hierarchy tracks prefetched lines in a
+    side table), so drive a given cache through one family of probes only. *)
+
+val use_reference : t -> unit
+(** Allocate the reference probes' tags and ages, empty; a no-op when they
+    exist.  The fast probes never touch them. *)
 
 val access_ref : t -> int -> bool
 val insert_ref : t -> int -> unit
 val mem_ref : t -> int -> bool
-
-val clear : t -> unit
 
 val name : t -> string

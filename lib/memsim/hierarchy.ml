@@ -9,7 +9,7 @@ type t = {
   pf : Prefetcher.t;
   pending_ref : (int, unit) Hashtbl.t;
       (* prefetched-lines side table of the reference (fast path off)
-         tracer; the fast path keeps pendingness in per-slot cache flags *)
+         tracer; the fast path keeps pendingness in the L3 tag words *)
   stats : Stats.t;
   l1_bits : int;
   l2_bits : int;
@@ -23,8 +23,9 @@ type t = {
   mutable last_tlb : int;
       (* page of the most recent actual TLB probe.  Every TLB modification
          goes through that probe, so a repeat lookup of this page is a
-         guaranteed hit that would only refresh an already-MRU entry: it can
-         be skipped with identical counters, costs and replacement state. *)
+         guaranteed hit on an already-MRU entry, which changes nothing: it
+         can be skipped with identical counters, costs and replacement
+         state. *)
   mutable last_l2 : int; (* same memo for the most recent L2 line probed *)
   mutable last_l1 : int;
       (* same memo for the most recent L1 line probed; fires on
@@ -45,10 +46,13 @@ let create ?(params = Params.nehalem) () =
   let l2 = Cache.create params.levels.(1) in
   let l3 = Cache.create params.levels.(2) in
   let tlb = Cache.create params.tlb in
+  let fastpath = default_fastpath () in
+  (* the reference tracer's cache state exists only where it runs *)
+  if not fastpath then List.iter Cache.use_reference [ l1; l2; l3; tlb ];
   {
     params;
     tracing = true;
-    fastpath = default_fastpath ();
+    fastpath;
     l1;
     l2;
     l3;
@@ -71,6 +75,11 @@ let create ?(params = Params.nehalem) () =
   }
 
 let params t = t.params
+
+(* Int-only [min]/[max]: the fast path takes them once per word, and
+   [Stdlib]'s polymorphic ones are a C compare call each. *)
+let imin (a : int) b = if a <= b then a else b
+let imax (a : int) b = if a >= b then a else b
 
 (* The L1→L2→LLC walk of one 8-byte-word probe, without the TLB lookup.
    Callers that have just probed another word of the same page may use this
@@ -115,13 +124,8 @@ let probe_word_no_tlb t a =
             s.llc_rand_misses <- s.llc_rand_misses + 1;
             t.mem_lat
       in
-      (match Prefetcher.observe t.pf line with
-      | Some p ->
-          if not (Cache.mem t.l3 p) then begin
-            Cache.insert_pending t.l3 p;
-            s.prefetches <- s.prefetches + 1
-          end
-      | None -> ());
+      let p = Prefetcher.observe t.pf line in
+      if p >= 0 && Cache.prefetch t.l3 p then s.prefetches <- s.prefetches + 1;
       t.l1_lat + t.l2_lat + t.l3_lat + mem_cost
     end
   end
@@ -177,14 +181,12 @@ let probe_word_ref t a =
         s.llc_rand_misses <- s.llc_rand_misses + 1;
         cost := !cost + t.mem_lat
       end;
-      match Prefetcher.observe t.pf line with
-      | Some p ->
-          if not (Cache.mem_ref t.l3 p) then begin
-            Cache.insert_ref t.l3 p;
-            Hashtbl.replace t.pending_ref p ();
-            s.prefetches <- s.prefetches + 1
-          end
-      | None -> ()
+      let p = Prefetcher.observe t.pf line in
+      if p >= 0 && not (Cache.mem_ref t.l3 p) then begin
+        Cache.insert_ref t.l3 p;
+        Hashtbl.replace t.pending_ref p ();
+        s.prefetches <- s.prefetches + 1
+      end
     end
   end;
   !cost
@@ -233,13 +235,13 @@ let touch_fast t ~addr ~width ~is_write =
        guaranteed hit refreshing an already-MRU entry, so counters, cycles
        and replacement state are unchanged (same argument as the group
        skip). *)
-    let group_bits = min t.l1_bits t.tlb_bits - 3 in
-    let group_mask = (1 lsl max 0 group_bits) - 1 in
+    let group_bits = imin t.l1_bits t.tlb_bits - 3 in
+    let group_mask = (1 lsl imax 0 group_bits) - 1 in
     let page_bits = t.tlb_bits - 3 in
     let w = ref first in
     let cur_page = ref (-1) in
     while !w <= last do
-      let g_last = min last (!w lor group_mask) in
+      let g_last = imin last (!w lor group_mask) in
       let k = g_last - !w + 1 in
       s.accesses <- s.accesses + k;
       if is_write then s.writes <- s.writes + k else s.reads <- s.reads + k;
@@ -264,16 +266,16 @@ let touch_fast t ~addr ~width ~is_write =
    once per streak.  The equivalence argument is the one [touch] makes for
    words of one line, extended across the accesses of the run: while
    consecutive accesses stay inside the line just probed, a re-probe is a
-   guaranteed L1 (and TLB) hit whose only effect is refreshing already-MRU
-   recency — invisible to counters, costs and all replacement decisions, as
-   LRU only compares ages relatively.  Likewise a streak that moves to a new
+   guaranteed L1 (and TLB) hit on its set's most recently used way, which a
+   hit leaves where it is ([Cache] keeps sets in recency order): it changes
+   no counter, cost or cache state.  Likewise a streak that moves to a new
    line of the page just probed re-probes only L1/L2/LLC; the TLB entry is
    resident and MRU.  Every skipped word still accounts one access at L1
    latency, so counters and cycles are byte-identical to the per-word loop.
    State is tracked only within one call: the first access always probes. *)
 let touch_run_fast t ~addr ~width ~count ~stride ~is_write =
   let s = t.stats in
-  let group_bits = max 0 (min t.l1_bits t.tlb_bits - 3) in
+  let group_bits = imax 0 (imin t.l1_bits t.tlb_bits - 3) in
   let group_mask = (1 lsl group_bits) - 1 in
   (* word-group -> page shift: group_bits <= tlb_bits - 3 by construction *)
   let page_shift = t.tlb_bits - 3 - group_bits in
@@ -311,7 +313,7 @@ let touch_run_fast t ~addr ~width ~count ~stride ~is_write =
         let a = addr + (!i * stride) in
         let g = a lsr gb in
         let k =
-          min (count - !i) (((((g + 1) lsl gb) - a) + stride - 1) / stride)
+          imin (count - !i) (((((g + 1) lsl gb) - a) + stride - 1) / stride)
         in
         let c =
           if !cur_group >= 0 && !cur_group lsr page_shift = g lsr page_shift
@@ -331,7 +333,7 @@ let touch_run_fast t ~addr ~width ~count ~stride ~is_write =
       let first = a lsr 3 and last = (a + width - 1) lsr 3 in
       let w = ref first in
       while !w <= last do
-        let g_last = min last (!w lor group_mask) in
+        let g_last = imin last (!w lor group_mask) in
         let k = g_last - !w + 1 in
         let g = !w lsr group_bits in
         if g = !cur_group then cycles := !cycles + (k * t.l1_lat)
@@ -387,7 +389,10 @@ let add_cpu t n = if t.tracing then t.stats.cpu_cycles <- t.stats.cpu_cycles + n
 let set_enabled t b = t.tracing <- b
 let enabled t = t.tracing
 
-let set_fastpath t b = t.fastpath <- b
+let set_fastpath t b =
+  if not b then List.iter Cache.use_reference [ t.l1; t.l2; t.l3; t.tlb ];
+  t.fastpath <- b
+
 let fastpath t = t.fastpath
 
 let without_tracing t f =

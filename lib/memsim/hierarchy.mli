@@ -30,8 +30,8 @@ val read_run : t -> addr:int -> width:int -> count:int -> stride:int -> unit
     lookup per distinct page, prefetcher observed at line granularity.  All
     counters and cycle totals are byte-identical to the per-word loop above —
     re-probing a line (or page) that the immediately preceding access just
-    probed is a guaranteed hit whose only effect would be refreshing
-    already-most-recently-used recency.  [count <= 0] or [width <= 0] is a
+    probed is a guaranteed hit on an already most recently used way, which
+    changes nothing.  [count <= 0] or [width <= 0] is a
     no-op.  Negative strides and overlapping elements are supported. *)
 
 val write_run : t -> addr:int -> width:int -> count:int -> stride:int -> unit
@@ -48,8 +48,10 @@ val set_fastpath : t -> bool -> unit
     environment variable [MEMSIM_FASTPATH] is ["0"] at {!create} time — the
     bench harness uses that to time whole experiments against the reference
     decomposition.  Choose the path before the first traced access: the two
-    tracers represent prefetch pendingness differently, so flipping
-    mid-stream (on a non-empty hierarchy) is unsound. *)
+    tracers keep separate cache state (the reference one's is allocated
+    when a hierarchy first switches to it) and represent prefetch
+    pendingness differently, so flipping mid-stream (on a non-empty
+    hierarchy) is unsound. *)
 
 val fastpath : t -> bool
 

@@ -38,8 +38,9 @@ let test_cache_lru_refresh () =
 
 let test_cache_insert_no_demand () =
   let c = Cache.create tiny_level in
-  Cache.insert c 3;
-  Alcotest.(check bool) "prefetch-inserted line hits" true (Cache.access c 3)
+  Alcotest.(check bool) "absent line prefetched" true (Cache.prefetch c 3);
+  Alcotest.(check bool) "prefetch-inserted line hits" true (Cache.access c 3);
+  Alcotest.(check bool) "resident line not refilled" false (Cache.prefetch c 3)
 
 let test_cache_clear () =
   let c = Cache.create tiny_level in
@@ -47,25 +48,30 @@ let test_cache_clear () =
   Cache.clear c;
   Alcotest.(check bool) "cleared" false (Cache.mem c 1)
 
+(* [observe] as an option: the line to prefetch, if any *)
+let observe p line =
+  let l = Prefetcher.observe p line in
+  if l < 0 then None else Some l
+
 let test_prefetcher_adjacent () =
   let p = Prefetcher.create ~streams:4 in
-  Alcotest.(check (option int)) "first access: nothing" None (Prefetcher.observe p 10);
+  Alcotest.(check (option int)) "first access: nothing" None (observe p 10);
   Alcotest.(check (option int)) "adjacent: prefetch next" (Some 12)
-    (Prefetcher.observe p 11)
+    (observe p 11)
 
 let test_prefetcher_stride () =
   let p = Prefetcher.create ~streams:4 in
   ignore (Prefetcher.observe p 100);
   Alcotest.(check (option int)) "stride not yet confirmed" None
-    (Prefetcher.observe p 104);
+    (observe p 104);
   Alcotest.(check (option int)) "confirmed stride 4" (Some 112)
-    (Prefetcher.observe p 108)
+    (observe p 108)
 
 let test_prefetcher_same_line_quiet () =
   let p = Prefetcher.create ~streams:4 in
   ignore (Prefetcher.observe p 50);
   Alcotest.(check (option int)) "repeat access silent" None
-    (Prefetcher.observe p 50)
+    (observe p 50)
 
 let test_prefetcher_multiple_streams () =
   let p = Prefetcher.create ~streams:4 in
@@ -73,9 +79,9 @@ let test_prefetcher_multiple_streams () =
   ignore (Prefetcher.observe p 5000);
   (* both streams stay tracked *)
   Alcotest.(check (option int)) "stream A advances" (Some 1002)
-    (Prefetcher.observe p 1001);
+    (observe p 1001);
   Alcotest.(check (option int)) "stream B advances" (Some 5002)
-    (Prefetcher.observe p 5001)
+    (observe p 5001)
 
 let test_hierarchy_l1_hit_cost () =
   let h = Hierarchy.create () in
@@ -187,6 +193,166 @@ let test_fit_latencies_recovers () =
   | Some l -> Alcotest.(check bool) "L3 latency near 8" true (abs (l - 8) <= 2)
   | None -> Alcotest.fail "no L3 fit"
 
+(* ------------------------------------------------------------------ *)
+(* Flat prefetcher vs the record-based one it replaced                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The record-per-stream prefetcher, verbatim: the reference for the flat
+   one's decisions, tie rules included (nearest stream: lowest index wins;
+   new stream: highest-index invalid slot, else the LRU one). *)
+module Record_prefetcher = struct
+  type stream = {
+    mutable last : int;
+    mutable stride : int;
+    mutable age : int;
+    mutable valid : bool;
+  }
+
+  type t = { streams : stream array; mutable clock : int }
+
+  let max_stream_delta = 64
+
+  let create ~streams =
+    {
+      streams =
+        Array.init streams (fun _ ->
+            { last = 0; stride = 0; age = 0; valid = false });
+      clock = 0;
+    }
+
+  let clear t =
+    Array.iter (fun s -> s.valid <- false) t.streams;
+    t.clock <- 0
+
+  let find_stream t line =
+    let n = Array.length t.streams in
+    let best = ref (-1) in
+    let best_delta = ref max_int in
+    for i = 0 to n - 1 do
+      let s = Array.unsafe_get t.streams i in
+      if s.valid then begin
+        let d = abs (line - s.last) in
+        if d <= max_stream_delta && d < !best_delta then begin
+          best := i;
+          best_delta := d
+        end
+      end
+    done;
+    !best
+
+  let lru_slot t =
+    let n = Array.length t.streams in
+    let best = ref 0 in
+    let best_age = ref max_int in
+    for i = 0 to n - 1 do
+      let s = Array.unsafe_get t.streams i in
+      if not s.valid then begin
+        best := i;
+        best_age := -1
+      end
+      else if s.age < !best_age then begin
+        best := i;
+        best_age := s.age
+      end
+    done;
+    !best
+
+  let observe t line =
+    t.clock <- t.clock + 1;
+    let i = find_stream t line in
+    if i < 0 then begin
+      let s = t.streams.(lru_slot t) in
+      s.last <- line;
+      s.stride <- 0;
+      s.age <- t.clock;
+      s.valid <- true;
+      None
+    end
+    else begin
+      let s = t.streams.(i) in
+      s.age <- t.clock;
+      let delta = line - s.last in
+      if delta = 0 then None
+      else begin
+        s.last <- line;
+        if delta = 1 then begin
+          s.stride <- 1;
+          Some (line + 1)
+        end
+        else if delta = s.stride then Some (line + s.stride)
+        else begin
+          s.stride <- delta;
+          None
+        end
+      end
+    end
+end
+
+(* A move of one of several interleaved cursors: a +-1 step, a run of a
+   repeated stride, a repeat of the same line, a jump anywhere, a far jump
+   back, or (rarely) a clear of both prefetchers. *)
+type pf_move =
+  | Step of int
+  | Strided of int * int
+  | Same
+  | Jump of int
+  | Back of int
+  | Clear
+
+let pf_move_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun up -> Step (if up then 1 else -1)) bool);
+        (4, map2 (fun s k -> Strided (s, k)) (int_range (-70) 70) (int_range 1 6));
+        (2, return Same);
+        (2, map (fun l -> Jump l) (int_range 0 (1 lsl 24)));
+        (1, map (fun d -> Back d) (int_range 65 5000));
+        (1, return Clear);
+      ])
+
+let qcheck_prefetcher_matches_records =
+  let gen =
+    QCheck.Gen.(
+      triple (int_range 1 20) (int_range 1 24)
+        (list_size (int_range 1 300) (pair (int_range 0 23) pf_move_gen)))
+  in
+  QCheck.Test.make ~count:300
+    ~name:"flat prefetcher decides as the record-based one"
+    (QCheck.make gen)
+    (fun (streams, cursors, moves) ->
+      let flat = Prefetcher.create ~streams in
+      let records = Record_prefetcher.create ~streams in
+      let pos = Array.init cursors (fun c -> (1 lsl 20) + (c * 1000)) in
+      let same line =
+        let expected =
+          match Record_prefetcher.observe records line with
+          | Some l -> l
+          | None -> Prefetcher.none
+        in
+        Prefetcher.observe flat line = expected
+      in
+      List.for_all
+        (fun (c, move) ->
+          let c = c mod cursors in
+          let visit l =
+            pos.(c) <- abs l;
+            same pos.(c)
+          in
+          match move with
+          | Step d -> visit (pos.(c) + d)
+          | Strided (s, k) ->
+              let rec run k = k = 0 || (visit (pos.(c) + s) && run (k - 1)) in
+              run k
+          | Same -> visit pos.(c)
+          | Jump l -> visit l
+          | Back d -> visit (pos.(c) - d)
+          | Clear ->
+              Prefetcher.clear flat;
+              Record_prefetcher.clear records;
+              true)
+        moves)
+
 let suite =
   [
     Alcotest.test_case "cache hit after insert" `Quick test_cache_hit_after_insert;
@@ -209,4 +375,5 @@ let suite =
     Alcotest.test_case "calibrator staircase" `Slow test_calibrator_staircase;
     Alcotest.test_case "calibrator sequential flat" `Slow test_calibrator_sequential_flat;
     Alcotest.test_case "calibrator fit" `Slow test_fit_latencies_recovers;
+    QCheck_alcotest.to_alcotest qcheck_prefetcher_matches_records;
   ]

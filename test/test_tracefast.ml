@@ -32,18 +32,19 @@ let apply h { write; addr; width; count; stride } =
   if write then Hierarchy.write_run h ~addr ~width ~count ~stride
   else Hierarchy.read_run h ~addr ~width ~count ~stride
 
+let same_stats ?params ops =
+  let fast = Hierarchy.create ?params () in
+  let slow = Hierarchy.create ?params () in
+  Hierarchy.set_fastpath slow false;
+  List.iter (apply fast) ops;
+  List.iter (apply slow) ops;
+  stats_equal (Hierarchy.snapshot fast) (Hierarchy.snapshot slow)
+
 let qcheck_run_identity =
   let gen = QCheck.Gen.list_size (QCheck.Gen.int_range 1 40) op_gen in
   QCheck.Test.make ~count:60
     ~name:"read_run/write_run counters identical to per-word loop"
-    (QCheck.make gen)
-    (fun ops ->
-      let fast = Hierarchy.create () in
-      let slow = Hierarchy.create () in
-      Hierarchy.set_fastpath slow false;
-      List.iter (apply fast) ops;
-      List.iter (apply slow) ops;
-      stats_equal (Hierarchy.snapshot fast) (Hierarchy.snapshot slow))
+    (QCheck.make gen) same_stats
 
 (* The two paths must also leave identical *cache state*, not just equal
    counters: interleave run calls with plain reads and compare again. *)
@@ -70,6 +71,85 @@ let qcheck_run_identity_interleaved =
       drive fast;
       drive slow;
       stats_equal (Hierarchy.snapshot fast) (Hierarchy.snapshot slow))
+
+(* The properties above stay inside 1 MiB, so the default 8 MiB L3 never
+   evicts there.  These two make every level evict, prefetched lines
+   included: one spreads runs over 64 MiB in 128 regions that alias onto
+   the same L3 sets (512 KiB apart, the L3's set period), the other shrinks
+   every level to a handful of sets, none of them a power-of-two count. *)
+let wide_op_gen =
+  QCheck.Gen.(
+    let* write = bool in
+    let* region = int_range 0 127 in
+    let* off = int_range 0 16_383 in
+    let addr = (8 lsl 20) + (region * 524_288) + off in
+    let* width = int_range 1 96 in
+    let* count, stride =
+      frequency
+        [
+          (3, pair (int_range 0 256) (int_range (-192) 192));
+          (1, pair (int_range 0 8) (oneofl [ 524_288; -524_288; 4096 ]));
+        ]
+    in
+    return { write; addr; width; count; stride })
+
+let tiny_params : Memsim.Params.t =
+  {
+    levels =
+      [|
+        { name = "L1"; capacity = 3 * 2 * 8; block = 8; latency = 1; assoc = 2 };
+        { name = "L2"; capacity = 5 * 2 * 64; block = 64; latency = 3; assoc = 2 };
+        { name = "L3"; capacity = 7 * 4 * 64; block = 64; latency = 8; assoc = 4 };
+      |];
+    tlb =
+      { name = "TLB"; capacity = 3 * 2 * 4096; block = 4096; latency = 1; assoc = 2 };
+    memory_latency = 12;
+    prefetch_streams = 3;
+  }
+
+let qcheck_run_identity_wide =
+  let gen = QCheck.Gen.list_size (QCheck.Gen.int_range 1 60) wide_op_gen in
+  QCheck.Test.make ~count:60
+    ~name:"fast = reference over 64 MiB of aliasing L3 sets"
+    (QCheck.make gen) same_stats
+
+let qcheck_run_identity_tiny =
+  let gen = QCheck.Gen.list_size (QCheck.Gen.int_range 1 40) op_gen in
+  QCheck.Test.make ~count:100
+    ~name:"fast = reference on tiny non-power-of-two sets"
+    (QCheck.make gen)
+    (same_stats ~params:tiny_params)
+
+(* A stream run after [reset] counts exactly what it counts on a fresh
+   hierarchy, on both paths and both geometries: a clear that left a line
+   resident or pending, or lost the prefetcher's slot-allocation order,
+   shows here. *)
+let qcheck_reset_is_fresh =
+  let ops = QCheck.Gen.(list_size (int_range 1 30) op_gen) in
+  QCheck.Test.make ~count:40
+    ~name:"a stream after reset counts as on a fresh hierarchy"
+    (QCheck.make QCheck.Gen.(pair ops ops))
+    (fun (before, after) ->
+      List.for_all
+        (fun (params, fastpath) ->
+          let create () =
+            let h = Hierarchy.create ~params () in
+            Hierarchy.set_fastpath h fastpath;
+            h
+          in
+          let used = create () in
+          List.iter (apply used) before;
+          Hierarchy.reset used;
+          List.iter (apply used) after;
+          let fresh = create () in
+          List.iter (apply fresh) after;
+          stats_equal (Hierarchy.snapshot used) (Hierarchy.snapshot fresh))
+        [
+          (Memsim.Params.nehalem, true);
+          (Memsim.Params.nehalem, false);
+          (tiny_params, true);
+          (tiny_params, false);
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: every engine, every storage model, fast vs slow         *)
@@ -163,3 +243,5 @@ let suite =
   :: Alcotest.test_case "fig3 point traced fast=slow" `Quick test_fig3_point
   :: Alcotest.test_case "reslice window" `Quick test_reslice
   :: Helpers.across_engines "engine identity" test_engine_identity
+  @ List.map QCheck_alcotest.to_alcotest
+      [ qcheck_run_identity_wide; qcheck_run_identity_tiny; qcheck_reset_is_fresh ]
