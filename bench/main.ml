@@ -31,6 +31,7 @@ let experiments =
     ("durability", Durability_bench.run);
     ("oltp", Oltp.run);
     ("shard", Shard_bench.run);
+    ("code", Code.run);
   ]
 
 let () =

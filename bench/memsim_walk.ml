@@ -9,9 +9,9 @@
              then a 3-word entry at a random place in a 16 MB heap.
 
    Every stream starts on a cold hierarchy (Hierarchy.reset).  The time is
-   the best of [repeats] runs on the fast path; one run on the reference
-   per-word tracer (the MEMSIM_FASTPATH=0 path) must give the same per-level
-   counts.  Results go to BENCH_memsim_walk.json. *)
+   the best of [repeats] runs on the batched walk; one run on the reference
+   per-word tracer (Memsim_ref, a test-only library) must give the same
+   per-level counts.  Results go to BENCH_memsim_walk.json. *)
 
 module H = Memsim.Hierarchy
 module S = Memsim.Stats
@@ -75,16 +75,13 @@ let timed h stream =
 let measure (name, prepare) =
   let stream = prepare () in
   let fast = H.create () in
-  H.set_fastpath fast true;
   let best = ref infinity and stats = ref (S.create ()) in
   for _ = 1 to repeats do
     let t, st = timed fast stream in
     if t < !best then best := t;
     stats := st
   done;
-  let reference = H.create () in
-  H.set_fastpath reference false;
-  let ref_t, ref_stats = timed reference stream in
+  let ref_t, ref_stats = timed (Memsim_ref.hierarchy ()) stream in
   let per_access t = 1e9 *. t /. float_of_int !stats.S.accesses in
   {
     name;

@@ -1,16 +1,13 @@
 (* Trace fast path: run-batched access tracing (Hierarchy.read_run/write_run
-   through Buffer and the engines) against the reference per-word
-   decomposition, on identical access streams.
+   through Buffer and the engines) against the reference per-word tracer
+   (Memsim_ref, a test-only library), on identical access streams.
 
-   Two sections:
-
-   - per engine, the traced microbench scan-aggregate with the fast path on
-     vs. off, asserting that rows and every simulated counter are identical
-     and reporting traced values/second both ways;
-
-   - the ISSUE's four acceptance experiments (adaptive, ablations, fig9,
-     fig11) wall-clocked end-to-end with the fast path toggled process-wide
-     via MEMSIM_FASTPATH.
+   Per engine, the traced microbench scan-aggregate runs once on a default
+   hierarchy and once on the reference one; rows and every simulated counter
+   must be identical, and traced values/second are reported both ways.  The
+   engines and Buffer make the same run calls on both hierarchies, so the
+   slow time is the reference walk's, not that of a per-access call
+   structure.
 
    Each measured run builds its own hierarchy and catalog: a measured run
    allocates intermediates from the catalog's arena, so repeated runs see
@@ -19,9 +16,7 @@
    deterministic builds put both paths on byte-identical address streams
    (see test/test_tracefast.ml).
 
-   Results go to BENCH_trace_fastpath.json.  MRDB_TRACEFAST_QUICK=1 skips
-   the experiment sweep (the adaptive experiment alone takes tens of
-   seconds per path). *)
+   Results go to BENCH_trace_fastpath.json. *)
 
 let n_rows = 100_000
 let sel = 0.1
@@ -42,28 +37,27 @@ type engine_row = {
 
 (* One traced run on a fresh deterministic catalog; only the measured query
    is timed (build and repartition are setup). *)
-let run_once ~fastpath engine =
-  let hier = Memsim.Hierarchy.create () in
-  Memsim.Hierarchy.set_fastpath hier fastpath;
+let run_once make_hier engine =
+  let hier = make_hier () in
   let cat = Workloads.Microbench.build ~hier ~n:n_rows () in
   Storage.Catalog.set_layout cat "R" Workloads.Microbench.pdsm_layout;
   let plan = Workloads.Microbench.plan cat ~sel in
   let params = Workloads.Microbench.params ~sel in
   wall (fun () -> Engines.Engine.run_measured engine cat plan ~params)
 
-let best_of ~fastpath engine =
-  let (r0, st0), t0 = run_once ~fastpath engine in
+let best_of make_hier engine =
+  let (r0, st0), t0 = run_once make_hier engine in
   let best = ref t0 in
   for _ = 2 to repeats do
-    let _, t = run_once ~fastpath engine in
+    let _, t = run_once make_hier engine in
     if t < !best then best := t
   done;
   (r0, st0, !best)
 
 let measure_engine engine =
   let name = Engines.Engine.name engine in
-  let r_fast, st_fast, t_fast = best_of ~fastpath:true engine in
-  let r_slow, st_slow, t_slow = best_of ~fastpath:false engine in
+  let r_fast, st_fast, t_fast = best_of Memsim.Hierarchy.create engine in
+  let r_slow, st_slow, t_slow = best_of Memsim_ref.hierarchy engine in
   let rows_equal =
     List.length r_fast.Engines.Runtime.rows
       = List.length r_slow.Engines.Runtime.rows
@@ -86,40 +80,6 @@ let measure_engine engine =
     identical;
   }
 
-let experiments =
-  [
-    ("ablations", Ablations.run);
-    ("fig9", Fig9.run);
-    ("fig11", Fig11.run);
-    ("adaptive", Adaptive.run);
-  ]
-
-(* End-to-end wall clock against the seed build (commit 89a6026, the state
-   before run-batched tracing), which this harness cannot rebuild at run
-   time.  Measured offline on this machine as medians of N interleaved
-   seed/new runs (the container's wall clock is noisy, so seed and new
-   binaries alternate within one block and medians are compared).  The
-   MEMSIM_FASTPATH toggle above isolates only the tracer itself — the
-   engine-layer restructuring that rode on the run API (unboxed run reads,
-   hoisted aggregation loops, generator/load/repartition fast paths) speeds
-   both toggle positions, so the toggle understates the change; these
-   numbers are the whole change. *)
-let vs_seed =
-  [
-    ("ablations", 1.574, 0.745, 11);
-    ("fig9", 1.788, 0.926, 9);
-    ("fig11", 1.382, 0.931, 9);
-    ("adaptive", 27.277, 11.981, 3);
-  ]
-
-let time_experiment ~fastpath run =
-  (* the experiments build their own hierarchies, which read MEMSIM_FASTPATH
-     at creation time *)
-  Unix.putenv "MEMSIM_FASTPATH" (if fastpath then "1" else "0");
-  let (), t = wall run in
-  Unix.putenv "MEMSIM_FASTPATH" "1";
-  t
-
 let run () =
   Common.header "Trace fast path — run-batched vs. per-word access tracing";
   Common.note
@@ -137,39 +97,6 @@ let run () =
     rows;
   Common.note
     "all engines: rows and every simulated counter identical on both paths";
-  let quick =
-    match Sys.getenv_opt "MRDB_TRACEFAST_QUICK" with
-    | Some "1" -> true
-    | _ -> false
-  in
-  let experiment_rows =
-    if quick then []
-    else
-      List.map
-        (fun (name, r) ->
-          let t_fast = time_experiment ~fastpath:true r in
-          let t_slow = time_experiment ~fastpath:false r in
-          (name, t_fast, t_slow))
-        experiments
-  in
-  if not quick then begin
-    Common.header "Experiment wall-clock, fast path on vs. off";
-    List.iter
-      (fun (name, tf, ts) ->
-        Common.note "%-10s fastpath %7.2fs   per-word %7.2fs   (%.2fx)" name
-          tf ts (ts /. tf))
-      experiment_rows;
-    Common.header "Experiment wall-clock vs. seed build (offline medians)";
-    List.iter
-      (fun (name, seed_s, new_s, pairs) ->
-        Common.note "%-10s seed %7.2fs   now %7.2fs   (%.2fx, %d pairs)" name
-          seed_s new_s (seed_s /. new_s) pairs)
-      vs_seed
-  end;
-  (* [vs_seed] numbers compare the whole change against the pre-batching
-     build (commit 89a6026), as medians of interleaved seed/new runs; the
-     MEMSIM_FASTPATH toggle isolates the tracer only and understates the
-     engine-layer part of the change. *)
   let bench = "trace_fastpath" in
   let pt = Common.pt ~bench in
   Common.write_bench "BENCH_trace_fastpath.json"
@@ -197,23 +124,4 @@ let run () =
               ~unit_:"bool"
               (if r.identical then 1. else 0.);
           ])
-        rows
-    @ List.concat_map
-        (fun (name, tf, ts) ->
-          let m k = Printf.sprintf "experiment.%s.%s" name k in
-          [
-            pt ~metric:(m "fastpath_seconds") ~unit_:"s" tf;
-            pt ~metric:(m "perword_seconds") ~unit_:"s" ts;
-            pt ~metric:(m "speedup") ~unit_:"x" (ts /. tf);
-          ])
-        experiment_rows
-    @ List.concat_map
-        (fun (name, seed_s, new_s, pairs) ->
-          let m k = Printf.sprintf "vs_seed.%s.%s" name k in
-          [
-            pt ~metric:(m "seed_seconds") ~unit_:"s" seed_s;
-            pt ~metric:(m "new_seconds") ~unit_:"s" new_s;
-            pt ~metric:(m "speedup") ~unit_:"x" (seed_s /. new_s);
-            pt ~metric:(m "interleaved_pairs") (float_of_int pairs);
-          ])
-        vs_seed)
+        rows)

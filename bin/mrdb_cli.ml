@@ -687,7 +687,7 @@ let fuzz_cmd =
       if failures = [] then
         Printf.printf
           "fuzz: %d case(s) from seed %d: no divergences across all engine x \
-           layout x fastpath combinations\n"
+           layout combinations\n"
           cases seed
       else begin
         List.iter
@@ -763,10 +763,10 @@ let fuzz_cmd =
     (Cmd.info "fuzz"
        ~doc:
          "Differential fuzzing: generated schemas, data and episodes run \
-          through every engine x layout x tracer-fastpath combination (plus \
-          morsel-parallel execution, metamorphic predicate rewrites and \
-          crash recovery) and must match a reference oracle.  Failures are \
-          shrunk to a minimal OCaml repro.  With $(b,--txn), fuzzes \
+          through every engine x layout combination (plus morsel-parallel \
+          execution, metamorphic predicate rewrites and crash recovery) \
+          and must match a reference oracle.  Failures are shrunk to a \
+          minimal OCaml repro.  With $(b,--txn), fuzzes \
           interleaved multi-client transaction histories against a serial \
           oracle instead; with $(b,--advisor), replays episodes with the \
           online layout advisor repartitioning mid-episode; with \

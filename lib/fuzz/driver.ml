@@ -1,13 +1,11 @@
 (* The differential driver.  One case fans out into the full matrix:
 
-     engine (volcano/bulk/vectorized/hyrise/jit + parallel) ×
-     layout (NSM / DSM / the case's random PDSM) ×
-     tracer fastpath (on / off, sequential engines)
+     engine (volcano/bulk/vectorized/hyrise/jit + parallel + compiled) ×
+     layout (NSM / DSM / the case's random PDSM / compressed)
 
    Every combination replays the whole episode against a fresh catalog and
    must (a) produce the oracle's result multiset for every query and the
-   oracle's final table contents, (b) report byte-identical simulator
-   counters across fastpath modes, (c) satisfy the metamorphic invariants —
+   oracle's final table contents, (b) satisfy the metamorphic invariants —
    truth-preserving predicate rewrites keep results, and WAL + crash
    recovery reproduces the live catalog digest.
 
@@ -24,7 +22,7 @@ module Engine = Engines.Engine
 module Runtime = Engines.Runtime
 
 type divergence = {
-  combo : string; (* e.g. "bulk/dsm/fast" *)
+  combo : string; (* e.g. "bulk/dsm" *)
   statement : int; (* episode index, or -1 for end-of-episode checks *)
   detail : string;
 }
@@ -194,46 +192,17 @@ let oracle_results (c : Case.t) =
   in
   (per_stmt, dumps)
 
-let stats_fields (s : Memsim.Stats.t) =
-  [
-    ("accesses", s.Memsim.Stats.accesses);
-    ("reads", s.Memsim.Stats.reads);
-    ("writes", s.Memsim.Stats.writes);
-    ("l1_misses", s.Memsim.Stats.l1_misses);
-    ("l2_misses", s.Memsim.Stats.l2_misses);
-    ("llc_accesses", s.Memsim.Stats.llc_accesses);
-    ("llc_seq_misses", s.Memsim.Stats.llc_seq_misses);
-    ("llc_rand_misses", s.Memsim.Stats.llc_rand_misses);
-    ("tlb_misses", s.Memsim.Stats.tlb_misses);
-    ("prefetches", s.Memsim.Stats.prefetches);
-    ("mem_cycles", s.Memsim.Stats.mem_cycles);
-    ("cpu_cycles", s.Memsim.Stats.cpu_cycles);
-  ]
-
-let stats_mismatch a b =
-  List.fold_left2
-    (fun acc (name, va) (_, vb) ->
-      match acc with
-      | Some _ -> acc
-      | None ->
-          if va <> vb then
-            Some (Printf.sprintf "counter %s: %d vs %d" name va vb)
-          else None)
-    None (stats_fields a) (stats_fields b)
-
-(* Run the whole episode on a fresh catalog.  [domains] > 1 exercises the
-   morsel-parallel path; [fastpath] toggles the tracer fast path; [mutate]
-   injects the Lt->Le bug into query plans. *)
-let run_combo ?(mutate = false) ?(domains = 1) ?morsel_size ~engine ~mode
-    ~fastpath (c : Case.t) ~oracle:(per_stmt_oracle, dumps_oracle) =
+(* Run the whole episode on a fresh catalog traced by [hier] (a fresh
+   hierarchy by default).  [domains] > 1 exercises the morsel-parallel path;
+   [mutate] injects the Lt->Le bug into query plans. *)
+let run_combo ?(mutate = false) ?(domains = 1) ?morsel_size
+    ?(hier = Memsim.Hierarchy.create ()) ~engine ~mode (c : Case.t)
+    ~oracle:(per_stmt_oracle, dumps_oracle) =
   let combo =
-    Printf.sprintf "%s%s/%s/%s" (Engine.name engine)
+    Printf.sprintf "%s%s/%s" (Engine.name engine)
       (if domains > 1 then Printf.sprintf "(x%d)" domains else "")
       (Case.layout_mode_name mode)
-      (if fastpath then "fast" else "slow")
   in
-  let hier = Memsim.Hierarchy.create () in
-  Memsim.Hierarchy.set_fastpath hier fastpath;
   let cat = build_catalog ~hier c mode in
   let divergences = ref [] in
   let stats = ref [] in
@@ -541,57 +510,24 @@ let run_case ?(mutate = false) ?(recovery = true) (c : Case.t) =
           let mutate_here =
             mutate && engine = Engine.Bulk && mode = Case.Nsm
           in
-          let fast =
-            run_combo ~mutate:mutate_here ~engine ~mode ~fastpath:true c
-              ~oracle
-          in
-          add fast.divergences;
-          let slow =
-            run_combo ~mutate:mutate_here ~engine ~mode ~fastpath:false c
-              ~oracle
-          in
-          add slow.divergences;
-          (* identical address streams => identical counters *)
-          if List.length fast.stats = List.length slow.stats then
-            List.iteri
-              (fun i (a, b) ->
-                match stats_mismatch a b with
-                | Some d ->
-                    add
-                      [
-                        {
-                          combo =
-                            Printf.sprintf "%s/%s/fastpath-counters"
-                              (Engine.name engine)
-                              (Case.layout_mode_name mode);
-                          statement = i;
-                          detail = d;
-                        };
-                      ]
-                | None -> ())
-              (List.combine fast.stats slow.stats))
+          add (run_combo ~mutate:mutate_here ~engine ~mode c ~oracle).divergences)
         Engine.all;
       (* morsel-driven parallel execution over the same layouts; a small
          morsel size forces real multi-morsel merges even on tiny tables *)
       let par =
-        run_combo ~domains:2 ~morsel_size:16 ~engine:Engine.Jit ~mode
-          ~fastpath:true c ~oracle
+        run_combo ~domains:2 ~morsel_size:16 ~engine:Engine.Jit ~mode c ~oracle
       in
       add par.divergences;
       (* compiled pipelines against the same oracle on a bounded mode
          subset: Nsm and Pdsm (the partially decomposed layouts the IP
          advisor picks) run real native code, Comp (encoded relations) and
          every unsupported shape exercise the in-engine Jit fallback *)
-      if mode = Case.Nsm || mode = Case.Pdsm || mode = Case.Comp then begin
-        let comp =
-          run_combo ~engine:Engine.Compiled ~mode ~fastpath:true c ~oracle
-        in
-        add comp.divergences
-      end;
+      if mode = Case.Nsm || mode = Case.Pdsm || mode = Case.Comp then
+        add (run_combo ~engine:Engine.Compiled ~mode c ~oracle).divergences;
       if mode = Case.Nsm then begin
         let comp_par =
-          run_combo ~domains:2 ~morsel_size:16 ~engine:Engine.Compiled ~mode
-            ~fastpath:true c ~oracle
+          run_combo ~domains:2 ~morsel_size:16 ~engine:Engine.Compiled ~mode c
+            ~oracle
         in
         add comp_par.divergences
       end)

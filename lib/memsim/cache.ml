@@ -8,11 +8,6 @@ type t = {
       (* sets * assoc tag words, each set most recently used first:
          [line lsl 1 lor pending], -1 for an invalid way.  Fills enter at
          the front, so a set's invalid ways are always its tail. *)
-  mutable tags : int array;
-      (* tags and ages of the reference probes only: empty until
-         [use_reference], and the fast probes never touch them *)
-  mutable ages : int array; (* LRU timestamps *)
-  mutable clock : int;
 }
 
 type probe = Miss | Hit | Hit_pending
@@ -31,9 +26,6 @@ let create (l : Params.level) =
     assoc = l.assoc;
     block_bits = log2 l.block;
     words = Array.make (sets * l.assoc) (-1);
-    tags = [||];
-    ages = [||];
-    clock = 0;
   }
 
 let block_bits t = t.block_bits
@@ -111,76 +103,4 @@ let mem t line =
   let base = set_base t line in
   find t.words line base (base + t.assoc) >= 0
 
-let clear t =
-  Array.fill t.words 0 (Array.length t.words) (-1);
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.ages 0 (Array.length t.ages) 0;
-  t.clock <- 0
-
-(* Reference probes: the pre-batching implementation — mod-based set
-   indexing, separate find / victim walks over tags and LRU ages — kept
-   verbatim so the hierarchy's MEMSIM_FASTPATH=0 path has the wall-clock
-   profile of the original tracer, not an optimized one.  Their replacement
-   decisions are the fast path's: a miss fills an invalid way if the set has
-   one and evicts the least recently used line otherwise.  They run on their
-   own [tags]/[ages] (the reference hierarchy tracks prefetched lines in a
-   side table), so a cache must be driven through either the reference or
-   the fast probes, not a mix. *)
-
-let use_reference t =
-  if Array.length t.tags = 0 then begin
-    t.tags <- Array.make (Array.length t.words) (-1);
-    t.ages <- Array.make (Array.length t.words) 0;
-    t.clock <- 0
-  end
-
-let touch_slot t slot =
-  t.clock <- t.clock + 1;
-  Array.unsafe_set t.ages slot t.clock
-
-let set_base_ref t line = line mod t.sets * t.assoc
-
-let find_ref t line =
-  let base = set_base_ref t line in
-  let rec go i =
-    if i >= t.assoc then -1
-    else if t.tags.(base + i) = line then base + i
-    else go (i + 1)
-  in
-  go 0
-
-let victim_ref t line =
-  let base = set_base_ref t line in
-  let rec go i best best_age =
-    if i >= t.assoc then best
-    else
-      let slot = base + i in
-      if t.tags.(slot) = -1 then slot
-      else if t.ages.(slot) < best_age then go (i + 1) slot t.ages.(slot)
-      else go (i + 1) best best_age
-  in
-  go 1 base t.ages.(base)
-
-let access_ref t line =
-  let slot = find_ref t line in
-  if slot >= 0 then begin
-    touch_slot t slot;
-    true
-  end
-  else begin
-    let v = victim_ref t line in
-    t.tags.(v) <- line;
-    touch_slot t v;
-    false
-  end
-
-let insert_ref t line =
-  let slot = find_ref t line in
-  if slot >= 0 then touch_slot t slot
-  else begin
-    let v = victim_ref t line in
-    t.tags.(v) <- line;
-    touch_slot t v
-  end
-
-let mem_ref t line = find_ref t line >= 0
+let clear t = Array.fill t.words 0 (Array.length t.words) (-1)

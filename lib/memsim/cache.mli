@@ -45,22 +45,6 @@ val mem : t -> int -> bool
 (** [mem t line] is a lookup without any side effect. *)
 
 val clear : t -> unit
-(** Invalidate every way (and the reference probes' state, if any). *)
-
-(** Reference probes: the pre-batching implementation (mod-based set
-    indexing, separate find and victim walks over a tag array and LRU
-    timestamps), kept verbatim so that the hierarchy's per-word reference
-    path measures the original tracer's wall clock.  Decisions are identical
-    to the fast probes; their state is separate and exists only after
-    {!use_reference} (the reference hierarchy tracks prefetched lines in a
-    side table), so drive a given cache through one family of probes only. *)
-
-val use_reference : t -> unit
-(** Allocate the reference probes' tags and ages, empty; a no-op when they
-    exist.  The fast probes never touch them. *)
-
-val access_ref : t -> int -> bool
-val insert_ref : t -> int -> unit
-val mem_ref : t -> int -> bool
+(** Invalidate every way. *)
 
 val name : t -> string

@@ -1,15 +1,20 @@
+type walker = {
+  touch : addr:int -> width:int -> is_write:bool -> unit;
+  touch_run :
+    addr:int -> width:int -> count:int -> stride:int -> is_write:bool -> unit;
+  clear : unit -> unit;
+}
+
 type t = {
   params : Params.t;
   mutable tracing : bool;
-  mutable fastpath : bool;
+  reference : walker option;
+      (* a test oracle that replaces the walk below, see [create] *)
   l1 : Cache.t;
   l2 : Cache.t;
   l3 : Cache.t;
   tlb : Cache.t;
   pf : Prefetcher.t;
-  pending_ref : (int, unit) Hashtbl.t;
-      (* prefetched-lines side table of the reference (fast path off)
-         tracer; the fast path keeps pendingness in the L3 tag words *)
   stats : Stats.t;
   l1_bits : int;
   l2_bits : int;
@@ -32,34 +37,23 @@ type t = {
          read-modify-write word patterns (aggregate state updates) *)
 }
 
-(* Process-wide default for new hierarchies; MEMSIM_FASTPATH=0 turns the
-   run-batched fast path off everywhere so the whole bench harness can be
-   timed against the reference per-word decomposition. *)
-let default_fastpath () =
-  match Sys.getenv_opt "MEMSIM_FASTPATH" with
-  | Some "0" -> false
-  | _ -> true
-
-let create ?(params = Params.nehalem) () =
+let create ?(params = Params.nehalem) ?reference () =
   assert (Array.length params.levels = 3);
   let l1 = Cache.create params.levels.(0) in
   let l2 = Cache.create params.levels.(1) in
   let l3 = Cache.create params.levels.(2) in
   let tlb = Cache.create params.tlb in
-  let fastpath = default_fastpath () in
-  (* the reference tracer's cache state exists only where it runs *)
-  if not fastpath then List.iter Cache.use_reference [ l1; l2; l3; tlb ];
+  let stats = Stats.create () in
   {
     params;
     tracing = true;
-    fastpath;
+    reference = Option.map (fun make -> make params stats) reference;
     l1;
     l2;
     l3;
     tlb;
     pf = Prefetcher.create ~streams:params.prefetch_streams;
-    pending_ref = Hashtbl.create 1024;
-    stats = Stats.create ();
+    stats;
     l1_bits = Cache.block_bits l1;
     l2_bits = Cache.block_bits l2;
     l3_bits = Cache.block_bits l3;
@@ -145,74 +139,6 @@ let probe_word t a =
     end
   in
   tlb_cost + probe_word_no_tlb t a
-
-(* Reference tracer: the original (pre-batching) per-word walk, kept
-   verbatim — mod-based set indexing, two-pass find/victim walks, the
-   prefetched-line side table, a TLB probe per L1-line group.  It is the
-   "before" that MEMSIM_FASTPATH=0 measures and the independent
-   implementation the identity tests compare the batched path against.
-   Counters and cycles are identical to the fast path by the arguments on
-   [touch_fast]/[touch_run_fast] below; only the wall-clock profile
-   differs.  A hierarchy must run one path from creation: the two represent
-   prefetch pendingness differently, so flipping mid-stream is unsound. *)
-let probe_word_ref t a =
-  let s = t.stats in
-  let cost = ref t.l1_lat in
-  if not (Cache.access_ref t.tlb (a lsr t.tlb_bits)) then begin
-    s.tlb_misses <- s.tlb_misses + 1;
-    cost := !cost + t.tlb_lat
-  end;
-  if not (Cache.access_ref t.l1 (a lsr t.l1_bits)) then begin
-    s.l1_misses <- s.l1_misses + 1;
-    cost := !cost + t.l2_lat;
-    if not (Cache.access_ref t.l2 (a lsr t.l2_bits)) then begin
-      s.l2_misses <- s.l2_misses + 1;
-      cost := !cost + t.l3_lat;
-      let line = a lsr t.l3_bits in
-      s.llc_accesses <- s.llc_accesses + 1;
-      if Cache.access_ref t.l3 line then begin
-        if Hashtbl.mem t.pending_ref line then begin
-          s.llc_seq_misses <- s.llc_seq_misses + 1;
-          Hashtbl.remove t.pending_ref line
-        end
-      end
-      else begin
-        Hashtbl.remove t.pending_ref line;
-        s.llc_rand_misses <- s.llc_rand_misses + 1;
-        cost := !cost + t.mem_lat
-      end;
-      let p = Prefetcher.observe t.pf line in
-      if p >= 0 && not (Cache.mem_ref t.l3 p) then begin
-        Cache.insert_ref t.l3 p;
-        Hashtbl.replace t.pending_ref p ();
-        s.prefetches <- s.prefetches + 1
-      end
-    end
-  end;
-  !cost
-
-let touch_ref t ~addr ~width ~is_write =
-  let s = t.stats in
-  let first = addr lsr 3 and last = (addr + width - 1) lsr 3 in
-  if first = last then begin
-    s.accesses <- s.accesses + 1;
-    if is_write then s.writes <- s.writes + 1 else s.reads <- s.reads + 1;
-    s.mem_cycles <- s.mem_cycles + probe_word_ref t (first lsl 3)
-  end
-  else begin
-    let group_bits = min t.l1_bits t.tlb_bits - 3 in
-    let group_mask = (1 lsl max 0 group_bits) - 1 in
-    let w = ref first in
-    while !w <= last do
-      let g_last = min last (!w lor group_mask) in
-      let k = g_last - !w + 1 in
-      s.accesses <- s.accesses + k;
-      if is_write then s.writes <- s.writes + k else s.reads <- s.reads + k;
-      let c = probe_word_ref t (!w lsl 3) in
-      s.mem_cycles <- s.mem_cycles + c + ((k - 1) * t.l1_lat);
-      w := g_last + 1
-    done
-  end
 
 let touch_fast t ~addr ~width ~is_write =
   let s = t.stats in
@@ -355,22 +281,27 @@ let touch_run_fast t ~addr ~width ~count ~stride ~is_write =
   else s.reads <- s.reads + !words;
   s.mem_cycles <- s.mem_cycles + !cycles
 
-let touch t ~addr ~width ~is_write =
-  if t.fastpath then touch_fast t ~addr ~width ~is_write
-  else touch_ref t ~addr ~width ~is_write
+(* Direct calls into the reference walk: an indirect tail call would give
+   [touch] and [touch_run] a stack frame and an entry poll, paid on the
+   batched walk too. *)
+let[@inline never] reference_touch r ~addr ~width ~is_write =
+  r.touch ~addr ~width ~is_write
 
-(* The reference semantics of a run: the plain per-word loop over the
-   reference tracer.  Kept as the slow path so identity tests and the
-   tracefast bench can toggle between the two on the same access stream. *)
-let touch_run_slow t ~addr ~width ~count ~stride ~is_write =
-  for i = 0 to count - 1 do
-    touch_ref t ~addr:(addr + (i * stride)) ~width ~is_write
-  done
+let[@inline never] reference_touch_run r ~addr ~width ~count ~stride
+    ~is_write =
+  r.touch_run ~addr ~width ~count ~stride ~is_write
+
+(* [@inline] keeps [read]/[write] a direct jump into [touch_fast]. *)
+let[@inline] touch t ~addr ~width ~is_write =
+  match t.reference with
+  | None -> touch_fast t ~addr ~width ~is_write
+  | Some r -> reference_touch r ~addr ~width ~is_write
 
 let touch_run t ~addr ~width ~count ~stride ~is_write =
   if count > 0 && width > 0 then
-    if t.fastpath then touch_run_fast t ~addr ~width ~count ~stride ~is_write
-    else touch_run_slow t ~addr ~width ~count ~stride ~is_write
+    match t.reference with
+    | None -> touch_run_fast t ~addr ~width ~count ~stride ~is_write
+    | Some r -> reference_touch_run r ~addr ~width ~count ~stride ~is_write
 
 let read t ~addr ~width =
   if t.tracing then touch t ~addr ~width ~is_write:false
@@ -388,12 +319,6 @@ let add_cpu t n = if t.tracing then t.stats.cpu_cycles <- t.stats.cpu_cycles + n
 
 let set_enabled t b = t.tracing <- b
 let enabled t = t.tracing
-
-let set_fastpath t b =
-  if not b then List.iter Cache.use_reference [ t.l1; t.l2; t.l3; t.tlb ];
-  t.fastpath <- b
-
-let fastpath t = t.fastpath
 
 let without_tracing t f =
   let prev = t.tracing in
@@ -416,7 +341,7 @@ let reset t =
   Cache.clear t.l3;
   Cache.clear t.tlb;
   Prefetcher.clear t.pf;
-  Hashtbl.reset t.pending_ref;
+  Option.iter (fun r -> r.clear ()) t.reference;
   t.last_tlb <- -1;
   t.last_l2 <- -1;
   t.last_l1 <- -1

@@ -9,8 +9,24 @@
 
 type t
 
-val create : ?params:Params.t -> unit -> t
-(** [create ()] uses {!Params.nehalem}. *)
+type walker = {
+  touch : addr:int -> width:int -> is_write:bool -> unit;
+  touch_run :
+    addr:int -> width:int -> count:int -> stride:int -> is_write:bool -> unit;
+  clear : unit -> unit;
+}
+(** A replacement cache walk: [touch] traces one access, [touch_run] a run
+    with [count > 0] and [width > 0] (see {!read_run}), and [clear] forgets
+    every cache, TLB and prefetcher entry.  It counts into the {!Stats.t} it
+    was built with. *)
+
+val create :
+  ?params:Params.t -> ?reference:(Params.t -> Stats.t -> walker) -> unit -> t
+(** [create ()] uses {!Params.nehalem}.  A test seam: with [reference], every
+    traced access goes through the walker built from the params and the
+    hierarchy's live counters instead of the batched walk, and {!reset}
+    also calls its [clear].  The per-word oracle that the identity tests
+    compare the batched walk against is such a walker. *)
 
 val params : t -> Params.t
 
@@ -36,24 +52,6 @@ val read_run : t -> addr:int -> width:int -> count:int -> stride:int -> unit
 
 val write_run : t -> addr:int -> width:int -> count:int -> stride:int -> unit
 (** Store version of {!read_run}. *)
-
-val set_fastpath : t -> bool -> unit
-(** When the fast path is off, all tracing runs on the reference per-word
-    tracer — the original pre-batching implementation, kept verbatim
-    (mod-based set indexing, two-pass find/victim walks, prefetched-line
-    side table) — and {!read_run}/{!write_run} decompose into the literal
-    per-word loop.  Used by identity tests and the [tracefast] bench to
-    verify zero counter drift on the same access stream and to measure the
-    batching speedup against the true before.  Default: on, unless the
-    environment variable [MEMSIM_FASTPATH] is ["0"] at {!create} time — the
-    bench harness uses that to time whole experiments against the reference
-    decomposition.  Choose the path before the first traced access: the two
-    tracers keep separate cache state (the reference one's is allocated
-    when a hierarchy first switches to it) and represent prefetch
-    pendingness differently, so flipping mid-stream (on a non-empty
-    hierarchy) is unsound. *)
-
-val fastpath : t -> bool
 
 val add_cpu : t -> int -> unit
 (** Charge [n] CPU cycles of instruction work (predicate evaluation, hashing,

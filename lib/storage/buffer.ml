@@ -192,108 +192,63 @@ let touch_write t off ~width = trace_write t off width
 
 (* Run accessors: trace the whole fixed-stride run with one simulator call
    (the hierarchy batches it line-by-line), then move bytes in a tight loop
-   with the hier match and base addition hoisted out.  When the hierarchy
-   runs with the fast path off, fall back to the original per-access calls
-   instead — one traced [read_int]/[write_value]/… per element — so that
-   the reference path also re-pays the per-access call structure the run
-   API exists to hoist, and MEMSIM_FASTPATH=0 measures the true before. *)
+   with the hier match and base addition hoisted out. *)
 
-let run_fastpath t =
-  match t.hier with Some h -> Memsim.Hierarchy.fastpath h | None -> true
-
-let trace_read_run t off ~width ~count ~stride =
+let touch_run t off ~width ~count ~stride =
   match t.hier with
   | Some h -> Memsim.Hierarchy.read_run h ~addr:(t.base + off) ~width ~count ~stride
   | None -> ()
 
-let trace_write_run t off ~width ~count ~stride =
+let touch_write_run t off ~width ~count ~stride =
   match t.hier with
   | Some h -> Memsim.Hierarchy.write_run h ~addr:(t.base + off) ~width ~count ~stride
   | None -> ()
 
-let touch_run t off ~width ~count ~stride =
-  if run_fastpath t then trace_read_run t off ~width ~count ~stride
-  else for i = 0 to count - 1 do trace_read t (off + (i * stride)) width done
-
-let touch_write_run t off ~width ~count ~stride =
-  if run_fastpath t then trace_write_run t off ~width ~count ~stride
-  else for i = 0 to count - 1 do trace_write t (off + (i * stride)) width done
-
 let read_int_run t off ?(stride = 8) ~count dst =
-  if run_fastpath t then begin
-    trace_read_run t off ~width:8 ~count ~stride;
-    let b = t.bytes in
-    for i = 0 to count - 1 do
-      Array.unsafe_set dst i
-        (Int64.to_int (Bytes.get_int64_le b (off + (i * stride))))
-    done
-  end
-  else
-    for i = 0 to count - 1 do
-      Array.unsafe_set dst i (read_int t (off + (i * stride)))
-    done
+  touch_run t off ~width:8 ~count ~stride;
+  let b = t.bytes in
+  for i = 0 to count - 1 do
+    Array.unsafe_set dst i
+      (Int64.to_int (Bytes.get_int64_le b (off + (i * stride))))
+  done
 
 let write_int_run t off ?(stride = 8) ~count src =
-  if run_fastpath t then begin
-    trace_write_run t off ~width:8 ~count ~stride;
-    let b = t.bytes in
-    for i = 0 to count - 1 do
-      Bytes.set_int64_le b (off + (i * stride))
-        (Int64.of_int (Array.unsafe_get src i))
-    done
-  end
-  else
-    for i = 0 to count - 1 do
-      write_int t (off + (i * stride)) (Array.unsafe_get src i)
-    done
+  touch_write_run t off ~width:8 ~count ~stride;
+  let b = t.bytes in
+  for i = 0 to count - 1 do
+    Bytes.set_int64_le b (off + (i * stride))
+      (Int64.of_int (Array.unsafe_get src i))
+  done
 
 let read_uint_run t off ~width ?stride ~count dst =
   let stride = match stride with Some s -> s | None -> width in
-  if run_fastpath t then begin
-    trace_read_run t off ~width ~count ~stride;
-    for i = 0 to count - 1 do
-      Array.unsafe_set dst i (get_uint t (off + (i * stride)) ~width)
-    done
-  end
-  else
-    for i = 0 to count - 1 do
-      Array.unsafe_set dst i (read_uint t (off + (i * stride)) ~width)
-    done
+  touch_run t off ~width ~count ~stride;
+  for i = 0 to count - 1 do
+    Array.unsafe_set dst i (get_uint t (off + (i * stride)) ~width)
+  done
 
 let read_float_run t off ?(stride = 8) ~count dst =
-  if run_fastpath t then begin
-    trace_read_run t off ~width:8 ~count ~stride;
-    let b = t.bytes in
-    for i = 0 to count - 1 do
-      Array.unsafe_set dst i
-        (Int64.float_of_bits (Bytes.get_int64_le b (off + (i * stride))))
-    done
-  end
-  else
-    for i = 0 to count - 1 do
-      Array.unsafe_set dst i (read_float t (off + (i * stride)))
-    done
+  touch_run t off ~width:8 ~count ~stride;
+  let b = t.bytes in
+  for i = 0 to count - 1 do
+    Array.unsafe_set dst i
+      (Int64.float_of_bits (Bytes.get_int64_le b (off + (i * stride))))
+  done
 
 let write_float_run t off ?(stride = 8) ~count src =
-  if run_fastpath t then begin
-    trace_write_run t off ~width:8 ~count ~stride;
-    let b = t.bytes in
-    for i = 0 to count - 1 do
-      Bytes.set_int64_le b (off + (i * stride))
-        (Int64.bits_of_float (Array.unsafe_get src i))
-    done
-  end
-  else
-    for i = 0 to count - 1 do
-      write_float t (off + (i * stride)) (Array.unsafe_get src i)
-    done
+  touch_write_run t off ~width:8 ~count ~stride;
+  let b = t.bytes in
+  for i = 0 to count - 1 do
+    Bytes.set_int64_le b (off + (i * stride))
+      (Int64.bits_of_float (Array.unsafe_get src i))
+  done
 
 let read_bytes_run t off ~len dst =
-  trace_read_run t off ~width:len ~count:1 ~stride:len;
+  touch_run t off ~width:len ~count:1 ~stride:len;
   Bytes.blit t.bytes off dst 0 len
 
 let write_bytes_run t off ~len src =
-  trace_write_run t off ~width:len ~count:1 ~stride:len;
+  touch_write_run t off ~width:len ~count:1 ~stride:len;
   Bytes.blit src 0 t.bytes off len
 
 (* Run variants of [read_value]/[write_value] for non-nullable attributes
@@ -301,28 +256,23 @@ let write_bytes_run t off ~len src =
    payload), which is not one uniform-width run — callers must fall back. *)
 
 let read_value_run t off ~stride ~ty ~count dst =
-  if not (run_fastpath t) then
-    for i = 0 to count - 1 do
-      Array.unsafe_set dst i
-        (read_value t (off + (i * stride)) ~ty ~nullable:false)
-    done
-  else (match (ty : Value.ty) with
+  match (ty : Value.ty) with
   | Int ->
-      trace_read_run t off ~width:8 ~count ~stride;
+      touch_run t off ~width:8 ~count ~stride;
       let b = t.bytes in
       for i = 0 to count - 1 do
         Array.unsafe_set dst i
           (Value.VInt (Int64.to_int (Bytes.get_int64_le b (off + (i * stride)))))
       done
   | Date ->
-      trace_read_run t off ~width:8 ~count ~stride;
+      touch_run t off ~width:8 ~count ~stride;
       let b = t.bytes in
       for i = 0 to count - 1 do
         Array.unsafe_set dst i
           (Value.VDate (Int64.to_int (Bytes.get_int64_le b (off + (i * stride)))))
       done
   | Float ->
-      trace_read_run t off ~width:8 ~count ~stride;
+      touch_run t off ~width:8 ~count ~stride;
       let b = t.bytes in
       for i = 0 to count - 1 do
         Array.unsafe_set dst i
@@ -330,14 +280,14 @@ let read_value_run t off ~stride ~ty ~count dst =
              (Int64.float_of_bits (Bytes.get_int64_le b (off + (i * stride)))))
       done
   | Bool ->
-      trace_read_run t off ~width:1 ~count ~stride;
+      touch_run t off ~width:1 ~count ~stride;
       let b = t.bytes in
       for i = 0 to count - 1 do
         Array.unsafe_set dst i
           (Value.VBool (Bytes.get b (off + (i * stride)) <> '\000'))
       done
   | Varchar n ->
-      trace_read_run t off ~width:n ~count ~stride;
+      touch_run t off ~width:n ~count ~stride;
       for i = 0 to count - 1 do
         let s = Bytes.sub_string t.bytes (off + (i * stride)) n in
         let s =
@@ -346,42 +296,37 @@ let read_value_run t off ~stride ~ty ~count dst =
           | None -> s
         in
         Array.unsafe_set dst i (Value.VStr s)
-      done)
+      done
 
 let write_value_run t off ~stride ~ty ~count src =
-  if not (run_fastpath t) then
-    for i = 0 to count - 1 do
-      write_value t (off + (i * stride)) ~ty ~nullable:false
-        (Array.unsafe_get src i)
-    done
-  else (match (ty : Value.ty) with
+  match (ty : Value.ty) with
   | Int | Date ->
-      trace_write_run t off ~width:8 ~count ~stride;
+      touch_write_run t off ~width:8 ~count ~stride;
       let b = t.bytes in
       for i = 0 to count - 1 do
         Bytes.set_int64_le b (off + (i * stride))
           (Int64.of_int (Value.to_int (Array.unsafe_get src i)))
       done
   | Float ->
-      trace_write_run t off ~width:8 ~count ~stride;
+      touch_write_run t off ~width:8 ~count ~stride;
       let b = t.bytes in
       for i = 0 to count - 1 do
         Bytes.set_int64_le b (off + (i * stride))
           (Int64.bits_of_float (Value.to_float (Array.unsafe_get src i)))
       done
   | Bool ->
-      trace_write_run t off ~width:1 ~count ~stride;
+      touch_write_run t off ~width:1 ~count ~stride;
       let b = t.bytes in
       for i = 0 to count - 1 do
         Bytes.set b (off + (i * stride))
           (if Value.to_int (Array.unsafe_get src i) <> 0 then '\001' else '\000')
       done
   | Varchar n ->
-      trace_write_run t off ~width:n ~count ~stride;
+      touch_write_run t off ~width:n ~count ~stride;
       for i = 0 to count - 1 do
         let s = Value.to_string_exn (Array.unsafe_get src i) in
         let o = off + (i * stride) in
         let slen = min n (String.length s) in
         Bytes.blit_string s 0 t.bytes o slen;
         if slen < n then Bytes.fill t.bytes (o + slen) (n - slen) '\000'
-      done)
+      done

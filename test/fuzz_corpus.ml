@@ -192,8 +192,7 @@ let test_compressed_case () =
 let compressed_per_engine engine () =
   let oracle = Fuzz.Driver.oracle_results compressed_case in
   let out =
-    Fuzz.Driver.run_combo ~engine ~mode:Case.Comp ~fastpath:true
-      compressed_case ~oracle
+    Fuzz.Driver.run_combo ~engine ~mode:Case.Comp compressed_case ~oracle
   in
   match out.Fuzz.Driver.divergences with
   | [] -> ()
@@ -202,12 +201,11 @@ let compressed_per_engine engine () =
 
 (* The new-corpus-on-shared-runner entry: the pinned case, one Alcotest case
    per engine via [Helpers.across_engines], each engine checked directly
-   against the oracle on NSM with the fast path on. *)
+   against the oracle on NSM. *)
 let boundary_per_engine engine () =
   let oracle = Fuzz.Driver.oracle_results boundary_case in
   let out =
-    Fuzz.Driver.run_combo ~engine ~mode:Case.Nsm ~fastpath:true boundary_case
-      ~oracle
+    Fuzz.Driver.run_combo ~engine ~mode:Case.Nsm boundary_case ~oracle
   in
   match out.Fuzz.Driver.divergences with
   | [] -> ()
@@ -302,7 +300,7 @@ let test_join_sort_case () =
   let oracle = Fuzz.Driver.oracle_results join_sort_case in
   let out =
     Fuzz.Driver.run_combo ~engine:Engines.Engine.Compiled ~mode:Case.Pdsm
-      ~fastpath:true join_sort_case ~oracle
+      join_sort_case ~oracle
   in
   (match out.Fuzz.Driver.divergences with
   | [] -> ()
@@ -525,6 +523,66 @@ let test_mutation_caught () =
       | o -> Alcotest.failf "minimized case no longer diverges: %s"
                (outcome_label o))
 
+(* ------------------------------------------------------------------ *)
+(* Tracer identity on fuzz cases                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Every sequential engine under every layout mode replays the case once on
+   a default hierarchy and once on the reference tracer's ([Memsim_ref]).
+   Both must agree with the oracle, run the same number of queries, and
+   count every query identically.  Returns the first failure, if any. *)
+let tracer_mismatch (c : Case.t) =
+  let oracle = Fuzz.Driver.oracle_results c in
+  let check engine mode =
+    let run hier = Fuzz.Driver.run_combo ~hier ~engine ~mode c ~oracle in
+    let fast = run (Memsim.Hierarchy.create ()) in
+    let slow = run (Memsim_ref.hierarchy ()) in
+    let fail fmt =
+      Printf.ksprintf
+        (fun s ->
+          Some
+            (Printf.sprintf "seed %d %s/%s: %s" c.Case.seed
+               (Engines.Engine.name engine) (Case.layout_mode_name mode) s))
+        fmt
+    in
+    match fast.Fuzz.Driver.divergences @ slow.Fuzz.Driver.divergences with
+    | d :: _ -> fail "%s" (Format.asprintf "%a" Fuzz.Driver.pp_divergence d)
+    | [] ->
+        let nf = List.length fast.stats and ns = List.length slow.stats in
+        if nf <> ns then fail "%d queries measured vs %d on the reference" nf ns
+        else
+          let pp = Format.asprintf "%a" Memsim.Stats.pp in
+          List.combine fast.stats slow.stats
+          |> List.mapi (fun i (a, b) ->
+                 if a = b then None
+                 else fail "query %d: %s vs reference %s" i (pp a) (pp b))
+          |> List.find_map Fun.id
+  in
+  List.find_map
+    (fun mode ->
+      List.find_map (fun engine -> check engine mode) Engines.Engine.all)
+    Fuzz.Driver.modes
+
+let test_tracer_identity_seeds () =
+  List.iter
+    (fun seed ->
+      match tracer_mismatch (Fuzz.Gen.case seed) with
+      | None -> ()
+      | Some m -> Alcotest.fail m)
+    regression_seeds
+
+(* Fresh generator seeds: QCheck draws new ones on every run and prints the
+   random seed that replays them under QCHECK_SEED.  A long run
+   (QCHECK_LONG=1) covers 8 * 19 = 152 cases. *)
+let qcheck_tracer_identity =
+  QCheck.Test.make ~count:8 ~long_factor:19
+    ~name:"tracer identity on fresh fuzz seeds"
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 1_000_000_000))
+    (fun seed ->
+      match tracer_mismatch (Fuzz.Gen.case seed) with
+      | None -> true
+      | Some m -> QCheck.Test.fail_report m)
+
 let suite =
   Alcotest.test_case "regression seeds replay clean" `Slow test_seed_replays
   :: Alcotest.test_case "fresh seed sweep" `Slow test_fresh_sweep
@@ -543,4 +601,7 @@ let suite =
   @ [
       Alcotest.test_case "pinned join/sort case over pdsm" `Quick
         test_join_sort_case;
+      Alcotest.test_case "tracer identity on regression seeds" `Slow
+        test_tracer_identity_seeds;
+      QCheck_alcotest.to_alcotest qcheck_tracer_identity;
     ]

@@ -33,8 +33,8 @@ let row_of i =
     (if i mod 20 = 0 then V.VStr (Printf.sprintf "n%d" (i mod 5)) else V.Null);
   |]
 
-let build ?(layout = Storage.Layout.column schema) ~encodings n =
-  let hier = Memsim.Hierarchy.create () in
+let build ?(layout = Storage.Layout.column schema)
+    ?(hier = Memsim.Hierarchy.create ()) ~encodings n =
   let cat = Storage.Catalog.create ~hier () in
   let layout = Compress.singleton_layout schema layout encodings in
   let rel = Storage.Catalog.add ~encodings cat schema layout in
@@ -234,17 +234,16 @@ let test_engines_match_plain () =
 let test_fastpath_counter_identity () =
   (* the compressed execution paths must trace the identical access stream
      under the optimized and the reference per-word tracer *)
-  let run fastpath sql =
-    let cat, _ = build ~encodings:all_schemes 400 in
-    let hier = Option.get (Storage.Catalog.hier cat) in
-    Memsim.Hierarchy.set_fastpath hier fastpath;
+  let run hier sql =
+    let cat, _ = build ~hier ~encodings:all_schemes 400 in
     Memsim.Hierarchy.reset hier;
     ignore (Helpers.run_sql ~engine:Engine.Jit cat sql);
     Memsim.Hierarchy.stats hier
   in
   List.iter
     (fun sql ->
-      let fast = run true sql and slow = run false sql in
+      let fast = run (Memsim.Hierarchy.create ()) sql
+      and slow = run (Memsim_ref.hierarchy ()) sql in
       Alcotest.(check bool)
         (Printf.sprintf "counters identical: %s" sql)
         true (fast = slow))

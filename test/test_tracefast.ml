@@ -1,8 +1,8 @@
 (* Run-batched tracing identity: Hierarchy.read_run/write_run must leave
    counters, cycles and all cache state byte-identical to the per-word
    touch loop they replace — checked on random access-run sequences against
-   the slow path, and end-to-end on every engine under NSM/DSM/PDSM with the
-   fast path toggled. *)
+   the reference tracer ([Memsim_ref]), and end-to-end on every engine under
+   NSM/DSM/PDSM on both. *)
 
 module Stats = Memsim.Stats
 module Hierarchy = Memsim.Hierarchy
@@ -34,8 +34,7 @@ let apply h { write; addr; width; count; stride } =
 
 let same_stats ?params ops =
   let fast = Hierarchy.create ?params () in
-  let slow = Hierarchy.create ?params () in
-  Hierarchy.set_fastpath slow false;
+  let slow = Memsim_ref.hierarchy ?params () in
   List.iter (apply fast) ops;
   List.iter (apply slow) ops;
   stats_equal (Hierarchy.snapshot fast) (Hierarchy.snapshot slow)
@@ -59,8 +58,7 @@ let qcheck_run_identity_interleaved =
     (QCheck.make gen)
     (fun ops ->
       let fast = Hierarchy.create () in
-      let slow = Hierarchy.create () in
-      Hierarchy.set_fastpath slow false;
+      let slow = Memsim_ref.hierarchy () in
       let drive h =
         List.iter
           (fun (op, a) ->
@@ -131,11 +129,10 @@ let qcheck_reset_is_fresh =
     (QCheck.make QCheck.Gen.(pair ops ops))
     (fun (before, after) ->
       List.for_all
-        (fun (params, fastpath) ->
+        (fun (params, reference) ->
           let create () =
-            let h = Hierarchy.create ~params () in
-            Hierarchy.set_fastpath h fastpath;
-            h
+            if reference then Memsim_ref.hierarchy ~params ()
+            else Hierarchy.create ~params ()
           in
           let used = create () in
           List.iter (apply used) before;
@@ -145,10 +142,10 @@ let qcheck_reset_is_fresh =
           List.iter (apply fresh) after;
           stats_equal (Hierarchy.snapshot used) (Hierarchy.snapshot fresh))
         [
-          (Memsim.Params.nehalem, true);
           (Memsim.Params.nehalem, false);
-          (tiny_params, true);
+          (Memsim.Params.nehalem, true);
           (tiny_params, false);
+          (tiny_params, true);
         ])
 
 (* ------------------------------------------------------------------ *)
@@ -168,9 +165,7 @@ let layouts () =
    absolute addresses — and thus different cache *set* indices — making even
    two identical runs drift by a conflict miss.  A fresh deterministic build
    per run puts both paths on byte-identical address streams. *)
-let measure_with ~fastpath ~n ~layout ~sel engine =
-  let hier = Hierarchy.create () in
-  Hierarchy.set_fastpath hier fastpath;
+let measure_with hier ~n ~layout ~sel engine =
   let cat = Workloads.Microbench.build ~hier ~n () in
   Storage.Catalog.set_layout cat "R" layout;
   let plan = Workloads.Microbench.plan cat ~sel in
@@ -183,10 +178,10 @@ let test_engine_identity engine () =
       List.iter
         (fun sel ->
           let r_fast, s_fast =
-            measure_with ~fastpath:true ~n:3_000 ~layout ~sel engine
+            measure_with (Hierarchy.create ()) ~n:3_000 ~layout ~sel engine
           in
           let r_slow, s_slow =
-            measure_with ~fastpath:false ~n:3_000 ~layout ~sel engine
+            measure_with (Memsim_ref.hierarchy ()) ~n:3_000 ~layout ~sel engine
           in
           Alcotest.(check (list Helpers.row_testable))
             (Printf.sprintf "%s/%s sel=%g rows" lname (Engine.name engine) sel)
@@ -202,10 +197,10 @@ let test_engine_identity engine () =
 let test_fig3_point () =
   let layout = Workloads.Microbench.pdsm_layout in
   let r_fast, s_fast =
-    measure_with ~fastpath:true ~n:20_000 ~layout ~sel:0.1 Engine.Jit
+    measure_with (Hierarchy.create ()) ~n:20_000 ~layout ~sel:0.1 Engine.Jit
   in
   let r_slow, s_slow =
-    measure_with ~fastpath:false ~n:20_000 ~layout ~sel:0.1 Engine.Jit
+    measure_with (Memsim_ref.hierarchy ()) ~n:20_000 ~layout ~sel:0.1 Engine.Jit
   in
   Helpers.check_rows "fig3 point rows" r_slow.Engines.Runtime.rows
     r_fast.Engines.Runtime.rows;
@@ -237,6 +232,194 @@ let test_reslice () =
         holds 100 rows)") (fun () ->
       Storage.Relation.reslice view ~lo:95 ~len:10)
 
+(* ------------------------------------------------------------------ *)
+(* Buffer run accessors vs their per-element loops                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Each run accessor must trace exactly what the loop of its single-element
+   accessor traces, and read or write the same values.  The identity tests
+   above drive both hierarchies through the same run calls, so only this
+   property checks a run accessor's width, stride and count against the
+   loop it stands for. *)
+
+module Buffer = Storage.Buffer
+
+type accessor =
+  | Touch
+  | Touch_write
+  | Read_int
+  | Write_int
+  | Read_uint
+  | Read_float
+  | Write_float
+  | Read_bytes
+  | Write_bytes
+  | Read_value
+  | Write_value
+
+type run_case = {
+  acc : accessor;
+  off : int;
+  count : int;
+  stride : int;
+  width : int; (* Touch*, Read_uint and *_bytes only *)
+  ty : V.ty; (* *_value only *)
+  seed : int; (* buffer contents and written values *)
+}
+
+let accessor_name = function
+  | Touch -> "touch_run"
+  | Touch_write -> "touch_write_run"
+  | Read_int -> "read_int_run"
+  | Write_int -> "write_int_run"
+  | Read_uint -> "read_uint_run"
+  | Read_float -> "read_float_run"
+  | Write_float -> "write_float_run"
+  | Read_bytes -> "read_bytes_run"
+  | Write_bytes -> "write_bytes_run"
+  | Read_value -> "read_value_run"
+  | Write_value -> "write_value_run"
+
+let print_run_case c =
+  Format.asprintf "%s off=%d count=%d stride=%d width=%d ty=%a seed=%d"
+    (accessor_name c.acc) c.off c.count c.stride c.width V.pp_ty c.ty c.seed
+
+let buffer_size = 16_384
+
+let run_case_gen =
+  QCheck.Gen.(
+    let* acc =
+      oneofl
+        [
+          Touch; Touch_write; Read_int; Write_int; Read_uint; Read_float;
+          Write_float; Read_bytes; Write_bytes; Read_value; Write_value;
+        ]
+    in
+    let* width =
+      match acc with
+      | Read_uint -> oneofl [ 1; 2; 4; 8 ]
+      | _ -> int_range 1 96
+    in
+    let* n = int_range 1 24 in
+    let* ty = oneofl [ V.Int; V.Float; V.Bool; V.Date; V.Varchar n ] in
+    let* count = int_range 0 64 in
+    let* stride = int_range (-120) 120 in
+    let* start = int_range 0 255 in
+    let* seed = int_range 0 1_000_000 in
+    (* every element stays inside the buffer, whatever the stride's sign *)
+    let off = 64 + start + max 0 (-stride * (count - 1)) in
+    return { acc; off; count; stride; width; ty; seed })
+
+(* A traced buffer at a fixed address with seeded contents, on a fresh
+   hierarchy. *)
+let seeded_buffer seed =
+  let h = Hierarchy.create () in
+  let b = Buffer.create (Storage.Arena.create ()) ~hier:h buffer_size in
+  let st = Random.State.make [| seed |] in
+  for i = 0 to (buffer_size / 8) - 1 do
+    Buffer.untraced_write_int b (i * 8)
+      ((Random.State.bits st lsl 34) lxor Random.State.bits st)
+  done;
+  (h, b)
+
+let random_value st (ty : V.ty) =
+  match ty with
+  | Int -> V.VInt (Random.State.bits st - (1 lsl 29))
+  | Date -> V.VDate (Random.State.int st 100_000)
+  | Float -> V.VFloat (Random.State.float st 2e6 -. 1e6)
+  | Bool -> V.VBool (Random.State.bool st)
+  | Varchar n ->
+      V.VStr
+        (String.init
+           (Random.State.int st (n + 4))
+           (fun _ -> Char.chr (97 + Random.State.int st 26)))
+
+(* Runs [c] through the run accessor on one buffer and through the loop of
+   its single-element accessor on another, and tells whether both read the
+   same values; writes compare through the buffers' bytes.  [compare], not
+   [=], so that NaNs read from random bytes equal themselves. *)
+let run_both c =
+  let h_run, b_run = seeded_buffer c.seed in
+  let h_loop, b_loop = seeded_buffer c.seed in
+  let st = Random.State.make [| c.seed; 1 |] in
+  let n = c.count and off = c.off and stride = c.stride in
+  let at i = off + (i * stride) in
+  let loop f = Array.init n (fun i -> f (at i)) in
+  let same a b = compare a b = 0 in
+  let same_values =
+    match c.acc with
+    | Touch ->
+        Buffer.touch_run b_run off ~width:c.width ~count:n ~stride;
+        ignore (loop (fun o -> Buffer.touch b_loop o ~width:c.width));
+        true
+    | Touch_write ->
+        Buffer.touch_write_run b_run off ~width:c.width ~count:n ~stride;
+        ignore (loop (fun o -> Buffer.touch_write b_loop o ~width:c.width));
+        true
+    | Read_int ->
+        let dst = Array.make n 0 in
+        Buffer.read_int_run b_run off ~stride ~count:n dst;
+        same dst (loop (Buffer.read_int b_loop))
+    | Write_int ->
+        let src = Array.init n (fun _ -> Random.State.bits st) in
+        Buffer.write_int_run b_run off ~stride ~count:n src;
+        Array.iteri (fun i v -> Buffer.write_int b_loop (at i) v) src;
+        true
+    | Read_uint ->
+        let dst = Array.make n 0 in
+        Buffer.read_uint_run b_run off ~width:c.width ~stride ~count:n dst;
+        same dst (loop (fun o -> Buffer.read_uint b_loop o ~width:c.width))
+    | Read_float ->
+        let dst = Array.make n 0. in
+        Buffer.read_float_run b_run off ~stride ~count:n dst;
+        same dst (loop (Buffer.read_float b_loop))
+    | Write_float ->
+        let src = Array.init n (fun _ -> Random.State.float st 1e9) in
+        Buffer.write_float_run b_run off ~stride ~count:n src;
+        Array.iteri (fun i v -> Buffer.write_float b_loop (at i) v) src;
+        true
+    | Read_bytes ->
+        let dst = Bytes.make c.width '?' in
+        Buffer.read_bytes_run b_run off ~len:c.width dst;
+        (* [read_string] drops everything from the first NUL on *)
+        let s = Bytes.to_string dst in
+        let s =
+          match String.index_opt s '\000' with
+          | Some j -> String.sub s 0 j
+          | None -> s
+        in
+        s = Buffer.read_string b_loop off ~len:c.width
+    | Write_bytes ->
+        let src =
+          Bytes.init c.width (fun _ -> Char.chr (Random.State.int st 256))
+        in
+        Buffer.write_bytes_run b_run off ~len:c.width src;
+        Buffer.write_string b_loop off ~len:c.width (Bytes.to_string src);
+        true
+    | Read_value ->
+        let dst = Array.make n V.Null in
+        Buffer.read_value_run b_run off ~stride ~ty:c.ty ~count:n dst;
+        same dst
+          (loop (fun o -> Buffer.read_value b_loop o ~ty:c.ty ~nullable:false))
+    | Write_value ->
+        let src = Array.init n (fun _ -> random_value st c.ty) in
+        Buffer.write_value_run b_run off ~stride ~ty:c.ty ~count:n src;
+        Array.iteri
+          (fun i v ->
+            Buffer.write_value b_loop (at i) ~ty:c.ty ~nullable:false v)
+          src;
+        true
+  in
+  same_values
+  && Bytes.equal (Buffer.unsafe_bytes b_run) (Buffer.unsafe_bytes b_loop)
+  && stats_equal (Hierarchy.snapshot h_run) (Hierarchy.snapshot h_loop)
+
+let qcheck_buffer_runs =
+  QCheck.Test.make ~count:1000
+    ~name:"Buffer run accessors trace and move what their loops do"
+    (QCheck.make ~print:print_run_case run_case_gen)
+    run_both
+
 let suite =
   QCheck_alcotest.to_alcotest qcheck_run_identity
   :: QCheck_alcotest.to_alcotest qcheck_run_identity_interleaved
@@ -244,4 +427,9 @@ let suite =
   :: Alcotest.test_case "reslice window" `Quick test_reslice
   :: Helpers.across_engines "engine identity" test_engine_identity
   @ List.map QCheck_alcotest.to_alcotest
-      [ qcheck_run_identity_wide; qcheck_run_identity_tiny; qcheck_reset_is_fresh ]
+      [
+        qcheck_run_identity_wide;
+        qcheck_run_identity_tiny;
+        qcheck_reset_is_fresh;
+        qcheck_buffer_runs;
+      ]
