@@ -605,99 +605,63 @@ let fuzz_cmd =
   let fuzz seed cases max_rows mutate no_recovery txn advisor shards clients
       quiet metrics =
     let log msg = if not quiet then Printf.eprintf "mrdb fuzz: %s\n%!" msg in
+    let reject msg =
+      prerr_endline ("fuzz: " ^ msg);
+      exit 2
+    in
     if (if txn then 1 else 0) + (if advisor then 1 else 0)
        + (if shards > 1 then 1 else 0)
        > 1
-    then begin
-      prerr_endline
-        "fuzz: --txn, --advisor and --shards are mutually exclusive";
-      exit 2
-    end;
-    if shards > 1 then begin
-      (* the sharded axis: every episode replays over an N-shard durable
-         cluster; answers, final shard unions, and post-recovery digests
-         must all match *)
-      let failures =
-        Fuzz.Harness.fuzz_shard ~max_rows ~log ~shards ~seed ~cases ()
-      in
+    then reject "--txn, --advisor and --shards are mutually exclusive";
+    if txn && mutate then
+      reject "--mutate has no episode to weaken under --txn";
+    if no_recovery && (txn || advisor || shards > 1) then
+      reject "--no-recovery applies only to the engine x layout matrix";
+    (* [ok ()] is the success line, formatted after the run *)
+    let run axis ok =
+      let failures = Fuzz.Harness.fuzz axis ~log ~seed ~cases () in
       export_metrics metrics;
-      if failures = [] then
-        Printf.printf
-          "fuzz: %d case(s) from seed %d over %d shards: all answers, \
-           shard unions and post-recovery digests match the oracle\n"
-          cases seed shards
+      if failures = [] then print_endline (ok ())
       else begin
-        List.iter
-          (fun r -> Format.printf "%a@." Fuzz.Harness.pp_report r)
-          failures;
+        List.iter (Format.printf "%a@." (Fuzz.Harness.pp_report axis)) failures;
         Printf.printf "fuzz: %d of %d case(s) FAILED (seed %d)\n"
           (List.length failures) cases seed;
         exit 1
       end
-    end
+    in
+    if shards > 1 then
+      run (Fuzz.Harness.shards ~mutate ~max_rows shards) (fun () ->
+          Printf.sprintf
+            "fuzz: %d case(s) from seed %d over %d shards: all answers, \
+             shard unions and post-recovery digests match the oracle"
+            cases seed shards)
     else if advisor then begin
-      (* the advisor axis: the layout advisor repartitions mid-episode;
-         layout changes must never change answers *)
-      let failures, repartitions =
-        Fuzz.Harness.fuzz_advisor ~max_rows ~log ~seed ~cases ()
+      let repartitions () =
+        Obs.Metrics.counter_value Fuzz.Driver.m_advisor_repartitions
       in
-      export_metrics metrics;
-      if failures = [] then
-        Printf.printf
-          "fuzz: %d case(s) from seed %d with the online advisor in the \
-           loop (%d mid-episode repartition(s)): all answers and final \
-           states match the oracle\n"
-          cases seed repartitions
-      else begin
-        List.iter
-          (fun r -> Format.printf "%a@." Fuzz.Harness.pp_report r)
-          failures;
-        Printf.printf "fuzz: %d of %d case(s) FAILED (seed %d)\n"
-          (List.length failures) cases seed;
-        exit 1
-      end
+      let before = repartitions () in
+      run (Fuzz.Harness.advisor ~mutate ~max_rows ()) (fun () ->
+          Printf.sprintf
+            "fuzz: %d case(s) from seed %d with the online advisor in the \
+             loop (%d mid-episode repartition(s)): all answers and final \
+             states match the oracle"
+            cases seed
+            (repartitions () - before))
     end
-    else if txn then begin
-      (* the transaction axis: interleaved multi-client histories against
-         the MVCC manager, checked against a serial oracle *)
-      let failures =
-        Fuzz.Txn_fuzz.fuzz ~max_clients:clients ~log ~seed ~cases ()
-      in
-      export_metrics metrics;
-      if failures = [] then
-        Printf.printf
-          "fuzz: %d interleaved histories from seed %d: no divergences from \
-           the serial oracle (snapshot isolation holds)\n"
-          cases seed
-      else begin
-        List.iter
-          (fun r -> Format.printf "%a@." Fuzz.Txn_fuzz.pp_report r)
-          failures;
-        Printf.printf "fuzz: %d of %d histories FAILED (seed %d)\n"
-          (List.length failures) cases seed;
-        exit 1
-      end
-    end
-    else begin
-      let failures =
-        Fuzz.Harness.fuzz ~mutate ~recovery:(not no_recovery) ~max_rows ~log
-          ~seed ~cases ()
-      in
-      export_metrics metrics;
-      if failures = [] then
-        Printf.printf
-          "fuzz: %d case(s) from seed %d: no divergences across all engine x \
-           layout combinations\n"
-          cases seed
-      else begin
-        List.iter
-          (fun r -> Format.printf "%a@." Fuzz.Harness.pp_report r)
-          failures;
-        Printf.printf "fuzz: %d of %d case(s) FAILED (seed %d)\n"
-          (List.length failures) cases seed;
-        exit 1
-      end
-    end
+    else if txn then
+      run (Fuzz.Harness.txn ~max_clients:clients ()) (fun () ->
+          Printf.sprintf
+            "fuzz: %d interleaved histories from seed %d: no divergences from \
+             the serial oracle (snapshot isolation holds)"
+            cases seed)
+    else
+      run
+        (Fuzz.Harness.matrix ~mutate ~recovery:(not no_recovery) ~max_rows ())
+        (fun () ->
+          Printf.sprintf
+            "fuzz: %d case(s) from seed %d: no divergences across all engine x \
+             layout combinations"
+            cases seed)
   in
   let seed_arg =
     Arg.(value & opt int 42
@@ -719,12 +683,15 @@ let fuzz_cmd =
     Arg.(value & flag
          & info [ "mutate" ]
              ~doc:"Self-test: inject a comparison-weakening bug (Lt becomes \
-                   Le) into one engine combination; the run should FAIL.")
+                   Le) into one combination of the episode axis (the \
+                   matrix, $(b,--advisor) or $(b,--shards)); the run should \
+                   FAIL.  Rejected with $(b,--txn).")
   in
   let no_recovery_flag =
     Arg.(value & flag
          & info [ "no-recovery" ]
-             ~doc:"Skip the WAL + crash-recovery digest check.")
+             ~doc:"Skip the WAL + crash-recovery replay of the engine x \
+                   layout matrix; rejected on the other axes.")
   in
   let quiet_flag =
     Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No progress output.")

@@ -236,7 +236,7 @@ let ocaml_table (t : table) =
    test/fuzz_corpus.ml next to the existing repros. *)
 let to_ocaml (t : t) =
   Printf.sprintf
-    "(* repro: seed %d — replay with `mrdb_cli fuzz --seed %d --cases 1` *)\n\
+    "(* repro: seed %d, %d rows *)\n\
      let case =\n\
     \  let open Relalg in\n\
     \  let module V = Storage.Value in\n\
@@ -246,7 +246,7 @@ let to_ocaml (t : t) =
     \      [ %s ];\n\
     \    episode =\n\
     \      [ %s ] }\n"
-    t.seed t.seed t.seed
+    t.seed (total_rows t) t.seed
     (String.concat "; " (Array.to_list (Array.map ocaml_value t.params)))
     (String.concat ";\n        " (List.map ocaml_table t.tables))
     (String.concat ";\n        " (List.map ocaml_statement t.episode))

@@ -9,6 +9,10 @@
    truth-preserving predicate rewrites keep results, and WAL + crash
    recovery reproduces the live catalog digest.
 
+   Every run — a matrix combination, the metamorphic and recovery replays,
+   the advisor and shard axes — goes through [replay]: each builds its
+   catalog or cluster and passes one closure that executes a statement.
+
    [mutate] injects a deliberate comparison-weakening bug (Lt becomes Le)
    into one combination; the harness uses it to prove the oracle actually
    has teeth. *)
@@ -23,7 +27,9 @@ module Runtime = Engines.Runtime
 
 type divergence = {
   combo : string; (* e.g. "bulk/dsm" *)
-  statement : int; (* episode index, or -1 for end-of-episode checks *)
+  statement : int;
+      (* episode index (on the txn axis, the client's transaction index),
+         or -1 for end-of-episode checks *)
   detail : string;
 }
 
@@ -108,8 +114,10 @@ let columns_mismatch ~(expected : string array) ~(got : string array) =
 (* Catalog construction                                                *)
 (* ------------------------------------------------------------------ *)
 
-let build_catalog ?hier (c : Case.t) mode =
-  let cat = Catalog.create ?hier () in
+(* Adds and loads the case's tables into [cat].  Each table is one
+   transaction, so a catalog with a durability observer logs the load;
+   without one, [in_txn] and [notify_load] do nothing. *)
+let load_tables cat (c : Case.t) mode =
   List.iter
     (fun (tab : Case.table) ->
       let schema = Case.schema_of_table tab in
@@ -124,11 +132,23 @@ let build_catalog ?hier (c : Case.t) mode =
             (encs, Storage.Compress.singleton_layout schema layout encs)
         | _ -> ([], layout)
       in
-      let rel = Catalog.add ~encodings cat schema layout in
-      if Array.length rows > 0 then
-        Relation.load rel ~n:(Array.length rows) (fun ~row -> rows.(row)))
-    c.Case.tables;
+      Catalog.in_txn cat (fun () ->
+          let rel = Catalog.add ~encodings cat schema layout in
+          let n = Array.length rows in
+          if n > 0 then begin
+            Relation.load rel ~n (fun ~row -> rows.(row));
+            Catalog.notify_load cat tab.Case.tname ~row_lo:0 ~rows:n
+          end))
+    c.Case.tables
+
+let build_catalog ?hier (c : Case.t) mode =
+  let cat = Catalog.create ?hier () in
+  load_tables cat c mode;
   cat
+
+let catalog_rows cat name =
+  let rel = Catalog.find cat name in
+  List.init (Relation.nrows rel) (Relation.get_tuple rel)
 
 (* ------------------------------------------------------------------ *)
 (* Mutation injection (the harness self-test)                          *)
@@ -174,13 +194,8 @@ let rec weaken_plan = function
       Option.map (fun c -> Plan.Limit (c, n)) (weaken_plan child)
 
 (* ------------------------------------------------------------------ *)
-(* Episode execution on one combination                                *)
+(* The episode loop                                                    *)
 (* ------------------------------------------------------------------ *)
-
-type combo_outcome = {
-  divergences : divergence list;
-  stats : Memsim.Stats.t list; (* per-query counters, in episode order *)
-}
 
 let oracle_results (c : Case.t) =
   let o = Oracle.init c in
@@ -192,82 +207,93 @@ let oracle_results (c : Case.t) =
   in
   (per_stmt, dumps)
 
+(* The one loop that runs an episode.  [exec ~query plan] executes one
+   statement on the run under test and returns its result; it is called
+   once per statement, in episode order, with [query] false for DML
+   (whose result is ignored).  [mutate] weakens each query first.  Answers
+   are compared with the oracle's, then every table's final [rows], and
+   [finish ()] returns the failures of checks with no oracle counterpart.
+   Anything that raises diverges where it raised; [replay] itself does
+   not raise. *)
+let replay ?(mutate = false) ~combo ~exec ~rows ?(finish = fun () -> [])
+    (c : Case.t) ~oracle:(per_stmt_oracle, dumps_oracle) =
+  let divergences = ref [] in
+  let diverge statement detail =
+    divergences := { combo; statement; detail } :: !divergences
+  in
+  let raised e = "exception: " ^ Printexc.to_string e in
+  List.iteri
+    (fun i (stmt, oracle_r) ->
+      try
+        match stmt with
+        | Case.Exec logical -> ignore (exec ~query:false logical)
+        | Case.Query logical ->
+            let logical =
+              if mutate then Option.value (weaken_plan logical) ~default:logical
+              else logical
+            in
+            let r = exec ~query:true logical in
+            let expected = Option.get oracle_r in
+            Option.iter (diverge i)
+              (columns_mismatch ~expected:expected.Oracle.columns
+                 ~got:r.Runtime.columns);
+            Option.iter (diverge i)
+              (multiset_mismatch ~expected:expected.Oracle.rows
+                 ~got:r.Runtime.rows)
+      with e -> diverge i (raised e))
+    (List.combine c.Case.episode per_stmt_oracle);
+  List.iter2
+    (fun (tab : Case.table) (dump : Oracle.result) ->
+      let name = tab.Case.tname in
+      match multiset_mismatch ~expected:dump.Oracle.rows ~got:(rows name) with
+      | Some d -> diverge (-1) (Printf.sprintf "final state of %s: %s" name d)
+      | None -> ()
+      | exception e ->
+          diverge (-1) (Printf.sprintf "final state of %s: %s" name (raised e)))
+    c.Case.tables dumps_oracle;
+  (match finish () with
+  | ds -> divergences := List.rev_append ds !divergences
+  | exception e -> diverge (-1) (raised e));
+  List.rev !divergences
+
+(* ------------------------------------------------------------------ *)
+(* One combination of the matrix                                       *)
+(* ------------------------------------------------------------------ *)
+
+type combo_outcome = {
+  divergences : divergence list;
+  stats : Memsim.Stats.t list; (* per-query counters, in episode order *)
+}
+
 (* Run the whole episode on a fresh catalog traced by [hier] (a fresh
    hierarchy by default).  [domains] > 1 exercises the morsel-parallel path;
    [mutate] injects the Lt->Le bug into query plans. *)
-let run_combo ?(mutate = false) ?(domains = 1) ?morsel_size
-    ?(hier = Memsim.Hierarchy.create ()) ~engine ~mode (c : Case.t)
-    ~oracle:(per_stmt_oracle, dumps_oracle) =
+let run_combo ?mutate ?(domains = 1) ?morsel_size
+    ?(hier = Memsim.Hierarchy.create ()) ~engine ~mode (c : Case.t) ~oracle =
   let combo =
     Printf.sprintf "%s%s/%s" (Engine.name engine)
       (if domains > 1 then Printf.sprintf "(x%d)" domains else "")
       (Case.layout_mode_name mode)
   in
   let cat = build_catalog ~hier c mode in
-  let divergences = ref [] in
-  let stats = ref [] in
-  let diverge statement detail =
-    divergences := { combo; statement; detail } :: !divergences
-  in
   let params = c.Case.params in
-  List.iteri
-    (fun i (stmt, oracle_r) ->
-      try
-        match stmt with
-        | Case.Exec logical ->
-            let phys = Relalg.Planner.plan cat logical in
-            ignore (Engine.run ~domains ?morsel_size engine cat phys ~params)
-        | Case.Query logical ->
-            let logical =
-              if mutate then
-                match weaken_plan logical with
-                | Some w -> w
-                | None -> logical
-              else logical
-            in
-            let phys = Relalg.Planner.plan cat logical in
-            let r, st =
-              Engine.run_measured ~cold:true ~domains ?morsel_size engine cat
-                phys ~params
-            in
-            if domains = 1 then stats := st :: !stats;
-            let expected =
-              match oracle_r with Some o -> o | None -> assert false
-            in
-            (match
-               columns_mismatch ~expected:expected.Oracle.columns
-                 ~got:r.Runtime.columns
-             with
-            | Some d -> diverge i d
-            | None -> ());
-            (match
-               multiset_mismatch ~expected:expected.Oracle.rows
-                 ~got:r.Runtime.rows
-             with
-            | Some d -> diverge i d
-            | None -> ())
-      with e -> diverge i ("exception: " ^ Printexc.to_string e))
-    (List.combine c.Case.episode per_stmt_oracle);
-  (* end-of-episode state: every table must match the oracle's *)
-  List.iteri
-    (fun ti ((tab : Case.table), (dump : Oracle.result)) ->
-      try
-        let rel = Catalog.find cat tab.Case.tname in
-        let got = ref [] in
-        for tid = Relation.nrows rel - 1 downto 0 do
-          got := Relation.get_tuple rel tid :: !got
-        done;
-        match multiset_mismatch ~expected:dump.Oracle.rows ~got:!got with
-        | Some d ->
-            diverge (-1)
-              (Printf.sprintf "final state of %s: %s" tab.Case.tname d)
-        | None -> ()
-      with e ->
-        diverge (-1)
-          (Printf.sprintf "final state of table %d: exception: %s" ti
-             (Printexc.to_string e)))
-    (List.combine c.Case.tables dumps_oracle);
-  { divergences = List.rev !divergences; stats = List.rev !stats }
+  let stats = ref [] in
+  let exec ~query logical =
+    let phys = Relalg.Planner.plan cat logical in
+    if not query then Engine.run ~domains ?morsel_size engine cat phys ~params
+    else begin
+      let r, st =
+        Engine.run_measured ~cold:true ~domains ?morsel_size engine cat phys
+          ~params
+      in
+      if domains = 1 then stats := st :: !stats;
+      r
+    end
+  in
+  let divergences =
+    replay ?mutate ~combo ~exec ~rows:(catalog_rows cat) c ~oracle
+  in
+  { divergences; stats = List.rev !stats }
 
 (* ------------------------------------------------------------------ *)
 (* Metamorphic predicate rewrites                                      *)
@@ -302,101 +328,66 @@ let rec has_select = function
   | Plan.Join { left; right; _ } -> has_select left || has_select right
   | Plan.Group_by { child; _ } | Plan.Sort { child; _ } -> has_select child
 
-(* Replays the episode on one engine; every query with a Select also runs
-   under each truth-preserving rewrite, which must not change the result
-   multiset.  Queries are side-effect free, so the replays between DML are
-   safe. *)
-let run_metamorphic (c : Case.t) =
+(* Replays the episode on Bulk over the case's PDSM layout; every query
+   with a Select also runs under each truth-preserving rewrite, which must
+   not change the result multiset.  Queries are side-effect free, so the
+   replays between DML are safe. *)
+let run_metamorphic (c : Case.t) ~oracle =
   let cat = build_catalog c Case.Pdsm in
-  let params = c.Case.params in
-  let divergences = ref [] in
-  List.iteri
-    (fun i stmt ->
-      try
-        match stmt with
-        | Case.Exec logical ->
-            let phys = Relalg.Planner.plan cat logical in
-            ignore (Engine.run Engine.Bulk cat phys ~params)
-        | Case.Query logical when has_select logical ->
-            let base =
-              Engine.run Engine.Bulk cat
-                (Relalg.Planner.plan cat logical)
-                ~params
-            in
-            List.iter
-              (fun (rname, f) ->
-                let rewritten = rewrite_preds f logical in
-                let r =
-                  Engine.run Engine.Bulk cat
-                    (Relalg.Planner.plan cat rewritten)
-                    ~params
-                in
-                match
-                  multiset_mismatch ~expected:base.Runtime.rows
-                    ~got:r.Runtime.rows
-                with
-                | Some d ->
-                    divergences :=
-                      {
-                        combo = "metamorphic/" ^ rname;
-                        statement = i;
-                        detail = d;
-                      }
-                      :: !divergences
-                | None -> ())
-              rewrites
-        | Case.Query _ -> ()
-      with e ->
-        divergences :=
-          {
-            combo = "metamorphic";
-            statement = i;
-            detail = "exception: " ^ Printexc.to_string e;
-          }
-          :: !divergences)
-    c.Case.episode;
-  List.rev !divergences
+  let run logical =
+    Engine.run Engine.Bulk cat
+      (Relalg.Planner.plan cat logical)
+      ~params:c.Case.params
+  in
+  let statement = ref (-1) and found = ref [] in
+  let exec ~query logical =
+    incr statement;
+    let base = run logical in
+    if query && has_select logical then
+      List.iter
+        (fun (rname, f) ->
+          let r = run (rewrite_preds f logical) in
+          match
+            multiset_mismatch ~expected:base.Runtime.rows ~got:r.Runtime.rows
+          with
+          | Some detail ->
+              let combo = "metamorphic/" ^ rname in
+              found := { combo; statement = !statement; detail } :: !found
+          | None -> ())
+        rewrites;
+    base
+  in
+  replay ~combo:"metamorphic" ~exec ~rows:(catalog_rows cat)
+    ~finish:(fun () -> List.rev !found)
+    c ~oracle
 
 (* ------------------------------------------------------------------ *)
 (* WAL + crash-recovery replay                                         *)
 (* ------------------------------------------------------------------ *)
 
-let run_recovery (c : Case.t) =
-  let module F = Durability.Faultio in
+(* The episode runs on Jit over a catalog that logs to a memory-backed
+   fault store; its answers and final state must match the oracle, and
+   recovering the store must reproduce the live catalog digest. *)
+let run_recovery (c : Case.t) ~oracle =
   let module D = Durability.Durable in
   let module Snapshot = Durability.Snapshot in
-  let module Recover = Durability.Recover in
-  try
-    let env = F.memory () in
-    let cat = Catalog.create () in
-    let d = D.attach env cat in
-    List.iter
-      (fun (tab : Case.table) ->
-        Catalog.in_txn cat (fun () ->
-            let rel =
-              Catalog.add cat (Case.schema_of_table tab)
-                (Case.layout_of_table tab Case.Pdsm)
-            in
-            let rows = Array.of_list tab.Case.rows in
-            if Array.length rows > 0 then begin
-              Relation.load rel ~n:(Array.length rows) (fun ~row -> rows.(row));
-              Catalog.notify_load cat tab.Case.tname ~row_lo:0
-                ~rows:(Array.length rows)
-            end))
-      c.Case.tables;
-    let params = c.Case.params in
-    List.iter
-      (fun stmt ->
-        match stmt with
-        | Case.Exec logical | Case.Query logical ->
-            let phys = Relalg.Planner.plan cat logical in
-            ignore (Engine.run Engine.Jit cat phys ~params))
-      c.Case.episode;
+  let env = Durability.Faultio.memory () in
+  let cat = Catalog.create () in
+  let d = D.attach env cat in
+  load_tables cat c Case.Pdsm;
+  let exec ~query:_ logical =
+    Engine.run Engine.Jit cat
+      (Relalg.Planner.plan cat logical)
+      ~params:c.Case.params
+  in
+  let finish () =
     let live = Snapshot.digest cat in
     D.detach d;
-    let r = Recover.run env in
-    let recovered = Snapshot.digest r.Recover.cat in
-    if live <> recovered then
+    let recovered =
+      Snapshot.digest (Durability.Recover.run env).Durability.Recover.cat
+    in
+    if live = recovered then []
+    else
       [
         {
           combo = "recovery";
@@ -406,19 +397,16 @@ let run_recovery (c : Case.t) =
               live recovered;
         };
       ]
-    else []
-  with e ->
-    [
-      {
-        combo = "recovery";
-        statement = -1;
-        detail = "exception: " ^ Printexc.to_string e;
-      };
-    ]
+  in
+  replay ~combo:"recovery" ~exec ~rows:(catalog_rows cat) ~finish c ~oracle
 
 (* ------------------------------------------------------------------ *)
 (* Online advisor axis                                                 *)
 (* ------------------------------------------------------------------ *)
+
+let m_advisor_repartitions =
+  Obs.Metrics.counter "mrdb_fuzz_advisor_repartitions_total"
+    ~help:"Mid-episode repartitions performed across advisor fuzz cases"
 
 (* Replay the episode once with the layout advisor in the loop: every
    statement is re-planned against the current catalog (the layout may have
@@ -427,69 +415,22 @@ let run_recovery (c : Case.t) =
    (tiny window, any positive projected saving repartitions), so layout
    changes land mid-episode between checked statements — the property under
    test is that reorganization never changes answers or final table
-   contents.  Returns the divergences plus how many repartitions actually
-   happened, so callers can report whether the axis was exercised. *)
-let run_advisor (c : Case.t) ~oracle:(per_stmt_oracle, dumps_oracle) =
+   contents.  Every repartition bumps [m_advisor_repartitions], so callers
+   can report whether the axis was exercised. *)
+let run_advisor ?mutate (c : Case.t) ~oracle =
   let cat = build_catalog c Case.Pdsm in
   let adv =
     Layoutopt.Advisor.create ~window:8 ~check_every:2 ~min_benefit:0.0
       ~horizon:1e9 cat
   in
-  let divergences = ref [] in
-  let repartitions = ref 0 in
-  let diverge statement detail =
-    divergences := { combo = "advisor"; statement; detail } :: !divergences
+  let exec ~query:_ logical =
+    let phys = Relalg.Planner.plan cat logical in
+    let r = Engine.run Engine.Jit cat phys ~params:c.Case.params in
+    Obs.Metrics.add m_advisor_repartitions
+      (List.length (Layoutopt.Advisor.observe adv phys));
+    r
   in
-  let params = c.Case.params in
-  List.iteri
-    (fun i (stmt, oracle_r) ->
-      try
-        let logical =
-          match stmt with Case.Exec l | Case.Query l -> l
-        in
-        let phys = Relalg.Planner.plan cat logical in
-        (match stmt with
-        | Case.Exec _ -> ignore (Engine.run Engine.Jit cat phys ~params)
-        | Case.Query _ ->
-            let r = Engine.run Engine.Jit cat phys ~params in
-            let expected =
-              match oracle_r with Some o -> o | None -> assert false
-            in
-            (match
-               columns_mismatch ~expected:expected.Oracle.columns
-                 ~got:r.Runtime.columns
-             with
-            | Some d -> diverge i d
-            | None -> ());
-            (match
-               multiset_mismatch ~expected:expected.Oracle.rows
-                 ~got:r.Runtime.rows
-             with
-            | Some d -> diverge i d
-            | None -> ()));
-        repartitions :=
-          !repartitions + List.length (Layoutopt.Advisor.observe adv phys)
-      with e -> diverge i ("exception: " ^ Printexc.to_string e))
-    (List.combine c.Case.episode per_stmt_oracle);
-  List.iteri
-    (fun ti ((tab : Case.table), (dump : Oracle.result)) ->
-      try
-        let rel = Catalog.find cat tab.Case.tname in
-        let got = ref [] in
-        for tid = Relation.nrows rel - 1 downto 0 do
-          got := Relation.get_tuple rel tid :: !got
-        done;
-        match multiset_mismatch ~expected:dump.Oracle.rows ~got:!got with
-        | Some d ->
-            diverge (-1)
-              (Printf.sprintf "final state of %s: %s" tab.Case.tname d)
-        | None -> ()
-      with e ->
-        diverge (-1)
-          (Printf.sprintf "final state of table %d: exception: %s" ti
-             (Printexc.to_string e)))
-    (List.combine c.Case.tables dumps_oracle);
-  (List.rev !divergences, !repartitions)
+  replay ?mutate ~combo:"advisor" ~exec ~rows:(catalog_rows cat) c ~oracle
 
 (* ------------------------------------------------------------------ *)
 (* The full matrix for one case                                        *)
@@ -532,8 +473,8 @@ let run_case ?(mutate = false) ?(recovery = true) (c : Case.t) =
         add comp_par.divergences
       end)
     modes;
-  add (run_metamorphic c);
-  if recovery then add (run_recovery c);
+  add (run_metamorphic c ~oracle);
+  if recovery then add (run_recovery c ~oracle);
   !divergences
 
 (* ------------------------------------------------------------------ *)
@@ -551,93 +492,58 @@ let run_case ?(mutate = false) ?(recovery = true) (c : Case.t) =
    same episode, so the sharded run executes exactly the plans a
    single-node run would. *)
 
-let run_shard ?(shards = 2) ?(engine = Engine.Jit) ~mode (c : Case.t)
-    ~oracle:(per_stmt_oracle, dumps_oracle) =
+let run_shard ?mutate ~shards ~engine ~mode (c : Case.t) ~oracle =
   let combo =
     Printf.sprintf "shard(x%d)/%s/%s" shards (Engine.name engine)
       (Case.layout_mode_name mode)
   in
   let pcat = build_catalog c mode in
   let cl = Shard.Cluster.create ~durable:true ~shards pcat in
-  let divergences = ref [] in
-  let diverge statement detail =
-    divergences := { combo; statement; detail } :: !divergences
-  in
   let params = c.Case.params in
-  List.iteri
-    (fun i (stmt, oracle_r) ->
-      try
-        match stmt with
-        | Case.Exec logical ->
-            let phys = Relalg.Planner.plan pcat logical in
-            ignore (Shard.Exec.run ~engine ~params cl phys);
-            (* keep the planning catalog current *)
-            ignore (Engine.run engine pcat phys ~params)
-        | Case.Query logical ->
-            let phys = Relalg.Planner.plan pcat logical in
-            let r = Shard.Exec.run ~engine ~params cl phys in
-            let expected =
-              match oracle_r with Some o -> o | None -> assert false
-            in
-            (match
-               columns_mismatch ~expected:expected.Oracle.columns
-                 ~got:r.Runtime.columns
-             with
-            | Some d -> diverge i d
-            | None -> ());
-            (match
-               multiset_mismatch ~expected:expected.Oracle.rows
-                 ~got:r.Runtime.rows
-             with
-            | Some d -> diverge i d
-            | None -> ())
-      with e -> diverge i ("exception: " ^ Printexc.to_string e))
-    (List.combine c.Case.episode per_stmt_oracle);
-  (* end-of-episode state: the shard union of every table must match *)
-  List.iter
-    (fun ((tab : Case.table), (dump : Oracle.result)) ->
-      try
-        match
-          multiset_mismatch ~expected:dump.Oracle.rows
-            ~got:(Shard.Cluster.table_rows cl tab.Case.tname)
-        with
-        | Some d ->
-            diverge (-1)
-              (Printf.sprintf "final shard union of %s: %s" tab.Case.tname d)
-        | None -> ()
-      with e ->
-        diverge (-1)
-          (Printf.sprintf "final shard union of %s: exception: %s"
-             tab.Case.tname (Printexc.to_string e)))
-    (List.combine c.Case.tables dumps_oracle);
+  let exec ~query logical =
+    let phys = Relalg.Planner.plan pcat logical in
+    let r = Shard.Exec.run ~engine ~params cl phys in
+    (* keep the planning catalog current *)
+    if not query then ignore (Engine.run engine pcat phys ~params);
+    r
+  in
   (* durability: recover every node from its durable state; the recovered
      digests must equal the live ones *)
-  (try
-     let live = Shard.Cluster.digests cl in
-     let envs =
-       Array.map
-         (fun (nd : Shard.Cluster.node) -> nd.Shard.Cluster.env)
-         (Shard.Cluster.nodes cl)
-     in
-     let rc =
-       Shard.Recovery.recover_cluster envs (Shard.Cluster.coord_env cl)
-     in
-     Array.iteri
-       (fun k (res : Durability.Recover.result) ->
-         let rec_digest = Durability.Snapshot.digest res.Durability.Recover.cat in
-         if List.nth live k <> rec_digest then
-           diverge (-1)
-             (Printf.sprintf "shard %d: digest after recovery differs" k))
-       rc.Shard.Recovery.results
-   with e ->
-     diverge (-1) ("recovery: exception: " ^ Printexc.to_string e));
+  let finish () =
+    let live = Shard.Cluster.digests cl in
+    let envs =
+      Array.map
+        (fun (nd : Shard.Cluster.node) -> nd.Shard.Cluster.env)
+        (Shard.Cluster.nodes cl)
+    in
+    let rc = Shard.Recovery.recover_cluster envs (Shard.Cluster.coord_env cl) in
+    List.mapi
+      (fun k digest ->
+        let res = rc.Shard.Recovery.results.(k) in
+        if digest = Durability.Snapshot.digest res.Durability.Recover.cat then
+          None
+        else
+          let detail =
+            Printf.sprintf "shard %d: digest after recovery differs" k
+          in
+          Some { combo; statement = -1; detail })
+      live
+    |> List.filter_map Fun.id
+  in
+  let divergences =
+    replay ?mutate ~combo ~exec ~rows:(Shard.Cluster.table_rows cl) ~finish c
+      ~oracle
+  in
   Shard.Cluster.close cl;
-  List.rev !divergences
+  divergences
 
 (* All shard combos of one case: both layout extremes and two engines keep
-   the axis cheap enough to run inside the main loop. *)
-let run_case_shard ?(shards = 2) (c : Case.t) =
+   the axis cheap enough to run inside the main loop.  [mutate] weakens the
+   Bulk combination only, as on the matrix. *)
+let run_case_shard ?(mutate = false) ~shards (c : Case.t) =
   let oracle = oracle_results c in
   List.concat_map
-    (fun (engine, mode) -> run_shard ~shards ~engine ~mode c ~oracle)
+    (fun (engine, mode) ->
+      run_shard ~mutate:(mutate && engine = Engine.Bulk) ~shards ~engine ~mode
+        c ~oracle)
     [ (Engine.Jit, Case.Nsm); (Engine.Bulk, Case.Dsm) ]

@@ -305,15 +305,13 @@ let state_get st tid attr = st.cells.(tid).(attr)
 (* Divergence checks                                                  *)
 (* ------------------------------------------------------------------ *)
 
-type divergence = { client : int; txn : int; detail : string }
-
-let pp_divergence ppf d =
-  Format.fprintf ppf "client %d txn %d: %s" d.client d.txn d.detail
-
 let check_case c (execs : exec list) mgr =
   let divs = ref [] in
-  let diverge client txn fmt =
-    Format.kasprintf (fun detail -> divs := { client; txn; detail } :: !divs) fmt
+  let add combo statement detail =
+    divs := { Driver.combo; statement; detail } :: !divs
+  in
+  let diverge (e : exec) fmt =
+    Format.kasprintf (add (Printf.sprintf "client %d" e.client) e.txn_idx) fmt
   in
   let committed =
     List.filter_map
@@ -325,7 +323,7 @@ let check_case c (execs : exec list) mgr =
   let rec mono = function
     | (a, _) :: ((b, (eb : exec)) :: _ as tl) ->
         if b <= a then
-          diverge eb.client eb.txn_idx "commit ts %d not after predecessor %d" b a;
+          diverge eb "commit ts %d not after predecessor %d" b a;
         mono tl
     | _ -> ()
   in
@@ -371,10 +369,10 @@ let check_case c (execs : exec list) mgr =
                   obs := tl;
                   let expected = V.VInt (own_val tid attr) in
                   if V.compare value expected <> 0 then
-                    diverge e.client e.txn_idx
+                    diverge e
                       "Get(%d,%d) saw %s, snapshot at ts %d says %s" tid attr
                       (V.to_display value) e.begin_ts (V.to_display expected)
-              | _ -> diverge e.client e.txn_idx "observation log out of sync")
+              | _ -> diverge e "observation log out of sync")
           | Add { tid; attr; delta } ->
               Hashtbl.replace overlay (tid, attr) (own_val tid attr + delta)
           | Put { tid; attr; value } -> Hashtbl.replace overlay (tid, attr) value
@@ -385,10 +383,10 @@ let check_case c (execs : exec list) mgr =
                   obs := tl;
                   let expected = state_rows snap in
                   if n <> expected then
-                    diverge e.client e.txn_idx
+                    diverge e
                       "Count saw %d rows, snapshot at ts %d has %d" n
                       e.begin_ts expected
-              | _ -> diverge e.client e.txn_idx "observation log out of sync"))
+              | _ -> diverge e "observation log out of sync"))
         c.clients.(e.client).(e.txn_idx).ops)
     execs;
   (* 3: conflicts are real — some committer in (begin_ts, clock-at-abort]
@@ -405,7 +403,7 @@ let check_case c (execs : exec list) mgr =
               committed
           in
           if not overlaps then
-            diverge e.client e.txn_idx
+            diverge e
               "spurious conflict: no committer in (%d, %d] overlaps its \
                write set"
               e.begin_ts upto
@@ -428,10 +426,11 @@ let check_case c (execs : exec list) mgr =
   let live = Durability.Snapshot.digest (Txn.Mvcc.catalog mgr) in
   let oracle = Durability.Snapshot.digest oracle_cat in
   if live <> oracle then
-    diverge (-1) (-1)
-      "final state differs from serial replay of committed transactions \
-       (digest %s vs %s)"
-      live oracle;
+    add "txn" (-1)
+      (Printf.sprintf
+         "final state differs from serial replay of committed transactions \
+          (digest %s vs %s)"
+         live oracle);
   List.rev !divs
 
 (* ------------------------------------------------------------------ *)
@@ -446,28 +445,3 @@ let run_case c =
   let divs = check_case c execs mgr in
   Obs.Metrics.add m_txn_divergences (List.length divs);
   divs
-
-type report = { seed : int; case : case; divergences : divergence list }
-
-let pp_report ppf r =
-  Format.fprintf ppf "seed %d: %d divergence(s)@." r.seed
-    (List.length r.divergences);
-  List.iter (fun d -> Format.fprintf ppf "  %a@." pp_divergence d) r.divergences;
-  Format.fprintf ppf "--- repro: fuzz --txn --seed %d --cases 1 ---@.%a" r.seed
-    pp_case r.case
-
-(* Run [cases] consecutive seeds; returns the failing reports. *)
-let fuzz ?(max_clients = 3) ?(log = fun _ -> ()) ~seed ~cases () =
-  let failures = ref [] in
-  for i = 0 to cases - 1 do
-    let s = seed + i in
-    let case = gen_case ~max_clients s in
-    (match run_case case with
-    | [] -> ()
-    | divergences -> failures := { seed = s; case; divergences } :: !failures);
-    if (i + 1) mod 100 = 0 || i = cases - 1 then
-      log
-        (Printf.sprintf "txn: %d/%d histories, %d failure(s)" (i + 1) cases
-           (List.length !failures))
-  done;
-  List.rev !failures

@@ -7,8 +7,8 @@
      stay green even if the generator's seed -> case mapping changes.
 
    The suite also re-proves the harness can catch bugs at all: the driver's
-   Lt -> Le predicate mutation must diverge on the boundary case below and
-   shrink to a handful of rows. *)
+   Lt -> Le predicate mutation must diverge on the boundary case below, on
+   every episode axis, and shrink to a handful of rows. *)
 
 module V = Storage.Value
 module Expr = Relalg.Expr
@@ -25,6 +25,13 @@ let outcome_label = function
 
 let check_ok label outcome =
   Alcotest.(check string) label "ok" (outcome_label outcome)
+
+(* A fuzz run on [axis] that must find nothing; a failure prints the
+   first report, replay line included. *)
+let check_sweep axis ~seed ~cases =
+  match Harness.fuzz axis ~seed ~cases () with
+  | [] -> ()
+  | r :: _ -> Alcotest.failf "%a" (Harness.pp_report axis) r
 
 (* ------------------------------------------------------------------ *)
 (* Seed replays                                                        *)
@@ -49,19 +56,14 @@ let regression_seeds =
 let test_seed_replays () =
   List.iter
     (fun seed ->
-      check_ok (Printf.sprintf "seed %d" seed) (Harness.replay_seed seed))
+      check_ok (Printf.sprintf "seed %d" seed)
+        (Harness.outcome_of (Harness.matrix ()) (Fuzz.Gen.case seed)))
     regression_seeds
 
 (* A short fresh sweep, distinct from the pinned seeds, so runtest always
    exercises the generator end-to-end on never-inspected cases. *)
 let test_fresh_sweep () =
-  let failures = Harness.fuzz ~seed:9000 ~cases:8 ~max_rows:60 () in
-  List.iter
-    (fun (r : Harness.report) ->
-      Alcotest.failf "fresh seed %d failed: %s@.%s" r.Harness.seed
-        (outcome_label r.Harness.outcome)
-        (Case.to_ocaml r.Harness.minimized))
-    failures
+  check_sweep (Harness.matrix ~max_rows:60 ()) ~seed:9000 ~cases:8
 
 (* ------------------------------------------------------------------ *)
 (* Pinned boundary case                                                *)
@@ -106,7 +108,8 @@ let boundary_case =
   }
 
 let test_boundary_case () =
-  check_ok "pinned boundary case" (Harness.replay_case boundary_case)
+  check_ok "pinned boundary case"
+    (Harness.outcome_of (Harness.matrix ()) boundary_case)
 
 (* ------------------------------------------------------------------ *)
 (* Pinned compressed case                                              *)
@@ -187,7 +190,8 @@ let test_compressed_case () =
       (Array.of_list tab.Case.rows)
   in
   Alcotest.(check bool) "advisor compresses the pinned data" true (plan <> []);
-  check_ok "pinned compressed case" (Harness.replay_case compressed_case)
+  check_ok "pinned compressed case"
+    (Harness.outcome_of (Harness.matrix ()) compressed_case)
 
 let compressed_per_engine engine () =
   let oracle = Fuzz.Driver.oracle_results compressed_case in
@@ -291,7 +295,8 @@ let join_sort_case =
   }
 
 let test_join_sort_case () =
-  check_ok "pinned join/sort case" (Harness.replay_case join_sort_case);
+  check_ok "pinned join/sort case"
+    (Harness.outcome_of (Harness.matrix ()) join_sort_case);
   let fallbacks () =
     Obs.Metrics.counter_value
       (Obs.Metrics.counter "mrdb_compiled_fallbacks_total")
@@ -375,8 +380,11 @@ let advisor_case =
   }
 
 let test_advisor_case () =
-  let outcome, repartitions = Harness.replay_advisor advisor_case in
-  check_ok "pinned advisor case" outcome;
+  let count () = Obs.Metrics.counter_value Fuzz.Driver.m_advisor_repartitions in
+  let before = count () in
+  check_ok "pinned advisor case"
+    (Harness.outcome_of (Harness.advisor ()) advisor_case);
+  let repartitions = count () - before in
   Alcotest.(check bool)
     (Printf.sprintf "advisor repartitioned mid-episode (got %d)" repartitions)
     true (repartitions > 0)
@@ -384,13 +392,7 @@ let test_advisor_case () =
 (* A short fresh advisor sweep so runtest always exercises the axis on
    generated cases too. *)
 let test_advisor_sweep () =
-  let failures, _ = Harness.fuzz_advisor ~seed:9100 ~cases:6 ~max_rows:60 () in
-  List.iter
-    (fun (r : Harness.report) ->
-      Alcotest.failf "advisor seed %d failed: %s@.%s" r.Harness.seed
-        (outcome_label r.Harness.outcome)
-        (Case.to_ocaml r.Harness.minimized))
-    failures
+  check_sweep (Harness.advisor ~max_rows:60 ()) ~seed:9100 ~cases:6
 
 (* ------------------------------------------------------------------ *)
 (* Pinned shard case                                                   *)
@@ -482,18 +484,12 @@ let test_shard_case () =
     (fun shards ->
       check_ok
         (Printf.sprintf "pinned shard case over %d shards" shards)
-        (Harness.replay_shard ~shards shard_case))
+        (Harness.outcome_of (Harness.shards shards) shard_case))
     [ 2; 3 ]
 
 (* A short fresh sweep on the shard axis too. *)
 let test_shard_sweep () =
-  let failures = Harness.fuzz_shard ~seed:9200 ~cases:5 ~max_rows:60 ~shards:2 () in
-  List.iter
-    (fun (r : Harness.report) ->
-      Alcotest.failf "shard seed %d failed: %s@.%s" r.Harness.seed
-        (outcome_label r.Harness.outcome)
-        (Case.to_ocaml r.Harness.minimized))
-    failures
+  check_sweep (Harness.shards ~max_rows:60 2) ~seed:9200 ~cases:5
 
 (* ------------------------------------------------------------------ *)
 (* Mutation self-check                                                 *)
@@ -504,13 +500,14 @@ let test_shard_sweep () =
    case, and the shrinker must cut the 21-row table to a handful of rows
    while preserving the divergence. *)
 let test_mutation_caught () =
-  match Harness.replay_case ~mutate:true boundary_case with
+  let mutated = Harness.matrix ~mutate:true () in
+  match Harness.outcome_of mutated boundary_case with
   | Harness.Ok -> Alcotest.fail "Lt->Le mutation was not detected"
   | Harness.Raised msg -> Alcotest.failf "mutated run raised: %s" msg
   | Harness.Diverged _ as outcome ->
       let minimized =
         Fuzz.Shrink.minimize
-          ~failing:(Harness.failure_pred ~mutate:true outcome)
+          ~failing:(Harness.failure_pred mutated outcome)
           boundary_case
       in
       let n = Case.total_rows minimized in
@@ -518,7 +515,7 @@ let test_mutation_caught () =
         (Printf.sprintf "shrinks below 10 rows (got %d)" n)
         true (n <= 10);
       (* the shrunk case must itself still diverge under the mutation *)
-      (match Harness.replay_case ~mutate:true minimized with
+      (match Harness.outcome_of mutated minimized with
       | Harness.Diverged _ -> ()
       | o -> Alcotest.failf "minimized case no longer diverges: %s"
                (outcome_label o))
@@ -583,6 +580,45 @@ let qcheck_tracer_identity =
       | None -> true
       | Some m -> QCheck.Test.fail_report m)
 
+(* ------------------------------------------------------------------ *)
+(* --mutate on every episode axis                                      *)
+(* ------------------------------------------------------------------ *)
+
+let contains text sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length text && (String.sub text i n = sub || at (i + 1))
+  in
+  at 0
+
+(* The boundary case under --mutate, through each episode axis's own fuzz
+   loop with the pinned case in place of the generator: every axis must
+   diverge, shrink the 21 rows to at most 10, and print a replay line that
+   carries the axis's flags. *)
+let test_mutate_every_axis () =
+  let has_teeth axis flags =
+    match
+      Harness.fuzz
+        { axis with Harness.gen = (fun _ -> boundary_case) }
+        ~seed:0 ~cases:1 ()
+    with
+    | [ ({ Harness.outcome = Harness.Diverged _; _ } as r) ] ->
+        let n = Case.total_rows r.Harness.minimized in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s shrinks to 10 rows or fewer (got %d)" flags n)
+          true (n <= 10);
+        let line = Printf.sprintf "fuzz %s --seed 0 --cases 1" flags in
+        let text = Format.asprintf "%a" (Harness.pp_report axis) r in
+        Alcotest.(check bool)
+          (Printf.sprintf "report carries `%s`" line)
+          true (contains text line)
+    | [ r ] -> Alcotest.failf "%s: %s" flags (outcome_label r.Harness.outcome)
+    | _ -> Alcotest.failf "%s: the Lt->Le mutation was not detected" flags
+  in
+  has_teeth (Harness.matrix ~mutate:true ()) "--mutate";
+  has_teeth (Harness.advisor ~mutate:true ()) "--advisor --mutate";
+  has_teeth (Harness.shards ~mutate:true 2) "--shards 2 --mutate"
+
 let suite =
   Alcotest.test_case "regression seeds replay clean" `Slow test_seed_replays
   :: Alcotest.test_case "fresh seed sweep" `Slow test_fresh_sweep
@@ -604,4 +640,6 @@ let suite =
       Alcotest.test_case "tracer identity on regression seeds" `Slow
         test_tracer_identity_seeds;
       QCheck_alcotest.to_alcotest qcheck_tracer_identity;
+      Alcotest.test_case "--mutate caught on every episode axis" `Quick
+        test_mutate_every_axis;
     ]
