@@ -500,7 +500,7 @@ let advise_cmd =
         done;
         Format.printf "watched %d rounds: %d observations, %d repartitions@."
           (max 1 rounds)
-          (Layoutopt.Workload.observed (Advisor.workload adv))
+          (Advisor.observed adv)
           (List.length (Advisor.applied adv)));
     export_metrics metrics
   in

@@ -1,10 +1,11 @@
-(* Adaptive reorganization: watch the layout monitor react to a workload
-   shift — the paper's Section VII "online/adaptive reorganization" sketch,
-   made concrete.
+(* Adaptive reorganization: watch the online layout advisor react to a
+   workload shift — the paper's Section VII "online/adaptive
+   reorganization" sketch, made concrete.
 
    Run with: dune exec examples/adaptive_reorg.exe *)
 
 module V = Storage.Value
+module Advisor = Layoutopt.Advisor
 
 let () =
   let n = 60_000 in
@@ -12,8 +13,8 @@ let () =
   let cat = Workloads.Microbench.build ~hier ~n () in
   let schema = Workloads.Microbench.schema in
   let monitor =
-    Layoutopt.Adaptive.create ~window:96 ~check_every:24 ~min_benefit:0.02
-      ~horizon:25.0 cat
+    Advisor.create ~algorithm:(Layoutopt.Optimizer.Bpi 0.005) ~window:96
+      ~check_every:24 ~min_benefit:0.02 ~horizon:25.0 cat
   in
   (* the OLTP phase looks up tuples through a hash index, as a real
      transactional application would *)
@@ -39,12 +40,10 @@ let () =
         in
         cycles := !cycles + Memsim.Stats.total_cycles st;
         List.iter
-          (fun (e : Layoutopt.Adaptive.event) ->
-            Format.printf "  >> monitor repartitioned %s: %a@."
-              e.Layoutopt.Adaptive.table
-              (Storage.Layout.pp schema)
-              e.Layoutopt.Adaptive.new_layout)
-          (Layoutopt.Adaptive.record monitor plan))
+          (fun (r : Advisor.recommendation) ->
+            Format.printf "  >> monitor repartitioned %s: %a@." r.Advisor.table
+              (Storage.Layout.pp schema) r.Advisor.proposed_layout)
+          (Advisor.observe monitor plan))
       queries;
     Printf.printf "  %d queries, %.2fM simulated cycles; layout now: %s\n"
       (List.length queries)
@@ -60,5 +59,5 @@ let () =
          ( Workloads.Microbench.plan cat ~sel:0.02,
            Workloads.Microbench.params ~sel:0.02 )));
   Printf.printf "\nreorganizations: %d; monitor observed %d queries total\n"
-    (List.length (Layoutopt.Adaptive.reorganizations monitor))
-    (Layoutopt.Adaptive.observed monitor)
+    (List.length (Advisor.applied monitor))
+    (Advisor.observed monitor)

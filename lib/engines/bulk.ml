@@ -143,23 +143,6 @@ let materialize ctx (schema : Schema.attr array) src cols =
     cols;
   Mat (out, n)
 
-let index_tids ctx table access =
-  let rel = Catalog.find ctx.cat table in
-  match (access : Physical.access) with
-  | Physical.Full_scan -> assert false
-  | Physical.Index_eq { attrs; keys } -> (
-      let key_values =
-        List.map (fun e -> Expr.eval e ~params:ctx.params (fun _ -> assert false)) keys
-      in
-      match Catalog.find_index ctx.cat table ~attrs with
-      | Some idx -> Storage.Index.lookup_eq idx rel key_values
-      | None -> assert false)
-  | Physical.Index_range { attr; lo; hi } -> (
-      let ev e = Expr.eval e ~params:ctx.params (fun _ -> assert false) in
-      match Catalog.find_index ctx.cat table ~attrs:[ attr ] with
-      | Some idx -> Storage.Index.lookup_range idx ~lo:(ev lo) ~hi:(ev hi)
-      | None -> assert false)
-
 (* Append [k] surviving tids to a posvec as one run. *)
 let posvec_push_run ctx v surv k =
   if k > 0 then begin
@@ -342,13 +325,12 @@ and eval_raw ctx path (plan : Physical.t) ~(needed : int list) : src =
   | Physical.Scan { table; access; post; _ } -> (
       let rel = Catalog.find ctx.cat table in
       let pos =
-        match access with
-        | Physical.Full_scan -> None
-        | _ ->
-            let tids = index_tids ctx table access in
+        Option.map
+          (fun tids ->
             let v = posvec_create ctx ~capacity:(List.length tids) in
             List.iter (fun t -> posvec_push ctx v t) tids;
-            Some v
+            v)
+          (Dml.index_tids ctx.cat ctx.params table access)
       in
       match post with
       | None -> Base (rel, pos)

@@ -4,22 +4,26 @@ module Catalog = Storage.Catalog
 module Physical = Relalg.Physical
 module Expr = Relalg.Expr
 
+let key params e = Expr.eval e ~params (fun _ -> assert false)
+
+let find_index cat table attrs =
+  match Catalog.find_index cat table ~attrs with
+  | Some idx -> idx
+  | None -> invalid_arg "index_tids: planner chose a missing index"
+
+(* a full scan allocates nothing here: engines call this on every scan *)
 let index_tids cat params table access =
-  let rel = Catalog.find cat table in
   match (access : Physical.access) with
   | Physical.Full_scan -> None
-  | Physical.Index_eq { attrs; keys } -> (
-      let key_values =
-        List.map (fun e -> Expr.eval e ~params (fun _ -> assert false)) keys
-      in
-      match Catalog.find_index cat table ~attrs with
-      | Some idx -> Some (Storage.Index.lookup_eq idx rel key_values)
-      | None -> assert false)
-  | Physical.Index_range { attr; lo; hi } -> (
-      let ev e = Expr.eval e ~params (fun _ -> assert false) in
-      match Catalog.find_index cat table ~attrs:[ attr ] with
-      | Some idx -> Some (Storage.Index.lookup_range idx ~lo:(ev lo) ~hi:(ev hi))
-      | None -> assert false)
+  | Physical.Index_eq { attrs; keys } ->
+      let key_values = List.map (key params) keys in
+      Some
+        (Storage.Index.lookup_eq (find_index cat table attrs)
+           (Catalog.find cat table) key_values)
+  | Physical.Index_range { attr; lo; hi } ->
+      let idx = find_index cat table [ attr ] in
+      Some
+        (Storage.Index.lookup_range idx ~lo:(key params lo) ~hi:(key params hi))
 
 let update ~per_value ~call_cost cat ~params ~table ~access ~post ~assignments
     =

@@ -12,8 +12,9 @@ val index_tids :
   Relalg.Physical.access ->
   int list option
 (** Tuple ids an index access path selects ([None] for a full scan) — the
-    locate step of {!update}, shared with the sharded executor so both
-    compute identical per-shard match sets. *)
+    locate step of every engine's scans and of {!update}, shared with the
+    sharded executor so all compute identical match sets.
+    @raise Invalid_argument when the named index does not exist. *)
 
 val update :
   per_value:int ->

@@ -20,26 +20,6 @@ let charge ctx n = Runtime.charge ctx.hier n
 (* The number of columns of an operator's output. *)
 let arity ctx plan = Array.length (Physical.schema ctx.cat plan)
 
-(* Fetch tids matched by an index access path. *)
-let index_tids ctx table access =
-  let rel = Catalog.find ctx.cat table in
-  match (access : Physical.access) with
-  | Physical.Full_scan -> invalid_arg "index_tids: full scan"
-  | Physical.Index_eq { attrs; keys } -> (
-      let key_values =
-        List.map
-          (fun e -> Expr.eval e ~params:ctx.params (fun _ -> assert false))
-          keys
-      in
-      match Catalog.find_index ctx.cat table ~attrs with
-      | Some idx -> Storage.Index.lookup_eq idx rel key_values
-      | None -> invalid_arg "index_tids: planner chose a missing index")
-  | Physical.Index_range { attr; lo; hi } -> (
-      let ev e = Expr.eval e ~params:ctx.params (fun _ -> assert false) in
-      match Catalog.find_index ctx.cat table ~attrs:[ attr ] with
-      | Some idx -> Storage.Index.lookup_range idx ~lo:(ev lo) ~hi:(ev hi)
-      | None -> invalid_arg "index_tids: planner chose a missing index")
-
 (* compile: returns a thunk that drives the pipeline(s), pushing rows into
    [consume]. *)
 let rec compile ctx path (plan : Physical.t) ~(consume : row -> unit) :
@@ -155,15 +135,16 @@ let rec compile ctx path (plan : Physical.t) ~(consume : row -> unit) :
              must forget the previous morsel's entries *)
           cur_tid := -1;
           Array.fill gen 0 n_attrs (-1);
-          match (fast_scan, access) with
-          | Some fast, _ -> fast ()
-          | None, Physical.Full_scan ->
-              let n = Relation.nrows rel in
-              for tid = 0 to n - 1 do
-                visit tid
-              done
-          | None, (Physical.Index_eq _ | Physical.Index_range _) ->
-              List.iter visit (index_tids ctx table access))
+          match fast_scan with
+          | Some fast -> fast ()
+          | None -> (
+              match Dml.index_tids ctx.cat ctx.params table access with
+              | Some tids -> List.iter visit tids
+              | None ->
+                  let n = Relation.nrows rel in
+                  for tid = 0 to n - 1 do
+                    visit tid
+                  done))
   | Physical.Select { child; pred; _ } ->
       let cur_row = ref (fun (_ : int) -> Value.Null) in
       let p = Expr.specialize pred ~params:ctx.params (fun i -> !cur_row i) in

@@ -100,23 +100,6 @@ let extract (plan : Physical.t) : pipeline option =
         }
   | _ -> None
 
-let index_tids ctx table access =
-  let rel = Catalog.find ctx.cat table in
-  match (access : Physical.access) with
-  | Physical.Full_scan -> assert false
-  | Physical.Index_eq { attrs; keys } -> (
-      let key_values =
-        List.map (fun e -> Expr.eval e ~params:ctx.params (fun _ -> assert false)) keys
-      in
-      match Catalog.find_index ctx.cat table ~attrs with
-      | Some idx -> Storage.Index.lookup_eq idx rel key_values
-      | None -> assert false)
-  | Physical.Index_range { attr; lo; hi } -> (
-      let ev e = Expr.eval e ~params:ctx.params (fun _ -> assert false) in
-      match Catalog.find_index ctx.cat table ~attrs:[ attr ] with
-      | Some idx -> Storage.Index.lookup_range idx ~lo:(ev lo) ~hi:(ev hi)
-      | None -> assert false)
-
 let run_pipeline ctx (p : pipeline) : Value.t array list =
   (* construction-time gate, as in the other engines: with no session the
      stage thunks run unwrapped *)
@@ -148,9 +131,8 @@ let run_pipeline ctx (p : pipeline) : Value.t array list =
         Relation.get rel tid col)
   in
   let tid_source =
-    match p.access with
-    | Physical.Full_scan -> None
-    | access -> Some (Array.of_list (index_tids ctx p.table access))
+    Option.map Array.of_list
+      (Dml.index_tids ctx.cat ctx.params p.table p.access)
   in
   let total =
     match tid_source with Some tids -> Array.length tids | None -> n
@@ -304,8 +286,5 @@ let run cat plan ~params =
       in
       let schema = Physical.schema cat plan in
       let columns = Array.map (fun (a : Schema.attr) -> a.Schema.name) schema in
-      (match plan with
-      | Physical.Insert _ -> ()
-      | _ -> ());
       let rows = run_pipeline ctx pipeline in
       { Runtime.columns; rows }

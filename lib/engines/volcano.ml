@@ -23,23 +23,6 @@ let eval ctx e tuple =
   charge ctx Cpu_model.volcano_per_value;
   Expr.eval e ~params:ctx.params (fun i -> tuple.(i))
 
-let index_tids ctx table access =
-  let rel = Catalog.find ctx.cat table in
-  match (access : Physical.access) with
-  | Physical.Full_scan -> assert false
-  | Physical.Index_eq { attrs; keys } -> (
-      let key_values =
-        List.map (fun e -> Expr.eval e ~params:ctx.params (fun _ -> assert false)) keys
-      in
-      match Catalog.find_index ctx.cat table ~attrs with
-      | Some idx -> Storage.Index.lookup_eq idx rel key_values
-      | None -> assert false)
-  | Physical.Index_range { attr; lo; hi } -> (
-      let ev e = Expr.eval e ~params:ctx.params (fun _ -> assert false) in
-      match Catalog.find_index ctx.cat table ~attrs:[ attr ] with
-      | Some idx -> Storage.Index.lookup_range idx ~lo:(ev lo) ~hi:(ev hi)
-      | None -> assert false)
-
 let rec open_iter ctx path (plan : Physical.t) : iter =
   let it = open_raw ctx path plan in
   (* construction-time gate: without a profiling session the iterator is
@@ -51,15 +34,15 @@ and open_raw ctx path (plan : Physical.t) : iter =
   | Physical.Scan { table; access; post; _ } ->
       let rel = Catalog.find ctx.cat table in
       let produce =
-        match access with
-        | Physical.Full_scan ->
+        match Dml.index_tids ctx.cat ctx.params table access with
+        | None ->
             let tid = ref (-1) in
             let n = Relation.nrows rel in
             fun () ->
               incr tid;
               if !tid < n then Some !tid else None
-        | _ ->
-            let tids = ref (index_tids ctx table access) in
+        | Some tids ->
+            let tids = ref tids in
             fun () ->
               (match !tids with
               | [] -> None

@@ -2,6 +2,7 @@ module Catalog = Storage.Catalog
 module Relation = Storage.Relation
 module Layout = Storage.Layout
 module Model = Costmodel.Model
+module Pattern = Costmodel.Pattern
 
 type recommendation = {
   table : string;
@@ -18,12 +19,22 @@ type recommendation = {
 type t = {
   cat : Catalog.t;
   algorithm : Optimizer.algorithm;
+  window : int;
   check_every : int;
   min_benefit : float;
   horizon : float;
-  window : Workload.t;
+  mutable recent : Relalg.Physical.t list; (* newest first, bounded *)
+  mutable observed : int;
   mutable applied : recommendation list; (* newest first *)
 }
+
+let m_observed =
+  Obs.Metrics.counter "mrdb_advisor_observed_total"
+    ~help:"Plans recorded into the advisor's workload window"
+
+let m_window =
+  Obs.Metrics.gauge "mrdb_advisor_window_size"
+    ~help:"Plans currently retained in the advisor's workload window"
 
 let m_checks =
   Obs.Metrics.counter "mrdb_advisor_checks_total"
@@ -42,14 +53,52 @@ let create ?(algorithm = Optimizer.Ip) ?(window = 256) ?(check_every = 64)
   {
     cat;
     algorithm;
+    window;
     check_every;
     min_benefit;
     horizon;
-    window = Workload.create ~window ();
+    recent = [];
+    observed = 0;
     applied = [];
   }
 
-let workload t = t.window
+let observed t = t.observed
+
+(* structurally identical plans merge by their printed form *)
+let mix t =
+  let tbl = Hashtbl.create 32 in
+  let order = ref [] in
+  List.iter
+    (fun plan ->
+      let key = Format.asprintf "%a" Relalg.Physical.pp plan in
+      match Hashtbl.find_opt tbl key with
+      | Some (p, f) -> Hashtbl.replace tbl key (p, f +. 1.0)
+      | None ->
+          Hashtbl.add tbl key (plan, 1.0);
+          order := key :: !order)
+    t.recent;
+  (* deterministic order: most recently observed distinct plan first *)
+  List.rev_map (fun key -> Hashtbl.find tbl key) !order
+
+(* sequential read + sequential write of every partition; an empty table
+   costs nothing to reorganize *)
+let copy_cost cat table =
+  let rel = Catalog.find cat table in
+  let n = Relation.nrows rel in
+  if n = 0 then 0.0
+  else begin
+    let layout = Relation.layout rel in
+    let cost = ref 0.0 in
+    for p = 0 to Layout.n_partitions layout - 1 do
+      let w = max 1 (Relation.part_width rel p) in
+      cost :=
+        !cost
+        +. (2.0
+           *. Costmodel.Cost_function.cost Memsim.Params.nehalem
+                (Pattern.s_trav ~n ~w ()))
+    done;
+    !cost
+  end
 
 let recommend_table ~algorithm ~min_benefit ~horizon cat mix table =
   let rel = Catalog.find cat table in
@@ -60,7 +109,7 @@ let recommend_table ~algorithm ~min_benefit ~horizon cat mix table =
   let result = Optimizer.optimize_table ~algorithm cat table mix in
   let proposed_layout = result.Optimizer.layout in
   let proposed_cost = result.Optimizer.estimated_cost in
-  let copy_cost = Adaptive.copy_cost cat table in
+  let copy_cost = copy_cost cat table in
   let saving = current_cost -. proposed_cost in
   let net_saving = (saving *. horizon) -. copy_cost in
   let profitable =
@@ -82,21 +131,14 @@ let recommend_table ~algorithm ~min_benefit ~horizon cat mix table =
 
 let recommend ?(algorithm = Optimizer.Ip) ?(min_benefit = 0.05)
     ?(horizon = 10.0) cat mix =
-  let tables =
-    List.concat_map
-      (fun (plan, _) ->
-        List.map
-          (fun d -> d.Costmodel.Emit.table)
-          (snd (Costmodel.Emit.emit cat plan)))
-      mix
-    |> List.sort_uniq compare
-  in
-  List.map (recommend_table ~algorithm ~min_benefit ~horizon cat mix) tables
+  List.map
+    (recommend_table ~algorithm ~min_benefit ~horizon cat mix)
+    (Optimizer.tables cat mix)
 
 let advise t =
   Obs.Metrics.incr m_checks;
   recommend ~algorithm:t.algorithm ~min_benefit:t.min_benefit
-    ~horizon:t.horizon t.cat (Workload.mix t.window)
+    ~horizon:t.horizon t.cat (mix t)
 
 let apply t recs =
   List.filter
@@ -125,9 +167,12 @@ let apply t recs =
     recs
 
 let observe t plan =
-  Workload.observe t.window plan;
-  if Workload.observed t.window mod t.check_every = 0 then
-    apply t (advise t)
-  else []
+  t.observed <- t.observed + 1;
+  t.recent <- plan :: t.recent;
+  if t.observed > t.window then
+    t.recent <- List.filteri (fun i _ -> i < t.window) t.recent;
+  Obs.Metrics.incr m_observed;
+  Obs.Metrics.set m_window (float_of_int (Int.min t.observed t.window));
+  if t.observed mod t.check_every = 0 then apply t (advise t) else []
 
 let applied t = List.rev t.applied

@@ -36,12 +36,11 @@ let hint_of_stat (st : Compress.stat) (enc : Encoding.t) : Emit.enc_hint =
     exceptions;
   }
 
-let descs_for_table ?estimate cat table workload =
+let tables cat workload =
   List.concat_map
-    (fun (plan, _freq) ->
-      let _, descs = Emit.emit ?estimate cat plan in
-      List.filter (fun d -> String.equal d.Emit.table table) descs)
+    (fun (plan, _) -> List.map (fun d -> d.Emit.table) (snd (Emit.emit cat plan)))
     workload
+  |> List.sort_uniq compare
 
 let cuts_for_table ?(extended = true) ?estimate cat table workload =
   (* cuts are per query: each query's descriptors yield its own cut set *)
@@ -159,17 +158,11 @@ let optimize_table ?(algorithm = Bpi 0.005) ?(extended = true)
   }
 
 let optimize ?algorithm ?extended ?compress ?estimate ?params cat workload =
-  let tables =
-    List.concat_map
-      (fun (plan, _) -> List.map (fun d -> d.Emit.table) (snd (Emit.emit cat plan)))
-      workload
-    |> List.sort_uniq compare
-  in
   List.map
     (fun table ->
       optimize_table ?algorithm ?extended ?compress ?estimate ?params cat
         table workload)
-    tables
+    (tables cat workload)
 
 let apply cat results =
   List.iter
@@ -178,7 +171,3 @@ let apply cat results =
         Storage.Catalog.set_layout cat r.table r.layout
       else Compress.apply cat r.table ~layout:r.layout r.encodings)
     results
-
-(* silence unused-warning for descs_for_table, which is part of the
-   documented API surface used by tests *)
-let _ = descs_for_table

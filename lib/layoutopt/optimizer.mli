@@ -22,6 +22,10 @@ type table_result = {
   search : Bpi.stats;
 }
 
+val tables : Storage.Catalog.t -> (Relalg.Physical.t * float) list -> string list
+(** Tables a frequency-weighted workload touches (those its plans emit
+    access descriptors for), sorted and deduplicated. *)
+
 val cuts_for_table :
   ?extended:bool ->
   ?estimate:(Relalg.Expr.t -> float option) ->

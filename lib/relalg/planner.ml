@@ -58,22 +58,33 @@ let index_access cat table pred =
     | [ col ] -> (
         match Catalog.find_index cat table ~attrs:[ col ] with
         | Some idx when Storage.Index.kind idx = Storage.Index.Rbtree ->
-            let lo =
+            (* the last conjunct on each side bounds the index range *)
+            let bound side =
               List.fold_left
-                (fun acc (_, side, e) -> if side = `Lo then Some e else acc)
-                None ranges
-            and hi =
-              List.fold_left
-                (fun acc (_, side, e) -> if side = `Hi then Some e else acc)
-                None ranges
+                (fun acc c ->
+                  match range_binding c with
+                  | Some (_, s, e) when s = side -> Some (c, e)
+                  | _ -> acc)
+                None cs
             in
-            let const v = Expr.Const (Storage.Value.VInt v) in
-            let lo = Option.value lo ~default:(const min_int)
-            and hi = Option.value hi ~default:(const max_int) in
-            let rest = List.filter (fun c -> range_binding c = None) cs in
+            let lo = bound `Lo and hi = bound `Hi in
+            (* the range is inclusive: a strict bound, or a bound that did
+               not become the range, stays in the residual predicate *)
+            let served c =
+              (match c with
+              | Expr.Cmp ((Expr.Le | Expr.Ge), _, _) -> true
+              | _ -> false)
+              && List.exists (fun b -> Option.map fst b = Some c) [ lo; hi ]
+            in
+            let value b default =
+              match b with
+              | Some (_, e) -> e
+              | None -> Expr.Const (Storage.Value.VInt default)
+            in
             Some
-              ( Physical.Index_range { attr = col; lo; hi },
-                residual rest,
+              ( Physical.Index_range
+                  { attr = col; lo = value lo min_int; hi = value hi max_int },
+                residual (List.filter (fun c -> not (served c)) cs),
                 0.05 )
         | _ -> None)
     | _ -> None

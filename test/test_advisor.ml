@@ -8,7 +8,6 @@ module Relation = Storage.Relation
 module Emit = Costmodel.Emit
 module Ip = Layoutopt.Ip
 module Advisor = Layoutopt.Advisor
-module Wl = Layoutopt.Workload
 module Optimizer = Layoutopt.Optimizer
 module Rng = Mrdb_util.Rng
 
@@ -159,7 +158,7 @@ let test_copy_cost_empty_table () =
   let schema = Schema.make "E" [ ("A", V.Int); ("B", V.Int) ] in
   let _ = Catalog.add cat schema (Layout.row schema) in
   Alcotest.(check (float 1e-9)) "zero-row table reorganizes for free" 0.0
-    (Layoutopt.Adaptive.copy_cost cat "E")
+    (Advisor.copy_cost cat "E")
 
 let test_ip_empty_table_and_schema () =
   (* zero rows: every partitioning costs 0 and solve still terminates *)
@@ -185,42 +184,32 @@ let test_workload_window_merging_and_eviction () =
   let cat = Workloads.Microbench.build ~hier ~n:1_000 () in
   let scan1 = Workloads.Microbench.plan cat ~sel:0.01 in
   let scan2 = Workloads.Microbench.plan cat ~sel:0.5 in
-  let w = Wl.create ~window:4 () in
-  Alcotest.(check int) "empty" 0 (Wl.size w);
-  Wl.observe w scan1;
-  Wl.observe w scan1;
-  Wl.observe w scan2;
+  (* 13 observations stay below the default check interval *)
+  let adv = Advisor.create ~window:4 cat in
+  let observe plan = ignore (Advisor.observe adv plan) in
+  let window_size () =
+    Obs.Metrics.gauge_value (Obs.Metrics.gauge "mrdb_advisor_window_size")
+  in
+  Alcotest.(check int) "empty" 0 (List.length (Advisor.mix adv));
+  observe scan1;
+  observe scan1;
+  observe scan2;
   let freqs =
-    Wl.mix w |> List.map snd |> List.sort compare
+    Advisor.mix adv |> List.map snd |> List.sort compare
   in
   Alcotest.(check (list (float 1e-9))) "merged frequencies" [ 1.0; 2.0 ] freqs;
-  Alcotest.(check (list string)) "touched tables" [ "R" ] (Wl.tables cat w);
+  Alcotest.(check (list string)) "touched tables" [ "R" ]
+    (Optimizer.tables cat (Advisor.mix adv));
   (* eviction keeps the newest [window] plans *)
   for _ = 1 to 10 do
-    Wl.observe w scan2
+    observe scan2
   done;
-  Alcotest.(check int) "bounded" 4 (Wl.size w);
-  Alcotest.(check int) "total observations keep counting" 13 (Wl.observed w);
-  Alcotest.(check int) "old plans evicted" 1 (List.length (Wl.mix w));
-  Wl.clear w;
-  Alcotest.(check int) "cleared" 0 (Wl.size w)
-
-let test_workload_descs_surface () =
-  let hier = Memsim.Hierarchy.create () in
-  let cat = Workloads.Microbench.build ~hier ~n:1_000 () in
-  let w = Wl.create () in
-  Wl.observe w (Workloads.Microbench.plan cat ~sel:0.01);
-  match Wl.descs cat w with
-  | [ (table, ds) ] ->
-      Alcotest.(check string) "table" "R" table;
-      Alcotest.(check bool) "has descriptors" true (ds <> []);
-      List.iter
-        (fun ((d : Emit.access_desc), freq) ->
-          Alcotest.(check bool) "positive touches" true (d.Emit.touches >= 1);
-          Alcotest.(check bool) "positive freq" true (freq >= 1.0))
-        ds
-  | other ->
-      Alcotest.failf "expected one table, got %d" (List.length other)
+  Alcotest.(check (float 1e-9)) "bounded" 4.0 (window_size ());
+  Alcotest.(check (float 1e-9)) "bounded mix" 4.0
+    (List.fold_left (fun acc (_, f) -> acc +. f) 0.0 (Advisor.mix adv));
+  Alcotest.(check int) "total observations keep counting" 13
+    (Advisor.observed adv);
+  Alcotest.(check int) "old plans evicted" 1 (List.length (Advisor.mix adv))
 
 (* ------------------------------------------------------------------ *)
 (* Advisor loop                                                        *)
@@ -251,7 +240,7 @@ let test_apply_then_stable () =
   let adv = Advisor.create ~min_benefit:0.01 ~horizon:50.0 cat in
   let scan = Workloads.Microbench.plan cat ~sel:0.01 in
   for _ = 1 to 16 do
-    Wl.observe (Advisor.workload adv) scan
+    ignore (Advisor.observe adv scan)
   done;
   let applied = Advisor.apply adv (Advisor.advise adv) in
   Alcotest.(check bool) "repartitioned" true (applied <> []);
@@ -292,7 +281,7 @@ let test_stale_recommendation_not_applied () =
   let adv = Advisor.create ~min_benefit:0.01 ~horizon:50.0 cat in
   let scan = Workloads.Microbench.plan cat ~sel:0.01 in
   for _ = 1 to 16 do
-    Wl.observe (Advisor.workload adv) scan
+    ignore (Advisor.observe adv scan)
   done;
   let recs = Advisor.advise adv in
   (* the catalog moves underneath the advisor before it applies *)
@@ -302,6 +291,126 @@ let test_stale_recommendation_not_applied () =
   Alcotest.(check bool) "layout is the concurrent writer's" true
     (Layout.equal Workloads.Microbench.pdsm_layout
        (Relation.layout (Catalog.find cat "R")))
+
+(* ------------------------------------------------------------------ *)
+(* Section VII monitor: the online loop under BPi                      *)
+(* ------------------------------------------------------------------ *)
+
+let bpi = Optimizer.Bpi 0.005
+
+let point_plan cat n =
+  Relalg.Planner.plan
+    ~estimate:(fun _ -> Some (1.0 /. float_of_int n))
+    cat
+    (Relalg.Sql.parse cat "select * from R where A = $1")
+
+let test_no_reorg_before_check_interval () =
+  let hier = Memsim.Hierarchy.create () in
+  let n = 20_000 in
+  let cat = Workloads.Microbench.build ~hier ~n () in
+  let m = Advisor.create ~algorithm:bpi ~check_every:50 cat in
+  let scan = Workloads.Microbench.plan cat ~sel:0.01 in
+  for _ = 1 to 49 do
+    Alcotest.(check int) "silent before interval" 0
+      (List.length (Advisor.observe m scan))
+  done;
+  Alcotest.(check int) "observed counter" 49 (Advisor.observed m)
+
+let test_reorganizes_scan_workload () =
+  let hier = Memsim.Hierarchy.create () in
+  let n = 50_000 in
+  let cat = Workloads.Microbench.build ~hier ~n () in
+  let m =
+    Advisor.create ~algorithm:bpi ~window:64 ~check_every:16
+      ~min_benefit:0.01 ~horizon:50.0 cat
+  in
+  let scan = Workloads.Microbench.plan cat ~sel:0.01 in
+  let events = ref [] in
+  for _ = 1 to 64 do
+    events := !events @ Advisor.observe m scan
+  done;
+  Alcotest.(check bool) "reorganized at least once" true (!events <> []);
+  let rel = Storage.Catalog.find cat "R" in
+  Alcotest.(check bool) "no longer a pure row store" false
+    (Storage.Layout.is_row (Storage.Relation.layout rel));
+  (* data survives and queries still answer *)
+  let r =
+    Engines.Engine.run Engines.Engine.Jit cat
+      (Workloads.Microbench.plan cat ~sel:0.01)
+      ~params:(Workloads.Microbench.params ~sel:0.01)
+  in
+  Alcotest.(check int) "aggregate row present" 1
+    (List.length r.Engines.Runtime.rows)
+
+let test_stable_when_layout_already_good () =
+  let hier = Memsim.Hierarchy.create () in
+  let n = 50_000 in
+  let cat = Workloads.Microbench.build ~hier ~n () in
+  (* start from the layout the optimizer would pick *)
+  Storage.Catalog.set_layout cat "R" Workloads.Microbench.pdsm_layout;
+  let m =
+    Advisor.create ~algorithm:bpi ~window:64 ~check_every:16
+      ~min_benefit:0.01 cat
+  in
+  let scan = Workloads.Microbench.plan cat ~sel:0.01 in
+  let events = ref [] in
+  for _ = 1 to 64 do
+    events := !events @ Advisor.observe m scan
+  done;
+  (* it may refine once, but must not thrash *)
+  Alcotest.(check bool) "at most one adjustment" true (List.length !events <= 1);
+  let after = List.length (Advisor.applied m) in
+  for _ = 1 to 64 do
+    events := !events @ Advisor.observe m scan
+  done;
+  Alcotest.(check int) "no further churn" after
+    (List.length (Advisor.applied m))
+
+let test_copy_cost_blocks_tiny_benefit () =
+  let hier = Memsim.Hierarchy.create () in
+  let n = 50_000 in
+  let cat = Workloads.Microbench.build ~hier ~n () in
+  (* horizon so short that a reorganization can never pay off *)
+  let m =
+    Advisor.create ~algorithm:bpi ~window:64 ~check_every:16
+      ~min_benefit:0.01 ~horizon:0.001 cat
+  in
+  let scan = Workloads.Microbench.plan cat ~sel:0.01 in
+  for _ = 1 to 64 do
+    ignore (Advisor.observe m scan)
+  done;
+  Alcotest.(check int) "copy cost dominates: no reorganization" 0
+    (List.length (Advisor.applied m));
+  let rel = Storage.Catalog.find cat "R" in
+  Alcotest.(check bool) "layout untouched" true
+    (Storage.Layout.is_row (Storage.Relation.layout rel))
+
+let test_copy_cost_positive_and_scales () =
+  let hier = Memsim.Hierarchy.create () in
+  let small = Workloads.Microbench.build ~hier ~n:1_000 () in
+  let big = Workloads.Microbench.build ~hier:(Memsim.Hierarchy.create ()) ~n:10_000 () in
+  let c_small = Advisor.copy_cost small "R" in
+  let c_big = Advisor.copy_cost big "R" in
+  Alcotest.(check bool) "positive" true (c_small > 0.0);
+  Alcotest.(check bool) "scales with rows" true (c_big > 5.0 *. c_small)
+
+let test_mixed_workload_keeps_useful_row_store () =
+  let hier = Memsim.Hierarchy.create () in
+  let n = 50_000 in
+  let cat = Workloads.Microbench.build ~hier ~n () in
+  let m =
+    Advisor.create ~algorithm:bpi ~window:64 ~check_every:64
+      ~min_benefit:0.01 ~horizon:20.0 cat
+  in
+  let point = point_plan cat n in
+  (* a purely point-lookup workload on an already point-friendly layout *)
+  for _ = 1 to 64 do
+    ignore (Advisor.observe m point)
+  done;
+  let rel = Storage.Catalog.find cat "R" in
+  (* point lookups read the whole tuple: decomposition cannot pay off *)
+  Alcotest.(check bool) "row store kept for point lookups" true
+    (Storage.Layout.n_partitions (Storage.Relation.layout rel) <= 2)
 
 let suite =
   [
@@ -316,8 +425,6 @@ let suite =
       test_ip_empty_table_and_schema;
     Alcotest.test_case "workload window merges and evicts" `Quick
       test_workload_window_merging_and_eviction;
-    Alcotest.test_case "workload descriptors surface" `Quick
-      test_workload_descs_surface;
     Alcotest.test_case "recommend: scan mix is profitable" `Quick
       test_recommend_scan_mix_profitable;
     Alcotest.test_case "apply then stable" `Quick test_apply_then_stable;
@@ -325,4 +432,15 @@ let suite =
       test_observe_repartitions_on_drift;
     Alcotest.test_case "stale recommendation not applied" `Quick
       test_stale_recommendation_not_applied;
+    Alcotest.test_case "silent before interval" `Quick
+      test_no_reorg_before_check_interval;
+    Alcotest.test_case "reorganizes scan workload" `Quick
+      test_reorganizes_scan_workload;
+    Alcotest.test_case "stable when already good" `Quick
+      test_stable_when_layout_already_good;
+    Alcotest.test_case "copy cost blocks tiny benefit" `Quick
+      test_copy_cost_blocks_tiny_benefit;
+    Alcotest.test_case "copy cost scaling" `Quick test_copy_cost_positive_and_scales;
+    Alcotest.test_case "row store kept for point lookups" `Quick
+      test_mixed_workload_keeps_useful_row_store;
   ]

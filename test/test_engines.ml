@@ -410,6 +410,47 @@ let test_index_scan_vs_full_scan_cycles () =
   Alcotest.(check bool) "index lookup orders faster" true
     (100 * indexed < full)
 
+(* Index access paths answer as the same SQL planned without indexes: a
+   hash-index equality lookup with a residual predicate and an Rbtree range
+   scan with one strict bound, under row and column layouts. *)
+let test_index_scans engine () =
+  let queries =
+    [
+      ( "select id, amount, name from t where grp = $1 and amount < $2",
+        [| V.VInt 3; V.VInt 50 |] );
+      ( "select id, score from t where id > $1 and id <= $2",
+        [| V.VInt 40; V.VInt 120 |] );
+    ]
+  in
+  List.iter
+    (fun layout ->
+      let cat = Helpers.small_catalog ~n:300 ?layout () in
+      Storage.Catalog.create_index cat "t" ~name:"t_grp"
+        ~kind:Storage.Index.Hash ~attrs:[ "grp" ];
+      Storage.Catalog.create_index cat "t" ~name:"t_id"
+        ~kind:Storage.Index.Rbtree ~attrs:[ "id" ];
+      List.iter
+        (fun (sql, params) ->
+          let logical = Relalg.Sql.parse cat sql in
+          let run ~use_indexes =
+            let plan = Relalg.Planner.plan ~use_indexes cat logical in
+            (plan, Helpers.sorted_rows (Engine.run engine cat plan ~params))
+          in
+          let plan, got = run ~use_indexes:true in
+          (match plan with
+          | Relalg.Physical.Project
+              { child = Relalg.Physical.Scan { access; _ }; _ } ->
+              Alcotest.(check bool)
+                (sql ^ " uses an index") true
+                (access <> Relalg.Physical.Full_scan)
+          | p ->
+              Alcotest.failf "unexpected plan %a" Relalg.Physical.pp p);
+          let _, expected = run ~use_indexes:false in
+          Alcotest.(check bool) (sql ^ " finds rows") true (expected <> []);
+          Helpers.check_rows sql expected got)
+        queries)
+    [ None; Some [ [ "id" ]; [ "grp" ]; [ "amount" ]; [ "name" ]; [ "score" ] ] ]
+
 let suite =
   per_engine "filter golden" test_filter_golden
   @ per_engine "aggregate golden" test_aggregate_golden
@@ -444,3 +485,4 @@ let suite =
       Alcotest.test_case "index vs scan cycles" `Quick
         test_index_scan_vs_full_scan_cycles;
     ]
+  @ per_engine "index scans" test_index_scans

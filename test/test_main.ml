@@ -19,7 +19,6 @@ let () =
       ("costmodel", Test_costmodel.suite);
       ("model_validation", Test_model_validation.suite);
       ("layoutopt", Test_layoutopt.suite);
-      ("adaptive", Test_adaptive.suite);
       ("advisor", Test_advisor.suite);
       ("workloads", Test_workloads.suite);
       ("edge_cases", Test_edge_cases.suite);

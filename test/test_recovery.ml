@@ -63,7 +63,7 @@ let run_script env =
   mark "index";
   run_update cat "update t set amount = 999 where grp = 2";
   mark "update1";
-  (* what Layoutopt.Adaptive does when it decides to repartition *)
+  (* what Layoutopt.Advisor does when it decides to repartition *)
   Catalog.in_txn cat (fun () ->
       Catalog.set_layout cat "t"
         (Layout.of_names schema [ [ "id"; "grp" ]; [ "amount"; "name" ] ]));
