@@ -235,8 +235,10 @@ let sweep_points () =
 
 (* The 8 CH analytic queries on CH at MRDB_BENCH_SCALE under the layouts
    the IP optimizer picks for them, best-of-N under Compiled and Jit: how
-   many run natively (no Jit fallback), and the geometric mean of the
-   per-query Jit/Compiled time ratio.  Skipped without a C compiler. *)
+   many run natively (no Jit fallback), the geometric mean of the
+   per-query Jit/Compiled time ratio, and the C units emitted per rerun
+   (0: a loaded unit serves its reruns without emitting its source again).
+   Skipped without a C compiler. *)
 let ch_points () =
   if not (Engines.Compiled.cc_available ()) then begin
     Common.note "CH suite: no C compiler, skipped";
@@ -252,11 +254,11 @@ let ch_points () =
       (Layoutopt.Optimizer.optimize ~algorithm:Layoutopt.Optimizer.Ip cat
          (Workloads.Workload.plans ~use_indexes:false queries));
     Common.note "CH suite: scale %g, IP layouts, best of %d" scale reps;
-    let fallbacks () =
-      Obs.Metrics.counter_value
-        (Obs.Metrics.counter "mrdb_compiled_fallbacks_total")
-    in
+    let counter name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
+    let fallbacks () = counter "mrdb_compiled_fallbacks_total" in
+    let emitted () = counter "mrdb_compiled_units_emitted_total" in
     let points = ref [] and native = ref 0 and log_sum = ref 0.0 in
+    let rerun_emits = ref 0 in
     let add metric ?unit_ v =
       points := Common.pt ~bench:"wallclock" ~metric ?unit_ v :: !points
     in
@@ -267,9 +269,10 @@ let ch_points () =
         let run engine () = Engines.Engine.run engine cat plan ~params in
         (* the first run pays the cc invocation *)
         ignore (run Engines.Engine.Compiled ());
-        let f0 = fallbacks () in
+        let f0 = fallbacks () and e0 = emitted () in
         let c = best_of reps (run Engines.Engine.Compiled) in
         if fallbacks () = f0 then incr native;
+        rerun_emits := !rerun_emits + emitted () - e0;
         let j = best_of reps (run Engines.Engine.Jit) in
         log_sum := !log_sum +. Float.log (j /. c);
         Common.note "%-5s compiled %9.3f ms  jit %9.3f ms  %6.1fx" q.name
@@ -280,10 +283,14 @@ let ch_points () =
     let speedup =
       Float.exp (!log_sum /. float_of_int (List.length queries))
     in
-    Common.note "CH suite: %d/%d native, geomean %.2fx over jit" !native
-      (List.length queries) speedup;
+    let emits_per_rerun =
+      float_of_int !rerun_emits /. float_of_int (reps * List.length queries)
+    in
+    Common.note "CH suite: %d/%d native, geomean %.2fx over jit, %g emits/rerun"
+      !native (List.length queries) speedup emits_per_rerun;
     add "compiled.ch.native_queries" (float_of_int !native);
     add "compiled.ch.vs_jit.geomean_speedup" speedup;
+    add "compiled.ch.emits_per_rerun" emits_per_rerun;
     List.rev !points
   end
 

@@ -164,13 +164,29 @@ let guarded ctx cond f =
    [Stdlib.compare] on floats (total order, nan below everything,
    -0. = 0.).  A string [mv] points at the bytes of a stored field, which
    stay put for the whole call, and carries its length: a stored varchar
-   ends at its first NUL or at the field width. *)
+   ends at its first NUL or at the field width.
+
+   Of libc the unit includes only <stdint.h> and declares the nine
+   functions it calls itself: parsing <stdlib.h>, <string.h> and
+   <math.h> took a quarter of cc's time on a small unit.  The compiler is
+   run with -Werror=implicit-function-declaration, so a call this list
+   misses fails the compile (and falls back) instead of truncating a
+   returned pointer. *)
 let prelude =
   {|/* generated by mrdb — compiled query pipeline; do not edit */
 #include <stdint.h>
-#include <stdlib.h>
-#include <string.h>
-#include <math.h>
+
+typedef __SIZE_TYPE__ size_t;
+#define NULL ((void *)0)
+void *malloc(size_t);
+void *realloc(void *, size_t);
+void free(void *);
+void qsort(void *, size_t, size_t, int (*)(const void *, const void *));
+void *memcpy(void *restrict, const void *restrict, size_t);
+void *memset(void *, int, size_t);
+int memcmp(const void *, const void *, size_t);
+void *memchr(const void *, int, size_t);
+double fmod(double, double);
 
 typedef struct { uint8_t tag; uint32_t len; int64_t bits; } mv;
 typedef struct { int64_t count; int64_t sum_i; double sum_f; mv best; } agg_st;

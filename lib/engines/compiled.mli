@@ -12,7 +12,11 @@
     Objects are cached by source digest, in-process (function pointers)
     and on disk (under [MRDB_COMPILE_CACHE] or the system temp dir), so a
     repeated plan never recompiles; parameters are run-time values, so
-    every parameter vector of one type signature shares an object.
+    every parameter vector of one type signature shares an object.  Each
+    loaded unit is also kept per catalog under its plan and parameter
+    types, so a repeated statement runs without emitting its source
+    again, as long as its scanned tables keep their schema, layout and
+    plain encoding; the entries die with the catalog.
     Everything else — index access, [LIKE] and other string predicates,
     compressed encodings, DML, a missing compiler ([MRDB_NO_CC] forces
     this), compile or load failures, or a scanned table whose layout
@@ -44,5 +48,6 @@ val cc_available : unit -> bool
     [MRDB_CC]/[cc] once per process. *)
 
 val reset_cache : unit -> unit
-(** Drop the in-process function cache and the compiler probe result (the
-    on-disk object cache is untouched).  For tests. *)
+(** Drop the loaded-unit entries, the in-process function cache and the
+    compiler probe result (the on-disk object cache is untouched).  For
+    tests. *)

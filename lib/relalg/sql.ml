@@ -104,7 +104,14 @@ let next s =
   advance s;
   t
 
-let kw_eq a b = String.lowercase_ascii a = String.lowercase_ascii b
+(* ASCII case-insensitive equality, without lowercased copies: name
+   resolution calls it for every column of every table in scope. *)
+let rec kw_eq_from a b i =
+  i = String.length a
+  || Char.lowercase_ascii a.[i] = Char.lowercase_ascii b.[i]
+     && kw_eq_from a b (i + 1)
+
+let kw_eq a b = String.length a = String.length b && kw_eq_from a b 0
 
 let peek_kw s kw = match peek s with IDENT id -> kw_eq id kw | _ -> false
 

@@ -461,6 +461,176 @@ let test_fallback_reason () =
     Alcotest.(check string) "a compiled plan says native" "#compile native"
       (compile_label cat "select grp, count(*) c from t group by grp")
 
+(* ---------------- the entry cache ---------------- *)
+
+let emitted () = counter_value "mrdb_compiled_units_emitted_total"
+let fallbacks () = counter_value "mrdb_compiled_fallbacks_total"
+
+(* A statement parsed and planned again is a new plan value, yet its run
+   is served by the loaded entry: no emission, a native verdict, an
+   exact answer. *)
+let test_entry_reparsed () =
+  if Compiled.cc_available () then begin
+    let cat = mixed_catalog () in
+    let sql =
+      "select grp, count(*) c, sum(score) s from m where score > 0.5 and id \
+       < $1 group by grp order by s desc"
+    in
+    ignore (check_native ~params:[| V.VInt 200 |] cat sql);
+    let e0 = emitted () in
+    ignore (check_native ~params:[| V.VInt 200 |] cat sql);
+    ignore (check_native ~params:[| V.VInt 17 |] cat sql);
+    Alcotest.(check int) "re-parsed runs emit nothing" e0 (emitted ());
+    let grouped = "select grp, count(*) c from m group by grp" in
+    ignore (compile_label cat grouped);
+    let e1 = emitted () in
+    Alcotest.(check string) "an entry hit says native" "#compile native"
+      (compile_label cat grouped);
+    Alcotest.(check int) "and emits nothing" e1 (emitted ())
+  end
+
+(* A repartitioned table gets a unit for its new layout, which then serves
+   its reruns; a compressed one falls back with its reason. *)
+let test_entry_relayout () =
+  if Compiled.cc_available () then begin
+    let cat = Storage.Catalog.create () in
+    let schema = Storage.Schema.make "c" [ ("k", V.Int); ("v", V.Int) ] in
+    let rows =
+      Array.init 200 (fun i -> [| V.VInt (i mod 4); V.VInt (i mod 50) |])
+    in
+    let rel = Storage.Catalog.add cat schema (Storage.Layout.row schema) in
+    Array.iter (fun r -> ignore (Storage.Relation.append rel r)) rows;
+    let sql = "select k, count(*) c, sum(v) s from c where v > 3 group by k" in
+    ignore (check_native cat sql);
+    let e0 = emitted () in
+    Storage.Catalog.set_layout cat "c" (Storage.Layout.column schema);
+    ignore (check_native cat sql);
+    ignore (check_native cat sql);
+    Alcotest.(check int) "a new layout emits once more" (e0 + 1) (emitted ());
+    let encodings = Storage.Compress.plan_rows schema rows in
+    Storage.Catalog.set_physical cat "c"
+      ~layout:
+        (Storage.Compress.singleton_layout schema
+           (Storage.Layout.row schema)
+           encodings)
+      encodings;
+    let f0 = fallbacks () in
+    Alcotest.(check string) "a compressed table falls back with its reason"
+      "#compile jit fallback: compressed encodings" (compile_label cat sql);
+    Alcotest.(check int) "and the fallback is counted" (f0 + 1) (fallbacks ())
+  end
+
+(* One table [x] whose column [b] is Int in one catalog and Float in the
+   other: both are 8 bytes wide, so only the schema tells the units apart. *)
+let typed_catalog ty =
+  let cat = Storage.Catalog.create () in
+  let schema = Storage.Schema.make "x" [ ("a", V.Int); ("b", ty) ] in
+  let rel = Storage.Catalog.add cat schema (Storage.Layout.row schema) in
+  Storage.Relation.load rel ~n:40 (fun ~row ->
+      [|
+        V.VInt (row mod 3);
+        (if ty = V.Float then V.VFloat (float_of_int row /. 4.0)
+         else V.VInt (row * 5));
+      |]);
+  cat
+
+let test_entry_per_catalog () =
+  let ints = typed_catalog V.Int and floats = typed_catalog V.Float in
+  let sql = "select a, sum(b) s, max(b) m from x where b > 2 group by a" in
+  List.iter
+    (fun cat -> ignore (check_native cat sql))
+    [ ints; floats; ints; floats ];
+  (* the same catalog, with the table replaced under the same name *)
+  let replaced = typed_catalog V.Int in
+  ignore (check_native replaced sql);
+  let schema = Storage.Schema.make "x" [ ("a", V.Int); ("b", V.Float) ] in
+  let rel = Storage.Catalog.add replaced schema (Storage.Layout.row schema) in
+  Storage.Relation.load rel ~n:9 (fun ~row ->
+      [| V.VInt row; V.VFloat (float_of_int row +. 0.5) |]);
+  ignore (check_native replaced sql)
+
+(* [0.] and [-0.] are equal under [=] and [compare]; plans that differ
+   only there must still get their own units. *)
+let test_entry_signed_zero () =
+  let module P = Relalg.Physical in
+  let module E = Relalg.Expr in
+  let cat = mixed_catalog ~n:40 () in
+  let plan z =
+    P.Project
+      {
+        child =
+          P.Scan { table = "m"; access = P.Full_scan; post = None; sel = 1.0 };
+        exprs =
+          [
+            (E.Col 0, "id");
+            (E.Const (V.VFloat z), "z");
+            (E.Arith (E.Add, E.Col 3, E.Const (V.VFloat z)), "s");
+          ];
+      }
+  in
+  let f0 = fallbacks () in
+  List.iter
+    (fun z ->
+      let p = plan z in
+      let r = Compiled.run cat p ~params:[||] in
+      check_exact (Printf.sprintf "%h" z)
+        (Engines.Jit.run cat p ~params:[||])
+        r;
+      List.iter
+        (fun row ->
+          Alcotest.(check string) "constant bits" (exact (V.VFloat z))
+            (exact row.(1)))
+        r.Runtime.rows)
+    [ 0.0; -0.0; 0.0; -0.0 ];
+  if Compiled.cc_available () then
+    Alcotest.(check int) "every run native" f0 (fallbacks ())
+
+(* MRDB_NO_CC is read on every run, also when a loaded entry exists. *)
+let test_entry_no_cc () =
+  if Compiled.cc_available () then begin
+    let cat = mixed_catalog ~n:60 () in
+    let sql = "select grp, min(amount) mn from m group by grp" in
+    ignore (check_native cat sql);
+    let f0 = fallbacks () in
+    Unix.putenv "MRDB_NO_CC" "1";
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "MRDB_NO_CC" "")
+      (fun () -> ignore (check_native cat sql));
+    Alcotest.(check int) "the fallback is counted" (f0 + 1) (fallbacks ());
+    let e0 = emitted () in
+    ignore (check_native cat sql);
+    Alcotest.(check int) "native again, without emitting" e0 (emitted ())
+  end
+
+(* Entries die with their catalog: running on many fresh catalogs, each
+   with its own statement text (distinct keys, one C source), leaves the
+   live heap where a few catalogs leave it.  One leaked entry would hold
+   hundreds of words, one unpruned slot about 15. *)
+let test_entry_lifetime () =
+  let fresh i =
+    let cat = mixed_catalog ~n:8 () in
+    let sql = Printf.sprintf "select id c%d, grp from m where id < 5" i in
+    let plan = Relalg.Planner.plan cat (Relalg.Sql.parse cat sql) in
+    ignore (Compiled.run cat plan ~params:[||])
+  in
+  let live_after n =
+    for i = 1 to n do
+      fresh i
+    done;
+    Gc.full_major ();
+    (* a new catalog's slot drops the collected ones *)
+    fresh 0;
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  ignore (live_after 20);
+  let few = live_after 20 in
+  let many = live_after 400 in
+  Alcotest.(check bool)
+    (Printf.sprintf "live words %d after 20 catalogs, %d after 400" few many)
+    true
+    (many - few < 2 * 380)
+
 let suite =
   [
     Alcotest.test_case "parity vs jit" `Quick (test_parity_vs Engine.Jit);
@@ -488,4 +658,14 @@ let suite =
       test_param_objects;
     Alcotest.test_case "fallback reason on #compile" `Quick
       test_fallback_reason;
+    Alcotest.test_case "entry serves a re-parsed statement" `Quick
+      test_entry_reparsed;
+    Alcotest.test_case "entry re-emits for a new layout" `Quick
+      test_entry_relayout;
+    Alcotest.test_case "entry per catalog and schema" `Quick
+      test_entry_per_catalog;
+    Alcotest.test_case "entry keys float bits" `Quick test_entry_signed_zero;
+    Alcotest.test_case "entry rereads MRDB_NO_CC" `Quick test_entry_no_cc;
+    Alcotest.test_case "entries die with their catalog" `Quick
+      test_entry_lifetime;
   ]

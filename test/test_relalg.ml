@@ -151,9 +151,33 @@ let test_sql_parse_star () =
 
 let test_sql_case_insensitive () =
   let cat = Helpers.small_catalog () in
-  match Sql.parse cat "SELECT ID FROM T WHERE GRP = 1" with
+  (match Sql.parse cat "SELECT ID FROM T WHERE GRP = 1" with
   | Plan.Project (Plan.Select (Plan.Scan "t", _), _) -> ()
-  | p -> Alcotest.fail (Format.asprintf "unexpected plan %a" Plan.pp p)
+  | p -> Alcotest.fail (Format.asprintf "unexpected plan %a" Plan.pp p));
+  (* keywords, qualified columns, alias references and GROUP BY in mixed
+     case; output names come from the aliases, which stay lower case *)
+  List.iter
+    (fun mixed ->
+      let lower = String.lowercase_ascii mixed in
+      let a = Sql.parse cat mixed and b = Sql.parse cat lower in
+      if a <> b then
+        Alcotest.fail
+          (Format.asprintf "%s@.parsed to %a@.but its lower case to %a" mixed
+             Plan.pp a Plan.pp b))
+    [
+      "SeLeCt T.Grp AS g, CoUnT(*) AS n, SUM(t.AMOUNT) total FROM T WHERE \
+       t.Score > 1.5 AND Name IS NOT NULL GROUP BY T.GRP ORDER BY TOTAL \
+       DESC, N LIMIT 3";
+      "SELECT Grp AS g, MAX(Score) AS m FROM t GROUP BY G ORDER BY M";
+    ];
+  (* a name that only shares a prefix with a column is still unknown *)
+  List.iter
+    (fun sql ->
+      match Sql.parse cat sql with
+      | exception Sql.Parse_error _ -> ()
+      | _ -> Alcotest.fail ("expected an unknown column in " ^ sql))
+    [ "select grpx from t"; "select GRPX from t"; "select gr from t";
+      "select t.grpx from t" ]
 
 let test_sql_aggregates_and_aliases () =
   let cat = Helpers.small_catalog () in
