@@ -30,9 +30,7 @@ module Db = struct
     ignore (Storage.Catalog.add t.cat schema layout)
 
   let insert t name values =
-    let rel = Storage.Catalog.find t.cat name in
-    let tid = Storage.Relation.append rel values in
-    Storage.Catalog.notify_insert t.cat name ~tid
+    Storage.Write.apply t.cat (Storage.Write.Append { table = name; values })
 
   let plan_sql t sql = Relalg.Planner.plan t.cat (Relalg.Sql.parse t.cat sql)
 

@@ -206,7 +206,6 @@ let reader ?(pos = 0) ?len buf =
   { buf; pos; stop }
 
 let remaining r = r.stop - r.pos
-let at_end r = r.pos >= r.stop
 
 let need r n what =
   if r.pos + n > r.stop then

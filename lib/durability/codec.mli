@@ -100,7 +100,6 @@ type reader
 
 val reader : ?pos:int -> ?len:int -> Bytes.t -> reader
 val remaining : reader -> int
-val at_end : reader -> bool
 
 val ru8 : reader -> int
 val ru32 : reader -> int

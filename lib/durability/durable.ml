@@ -18,7 +18,7 @@
 module Catalog = Storage.Catalog
 module Relation = Storage.Relation
 module Layout = Storage.Layout
-module Schema = Storage.Schema
+module Write = Storage.Write
 
 type t = {
   env : Faultio.t;
@@ -42,7 +42,7 @@ let op_of_event t (ev : Catalog.obs_event) : Wal.op option =
   | Catalog.Obs_create_relation { table } ->
       let rel = Catalog.find t.cat table in
       Some
-        (Wal.Create_relation
+        (Write.Create_relation
            {
              table;
              schema = Relation.schema rel;
@@ -52,24 +52,24 @@ let op_of_event t (ev : Catalog.obs_event) : Wal.op option =
   | Catalog.Obs_append { table; tid } ->
       let rel = Catalog.find t.cat table in
       let values = untraced t (fun () -> Relation.get_tuple rel tid) in
-      Some (Wal.Append { table; values })
+      Some (Write.Append { table; values })
   | Catalog.Obs_load { table; row_lo; rows } ->
       let rel = Catalog.find t.cat table in
       let rows =
         untraced t (fun () ->
             Array.init rows (fun i -> Relation.get_tuple rel (row_lo + i)))
       in
-      Some (Wal.Load { table; rows })
+      Some (Write.Load { table; rows })
   | Catalog.Obs_update { table; tid; attr; value } ->
-      Some (Wal.Update { table; tid; attr; value })
+      Some (Write.Update { table; tid; attr; value })
   | Catalog.Obs_set_layout { table; layout } ->
-      Some (Wal.Set_layout { table; layout = Layout.to_groups layout })
+      Some (Write.Set_layout { table; layout = Layout.to_groups layout })
   | Catalog.Obs_set_physical { table; layout; encodings } ->
       Some
-        (Wal.Set_physical
+        (Write.Set_physical
            { table; layout = Layout.to_groups layout; encodings })
   | Catalog.Obs_create_index { table; iname; kind; attrs } ->
-      Some (Wal.Create_index { table; iname; kind; attrs })
+      Some (Write.Create_index { table; iname; kind; attrs })
 
 let fresh_txid t =
   let txid = t.next_txid in

@@ -8,12 +8,13 @@
    and WAL truncation) and are skipped.  Records at or beyond the scan's
    clean prefix (after a checksum-corrupt record) are never committed:
    applying transactions that follow a hole could replay effects out of
-   order.  Index contents are rebuilt from their definitions at the end —
-   they are derived data. *)
+   order.  Each committed op is applied through [Storage.Write.apply], the
+   interpretation every live writer shares.  Index contents are rebuilt
+   from their definitions at the end: they are derived data, and replayed
+   Load ops do not maintain them. *)
 
 module Catalog = Storage.Catalog
 module Relation = Storage.Relation
-module Layout = Storage.Layout
 module Schema = Storage.Schema
 
 type result = {
@@ -22,29 +23,6 @@ type result = {
   replayed : int;  (** committed transactions applied from the WAL *)
   warnings : string list;
 }
-
-let apply_op cat (op : Wal.op) =
-  match op with
-  | Wal.Create_relation { table = _; schema; layout; encodings } ->
-      ignore (Catalog.add ~encodings cat schema (Layout.of_indices schema layout))
-  | Wal.Append { table; values } ->
-      ignore (Relation.append (Catalog.find cat table) values)
-  | Wal.Load { table; rows } ->
-      let rel = Catalog.find cat table in
-      Array.iter (fun row -> ignore (Relation.append rel row)) rows
-  | Wal.Update { table; tid; attr; value } ->
-      Relation.set (Catalog.find cat table) tid attr value
-  | Wal.Set_layout { table; layout } ->
-      let rel = Catalog.find cat table in
-      Catalog.set_layout cat table
-        (Layout.of_indices (Relation.schema rel) layout)
-  | Wal.Set_physical { table; layout; encodings } ->
-      let rel = Catalog.find cat table in
-      Catalog.set_physical cat table
-        ~layout:(Layout.of_indices (Relation.schema rel) layout)
-        encodings
-  | Wal.Create_index { table; iname; kind; attrs } ->
-      Catalog.create_index cat table ~name:iname ~kind ~attrs
 
 let m_recoveries =
   Obs.Metrics.counter "mrdb_recoveries_total" ~help:"Recovery runs"
@@ -86,7 +64,9 @@ let run ?hier env =
     | Some ops ->
         Hashtbl.remove pending txid;
         if txid > watermark && not !poisoned then begin
-          (try untraced (fun () -> List.iter (apply_op cat) (List.rev ops))
+          (try
+             untraced (fun () ->
+                 List.iter (Storage.Write.apply cat) (List.rev ops))
            with e ->
              warn
                (Printf.sprintf

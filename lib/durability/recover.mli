@@ -13,8 +13,3 @@ type result = {
 val run : ?hier:Memsim.Hierarchy.t -> Faultio.t -> result
 (** Never raises on corrupt or missing durable state — the worst case is an
     empty catalog plus warnings. *)
-
-val apply_op : Storage.Catalog.t -> Wal.op -> unit
-(** Apply one logged operation to a live catalog — the single replay
-    interpretation of the WAL op vocabulary, shared with the sharded
-    two-phase commit path so both sides agree on semantics. *)

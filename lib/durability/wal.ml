@@ -16,33 +16,9 @@
    of the log — recovery replays only the clean prefix, because applying
    transactions that follow a hole could observe effects out of order. *)
 
-module Schema = Storage.Schema
-module Value = Storage.Value
-module Encoding = Storage.Encoding
-module Index = Storage.Index
+module Write = Storage.Write
 
-type op =
-  | Create_relation of {
-      table : string;
-      schema : Schema.t;
-      layout : int list list;
-      encodings : (int * Encoding.t) list;
-    }
-  | Append of { table : string; values : Value.t array }
-  | Load of { table : string; rows : Value.t array array }
-  | Update of { table : string; tid : int; attr : int; value : Value.t }
-  | Set_layout of { table : string; layout : int list list }
-  | Set_physical of {
-      table : string;
-      layout : int list list;
-      encodings : (int * Encoding.t) list;
-    }
-  | Create_index of {
-      table : string;
-      iname : string;
-      kind : Index.kind;
-      attrs : string list;
-    }
+type op = Write.op
 
 type record =
   | Begin of int
@@ -58,36 +34,36 @@ type record =
 (* ------------------------------------------------------------------ *)
 
 let encode_op w = function
-  | Create_relation { table; schema; layout; encodings } ->
+  | Write.Create_relation { table; schema; layout; encodings } ->
       Codec.u8 w 1;
       Codec.str w table;
       Codec.schema w schema;
       Codec.layout_groups w layout;
       Codec.encodings w encodings
-  | Append { table; values } ->
+  | Write.Append { table; values } ->
       Codec.u8 w 2;
       Codec.str w table;
       Codec.array w Codec.value values
-  | Load { table; rows } ->
+  | Write.Load { table; rows } ->
       Codec.u8 w 3;
       Codec.str w table;
       Codec.array w (fun w row -> Codec.array w Codec.value row) rows
-  | Update { table; tid; attr; value } ->
+  | Write.Update { table; tid; attr; value } ->
       Codec.u8 w 4;
       Codec.str w table;
       Codec.i64 w tid;
       Codec.u32 w attr;
       Codec.value w value
-  | Set_layout { table; layout } ->
+  | Write.Set_layout { table; layout } ->
       Codec.u8 w 5;
       Codec.str w table;
       Codec.layout_groups w layout
-  | Set_physical { table; layout; encodings } ->
+  | Write.Set_physical { table; layout; encodings } ->
       Codec.u8 w 7;
       Codec.str w table;
       Codec.layout_groups w layout;
       Codec.encodings w encodings
-  | Create_index { table; iname; kind; attrs } ->
+  | Write.Create_index { table; iname; kind; attrs } ->
       Codec.u8 w 6;
       Codec.str w table;
       Codec.str w iname;
@@ -101,39 +77,39 @@ let decode_op r =
       let schema = Codec.rschema r in
       let layout = Codec.rlayout_groups r in
       let encodings = Codec.rencodings r in
-      Create_relation { table; schema; layout; encodings }
+      Write.Create_relation { table; schema; layout; encodings }
   | 2 ->
       let table = Codec.rstr r in
       let values = Array.of_list (Codec.rlist r Codec.rvalue) in
-      Append { table; values }
+      Write.Append { table; values }
   | 3 ->
       let table = Codec.rstr r in
       let rows =
         Array.of_list
           (Codec.rlist r (fun r -> Array.of_list (Codec.rlist r Codec.rvalue)))
       in
-      Load { table; rows }
+      Write.Load { table; rows }
   | 4 ->
       let table = Codec.rstr r in
       let tid = Codec.ri64 r in
       let attr = Codec.ru32 r in
       let value = Codec.rvalue r in
-      Update { table; tid; attr; value }
+      Write.Update { table; tid; attr; value }
   | 5 ->
       let table = Codec.rstr r in
       let layout = Codec.rlayout_groups r in
-      Set_layout { table; layout }
+      Write.Set_layout { table; layout }
   | 6 ->
       let table = Codec.rstr r in
       let iname = Codec.rstr r in
       let kind = Codec.rindex_kind r in
       let attrs = Codec.rlist r Codec.rstr in
-      Create_index { table; iname; kind; attrs }
+      Write.Create_index { table; iname; kind; attrs }
   | 7 ->
       let table = Codec.rstr r in
       let layout = Codec.rlayout_groups r in
       let encodings = Codec.rencodings r in
-      Set_physical { table; layout; encodings }
+      Write.Set_physical { table; layout; encodings }
   | t -> raise (Codec.Truncated (Printf.sprintf "op: unknown tag %d" t))
 
 let encode_into w = function

@@ -6,33 +6,9 @@
     crash only loses or tears uncommitted records, which recovery discards
     anyway. *)
 
-type op =
-  | Create_relation of {
-      table : string;
-      schema : Storage.Schema.t;
-      layout : int list list;
-      encodings : (int * Storage.Encoding.t) list;
-    }
-  | Append of { table : string; values : Storage.Value.t array }
-  | Load of { table : string; rows : Storage.Value.t array array }
-  | Update of {
-      table : string;
-      tid : int;
-      attr : int;
-      value : Storage.Value.t;
-    }
-  | Set_layout of { table : string; layout : int list list }
-  | Set_physical of {
-      table : string;
-      layout : int list list;
-      encodings : (int * Storage.Encoding.t) list;
-    }
-  | Create_index of {
-      table : string;
-      iname : string;
-      kind : Storage.Index.kind;
-      attrs : string list;
-    }
+type op = Storage.Write.op
+(** A logged operation: the catalog's write vocabulary, applied on replay
+    by {!Storage.Write.apply}. *)
 
 type record =
   | Begin of int

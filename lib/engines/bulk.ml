@@ -597,23 +597,12 @@ and eval_raw ctx path (plan : Physical.t) ~(needed : int list) : src =
         avail;
       Mat (out, count)
   | Physical.Update { table; access; post; assignments; _ } ->
-      ignore
-        (Dml.update ~per_value:ctx.per_value ~call_cost:0 ctx.cat
-           ~params:ctx.params ~table ~access ~post ~assignments);
+      Dml.update ~per_value:ctx.per_value ~call_cost:0 ctx.cat
+        ~params:ctx.params ~table ~access ~post ~assignments;
       Mat ([||], 0)
   | Physical.Insert { table; values } ->
-      let rel = Catalog.find ctx.cat table in
-      let tuple =
-        Array.of_list
-          (List.map
-             (fun e ->
-               charge ctx ctx.per_value;
-               Expr.eval e ~params:ctx.params (fun _ ->
-                   invalid_arg "INSERT values cannot reference columns"))
-             values)
-      in
-      let tid = Relation.append rel tuple in
-      Catalog.notify_insert ctx.cat table ~tid;
+      Dml.insert ~per_value:ctx.per_value ctx.cat ~params:ctx.params ~table
+        ~values;
       Mat ([||], 0)
 
 let run ?(per_value = Cpu_model.bulk_per_value) cat plan ~params =

@@ -4,4 +4,3 @@ let hyrise_per_value = 60
 let volcano_next_call = 120
 let volcano_per_value = 8
 let hash_op = 3
-let branch_mispredict = 15

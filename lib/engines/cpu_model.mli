@@ -25,7 +25,3 @@ val volcano_per_value : int
 
 val hash_op : int
 (** Cost of hashing a key and computing a slot. *)
-
-val branch_mispredict : int
-(** Penalty charged on a data-dependent branch that flips (selection with
-    mid-range selectivity). *)

@@ -1,8 +1,8 @@
-module Value = Storage.Value
 module Relation = Storage.Relation
 module Catalog = Storage.Catalog
 module Physical = Relalg.Physical
 module Expr = Relalg.Expr
+module Write = Storage.Write
 
 let key params e = Expr.eval e ~params (fun _ -> assert false)
 
@@ -25,12 +25,23 @@ let index_tids cat params table access =
       Some
         (Storage.Index.lookup_range idx ~lo:(key params lo) ~hi:(key params hi))
 
-let update ~per_value ~call_cost cat ~params ~table ~access ~post ~assignments
-    =
+let values ~params exprs =
+  Array.of_list
+    (List.map
+       (fun e ->
+         Expr.eval e ~params (fun _ ->
+             invalid_arg "INSERT values cannot reference columns"))
+       exprs)
+
+let insert ~per_value cat ~params ~table ~values:exprs =
+  let values = values ~params exprs in
+  Runtime.charge (Catalog.hier cat) (per_value * Array.length values);
+  Write.apply cat (Write.Append { table; values })
+
+let locate_updates ~per_value ~call_cost cat ~params ~table ~access ~post
+    ~assignments sink =
   let rel = Catalog.find cat table in
-  let hier = Catalog.hier cat in
-  let charge n = Runtime.charge hier n in
-  let updated = ref 0 in
+  let charge = Runtime.charge (Catalog.hier cat) in
   let visit tid =
     charge call_cost;
     let col i =
@@ -42,27 +53,22 @@ let update ~per_value ~call_cost cat ~params ~table ~access ~post ~assignments
       | None -> true
       | Some pred -> Expr.truthy (Expr.eval pred ~params col)
     in
-    if matches then begin
-      (* evaluate every right-hand side against the OLD tuple first *)
-      let new_values =
-        List.map (fun (a, e) -> (a, Expr.eval e ~params col)) assignments
-      in
-      List.iter
-        (fun (a, v) ->
-          charge per_value;
-          Relation.set rel tid a v;
-          Catalog.notify_update cat table ~tid ~attr:a ~value:v)
-        new_values;
-      incr updated
-    end
+    (* evaluate every right-hand side against the OLD tuple first *)
+    if matches then
+      sink tid (List.map (fun (a, e) -> (a, Expr.eval e ~params col)) assignments)
   in
-  Catalog.in_txn cat @@ fun () ->
-  (match index_tids cat params table access with
+  match index_tids cat params table access with
   | Some tids -> List.iter visit tids
   | None ->
       for tid = 0 to Relation.nrows rel - 1 do
         visit tid
-      done);
-  if !updated > 0 then
-    Catalog.rebuild_indexes_for cat table ~attrs:(List.map fst assignments);
-  !updated
+      done
+
+let update ~per_value ~call_cost cat ~params ~table ~access ~post ~assignments
+    =
+  let charge = Runtime.charge (Catalog.hier cat) in
+  Write.statement cat table (fun write ->
+      locate_updates ~per_value ~call_cost cat ~params ~table ~access ~post
+        ~assignments (fun tid values ->
+          charge (per_value * List.length values);
+          write tid values))

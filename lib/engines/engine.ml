@@ -11,16 +11,6 @@ let name = function
   | Jit -> "jit"
   | Compiled -> "compiled"
 
-let of_name s =
-  match String.lowercase_ascii s with
-  | "volcano" -> Some Volcano
-  | "bulk" -> Some Bulk
-  | "vectorized" -> Some Vectorized
-  | "hyrise" -> Some Hyrise
-  | "jit" -> Some Jit
-  | "compiled" -> Some Compiled
-  | _ -> None
-
 let run_sequential kind cat plan ~params =
   match kind with
   | Volcano -> Volcano.run cat plan ~params

@@ -20,7 +20,6 @@ val all_with_compiled : kind list
 (** {!all} plus [Compiled], for parity tests and the CLI. *)
 
 val name : kind -> string
-val of_name : string -> kind option
 
 val run :
   ?domains:int ->

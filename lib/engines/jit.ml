@@ -313,27 +313,12 @@ let rec compile ctx path (plan : Physical.t) ~(consume : row -> unit) :
         exec ()
   | Physical.Update { table; access; post; assignments; _ } ->
       Prof.thunk path plan (fun () ->
-          let n =
-            Dml.update ~per_value:Cpu_model.jit_per_value ~call_cost:0 ctx.cat
-              ~params:ctx.params ~table ~access ~post ~assignments
-          in
-          ignore n;
-          ignore consume)
+          Dml.update ~per_value:Cpu_model.jit_per_value ~call_cost:0 ctx.cat
+            ~params:ctx.params ~table ~access ~post ~assignments)
   | Physical.Insert { table; values } ->
-      let rel = Catalog.find ctx.cat table in
-      let compiled =
-        List.map
-          (fun e ->
-            Expr.specialize e ~params:ctx.params (fun _ ->
-                invalid_arg "INSERT values cannot reference columns"))
-          values
-      in
       Prof.thunk path plan (fun () ->
-          let tuple = Array.of_list (List.map (fun f -> f ()) compiled) in
-          charge ctx (Cpu_model.jit_per_value * Array.length tuple);
-          let tid = Relation.append rel tuple in
-          Catalog.notify_insert ctx.cat table ~tid;
-          consume (fun _ -> Value.VInt tid))
+          Dml.insert ~per_value:Cpu_model.jit_per_value ctx.cat
+            ~params:ctx.params ~table ~values)
 
 let prepare cat plan ~params =
   let hier = Catalog.hier cat in

@@ -226,31 +226,20 @@ and open_raw ctx path (plan : Physical.t) : iter =
         if !done_ then None
         else begin
           done_ := true;
-          ignore
-            (Dml.update ~per_value:Cpu_model.volcano_per_value
-               ~call_cost:Cpu_model.volcano_next_call ctx.cat
-               ~params:ctx.params ~table ~access ~post ~assignments);
+          Dml.update ~per_value:Cpu_model.volcano_per_value
+            ~call_cost:Cpu_model.volcano_next_call ctx.cat ~params:ctx.params
+            ~table ~access ~post ~assignments;
           None
         end)
   | Physical.Insert { table; values } ->
-      let rel = Catalog.find ctx.cat table in
       let done_ = ref false in
       fun () ->
         call ctx;
         if !done_ then None
         else begin
           done_ := true;
-          let tuple =
-            Array.of_list
-              (List.map
-                 (fun e ->
-                   charge ctx Cpu_model.volcano_per_value;
-                   Expr.eval e ~params:ctx.params (fun _ ->
-                       invalid_arg "INSERT values cannot reference columns"))
-                 values)
-          in
-          let tid = Relation.append rel tuple in
-          Catalog.notify_insert ctx.cat table ~tid;
+          Dml.insert ~per_value:Cpu_model.volcano_per_value ctx.cat
+            ~params:ctx.params ~table ~values;
           None
         end
 

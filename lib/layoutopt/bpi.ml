@@ -38,28 +38,3 @@ let optimize ~cost ~n_attrs ~cuts ~threshold =
   in
   search !best !best_cost cuts;
   (!best, !best_cost, { cost_evaluations = !evals; nodes_visited = !nodes })
-
-let optimize_exhaustive ~cost ~n_attrs ~cuts =
-  let evals = ref 0 in
-  let nodes = ref 0 in
-  let cost p =
-    incr evals;
-    cost p
-  in
-  let best = ref (base_partitioning n_attrs) in
-  let best_cost = ref (cost !best) in
-  let rec go current remaining =
-    incr nodes;
-    let c = cost current in
-    if c < !best_cost then begin
-      best := current;
-      best_cost := c
-    end;
-    match remaining with
-    | [] -> ()
-    | cut :: rest ->
-        go (Cut.refine current cut) rest;
-        go current rest
-  in
-  go (base_partitioning n_attrs) cuts;
-  (!best, !best_cost, { cost_evaluations = !evals; nodes_visited = !nodes })

@@ -18,10 +18,3 @@ val optimize :
 (** [optimize ~cost ~n_attrs ~cuts ~threshold] returns the best partitioning
     found (as attribute groups), its cost, and search statistics.  [cost]
     evaluates a candidate partitioning (typically through the cost model). *)
-
-val optimize_exhaustive :
-  cost:(int list list -> float) ->
-  n_attrs:int ->
-  cuts:Cut.t list ->
-  int list list * float * stats
-(** OBP: enumerate every subset of cuts (exponential — keep cuts small). *)

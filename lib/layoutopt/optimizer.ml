@@ -5,7 +5,7 @@ module Schema = Storage.Schema
 module Compress = Storage.Compress
 module Encoding = Storage.Encoding
 
-type algorithm = Bpi of float | Obp | Ip
+type algorithm = Bpi of float | Ip
 
 type table_result = {
   table : string;
@@ -82,7 +82,6 @@ let optimize_table ?(algorithm = Bpi 0.005) ?(extended = true)
     in
     match algorithm with
     | Bpi threshold -> Bpi.optimize ~cost ~n_attrs ~cuts ~threshold
-    | Obp -> Bpi.optimize_exhaustive ~cost ~n_attrs ~cuts
     | Ip ->
         (* exact IP frontier re-costed under the full (prefetch-aware,
            concurrently-composed) model, with a BPi run as the floor: the

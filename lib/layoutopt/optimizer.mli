@@ -3,7 +3,6 @@
 
 type algorithm =
   | Bpi of float  (** branch and bound with the given relative threshold *)
-  | Obp  (** exhaustive (exponential in the number of cuts) *)
   | Ip
       (** Amossen's integer program ({!Ip}): exact branch and bound over the
           full set-partition lattice, its candidate frontier re-costed under

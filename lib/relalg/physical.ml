@@ -71,30 +71,6 @@ let rec cardinality cat = function
   | Update { table; sel; _ } ->
       sel *. float_of_int (Storage.Relation.nrows (Storage.Catalog.find cat table))
 
-let input_cols = function
-  | Scan { post; _ } -> (
-      match post with Some p -> Expr.cols p | None -> [])
-  | Select { pred; _ } -> Expr.cols pred
-  | Project { exprs; _ } ->
-      List.sort_uniq compare (List.concat_map (fun (e, _) -> Expr.cols e) exprs)
-  | Hash_join { build_keys; probe_keys; _ } ->
-      List.sort_uniq compare (build_keys @ probe_keys)
-  | Group_by { keys; aggs; _ } ->
-      let key_cols = List.concat_map (fun (e, _) -> Expr.cols e) keys in
-      let agg_cols =
-        List.concat_map
-          (fun (a : Aggregate.t) ->
-            match a.Aggregate.expr with Some e -> Expr.cols e | None -> [])
-          aggs
-      in
-      List.sort_uniq compare (key_cols @ agg_cols)
-  | Sort { keys; _ } -> List.sort_uniq compare (List.map fst keys)
-  | Limit _ | Insert _ -> []
-  | Update { post; assignments; _ } ->
-      let pred_cols = match post with Some p -> Expr.cols p | None -> [] in
-      List.sort_uniq compare
-        (pred_cols @ List.concat_map (fun (_, e) -> Expr.cols e) assignments)
-
 let pp_access ppf = function
   | Full_scan -> Format.pp_print_string ppf "full"
   | Index_eq { attrs; _ } ->

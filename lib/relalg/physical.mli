@@ -47,8 +47,4 @@ val schema : Storage.Catalog.t -> t -> Storage.Schema.attr array
 val cardinality : Storage.Catalog.t -> t -> float
 (** Estimated output rows. *)
 
-val input_cols : t -> int list
-(** For unary operators: the child columns this operator touches.  Used by
-    pattern emission and cut generation. *)
-
 val pp : Format.formatter -> t -> unit

@@ -134,8 +134,6 @@ let fresh_txid t =
   t.next_txid <- id + 1;
   id
 
-let seen_txid t id = if id >= t.next_txid then t.next_txid <- id + 1
-
 let temp_name t =
   let n = t.next_tmp in
   t.next_tmp <- n + 1;

@@ -58,9 +58,6 @@ val set_down : t -> int -> bool -> unit
 val fresh_txid : t -> int
 (** Next cluster-wide transaction id (monotonic from 1). *)
 
-val seen_txid : t -> int -> unit
-(** Bump the txid allocator past an id observed during recovery. *)
-
 val temp_name : t -> string
 (** A fresh ["#tmpN"] name for exchange spill tables; ['#']-prefixed names
     never collide with user tables and are excluded from {!table_names}. *)

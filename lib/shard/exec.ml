@@ -20,9 +20,9 @@
    - sorts and limits apply at the coordinator, above the distributed
      subtree;
    - DML routes through two-phase commit: inserts hash-route to one shard,
-     updates compute their per-shard operation lists against the live shard
-     data (the same read path as [Dml.update]) and commit atomically across
-     every shard that matched;
+     updates compute their per-shard write sets against the live shard data
+     (through [Dml.locate_updates], the loop of every engine's UPDATE) and
+     commit atomically across every shard that matched;
    - anything else falls back to shipping every base table to the
      coordinator and running single-node — always correct, charged in full
      to the interconnect.
@@ -38,13 +38,12 @@ module Value = Storage.Value
 module Arena = Storage.Arena
 module Layout = Storage.Layout
 module Physical = Relalg.Physical
-module Expr = Relalg.Expr
 module Aggregate = Relalg.Aggregate
 module Engine = Engines.Engine
 module Runtime = Engines.Runtime
 module Parallel = Engines.Parallel
 module Dml = Engines.Dml
-module Wal = Durability.Wal
+module Write = Storage.Write
 
 type ctx = {
   cl : Cluster.t;
@@ -345,65 +344,33 @@ let pull_all ctx plan =
 
 (* {2 DML through two-phase commit} *)
 
-(* The per-shard operation list of an UPDATE: the same visit order, index
-   usage, and evaluate-all-right-hand-sides-against-the-old-tuple rule as
-   [Dml.update], but recorded instead of applied. *)
-let update_ops (nd : Cluster.node) ~params ~table ~access ~post ~assignments =
-  let cat = nd.cat in
-  let rel = Catalog.find cat table in
-  let ops = ref [] in
-  let visit tid =
-    let col i = Relation.get rel tid i in
-    let matches =
-      match post with
-      | None -> true
-      | Some pred -> Expr.truthy (Expr.eval pred ~params col)
-    in
-    if matches then
-      List.iter
-        (fun (a, e) ->
-          let v = Expr.eval e ~params col in
-          ops := Wal.Update { table; tid; attr = a; value = v } :: !ops)
-        assignments
-  in
-  (match Dml.index_tids cat params table access with
-  | Some tids -> List.iter visit tids
-  | None ->
-      for tid = 0 to Relation.nrows rel - 1 do
-        visit tid
-      done);
-  List.rev !ops
-
 let exec_dml ctx plan =
   let columns =
     try Parallel.result_columns (node0 ctx).cat plan with _ -> [||]
   in
   match plan with
   | Physical.Insert { table; values } ->
-      let vals =
-        Array.of_list
-          (List.map
-             (fun e ->
-               Expr.eval e ~params:ctx.params (fun _ ->
-                   invalid_arg "INSERT values cannot reference columns"))
-             values)
-      in
-      let dst = Hashtbl.hash (Array.to_list vals) mod Cluster.shards ctx.cl in
-      let outcome =
-        Twopc.execute ctx.cl [ (dst, [ Wal.Append { table; values = vals } ]) ]
-      in
-      ignore outcome;
+      let values = Dml.values ~params:ctx.params values in
+      let dst = Hashtbl.hash (Array.to_list values) mod Cluster.shards ctx.cl in
+      ignore (Twopc.execute ctx.cl [ (dst, [ Write.Append { table; values } ]) ]);
       { Runtime.columns; rows = [] }
   | Physical.Update { table; access; post; assignments; _ } ->
-      let shard_ops =
-        Array.to_list (live_nodes ctx)
-        |> List.map (fun (nd : Cluster.node) ->
-               ( nd.Cluster.id,
-                 update_ops nd ~params:ctx.params ~table ~access ~post
-                   ~assignments ))
+      (* each shard's write set, located and evaluated against its live data
+         by the loop every engine's UPDATE runs, recorded instead of
+         applied; 2PC checks and commits it *)
+      let write_set (nd : Cluster.node) =
+        let ops = ref [] in
+        Dml.locate_updates ~per_value:0 ~call_cost:0 nd.cat ~params:ctx.params
+          ~table ~access ~post ~assignments (fun tid values ->
+            List.iter
+              (fun (attr, value) ->
+                ops := Write.Update { table; tid; attr; value } :: !ops)
+              values);
+        (nd.Cluster.id, List.rev !ops)
       in
-      let outcome = Twopc.execute ctx.cl shard_ops in
-      ignore outcome;
+      ignore
+        (Twopc.execute ctx.cl
+           (List.map write_set (Array.to_list (live_nodes ctx))));
       { Runtime.columns; rows = [] }
   | _ -> invalid_arg "Exec.exec_dml: not a DML plan"
 

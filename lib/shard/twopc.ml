@@ -7,8 +7,10 @@
    abort: only COMMIT decisions are written, as one decision-log line,
    before any participant learns the outcome), then phase 2 logs the
    outcome on every participant and applies committed operations through
-   [Recover.apply_op] — the same replay interpretation crash recovery
-   uses, so live commit and post-crash replay cannot disagree.
+   [Storage.Write.apply_all] — the interpretation crash recovery replays
+   with, so live commit and post-crash replay cannot disagree.  Every
+   operation is checked against its participant before phase 1, so a
+   write set that could not apply is refused before anything is logged.
 
    Named crash points bracket every protocol step ("2pc.part.pre_prepare",
    "2pc.part.prepared", "2pc.coord.pre_decide", "2pc.coord.decided",
@@ -17,38 +19,7 @@
 
 module Faultio = Durability.Faultio
 module Wal = Durability.Wal
-module Recover = Durability.Recover
-module Catalog = Storage.Catalog
-module Relation = Storage.Relation
-module Schema = Storage.Schema
-
-let op_table = function
-  | Wal.Create_relation { table; _ }
-  | Wal.Append { table; _ }
-  | Wal.Load { table; _ }
-  | Wal.Update { table; _ }
-  | Wal.Set_layout { table; _ }
-  | Wal.Set_physical { table; _ }
-  | Wal.Create_index { table; _ } -> table
-
-(* Apply a committed transaction's operations to the live node, then
-   rebuild indexes of the touched tables (recovery-style: indexes are
-   derived data).  Mutation is bookkeeping, not simulated query work, so it
-   runs untraced. *)
-let apply_ops (node : Cluster.node) ops =
-  Memsim.Hierarchy.without_tracing node.hier (fun () ->
-      List.iter (Recover.apply_op node.cat) ops;
-      List.iter
-        (fun table ->
-          if Catalog.mem node.cat table
-             && Catalog.index_defs node.cat table <> []
-          then begin
-            let arity = Schema.arity (Relation.schema (Catalog.find node.cat table)) in
-            if arity > 0 then
-              Catalog.rebuild_indexes_for node.cat table
-                ~attrs:(List.init arity Fun.id)
-          end)
-        (List.sort_uniq compare (List.map op_table ops)))
+module Write = Storage.Write
 
 type outcome = {
   txid : int;
@@ -75,6 +46,9 @@ let execute ?(vote = fun _ -> true) cl shard_ops =
     let nodes =
       List.map (fun (s, ops) -> (Cluster.node cl s, ops)) shard_ops
     in
+    List.iter
+      (fun ((node : Cluster.node), ops) -> List.iter (Write.check node.cat) ops)
+      nodes;
     (* phase 1: prepare *)
     let votes =
       List.map
@@ -125,7 +99,10 @@ let execute ?(vote = fun _ -> true) cl shard_ops =
               Wal.flush w
           | None -> ()
         end;
-        if commit then apply_ops node ops;
+        (* mutation is bookkeeping, not simulated query work *)
+        if commit then
+          Memsim.Hierarchy.without_tracing node.hier (fun () ->
+              Write.apply_all node.cat ops);
         Netsim.send net ~src:node.id ~dst:Netsim.coordinator
           ~bytes:(Exchange.bytes (Exchange.Ack { txid; shard = node.id })))
       nodes;

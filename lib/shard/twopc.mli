@@ -4,8 +4,8 @@
     voting; the coordinator makes a COMMIT decision durable (one decision-
     log line via {!Recovery.log_decision}) before any participant learns
     the outcome; phase 2 logs [Commit]/[Abort] per participant and applies
-    committed operations through {!Durability.Recover.apply_op} — the same
-    replay interpretation crash recovery uses.
+    committed operations, untraced, through {!Storage.Write.apply_all} —
+    the interpretation crash recovery replays with.
 
     Named {!Durability.Faultio} crash points bracket every step:
     ["2pc.part.pre_prepare"], ["2pc.part.prepared"] (participant, around
@@ -13,10 +13,6 @@
     (coordinator, around the decision write), ["2pc.part.pre_resolve"]
     (participant, before the outcome record) — plus the write/flush
     boundaries the logs themselves count. *)
-
-val apply_ops : Cluster.node -> Durability.Wal.op list -> unit
-(** Apply a committed transaction's operations to the live node, untraced,
-    rebuilding indexes of the touched tables. *)
 
 type outcome = {
   txid : int;
@@ -28,7 +24,7 @@ type outcome = {
 val execute :
   ?vote:(int -> bool) ->
   Cluster.t ->
-  (int * Durability.Wal.op list) list ->
+  (int * Storage.Write.op list) list ->
   outcome
 (** Run one distributed transaction: [(shard, ops)] per participant (empty
     op lists are dropped; no participants → trivial commit).  [vote]
@@ -38,5 +34,8 @@ val execute :
     @raise Mrdb_util.Errors.Shard_unavailable if a participant is down —
     checked before any durable write, so the transaction is atomically
     nothing.
+    @raise Mrdb_util.Errors.Bad_request if an operation could not apply on
+    its participant ({!Storage.Write.check}) — likewise before any durable
+    write.
     @raise Durability.Faultio.Crash under a crash plan; the caller then
     recovers via {!Recovery.recover_cluster}. *)

@@ -86,8 +86,6 @@ let write_uint t off ~width v =
   trace_write t off width;
   set_uint t off ~width v
 
-let untraced_read_uint t off ~width = get_uint t off ~width
-
 let write_byte t off v =
   trace_write t off 1;
   Bytes.set t.bytes off (Char.chr (v land 0xff))
@@ -155,12 +153,6 @@ let write_value t off ~ty ~nullable v =
 let unsafe_bytes t = t.bytes
 let untraced_read_int t off = Int64.to_int (Bytes.get_int64_le t.bytes off)
 let untraced_write_int t off v = Bytes.set_int64_le t.bytes off (Int64.of_int v)
-
-(* Untraced raw copy between buffers: the load/repartition path moves stored
-   bytes without decoding values and without simulating traffic (setup work
-   is excluded from measurements anyway). *)
-let blit_raw ~src ~src_off ~dst ~dst_off ~len =
-  Bytes.blit src.bytes src_off dst.bytes dst_off len
 
 (* Untraced strided field copy: moves [count] fields of [width] bytes from
    [src] to [dst], advancing by the respective strides.  8-byte fields (the

@@ -51,10 +51,6 @@ val read_uint : t -> int -> width:int -> int
 
 val write_uint : t -> int -> width:int -> int -> unit
 
-val untraced_read_uint : t -> int -> width:int -> int
-(** {!read_uint} without touching the simulator; pair with {!touch_run} when
-    the access run has already been traced as a batch. *)
-
 val read_string : t -> int -> len:int -> string
 (** Reads [len] bytes and strips trailing zero padding. *)
 
@@ -98,11 +94,6 @@ val untraced_read_int : t -> int -> int
 val untraced_write_int : t -> int -> int -> unit
 (** Write without touching the simulator (bulk-load fast path; loads run
     untraced anyway). *)
-
-val blit_raw : src:t -> src_off:int -> dst:t -> dst_off:int -> len:int -> unit
-(** Untraced raw byte copy between buffers.  The repartition/load path uses
-    it to move stored fields without decoding values; setup work is excluded
-    from measurements, so no traffic is simulated. *)
 
 val copy_run :
   src:t ->

@@ -79,7 +79,7 @@ val notify_insert : t -> string -> tid:int -> unit
 
 val notify_update : t -> string -> tid:int -> attr:int -> value:Value.t -> unit
 (** Report an in-place field update to the observer (no-op otherwise);
-    called by the DML layer after each {!Relation.set}. *)
+    {!Write.apply} calls it after each {!Relation.set}. *)
 
 val notify_load : t -> string -> row_lo:int -> rows:int -> unit
 (** Report a bulk load of rows [row_lo .. row_lo+rows-1] to the observer

@@ -645,6 +645,25 @@ let write_field t p ~tid ~off a v =
       end
   | None, None, None, None -> Buffer.write_value p.buf off ~ty ~nullable v
 
+(* Why [write_field] would refuse [v], without writing or allocating:
+   sparse and RLE fields store any value, dictionary fields any non-NULL
+   one, and the rest convert by type, where only a string into a number and
+   a non-string into a varchar fail. *)
+let rejects t a v =
+  let attr = Schema.attr t.schema a in
+  match
+    (t.sparses.(a), t.rles.(a), t.dicts.(a), (v : Value.t), attr.Schema.ty)
+  with
+  | Some _, _, _, _, _ | _, Some _, _, _, _ -> None
+  | _, _, _, Value.Null, _ ->
+      if attr.Schema.nullable then None
+      else Some "NULL into non-nullable attribute"
+  | _, _, Some _, _, _ -> None
+  | _, _, _, Value.VStr _, Value.Varchar _ -> None
+  | _, _, _, Value.VStr _, _ -> Some "string into a numeric attribute"
+  | _, _, _, _, Value.Varchar _ -> Some "non-string into a varchar attribute"
+  | _ -> None
+
 let read_field t p ~tid ~off a =
   let ty, nullable = field t a in
   match (t.sparses.(a), t.rles.(a), t.fors.(a), t.dicts.(a)) with
@@ -816,8 +835,6 @@ let read_code t tid a =
   let tid = t.row_base + tid in
   let p = t.parts.(pi) in
   Buffer.read_uint p.buf ((tid * p.width) + off) ~width:w
-
-let dict_size t a = match t.dicts.(a) with Some d -> d.count | None -> 0
 
 (* One traced sequential pass over the dictionary region — pushdown builds a
    predicate bitmap by evaluating once per distinct value instead of once per

@@ -54,6 +54,11 @@ val get : t -> int -> int -> Value.t
 
 val set : t -> int -> int -> Value.t -> unit
 
+val rejects : t -> int -> Value.t -> string option
+(** [rejects t a v] is why {!append} or {!set} would refuse [v] for
+    attribute [a] under its type, nullability and encoding, or [None] when
+    they accept it.  Pure: no simulated traffic. *)
+
 val iter_rows : t -> (int -> Value.t array -> unit) -> unit
 (** [iter_rows t f] calls [f tid tuple] for every stored tuple in tid order,
     untraced. *)
@@ -136,8 +141,6 @@ val read_code_run : t -> lo:int -> count:int -> int -> int array -> unit
 
 val read_code : t -> int -> int -> int
 (** [read_code t tid a]: one traced code read (no decode). *)
-
-val dict_size : t -> int -> int
 
 val dict_values : t -> int -> Value.t array
 (** The dictionary contents in code order, traced as one sequential pass

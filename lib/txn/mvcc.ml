@@ -10,17 +10,20 @@
    count.  Undo versions and conflict bookkeeping older than the oldest
    active snapshot are garbage-collected at every commit.
 
-   Writes buffer in the transaction (read-your-own-writes served from the
-   write set) and apply at commit under first-committer-wins: if any
+   Writes are checked against their attribute ([Storage.Write.check]) when
+   they buffer in the transaction (read-your-own-writes served from the
+   write set), so a write that could never apply is refused then and not
+   at commit.  They apply at commit under first-committer-wins: if any
    written cell has a committed write with a timestamp after this
    transaction's begin, the commit raises [Errors.Txn_conflict] and nothing
    is applied.  Reads are never validated — write skew is permitted, which
    is exactly the snapshot-isolation anomaly boundary (DESIGN.md §5h).
 
-   Commit applies run inside [Catalog.in_txn], so with a durability manager
-   attached every commit is one transaction-framed, flushed WAL unit: the
-   WAL commit point and the MVCC commit point coincide, and a crash at any
-   injected commit-path point recovers to a committed prefix.
+   Commit applies the write set, updates then inserts, through
+   [Storage.Write.apply_all] inside [Catalog.in_txn], so with a durability
+   manager attached every commit is one transaction-framed, flushed WAL
+   unit: the WAL commit point and the MVCC commit point coincide, and a
+   crash at any injected commit-path point recovers to a committed prefix.
 
    Concurrency: logical MVCC over coarse physical latching.  One manager
    mutex guards every operation's critical section (begin, each read or
@@ -34,6 +37,7 @@ module Catalog = Storage.Catalog
 module Relation = Storage.Relation
 module Value = Storage.Value
 module Errors = Mrdb_util.Errors
+module Write = Storage.Write
 
 type cell = { table : string; tid : int; attr : int }
 
@@ -332,6 +336,7 @@ let update txn table tid attr value =
   locked txn.mgr (fun () ->
       enter txn "update";
       check_visible txn table tid "update";
+      Write.check txn.mgr.cat (Write.Update { table; tid; attr; value });
       let cell = { table; tid; attr } in
       if not (Hashtbl.mem txn.writes cell) then
         txn.write_order <- cell :: txn.write_order;
@@ -347,6 +352,7 @@ let insert txn table values =
         invalid_arg
           (Printf.sprintf "Mvcc.insert: %S expects %d values, got %d" table
              arity (Array.length values));
+      Write.check txn.mgr.cat (Write.Append { table; values });
       txn.inserts <- (table, values) :: txn.inserts)
 
 exception Poison of exn * Printexc.raw_backtrace
@@ -377,62 +383,53 @@ let commit txn =
   let ts = t.clock + 1 in
   let updates = List.rev txn.write_order in
   let inserts = List.rev txn.inserts in
-  (* Apply inside one catalog transaction frame: with durability attached
-     this is exactly one Begin..ops..Commit WAL unit, flushed at the end.
+  let ops =
+    List.map
+      (fun ({ table; tid; attr } as cell) ->
+        Write.Update { table; tid; attr; value = Hashtbl.find txn.writes cell })
+      updates
+    @ List.map (fun (table, values) -> Write.Append { table; values }) inserts
+  in
+  let prevs =
+    List.map (fun cell -> committed_value t cell ~ts:t.clock) updates
+  in
+  List.iter (fun (table, _) -> ensure_rows t table) inserts;
+  (* One catalog transaction frame: with durability attached this is
+     exactly one Begin..ops..Commit WAL unit, flushed at the end.  The list
+     apply checks every op before the first lands, so a refusal (the
+     table's encoding changed since the write buffered) applies nothing.
      If the apply dies half-way (a simulated crash at an injected point),
      storage and the version bookkeeping disagree — poison the manager so
      every later operation refuses instead of serving corrupt snapshots. *)
-  (try
-     Catalog.in_txn t.cat (fun () ->
-         let touched : (string, int list) Hashtbl.t = Hashtbl.create 4 in
-         List.iter
-           (fun cell ->
-             let value = Hashtbl.find txn.writes cell in
-             let prev = committed_value t cell ~ts:t.clock in
-             let versions =
-               match Hashtbl.find_opt t.undo cell with
-               | Some vs -> vs
-               | None -> []
-             in
-             Hashtbl.replace t.undo cell ({ ts; prev } :: versions);
-             let rel = Catalog.find t.cat cell.table in
-             Relation.set rel cell.tid cell.attr value;
-             Catalog.notify_update t.cat cell.table ~tid:cell.tid
-               ~attr:cell.attr ~value;
-             let attrs =
-               match Hashtbl.find_opt touched cell.table with
-               | Some l -> l
-               | None -> []
-             in
-             if not (List.mem cell.attr attrs) then
-               Hashtbl.replace touched cell.table (cell.attr :: attrs);
-             Hashtbl.replace t.last_writer cell ts)
-           updates;
-         Hashtbl.iter
-           (fun table attrs -> Catalog.rebuild_indexes_for t.cat table ~attrs)
-           touched;
-         List.iter
-           (fun (table, values) ->
-             ensure_rows t table;
-             let rel = Catalog.find t.cat table in
-             let tid = Relation.append rel values in
-             Catalog.notify_insert t.cat table ~tid;
-             let history = Hashtbl.find t.rows table in
-             let nrows = Relation.nrows rel in
-             match history with
-             | (hts, _) :: rest when hts = ts ->
-                 Hashtbl.replace t.rows table ((ts, nrows) :: rest)
-             | _ -> Hashtbl.replace t.rows table ((ts, nrows) :: history))
-           inserts)
-   with e ->
-     let bt = Printexc.get_raw_backtrace () in
-     if updates <> [] || inserts <> [] then
-       t.poisoned <-
-         Some
-           (Printf.sprintf "commit of ts %d died mid-apply (%s)" ts
-              (Printexc.to_string e));
-     finish_locked txn (Aborted ("apply failed: " ^ Printexc.to_string e));
-     Printexc.raise_with_backtrace (Poison (e, bt)) bt);
+  (try Catalog.in_txn t.cat (fun () -> Write.apply_all t.cat ops) with
+  | Errors.Bad_request _ as e ->
+      finish_locked txn (Aborted "write refused at commit");
+      raise e
+  | e ->
+      let bt = Printexc.get_raw_backtrace () in
+      if ops <> [] then
+        t.poisoned <-
+          Some
+            (Printf.sprintf "commit of ts %d died mid-apply (%s)" ts
+               (Printexc.to_string e));
+      finish_locked txn (Aborted ("apply failed: " ^ Printexc.to_string e));
+      Printexc.raise_with_backtrace (Poison (e, bt)) bt);
+  List.iter2
+    (fun cell prev ->
+      let versions =
+        match Hashtbl.find_opt t.undo cell with Some vs -> vs | None -> []
+      in
+      Hashtbl.replace t.undo cell ({ ts; prev } :: versions);
+      Hashtbl.replace t.last_writer cell ts)
+    updates prevs;
+  List.iter
+    (fun (table, _) ->
+      let nrows = Relation.nrows (Catalog.find t.cat table) in
+      match Hashtbl.find t.rows table with
+      | (hts, _) :: rest when hts = ts ->
+          Hashtbl.replace t.rows table ((ts, nrows) :: rest)
+      | history -> Hashtbl.replace t.rows table ((ts, nrows) :: history))
+    inserts;
   t.clock <- ts;
   txn.status <- Committed ts;
   unregister_active t txn.begin_ts;

@@ -60,17 +60,24 @@ val scan : txn -> string -> Storage.Value.t array array
     analytics read path (one critical section per scan, not per row). *)
 
 val update : txn -> string -> int -> int -> Storage.Value.t -> unit
-(** Buffer an overwrite of [table[tid].attr]; applied at commit. *)
+(** Buffer an overwrite of [table[tid].attr]; applied at commit.
+    @raise Mrdb_util.Errors.Bad_request if the value does not fit the
+    attribute ({!Storage.Write.check}); nothing is buffered. *)
 
 val insert : txn -> string -> Storage.Value.t array -> unit
 (** Buffer an append (full tuple, schema order); tuple ids are assigned at
-    commit in write order. *)
+    commit in write order.
+    @raise Mrdb_util.Errors.Bad_request if a value does not fit its
+    attribute; nothing is buffered. *)
 
 val commit : txn -> int
 (** Validate (first-committer-wins), apply, and return the commit
     timestamp.
     @raise Mrdb_util.Errors.Txn_conflict on write-write conflict (nothing
-    applied, transaction aborted). *)
+    applied, transaction aborted).
+    @raise Mrdb_util.Errors.Bad_request if a buffered write no longer fits
+    its attribute (the table's encoding changed since); nothing applied,
+    transaction aborted. *)
 
 val abort : txn -> unit
 (** Discard buffered writes.  Idempotent on aborted transactions. *)

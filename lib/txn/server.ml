@@ -41,8 +41,6 @@ let mgr t = t.mgr
 
 let stop t = Atomic.set t.stop true
 
-let stopped t = Atomic.get t.stop
-
 let m_connections =
   Obs.Metrics.counter "mrdb_server_connections_total"
     ~help:"Connections accepted (including shed ones)"

@@ -27,8 +27,6 @@ val stop : t -> unit
 (** Ask the accept loop to exit; it notices at the next accepted
     connection (see {!poke}) or request boundary. *)
 
-val stopped : t -> bool
-
 val accept_loop : t -> Unix.file_descr -> unit
 (** Accept clients until {!stop}; each client runs in its own domain, all
     joined before returning.  Closing the listening socket also ends the

@@ -40,8 +40,9 @@ exception Txn_indoubt of string
     risking cross-shard divergence. *)
 
 exception Bad_request of string
-(** A peer sent a request the protocol cannot accept: a line that does
-    not parse, or one longer than the line cap. *)
+(** A peer sent a request the system cannot accept: a line that does not
+    parse, one longer than the line cap, or a write that does not fit its
+    attribute. *)
 
 let to_diagnostic = function
   | Unknown_table t -> Some (Printf.sprintf "unknown table %S" t)

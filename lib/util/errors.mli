@@ -24,8 +24,10 @@ exception Txn_indoubt of string
     unreachable — it can neither commit nor abort unilaterally. *)
 
 exception Bad_request of string
-(** A peer sent a request the protocol cannot accept: a line that does
-    not parse, or one longer than the line cap. *)
+(** A peer sent a request the system cannot accept: a line that does not
+    parse, one longer than the line cap, or a write that does not fit its
+    attribute (wrong arity, attribute or row out of range, NULL into a
+    non-nullable attribute, a value the attribute's type cannot take). *)
 
 val to_diagnostic : exn -> string option
 (** A one-line human-readable description for user-facing errors;

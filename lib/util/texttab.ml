@@ -4,8 +4,6 @@ let create headers = { headers; rows = [] }
 
 let row t cells = t.rows <- cells :: t.rows
 
-let rowf t fmt = Printf.ksprintf (fun s -> row t [ s ]) fmt
-
 let render t =
   let rows = List.rev t.rows in
   let all = t.headers :: rows in

@@ -8,9 +8,6 @@ val create : string list -> t
 val row : t -> string list -> unit
 (** Append a row; short rows are padded with empty cells. *)
 
-val rowf : t -> ('a, unit, string, unit) format4 -> 'a
-(** [rowf t fmt ...] appends a single-cell row (useful for footnotes). *)
-
 val render : t -> string
 (** Render with a header separator and right-padded columns. *)
 

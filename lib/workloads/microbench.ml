@@ -52,5 +52,3 @@ let plan cat ~sel =
     ~n_groups:1.0 cat logical
 
 let params ~sel = [| V.VInt (int_of_float (sel *. float_of_int domain)) |]
-
-let selective_projection_plan cat ~sel = plan cat ~sel

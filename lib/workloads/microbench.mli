@@ -23,8 +23,3 @@ val plan : Storage.Catalog.t -> sel:float -> Relalg.Physical.t
 (** The example query planned with the exact selectivity annotation. *)
 
 val params : sel:float -> Storage.Value.t array
-
-val selective_projection_plan :
-  Storage.Catalog.t -> sel:float -> Relalg.Physical.t
-(** The selective-projection microbenchmark of Fig. 6: scan A, read B..E on
-    match (sum them), on the PDSM layout. *)

@@ -10,5 +10,3 @@ type query = {
 
 let plans ?(use_indexes = false) queries =
   List.map (fun q -> (q.make_plan ~use_indexes, q.freq)) queries
-
-let read_only queries = List.filter (fun q -> not q.modifies) queries

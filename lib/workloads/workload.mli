@@ -14,5 +14,3 @@ type query = {
 val plans :
   ?use_indexes:bool -> query list -> (Relalg.Physical.t * float) list
 (** (plan, frequency) pairs for the optimizer / cost model. *)
-
-val read_only : query list -> query list

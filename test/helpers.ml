@@ -42,6 +42,29 @@ let small_catalog ?(n = 500) ?layout () =
   fill_small rel n;
   cat
 
+(* t(a int not null, b int null) holding (1,10) (2,20) (3,NULL) (4,40):
+   [update t set a = b] writes rows 0 and 1, then cannot write row 2. *)
+let nullable_catalog ?hier () =
+  let schema =
+    Storage.Schema.make_nullable "t" [ ("a", V.Int, false); ("b", V.Int, true) ]
+  in
+  let cat = Storage.Catalog.create ?hier () in
+  let rel = Storage.Catalog.add cat schema (Storage.Layout.row schema) in
+  List.iter
+    (fun row -> ignore (Storage.Relation.append rel row))
+    [
+      [| V.VInt 1; V.VInt 10 |];
+      [| V.VInt 2; V.VInt 20 |];
+      [| V.VInt 3; V.Null |];
+      [| V.VInt 4; V.VInt 40 |];
+    ];
+  cat
+
+let column cat table attr =
+  let rel = Storage.Catalog.find cat table in
+  List.init (Storage.Relation.nrows rel) (fun tid ->
+      Storage.Relation.get rel tid attr)
+
 (* A two-table catalog for join tests. *)
 let join_catalog ?(n_orders = 300) ?(n_customers = 40) () =
   let hier = Memsim.Hierarchy.create () in

@@ -494,12 +494,12 @@ let gen_op : Wal.op QCheck.Gen.t =
   let* tid = int_range 0 1000 in
   oneofl
     [
-      Wal.Create_relation { table = "w"; schema; layout = groups; encodings };
-      Wal.Append { table = "w"; values = row };
-      Wal.Load { table = "w"; rows = [| row; row |] };
-      Wal.Update { table = "w"; tid; attr = 0; value = row.(0) };
-      Wal.Set_layout { table = "w"; layout = groups };
-      Wal.Create_index
+      Storage.Write.Create_relation { table = "w"; schema; layout = groups; encodings };
+      Storage.Write.Append { table = "w"; values = row };
+      Storage.Write.Load { table = "w"; rows = [| row; row |] };
+      Storage.Write.Update { table = "w"; tid; attr = 0; value = row.(0) };
+      Storage.Write.Set_layout { table = "w"; layout = groups };
+      Storage.Write.Create_index
         { table = "w"; iname = "i"; kind = Storage.Index.Rbtree;
           attrs = [ "a0" ] };
     ]
@@ -583,6 +583,58 @@ let test_pinned_snapshot_bytes () =
       Alcotest.(check string) "reloads" (Snapshot.digest cat)
         (Snapshot.digest cat')
   | Snapshot.Missing | Snapshot.Invalid _ -> Alcotest.fail "snapshot unreadable"
+
+(* The logs one fixed episode writes through every writer of the catalog's
+   write vocabulary: a Jit INSERT, a Jit UPDATE of 3 rows and an MVCC commit
+   of 2 SETs and 1 INSERT on one durable node, then one two-phase commit on
+   a 2-shard durable cluster (both participants' WALs and the coordinator's
+   decision log).  The op codec, the op order inside a transaction and the
+   framing all show in these bytes. *)
+let test_pinned_wal_bytes () =
+  let ten () =
+    let cat = Catalog.create ~hier:(Memsim.Hierarchy.create ()) () in
+    let rel = Catalog.add cat schema (Layout.row schema) in
+    Relation.load rel ~n:10 (fun ~row -> initial_row row);
+    cat
+  in
+  let env = F.memory () in
+  let cat = ten () in
+  let d = D.attach env cat in
+  run_update cat "insert into t values (10, 0, 30, 'n010')";
+  run_update cat "update t set amount = amount + 1 where grp = 0";
+  let mgr = Txn.Mvcc.create cat in
+  Txn.Mvcc.run mgr (fun txn ->
+      Txn.Mvcc.update txn "t" 1 2 (V.VInt 500);
+      Txn.Mvcc.update txn "t" 2 3 (V.VStr "mvcc");
+      Txn.Mvcc.insert txn "t" (initial_row 11));
+  D.detach d;
+  let envs = [| F.memory (); F.memory () |] and coord_env = F.memory () in
+  let src = ten () in
+  let cl = Shard.Cluster.create ~durable:true ~envs ~coord_env ~shards:2 src in
+  let plan =
+    Relalg.Planner.plan src
+      (Relalg.Sql.parse src "update t set amount = id * 2 where grp = 1")
+  in
+  ignore (Shard.Exec.run cl plan);
+  Shard.Cluster.close cl;
+  let pin env store =
+    let b = Option.get (F.read_all env store) in
+    (Bytes.length b, Digest.to_hex (Digest.bytes b))
+  in
+  Alcotest.(check (list (pair int string)))
+    "log lengths and md5s"
+    [
+      (448, "0acbb62bd275d168488efe57e89d8125");
+      (95, "c33018d679e469c0eb2f9ca6b1c081d3");
+      (95, "3a9ac422f1362c64733b2518420b03de");
+      (16, "3d125d3e628cb669124a798ee3aa5570");
+    ]
+    [
+      pin env Wal.store_name;
+      pin envs.(0) Wal.store_name;
+      pin envs.(1) Wal.store_name;
+      pin coord_env Shard.Cluster.decision_store;
+    ]
 
 (* bit-at-a-time CRC-32: independent of the lookup tables *)
 let crc_reference b ~pos ~len =
@@ -739,6 +791,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_state_matches_reference;
     Alcotest.test_case "snapshot bytes pinned" `Quick
       test_pinned_snapshot_bytes;
+    Alcotest.test_case "wal bytes pinned" `Quick test_pinned_wal_bytes;
     Alcotest.test_case "crc32 slicing-by-8 matches bitwise" `Quick test_crc32;
     Alcotest.test_case "snapshot crash points pinned" `Quick
       test_snapshot_crash_points;

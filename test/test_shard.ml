@@ -344,9 +344,9 @@ let gen_op : Wal.op QCheck.Gen.t =
   let* value = gen_value in
   oneofl
     [
-      Wal.Append { table; values = row };
-      Wal.Update { table; tid; attr = 0; value };
-      Wal.Load { table; rows = [| row; row |] };
+      Storage.Write.Append { table; values = row };
+      Storage.Write.Update { table; tid; attr = 0; value };
+      Storage.Write.Load { table; rows = [| row; row |] };
     ]
 
 let gen_msg : Exchange.msg QCheck.Gen.t =
@@ -394,9 +394,11 @@ let source_catalog () =
   cat
 
 let append id grp amount =
-  Wal.Append { table = "t"; values = [| V.VInt id; V.VInt grp; V.VInt amount |] }
+  Storage.Write.Append
+    { table = "t"; values = [| V.VInt id; V.VInt grp; V.VInt amount |] }
 
-let set_amount tid v = Wal.Update { table = "t"; tid; attr = 2; value = V.VInt v }
+let set_amount tid v =
+  Storage.Write.Update { table = "t"; tid; attr = 2; value = V.VInt v }
 
 (* The scripted distributed workload.  Transaction markers are values that
    cannot occur in the scattered data (ids >= 100, amounts >= 700), so the
@@ -622,6 +624,31 @@ let test_shard_unavailable () =
       Alcotest.(check int) "recovered shard serves again" 60
         (List.length r.Runtime.rows))
 
+(* [update t set a = b] cannot apply at the NULL of row 2.  Its write set is
+   refused before PREPARE, so nothing reaches the WAL or the decision log,
+   and the next update's acknowledged commit survives recovery. *)
+let test_unappliable_write_set () =
+  let envs = [| F.memory () |] and coord_env = F.memory () in
+  let cat = Helpers.nullable_catalog () in
+  let cl = Cluster.create ~durable:true ~envs ~coord_env ~shards:1 cat in
+  let run sql = ignore (Exec.run cl (physical cat (Relalg.Sql.parse cat sql))) in
+  (match run "update t set a = b" with
+  | () -> Alcotest.fail "a write set that cannot apply must raise"
+  | exception Errors.Bad_request _ -> ());
+  run "update t set a = 99 where a = 4";
+  let live = Cluster.digests cl in
+  Cluster.close cl;
+  let res = Recovery.recover_cluster envs coord_env in
+  let r = res.Recovery.results.(0) in
+  Alcotest.(check (list string))
+    "no replay warnings" [] r.Durability.Recover.warnings;
+  Alcotest.(check (list Helpers.value_testable))
+    "a after recovery"
+    [ V.VInt 1; V.VInt 2; V.VInt 3; V.VInt 99 ]
+    (Helpers.column r.Durability.Recover.cat "t" 0);
+  Alcotest.(check (list string)) "live digests = recovered digests" live
+    [ Snapshot.digest r.Durability.Recover.cat ]
+
 let test_txn_indoubt () =
   let envs, coord_env = fresh_envs () in
   F.set_plan coord_env
@@ -683,6 +710,8 @@ let suite =
        test_2pc_decision_boundary
   :: Alcotest.test_case "down shard raises before any durable write" `Quick
        test_shard_unavailable
+  :: Alcotest.test_case "unappliable write set refused before prepare" `Quick
+       test_unappliable_write_set
   :: Alcotest.test_case "in-doubt without coordinator raises" `Quick
        test_txn_indoubt
   :: Alcotest.test_case "error exit codes and wire tags" `Quick

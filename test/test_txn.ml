@@ -823,6 +823,74 @@ let test_pipeline_commit_behind_failed_write () =
       Txn.Client.ping c;
       Txn.Client.close c)
 
+(* A write that does not fit its attribute is refused when it is buffered:
+   the writer gets BAD_REQUEST and loses only its own transaction, and the
+   manager keeps serving every other client. *)
+let test_server_bad_write_refused () =
+  with_server (small_cat ()) (fun mgr addr ->
+      let bad = Txn.Client.connect ~id:"bad" addr in
+      let good = Txn.Client.connect ~id:"good" addr in
+      Fun.protect
+        ~finally:(fun () ->
+          Txn.Client.close bad;
+          Txn.Client.close good)
+        (fun () ->
+          List.iteri
+            (fun k (what, write) ->
+              Txn.Client.begin_ bad;
+              write bad;
+              (match Txn.Client.commit bad with
+              | _ -> Alcotest.failf "%s: COMMIT behind it must raise" what
+              | exception Errors.Bad_request _ -> ());
+              Txn.Client.begin_ good;
+              Txn.Client.set good ~table:"b" ~tid:1 ~attr:1 (V.VInt (100 + k));
+              Alcotest.(check bool)
+                (what ^ ": another client commits") true
+                (Txn.Client.commit good > 0))
+            [
+              ( "attribute out of range",
+                fun c -> Txn.Client.set c ~table:"b" ~tid:0 ~attr:9 (V.VInt 5)
+              );
+              ( "string into int",
+                fun c ->
+                  Txn.Client.set c ~table:"b" ~tid:0 ~attr:1 (V.VStr "x") );
+              ( "NULL into non-nullable",
+                fun c -> Txn.Client.set c ~table:"b" ~tid:0 ~attr:1 V.Null );
+              ( "INSERT of a string into int",
+                fun c ->
+                  Txn.Client.insert c ~table:"b" [| V.VStr "x"; V.VInt 1 |] );
+            ];
+          M.snapshot mgr (fun s ->
+              Alcotest.(check int) "last good commit applied" 103
+                (vint (M.read s "b" 1 1));
+              Alcotest.(check int) "no bad SET applied" 0
+                (vint (M.read s "b" 0 1));
+              Alcotest.(check int) "no bad INSERT applied" 4
+                (M.visible_rows s "b"))))
+
+(* A write that fit when it was buffered can stop fitting before COMMIT:
+   here a dictionary column, which stores any non-NULL value, is re-encoded
+   plain, which takes only numbers.  The commit is refused whole, the
+   transaction aborts, and the manager keeps serving. *)
+let test_commit_refusal_keeps_serving () =
+  let schema = Schema.make "d" [ ("id", V.Int); ("v", V.Int) ] in
+  let cat = Catalog.create () in
+  let rel =
+    Catalog.add ~encodings:[ (1, Storage.Encoding.Dict) ] cat schema
+      (Layout.row schema)
+  in
+  ignore (Relation.append rel [| V.VInt 0; V.VInt 1 |]);
+  let mgr = M.create cat in
+  let txn = M.begin_ mgr in
+  M.update txn "d" 0 1 (V.VStr "x");
+  Catalog.set_physical cat "d" [];
+  (match M.commit txn with
+  | _ -> Alcotest.fail "a write that no longer fits must be refused"
+  | exception Errors.Bad_request _ -> ());
+  ignore (M.run mgr (fun t -> M.update t "d" 0 1 (V.VInt 2)));
+  M.snapshot mgr (fun s ->
+      Alcotest.(check int) "a later commit applies" 2 (vint (M.read s "d" 0 1)))
+
 let test_pipeline_bulk_insert () =
   let n = 20_000 in
   with_server (small_cat ()) (fun mgr addr ->
@@ -1075,6 +1143,10 @@ let suite =
       test_pipeline_error_at_next_read;
     Alcotest.test_case "pipeline: commit behind a failed write" `Quick
       test_pipeline_commit_behind_failed_write;
+    Alcotest.test_case "server: a bad write is refused, not poisoning" `Quick
+      test_server_bad_write_refused;
+    Alcotest.test_case "commit refused whole keeps the manager serving" `Quick
+      test_commit_refusal_keeps_serving;
     Alcotest.test_case "pipeline: 20k inserts in one transaction" `Quick
       test_pipeline_bulk_insert;
     Alcotest.test_case "pipeline: dead connection with writes pending" `Quick

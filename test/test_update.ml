@@ -117,6 +117,27 @@ let test_update_emission () =
   Alcotest.(check bool) "cost positive" true
     (Costmodel.Model.query_cost cat plan > 0.0)
 
+(* A failing UPDATE changes nothing: [set a = b] writes rows 0 and 1, then
+   meets the NULL of row 2.  It raises BAD_REQUEST with the rows it wrote
+   restored, so the live state equals what recovery rebuilds from the WAL,
+   which logged the statement's Abort. *)
+let test_failed_update_changes_nothing engine () =
+  let cat = Helpers.nullable_catalog ~hier:(Memsim.Hierarchy.create ()) () in
+  let env = Durability.Faultio.memory () in
+  let d = Durability.Durable.attach env cat in
+  (match run_update engine cat "update t set a = b" [||] with
+  | () -> Alcotest.fail "an update writing NULL into [a] must fail"
+  | exception Mrdb_util.Errors.Bad_request _ -> ());
+  Durability.Durable.detach d;
+  let recovered = (Durability.Recover.run env).Durability.Recover.cat in
+  Alcotest.(check (list Helpers.value_testable))
+    "a unchanged"
+    [ V.VInt 1; V.VInt 2; V.VInt 3; V.VInt 4 ]
+    (Helpers.column cat "t" 0);
+  Alcotest.(check string) "live digest = recovered digest"
+    (Durability.Snapshot.digest recovered)
+    (Durability.Snapshot.digest cat)
+
 let per_engine name f =
   List.map
     (fun e ->
@@ -133,6 +154,8 @@ let suite =
   ]
   @ per_engine "update executes" test_update_executes
   @ per_engine "rhs sees old values" test_update_rhs_uses_old_values
+  @ per_engine "failed update changes nothing"
+      test_failed_update_changes_nothing
   @ [
       Alcotest.test_case "update via index" `Quick test_update_via_index;
       Alcotest.test_case "update rebuilds index" `Quick
