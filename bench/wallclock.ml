@@ -236,9 +236,11 @@ let sweep_points () =
 (* The 8 CH analytic queries on CH at MRDB_BENCH_SCALE under the layouts
    the IP optimizer picks for them, best-of-N under Compiled and Jit: how
    many run natively (no Jit fallback), the geometric mean of the
-   per-query Jit/Compiled time ratio, and the C units emitted per rerun
-   (0: a loaded unit serves its reruns without emitting its source again).
-   Skipped without a C compiler. *)
+   per-query Jit/Compiled time ratio, the C units emitted per rerun (0: a
+   loaded unit serves its reruns without emitting its source again), and
+   the tagged [mv] fields the 8 units keep in their join, group and sort
+   entries (0: every entry field is typed).  Skipped without a C
+   compiler. *)
 let ch_points () =
   if not (Engines.Compiled.cc_available ()) then begin
     Common.note "CH suite: no C compiler, skipped";
@@ -258,7 +260,7 @@ let ch_points () =
     let fallbacks () = counter "mrdb_compiled_fallbacks_total" in
     let emitted () = counter "mrdb_compiled_units_emitted_total" in
     let points = ref [] and native = ref 0 and log_sum = ref 0.0 in
-    let rerun_emits = ref 0 in
+    let rerun_emits = ref 0 and tagged = ref 0 in
     let add metric ?unit_ v =
       points := Common.pt ~bench:"wallclock" ~metric ?unit_ v :: !points
     in
@@ -266,6 +268,10 @@ let ch_points () =
       (fun (q : Workloads.Workload.query) ->
         let plan = Relalg.Planner.plan cat (Relalg.Sql.parse cat q.sql) in
         let params = q.Workloads.Workload.params in
+        (match Engines.C_emitter.emit_unit cat plan ~params with
+        | Ok info ->
+            tagged := !tagged + info.Engines.C_emitter.tagged_entry_fields
+        | Error _ -> ());
         let run engine () = Engines.Engine.run engine cat plan ~params in
         (* the first run pays the cc invocation *)
         ignore (run Engines.Engine.Compiled ());
@@ -286,11 +292,14 @@ let ch_points () =
     let emits_per_rerun =
       float_of_int !rerun_emits /. float_of_int (reps * List.length queries)
     in
-    Common.note "CH suite: %d/%d native, geomean %.2fx over jit, %g emits/rerun"
-      !native (List.length queries) speedup emits_per_rerun;
+    Common.note
+      "CH suite: %d/%d native, geomean %.2fx over jit, %g emits/rerun, %d \
+       tagged entry fields"
+      !native (List.length queries) speedup emits_per_rerun !tagged;
     add "compiled.ch.native_queries" (float_of_int !native);
     add "compiled.ch.vs_jit.geomean_speedup" speedup;
     add "compiled.ch.emits_per_rerun" emits_per_rerun;
+    add "compiled.ch.tagged_entry_fields" (float_of_int !tagged);
     List.rev !points
   end
 

@@ -30,7 +30,12 @@ let unsupported fmt = Printf.ksprintf (fun s -> raise (Unsupported s)) fmt
 
 type scanned = { name : string; groups : int list list; widths : int array }
 
-type unit_info = { source : string; tables : scanned array; out_arity : int }
+type unit_info = {
+  source : string;
+  tables : scanned array;
+  out_arity : int;
+  tagged_entry_fields : int;
+}
 
 let scanned_of name rel =
   {
@@ -117,6 +122,7 @@ type ctx = {
       (* scanned tables with their first index in [parts], newest first *)
   mutable nparts : int;
   mutable loaded : int list; (* parameters already read into locals *)
+  mutable tagged : int; (* tagged [mv] members declared in entry structs *)
 }
 
 let line ctx fmt =
@@ -189,7 +195,6 @@ void *memchr(const void *, int, size_t);
 double fmod(double, double);
 
 typedef struct { uint8_t tag; uint32_t len; int64_t bits; } mv;
-typedef struct { int64_t count; int64_t sum_i; double sum_f; mv best; } agg_st;
 typedef struct { unsigned char *buf; int64_t len, cap; } mrdb_out;
 
 static inline int64_t w63(int64_t x) { return (int64_t)((uint64_t)x << 1) >> 1; }
@@ -218,6 +223,12 @@ static inline int fcmp(double a, double b) {
     if (na && nb) return 0;
     return na ? -1 : 1; }
 }
+/* Stdlib.compare on strings: bytes, then length */
+static inline int scmp(const unsigned char *a, uint32_t la, const unsigned char *b, uint32_t lb) {
+  int c = memcmp(a, b, la < lb ? la : lb);
+  if (c) return c < 0 ? -1 : 1;
+  return (la > lb) - (la < lb);
+}
 static inline uint32_t slen(const unsigned char *p, uint32_t w) {
   const unsigned char *z = memchr(p, 0, w);
   return z ? (uint32_t)(z - p) : w;
@@ -225,12 +236,10 @@ static inline uint32_t slen(const unsigned char *p, uint32_t w) {
 static inline const unsigned char *sptr(const mv *v) { return (const unsigned char *)(intptr_t)v->bits; }
 
 /* Hashing reproduces Hash_index.key_of_values: a 63-bit fold of raw value
-   bits (floats by their IEEE bits less the top one, strings by FNV-1a).
-   Group keys are equal iff the folds agree and the values are
-   structurally equal (OCaml polymorphic equality on Value.t: same
-   constructor; nan = nan and -0. = 0. under compare) — so +0./-0. merge,
-   and nans merge when their low 63 bits agree, exactly like the
-   interpreter's aggregation table. */
+   bits (ints, dates and bools by value, floats by their IEEE bits less the
+   top one, strings by FNV-1a, null as OCaml min_int / 2), mixed key by key
+   with hmix.  Only bucket choice and the fold-equality half of the join
+   rule depend on it. */
 static int64_t fnv(const unsigned char *p, uint32_t n) {
   uint64_t h = UINT64_C(0x3bf29ce484222325);
   for (uint32_t i = 0; i < n; i++) {
@@ -239,73 +248,21 @@ static int64_t fnv(const unsigned char *p, uint32_t n) {
   }
   return (int64_t)h;
 }
-static inline int64_t kv63(const mv *v) {
-  switch (v->tag) {
-  case 0: return -(INT64_C(1) << 61); /* Null: OCaml min_int / 2 */
-  case 2: return w63(v->bits);        /* float: truncated IEEE bits */
-  case 5: return fnv(sptr(v), v->len);
-  default: return v->bits;            /* int/date/bool payloads */
-  }
-}
-static inline int64_t mv_hash(const mv *key, int nk) {
-  int64_t h = 0;
-  for (int i = 0; i < nk; i++)
-    h = w63((int64_t)((uint64_t)h * 1000003u)) ^ kv63(&key[i]);
-  return h;
-}
+static inline int64_t hmix(int64_t h, int64_t k) { return w63((int64_t)((uint64_t)h * 1000003u)) ^ k; }
 /* bucket choice only: equality always rechecks the full fold */
 static inline uint64_t hslot(int64_t h) {
   uint64_t x = (uint64_t)h;
   x ^= x >> 33; x *= UINT64_C(0xff51afd7ed558ccd); x ^= x >> 33;
   return x;
 }
-/* structural equality; callers compare the folds first */
-static inline int mv_same(const mv *a, const mv *b, int nk) {
-  for (int i = 0; i < nk; i++) {
-    if (a[i].tag != b[i].tag) return 0;
-    switch (a[i].tag) {
-    case 0: break;
-    case 2: if (fcmp(bitsd(a[i].bits), bitsd(b[i].bits)) != 0) return 0; break;
-    case 5:
-      if (a[i].len != b[i].len || memcmp(sptr(&a[i]), sptr(&b[i]), a[i].len) != 0) return 0;
-      break;
-    default: if (a[i].bits != b[i].bits) return 0;
-    }
-  }
-  return 1;
-}
 
-/* Value.compare: same-constructor order, int/date and int/float mixes by
-   number, everything else by constructor rank. */
-static inline int rank(int tag) {
-  static const int r[6] = { 0, 2, 3, 1, 4, 5 };
-  return r[tag];
-}
-static int mv_cmp(const mv *a, const mv *b) {
-  int ta = a->tag, tb = b->tag;
-  if (ta == tb) {
-    switch (ta) {
-    case 0: return 0;
-    case 2: return fcmp(bitsd(a->bits), bitsd(b->bits));
-    case 5: {
-      uint32_t la = a->len, lb = b->len;
-      int c = memcmp(sptr(a), sptr(b), la < lb ? la : lb);
-      if (c) return c < 0 ? -1 : 1;
-      return (la > lb) - (la < lb);
-    }
-    default: return icmp(a->bits, b->bits);
-    }
-  }
-  if ((ta == 1 && tb == 4) || (ta == 4 && tb == 1)) return icmp(a->bits, b->bits);
-  if (ta == 1 && tb == 2) return fcmp((double)a->bits, bitsd(b->bits));
-  if (ta == 2 && tb == 1) return fcmp(bitsd(a->bits), (double)b->bits);
-  return icmp(rank(ta), rank(tb));
-}
-
-/* Grow a heap array to hold at least one more element; NULL when out of
-   memory (the old block stays valid and is freed on exit). */
+/* Grow an entry array to hold at least one more entry; NULL when out of
+   memory or at INT32_MAX entries, the most an int32_t index addresses (the
+   old block stays valid and is freed on exit). */
 static void *grow(void *p, int64_t *cap, size_t elt) {
   int64_t ncap = *cap ? *cap * 2 : 64;
+  if (ncap > INT32_MAX) ncap = INT32_MAX;
+  if (ncap <= *cap) return NULL;
   void *np = realloc(p, (size_t)ncap * elt);
   if (np) *cap = ncap;
   return np;
@@ -347,6 +304,24 @@ static int put_row(mrdb_out *o, const mv *v, int n) {
 |}
 
 (* ---------------- values ---------------- *)
+
+(* Constant folding for the 0/1 C conditions slots carry. *)
+let c_not = function "0" -> "1" | "1" -> "0" | c -> Printf.sprintf "!(%s)" c
+
+let c_and cs =
+  if List.mem "0" cs then "0"
+  else
+    match List.filter (fun c -> c <> "1") cs with
+    | [] -> "1"
+    | [ c ] -> c
+    | cs ->
+        "(" ^ String.concat " && " (List.map (Printf.sprintf "(%s)") cs) ^ ")"
+
+let c_or a b =
+  if a = "1" || b = "1" then "1"
+  else if a = "0" then b
+  else if b = "0" then a
+  else Printf.sprintf "((%s) || (%s))" a b
 
 let truthy_c (s : cslot) =
   match s.ty with
@@ -479,8 +454,14 @@ let rec cexpr ctx (slots : cslot array) (e : Expr.t) : cslot =
       if sa.ty = CNull || sb.ty = CNull then null_slot
       else if sa.ty = CStr || sb.ty = CStr then unsupported "string arithmetic"
       else begin
-        let n = fresh ctx "u" in
-        line ctx "int %s = (%s) || (%s);" n sa.null_c sb.null_c;
+        let n =
+          match c_or sa.null_c sb.null_c with
+          | "0" -> "0"
+          | c ->
+              let n = fresh ctx "u" in
+              line ctx "int %s = %s;" n c;
+              n
+        in
         let v = fresh ctx "x" in
         if sa.ty = CFloat || sb.ty = CFloat then begin
           let fa = as_double sa and fb = as_double sb in
@@ -510,8 +491,8 @@ let rec cexpr ctx (slots : cslot array) (e : Expr.t) : cslot =
         end
       end
 
-(* Pack a slot into an [mv] lvalue.  Null payloads are forced to 0 so
-   equal keys are bit-equal; only strings set the length. *)
+(* Pack a slot into an [mv] lvalue of a result row.  Null payloads are
+   forced to 0; only strings set the length. *)
 let pack_mv ctx (s : cslot) dst =
   let set () =
     let tag = tag_of s.ty in
@@ -536,111 +517,294 @@ let pack_mv ctx (s : cslot) dst =
       line ctx "if (%s) { %s.tag = 0; %s.bits = 0; }" s.null_c dst dst;
       line ctx "else { %s }" (set ())
 
-(* A slot reading back a packed [mv] lvalue of known static type. *)
-let mv_slot ty mv_c =
-  let null_c = Printf.sprintf "(%s.tag == 0)" mv_c in
-  match ty with
-  | CGone -> gone
-  | CNull -> null_slot
-  | CInt | CDate -> slot ty null_c (mv_c ^ ".bits")
-  | CFloat -> slot ty null_c (Printf.sprintf "bitsd(%s.bits)" mv_c)
-  | CBool -> slot ty null_c (Printf.sprintf "(%s.bits != 0)" mv_c)
+(* ---------------- typed entries ---------------- *)
+
+(* Pipeline breakers keep their rows in entries of typed fields, one per
+   materialized slot, chosen by the slot's static type: [int64_t] for
+   Int/Date/Bool, [double] for Float, a pointer and a [uint32_t] length
+   for Varchar, nothing for a slot that is always null, and a null byte
+   only where the slot can be null.  The tagged [mv] stays at the ABI. *)
+
+let null_of (s : cslot) = if s.ty = CNull then "1" else s.null_c
+
+(* A member of an entry struct, with its size in bytes. *)
+type member = { mty : string; mname : string; msize : int }
+
+(* A stored slot: its static type, whether it can be null, and the stem
+   of its member names. *)
+type field = { fty : cty; fnull : bool; fname : string }
+
+let field_of (s : cslot) fname =
+  if s.ty = CGone then unsupported "internal: column not materialized";
+  { fty = s.ty; fnull = s.ty <> CNull && s.null_c <> "0"; fname }
+
+let members f =
+  let m mty mname msize = { mty; mname; msize } in
+  (match f.fty with
+  | CInt | CDate | CBool -> [ m "int64_t" f.fname 8 ]
+  | CFloat -> [ m "double" f.fname 8 ]
   | CStr ->
-      let val_c = Printf.sprintf "sptr(&%s)" mv_c in
-      { ty; null_c; val_c; len_c = mv_c ^ ".len" }
+      [ m "const unsigned char *" f.fname 8; m "uint32_t" (f.fname ^ "_len") 4 ]
+  | CNull | CGone -> [])
+  @ if f.fnull then [ m "uint8_t" (f.fname ^ "_n") 1 ] else []
+
+let fold_member = { mty = "int64_t"; mname = "h"; msize = 8 }
+
+let member_decl m =
+  if String.ends_with ~suffix:"*" m.mty then m.mty ^ m.mname
+  else m.mty ^ " " ^ m.mname
+
+(* Declare an entry struct, widest members first so that it has no
+   interior padding.  Tagged [mv] members are counted for
+   {!unit_info.tagged_entry_fields}. *)
+let decl_struct ctx name ms =
+  let ms = List.stable_sort (fun a b -> compare b.msize a.msize) ms in
+  ctx.tagged <-
+    ctx.tagged + List.length (List.filter (fun m -> m.mty = "mv") ms);
+  decl ctx "typedef struct { %s } %s;"
+    (match ms with
+    | [] -> "uint8_t unused;"
+    | ms -> String.concat " " (List.map (fun m -> member_decl m ^ ";") ms))
+    name
+
+(* C statements writing slot [s] into field [f] behind prefix [e] (an
+   lvalue prefix such as ["w->"]).  A null slot writes only its flag. *)
+let store_c (s : cslot) e f =
+  let m = e ^ f.fname in
+  let set =
+    match f.fty with
+    | CInt | CDate | CFloat -> Printf.sprintf "%s = %s;" m s.val_c
+    | CBool -> Printf.sprintf "%s = (%s) != 0;" m s.val_c
+    | CStr -> Printf.sprintf "%s = %s; %s_len = %s;" m s.val_c m s.len_c
+    | CNull | CGone -> ""
+  in
+  if f.fnull then
+    Printf.sprintf "if (!(%s_n = (%s) != 0)) { %s }" m s.null_c set
+  else set
+
+let store ctx s e f =
+  let c = store_c s e f in
+  if c <> "" then line ctx "%s" c
+
+(* The slot reading field [f] behind prefix [e]. *)
+let load e f =
+  let m = e ^ f.fname in
+  let null_c = if f.fnull then m ^ "_n" else "0" in
+  match f.fty with
+  | CNull -> null_slot
+  | CGone -> gone
+  | CStr -> { ty = CStr; null_c; val_c = m; len_c = m ^ "_len" }
+  | ty -> slot ty null_c m
+
+(* Evaluate slot [s] once into locals named after [v]. *)
+let bind ctx (s : cslot) v =
+  let null_c =
+    if s.ty = CNull || s.null_c = "0" then "0"
+    else begin
+      line ctx "const int %s_n = (%s) != 0;" v s.null_c;
+      v ^ "_n"
+    end
+  in
+  match s.ty with
+  | CNull -> null_slot
+  | CGone -> unsupported "internal: column not materialized"
+  | CInt | CDate ->
+      line ctx "const int64_t %s = %s;" v s.val_c;
+      slot s.ty null_c v
+  | CBool ->
+      line ctx "const int %s = (%s) != 0;" v s.val_c;
+      slot s.ty null_c v
+  | CFloat ->
+      line ctx "const double %s = %s;" v s.val_c;
+      slot s.ty null_c v
+  | CStr ->
+      line ctx "const unsigned char *const %s = %s;" v s.val_c;
+      line ctx "const uint32_t %s_len = %s;" v s.len_c;
+      { ty = CStr; null_c; val_c = v; len_c = v ^ "_len" }
+
+(* The fold of one key value, [Hash_index.key_of_value]. *)
+let kv_c (s : cslot) =
+  let null_fold = "(-(INT64_C(1) << 61))" in
+  let v =
+    match s.ty with
+    | CNull -> null_fold
+    | CInt | CDate -> s.val_c
+    | CBool -> Printf.sprintf "((int64_t)(%s))" s.val_c
+    | CFloat -> Printf.sprintf "w63(dbits(%s))" s.val_c
+    | CStr -> Printf.sprintf "fnv(%s, %s)" s.val_c s.len_c
+    | CGone -> unsupported "internal: column not materialized"
+  in
+  if s.ty = CNull || s.null_c = "0" then v
+  else Printf.sprintf "((%s) ? %s : %s)" s.null_c null_fold v
+
+let fold_c = function
+  | [] -> "0"
+  | s :: rest ->
+      List.fold_left
+        (fun h s -> Printf.sprintf "hmix(%s, %s)" h (kv_c s))
+        (kv_c s) rest
+
+(* A single non-null Int/Date/Bool key is its own fold: its entry stores
+   no fold, and equal keys are equal folds. *)
+let own_fold = function
+  | [ (s : cslot) ] -> (
+      match s.ty with CInt | CDate | CBool -> s.null_c = "0" | _ -> false)
+  | _ -> false
+
+(* [Value.equal a b] as a C condition: null equals null, an Int equals a
+   Date or a Float of the same number, other constructor pairs never. *)
+let value_eq (a : cslot) (b : cslot) =
+  let same =
+    match (a.ty, b.ty) with
+    | (CInt | CDate), (CInt | CDate) | CBool, CBool ->
+        Printf.sprintf "(%s) == (%s)" a.val_c b.val_c
+    | CFloat, CFloat -> Printf.sprintf "fcmp(%s, %s) == 0" a.val_c b.val_c
+    | CInt, CFloat | CFloat, CInt ->
+        Printf.sprintf "fcmp(%s, %s) == 0" (as_double a) (as_double b)
+    | CStr, CStr ->
+        Printf.sprintf "(%s) == (%s) && memcmp(%s, %s, %s) == 0" a.len_c b.len_c
+          a.val_c b.val_c a.len_c
+    | _ -> "0"
+  in
+  let an = null_of a and bn = null_of b in
+  c_or (c_and [ an; bn ]) (c_and [ c_not an; c_not bn; same ])
+
+(* Whether [Value.equal a b] implies equal folds.  Not for two floats,
+   whose nan payloads fold apart, nor for an int against a float. *)
+let fold_implied (a : cslot) (b : cslot) =
+  match (a.ty, b.ty) with
+  | CFloat, (CFloat | CInt) | CInt, CFloat -> false
+  | _ -> true
+
+(* [Value.compare a b] of two slots of one static type, as a C int. *)
+let cmp_c (a : cslot) (b : cslot) =
+  let typed =
+    match a.ty with
+    | CInt | CDate | CBool -> Printf.sprintf "icmp(%s, %s)" a.val_c b.val_c
+    | CFloat -> Printf.sprintf "fcmp(%s, %s)" a.val_c b.val_c
+    | CStr ->
+        Printf.sprintf "scmp(%s, %s, %s, %s)" a.val_c a.len_c b.val_c b.len_c
+    | CNull | CGone -> "0"
+  in
+  if a.ty = CNull || a.null_c = "0" then typed
+  else
+    (* null sorts first *)
+    Printf.sprintf "((%s) | (%s)) ? (%s) - (%s) : %s" a.null_c b.null_c
+      b.null_c a.null_c typed
 
 (* ---------------- aggregates ---------------- *)
 
-(* Accumulate aggregate [a] into state lvalue [st] from input slot [s]. *)
-let emit_agg_step ctx st (a : Aggregate.t) (s : cslot option) =
+(* An aggregate's state, cut to the members its function reads: its step
+   and its finished value, each given the state's lvalue prefix. *)
+type agg = {
+  amembers : member list;
+  astep : string -> unit;
+  afinish : string -> cslot;
+}
+
+(* Aggregate [j] over input slot [s].  In a keyed group every entry has
+   stepped at least one row, so over a never-null input a sum needs no
+   count and a min/max no flag: its first row is the one that created the
+   entry ([fresh]). *)
+let agg_of ctx ~keyed ~fresh j (a : Aggregate.t) (s : cslot option) =
+  let c = Printf.sprintf "a%d_c" j and sm = Printf.sprintf "a%d_s" j in
+  let count = { mty = "int64_t"; mname = c; msize = 8 } in
+  let guard (s : cslot) stmt =
+    if s.null_c = "0" then line ctx "%s" stmt
+    else line ctx "if (!(%s)) { %s }" s.null_c stmt
+  in
+  let always v = { amembers = []; astep = ignore; afinish = (fun _ -> v) } in
+  let counted f =
+    {
+      amembers = [ count ];
+      astep = f;
+      afinish = (fun p -> slot CInt "0" (p ^ c));
+    }
+  in
   match (a.Aggregate.func, s) with
-  | Aggregate.Count_star, _ -> line ctx "%s.count++;" st
+  | Aggregate.Count_star, _ -> counted (fun p -> line ctx "%s%s++;" p c)
+  | Aggregate.Count, Some { ty = CNull; _ } ->
+      always (slot CInt "0" "INT64_C(0)")
   | Aggregate.Count, Some s ->
-      if s.ty <> CNull then line ctx "if (!(%s)) %s.count++;" s.null_c st
-  | (Aggregate.Sum | Aggregate.Avg), Some s -> (
-      match s.ty with
-      | CNull -> ()
-      | CFloat ->
-          line ctx "if (!(%s)) { %s.count++; %s.sum_f += %s; }" s.null_c st st
-            s.val_c
-      | CInt | CDate | CBool ->
-          line ctx "if (!(%s)) { %s.count++; %s.sum_i = iadd(%s.sum_i, %s); }"
-            s.null_c st st st (as_int63 s)
-      | CStr | CGone -> unsupported "sum over strings")
-  | (Aggregate.Min | Aggregate.Max), Some s -> (
-      let dir = if a.Aggregate.func = Aggregate.Min then "<" else ">" in
-      match s.ty with
-      | CNull -> ()
-      | CFloat ->
-          line ctx
-            "if (!(%s) && (%s.best.tag == 0 || fcmp(%s, bitsd(%s.best.bits)) \
-             %s 0)) { %s.best.tag = 2; %s.best.bits = dbits(%s); }"
-            s.null_c st s.val_c st dir st st s.val_c
-      | CInt | CDate | CBool ->
-          let v = as_int63 s in
-          line ctx
-            "if (!(%s) && (%s.best.tag == 0 || (%s) %s %s.best.bits)) { \
-             %s.best.tag = %d; %s.best.bits = %s; }"
-            s.null_c st v dir st st (tag_of s.ty) st v
-      | CStr ->
-          let m = fresh ctx "m" in
-          line ctx "{";
-          nest ctx (fun () ->
-              line ctx "mv %s;" m;
-              pack_mv ctx s m;
-              line ctx
-                "if (%s.tag && (%s.best.tag == 0 || mv_cmp(&%s, &%s.best) %s \
-                 0)) %s.best = %s;"
-                m st m st dir st m);
-          line ctx "}"
-      | CGone -> unsupported "internal: column not materialized")
-  | _, None -> unsupported "aggregate without input"
-
-(* Write the finished value of aggregate [a] into mv variable [dst];
-   returns its static type. *)
-let emit_agg_finish ctx st (a : Aggregate.t) ~input_ty dst =
-  match a.Aggregate.func with
-  | Aggregate.Count_star | Aggregate.Count ->
-      line ctx "%s.tag = 1; %s.bits = %s.count;" dst dst st;
-      CInt
-  | Aggregate.Sum ->
-      let tag, bits, ty =
-        if input_ty = CFloat then (2, Printf.sprintf "dbits(%s.sum_f)" st, CFloat)
-        else (1, st ^ ".sum_i", CInt)
+      counted (fun p -> guard s (Printf.sprintf "%s%s++;" p c))
+  | ( (Aggregate.Sum | Aggregate.Avg | Aggregate.Min | Aggregate.Max),
+      Some { ty = CNull; _ } ) ->
+      always null_slot
+  | (Aggregate.Sum | Aggregate.Avg), Some { ty = CStr; _ } ->
+      unsupported "sum over strings"
+  | (Aggregate.Sum | Aggregate.Avg), Some s ->
+      let avg = a.Aggregate.func = Aggregate.Avg and fl = s.ty = CFloat in
+      let never_empty = keyed && s.null_c = "0" in
+      let has_count = avg || not never_empty in
+      let sum =
+        { mty = (if fl then "double" else "int64_t"); mname = sm; msize = 8 }
       in
-      line ctx
-        "if (%s.count == 0) { %s.tag = 0; %s.bits = 0; } else { %s.tag = %d; \
-         %s.bits = %s; }"
-        st dst dst dst tag dst bits;
-      ty
-  | Aggregate.Avg ->
-      line ctx
-        "if (%s.count == 0) { %s.tag = 0; %s.bits = 0; } else { %s.tag = 2; \
-         %s.bits = dbits((%s.sum_f + (double)%s.sum_i) / (double)%s.count); }"
-        st dst dst dst dst st st st;
-      CFloat
-  | Aggregate.Min | Aggregate.Max ->
-      line ctx "%s = %s.best;" dst st;
-      input_ty
-
-(* Step every aggregate of a group; returns their input types. *)
-let agg_steps ctx slots aggs state =
-  List.mapi
-    (fun j (a : Aggregate.t) ->
-      let s = Option.map (fun e -> cexpr ctx slots e) a.Aggregate.expr in
-      emit_agg_step ctx (state j) a s;
-      match s with Some s -> s.ty | None -> CNull)
-    aggs
-  |> Array.of_list
-
-let agg_finishes ctx aggs state ~input_tys ~prefix =
-  List.mapi
-    (fun j (a : Aggregate.t) ->
-      let dst = Printf.sprintf "%s_f%d" prefix j in
-      line ctx "mv %s;" dst;
-      let ty = emit_agg_finish ctx (state j) a ~input_ty:input_tys.(j) dst in
-      mv_slot ty dst)
-    aggs
+      {
+        amembers = (sum :: if has_count then [ count ] else []);
+        astep =
+          (fun p ->
+            let add =
+              if fl then Printf.sprintf "%s%s += %s;" p sm s.val_c
+              else
+                Printf.sprintf "%s%s = iadd(%s%s, %s);" p sm p sm (as_int63 s)
+            in
+            let tally =
+              if has_count then Printf.sprintf "%s%s++; " p c else ""
+            in
+            guard s (tally ^ add));
+        afinish =
+          (fun p ->
+            let null_c =
+              if never_empty then "0" else Printf.sprintf "(%s%s == 0)" p c
+            in
+            if not avg then slot (if fl then CFloat else CInt) null_c (p ^ sm)
+            else
+              (* Aggregate.total: sum_f +. float_of_int sum_i *)
+              slot CFloat null_c
+                (if fl then
+                   Printf.sprintf "((%s%s + 0.0) / (double)%s%s)" p sm p c
+                 else
+                   Printf.sprintf "((0.0 + (double)%s%s) / (double)%s%s)" p sm
+                     p c));
+      }
+  | (Aggregate.Min | Aggregate.Max), Some s ->
+      let dir = if a.Aggregate.func = Aggregate.Min then "<" else ">" in
+      let best =
+        { fty = s.ty; fnull = false; fname = Printf.sprintf "a%d_b" j }
+      in
+      let has = Printf.sprintf "a%d_h" j in
+      let first = keyed && s.null_c = "0" in
+      {
+        amembers =
+          (members best
+          @
+          if first then [] else [ { mty = "uint8_t"; mname = has; msize = 1 } ]
+          );
+        astep =
+          (fun p ->
+            let cur = load p best in
+            let better =
+              match s.ty with
+              | CFloat ->
+                  Printf.sprintf "fcmp(%s, %s) %s 0" s.val_c cur.val_c dir
+              | CStr ->
+                  Printf.sprintf "scmp(%s, %s, %s, %s) %s 0" s.val_c s.len_c
+                    cur.val_c cur.len_c dir
+              | _ -> Printf.sprintf "(%s) %s %s" (as_int63 s) dir cur.val_c
+            in
+            let set = store_c s p best in
+            if first then line ctx "if (%s || %s) { %s }" fresh better set
+            else
+              guard s
+                (Printf.sprintf "if (!%s%s || %s) { %s %s%s = 1; }" p has better
+                   set p has));
+        afinish =
+          (fun p ->
+            let v = load p best in
+            let null_c = if first then "0" else Printf.sprintf "!%s%s" p has in
+            { v with null_c });
+      }
+  | _, None -> unsupported "aggregate without input"
 
 (* ---------------- operators ---------------- *)
 
@@ -721,6 +885,20 @@ let compact need =
     need;
   (pos, !n)
 
+(* The typed fields of the needed columns [pos] of [slots]. *)
+let fields_of slots pos =
+  Array.mapi
+    (fun i p ->
+      if p < 0 then None
+      else Some (field_of slots.(i) (Printf.sprintf "f%d" p)))
+    pos
+
+let field_members fs =
+  List.concat_map members (List.filter_map Fun.id (Array.to_list fs))
+
+let load_all e fs =
+  Array.map (function None -> gone | Some f -> load e f) fs
+
 (* Make room in heap array [arr] ([n] used, [cap] allocated) for one more
    element. *)
 let reserve_one ctx ~arr ~n ~cap =
@@ -730,6 +908,90 @@ let reserve_one ctx ~arr ~n ~cap =
       line ctx "if (!ne) goto mrdb_oom;";
       line ctx "%s = ne;" arr);
   line ctx "}"
+
+(* What a pipeline told its breaker: set by the breaker's [consume], which
+   runs exactly once, and read when the breaker emits. *)
+let consumed r =
+  match !r with
+  | Some v -> v
+  | None -> unsupported "internal: pipeline not consumed"
+
+(* The arguments passing key slot [s] to a [_find] parameter list, in the
+   order of [members f]. *)
+let key_args (s : cslot) f =
+  (match f.fty with
+  | CInt | CDate | CFloat -> [ s.val_c ]
+  | CBool -> [ Printf.sprintf "(%s) != 0" s.val_c ]
+  | CStr -> [ s.val_c; s.len_c ]
+  | CNull | CGone -> [])
+  @ if f.fnull then [ Printf.sprintf "(%s) != 0" s.null_c ] else []
+
+(* A keyed group-by table: an insertion-ordered entry array plus an
+   open-addressed [int32_t] index, local to this call so concurrent morsels
+   in different domains cannot interfere.  [_find] returns the entry of an
+   equal key (equal folds, then structurally equal keys) or appends a
+   zeroed one, saying which in [*fresh]. *)
+let cgroup_table ctx g ~own kfs =
+  let entry_fold e =
+    if own then kv_c (load e (List.hd kfs)) else e ^ "h"
+  in
+  let params =
+    String.concat ""
+      (List.map (fun m -> ", " ^ member_decl m) (List.concat_map members kfs))
+  in
+  let matches =
+    c_and
+      ((if own then [] else [ "e->h == h" ])
+      @ List.map (fun f -> value_eq (load "e->" f) (load "" f)) kfs)
+  in
+  decl ctx
+    "typedef struct { %s_ent *ents; int64_t n, cap; int32_t *idx; uint64_t \
+     mask; } %s_tab;"
+    g g;
+  decl ctx
+    {|static int %s_rehash(%s_tab *tb) {
+  uint64_t m = tb->mask ? tb->mask * 2 + 1 : 1023;
+  int32_t *idx = malloc((size_t)(m + 1) * sizeof *idx);
+  if (!idx) return 0;
+  for (uint64_t i = 0; i <= m; i++) idx[i] = -1;
+  for (int64_t e = 0; e < tb->n; e++) {
+    uint64_t s = hslot(%s) & m;
+    while (idx[s] >= 0) s = (s + 1) & m;
+    idx[s] = (int32_t)e;
+  }
+  free(tb->idx); tb->idx = idx; tb->mask = m;
+  return 1;
+}
+static %s_ent *%s_find(%s_tab *tb, int64_t h%s, int *fresh) {
+  if (2 * (uint64_t)(tb->n + 1) > tb->mask && !%s_rehash(tb)) return NULL;
+  uint64_t s = hslot(h) & tb->mask;
+  for (;;) {
+    int32_t x = tb->idx[s];
+    if (x < 0) break;
+    %s_ent *e = &tb->ents[x];
+    if (%s) { *fresh = 0; return e; }
+    s = (s + 1) & tb->mask;
+  }
+  if (tb->n == tb->cap) {
+    %s_ent *ne = grow(tb->ents, &tb->cap, sizeof *ne);
+    if (!ne) return NULL;
+    tb->ents = ne;
+  }
+  %s_ent *e = &tb->ents[tb->n];
+  memset(e, 0, sizeof *e);
+  %s
+  tb->idx[s] = (int32_t)tb->n++;
+  *fresh = 1;
+  return e;
+}|}
+    g g
+    (entry_fold "tb->ents[e].")
+    g g g params g g matches g g
+    (String.concat " "
+       ((if own then [] else [ "e->h = h;" ])
+       @ List.map (fun f -> store_c (load "" f) "e->" f) kfs));
+  local ctx "%s_tab %s = { NULL, 0, 0, NULL, 0 };" g g;
+  ctx.frees <- Printf.sprintf "free(%s.ents); free(%s.idx);" g g :: ctx.frees
 
 (* Produce the rows of [plan] into [consume], data-centric style: each
    operator either extends the pipeline it is called in or ends it and
@@ -774,6 +1036,8 @@ let rec cproduce ctx (plan : Physical.t) ~(need : bool array)
                (List.mapi
                   (fun i (e, _) -> if need.(i) then cexpr ctx slots e else gone)
                   exprs)))
+  | Physical.Limit { child = Physical.Sort { child; keys }; n } ->
+      csort ctx ~need ~child ~keys ~limit:(Some n) ~consume
   | Physical.Limit { child; n } ->
       let lim = fresh ctx "lim" in
       local ctx "int64_t %s = 0;" lim;
@@ -786,12 +1050,13 @@ let rec cproduce ctx (plan : Physical.t) ~(need : bool array)
       cgroup ctx ~child ~keys ~aggs ~consume
   | Physical.Hash_join { build; probe; build_keys; probe_keys; _ } ->
       cjoin ctx ~need ~build ~probe ~build_keys ~probe_keys ~consume
-  | Physical.Sort { child; keys } -> csort ctx ~need ~child ~keys ~consume
+  | Physical.Sort { child; keys } ->
+      csort ctx ~need ~child ~keys ~limit:None ~consume
   | Physical.Insert _ | Physical.Update _ -> unsupported "dml"
 
 and cgroup ctx ~child ~keys ~aggs ~consume =
   let g = fresh ctx "g" in
-  let na = List.length aggs in
+  let keyed = keys <> [] and isnew = g ^ "_new" in
   let child_need =
     needing
       (Array.make (arity ctx child) false)
@@ -799,112 +1064,63 @@ and cgroup ctx ~child ~keys ~aggs ~consume =
          (List.map fst keys
          @ List.filter_map (fun (a : Aggregate.t) -> a.Aggregate.expr) aggs))
   in
-  let input_tys = ref [||] in
-  if keys = [] then begin
-    (* global aggregate: register accumulators, no table; emits exactly one
-       row, matching the interpreter's init-state row on empty input *)
-    local ctx "agg_st %s_st[%d] = {{0}};" g (max 1 na);
-    let state j = Printf.sprintf "%s_st[%d]" g j in
-    cproduce ctx child ~need:child_need ~consume:(fun slots ->
-        input_tys := agg_steps ctx slots aggs state);
+  let shape = ref None in
+  cproduce ctx child ~need:child_need ~consume:(fun slots ->
+      let ks = List.map (fun (e, _) -> cexpr ctx slots e) keys in
+      let ags =
+        List.mapi
+          (fun j (a : Aggregate.t) ->
+            agg_of ctx ~keyed ~fresh:isnew j a
+              (Option.map (cexpr ctx slots) a.Aggregate.expr))
+          aggs
+      in
+      let kfs = List.mapi (fun i s -> field_of s (Printf.sprintf "k%d" i)) ks in
+      shape := Some (kfs, ags);
+      let states = List.concat_map (fun a -> a.amembers) ags in
+      if not keyed then begin
+        (* global aggregate: the states are one local struct, no table *)
+        decl_struct ctx (g ^ "_acc") states;
+        local ctx "%s_acc %s_st = {0};" g g;
+        List.iter (fun a -> a.astep (g ^ "_st.")) ags
+      end
+      else begin
+        let own = own_fold ks in
+        decl_struct ctx (g ^ "_ent")
+          ((if own then [] else [ fold_member ])
+          @ List.concat_map members kfs @ states);
+        cgroup_table ctx g ~own kfs;
+        line ctx "int %s;" isnew;
+        let args = List.concat (List.map2 key_args ks kfs) in
+        line ctx "%s_ent *%s_e = %s_find(&%s, %s%s, &%s);" g g g g (fold_c ks)
+          (String.concat "" (List.map (fun a -> ", " ^ a) args))
+          isnew;
+        line ctx "if (!%s_e) goto mrdb_oom;" g;
+        List.iter (fun a -> a.astep (g ^ "_e->")) ags
+      end);
+  let kfs, ags = consumed shape in
+  let finish p = List.map (fun a -> a.afinish p) ags in
+  if not keyed then begin
+    (* one row, the init states' row on empty input *)
     line ctx "{";
-    nest ctx (fun () ->
-        consume
-          (Array.of_list
-             (agg_finishes ctx aggs state ~input_tys:!input_tys ~prefix:g)));
+    nest ctx (fun () -> consume (Array.of_list (finish (g ^ "_st."))));
     line ctx "}"
   end
   else begin
-    (* keyed group-by: an insertion-ordered entry array plus an
-       open-addressed index, local to this call so concurrent morsels in
-       different domains cannot interfere *)
-    let nk = List.length keys in
-    decl ctx "typedef struct { int64_t h; mv key[%d]; agg_st st[%d]; } %s_ent;"
-      nk (max 1 na) g;
-    decl ctx
-      "typedef struct { %s_ent *ents; int64_t n, cap; int64_t *idx; uint64_t \
-       mask; } %s_tab;"
-      g g;
-    decl ctx
-      {|static int %s_rehash(%s_tab *tb) {
-  uint64_t m = tb->mask * 2 + 1;
-  int64_t *idx = malloc((size_t)(m + 1) * sizeof *idx);
-  if (!idx) return 0;
-  for (uint64_t i = 0; i <= m; i++) idx[i] = -1;
-  for (int64_t e = 0; e < tb->n; e++) {
-    uint64_t h = hslot(tb->ents[e].h) & m;
-    while (idx[h] >= 0) h = (h + 1) & m;
-    idx[h] = e;
-  }
-  free(tb->idx); tb->idx = idx; tb->mask = m;
-  return 1;
-}
-static %s_ent *%s_find(%s_tab *tb, const mv *key) {
-  if (2 * (uint64_t)(tb->n + 1) > tb->mask && !%s_rehash(tb)) return NULL;
-  int64_t kh = mv_hash(key, %d);
-  uint64_t h = hslot(kh) & tb->mask;
-  for (;;) {
-    int64_t e = tb->idx[h];
-    if (e < 0) break;
-    if (tb->ents[e].h == kh && mv_same(tb->ents[e].key, key, %d))
-      return &tb->ents[e];
-    h = (h + 1) & tb->mask;
-  }
-  if (tb->n == tb->cap) {
-    %s_ent *ne = grow(tb->ents, &tb->cap, sizeof *ne);
-    if (!ne) return NULL;
-    tb->ents = ne;
-  }
-  %s_ent *e = &tb->ents[tb->n];
-  e->h = kh;
-  memcpy(e->key, key, sizeof e->key);
-  memset(e->st, 0, sizeof e->st);
-  tb->idx[h] = tb->n++;
-  return e;
-}|}
-      g g g g g g nk nk g g;
-    local ctx "%s_tab %s = { NULL, 0, 0, NULL, 0 };" g g;
-    ctx.frees <- Printf.sprintf "free(%s.ents); free(%s.idx);" g g :: ctx.frees;
-    line ctx "%s.mask = 1023; %s.idx = malloc(1024 * sizeof(int64_t));" g g;
-    line ctx "if (!%s.idx) goto mrdb_oom;" g;
-    line ctx "for (int i = 0; i < 1024; i++) %s.idx[i] = -1;" g;
-    let key_tys = ref [||] in
-    cproduce ctx child ~need:child_need ~consume:(fun slots ->
-        let ks = List.map (fun (e, _) -> cexpr ctx slots e) keys in
-        key_tys := Array.of_list (List.map (fun s -> s.ty) ks);
-        line ctx "mv %s_k[%d];" g nk;
-        List.iteri
-          (fun i s -> pack_mv ctx s (Printf.sprintf "%s_k[%d]" g i))
-          ks;
-        line ctx "%s_ent *%s_e = %s_find(&%s, %s_k);" g g g g g;
-        line ctx "if (!%s_e) goto mrdb_oom;" g;
-        input_tys :=
-          agg_steps ctx slots aggs (Printf.sprintf "%s_e->st[%d]" g));
     (* emit groups in insertion order *)
     line ctx "for (int64_t %s_i = 0; %s_i < %s.n; %s_i++) {" g g g g;
     nest ctx (fun () ->
         line ctx "const %s_ent *%s_e = &%s.ents[%s_i];" g g g g;
-        let key_slots =
-          Array.to_list
-            (Array.mapi
-               (fun i ty -> mv_slot ty (Printf.sprintf "%s_e->key[%d]" g i))
-               !key_tys)
-        in
-        let agg_slots =
-          agg_finishes ctx aggs
-            (Printf.sprintf "%s_e->st[%d]" g)
-            ~input_tys:!input_tys ~prefix:g
-        in
-        consume (Array.of_list (key_slots @ agg_slots)));
+        let p = g ^ "_e->" in
+        consume (Array.of_list (List.map (load p) kfs @ finish p)));
     line ctx "}"
   end
 
-(* Hash join: the build pipeline appends its needed columns and the key
-   fold to an entry array; chains are then threaded through a bucket array
-   back to front, so each chain lists its entries in build-insertion
-   order.  The probe pipeline walks its key's chain and emits, in order,
-   every entry whose fold agrees and whose keys are [Value.equal] — the
-   match rule of [Runtime.Sim_hash]. *)
+(* Hash join: the build pipeline appends its needed columns (and the key
+   fold, unless the key is its own) to an entry array; [int32_t] chains
+   are then threaded through a bucket array back to front, so each chain
+   lists its entries in build-insertion order.  The probe pipeline walks
+   its key's chain and emits, in order, every entry whose fold agrees and
+   whose keys are [Value.equal] — the match rule of [Runtime.Sim_hash]. *)
 and cjoin ctx ~need ~build ~probe ~build_keys ~probe_keys ~consume =
   let j = fresh ctx "j" in
   let ba = arity ctx build and pa = arity ctx probe in
@@ -915,114 +1131,155 @@ and cjoin ctx ~need ~build ~probe ~build_keys ~probe_keys ~consume =
   List.iter (check pa) probe_keys;
   let bneed = needing (Array.sub need 0 ba) build_keys in
   let pneed = needing (Array.sub need ba pa) probe_keys in
-  let pos, width = compact bneed in
-  decl ctx "typedef struct { int64_t h; mv v[%d]; } %s_ent;" (max 1 width) j;
+  let pos, _ = compact bneed in
   local ctx "%s_ent *%s_e = NULL; int64_t %s_n = 0, %s_cap = 0;" j j j j;
-  local ctx "int64_t *%s_head = NULL, *%s_next = NULL; uint64_t %s_mask = 15;" j
+  local ctx "int32_t *%s_head = NULL, *%s_next = NULL; uint64_t %s_mask = 15;" j
     j j;
   ctx.frees <-
     Printf.sprintf "free(%s_e); free(%s_head); free(%s_next);" j j j
     :: ctx.frees;
-  let btys = Array.make ba CGone in
+  let shape = ref None in
   cproduce ctx build ~need:bneed ~consume:(fun slots ->
+      let fs = fields_of slots pos in
+      let bks = List.map (fun k -> slots.(k)) build_keys in
+      let own = own_fold bks in
+      shape := Some (fs, own);
+      decl_struct ctx (j ^ "_ent")
+        ((if own then [] else [ fold_member ]) @ field_members fs);
       reserve_one ctx ~arr:(j ^ "_e") ~n:(j ^ "_n") ~cap:(j ^ "_cap");
       line ctx "%s_ent *%s_w = &%s_e[%s_n++];" j j j j;
       Array.iteri
-        (fun i p ->
-          if p >= 0 then begin
-            btys.(i) <- slots.(i).ty;
-            pack_mv ctx slots.(i) (Printf.sprintf "%s_w->v[%d]" j p)
-          end)
-        pos;
-      line ctx "mv %s_bk[%d];" j nk;
-      List.iteri
-        (fun i k -> line ctx "%s_bk[%d] = %s_w->v[%d];" j i j pos.(k))
-        build_keys;
-      line ctx "%s_w->h = mv_hash(%s_bk, %d);" j j nk);
+        (fun i f -> Option.iter (store ctx slots.(i) (j ^ "_w->")) f)
+        fs;
+      if not own then line ctx "%s_w->h = %s;" j (fold_c bks));
+  let fs, own = consumed shape in
+  let bkeys e = List.map (fun k -> load e (Option.get fs.(k))) build_keys in
   line ctx "while (%s_mask + 1 < 2 * (uint64_t)%s_n) %s_mask = %s_mask * 2 + 1;"
     j j j j;
-  line ctx "%s_head = malloc((size_t)(%s_mask + 1) * sizeof(int64_t));" j j;
-  line ctx "%s_next = malloc((size_t)(%s_n + 1) * sizeof(int64_t));" j j;
+  line ctx "%s_head = malloc((size_t)(%s_mask + 1) * sizeof(int32_t));" j j;
+  line ctx "%s_next = malloc((size_t)(%s_n + 1) * sizeof(int32_t));" j j;
   line ctx "if (!%s_head || !%s_next) goto mrdb_oom;" j j;
   line ctx "for (uint64_t i = 0; i <= %s_mask; i++) %s_head[i] = -1;" j j;
-  line ctx "for (int64_t e = %s_n - 1; e >= 0; e--) {" j;
+  line ctx "for (int32_t e = (int32_t)%s_n - 1; e >= 0; e--) {" j;
   nest ctx (fun () ->
-      line ctx "uint64_t s = hslot(%s_e[e].h) & %s_mask;" j j;
+      let e = Printf.sprintf "%s_e[e]." j in
+      line ctx "uint64_t s = hslot(%s) & %s_mask;"
+        (if own then kv_c (List.hd (bkeys e)) else e ^ "h")
+        j;
       line ctx "%s_next[e] = %s_head[s]; %s_head[s] = e;" j j j);
   line ctx "}";
   cproduce ctx probe ~need:pneed ~consume:(fun pslots ->
-      line ctx "mv %s_pk[%d];" j nk;
-      List.iteri
-        (fun i k -> pack_mv ctx pslots.(k) (Printf.sprintf "%s_pk[%d]" j i))
-        probe_keys;
-      line ctx "int64_t %s_ph = mv_hash(%s_pk, %d);" j j nk;
+      let pks =
+        List.mapi
+          (fun i k -> bind ctx pslots.(k) (Printf.sprintf "%s_p%d" j i))
+          probe_keys
+      in
+      line ctx "const int64_t %s_ph = %s;" j (fold_c pks);
       line ctx
-        "for (int64_t %s_i = %s_head[hslot(%s_ph) & %s_mask]; %s_i >= 0; %s_i \
+        "for (int32_t %s_i = %s_head[hslot(%s_ph) & %s_mask]; %s_i >= 0; %s_i \
          = %s_next[%s_i]) {"
         j j j j j j j j;
       nest ctx (fun () ->
+          let m = j ^ "_m->" in
           line ctx "const %s_ent *%s_m = &%s_e[%s_i];" j j j j;
-          line ctx "if (%s_m->h != %s_ph) continue;" j j;
-          List.iteri
-            (fun i k ->
-              line ctx "if (mv_cmp(&%s_m->v[%d], &%s_pk[%d]) != 0) continue;" j
-                pos.(k) j i)
-            build_keys;
-          let bslots =
-            Array.mapi
-              (fun i p ->
-                if p < 0 then gone
-                else mv_slot btys.(i) (Printf.sprintf "%s_m->v[%d]" j p))
-              pos
+          let bks = bkeys m in
+          let fold_eq =
+            if not own then [ Printf.sprintf "%sh == %s_ph" m j ]
+            else if List.for_all2 fold_implied bks pks then []
+            else [ Printf.sprintf "%s == %s_ph" (kv_c (List.hd bks)) j ]
           in
-          consume (Array.append bslots pslots));
+          let skip = c_not (c_and (fold_eq @ List.map2 value_eq bks pks)) in
+          if skip <> "0" then line ctx "if (%s) continue;" skip;
+          consume (Array.append (load_all m fs) pslots));
       line ctx "}")
 
 (* Sort: buffer the needed columns with their arrival number, qsort by the
    keys under [Value.compare] with the arrival number as the last key —
-   the stable order of the interpreter's [Array.stable_sort] — and emit. *)
-and csort ctx ~need ~child ~keys ~consume =
+   the stable order of the interpreter's [Array.stable_sort] — and emit.
+   Under a [LIMIT k] the buffer is a bounded max-heap of the k first rows
+   in that order: a row enters only ahead of the heap's last, so the
+   emitted rows are exactly the sorted prefix. *)
+and csort ctx ~need ~child ~keys ~limit ~consume =
   let s = fresh ctx "s" in
   let n = arity ctx child in
-  let cneed = needing need (List.map fst keys) in
-  let pos, width = compact cneed in
-  decl ctx "typedef struct { int64_t seq; mv v[%d]; } %s_row;" (max 1 width) s;
-  decl ctx "static int %s_cmp(const void *pa, const void *pb) {" s;
-  decl ctx "  const %s_row *a = pa, *b = pb;" s;
-  decl ctx "  int c;";
   List.iter
-    (fun (col, (dir : Relalg.Plan.dir)) ->
-      if col < 0 || col >= n then unsupported "sort key out of range";
-      let x, y = match dir with Asc -> ("a", "b") | Desc -> ("b", "a") in
-      decl ctx "  if ((c = mv_cmp(&%s->v[%d], &%s->v[%d])) != 0) return c;" x
-        pos.(col) y pos.(col))
+    (fun (col, _) ->
+      if col < 0 || col >= n then unsupported "sort key out of range")
     keys;
-  decl ctx "  return icmp(a->seq, b->seq);";
-  decl ctx "}";
+  let cneed = needing need (List.map fst keys) in
+  let pos, _ = compact cneed in
   local ctx "%s_row *%s_r = NULL; int64_t %s_n = 0, %s_cap = 0;" s s s s;
+  if Option.is_some limit then local ctx "int64_t %s_q = 0;" s;
   ctx.frees <- Printf.sprintf "free(%s_r);" s :: ctx.frees;
-  let tys = Array.make n CGone in
+  let shape = ref None in
   cproduce ctx child ~need:cneed ~consume:(fun slots ->
+      let fs = fields_of slots pos in
+      shape := Some fs;
+      decl_struct ctx (s ^ "_row")
+        ({ mty = "int32_t"; mname = "seq"; msize = 4 } :: field_members fs);
+      decl ctx "static int %s_cmp(const void *pa, const void *pb) {" s;
+      decl ctx "  const %s_row *a = pa, *b = pb;" s;
+      decl ctx "  int c;";
+      List.iter
+        (fun (col, (dir : Relalg.Plan.dir)) ->
+          let f = Option.get fs.(col) in
+          let x, y =
+            match dir with Asc -> ("a->", "b->") | Desc -> ("b->", "a->")
+          in
+          let c = cmp_c (load x f) (load y f) in
+          if c <> "0" then decl ctx "  if ((c = (%s)) != 0) return c;" c)
+        keys;
+      decl ctx "  return icmp(a->seq, b->seq);";
+      decl ctx "}";
+      if Option.is_some limit then
+        decl ctx
+          {|static void %s_up(%s_row *h, int64_t i) {
+  %s_row x = h[i];
+  while (i > 0) {
+    int64_t p = (i - 1) / 2;
+    if (%s_cmp(&h[p], &x) >= 0) break;
+    h[i] = h[p]; i = p;
+  }
+  h[i] = x;
+}
+static void %s_down(%s_row *h, int64_t n) {
+  %s_row x = h[0];
+  int64_t i = 0;
+  for (;;) {
+    int64_t c = 2 * i + 1;
+    if (c >= n) break;
+    if (c + 1 < n && %s_cmp(&h[c + 1], &h[c]) > 0) c++;
+    if (%s_cmp(&h[c], &x) <= 0) break;
+    h[i] = h[c]; i = c;
+  }
+  h[i] = x;
+}|}
+          s s s s s s s s s;
       reserve_one ctx ~arr:(s ^ "_r") ~n:(s ^ "_n") ~cap:(s ^ "_cap");
       line ctx "%s_row *%s_w = &%s_r[%s_n];" s s s s;
-      line ctx "%s_w->seq = %s_n++;" s s;
+      (match limit with
+      | None -> line ctx "%s_w->seq = (int32_t)%s_n++;" s s
+      | Some _ ->
+          (* arrivals, unlike kept rows, are not bounded by the buffer *)
+          line ctx "if (%s_q == INT32_MAX) goto mrdb_oom;" s;
+          line ctx "%s_w->seq = (int32_t)%s_q++;" s s);
       Array.iteri
-        (fun i p ->
-          if p >= 0 then begin
-            tys.(i) <- slots.(i).ty;
-            pack_mv ctx slots.(i) (Printf.sprintf "%s_w->v[%d]" s p)
-          end)
-        pos);
+        (fun i f -> Option.iter (store ctx slots.(i) (s ^ "_w->")) f)
+        fs;
+      match limit with
+      | None -> ()
+      | Some k ->
+          line ctx "if (%s_n < INT64_C(%d)) { %s_up(%s_r, %s_n); %s_n++; }" s
+            k s s s s;
+          line ctx
+            "else if (%s_cmp(%s_w, %s_r) < 0) { %s_r[0] = *%s_w; %s_down(%s_r, \
+             %s_n); }"
+            s s s s s s s s);
+  let fs = consumed shape in
   line ctx "if (%s_n > 1) qsort(%s_r, (size_t)%s_n, sizeof *%s_r, %s_cmp);" s s s
     s s;
   line ctx "for (int64_t %s_i = 0; %s_i < %s_n; %s_i++) {" s s s s;
-  nest ctx (fun () ->
-      consume
-        (Array.mapi
-           (fun i p ->
-             if p < 0 then gone
-             else mv_slot tys.(i) (Printf.sprintf "%s_r[%s_i].v[%d]" s s p))
-           pos));
+  nest ctx (fun () -> consume (load_all (Printf.sprintf "%s_r[%s_i]." s s) fs));
   line ctx "}"
 
 (* ---------------- the translation unit ---------------- *)
@@ -1046,6 +1303,7 @@ let emit_unit cat (plan : Physical.t) ~params =
         tables = [];
         nparts = 0;
         loaded = [];
+        tagged = 0;
       }
     in
     cproduce ctx plan ~need:(Array.make out_arity true) ~consume:(fun slots ->
@@ -1085,5 +1343,11 @@ let emit_unit cat (plan : Physical.t) ~params =
     List.iter (fun f -> Buffer.add_string b ("  " ^ f ^ "\n")) ctx.frees;
     Buffer.add_string b "  return ret;\n}\n";
     let tables = Array.of_list (List.rev_map fst ctx.tables) in
-    Ok { source = Buffer.contents b; tables; out_arity }
+    Ok
+      {
+        source = Buffer.contents b;
+        tables;
+        out_arity;
+        tagged_entry_fields = ctx.tagged;
+      }
   with Unsupported msg -> Error msg

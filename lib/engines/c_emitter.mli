@@ -6,7 +6,12 @@
     the partition bytes (PDSM-aware: [base + row * width + offset]), a
     global aggregate accumulates in locals, and only pipeline breakers
     materialize — a hash-join build (separate build and probe loops), a
-    keyed group-by table, a sort buffer.  Its [mrdb_query] entry point
+    keyed group-by table, a sort buffer (under a [LIMIT], a bounded top-k
+    heap).  Their entries hold typed fields chosen by each slot's static
+    type, a null byte only where a slot can be null, [int32_t] chain and
+    slot indices, and no stored fold where a single non-null Int/Date/Bool
+    key is its own; a build, group or sort past [INT32_MAX] entries takes
+    the out-of-memory exit.  Its [mrdb_query] entry point
     reproduces the interpreted engines' results row for row: 63-bit
     wrapping integer arithmetic, total-order float comparison, SQL null
     propagation, insertion-order group emission, join matches in
@@ -42,6 +47,9 @@ type unit_info = {
   source : string;  (** complete C99 translation unit *)
   tables : scanned array;  (** scanned tables, in ABI order *)
   out_arity : int;  (** columns per output row *)
+  tagged_entry_fields : int;
+      (** tagged [mv] members in the unit's join, group and sort entries;
+          0 while every entry field is typed *)
 }
 
 val scanned_of : string -> Storage.Relation.t -> scanned

@@ -254,11 +254,25 @@ let compressed_tid_test ?hier ~params ~per_value rel conj =
                 vtest (box v))
 
 module Sim_hash = struct
+  (* The host table, keyed by the int fold without [caml_hash] or
+     [compare_val]; the bucket hash only spreads the fold's bits (a float
+     fold's low bits are often all zero). *)
+  module Folds = Hashtbl.Make (struct
+    type t = int
+
+    let equal (a : int) b = a = b
+
+    let hash (x : int) =
+      let x = (x lxor (x lsr 31)) * 0x9E3779B97F4A7C1 in
+      x lxor (x lsr 29)
+  end)
+
   type 'v t = {
     hier : Memsim.Hierarchy.t option;
     arena : Storage.Arena.t;
     entry_width : int;
-    tbl : (int, (Value.t list * 'v) list ref) Hashtbl.t;
+    touch_width : int; (* bytes one touch reads or writes *)
+    tbl : (Value.t list * 'v) list ref Folds.t;
     mutable order : Value.t list list; (* insertion order of distinct keys *)
     mutable base : int;
     mutable slots : int; (* always a power of two *)
@@ -272,7 +286,8 @@ module Sim_hash = struct
       hier;
       arena;
       entry_width;
-      tbl = Hashtbl.create 64;
+      touch_width = (if entry_width < 64 then entry_width else 64);
+      tbl = Folds.create 64;
       order = [];
       base = Storage.Arena.alloc arena (initial_slots * 16);
       slots = initial_slots;
@@ -287,14 +302,13 @@ module Sim_hash = struct
         (* slots is a power of two, so masking equals the modulo *)
         let slot = h land (t.slots - 1) in
         let addr = t.base + (slot * t.entry_width) in
-        let width = min t.entry_width 64 in
         Memsim.Hierarchy.add_cpu hier Cpu_model.hash_op;
-        if write then Memsim.Hierarchy.write hier ~addr ~width
-        else Memsim.Hierarchy.read hier ~addr ~width
+        if write then Memsim.Hierarchy.write hier ~addr ~width:t.touch_width
+        else Memsim.Hierarchy.read hier ~addr ~width:t.touch_width
     | None -> ()
 
   let clear t =
-    Hashtbl.reset t.tbl;
+    Folds.reset t.tbl;
     t.order <- [];
     t.count <- 0;
     t.slots <- initial_slots
@@ -309,7 +323,7 @@ module Sim_hash = struct
     maybe_grow t;
     let h = key_hash key in
     touch t ~write:true h;
-    (match Hashtbl.find_opt t.tbl h with
+    (match Folds.find_opt t.tbl h with
     | Some cell -> (
         match List.assoc_opt key !cell with
         | Some _ -> cell := !cell @ [ (key, v) ]
@@ -317,14 +331,14 @@ module Sim_hash = struct
             t.order <- key :: t.order;
             cell := !cell @ [ (key, v) ])
     | None ->
-        Hashtbl.add t.tbl h (ref [ (key, v) ]);
+        Folds.add t.tbl h (ref [ (key, v) ]);
         t.order <- key :: t.order);
     t.count <- t.count + 1
 
   let find_all t ~key =
     let h = key_hash key in
     touch t ~write:false h;
-    match Hashtbl.find_opt t.tbl h with
+    match Folds.find_opt t.tbl h with
     | None -> []
     | Some cell ->
         List.filter_map
@@ -336,11 +350,11 @@ module Sim_hash = struct
     touch t ~write:false h;
     touch t ~write:true h;
     let cell =
-      match Hashtbl.find_opt t.tbl h with
+      match Folds.find_opt t.tbl h with
       | Some c -> c
       | None ->
           let c = ref [] in
-          Hashtbl.add t.tbl h c;
+          Folds.add t.tbl h c;
           c
     in
     match List.assoc_opt key !cell with
@@ -364,7 +378,7 @@ module Sim_hash = struct
     List.iter
       (fun key ->
         let h = key_hash key in
-        match Hashtbl.find_opt t.tbl h with
+        match Folds.find_opt t.tbl h with
         | None -> ()
         | Some cell -> (
             match List.assoc_opt key !cell with

@@ -45,7 +45,8 @@ val sum : t -> table:string -> attr:int -> Storage.Value.t
 val commit : t -> int
 (** Returns the commit timestamp.  After a dead connection it re-sends
     its token alone: the server answers a commit it already applied with
-    the original timestamp and refuses one it never received.
+    the original timestamp and refuses one it never received, which raises
+    [Mrdb_util.Errors.Bad_request] (no transaction is open).
     @raise Mrdb_util.Errors.Txn_conflict on first-committer-wins refusal. *)
 
 val abort : t -> unit

@@ -112,10 +112,14 @@ let value_sum vs =
   else if !is_float then Value.VFloat (!acc_f +. float_of_int !acc_i)
   else Value.VInt !acc_i
 
+(* A request that needs an open transaction, sent without BEGIN, is the
+   client's error: it answers ERR BAD_REQUEST and the session goes on. *)
 let require_txn session what =
   match session.txn with
   | Some txn -> txn
-  | None -> invalid_arg (Printf.sprintf "%s outside a transaction" what)
+  | None ->
+      raise
+        (Errors.Bad_request (Printf.sprintf "%s outside a transaction" what))
 
 let cached_commit srv session token =
   Mutex.lock srv.cache_m;

@@ -19,10 +19,13 @@ let count hay needle =
 
 let plan_of cat sql = Relalg.Planner.plan cat (Relalg.Sql.parse cat sql)
 
-let unit_of cat plan ~params =
+let info_of cat plan ~params =
   match Engines.C_emitter.emit_unit cat plan ~params with
-  | Ok info -> info.Engines.C_emitter.source
+  | Ok info -> info
   | Error reason -> Alcotest.failf "unexpected fallback: %s" reason
+
+let unit_of cat plan ~params =
+  (info_of cat plan ~params).Engines.C_emitter.source
 
 let test_example_query_code () =
   let cat = Workloads.Microbench.build ~n:100 () in
@@ -38,7 +41,7 @@ let test_example_query_code () =
     (contains code "ld64(B0 + t");
   Alcotest.(check bool) "aggregates read the B..E partition at offsets" true
     (contains code "B1 + t" && contains code " * 32 + 8)");
-  Alcotest.(check bool) "register accumulators" true (contains code "_st[");
+  Alcotest.(check bool) "register accumulators" true (contains code "_st.");
   Alcotest.(check bool) "no aggregation table" false (contains code "_find(");
   Alcotest.(check bool) "parameter read at run time" true
     (contains code "ld64(params + 8)")
@@ -68,7 +71,26 @@ let test_join_code () =
   Alcotest.(check bool) "probe walks its key's chain" true
     (contains code "_head[hslot(");
   Alcotest.(check bool) "varchar payload travels as a pointer" true
-    (contains code "slen(")
+    (contains code "slen(");
+  Alcotest.(check bool) "an int key is its own fold" true
+    (contains code "_head[hslot(" && not (contains code "_w->h = "));
+  Alcotest.(check bool) "int32 chains" true (contains code "int32_t *j")
+
+(* Join, group and sort entries hold typed fields: no CH unit keeps a
+   tagged [mv] in an entry. *)
+let test_typed_entries () =
+  let ch = Workloads.Ch.build ~scale:0.001 () in
+  List.iter
+    (fun (q : Workloads.Workload.query) ->
+      let info =
+        info_of ch.Workloads.Ch.cat
+          (plan_of ch.Workloads.Ch.cat q.Workloads.Workload.sql)
+          ~params:q.Workloads.Workload.params
+      in
+      Alcotest.(check int)
+        (q.Workloads.Workload.name ^ " tagged entry fields")
+        0 info.Engines.C_emitter.tagged_entry_fields)
+    ch.Workloads.Ch.queries
 
 let test_index_scan_code () =
   let cat = Helpers.small_catalog ~n:10 () in
@@ -99,8 +121,13 @@ let test_sort_code () =
   in
   Alcotest.(check bool) "stable sort on an arrival number" true
     (contains code "icmp(a->seq, b->seq)" && contains code "qsort(");
-  Alcotest.(check bool) "limit ends the emission early" true
-    (contains code "_done;")
+  Alcotest.(check bool) "limit over sort keeps a top-k heap" true
+    (contains code "_down(s" && not (contains code "goto lim"));
+  let plain =
+    unit_of cat (plan_of cat "select id, amount from t limit 3") ~params:[||]
+  in
+  Alcotest.(check bool) "a limit without sort ends the emission early" true
+    (contains plain "goto lim" && not (contains plain "_down("))
 
 let suite =
   [
@@ -111,4 +138,5 @@ let suite =
     Alcotest.test_case "parameters are run-time values" `Quick
       test_params_are_runtime;
     Alcotest.test_case "sort and limit" `Quick test_sort_code;
+    Alcotest.test_case "typed entries" `Quick test_typed_entries;
   ]

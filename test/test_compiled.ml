@@ -379,6 +379,270 @@ let test_random_joins () =
          (Printf.sprintf "select %s from %s%s%s%s" select from where group order))
   done
 
+(* ---------------- typed entries ---------------- *)
+
+(* Two tables of join keys: [k] a non-null Int (its own fold), [i] a
+   nullable Int, [f] a nullable Float, [g] a non-null Float and [name] a
+   nullable Varchar whose values share prefixes.  The
+   floats pair +x with -x and 0. with -0., and hold nans of three bit
+   patterns: the fold drops the sign bit, so only the compare separates
+   +x from -x, while nans of different payloads fold apart. *)
+let key_catalog () =
+  let cat = Storage.Catalog.create () in
+  let nan_a = Int64.float_of_bits 0x7FF8000000000001L
+  and nan_b = Int64.float_of_bits 0xFFF8000000000001L
+  and nan_c = Int64.float_of_bits 0x7FF8000000000002L in
+  let floats =
+    [| 1.5; -1.5; 0.0; -0.0; nan_a; nan_b; nan_c; 2.0; -2.0; 1.0; 3.0 |]
+  in
+  let ints = [| 0; 1; 2; -2; 3; 1; 0 |] in
+  let names = [| ""; "x"; "xy"; "xyz"; "y"; "xy" |] in
+  let add name n =
+    let c x = name ^ x in
+    let schema =
+      Storage.Schema.make_nullable name
+        [
+          (c "id", V.Int, false);
+          (c "k", V.Int, false);
+          (c "i", V.Int, true);
+          (c "f", V.Float, true);
+          (c "g", V.Float, false);
+          (c "name", V.Varchar 4, true);
+        ]
+    in
+    let rel = Storage.Catalog.add cat schema (Storage.Layout.row schema) in
+    Storage.Relation.load rel ~n (fun ~row ->
+        let pick a = a.(row mod Array.length a) in
+        [|
+          V.VInt row;
+          V.VInt (row mod 5);
+          (if row mod 9 = 8 then V.Null else V.VInt (pick ints));
+          (if row mod 12 = 11 then V.Null else V.VFloat (pick floats));
+          V.VFloat floats.((row * 7) mod Array.length floats);
+          (if row mod 10 = 9 then V.Null else V.VStr (pick names));
+        |])
+  in
+  add "a" 23;
+  add "b" 61;
+  cat
+
+(* A probe walks only the chain of its own bucket, so a key pair that is
+   [Value.equal] with different folds meets the fold check only when the
+   two folds share a bucket.  These tables are built to make them share
+   one: an 8-row build gets 16 buckets, chosen by the prelude's [hslot]
+   (a 64-bit murmur finalizer) of the fold, and the build holds ints [x]
+   whose bucket is that of [float x], and nans whose bucket is that of a
+   nan of another payload in the probe. *)
+let collision_catalog () =
+  let bucket v =
+    let x = Int64.of_int (Storage.Hash_index.key_of_value v) in
+    let x = Int64.logxor x (Int64.shift_right_logical x 33) in
+    let x = Int64.mul x 0xff51afd7ed558ccdL in
+    let x = Int64.logxor x (Int64.shift_right_logical x 33) in
+    Int64.to_int (Int64.logand x 15L)
+  in
+  let rec find n ok x =
+    if n = 0 then []
+    else if ok x then x :: find (n - 1) ok (x + 1)
+    else find n ok (x + 1)
+  in
+  let ints =
+    Array.of_list
+      (find 4
+         (fun x -> bucket (V.VInt x) = bucket (V.VFloat (float_of_int x)))
+         1)
+  in
+  let nan p =
+    Int64.float_of_bits (Int64.logor 0x7FF8000000000000L (Int64.of_int p))
+  in
+  let nans =
+    Array.of_list
+      (find 2
+         (fun p ->
+           List.exists
+             (fun q -> bucket (V.VFloat (nan p)) = bucket (V.VFloat (nan q)))
+             (List.init 64 (fun i -> p + 1000 + i)))
+         1)
+  in
+  let partner p =
+    List.find
+      (fun q -> bucket (V.VFloat (nan p)) = bucket (V.VFloat (nan q)))
+      (List.init 64 (fun i -> p + 1000 + i))
+  in
+  let cat = Storage.Catalog.create () in
+  let add name cols n row =
+    let schema = Storage.Schema.make name cols in
+    let rel = Storage.Catalog.add cat schema (Storage.Layout.row schema) in
+    Storage.Relation.load rel ~n (fun ~row:r -> row r)
+  in
+  add "cb" [ ("cid", V.Int); ("ck", V.Int); ("cf", V.Float) ] 8 (fun r ->
+      [|
+        V.VInt r;
+        V.VInt ints.(r mod 4);
+        V.VFloat
+          (if r < 4 then float_of_int ints.(r) else nan nans.(r mod 2));
+      |]);
+  add "cp" [ ("pid", V.Int); ("pi", V.Int); ("pg", V.Float) ] 10 (fun r ->
+      [|
+        V.VInt r;
+        V.VInt (if r < 4 then ints.(r) else r);
+        V.VFloat
+          (if r < 4 then float_of_int ints.(r)
+           else if r < 6 then nan (partner nans.(r mod 2))
+           else [| 0.0; -0.0; 1.5; -1.5 |].(r - 6));
+      |]);
+  cat
+
+let test_join_float_keys () =
+  let cat = key_catalog () in
+  let r = check_native cat "select aid, bid, af, bf from a join b on af = bf" in
+  let matched x y =
+    List.exists
+      (fun row ->
+        exact row.(2) = exact (V.VFloat x)
+        && exact row.(3) = exact (V.VFloat y))
+      r.Runtime.rows
+  in
+  Alcotest.(check bool) "+1.5 never matches -1.5" false (matched 1.5 (-1.5));
+  Alcotest.(check bool) "0. matches -0." true (matched 0.0 (-0.0));
+  Alcotest.(check bool) "nans of one payload but either sign match" true
+    (matched
+       (Int64.float_of_bits 0x7FF8000000000001L)
+       (Int64.float_of_bits 0xFFF8000000000001L));
+  Alcotest.(check bool) "nans of different payloads do not" false
+    (matched
+       (Int64.float_of_bits 0x7FF8000000000001L)
+       (Int64.float_of_bits 0x7FF8000000000002L));
+  let crafted = collision_catalog () in
+  let r =
+    check_native crafted "select cid, pid, cf, pg from cb join cp on cf = pg"
+  in
+  Alcotest.(check bool) "bucket-mate nans of other payloads never meet" false
+    (List.exists
+       (fun row -> match row.(2) with V.VFloat f -> Float.is_nan f | _ -> false)
+       r.Runtime.rows);
+  List.iter
+    (fun sql -> ignore (check_native cat sql))
+    [
+      "select bid, aid, bf, af from b join a on bf = af";
+      "select aid, bid, ag, bg from a join b on ag = bg";
+      "select aid, bid, af, bg from a join b on af = bg";
+    ]
+
+(* [Value.equal] holds between an Int and a Float of one number, but the
+   folds differ unless the float's bits are the int: 0 meets 0. and -0.,
+   1 never meets 1.0. *)
+let test_join_int_float_keys () =
+  let cat = key_catalog () in
+  let r = check_native cat "select aid, bid, ak, bg from a join b on ak = bg" in
+  let pairs =
+    List.map (fun row -> (exact row.(2), exact row.(3))) r.Runtime.rows
+  in
+  Alcotest.(check bool) "0 meets -0." true
+    (List.mem (exact (V.VInt 0), exact (V.VFloat (-0.0))) pairs);
+  Alcotest.(check bool) "1 never meets 1.0" false
+    (List.exists (fun (k, _) -> k = exact (V.VInt 1)) pairs);
+  List.iter
+    (fun sql -> ignore (check_native cat sql))
+    [
+      "select aid, bid, ag, bk from a join b on ag = bk";
+      "select aid, bid, ai, bf from a join b on ai = bf";
+      "select bid, aid, bf, ai from b join a on bf = ai";
+      "select aid, bid, af, bi from a join b on af = bi";
+    ];
+  let cat = collision_catalog () in
+  List.iter
+    (fun sql ->
+      let r = check_native cat sql in
+      Alcotest.(check int) (sql ^ ": bucket-mates of other folds never meet") 0
+        (List.length r.Runtime.rows))
+    [
+      "select cid, pid, ck, pg from cb join cp on ck = pg";
+      "select cid, pid, cf, pi from cb join cp on cf = pi";
+    ]
+
+(* Every entry of a repeated build key is emitted, in build order. *)
+let test_join_repeated_build_keys () =
+  let cat = key_catalog () in
+  List.iter
+    (fun sql -> ignore (check_native cat sql))
+    [
+      "select aid, bid, ak from a join b on ak = bk";
+      "select bid, aid, bi from b join a on bi = ai";
+      "select aid, bid from a join b on ak = bk where bid > 40";
+      "select aid, bid, aname from a join b on aname = bname";
+      "select bid, aid, bname, af from b join a on bname = aname";
+    ]
+
+(* 40,000 groups, each key twice, past what a 16-bit index addresses: the
+   int32 slot index rehashes from 1,024 slots to 131,072, every second
+   row finds its group, and the groups come out in insertion order. *)
+let test_many_int_groups () =
+  let cat = Storage.Catalog.create () in
+  let schema =
+    Storage.Schema.make_nullable "many"
+      [ ("k", V.Int, false); ("v", V.Int, true); ("f", V.Float, false) ]
+  in
+  let rel = Storage.Catalog.add cat schema (Storage.Layout.row schema) in
+  Storage.Relation.load rel ~n:80_000 (fun ~row ->
+      [|
+        V.VInt (row * 7919 mod 40_000);
+        (if row mod 7 = 0 then V.Null else V.VInt (row mod 1000));
+        V.VFloat (float_of_int (row mod 97) /. 4.0);
+      |]);
+  let r =
+    check_native cat
+      "select k, count(*) c, sum(v) s, min(v) mn, max(f) mx, avg(v) a from \
+       many group by k"
+  in
+  Alcotest.(check int) "every key its own group" 40_000
+    (List.length r.Runtime.rows);
+  ignore (check_native cat "select k, v, count(*) c from many group by k, v")
+
+(* Top-k under LIMIT: 0, at and past the row count, and cutoffs inside a
+   run of ties, ascending and descending, over a join and a group-by. *)
+let test_topk_limits () =
+  let cat = key_catalog () in
+  List.iter
+    (fun (base, key) ->
+      List.iter
+        (fun dir ->
+          let sorted = Printf.sprintf "%s order by %s%s" base key dir in
+          let full = check_native cat sorted in
+          let rows = Array.of_list full.Runtime.rows in
+          let n = Array.length rows in
+          let col =
+            let rec find i =
+              if full.Runtime.columns.(i) = key then i else find (i + 1)
+            in
+            find 0
+          in
+          (* every cutoff that splits a run of equal keys *)
+          let ties =
+            List.filter
+              (fun k -> V.equal rows.(k - 1).(col) rows.(k).(col))
+              (List.init (max 0 (n - 1)) (fun i -> i + 1))
+          in
+          Alcotest.(check bool)
+            (sorted ^ ": a cutoff inside ties")
+            true (ties <> []);
+          List.iter
+            (fun k ->
+              let r =
+                check_native cat (Printf.sprintf "%s limit %d" sorted k)
+              in
+              Alcotest.(check int)
+                (Printf.sprintf "%s limit %d rows" sorted k)
+                (min k n) (List.length r.Runtime.rows))
+            (List.sort_uniq compare
+               (let mid = List.nth ties (List.length ties / 2) in
+                [ 0; List.hd ties; mid; n; n + 3 ])))
+        [ ""; " desc" ])
+    [
+      ("select aid, bid, ak from a join b on ak = bk", "ak");
+      ("select bi, count(*) c from b group by bi", "c");
+    ]
+
 (* One call serves a result of any size: well past 64 KB, with NULLs and
    varchars. *)
 let test_large_result () =
@@ -668,4 +932,11 @@ let suite =
     Alcotest.test_case "entry rereads MRDB_NO_CC" `Quick test_entry_no_cc;
     Alcotest.test_case "entries die with their catalog" `Quick
       test_entry_lifetime;
+    Alcotest.test_case "join on float keys" `Quick test_join_float_keys;
+    Alcotest.test_case "join int keys to float keys" `Quick
+      test_join_int_float_keys;
+    Alcotest.test_case "join on repeated build keys" `Quick
+      test_join_repeated_build_keys;
+    Alcotest.test_case "group by many int keys" `Quick test_many_int_groups;
+    Alcotest.test_case "top-k under limit" `Quick test_topk_limits;
   ]

@@ -982,7 +982,10 @@ let test_pipeline_dead_connection () =
                 Txn.Client.insert c ~table:"b" [| V.VInt 4; V.VInt 40 |];
                 (match call c with
                 | () -> Alcotest.failf "%s after lost writes must raise" trigger
-                | exception Failure _ -> ());
+                | exception Failure _ when trigger = "GET" -> ()
+                | exception Errors.Bad_request _ when trigger = "COMMIT" ->
+                    (* the re-sent token finds no transaction *)
+                    ());
                 Txn.Client.ping c;
                 Txn.Client.close c)
           in
@@ -1030,6 +1033,64 @@ let test_server_line_cap () =
       Alcotest.(check int) "a second client is served" 10
         (vint (Txn.Client.get c ~table:"b" ~tid:1 ~attr:1));
       Txn.Client.close c)
+
+(* Every request that needs a transaction, sent without BEGIN, answers ERR
+   BAD_REQUEST, and the same session then commits a normal transaction. *)
+let test_server_no_txn_bad_request () =
+  with_server (small_cat ()) (fun mgr addr ->
+      let path =
+        match addr with Txn.Client.Unix_sock p -> p | _ -> assert false
+      in
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      let r = Txn.Wire.reader fd in
+      let ask req =
+        let s = Txn.Wire.encode_request req ^ "\n" in
+        ignore (Unix.write_substring fd s 0 (String.length s));
+        Txn.Wire.parse_reply (Txn.Wire.read_line r)
+      in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          List.iter
+            (fun (what, req) ->
+              match ask req with
+              | Txn.Wire.Err { tag = "BAD_REQUEST"; _ } -> ()
+              | reply ->
+                  Alcotest.failf "%s without BEGIN answered %s" what
+                    (Txn.Wire.encode_reply reply))
+            [
+              ("GET", Txn.Wire.Get { table = "b"; tid = 0; attr = 1 });
+              ( "SET",
+                Txn.Wire.Set
+                  { table = "b"; tid = 0; attr = 1; value = V.VInt 7 } );
+              ( "INSERT",
+                Txn.Wire.Insert
+                  { table = "b"; values = [| V.VInt 9; V.VInt 90 |] } );
+              ("ROWS", Txn.Wire.Rows "b");
+              ("SUM", Txn.Wire.Sum { table = "b"; attr = 1 });
+              ("COMMIT", Txn.Wire.Commit None);
+              ("COMMIT with a token", Txn.Wire.Commit (Some "anon#1"));
+            ];
+          let ok what = function
+            | Txn.Wire.Ok_ _ -> ()
+            | reply ->
+                Alcotest.failf "%s answered %s" what
+                  (Txn.Wire.encode_reply reply)
+          in
+          ok "BEGIN" (ask Txn.Wire.Begin);
+          ok "SET"
+            (ask
+               (Txn.Wire.Set
+                  { table = "b"; tid = 2; attr = 1; value = V.VInt 77 }));
+          ok "COMMIT" (ask (Txn.Wire.Commit None)));
+      M.snapshot mgr (fun s ->
+          Alcotest.(check int) "the committed SET applied" 77
+            (vint (M.read s "b" 2 1));
+          Alcotest.(check int) "no refused SET applied" 0
+            (vint (M.read s "b" 0 1));
+          Alcotest.(check int) "no refused INSERT applied" 4
+            (M.visible_rows s "b")))
 
 (* ------------------------------------------------------------------ *)
 (* Advisor repartition racing live transactions                       *)
@@ -1153,4 +1214,6 @@ let suite =
       test_pipeline_dead_connection;
     Alcotest.test_case "advisor repartition races live transactions" `Quick
       test_advisor_repartition_races_mvcc;
+    Alcotest.test_case "server: request without BEGIN gets BAD_REQUEST" `Quick
+      test_server_no_txn_bad_request;
   ]
