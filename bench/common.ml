@@ -50,8 +50,8 @@ let commit () =
   | Some c -> c
   | None -> ( match Sys.getenv_opt "GITHUB_SHA" with Some c -> c | None -> "")
 
-let pt ~bench ~metric ?unit_ v = Obs.Trajectory.point ~bench ~metric ?unit_ v
+let pt ~bench ~metric ?unit_ v = Trajectory.point ~bench ~metric ?unit_ v
 
 let write_bench file points =
-  Obs.Trajectory.save file (Obs.Trajectory.make_run ~commit:(commit ()) points);
+  Trajectory.save file (Trajectory.make_run ~commit:(commit ()) points);
   note "wrote %s" file

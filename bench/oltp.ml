@@ -58,8 +58,8 @@ let check_conserved mgr =
   let total =
     Mvcc.snapshot mgr (fun txn ->
         Array.fold_left
-          (fun a row -> a + vint row.(1))
-          0 (Mvcc.scan txn "acct"))
+          (fun a v -> a + vint v)
+          0 (Mvcc.column txn "acct" 1))
   in
   assert (total = accounts * init_balance)
 

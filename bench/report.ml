@@ -12,12 +12,12 @@
          --threshold, list only metrics whose relative change exceeds R.
 
      report.exe gate --gates GATES.json CURRENT [--baseline FILE]
-         Apply regression gates (see Obs.Trajectory.gates_of_json) to a
+         Apply regression gates (see Trajectory.gates_of_json) to a
          trajectory; exit 1 if any gate is violated.  --baseline enables
          the max_regress drift checks.  *)
 
 module J = Obs.Json
-module T = Obs.Trajectory
+module T = Trajectory
 
 let fail fmt =
   Printf.ksprintf

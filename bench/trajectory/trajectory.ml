@@ -1,3 +1,5 @@
+module Json = Obs.Json
+
 type point = { bench : string; metric : string; value : float; unit_ : string }
 type run = { schema_version : int; commit : string; points : point list }
 
@@ -31,7 +33,7 @@ let get_str ?(default = "") key j =
 
 let point_of_json j =
   match Option.bind (Json.member "value" j) Json.to_num with
-  | None -> failwith "Obs.Trajectory: point without numeric value"
+  | None -> failwith "Trajectory: point without numeric value"
   | Some value ->
       {
         bench = get_str "bench" j;
@@ -48,7 +50,7 @@ let of_json j =
         commit = get_str "commit" j;
         points = List.map point_of_json pts;
       }
-  | _ -> failwith "Obs.Trajectory: not a trajectory run"
+  | _ -> failwith "Trajectory: not a trajectory run"
 
 let save path r = Json.write_file path (to_json r)
 let load path = of_json (Json.parse_file path)
@@ -164,7 +166,7 @@ let gates_of_json j =
   in
   match Json.member "gates" j with
   | Some (Json.Arr gs) -> List.map gate_of gs
-  | _ -> failwith "Obs.Trajectory: gates file lacks a \"gates\" array"
+  | _ -> failwith "Trajectory: gates file lacks a \"gates\" array"
 
 let check ~gates ?baseline run =
   let base_tbl = Option.map index baseline in

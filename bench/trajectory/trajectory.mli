@@ -29,14 +29,14 @@ val schema_version : int
 val point : bench:string -> metric:string -> ?unit_:string -> float -> point
 val make_run : ?commit:string -> point list -> run
 
-val to_json : run -> Json.t
-val of_json : Json.t -> run
+val to_json : run -> Obs.Json.t
+val of_json : Obs.Json.t -> run
 (** Raises [Failure] on shape mismatch. *)
 
 val save : string -> run -> unit
 val load : string -> run
 
-val normalize_legacy : bench:string -> Json.t -> point list
+val normalize_legacy : bench:string -> Obs.Json.t -> point list
 (** Flatten a legacy bench file into points (see module doc).  A file
     already in trajectory shape contributes its points unchanged,
     re-labelled under [bench] only if their bench field is empty. *)
@@ -69,7 +69,7 @@ type gate = {
 type violation = { gate : gate; point : point; reason : string }
 
 val glob_match : pattern:string -> string -> bool
-val gates_of_json : Json.t -> gate list
+val gates_of_json : Obs.Json.t -> gate list
 (** [{ "gates": [ {pattern; direction?; max_regress?; max_value?;
     min_value?} ] }]; [direction] is ["up_is_bad"] (default) or
     ["down_is_bad"]. *)

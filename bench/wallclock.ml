@@ -213,8 +213,8 @@ let sweep_points () =
       let best2 =
         List.fold_left
           (fun acc p ->
-            if p.Obs.Trajectory.metric = "jit.d2.best.speedup" then
-              p.Obs.Trajectory.value
+            if p.Trajectory.metric = "jit.d2.best.speedup" then
+              p.Trajectory.value
             else acc)
           0.0 !points
       in
@@ -237,10 +237,11 @@ let sweep_points () =
    the IP optimizer picks for them, best-of-N under Compiled and Jit: how
    many run natively (no Jit fallback), the geometric mean of the
    per-query Jit/Compiled time ratio, the C units emitted per rerun (0: a
-   loaded unit serves its reruns without emitting its source again), and
-   the tagged [mv] fields the 8 units keep in their join, group and sort
-   entries (0: every entry field is typed).  Skipped without a C
-   compiler. *)
+   loaded unit serves its reruns without emitting its source again), the
+   tagged [mv] fields the 8 units keep in their join, group and sort
+   entries (0: every entry field is typed), and their group-bys served
+   through a join entry's cached group index (5: CH2, CH3, CH5, CH8 and
+   CH10).  Skipped without a C compiler. *)
 let ch_points () =
   if not (Engines.Compiled.cc_available ()) then begin
     Common.note "CH suite: no C compiler, skipped";
@@ -260,7 +261,7 @@ let ch_points () =
     let fallbacks () = counter "mrdb_compiled_fallbacks_total" in
     let emitted () = counter "mrdb_compiled_units_emitted_total" in
     let points = ref [] and native = ref 0 and log_sum = ref 0.0 in
-    let rerun_emits = ref 0 and tagged = ref 0 in
+    let rerun_emits = ref 0 and tagged = ref 0 and groupjoins = ref 0 in
     let add metric ?unit_ v =
       points := Common.pt ~bench:"wallclock" ~metric ?unit_ v :: !points
     in
@@ -270,7 +271,8 @@ let ch_points () =
         let params = q.Workloads.Workload.params in
         (match Engines.C_emitter.emit_unit cat plan ~params with
         | Ok info ->
-            tagged := !tagged + info.Engines.C_emitter.tagged_entry_fields
+            tagged := !tagged + info.Engines.C_emitter.tagged_entry_fields;
+            groupjoins := !groupjoins + info.Engines.C_emitter.groupjoins
         | Error _ -> ());
         let run engine () = Engines.Engine.run engine cat plan ~params in
         (* the first run pays the cc invocation *)
@@ -294,12 +296,14 @@ let ch_points () =
     in
     Common.note
       "CH suite: %d/%d native, geomean %.2fx over jit, %g emits/rerun, %d \
-       tagged entry fields"
-      !native (List.length queries) speedup emits_per_rerun !tagged;
+       tagged entry fields, %d groupjoins"
+      !native (List.length queries) speedup emits_per_rerun !tagged
+      !groupjoins;
     add "compiled.ch.native_queries" (float_of_int !native);
     add "compiled.ch.vs_jit.geomean_speedup" speedup;
     add "compiled.ch.emits_per_rerun" emits_per_rerun;
     add "compiled.ch.tagged_entry_fields" (float_of_int !tagged);
+    add "compiled.ch.groupjoins" (float_of_int !groupjoins);
     List.rev !points
   end
 

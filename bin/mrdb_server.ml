@@ -168,9 +168,9 @@ let run_smoke ~clients ~transfers ~accounts ~seed ~max_clients ~txn_timeout
   let final_total =
     Txn.Mvcc.snapshot mgr (fun txn ->
         Array.fold_left
-          (fun acc row -> acc + Value.to_int row.(1))
+          (fun acc v -> acc + Value.to_int v)
           0
-          (Txn.Mvcc.scan txn "acct"))
+          (Txn.Mvcc.column txn "acct" 1))
   in
   let xfer_rows =
     Txn.Mvcc.snapshot mgr (fun txn -> Txn.Mvcc.visible_rows txn "xfer")

@@ -35,6 +35,7 @@ type unit_info = {
   tables : scanned array;
   out_arity : int;
   tagged_entry_fields : int;
+  groupjoins : int;
 }
 
 let scanned_of name rel =
@@ -123,6 +124,7 @@ type ctx = {
   mutable nparts : int;
   mutable loaded : int list; (* parameters already read into locals *)
   mutable tagged : int; (* tagged [mv] members declared in entry structs *)
+  mutable groupjoins : int; (* group-bys reached through a join's group index *)
 }
 
 let line ctx fmt =
@@ -254,6 +256,30 @@ static inline uint64_t hslot(int64_t h) {
   uint64_t x = (uint64_t)h;
   x ^= x >> 33; x *= UINT64_C(0xff51afd7ed558ccd); x ^= x >> 33;
   return x;
+}
+/* A join's buckets.  A build whose keys are their own folds, all in
+   [lo, hi] and dense (hi - lo at most 8n + 64), is direct-mapped: fold h
+   owns bucket h - lo, so a probe in key order walks the buckets in order,
+   a bucket never holds a key other than its own, and a fold outside the
+   range gets bucket mask + 1, which stays empty.  Any other build, an
+   empty range (lo > hi) included, hashes into a power of two of at least
+   2n buckets.  [jsize] sets the mask and says whether the buckets are
+   direct-mapped; [jslot] picks fold h's bucket, computing both candidates
+   so that no branch on the mode enters the loops it is inlined into. */
+static int jsize(int64_t n, int64_t lo, int64_t hi, uint64_t *mask) {
+  if (hi >= lo && (uint64_t)hi - (uint64_t)lo <= 8 * (uint64_t)n + 64) {
+    *mask = (uint64_t)hi - (uint64_t)lo;
+    return 1;
+  }
+  uint64_t m = 15;
+  while (m + 1 < 2 * (uint64_t)n) m = m * 2 + 1;
+  *mask = m;
+  return 0;
+}
+static inline uint64_t jslot(int64_t h, int64_t lo, uint64_t mask, int dense) {
+  uint64_t s = (uint64_t)h - (uint64_t)lo, x = hslot(h) & mask;
+  s = s <= mask ? s : mask + 1;
+  return dense ? s : x;
 }
 
 /* Grow an entry array to hold at least one more entry; NULL when out of
@@ -953,7 +979,7 @@ let cgroup_table ctx g ~own kfs =
   uint64_t m = tb->mask ? tb->mask * 2 + 1 : 1023;
   int32_t *idx = malloc((size_t)(m + 1) * sizeof *idx);
   if (!idx) return 0;
-  for (uint64_t i = 0; i <= m; i++) idx[i] = -1;
+  memset(idx, 0xff, (size_t)(m + 1) * sizeof *idx);
   for (int64_t e = 0; e < tb->n; e++) {
     uint64_t s = hslot(%s) & m;
     while (idx[s] >= 0) s = (s + 1) & m;
@@ -993,13 +1019,30 @@ static %s_ent *%s_find(%s_tab *tb, int64_t h%s, int *fresh) {
   local ctx "%s_tab %s = { NULL, 0, 0, NULL, 0 };" g g;
   ctx.frees <- Printf.sprintf "free(%s.ents); free(%s.idx);" g g :: ctx.frees
 
+(* Whether columns [cols] of [plan]'s rows read only the build side of
+   the hash join at its root, seen through Selects and Projects: then each
+   row's values of them are a function of the build entry it matched. *)
+let rec build_only ctx (plan : Physical.t) cols =
+  match plan with
+  | Physical.Select { child; _ } -> build_only ctx child cols
+  | Physical.Project { child; exprs } ->
+      let used = List.filteri (fun i _ -> List.mem i cols) exprs in
+      build_only ctx child (expr_cols (List.map fst used))
+  | Physical.Hash_join { build; _ } ->
+      let ba = arity ctx build in
+      List.for_all (fun c -> c < ba) cols
+  | _ -> false
+
 (* Produce the rows of [plan] into [consume], data-centric style: each
    operator either extends the pipeline it is called in or ends it and
    starts a new one over its materialized state.  [need.(i)] says whether
    any consumer reads output column [i]; pipeline breakers materialize only
    needed columns.  Every produce call runs at the top level of
-   [mrdb_query] and every [consume] is invoked exactly once. *)
-let rec cproduce ctx (plan : Physical.t) ~(need : bool array)
+   [mrdb_query] and every [consume] is invoked exactly once.  [gid] asks
+   the hash join at the root of [plan], under Selects and Projects, for a
+   group index in each build entry: the join sets it to that index's
+   lvalue in the matched entry before it consumes a row. *)
+let rec cproduce ?gid ctx (plan : Physical.t) ~(need : bool array)
     ~(consume : cslot array -> unit) : unit =
   match plan with
   | Physical.Scan { table; access = Physical.Full_scan; post; _ } ->
@@ -1018,7 +1061,7 @@ let rec cproduce ctx (plan : Physical.t) ~(need : bool array)
       line ctx "}"
   | Physical.Scan _ -> unsupported "index access"
   | Physical.Select { child; pred; _ } ->
-      cproduce ctx child
+      cproduce ?gid ctx child
         ~need:(needing need (Expr.cols pred))
         ~consume:(fun slots ->
           let p = cexpr ctx slots pred in
@@ -1030,7 +1073,7 @@ let rec cproduce ctx (plan : Physical.t) ~(need : bool array)
           (Array.make (arity ctx child) false)
           (expr_cols (List.map fst used))
       in
-      cproduce ctx child ~need:child_need ~consume:(fun slots ->
+      cproduce ?gid ctx child ~need:child_need ~consume:(fun slots ->
           consume
             (Array.of_list
                (List.mapi
@@ -1049,14 +1092,26 @@ let rec cproduce ctx (plan : Physical.t) ~(need : bool array)
   | Physical.Group_by { child; keys; aggs; _ } ->
       cgroup ctx ~child ~keys ~aggs ~consume
   | Physical.Hash_join { build; probe; build_keys; probe_keys; _ } ->
-      cjoin ctx ~need ~build ~probe ~build_keys ~probe_keys ~consume
+      cjoin ?gid ctx ~need ~build ~probe ~build_keys ~probe_keys ~consume
   | Physical.Sort { child; keys } ->
       csort ctx ~need ~child ~keys ~limit:None ~consume
   | Physical.Insert _ | Physical.Update _ -> unsupported "dml"
 
+(* A keyed group-by directly over a hash join whose build side alone
+   gives its keys is a groupjoin: each build entry caches the index of
+   its group, -1 until the first row through that entry that reaches
+   the group-by looks the group up.  Later rows through the entry step
+   that group with no fold, [_find] or key compare, so groups and their
+   order are those of the plain lookup. *)
 and cgroup ctx ~child ~keys ~aggs ~consume =
   let g = fresh ctx "g" in
   let keyed = keys <> [] and isnew = g ^ "_new" in
+  let gid = ref None in
+  let gj =
+    if keyed && build_only ctx child (expr_cols (List.map fst keys)) then
+      Some gid
+    else None
+  in
   let child_need =
     needing
       (Array.make (arity ctx child) false)
@@ -1065,7 +1120,7 @@ and cgroup ctx ~child ~keys ~aggs ~consume =
          @ List.filter_map (fun (a : Aggregate.t) -> a.Aggregate.expr) aggs))
   in
   let shape = ref None in
-  cproduce ctx child ~need:child_need ~consume:(fun slots ->
+  cproduce ?gid:gj ctx child ~need:child_need ~consume:(fun slots ->
       let ks = List.map (fun (e, _) -> cexpr ctx slots e) keys in
       let ags =
         List.mapi
@@ -1089,12 +1144,27 @@ and cgroup ctx ~child ~keys ~aggs ~consume =
           ((if own then [] else [ fold_member ])
           @ List.concat_map members kfs @ states);
         cgroup_table ctx g ~own kfs;
-        line ctx "int %s;" isnew;
         let args = List.concat (List.map2 key_args ks kfs) in
-        line ctx "%s_ent *%s_e = %s_find(&%s, %s%s, &%s);" g g g g (fold_c ks)
-          (String.concat "" (List.map (fun a -> ", " ^ a) args))
-          isnew;
-        line ctx "if (!%s_e) goto mrdb_oom;" g;
+        let find =
+          Printf.sprintf "%s_find(&%s, %s%s, &%s)" g g (fold_c ks)
+            (String.concat "" (List.map (fun a -> ", " ^ a) args))
+            isnew
+        in
+        (match !gid with
+        | None ->
+            line ctx "int %s;" isnew;
+            line ctx "%s_ent *%s_e = %s;" g g find;
+            line ctx "if (!%s_e) goto mrdb_oom;" g
+        | Some id ->
+            ctx.groupjoins <- ctx.groupjoins + 1;
+            line ctx "int %s = 0;" isnew;
+            line ctx "%s_ent *%s_e;" g g;
+            line ctx "if (%s >= 0) %s_e = &%s.ents[%s];" id g g id;
+            line ctx "else {";
+            nest ctx (fun () ->
+                line ctx "if (!(%s_e = %s)) goto mrdb_oom;" g find;
+                line ctx "%s = (int32_t)(%s_e - %s.ents);" id g g);
+            line ctx "}");
         List.iter (fun a -> a.astep (g ^ "_e->")) ags
       end);
   let kfs, ags = consumed shape in
@@ -1120,8 +1190,11 @@ and cgroup ctx ~child ~keys ~aggs ~consume =
    are then threaded through a bucket array back to front, so each chain
    lists its entries in build-insertion order.  The probe pipeline walks
    its key's chain and emits, in order, every entry whose fold agrees and
-   whose keys are [Value.equal] — the match rule of [Runtime.Sim_hash]. *)
-and cjoin ctx ~need ~build ~probe ~build_keys ~probe_keys ~consume =
+   whose keys are [Value.equal] — the match rule of [Runtime.Sim_hash].
+   An own-fold build tracks its key range, and [jsize] makes its buckets
+   direct-mapped when that range is dense.  With [gid], each entry also
+   holds a group index for the group-by above (see [cgroup]). *)
+and cjoin ?gid ctx ~need ~build ~probe ~build_keys ~probe_keys ~consume =
   let j = fresh ctx "j" in
   let ba = arity ctx build and pa = arity ctx probe in
   let nk = List.length build_keys in
@@ -1133,11 +1206,14 @@ and cjoin ctx ~need ~build ~probe ~build_keys ~probe_keys ~consume =
   let pneed = needing (Array.sub need ba pa) probe_keys in
   let pos, _ = compact bneed in
   local ctx "%s_ent *%s_e = NULL; int64_t %s_n = 0, %s_cap = 0;" j j j j;
-  local ctx "int32_t *%s_head = NULL, *%s_next = NULL; uint64_t %s_mask = 15;" j
+  local ctx "int32_t *%s_head = NULL, *%s_next = NULL; uint64_t %s_mask = 0;" j
+    j j;
+  local ctx "int64_t %s_lo = INT64_MAX, %s_hi = INT64_MIN; int %s_dense = 0;" j
     j j;
   ctx.frees <-
     Printf.sprintf "free(%s_e); free(%s_head); free(%s_next);" j j j
     :: ctx.frees;
+  let gid_member = { mty = "int32_t"; mname = "gid"; msize = 4 } in
   let shape = ref None in
   cproduce ctx build ~need:bneed ~consume:(fun slots ->
       let fs = fields_of slots pos in
@@ -1145,27 +1221,36 @@ and cjoin ctx ~need ~build ~probe ~build_keys ~probe_keys ~consume =
       let own = own_fold bks in
       shape := Some (fs, own);
       decl_struct ctx (j ^ "_ent")
-        ((if own then [] else [ fold_member ]) @ field_members fs);
+        ((if own then [] else [ fold_member ])
+        @ (if gid = None then [] else [ gid_member ])
+        @ field_members fs);
       reserve_one ctx ~arr:(j ^ "_e") ~n:(j ^ "_n") ~cap:(j ^ "_cap");
       line ctx "%s_ent *%s_w = &%s_e[%s_n++];" j j j j;
       Array.iteri
         (fun i f -> Option.iter (store ctx slots.(i) (j ^ "_w->")) f)
         fs;
-      if not own then line ctx "%s_w->h = %s;" j (fold_c bks));
+      if gid <> None then line ctx "%s_w->gid = -1;" j;
+      if own then begin
+        let key = Option.get fs.(List.hd build_keys) in
+        let k = kv_c (load (j ^ "_w->") key) in
+        line ctx "if (%s < %s_lo) %s_lo = %s;" k j j k;
+        line ctx "if (%s > %s_hi) %s_hi = %s;" k j j k
+      end
+      else line ctx "%s_w->h = %s;" j (fold_c bks));
   let fs, own = consumed shape in
   let bkeys e = List.map (fun k -> load e (Option.get fs.(k))) build_keys in
-  line ctx "while (%s_mask + 1 < 2 * (uint64_t)%s_n) %s_mask = %s_mask * 2 + 1;"
-    j j j j;
-  line ctx "%s_head = malloc((size_t)(%s_mask + 1) * sizeof(int32_t));" j j;
+  let bucket h = Printf.sprintf "jslot(%s, %s_lo, %s_mask, %s_dense)" h j j j in
+  line ctx "%s_dense = jsize(%s_n, %s_lo, %s_hi, &%s_mask);" j j j j j;
+  line ctx "%s_head = malloc((size_t)(%s_mask + 2) * sizeof(int32_t));" j j;
   line ctx "%s_next = malloc((size_t)(%s_n + 1) * sizeof(int32_t));" j j;
   line ctx "if (!%s_head || !%s_next) goto mrdb_oom;" j j;
-  line ctx "for (uint64_t i = 0; i <= %s_mask; i++) %s_head[i] = -1;" j j;
+  line ctx "memset(%s_head, 0xff, (size_t)(%s_mask + 2) * sizeof(int32_t));" j
+    j;
   line ctx "for (int32_t e = (int32_t)%s_n - 1; e >= 0; e--) {" j;
   nest ctx (fun () ->
       let e = Printf.sprintf "%s_e[e]." j in
-      line ctx "uint64_t s = hslot(%s) & %s_mask;"
-        (if own then kv_c (List.hd (bkeys e)) else e ^ "h")
-        j;
+      line ctx "uint64_t s = %s;"
+        (bucket (if own then kv_c (List.hd (bkeys e)) else e ^ "h"));
       line ctx "%s_next[e] = %s_head[s]; %s_head[s] = e;" j j j);
   line ctx "}";
   cproduce ctx probe ~need:pneed ~consume:(fun pslots ->
@@ -1176,12 +1261,15 @@ and cjoin ctx ~need ~build ~probe ~build_keys ~probe_keys ~consume =
       in
       line ctx "const int64_t %s_ph = %s;" j (fold_c pks);
       line ctx
-        "for (int32_t %s_i = %s_head[hslot(%s_ph) & %s_mask]; %s_i >= 0; %s_i \
-         = %s_next[%s_i]) {"
-        j j j j j j j j;
+        "for (int32_t %s_i = %s_head[%s]; %s_i >= 0; %s_i = %s_next[%s_i]) {" j
+        j
+        (bucket (j ^ "_ph"))
+        j j j j;
       nest ctx (fun () ->
           let m = j ^ "_m->" in
-          line ctx "const %s_ent *%s_m = &%s_e[%s_i];" j j j j;
+          line ctx "%s%s_ent *%s_m = &%s_e[%s_i];"
+            (if gid = None then "const " else "")
+            j j j j;
           let bks = bkeys m in
           let fold_eq =
             if not own then [ Printf.sprintf "%sh == %s_ph" m j ]
@@ -1190,6 +1278,7 @@ and cjoin ctx ~need ~build ~probe ~build_keys ~probe_keys ~consume =
           in
           let skip = c_not (c_and (fold_eq @ List.map2 value_eq bks pks)) in
           if skip <> "0" then line ctx "if (%s) continue;" skip;
+          Option.iter (fun r -> r := Some (m ^ "gid")) gid;
           consume (Array.append (load_all m fs) pslots));
       line ctx "}")
 
@@ -1304,6 +1393,7 @@ let emit_unit cat (plan : Physical.t) ~params =
         nparts = 0;
         loaded = [];
         tagged = 0;
+        groupjoins = 0;
       }
     in
     cproduce ctx plan ~need:(Array.make out_arity true) ~consume:(fun slots ->
@@ -1349,5 +1439,6 @@ let emit_unit cat (plan : Physical.t) ~params =
         tables;
         out_arity;
         tagged_entry_fields = ctx.tagged;
+        groupjoins = ctx.groupjoins;
       }
   with Unsupported msg -> Error msg

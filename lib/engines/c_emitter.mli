@@ -11,7 +11,18 @@
     type, a null byte only where a slot can be null, [int32_t] chain and
     slot indices, and no stored fold where a single non-null Int/Date/Bool
     key is its own; a build, group or sort past [INT32_MAX] entries takes
-    the out-of-memory exit.  Its [mrdb_query] entry point
+    the out-of-memory exit.  A join build whose single non-null
+    Int/Date/Bool key is its own fold tracks its key range [lo, hi]; when
+    [hi - lo] is at most [8n + 64] for [n] entries its buckets are
+    direct-mapped (fold [h] owns bucket [h - lo], and a probe fold outside
+    the range misses), otherwise, as for every other join, the fold is
+    hashed into a power of two of at least [2n] buckets.  A keyed group-by
+    whose keys read only build-side columns of the hash join directly
+    below it (through Selects and Projects) is a groupjoin: each build
+    entry caches its group's index, set by the first row through it that
+    reaches the group-by, and later rows through the entry step that group
+    without folding, hashing or comparing its keys; the groups and their
+    order are unchanged.  Its [mrdb_query] entry point
     reproduces the interpreted engines' results row for row: 63-bit
     wrapping integer arithmetic, total-order float comparison, SQL null
     propagation, insertion-order group emission, join matches in
@@ -50,6 +61,9 @@ type unit_info = {
   tagged_entry_fields : int;
       (** tagged [mv] members in the unit's join, group and sort entries;
           0 while every entry field is typed *)
+  groupjoins : int;
+      (** keyed group-bys served through a join entry's cached group
+          index (see the groupjoin rule above) *)
 }
 
 val scanned_of : string -> Storage.Relation.t -> scanned

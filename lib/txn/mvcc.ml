@@ -152,9 +152,22 @@ let visible_rows_at t table ~ts =
   in
   go (Hashtbl.find t.rows table)
 
-(* The committed value of [cell] at snapshot [ts]. *)
+(* A read of an attribute the table does not have is the reader's error. *)
+let check_attr rel table attr =
+  let arity = Storage.Schema.arity (Relation.schema rel) in
+  if attr < 0 || attr >= arity then
+    raise
+      (Errors.Bad_request
+         (Printf.sprintf "%s: no attribute %d (%d attributes)" table attr arity))
+
+(* The committed value of [cell] at snapshot [ts].  Only the base path can
+   meet an attribute outside the table, as no write to one is accepted. *)
 let committed_value t cell ~ts =
-  let base () = Relation.get (untraced_rel t cell.table) cell.tid cell.attr in
+  let base () =
+    let rel = untraced_rel t cell.table in
+    check_attr rel cell.table cell.attr;
+    Relation.get rel cell.tid cell.attr
+  in
   match Hashtbl.find_opt t.undo cell with
   | None -> base ()
   | Some versions ->
@@ -292,18 +305,23 @@ let visible_rows txn table =
 let check_visible txn table tid what =
   let n = visible_rows_at txn.mgr table ~ts:txn.begin_ts in
   if tid < 0 || tid >= n then
-    invalid_arg
-      (Printf.sprintf "Mvcc.%s: row %d of %S not visible at snapshot %d (%d \
-                       visible)" what tid table txn.begin_ts n)
+    raise
+      (Errors.Bad_request
+         (Printf.sprintf
+            "Mvcc.%s: row %d of %S not visible at snapshot %d (%d visible)"
+            what tid table txn.begin_ts n))
+
+(* A visible cell as [txn] sees it: its own write, else the snapshot's. *)
+let cell_value txn cell =
+  match Hashtbl.find_opt txn.writes cell with
+  | Some v -> v
+  | None -> committed_value txn.mgr cell ~ts:txn.begin_ts
 
 let read txn table tid attr =
   locked txn.mgr (fun () ->
       enter txn "read";
       check_visible txn table tid "read";
-      let cell = { table; tid; attr } in
-      match Hashtbl.find_opt txn.writes cell with
-      | Some v -> v
-      | None -> committed_value txn.mgr cell ~ts:txn.begin_ts)
+      cell_value txn { table; tid; attr })
 
 let read_row txn table tid =
   locked txn.mgr (fun () ->
@@ -311,26 +329,16 @@ let read_row txn table tid =
       check_visible txn table tid "read_row";
       let rel = untraced_rel txn.mgr table in
       let arity = Storage.Schema.arity (Relation.schema rel) in
-      Array.init arity (fun attr ->
-          let cell = { table; tid; attr } in
-          match Hashtbl.find_opt txn.writes cell with
-          | Some v -> v
-          | None -> committed_value txn.mgr cell ~ts:txn.begin_ts))
+      Array.init arity (fun attr -> cell_value txn { table; tid; attr }))
 
-(* Snapshot-consistent full-table materialization — the analytics path.
-   One critical section per scan, not per row. *)
-let scan txn table =
+(* Snapshot-consistent read of one attribute of every visible row — the
+   analytics path.  One critical section per column, not per row. *)
+let column txn table attr =
   locked txn.mgr (fun () ->
-      enter txn "scan";
+      enter txn "column";
       let n = visible_rows_at txn.mgr table ~ts:txn.begin_ts in
-      let rel = untraced_rel txn.mgr table in
-      let arity = Storage.Schema.arity (Relation.schema rel) in
-      Array.init n (fun tid ->
-          Array.init arity (fun attr ->
-              let cell = { table; tid; attr } in
-              match Hashtbl.find_opt txn.writes cell with
-              | Some v -> v
-              | None -> committed_value txn.mgr cell ~ts:txn.begin_ts)))
+      check_attr (untraced_rel txn.mgr table) table attr;
+      Array.init n (fun tid -> cell_value txn { table; tid; attr }))
 
 let update txn table tid attr value =
   locked txn.mgr (fun () ->
@@ -349,9 +357,10 @@ let insert txn table values =
       let rel = Catalog.find txn.mgr.cat table in
       let arity = Storage.Schema.arity (Relation.schema rel) in
       if Array.length values <> arity then
-        invalid_arg
-          (Printf.sprintf "Mvcc.insert: %S expects %d values, got %d" table
-             arity (Array.length values));
+        raise
+          (Errors.Bad_request
+             (Printf.sprintf "Mvcc.insert: %S expects %d values, got %d" table
+                arity (Array.length values)));
       Write.check txn.mgr.cat (Write.Append { table; values });
       txn.inserts <- (table, values) :: txn.inserts)
 

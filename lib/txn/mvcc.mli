@@ -46,29 +46,36 @@ val status : txn -> status
 val read : txn -> string -> int -> int -> Storage.Value.t
 (** [read txn table tid attr] at the transaction's snapshot, serving the
     transaction's own buffered writes first.
-    @raise Invalid_argument if the row is not visible at the snapshot. *)
+    @raise Mrdb_util.Errors.Bad_request if the row is not visible at the
+    snapshot or the table has no attribute [attr]. *)
 
 val read_row : txn -> string -> int -> Storage.Value.t array
+(** All attributes of a row, as {!read} gives each.
+    @raise Mrdb_util.Errors.Bad_request if the row is not visible. *)
 
 val visible_rows : txn -> string -> int
 (** Rows visible at the snapshot (inserts are append-only, so a snapshot
     sees a prefix).  The transaction's own uncommitted inserts are not
     addressable until commit. *)
 
-val scan : txn -> string -> Storage.Value.t array array
-(** Snapshot-consistent materialization of the visible rows — the
-    analytics read path (one critical section per scan, not per row). *)
+val column : txn -> string -> int -> Storage.Value.t array
+(** [column txn table attr] is attribute [attr] of every row visible at
+    the snapshot, as {!read} gives each — the analytics read path (one
+    critical section per column, not per row).
+    @raise Mrdb_util.Errors.Bad_request if the table has no attribute
+    [attr]. *)
 
 val update : txn -> string -> int -> int -> Storage.Value.t -> unit
 (** Buffer an overwrite of [table[tid].attr]; applied at commit.
-    @raise Mrdb_util.Errors.Bad_request if the value does not fit the
-    attribute ({!Storage.Write.check}); nothing is buffered. *)
+    @raise Mrdb_util.Errors.Bad_request if the row is not visible at the
+    snapshot or the value does not fit the attribute
+    ({!Storage.Write.check}); nothing is buffered. *)
 
 val insert : txn -> string -> Storage.Value.t array -> unit
 (** Buffer an append (full tuple, schema order); tuple ids are assigned at
     commit in write order.
-    @raise Mrdb_util.Errors.Bad_request if a value does not fit its
-    attribute; nothing is buffered. *)
+    @raise Mrdb_util.Errors.Bad_request if the arity is wrong or a value
+    does not fit its attribute; nothing is buffered. *)
 
 val commit : txn -> int
 (** Validate (first-committer-wins), apply, and return the commit

@@ -106,7 +106,7 @@ let value_sum vs =
           acc_f := !acc_f +. f
       | Value.Null -> ()
       | Value.VBool _ | Value.VStr _ ->
-          invalid_arg "SUM over a non-numeric column")
+          raise (Errors.Bad_request "SUM over a non-numeric column"))
     vs;
   if not !seen then Value.Null
   else if !is_float then Value.VFloat (!acc_f +. float_of_int !acc_i)
@@ -167,8 +167,7 @@ let execute srv session (req : Wire.request) : Wire.reply option =
            (Value.VInt (Mvcc.visible_rows (require_txn session "ROWS") table)))
   | Wire.Sum { table; attr } ->
       let txn = require_txn session "SUM" in
-      let rows = Mvcc.scan txn table in
-      Some (Wire.Val (value_sum (Array.map (fun row -> row.(attr)) rows)))
+      Some (Wire.Val (value_sum (Mvcc.column txn table attr)))
   | Wire.Abort ->
       (match session.txn with Some txn -> Mvcc.abort txn | None -> ());
       session.txn <- None;

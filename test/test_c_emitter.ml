@@ -69,11 +69,11 @@ let test_join_code () =
   Alcotest.(check bool) "chains threaded after the build" true
     (contains code "_head[s] = e");
   Alcotest.(check bool) "probe walks its key's chain" true
-    (contains code "_head[hslot(");
+    (contains code "_head[jslot(");
   Alcotest.(check bool) "varchar payload travels as a pointer" true
     (contains code "slen(");
   Alcotest.(check bool) "an int key is its own fold" true
-    (contains code "_head[hslot(" && not (contains code "_w->h = "));
+    (contains code "_head[jslot(" && not (contains code "_w->h = "));
   Alcotest.(check bool) "int32 chains" true (contains code "int32_t *j")
 
 (* Join, group and sort entries hold typed fields: no CH unit keeps a
@@ -90,6 +90,27 @@ let test_typed_entries () =
       Alcotest.(check int)
         (q.Workloads.Workload.name ^ " tagged entry fields")
         0 info.Engines.C_emitter.tagged_entry_fields)
+    ch.Workloads.Ch.queries
+
+(* A group-by over a join whose keys come from the join's build side is a
+   groupjoin: CH2, CH3, CH5, CH8 and CH10 are, CH1, CH4 and CH6 have no
+   join. *)
+let test_groupjoins () =
+  let ch = Workloads.Ch.build ~scale:0.001 () in
+  List.iter
+    (fun (q : Workloads.Workload.query) ->
+      let info =
+        info_of ch.Workloads.Ch.cat
+          (plan_of ch.Workloads.Ch.cat q.Workloads.Workload.sql)
+          ~params:q.Workloads.Workload.params
+      in
+      let expected =
+        if List.mem q.Workloads.Workload.name [ "CH1"; "CH4"; "CH6" ] then 0
+        else 1
+      in
+      Alcotest.(check int)
+        (q.Workloads.Workload.name ^ " groupjoins")
+        expected info.Engines.C_emitter.groupjoins)
     ch.Workloads.Ch.queries
 
 let test_index_scan_code () =
@@ -139,4 +160,5 @@ let suite =
       test_params_are_runtime;
     Alcotest.test_case "sort and limit" `Quick test_sort_code;
     Alcotest.test_case "typed entries" `Quick test_typed_entries;
+    Alcotest.test_case "groupjoins" `Quick test_groupjoins;
   ]

@@ -895,6 +895,253 @@ let test_entry_lifetime () =
     true
     (many - few < 2 * 380)
 
+(* ---------------- dense join keys and groupjoins ---------------- *)
+
+(* Tables [<name>b] (bid, bk, bv: a build of the non-null Int keys [keys],
+   in that order) and [<name>p] (pid, pk a nullable Int, pf a nullable
+   Float, pd a Date, pb a Bool): the probe holds every build key, the keys
+   one past each end of the range and far outside it, and misses inside
+   it, each twice; pk is NULL on some rows, and pf is 0. or -0. on some. *)
+let dense_tables cat name keys =
+  let add tname cols n row =
+    let schema = Storage.Schema.make_nullable tname cols in
+    let rel = Storage.Catalog.add cat schema (Storage.Layout.row schema) in
+    Storage.Relation.load rel ~n (fun ~row:r -> row r)
+  in
+  let kb = Array.of_list keys in
+  add (name ^ "b")
+    [ ("bid", V.Int, false); ("bk", V.Int, false); ("bv", V.Int, false) ]
+    (Array.length kb)
+    (fun r -> [| V.VInt r; V.VInt kb.(r); V.VInt (r * 7 mod 10) |]);
+  (* x + d, or x where that would wrap *)
+  let near x d =
+    if (d > 0 && x > max_int - d) || (d < 0 && x < min_int - d) then x
+    else x + d
+  in
+  let around =
+    match keys with
+    | [] -> [ -1; 0; 1 ]
+    | k :: _ ->
+        let lo = List.fold_left min k keys and hi = List.fold_left max k keys in
+        List.concat_map
+          (fun x -> [ near x (-1000); near x (-1); near x 1; near x 1000 ])
+          [ lo; hi ]
+        @ [ (lo / 2) + (hi / 2); 0; 1 ]
+  in
+  let pv = Array.of_list (List.sort_uniq compare (keys @ around)) in
+  let n = Array.length pv in
+  add (name ^ "p")
+    [
+      ("pid", V.Int, false);
+      ("pk", V.Int, true);
+      ("pf", V.Float, true);
+      ("pd", V.Date, false);
+      ("pb", V.Bool, false);
+    ]
+    (2 * n)
+    (fun r ->
+      let v = pv.(r mod n) in
+      [|
+        V.VInt r;
+        (if r mod 5 = 4 then V.Null else V.VInt v);
+        (match r mod 3 with
+        | 0 -> V.VFloat 0.0
+        | 1 -> V.VFloat (-0.0)
+        | _ -> V.VFloat (float_of_int v));
+        V.VDate v;
+        V.VBool (r mod 2 = 0);
+      |])
+
+(* Joins on a build key that is its own fold, against Jit and Bulk, row
+   for row: direct-mapped (dense) and hashed (sparse) builds, a range at
+   the 8n + 64 threshold and one past it, negative keys, keys at both ends
+   of the int range (the range there needs the unsigned difference),
+   keys around the NULL fold (OCaml min_int / 2), repeated build keys,
+   empty and one-entry builds, and NULL, Float 0./-0., Date and Bool
+   probes against the Int build; then Date and Bool builds. *)
+let test_dense_join_keys () =
+  let cat = Storage.Catalog.create () in
+  let cases =
+    [
+      ("dn", [ 5; 3; 5; 9; 3; 3; 12; 7; 5; 0; 1; 2 ]);
+      ("sp", List.init 12 (fun i -> (i * i * 1000) - 50_000));
+      ("at", [ 0; 144; 3; 3; 50; 77; 100; 143; 1; 2 ]);
+      ("ov", [ 0; 145; 3; 3; 50; 77; 100; 144; 1; 2 ]);
+      ("ng", [ -7; -3; -20; -3; -11; -1 ]);
+      ("hi", [ max_int; max_int - 5; max_int - 2; max_int - 5 ]);
+      ("lo", [ min_int; min_int + 3; min_int + 1; min_int ]);
+      ("mx", [ min_int; max_int; 0; max_int ]);
+      ("nf", [ (min_int / 2) - 2; min_int / 2; (min_int / 2) + 3 ]);
+      ("em", []);
+      ("one", [ 42 ]);
+    ]
+  in
+  List.iter
+    (fun (name, keys) ->
+      dense_tables cat name keys;
+      let b = name ^ "b" and p = name ^ "p" in
+      let q fmt = Printf.sprintf fmt b p in
+      let r = check_native cat (q "select bid, pid, bk, pk from %s join %s on bk = pk") in
+      (* every build key is also a probe key *)
+      Alcotest.(check bool)
+        (name ^ ": int keys matched")
+        (keys <> []) (r.Runtime.rows <> []);
+      List.iter
+        (fun sql -> ignore (check_native cat (q sql)))
+        [
+          "select bid, pid, pf from %s join %s on bk = pf";
+          "select bid, pid, pd from %s join %s on bk = pd";
+          "select bid, pid, pb from %s join %s on bk = pb";
+          "select bid, count(*) c from %s join %s on bk = pk group by bid";
+        ];
+      List.iter
+        (fun sql -> ignore (check_native cat (Printf.sprintf sql p b)))
+        [
+          "select pid, bid, pd from %s join %s on pd = bk";
+          "select pid, bid, pb, bk from %s join %s on pb = bk";
+        ])
+    cases
+
+(* Tables for groupjoins: a build [gb] whose join keys repeat and whose
+   group columns (bg a Varchar, bn a nullable Int) are shared by entries
+   of different keys and differ between entries of one key; a probe [gp]
+   whose early rows fail [pv > bid]; and [gq], joined to [gp]. *)
+let groupjoin_catalog () =
+  let cat = Storage.Catalog.create () in
+  let add name cols n row =
+    let schema = Storage.Schema.make_nullable name cols in
+    let rel = Storage.Catalog.add cat schema (Storage.Layout.row schema) in
+    Storage.Relation.load rel ~n (fun ~row:r -> row r)
+  in
+  let names = [| "x"; "yy"; "zzz"; "x" |] in
+  add "gb"
+    [
+      ("bid", V.Int, false);
+      ("bk", V.Int, false);
+      ("bg", V.Varchar 4, false);
+      ("bn", V.Int, true);
+      ("bv", V.Int, false);
+    ]
+    12
+    (fun r ->
+      [|
+        V.VInt r;
+        V.VInt (r mod 6);
+        V.VStr names.(r mod 4);
+        (if r mod 5 = 2 then V.Null else V.VInt (r mod 3));
+        V.VInt (r * 5 mod 7);
+      |]);
+  add "gp"
+    [
+      ("pid", V.Int, false);
+      ("pk", V.Int, false);
+      ("pv", V.Int, false);
+      ("pw", V.Int, true);
+    ]
+    40
+    (fun r ->
+      [|
+        V.VInt r;
+        V.VInt (r * 7 mod 8);
+        V.VInt (if r < 15 then r mod 3 else 20 + r);
+        (if r mod 4 = 1 then V.Null else V.VInt ((r * 13 mod 17) - 8));
+      |]);
+  add "gq" [ ("qid", V.Int, false); ("qv", V.Int, false) ] 30 (fun r ->
+      [| V.VInt (r * 3 mod 45); V.VInt r |]);
+  cat
+
+(* A group-by over a join whose keys come from the build side reads each
+   group once per build entry and steps it through the entry's cached
+   index afterwards: groups, their order and their MIN/MAX must be those
+   of the plain lookup (against Jit and Bulk), with a filter between the
+   join and the group-by, over a join of a join, and across calls of one
+   unit whose builds differ; keys that read the probe side, and global
+   aggregates, keep the plain path. *)
+let test_groupjoin () =
+  let cat = groupjoin_catalog () in
+  let plan_of sql = Relalg.Planner.plan cat (Relalg.Sql.parse cat sql) in
+  let unit_groupjoins plan =
+    match Engines.C_emitter.emit_unit cat plan ~params:[| V.VInt 0 |] with
+    | Ok info -> info.Engines.C_emitter.groupjoins
+    | Error reason -> Alcotest.failf "fallback %s" reason
+  in
+  let groupjoins sql = unit_groupjoins (plan_of sql) in
+  List.iter
+    (fun (sql, cached) ->
+      ignore (check_native cat sql);
+      Alcotest.(check int) (sql ^ ": groupjoins") cached (groupjoins sql))
+    [
+      ("select bg, count(*) c, sum(pv) s from gb join gp on bk = pk group by bg", 1);
+      ( "select bk, bg, min(pv) mn, max(pv) mx, min(pw) mnw, max(pw) mxw from \
+         gb join gp on bk = pk group by bk, bg",
+        1 );
+      ( "select bg, count(*) c, min(pv) m, max(pw) w from gb join gp on bk = \
+         pk where pv > bid group by bg",
+        1 );
+      ("select bn, count(*) c, max(pv) m from gb join gp on bk = pk group by bn", 1);
+      ( "select bg, count(*) c from gb join gp on bk = pk join gq on pid = qid \
+         group by bg",
+        1 );
+      ("select bg, pw, count(*) c from gb join gp on bk = pk group by bg, pw", 0);
+      ( "select count(*) c, sum(pv) s, min(pw) m from gb join gp on bk = pk",
+        0 );
+    ];
+  (* one unit, two calls whose builds hold different entries *)
+  let sql =
+    "select bg, count(*) c, sum(pv) s from gb join gp on bk = pk where bv > \
+     $1 group by bg"
+  in
+  List.iter
+    (fun v -> ignore (check_native ~params:[| V.VInt v |] cat sql))
+    [ 3; -1; 5; 3 ];
+  Alcotest.(check int) "parameterized: groupjoins" 1 (groupjoins sql);
+  (* The planner puts no Project between a join and its group-by; one put
+     there by hand, reversing the join's columns, keeps the groupjoin. *)
+  let module P = Relalg.Physical in
+  let rec through_project (p : P.t) =
+    match p with
+    | P.Project { child; exprs } ->
+        P.Project { child = through_project child; exprs }
+    | P.Group_by ({ child = P.Hash_join _ as j; keys; aggs; _ } as g) ->
+        let n = Array.length (P.schema cat j) in
+        let flip i = n - 1 - i in
+        let remap e = Relalg.Expr.remap e flip in
+        P.Group_by
+          {
+            g with
+            child =
+              P.Project
+                {
+                  child = j;
+                  exprs =
+                    List.init n (fun i ->
+                        (Relalg.Expr.Col (flip i), Printf.sprintf "c%d" i));
+                };
+            keys = List.map (fun (e, name) -> (remap e, name)) keys;
+            aggs =
+              List.map
+                (fun (a : Relalg.Aggregate.t) ->
+                  { a with expr = Option.map remap a.expr })
+                aggs;
+          }
+    | p -> Alcotest.failf "unexpected plan %s" (Format.asprintf "%a" P.pp p)
+  in
+  let plan =
+    through_project
+      (plan_of
+         "select bg, count(*) c, sum(pv) s, min(pw) m from gb join gp on bk \
+          = pk group by bg")
+  in
+  let fb0 = counter_value "mrdb_compiled_fallbacks_total" in
+  let compiled = Compiled.run cat plan ~params:[||] in
+  if Compiled.cc_available () then
+    Alcotest.(check int) "through a Project: native" fb0
+      (counter_value "mrdb_compiled_fallbacks_total");
+  check_exact "through a Project"
+    (Engine.run Engine.Jit cat plan ~params:[||])
+    compiled;
+  Alcotest.(check int) "through a Project: groupjoins" 1 (unit_groupjoins plan)
+
 let suite =
   [
     Alcotest.test_case "parity vs jit" `Quick (test_parity_vs Engine.Jit);
@@ -939,4 +1186,6 @@ let suite =
       test_join_repeated_build_keys;
     Alcotest.test_case "group by many int keys" `Quick test_many_int_groups;
     Alcotest.test_case "top-k under limit" `Quick test_topk_limits;
+    Alcotest.test_case "dense join keys" `Quick test_dense_join_keys;
+    Alcotest.test_case "groupjoin" `Quick test_groupjoin;
   ]

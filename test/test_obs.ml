@@ -6,7 +6,7 @@ module Span = Obs.Span
 module Profile = Obs.Profile
 module Metrics = Obs.Metrics
 module Json = Obs.Json
-module Traj = Obs.Trajectory
+module Traj = Trajectory
 module Stats = Memsim.Stats
 module Engine = Engines.Engine
 module Micro = Workloads.Microbench

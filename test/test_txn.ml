@@ -790,7 +790,7 @@ let test_pipeline_error_at_next_read () =
       Txn.Client.set c ~table:"b" ~tid:100 ~attr:1 (V.VInt 1);
       (match Txn.Client.get c ~table:"b" ~tid:0 ~attr:1 with
       | _ -> Alcotest.fail "the failed SET must raise at the next GET"
-      | exception Failure msg ->
+      | exception Errors.Bad_request msg ->
           Alcotest.(check bool) "the SET's error, not the GET's" true
             (contains msg "Mvcc.update"));
       Txn.Client.ping c;
@@ -807,7 +807,7 @@ let test_pipeline_commit_behind_failed_write () =
           Txn.Client.insert c ~table:"b" [| V.VInt 4; V.VInt 40 |];
           (match Txn.Client.commit c with
           | _ -> Alcotest.failf "COMMIT behind a failed %s must raise" what
-          | exception Failure msg ->
+          | exception Errors.Bad_request msg ->
               Alcotest.(check bool)
                 (what ^ "'s error is raised first") true
                 (contains msg ("Mvcc." ^ what)));
@@ -1159,6 +1159,40 @@ let test_advisor_repartition_races_mvcc () =
 
 (* ------------------------------------------------------------------ *)
 
+(* Reads out of range are the client's error: GET of a row or an
+   attribute the table does not have, and SUM of a missing or non-numeric
+   column, answer BAD_REQUEST (a typed [Errors.Bad_request] at the
+   client), and the session and its transaction go on. *)
+let test_server_out_of_range_reads () =
+  let cat = small_cat () in
+  let rel = Catalog.add cat str_schema (Layout.row str_schema) in
+  ignore (Relation.append rel [| V.VInt 0; V.VStr "plain" |]);
+  with_server cat (fun _mgr addr ->
+      let c = Txn.Client.connect ~id:"oob" addr in
+      Fun.protect
+        ~finally:(fun () -> Txn.Client.close c)
+        (fun () ->
+          Txn.Client.begin_ c;
+          List.iter
+            (fun (what, read) ->
+              match read c with
+              | _ -> Alcotest.failf "%s: expected BAD_REQUEST" what
+              | exception Errors.Bad_request _ -> ())
+            [
+              ("GET past the last row", Txn.Client.get ~table:"b" ~tid:99 ~attr:1);
+              ("GET of row -1", Txn.Client.get ~table:"b" ~tid:(-1) ~attr:1);
+              ("GET past the last attribute", Txn.Client.get ~table:"b" ~tid:0 ~attr:99);
+              ("GET of attribute -1", Txn.Client.get ~table:"b" ~tid:0 ~attr:(-1));
+              ("SUM past the last attribute", Txn.Client.sum ~table:"b" ~attr:9);
+              ("SUM over a varchar", Txn.Client.sum ~table:"s" ~attr:1);
+            ];
+          Alcotest.(check int) "GET after the refusals" 20
+            (vint (Txn.Client.get c ~table:"b" ~tid:2 ~attr:1));
+          Alcotest.(check int) "SUM after the refusals" 60
+            (vint (Txn.Client.sum c ~table:"b" ~attr:1));
+          Alcotest.(check bool) "the transaction commits" true
+            (Txn.Client.commit c > 0)))
+
 let suite =
   [
     Alcotest.test_case "snapshot isolation across commits" `Quick
@@ -1216,4 +1250,6 @@ let suite =
       test_advisor_repartition_races_mvcc;
     Alcotest.test_case "server: request without BEGIN gets BAD_REQUEST" `Quick
       test_server_no_txn_bad_request;
+    Alcotest.test_case "server: out-of-range GET and SUM get BAD_REQUEST" `Quick
+      test_server_out_of_range_reads;
   ]
