@@ -18,9 +18,10 @@
    The wire cell runs the same transfer (begin, two gets, two sets,
    commit) from one Txn.Client over a unix socket against a Txn.Server
    domain, and reports the replies the client waited for per transfer
-   (mrdb_client_round_trips_total) and committed transfers/sec.  The sets
-   are pipelined behind the next call, so a transfer costs 4 round trips
-   where a request-reply client pays 6. *)
+   (mrdb_client_round_trips_total), committed transfers/sec, and the
+   minor words client and server allocate together per committed
+   transfer.  The sets are pipelined behind the next call, so a transfer
+   costs 4 round trips where a request-reply client pays 6. *)
 
 module V = Storage.Value
 module Catalog = Storage.Catalog
@@ -117,8 +118,15 @@ let run_round ~n_clients ~per_client =
   check_conserved mgr;
   (wall, commits, conflicts, hist)
 
+(* Minor words allocated so far by every domain.  Gc.quick_stat counts
+   another domain's allocation only up to its last minor collection, so
+   one is forced first; a joined domain's allocation is counted whole. *)
+let minor_words () =
+  Gc.minor ();
+  (Gc.quick_stat ()).Gc.minor_words
+
 (* [txns] transfers over the wire; returns (round trips per transfer,
-   transfers/sec). *)
+   transfers/sec, minor words per transfer). *)
 let run_wire ~txns =
   let cat = build_bank () in
   let srv = Txn.Server.create (Mvcc.create cat) in
@@ -132,6 +140,7 @@ let run_wire ~txns =
   let rng = Rng.create 0xB41 in
   let round_trips = Obs.Metrics.counter "mrdb_client_round_trips_total" in
   let rt0 = Obs.Metrics.counter_value round_trips in
+  let words0 = minor_words () in
   let t0 = Unix.gettimeofday () in
   for _ = 1 to txns do
     let src, dst, amount = draw rng in
@@ -149,9 +158,13 @@ let run_wire ~txns =
   Txn.Server.poke sock;
   (try Unix.close listen with Unix.Unix_error _ -> ());
   Domain.join server;
+  (* after the join, so the server's allocation is counted whole *)
+  let words = minor_words () -. words0 in
   (try Unix.unlink sock with Unix.Unix_error _ -> ());
   check_conserved (Txn.Server.mgr srv);
-  (float_of_int rts /. float_of_int txns, float_of_int txns /. wall)
+  ( float_of_int rts /. float_of_int txns,
+    float_of_int txns /. wall,
+    words /. float_of_int txns )
 
 let run () =
   Common.header "OLTP: concurrent transfers through the MVCC front door";
@@ -187,13 +200,16 @@ let run () =
       pt ~n "p50_seconds" ~unit_:"s" p50;
       pt ~n "p99_seconds" ~unit_:"s" p99)
     [ 1; 2; 4 ];
-  let round_trips, tps = run_wire ~txns:(2 * per_client) in
-  Common.note "wire, 1 client: %.2f round trips per transfer, %s txn/s"
-    round_trips (Common.pow10_label tps);
+  let round_trips, tps, words = run_wire ~txns:(2 * per_client) in
+  Common.note
+    "wire, 1 client: %.2f round trips per transfer, %s txn/s, %.0f minor \
+     words per transfer"
+    round_trips (Common.pow10_label tps) words;
   let wire metric ?unit_ v =
     points :=
       Common.pt ~bench:"oltp" ~metric:("wire." ^ metric) ?unit_ v :: !points
   in
   wire "round_trips_per_txn" round_trips;
   wire "txns_per_sec" ~unit_:"txn/s" tps;
+  wire "minor_words_per_txn" ~unit_:"words" words;
   Common.write_bench "BENCH_oltp.json" (List.rev !points)

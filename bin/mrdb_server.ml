@@ -223,9 +223,12 @@ let run_serve ~db ~scale ~accounts ~socket ~port ~max_clients ~txn_timeout
     | Some p -> (Server.listen_tcp p, Printf.sprintf "127.0.0.1:%d" p)
     | None -> (Server.listen_unix socket, socket)
   in
+  (* Shutting the listening socket down wakes accept(2) on whichever
+     thread the signal lands; the accept loop then stops the server,
+     which ends the live sessions.  Server.stop itself takes a lock a
+     handler must not wait for. *)
   let shutdown _ =
-    Server.stop srv;
-    try Unix.close listen_fd with Unix.Unix_error _ -> ()
+    try Unix.shutdown listen_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
   in
   Sys.set_signal Sys.sigint (Sys.Signal_handle shutdown);
   Sys.set_signal Sys.sigterm (Sys.Signal_handle shutdown);
@@ -236,6 +239,7 @@ let run_serve ~db ~scale ~accounts ~socket ~port ~max_clients ~txn_timeout
     | None -> "")
     (match wal with Some w -> ", wal " ^ w | None -> "");
   Server.accept_loop srv listen_fd;
+  (try Unix.close listen_fd with Unix.Unix_error _ -> ());
   (match durable with Some d -> Durability.Durable.detach d | None -> ());
   export_metrics metrics;
   Printf.printf "mrdb_server: clean shutdown\n"

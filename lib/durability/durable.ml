@@ -49,8 +49,7 @@ let op_of_event t (ev : Catalog.obs_event) : Wal.op option =
              layout = Layout.to_groups (Relation.layout rel);
              encodings = Relation.encodings rel;
            })
-  | Catalog.Obs_append { table; tid } ->
-      let rel = Catalog.find t.cat table in
+  | Catalog.Obs_append { table; rel; tid } ->
       let values = untraced t (fun () -> Relation.get_tuple rel tid) in
       Some (Write.Append { table; values })
   | Catalog.Obs_load { table; row_lo; rows } ->

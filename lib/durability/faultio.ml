@@ -42,11 +42,16 @@ type backend =
   | Mem of (string, store) Hashtbl.t
   | Dir of (string -> string)
 
+(* The occurrences passed of one named crash point.  A sink looks up the
+   counters of its writes and flushes when it opens, so passing a point
+   costs no lookup by name. *)
+type counter = { point : string; mutable passed : int }
+
 type t = {
   backend : backend;
   mutable plan : plan;
   mutable ops : int;
-  counts : (string, int) Hashtbl.t;  (* occurrences passed, per point name *)
+  counts : (string, counter) Hashtbl.t;  (* per point name *)
   mutable rng : int64;
 }
 
@@ -66,13 +71,24 @@ let set_plan t plan =
 
 let points t = t.ops
 
+let counter t name =
+  match Hashtbl.find t.counts name with
+  | c -> c
+  | exception Not_found ->
+      let c = { point = name; passed = 0 } in
+      Hashtbl.replace t.counts name c;
+      c
+
 let named_points t =
-  Hashtbl.fold (fun name n acc -> (name, n) :: acc) t.counts []
+  Hashtbl.fold
+    (fun name c acc -> if c.passed > 0 then (name, c.passed) :: acc else acc)
+    t.counts []
   |> List.sort compare
 
+(* Counters are zeroed, not dropped: open sinks hold theirs. *)
 let reset_points t =
   t.ops <- 0;
-  Hashtbl.reset t.counts
+  Hashtbl.iter (fun _ c -> c.passed <- 0) t.counts
 
 (* ------------------------------------------------------------------ *)
 (* Durable stores                                                     *)
@@ -196,20 +212,16 @@ let splitmix st =
             0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-(* Advance the crash-point counters for one named op; returns [Some torn]
-   if the plan says the process dies here. *)
-let crash_here t ~name =
+(* Advance the crash-point counters for one op at point [c]; returns
+   [Some torn] if the plan says the process dies here. *)
+let crash_here t c =
   t.ops <- t.ops + 1;
-  let occurrence =
-    let n = (match Hashtbl.find_opt t.counts name with Some n -> n | None -> 0) + 1 in
-    Hashtbl.replace t.counts name n;
-    n
-  in
+  c.passed <- c.passed + 1;
   match t.plan with
   | Reliable -> None
   | Crash_at { point; torn } -> if t.ops = point then Some torn else None
-  | At_point { name = pname; nth; torn } ->
-      if String.equal pname name && occurrence = nth then Some torn else None
+  | At_point { name; nth; torn } ->
+      if c.passed = nth && String.equal name c.point then Some torn else None
   | Seeded { mean_period; _ } ->
       let st = ref t.rng in
       let draw = splitmix st in
@@ -231,13 +243,13 @@ let torn_bytes torn len =
 (* Sinks                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Un-flushed bytes live in [pending.(0 .. plen-1)].  The crash-point names
-   of a sink's writes and flushes are built once, at open. *)
+(* Un-flushed bytes live in [pending.(0 .. plen-1)].  The crash-point
+   counters of a sink's writes and flushes are looked up once, at open. *)
 type sink = {
   env : t;
   name : string;
-  write_point : string;
-  flush_point : string;
+  write_point : counter;
+  flush_point : counter;
   mutable pending : Bytes.t;
   mutable plen : int;
   mutable dead : bool;
@@ -247,15 +259,15 @@ let sink t name =
   {
     env = t;
     name;
-    write_point = "write:" ^ name;
-    flush_point = "flush:" ^ name;
+    write_point = counter t ("write:" ^ name);
+    flush_point = counter t ("flush:" ^ name);
     pending = Bytes.create 256;
     plen = 0;
     dead = false;
   }
 
 let create ?pending t name =
-  (match crash_here t ~name:("create:" ^ name) with
+  (match crash_here t (counter t ("create:" ^ name)) with
   | Some torn when torn < 1.0 -> raise (Crash "before truncate")
   | Some _ ->
       durable_truncate t name;
@@ -291,7 +303,7 @@ let write_sub s b ~pos ~len =
     Bytes.blit b pos s.pending s.plen len
   end;
   s.plen <- s.plen + len;
-  match crash_here s.env ~name:s.write_point with
+  match crash_here s.env s.write_point with
   | Some torn -> die s torn "write"
   | None -> ()
 
@@ -300,7 +312,7 @@ let write s chunk =
 
 let flush s =
   check_alive s "flush";
-  match crash_here s.env ~name:s.flush_point with
+  match crash_here s.env s.flush_point with
   | Some torn -> die s torn "flush"
   | None ->
       (match s.env.backend with
@@ -319,7 +331,7 @@ let close s =
   end
 
 let rename t ~src ~dst =
-  match crash_here t ~name:("rename:" ^ dst) with
+  match crash_here t (counter t ("rename:" ^ dst)) with
   | Some torn when torn < 1.0 -> raise (Crash "before rename")
   | Some _ ->
       durable_rename t ~src ~dst;
@@ -330,6 +342,6 @@ let rename t ~src ~dst =
    path inserts these at boundaries worth pinning (pre/post commit frame).
    The torn fraction is irrelevant: nothing is buffered here. *)
 let point t name =
-  match crash_here t ~name with
+  match crash_here t (counter t name) with
   | Some _ -> raise (Crash ("at point " ^ name))
   | None -> ()

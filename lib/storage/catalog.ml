@@ -1,4 +1,5 @@
 type entry = {
+  name : string;
   mutable rel : Relation.t;
   mutable indexes : (string * Index.kind * string list * Index.t) list;
 }
@@ -12,7 +13,7 @@ type obs_event =
   | Obs_commit
   | Obs_abort
   | Obs_create_relation of { table : string }
-  | Obs_append of { table : string; tid : int }
+  | Obs_append of { table : string; rel : Relation.t; tid : int }
   | Obs_load of { table : string; row_lo : int; rows : int }
   | Obs_update of { table : string; tid : int; attr : int; value : Value.t }
   | Obs_set_layout of { table : string; layout : Layout.t }
@@ -75,7 +76,7 @@ let in_txn t f =
 
 let add_relation t rel =
   let name = (Relation.schema rel).Schema.name in
-  Hashtbl.replace t.tbl name { rel; indexes = [] };
+  Hashtbl.replace t.tbl name { name; rel; indexes = [] };
   emit t (Obs_create_relation { table = name })
 
 let add ?encodings t schema layout =
@@ -89,6 +90,8 @@ let entry t name =
   | None -> raise (Mrdb_util.Errors.Unknown_table name)
 
 let find t name = (entry t name).rel
+
+let relation e = e.rel
 
 let mem t name = Hashtbl.mem t.tbl name
 
@@ -153,8 +156,7 @@ let find_index t name ~attrs =
   in
   go e.indexes
 
-let rebuild_indexes_for t name ~attrs =
-  let e = entry t name in
+let rebuild_entry_indexes e ~attrs =
   e.indexes <-
     List.map
       (fun ((iname, kind, attr_names, idx) as entry) ->
@@ -164,11 +166,15 @@ let rebuild_indexes_for t name ~attrs =
         else entry)
       e.indexes
 
-let notify_insert t name ~tid =
-  let e = entry t name in
+let rebuild_indexes_for t name ~attrs =
+  rebuild_entry_indexes (entry t name) ~attrs
+
+let notify_entry_insert t e ~tid =
   Obs.Metrics.incr m_inserts;
-  emit t (Obs_append { table = name; tid });
+  emit t (Obs_append { table = e.name; rel = e.rel; tid });
   List.iter (fun (_, _, _, idx) -> Index.insert idx e.rel ~tid) e.indexes
+
+let notify_insert t name ~tid = notify_entry_insert t (entry t name) ~tid
 
 let notify_update t name ~tid ~attr ~value =
   Obs.Metrics.incr m_updates;

@@ -15,7 +15,8 @@ type obs_event =
   | Obs_commit  (** outermost {!in_txn} returned normally *)
   | Obs_abort  (** outermost {!in_txn} raised *)
   | Obs_create_relation of { table : string }
-  | Obs_append of { table : string; tid : int }
+  | Obs_append of { table : string; rel : Relation.t; tid : int }
+      (** [rel] is the relation the row was appended to *)
   | Obs_load of { table : string; row_lo : int; rows : int }
   | Obs_update of { table : string; tid : int; attr : int; value : Value.t }
   | Obs_set_layout of { table : string; layout : Layout.t }
@@ -49,6 +50,18 @@ val add_relation : t -> Relation.t -> unit
 val find : t -> string -> Relation.t
 (** @raise Mrdb_util.Errors.Unknown_table for unknown names. *)
 
+type entry
+(** A table's place in the catalog: its relation and indexes.  A
+    repartition replaces the relation in place, so an entry looked up
+    once serves a whole operation; registering a relation under the same
+    name again makes a new entry. *)
+
+val entry : t -> string -> entry
+(** @raise Mrdb_util.Errors.Unknown_table for unknown names. *)
+
+val relation : entry -> Relation.t
+(** The entry's current relation. *)
+
 val mem : t -> string -> bool
 
 val names : t -> string list
@@ -76,6 +89,12 @@ val rebuild_indexes_for : t -> string -> attrs:int list -> unit
 val notify_insert : t -> string -> tid:int -> unit
 (** Maintain all indexes of the relation after an append (and report the
     append to the observer). *)
+
+val notify_entry_insert : t -> entry -> tid:int -> unit
+(** {!notify_insert} for a table already looked up. *)
+
+val rebuild_entry_indexes : entry -> attrs:int list -> unit
+(** {!rebuild_indexes_for} for a table already looked up. *)
 
 val notify_update : t -> string -> tid:int -> attr:int -> value:Value.t -> unit
 (** Report an in-place field update to the observer (no-op otherwise);

@@ -55,27 +55,35 @@ let check_update rel table ~tid ~attr value =
     bad "%s: no row %d (%d rows)" table tid (Relation.nrows rel);
   check_value rel table attr value
 
-let check cat = function
-  | Append { table; values } -> check_row (Catalog.find cat table) table values
-  | Load { table; rows } ->
-      let rel = Catalog.find cat table in
-      Array.iter (check_row rel table) rows
+(* The checks of a row write against its table's relation. *)
+let check_rel rel = function
+  | Append { table; values } -> check_row rel table values
+  | Load { table; rows } -> Array.iter (check_row rel table) rows
   | Update { table; tid; attr; value } ->
-      check_update (Catalog.find cat table) table ~tid ~attr value
+      check_update rel table ~tid ~attr value
   | Create_relation _ | Set_layout _ | Set_physical _ | Create_index _ -> ()
 
-let apply_checked cat = function
-  | Create_relation { table = _; schema; layout; encodings } ->
-      ignore (Catalog.add ~encodings cat schema (Layout.of_indices schema layout))
-  | Append { table; values } ->
-      let tid = Relation.append (Catalog.find cat table) values in
-      Catalog.notify_insert cat table ~tid
-  | Load { table; rows } ->
-      let rel = Catalog.find cat table in
+let check cat = function
+  | (Append { table; _ } | Load { table; _ } | Update { table; _ }) as op ->
+      check_rel (Catalog.find cat table) op
+  | Create_relation _ | Set_layout _ | Set_physical _ | Create_index _ -> ()
+
+(* Apply a row write to its table's entry [e]. *)
+let apply_row cat e = function
+  | Append { values; _ } ->
+      let tid = Relation.append (Catalog.relation e) values in
+      Catalog.notify_entry_insert cat e ~tid
+  | Load { rows; _ } ->
+      let rel = Catalog.relation e in
       Array.iter (fun row -> ignore (Relation.append rel row)) rows
   | Update { table; tid; attr; value } ->
-      Relation.set (Catalog.find cat table) tid attr value;
+      Relation.set (Catalog.relation e) tid attr value;
       Catalog.notify_update cat table ~tid ~attr ~value
+  | Create_relation _ | Set_layout _ | Set_physical _ | Create_index _ -> ()
+
+let apply_ddl cat = function
+  | Create_relation { table = _; schema; layout; encodings } ->
+      ignore (Catalog.add ~encodings cat schema (Layout.of_indices schema layout))
   | Set_layout { table; layout } ->
       let schema = Relation.schema (Catalog.find cat table) in
       Catalog.set_layout cat table (Layout.of_indices schema layout)
@@ -86,33 +94,60 @@ let apply_checked cat = function
         encodings
   | Create_index { table; iname; kind; attrs } ->
       Catalog.create_index cat table ~name:iname ~kind ~attrs
+  | Append _ | Load _ | Update _ -> ()
 
 let apply cat op =
-  check cat op;
-  apply_checked cat op
+  match op with
+  | Append { table; _ } | Load { table; _ } | Update { table; _ } ->
+      let e = Catalog.entry cat table in
+      check_rel (Catalog.relation e) op;
+      apply_row cat e op
+  | Create_relation _ | Set_layout _ | Set_physical _ | Create_index _ ->
+      apply_ddl cat op
 
-(* Rebuild, once per table, the indexes whose key an Update of [ops]
-   touched. *)
-let rebuild_updated cat ops =
-  let touched = Hashtbl.create 4 in
-  List.iter
-    (function
-      | Update { table; attr; _ } ->
-          let attrs =
-            Option.value (Hashtbl.find_opt touched table) ~default:[]
-          in
-          if not (List.mem attr attrs) then
-            Hashtbl.replace touched table (attr :: attrs)
-      | _ -> ())
-    ops;
-  Hashtbl.iter
-    (fun table attrs -> Catalog.rebuild_indexes_for cat table ~attrs)
-    touched
+let rec known table = function
+  | (name, e) :: rest -> if String.equal name table then e else known table rest
+  | [] -> raise Not_found
+
+(* The entry of [table], looked up once per op list: [seen] holds the
+   entries looked up so far, and a DDL op empties it, as it may replace
+   one. *)
+let entry_of cat seen table =
+  match known table !seen with
+  | e -> e
+  | exception Not_found ->
+      let e = Catalog.entry cat table in
+      seen := (table, e) :: !seen;
+      e
 
 let apply_all cat ops =
-  List.iter (check cat) ops;
-  List.iter (apply_checked cat) ops;
-  rebuild_updated cat ops
+  let seen = ref [] in
+  List.iter
+    (function
+      | (Append { table; _ } | Load { table; _ } | Update { table; _ }) as op ->
+          check_rel (Catalog.relation (entry_of cat seen table)) op
+      | Create_relation _ | Set_layout _ | Set_physical _ | Create_index _ -> ())
+    ops;
+  (* the indexes whose key an Update touched, rebuilt once per table *)
+  let touched = ref [] in
+  List.iter
+    (function
+      | (Append { table; _ } | Load { table; _ }) as op ->
+          apply_row cat (entry_of cat seen table) op
+      | Update { table; attr; _ } as op ->
+          let e = entry_of cat seen table in
+          apply_row cat e op;
+          (match List.assq e !touched with
+          | attrs -> if not (List.mem attr !attrs) then attrs := attr :: !attrs
+          | exception Not_found -> touched := (e, ref [ attr ]) :: !touched)
+      | (Create_relation _ | Set_layout _ | Set_physical _ | Create_index _) as op
+        ->
+          apply_ddl cat op;
+          seen := [])
+    ops;
+  List.iter
+    (fun (e, attrs) -> Catalog.rebuild_entry_indexes e ~attrs:!attrs)
+    !touched
 
 let untraced rel f =
   match Relation.hier rel with

@@ -37,6 +37,9 @@ val check : Catalog.t -> op -> unit
     @raise Mrdb_util.Errors.Bad_request for such a write.
     @raise Mrdb_util.Errors.Unknown_table for an unknown table. *)
 
+val check_rel : Relation.t -> op -> unit
+(** {!check} against the relation of the op's table, already looked up. *)
+
 val apply : Catalog.t -> op -> unit
 (** {!check}, then apply one op with its catalog notification: [Append] is
     {!Relation.append} and {!Catalog.notify_insert}, [Update] is

@@ -27,6 +27,7 @@ type t = {
   id : string;
   mutable reader : Wire.reader;
   mutable oc : out_channel;
+  out : Buffer.t;  (* the request being encoded, reused *)
   mutable pending : int;  (* requests sent or buffered, replies unread *)
   mutable commit_seq : int;  (* monotonically numbers this client's commits *)
 }
@@ -57,10 +58,10 @@ let open_connection addr =
 (* A dead connection can fail a write here only when the channel fills;
    it is left to surface at the next read, like every other error. *)
 let buffer t req =
-  (try
-     output_string t.oc (Wire.encode_request req);
-     output_char t.oc '\n'
-   with Sys_error _ -> ());
+  Buffer.clear t.out;
+  Wire.add_request t.out req;
+  Buffer.add_char t.out '\n';
+  (try Buffer.output_buffer t.oc t.out with Sys_error _ -> ());
   t.pending <- t.pending + 1
 
 (* Send every buffered request and read all their replies.  Every reply
@@ -97,7 +98,8 @@ let connect ?(id = Printf.sprintf "client-%d" (Unix.getpid ())) addr =
   (* a write to a closed socket must fail, not kill the process *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let reader, oc = open_connection addr in
-  let t = { addr; id; reader; oc; pending = 0; commit_seq = 0 } in
+  let out = Buffer.create 256 in
+  let t = { addr; id; reader; oc; out; pending = 0; commit_seq = 0 } in
   hello t;
   t
 

@@ -39,7 +39,27 @@ module Value = Storage.Value
 module Errors = Mrdb_util.Errors
 module Write = Storage.Write
 
-type cell = { table : string; tid : int; attr : int }
+(* One table's version bookkeeping.  A request finds it by name once;
+   its cells then hash by the table's number, not by its name. *)
+type table = {
+  name : string;
+  id : int;
+  mutable history : (int * int) list;
+      (* (commit_ts, nrows) newest-first; visible rows at snapshot [s] is
+         the [nrows] of the newest entry with [ts <= s] *)
+}
+
+type cell = { tab : table; tid : int; attr : int }
+
+module Cells = Hashtbl.Make (struct
+  type t = cell
+
+  let equal a b = a.tid = b.tid && a.attr = b.attr && a.tab == b.tab
+
+  let hash c =
+    let h = (c.tid * 0x9E3779B1) + (c.attr * 0x85EBCA77) + c.tab.id in
+    h lxor (h lsr 17)
+end)
 
 (* Before commit [ts], the cell held [prev]. *)
 type version = { ts : int; prev : Value.t }
@@ -48,11 +68,9 @@ type t = {
   cat : Catalog.t;
   m : Mutex.t;
   mutable clock : int;  (* last assigned commit timestamp *)
-  undo : (cell, version list) Hashtbl.t;  (* newest-first *)
-  last_writer : (cell, int) Hashtbl.t;  (* latest committed write per cell *)
-  rows : (string, (int * int) list) Hashtbl.t;
-      (* (commit_ts, nrows) newest-first; visible rows at snapshot [s] is
-         the [nrows] of the newest entry with [ts <= s] *)
+  tables : (string, table) Hashtbl.t;
+  undo : version list Cells.t;  (* newest-first *)
+  last_writer : int Cells.t;  (* latest committed write per cell *)
   active : (int, int) Hashtbl.t;  (* begin_ts -> live transactions *)
   mutable poisoned : string option;
       (* a commit apply died half-way (simulated crash, I/O error): the
@@ -64,9 +82,9 @@ type status = Active | Committed of int | Aborted of string
 type txn = {
   mgr : t;
   begin_ts : int;
-  writes : (cell, Value.t) Hashtbl.t;
+  writes : Value.t Cells.t;
   mutable write_order : cell list;  (* first-write order, reversed *)
-  mutable inserts : (string * Value.t array) list;  (* reversed *)
+  mutable inserts : (table * Value.t array) list;  (* reversed *)
   mutable status : status;
   deadline : float option;
   started : float;
@@ -114,9 +132,9 @@ let create cat =
     cat;
     m = Mutex.create ();
     clock = 0;
-    undo = Hashtbl.create 64;
-    last_writer = Hashtbl.create 64;
-    rows = Hashtbl.create 8;
+    tables = Hashtbl.create 8;
+    undo = Cells.create 64;
+    last_writer = Cells.create 64;
     active = Hashtbl.create 8;
     poisoned = None;
   }
@@ -126,31 +144,49 @@ let clock t = t.clock
 
 let locked t f =
   Mutex.lock t.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
+  match f () with
+  | r ->
+      Mutex.unlock t.m;
+      r
+  | exception e ->
+      Mutex.unlock t.m;
+      raise e
 
 let check_poisoned t =
   match t.poisoned with
   | Some why -> invalid_arg ("Mvcc: manager poisoned: " ^ why)
   | None -> ()
 
-(* Physical reads bypass the (shared, not thread-safe to *race on*, but we
-   are under the manager lock) tracer anyway: MVCC version resolution is
-   bookkeeping, not a modeled data-plane access pattern. *)
-let untraced_rel t table =
-  Relation.with_hier (Catalog.find t.cat table) None
+(* The bookkeeping of table [name], begun at its first use with the
+   relation's row count then.
+   @raise Errors.Unknown_table for a table the catalog does not have. *)
+let table t name =
+  match Hashtbl.find t.tables name with
+  | tab -> tab
+  | exception Not_found ->
+      let nrows = Relation.nrows (Catalog.find t.cat name) in
+      let tab =
+        { name; id = Hashtbl.length t.tables; history = [ (0, nrows) ] }
+      in
+      Hashtbl.replace t.tables name tab;
+      tab
 
-let ensure_rows t table =
-  if not (Hashtbl.mem t.rows table) then
-    Hashtbl.replace t.rows table
-      [ (0, Relation.nrows (Catalog.find t.cat table)) ]
+(* The relation [tab] stands for, to read committed values from.  Version
+   resolution is bookkeeping, not a modeled data-plane access, so a
+   relation with a memory hierarchy attached is read through a copy
+   without one; a relation without one (the server's) is read as it is. *)
+let base_rel t tab =
+  let rel = Catalog.find t.cat tab.name in
+  match Relation.hier rel with
+  | None -> rel
+  | Some _ -> Relation.with_hier rel None
 
-let visible_rows_at t table ~ts =
-  ensure_rows t table;
+let visible_rows_at tab ~ts =
   let rec go = function
     | [] -> 0
     | (cts, n) :: rest -> if cts <= ts then n else go rest
   in
-  go (Hashtbl.find t.rows table)
+  go tab.history
 
 (* A read of an attribute the table does not have is the reader's error. *)
 let check_attr rel table attr =
@@ -160,24 +196,24 @@ let check_attr rel table attr =
       (Errors.Bad_request
          (Printf.sprintf "%s: no attribute %d (%d attributes)" table attr arity))
 
-(* The committed value of [cell] at snapshot [ts].  Only the base path can
-   meet an attribute outside the table, as no write to one is accepted. *)
-let committed_value t cell ~ts =
+(* The committed value of [cell] at snapshot [ts]; [rel] is its table's
+   [base_rel].  Only the base path can meet an attribute outside the
+   table, as no write to one is accepted. *)
+let committed_value t rel cell ~ts =
   let base () =
-    let rel = untraced_rel t cell.table in
-    check_attr rel cell.table cell.attr;
+    check_attr rel cell.tab.name cell.attr;
     Relation.get rel cell.tid cell.attr
   in
-  match Hashtbl.find_opt t.undo cell with
-  | None -> base ()
-  | Some versions ->
+  match Cells.find t.undo cell with
+  | exception Not_found -> base ()
+  | versions -> (
       (* newest-first: versions with [ts' > ts] form a prefix; the oldest
          of those carries the snapshot value *)
       let rec go acc = function
         | v :: rest when v.ts > ts -> go (Some v.prev) rest
         | _ -> acc
       in
-      (match go None versions with Some v -> v | None -> base ())
+      match go None versions with Some v -> v | None -> base ())
 
 let oldest_active t =
   Hashtbl.fold (fun ts _ acc -> min ts acc) t.active max_int
@@ -188,23 +224,20 @@ let oldest_active t =
    never need a version whose ts is at or below it either. *)
 let gc t =
   let horizon = min (oldest_active t) t.clock in
-  let dead_undo = ref [] and live_versions = ref 0 in
-  Hashtbl.iter
-    (fun cell versions ->
-      let keep = List.filter (fun v -> v.ts > horizon) versions in
-      live_versions := !live_versions + List.length keep;
-      if keep == versions then ()
-      else if keep = [] then dead_undo := cell :: !dead_undo
-      else Hashtbl.replace t.undo cell keep)
+  let live_versions = ref 0 in
+  Cells.filter_map_inplace
+    (fun _ versions ->
+      match List.filter (fun v -> v.ts > horizon) versions with
+      | [] -> None
+      | keep ->
+          live_versions := !live_versions + List.length keep;
+          Some keep)
     t.undo;
-  List.iter (Hashtbl.remove t.undo) !dead_undo;
-  let dead_writers = ref [] in
-  Hashtbl.iter
-    (fun cell ts -> if ts <= horizon then dead_writers := cell :: !dead_writers)
+  Cells.filter_map_inplace
+    (fun _ ts -> if ts <= horizon then None else Some ts)
     t.last_writer;
-  List.iter (Hashtbl.remove t.last_writer) !dead_writers;
   Hashtbl.iter
-    (fun table history ->
+    (fun _ tab ->
       (* keep everything above the horizon plus the newest entry at or
          below it (the horizon snapshot's row count) *)
       let rec prune = function
@@ -212,13 +245,13 @@ let gc t =
         | (ts, n) :: _ -> [ (ts, n) ]
         | [] -> []
       in
-      Hashtbl.replace t.rows table (prune history))
-    t.rows;
+      tab.history <- prune tab.history)
+    t.tables;
   Obs.Metrics.set m_versions (float_of_int !live_versions)
 
 let retained_versions t =
   locked t (fun () ->
-      Hashtbl.fold (fun _ vs acc -> acc + List.length vs) t.undo 0)
+      Cells.fold (fun _ vs acc -> acc + List.length vs) t.undo 0)
 
 (* ------------------------------------------------------------------ *)
 (* Transactions                                                       *)
@@ -246,7 +279,7 @@ let begin_ ?timeout t =
       {
         mgr = t;
         begin_ts;
-        writes = Hashtbl.create 8;
+        writes = Cells.create 8;
         write_order = [];
         inserts = [];
         status = Active;
@@ -297,72 +330,79 @@ let enter txn what =
   ensure_active txn what;
   check_deadline_locked txn what
 
-let visible_rows txn table =
+let visible_rows txn name =
   locked txn.mgr (fun () ->
       enter txn "visible_rows";
-      visible_rows_at txn.mgr table ~ts:txn.begin_ts)
+      visible_rows_at (table txn.mgr name) ~ts:txn.begin_ts)
 
-let check_visible txn table tid what =
-  let n = visible_rows_at txn.mgr table ~ts:txn.begin_ts in
+let check_visible txn tab tid what =
+  let n = visible_rows_at tab ~ts:txn.begin_ts in
   if tid < 0 || tid >= n then
     raise
       (Errors.Bad_request
          (Printf.sprintf
             "Mvcc.%s: row %d of %S not visible at snapshot %d (%d visible)"
-            what tid table txn.begin_ts n))
+            what tid tab.name txn.begin_ts n))
 
 (* A visible cell as [txn] sees it: its own write, else the snapshot's. *)
-let cell_value txn cell =
-  match Hashtbl.find_opt txn.writes cell with
-  | Some v -> v
-  | None -> committed_value txn.mgr cell ~ts:txn.begin_ts
+let cell_value txn rel cell =
+  match Cells.find txn.writes cell with
+  | v -> v
+  | exception Not_found -> committed_value txn.mgr rel cell ~ts:txn.begin_ts
 
-let read txn table tid attr =
+let read txn name tid attr =
   locked txn.mgr (fun () ->
       enter txn "read";
-      check_visible txn table tid "read";
-      cell_value txn { table; tid; attr })
+      let tab = table txn.mgr name in
+      check_visible txn tab tid "read";
+      cell_value txn (base_rel txn.mgr tab) { tab; tid; attr })
 
-let read_row txn table tid =
+let read_row txn name tid =
   locked txn.mgr (fun () ->
       enter txn "read_row";
-      check_visible txn table tid "read_row";
-      let rel = untraced_rel txn.mgr table in
+      let tab = table txn.mgr name in
+      check_visible txn tab tid "read_row";
+      let rel = base_rel txn.mgr tab in
       let arity = Storage.Schema.arity (Relation.schema rel) in
-      Array.init arity (fun attr -> cell_value txn { table; tid; attr }))
+      Array.init arity (fun attr -> cell_value txn rel { tab; tid; attr }))
 
 (* Snapshot-consistent read of one attribute of every visible row — the
    analytics path.  One critical section per column, not per row. *)
-let column txn table attr =
+let column txn name attr =
   locked txn.mgr (fun () ->
       enter txn "column";
-      let n = visible_rows_at txn.mgr table ~ts:txn.begin_ts in
-      check_attr (untraced_rel txn.mgr table) table attr;
-      Array.init n (fun tid -> cell_value txn { table; tid; attr }))
+      let tab = table txn.mgr name in
+      let n = visible_rows_at tab ~ts:txn.begin_ts in
+      let rel = base_rel txn.mgr tab in
+      check_attr rel name attr;
+      Array.init n (fun tid -> cell_value txn rel { tab; tid; attr }))
 
-let update txn table tid attr value =
+let update txn name tid attr value =
   locked txn.mgr (fun () ->
       enter txn "update";
-      check_visible txn table tid "update";
-      Write.check txn.mgr.cat (Write.Update { table; tid; attr; value });
-      let cell = { table; tid; attr } in
-      if not (Hashtbl.mem txn.writes cell) then
+      let tab = table txn.mgr name in
+      check_visible txn tab tid "update";
+      Write.check_rel
+        (Catalog.find txn.mgr.cat name)
+        (Write.Update { table = name; tid; attr; value });
+      let cell = { tab; tid; attr } in
+      if not (Cells.mem txn.writes cell) then
         txn.write_order <- cell :: txn.write_order;
-      Hashtbl.replace txn.writes cell value)
+      Cells.replace txn.writes cell value)
 
-let insert txn table values =
+let insert txn name values =
   locked txn.mgr (fun () ->
       enter txn "insert";
-      ensure_rows txn.mgr table;
-      let rel = Catalog.find txn.mgr.cat table in
+      let tab = table txn.mgr name in
+      let rel = Catalog.find txn.mgr.cat name in
       let arity = Storage.Schema.arity (Relation.schema rel) in
       if Array.length values <> arity then
         raise
           (Errors.Bad_request
-             (Printf.sprintf "Mvcc.insert: %S expects %d values, got %d" table
+             (Printf.sprintf "Mvcc.insert: %S expects %d values, got %d" name
                 arity (Array.length values)));
-      Write.check txn.mgr.cat (Write.Append { table; values });
-      txn.inserts <- (table, values) :: txn.inserts)
+      Write.check_rel rel (Write.Append { table = name; values });
+      txn.inserts <- (tab, values) :: txn.inserts)
 
 exception Poison of exn * Printexc.raw_backtrace
 
@@ -372,37 +412,50 @@ let commit txn =
   enter txn "commit";
   (* first-committer-wins: any committed write after our begin to a cell we
      also wrote means the first committer already won *)
-  Hashtbl.iter
+  Cells.iter
     (fun cell _ ->
-      match Hashtbl.find_opt t.last_writer cell with
-      | Some ts when ts > txn.begin_ts ->
+      match Cells.find t.last_writer cell with
+      | ts when ts > txn.begin_ts ->
           finish_locked txn
             (Aborted
-               (Printf.sprintf "write-write conflict on %s[%d].%d" cell.table
-                  cell.tid cell.attr));
+               (Printf.sprintf "write-write conflict on %s[%d].%d"
+                  cell.tab.name cell.tid cell.attr));
           Obs.Metrics.incr m_conflicts;
           raise
             (Errors.Txn_conflict
                (Printf.sprintf
                   "%s row %d attr %d was committed at ts %d, after this \
                    transaction's snapshot %d"
-                  cell.table cell.tid cell.attr ts txn.begin_ts))
-      | _ -> ())
+                  cell.tab.name cell.tid cell.attr ts txn.begin_ts))
+      | _ | (exception Not_found) -> ())
     txn.writes;
   let ts = t.clock + 1 in
   let updates = List.rev txn.write_order in
   let inserts = List.rev txn.inserts in
   let ops =
     List.map
-      (fun ({ table; tid; attr } as cell) ->
-        Write.Update { table; tid; attr; value = Hashtbl.find txn.writes cell })
+      (fun ({ tab; tid; attr } as cell) ->
+        Write.Update
+          { table = tab.name; tid; attr; value = Cells.find txn.writes cell })
       updates
-    @ List.map (fun (table, values) -> Write.Append { table; values }) inserts
+    @ List.map
+        (fun (tab, values) -> Write.Append { table = tab.name; values })
+        inserts
+  in
+  (* the overwritten values, each table's relation looked up once *)
+  let rels = ref [] in
+  let rel_of tab =
+    match List.assq tab !rels with
+    | rel -> rel
+    | exception Not_found ->
+        let rel = base_rel t tab in
+        rels := (tab, rel) :: !rels;
+        rel
   in
   let prevs =
-    List.map (fun cell -> committed_value t cell ~ts:t.clock) updates
+    List.map (fun cell -> committed_value t (rel_of cell.tab) cell ~ts:t.clock)
+      updates
   in
-  List.iter (fun (table, _) -> ensure_rows t table) inserts;
   (* One catalog transaction frame: with durability attached this is
      exactly one Begin..ops..Commit WAL unit, flushed at the end.  The list
      apply checks every op before the first lands, so a refusal (the
@@ -426,18 +479,19 @@ let commit txn =
   List.iter2
     (fun cell prev ->
       let versions =
-        match Hashtbl.find_opt t.undo cell with Some vs -> vs | None -> []
+        match Cells.find t.undo cell with vs -> vs | exception Not_found -> []
       in
-      Hashtbl.replace t.undo cell ({ ts; prev } :: versions);
-      Hashtbl.replace t.last_writer cell ts)
+      Cells.replace t.undo cell ({ ts; prev } :: versions);
+      Cells.replace t.last_writer cell ts)
     updates prevs;
+  (* every insert of a table in this commit ends at the same row count *)
   List.iter
-    (fun (table, _) ->
-      let nrows = Relation.nrows (Catalog.find t.cat table) in
-      match Hashtbl.find t.rows table with
-      | (hts, _) :: rest when hts = ts ->
-          Hashtbl.replace t.rows table ((ts, nrows) :: rest)
-      | history -> Hashtbl.replace t.rows table ((ts, nrows) :: history))
+    (fun (tab, _) ->
+      match tab.history with
+      | (hts, _) :: _ when hts = ts -> ()
+      | history ->
+          tab.history <-
+            (ts, Relation.nrows (Catalog.find t.cat tab.name)) :: history)
     inserts;
   t.clock <- ts;
   txn.status <- Committed ts;

@@ -24,6 +24,9 @@ type t = {
       (* client id -> (last commit token, its commit ts) *)
   cache_m : Mutex.t;
   stop : bool Atomic.t;
+  conns : (Unix.file_descr, unit) Hashtbl.t;
+      (* the accept loop's live connections, so [stop] can end them *)
+  conns_m : Mutex.t;
 }
 
 let create ?(max_clients = 8) ?txn_timeout mgr =
@@ -35,11 +38,48 @@ let create ?(max_clients = 8) ?txn_timeout mgr =
     commit_cache = Hashtbl.create 16;
     cache_m = Mutex.create ();
     stop = Atomic.make false;
+    conns = Hashtbl.create 8;
+    conns_m = Mutex.create ();
   }
 
 let mgr t = t.mgr
 
-let stop t = Atomic.set t.stop true
+(* Connections are registered, shut down and closed under [conns_m], so
+   [stop] never shuts down a descriptor number a closed connection left
+   for reuse, and no connection registers after [stop] has run. *)
+let with_conns t f =
+  Mutex.lock t.conns_m;
+  match f () with
+  | r ->
+      Mutex.unlock t.conns_m;
+      r
+  | exception e ->
+      Mutex.unlock t.conns_m;
+      raise e
+
+(* Set the flag, then shut every live connection down for reading: a
+   session waiting in read(2) sees end of file, and one busy with a
+   request finishes the requests it has read. *)
+let stop t =
+  with_conns t (fun () ->
+      Atomic.set t.stop true;
+      Hashtbl.iter
+        (fun fd () ->
+          try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
+          with Unix.Unix_error _ -> ())
+        t.conns)
+
+(* Register an accepted connection, unless the server is stopping. *)
+let admit t fd =
+  with_conns t (fun () ->
+      let open_ = not (Atomic.get t.stop) in
+      if open_ then Hashtbl.replace t.conns fd ();
+      open_)
+
+let release t fd =
+  with_conns t (fun () ->
+      Hashtbl.remove t.conns fd;
+      try Unix.close fd with Unix.Unix_error _ -> ())
 
 let m_connections =
   Obs.Metrics.counter "mrdb_server_connections_total"
@@ -210,7 +250,7 @@ let err_reply e =
 (* Execute one request line.  [None] ends the session. *)
 let serve srv session line =
   match Wire.parse_request line with
-  | exception Failure msg -> Some (err_reply (Errors.Bad_request msg))
+  | exception (Errors.Bad_request _ as e) -> Some (err_reply e)
   | req -> (
       match execute srv session req with
       | reply -> reply
@@ -227,10 +267,13 @@ let serve srv session line =
           Some (err_reply e))
 
 (* Replies are written when no complete request is left in the buffer, so
-   a pipelined batch costs one write(2). *)
+   a pipelined batch costs one write(2).  Each reply is encoded into one
+   buffer the session reuses.  After [stop] the session serves the
+   complete requests it has buffered, then returns. *)
 let handle_client srv fd =
   let r = Wire.reader fd in
   let oc = Unix.out_channel_of_descr fd in
+  let out = Buffer.create 256 in
   let session =
     {
       client_id = "anon";
@@ -241,9 +284,10 @@ let handle_client srv fd =
   in
   let alive = ref true in
   let send reply =
-    try
-      output_string oc (Wire.encode_reply reply);
-      output_char oc '\n'
+    Buffer.clear out;
+    Wire.add_reply out reply;
+    Buffer.add_char out '\n';
+    try Buffer.output_buffer oc out
     with Sys_error _ -> (* the client is gone *) alive := false
   in
   let flush_replies () =
@@ -264,8 +308,10 @@ let handle_client srv fd =
               true
           | None -> false
         in
-        if not (Wire.has_line r) then flush_replies ();
-        if continue && !alive && not (Atomic.get srv.stop) then loop ()
+        let more = Wire.has_line r in
+        if not more then flush_replies ();
+        if continue && !alive && (more || not (Atomic.get srv.stop)) then
+          loop ()
   in
   Fun.protect
     ~finally:(fun () ->
@@ -273,7 +319,7 @@ let handle_client srv fd =
          history the GC would otherwise prune): abort anything open *)
       drop_txn session;
       flush_replies ();
-      (try Unix.close fd with Unix.Unix_error _ -> ());
+      release srv fd;
       Atomic.decr srv.active;
       Obs.Metrics.set m_active_clients (float_of_int (Atomic.get srv.active)))
     loop
@@ -297,22 +343,38 @@ let accept_loop srv listen_fd =
      process: writes to it then fail with EPIPE *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let domains = ref [] in
-  (try
-     while not (Atomic.get srv.stop) do
-       let fd, _ = Unix.accept listen_fd in
-       Obs.Metrics.incr m_connections;
-       if Atomic.get srv.stop then (try Unix.close fd with _ -> ())
-       else if Atomic.get srv.active >= srv.max_clients then
-         shed fd srv.max_clients
-       else begin
-         Atomic.incr srv.active;
-         Obs.Metrics.set m_active_clients (float_of_int (Atomic.get srv.active));
-         domains := Domain.spawn (fun () -> handle_client srv fd) :: !domains
-       end
-     done
-   with Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
-     (* the shutdown path closed the listening socket under us *)
-     ());
+  let rec accept () =
+    match Unix.accept listen_fd with
+    | conn -> Some conn
+    | exception Unix.Unix_error (Unix.EINTR, _, _) ->
+        (* a signal, whose handler may have stopped the server *)
+        if Atomic.get srv.stop then None else accept ()
+    | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
+        (* the shutdown path closed or shut down the listening socket *)
+        None
+  in
+  let rec loop () =
+    if not (Atomic.get srv.stop) then
+      match accept () with
+      | None -> ()
+      | Some (fd, _) ->
+          Obs.Metrics.incr m_connections;
+          if
+            Atomic.get srv.active >= srv.max_clients
+            && not (Atomic.get srv.stop)
+          then shed fd srv.max_clients
+          else if admit srv fd then begin
+            Atomic.incr srv.active;
+            Obs.Metrics.set m_active_clients
+              (float_of_int (Atomic.get srv.active));
+            domains := Domain.spawn (fun () -> handle_client srv fd) :: !domains
+          end
+          else (try Unix.close fd with Unix.Unix_error _ -> ());
+          loop ()
+  in
+  loop ();
+  (* however the loop ended, end the sessions so the joins return *)
+  stop srv;
   List.iter Domain.join !domains
 
 let listen_unix path =

@@ -24,13 +24,20 @@ val create : ?max_clients:int -> ?txn_timeout:float -> Mvcc.t -> t
 val mgr : t -> Mvcc.t
 
 val stop : t -> unit
-(** Ask the accept loop to exit; it notices at the next accepted
-    connection (see {!poke}) or request boundary. *)
+(** Stop the server: the accept loop exits at the next accepted
+    connection (see {!poke}), and every connection it accepted is shut
+    down for reading, so its session serves the complete requests it has
+    buffered, aborts its open transaction as for a vanished client, and
+    returns.  It takes a lock, so a signal handler should shut the
+    listening socket down instead (the accept loop then stops the server
+    itself). *)
 
 val accept_loop : t -> Unix.file_descr -> unit
 (** Accept clients until {!stop}; each client runs in its own domain, all
-    joined before returning.  Closing the listening socket also ends the
-    loop. *)
+    joined before returning.  A signal interrupting accept(2) is retried.
+    Closing or shutting down the listening socket also ends the loop,
+    which then calls {!stop}, so an idle client cannot hold up the
+    return. *)
 
 val handle_client : t -> Unix.file_descr -> unit
 (** Serve one connection on the calling thread (the accept loop uses this;

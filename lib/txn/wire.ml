@@ -12,6 +12,15 @@
    (CONFLICT, TIMEOUT, BUSY, BAD_REQUEST, ...), so a client can rebuild
    the typed exception a reply stands for.
 
+   Decoding reads a line in place, with the grammar of the split-based
+   decoders it replaced (the test suite keeps those as its oracle): blank
+   ends are dropped as String.trim drops them, fields are the runs
+   between single spaces, integers are what int_of_string reads, and an
+   escape is what int_of_string ("0x" ^ two bytes) reads.  So some
+   non-canonical forms pass on purpose: "+5", "0x10", "0u12" and "1_000"
+   are integers, and "%1_" is byte 1.  Whatever a decoder refuses raises
+   Errors.Bad_request.
+
    Pipelining.  Every request gets exactly one reply, in request order, so
    the n-th reply on a connection always belongs to its n-th request.  A
    client may therefore send requests without waiting for their replies:
@@ -41,18 +50,20 @@ let must_escape c =
 
 let hex_digits = "0123456789ABCDEF"
 
+(* The encoders write into a caller's buffer with loops, not closures,
+   so encoding a line allocates nothing. *)
 let add_escaped b s =
   if not (String.exists must_escape s) then Buffer.add_string b s
   else
-    String.iter
-      (fun c ->
-        if must_escape c then begin
-          Buffer.add_char b '%';
-          Buffer.add_char b hex_digits.[Char.code c lsr 4];
-          Buffer.add_char b hex_digits.[Char.code c land 15]
-        end
-        else Buffer.add_char b c)
-      s
+    for i = 0 to String.length s - 1 do
+      let c = String.unsafe_get s i in
+      if must_escape c then begin
+        Buffer.add_char b '%';
+        Buffer.add_char b hex_digits.[Char.code c lsr 4];
+        Buffer.add_char b hex_digits.[Char.code c land 15]
+      end
+      else Buffer.add_char b c
+    done
 
 let to_string add x =
   let b = Buffer.create 64 in
@@ -61,43 +72,77 @@ let to_string add x =
 
 let escape s = if String.exists must_escape s then to_string add_escaped s else s
 
-let unescape s =
-  if not (String.contains s '%') then s
+(* A line or field the decoders refuse. *)
+let bad fmt = Printf.ksprintf (fun s -> raise (Errors.Bad_request s)) fmt
+
+let hex_value c =
+  match c with
+  | '0' .. '9' -> Char.code c - Char.code '0'
+  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+  | _ -> -1
+
+(* The decoders' loops are functions of their own, not local closures,
+   which would be allocated at every call. *)
+
+(* The first index in [i, hi) that holds [c], or [hi]. *)
+let rec index_to s c i hi =
+  if i >= hi || String.unsafe_get s i = c then i else index_to s c (i + 1) hi
+
+let rec count_in s c i hi acc =
+  if i >= hi then acc
+  else
+    count_in s c (i + 1) hi
+      (if String.unsafe_get s i = c then acc + 1 else acc)
+
+(* Decode bytes [i, hi) of [s] into [b] from index [n]; the new length. *)
+let rec unescape_into s b i hi n =
+  if i >= hi then n
+  else
+    let c = String.unsafe_get s i in
+    let d1 = if c = '%' && i + 2 < hi then hex_value s.[i + 1] else -1 in
+    let c2 = if d1 >= 0 then s.[i + 2] else ' ' in
+    let d2 = if c2 = '_' then 0 else hex_value c2 in
+    if d1 >= 0 && d2 >= 0 then begin
+      Bytes.unsafe_set b n
+        (Char.unsafe_chr (if c2 = '_' then d1 else (d1 * 16) + d2));
+      unescape_into s b (i + 3) hi (n + 1)
+    end
+    else begin
+      Bytes.unsafe_set b n c;
+      unescape_into s b (i + 1) hi (n + 1)
+    end
+
+(* Bytes [lo, hi) of [s] with each escape decoded.  An escape is a '%'
+   followed by two bytes that [int_of_string ("0x" ^ them)] reads: a hex
+   digit, then a hex digit or an '_', which int_of_string skips, so "%1_"
+   is byte 1.  Any other '%' stands for itself. *)
+let unescape_sub s lo hi =
+  let p = index_to s '%' lo hi in
+  if p = hi then
+    if lo = 0 && hi = String.length s then s else String.sub s lo (hi - lo)
   else begin
-    let b = Buffer.create (String.length s) in
-    let n = String.length s in
-    let i = ref 0 in
-    while !i < n do
-      if s.[!i] = '%' && !i + 2 < n then begin
-        (match int_of_string_opt ("0x" ^ String.sub s (!i + 1) 2) with
-        | Some code ->
-            Buffer.add_char b (Char.chr code);
-            i := !i + 3
-        | None ->
-            Buffer.add_char b s.[!i];
-            incr i)
-      end
-      else begin
-        Buffer.add_char b s.[!i];
-        incr i
-      end
-    done;
-    Buffer.contents b
+    let b = Bytes.create (hi - lo) in
+    Bytes.blit_string s lo b 0 (p - lo);
+    Bytes.sub_string b 0 (unescape_into s b p hi (p - lo))
   end
+
+let unescape s = unescape_sub s 0 (String.length s)
 
 (* ------------------------------------------------------------------ *)
 (* Values                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The digits of [-n], for [n <= 0]. *)
+let rec add_digits b n =
+  if n <= -10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+
 (* [i] in decimal, as "%d" prints it.  The digits come from -|i|, which
    exists for every int, min_int included. *)
 let add_int b i =
-  let rec digits n =
-    if n <= -10 then digits (n / 10);
-    Buffer.add_char b (Char.unsafe_chr (Char.code '0' - (n mod 10)))
-  in
   if i < 0 then Buffer.add_char b '-';
-  digits (if i > 0 then -i else i)
+  add_digits b (if i > 0 then -i else i)
 
 (* The runtime primitive behind "%h", called with the precision and sign
    flag Printf passes it (-6: as many hex digits as the value needs). *)
@@ -121,45 +166,101 @@ let add_value b = function
       add_escaped b s
 
 let add_values b vs =
-  Array.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char b '|';
-      add_value b v)
-    vs
+  for i = 0 to Array.length vs - 1 do
+    if i > 0 then Buffer.add_char b '|';
+    add_value b (Array.unsafe_get vs i)
+  done
 
 let encode_value = to_string add_value
 
-let decode_value s =
-  let payload () = String.sub s 2 (String.length s - 2) in
-  if s = "null" then Value.Null
-  else if String.length s < 2 || s.[1] <> ':' then
-    failwith (Printf.sprintf "wire: bad value %S" s)
+(* Decoding works on a byte range [lo, hi) of the line, so a field is
+   never copied out to be parsed; only a string value or a name becomes a
+   string of its own. *)
+
+let rec same s w i lo hi =
+  i >= hi
+  || String.unsafe_get s i = String.unsafe_get w (i - lo)
+     && same s w (i + 1) lo hi
+
+(* Whether bytes [lo, hi) of [s] are [w]. *)
+let sub_is s lo hi w = hi - lo = String.length w && same s w lo lo hi
+
+(* Bytes [lo, hi) of [s] as a string of their own. *)
+let field s lo hi = String.sub s lo (hi - lo)
+
+exception Not_int
+
+let int_slow s lo hi =
+  match int_of_string_opt (field s lo hi) with
+  | Some i -> i
+  | None -> raise Not_int
+
+(* The decimal digits [i, hi) of [s] after [acc], or -1 at a non-digit. *)
+let rec digits s i hi acc =
+  if i >= hi then acc
   else
-    match s.[0] with
+    match String.unsafe_get s i with
+    | '0' .. '9' as c ->
+        digits s (i + 1) hi ((acc * 10) + Char.code c - Char.code '0')
+    | _ -> -1
+
+(* Bytes [lo, hi) of [s] as [int_of_string] reads them.  A plain decimal
+   (an optional '-' and at most 18 digits, so it cannot overflow) is read
+   digit by digit; any other form ("+5", "0x10", "1_000", 19 digits and
+   more) goes through int_of_string itself.
+   @raise Not_int where int_of_string fails. *)
+let int_sub s lo hi =
+  let neg = lo < hi && String.unsafe_get s lo = '-' in
+  let d = if neg then lo + 1 else lo in
+  let v = if hi - d < 1 || hi - d > 18 then -1 else digits s d hi 0 in
+  if v < 0 then int_slow s lo hi else if neg then -v else v
+
+let value_sub s lo hi =
+  if sub_is s lo hi "null" then Value.Null
+  else if hi - lo < 2 || String.unsafe_get s (lo + 1) <> ':' then
+    bad "wire: bad value %S" (field s lo hi)
+  else
+    let p = lo + 2 in
+    match String.unsafe_get s lo with
     | 'i' -> (
-        match int_of_string_opt (payload ()) with
-        | Some i -> Value.VInt i
-        | None -> failwith (Printf.sprintf "wire: bad int %S" s))
-    | 'f' -> (
-        match float_of_string_opt (payload ()) with
-        | Some f -> Value.VFloat f
-        | None -> failwith (Printf.sprintf "wire: bad float %S" s))
-    | 'b' -> (
-        match payload () with
-        | "true" -> Value.VBool true
-        | "false" -> Value.VBool false
-        | _ -> failwith (Printf.sprintf "wire: bad bool %S" s))
+        match int_sub s p hi with
+        | i -> Value.VInt i
+        | exception Not_int -> bad "wire: bad int %S" (field s lo hi))
     | 'd' -> (
-        match int_of_string_opt (payload ()) with
-        | Some d -> Value.VDate d
-        | None -> failwith (Printf.sprintf "wire: bad date %S" s))
-    | 's' -> Value.VStr (unescape (payload ()))
-    | _ -> failwith (Printf.sprintf "wire: bad value tag %S" s)
+        match int_sub s p hi with
+        | d -> Value.VDate d
+        | exception Not_int -> bad "wire: bad date %S" (field s lo hi))
+    | 'f' -> (
+        match float_of_string_opt (String.sub s p (hi - p)) with
+        | Some f -> Value.VFloat f
+        | None -> bad "wire: bad float %S" (field s lo hi))
+    | 'b' ->
+        if sub_is s p hi "true" then Value.VBool true
+        else if sub_is s p hi "false" then Value.VBool false
+        else bad "wire: bad bool %S" (field s lo hi)
+    | 's' -> Value.VStr (unescape_sub s p hi)
+    | _ -> bad "wire: bad value tag %S" (field s lo hi)
+
+(* The '|'-separated values in [lo, hi), decoded into an array sized by
+   counting the separators first. *)
+let rec fill_values vs s k i hi =
+  let e = index_to s '|' i hi in
+  Array.unsafe_set vs k (value_sub s i e);
+  if e < hi then fill_values vs s (k + 1) (e + 1) hi
+
+let values_sub s lo hi =
+  let vs = Array.make (1 + count_in s '|' lo hi 0) Value.Null in
+  fill_values vs s 0 lo hi;
+  vs
+
+(* @raise Errors.Bad_request for anything but an encoded value. *)
+let decode_value s = value_sub s 0 (String.length s)
 
 let encode_values = to_string add_values
 
-let decode_values s =
-  Array.of_list (List.map decode_value (String.split_on_char '|' s))
+(* @raise Errors.Bad_request unless every '|'-separated field is an
+   encoded value. *)
+let decode_values s = values_sub s 0 (String.length s)
 
 (* ------------------------------------------------------------------ *)
 (* Requests                                                           *)
@@ -178,73 +279,121 @@ type request =
   | Ping
   | Quit
 
+let add_int_field b i =
+  Buffer.add_char b ' ';
+  add_int b i
+
 let add_request b req =
-  let word w = Buffer.add_string b w in
-  let field add x =
-    Buffer.add_char b ' ';
-    add b x
-  in
   match req with
   | Hello id ->
-      word "HELLO";
-      field add_escaped id
-  | Begin -> word "BEGIN"
+      Buffer.add_string b "HELLO ";
+      add_escaped b id
+  | Begin -> Buffer.add_string b "BEGIN"
   | Get { table; tid; attr } ->
-      word "GET";
-      field add_escaped table;
-      field add_int tid;
-      field add_int attr
+      Buffer.add_string b "GET ";
+      add_escaped b table;
+      add_int_field b tid;
+      add_int_field b attr
   | Set { table; tid; attr; value } ->
-      word "SET";
-      field add_escaped table;
-      field add_int tid;
-      field add_int attr;
-      field add_value value
+      Buffer.add_string b "SET ";
+      add_escaped b table;
+      add_int_field b tid;
+      add_int_field b attr;
+      Buffer.add_char b ' ';
+      add_value b value
   | Insert { table; values } ->
-      word "INSERT";
-      field add_escaped table;
-      field add_values values
+      Buffer.add_string b "INSERT ";
+      add_escaped b table;
+      Buffer.add_char b ' ';
+      add_values b values
   | Rows table ->
-      word "ROWS";
-      field add_escaped table
+      Buffer.add_string b "ROWS ";
+      add_escaped b table
   | Sum { table; attr } ->
-      word "SUM";
-      field add_escaped table;
-      field add_int attr
-  | Commit None -> word "COMMIT"
+      Buffer.add_string b "SUM ";
+      add_escaped b table;
+      add_int_field b attr
+  | Commit None -> Buffer.add_string b "COMMIT"
   | Commit (Some token) ->
-      word "COMMIT";
-      field add_escaped token
-  | Abort -> word "ABORT"
-  | Ping -> word "PING"
-  | Quit -> word "QUIT"
+      Buffer.add_string b "COMMIT ";
+      add_escaped b token
+  | Abort -> Buffer.add_string b "ABORT"
+  | Ping -> Buffer.add_string b "PING"
+  | Quit -> Buffer.add_string b "QUIT"
 
 let encode_request = to_string add_request
 
-let int_field what s =
-  match int_of_string_opt s with
-  | Some i -> i
-  | None -> failwith (Printf.sprintf "wire: bad %s %S" what s)
+(* A line is read as [String.trim] and [String.split_on_char ' '] would
+   cut it, without building either: its blank ends are skipped, and its
+   fields are the runs between single spaces, so two spaces in a row
+   make an empty field. *)
+let is_blank c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012'
 
+let rec trim_lo s i =
+  if i < String.length s && is_blank (String.unsafe_get s i) then
+    trim_lo s (i + 1)
+  else i
+
+let rec trim_hi s lo j =
+  if j > lo && is_blank (String.unsafe_get s (j - 1)) then trim_hi s lo (j - 1)
+  else j
+
+let int_field what s lo hi =
+  match int_sub s lo hi with
+  | i -> i
+  | exception Not_int -> bad "wire: bad %s %S" what (field s lo hi)
+
+let bad_request line = bad "wire: bad request %S" line
+
+(* @raise Errors.Bad_request for a line that is no request. *)
 let parse_request line =
-  match String.split_on_char ' ' (String.trim line) with
-  | [ "HELLO"; id ] -> Hello (unescape id)
-  | [ "BEGIN" ] -> Begin
-  | [ "GET"; t; tid; attr ] ->
-      Get { table = unescape t; tid = int_field "tid" tid;
-            attr = int_field "attr" attr }
-  | [ "SET"; t; tid; attr; v ] ->
-      Set { table = unescape t; tid = int_field "tid" tid;
-            attr = int_field "attr" attr; value = decode_value v }
-  | [ "INSERT"; t; vs ] -> Insert { table = unescape t; values = decode_values vs }
-  | [ "ROWS"; t ] -> Rows (unescape t)
-  | [ "SUM"; t; attr ] -> Sum { table = unescape t; attr = int_field "attr" attr }
-  | [ "COMMIT" ] -> Commit None
-  | [ "COMMIT"; token ] -> Commit (Some (unescape token))
-  | [ "ABORT" ] -> Abort
-  | [ "PING" ] -> Ping
-  | [ "QUIT" ] -> Quit
-  | _ -> failwith (Printf.sprintf "wire: bad request %S" line)
+  let s = line in
+  let lo = trim_lo s 0 in
+  let hi = trim_hi s lo (String.length s) in
+  (* the verb is [lo, e0); field k ends at [ek] *)
+  let e0 = index_to s ' ' lo hi in
+  match count_in s ' ' e0 hi 1 with
+  | 1 ->
+      if sub_is s lo e0 "BEGIN" then Begin
+      else if sub_is s lo e0 "COMMIT" then Commit None
+      else if sub_is s lo e0 "ABORT" then Abort
+      else if sub_is s lo e0 "PING" then Ping
+      else if sub_is s lo e0 "QUIT" then Quit
+      else bad_request line
+  | 2 ->
+      if sub_is s lo e0 "HELLO" then Hello (unescape_sub s (e0 + 1) hi)
+      else if sub_is s lo e0 "ROWS" then Rows (unescape_sub s (e0 + 1) hi)
+      else if sub_is s lo e0 "COMMIT" then
+        Commit (Some (unescape_sub s (e0 + 1) hi))
+      else bad_request line
+  | 3 ->
+      let e1 = index_to s ' ' (e0 + 1) hi in
+      if sub_is s lo e0 "INSERT" then
+        let table = unescape_sub s (e0 + 1) e1 in
+        Insert { table; values = values_sub s (e1 + 1) hi }
+      else if sub_is s lo e0 "SUM" then
+        let table = unescape_sub s (e0 + 1) e1 in
+        Sum { table; attr = int_field "attr" s (e1 + 1) hi }
+      else bad_request line
+  | 4 ->
+      if sub_is s lo e0 "GET" then
+        let e1 = index_to s ' ' (e0 + 1) hi in
+        let e2 = index_to s ' ' (e1 + 1) hi in
+        let table = unescape_sub s (e0 + 1) e1 in
+        let tid = int_field "tid" s (e1 + 1) e2 in
+        Get { table; tid; attr = int_field "attr" s (e2 + 1) hi }
+      else bad_request line
+  | 5 ->
+      if sub_is s lo e0 "SET" then
+        let e1 = index_to s ' ' (e0 + 1) hi in
+        let e2 = index_to s ' ' (e1 + 1) hi in
+        let e3 = index_to s ' ' (e2 + 1) hi in
+        let table = unescape_sub s (e0 + 1) e1 in
+        let tid = int_field "tid" s (e1 + 1) e2 in
+        let attr = int_field "attr" s (e2 + 1) e3 in
+        Set { table; tid; attr; value = value_sub s (e3 + 1) hi }
+      else bad_request line
+  | _ -> bad_request line
 
 (* ------------------------------------------------------------------ *)
 (* Replies                                                            *)
@@ -271,13 +420,26 @@ let add_reply b = function
 
 let encode_reply = to_string add_reply
 
+(* @raise Errors.Bad_request for a line that is no reply. *)
 let parse_reply line =
-  match String.split_on_char ' ' (String.trim line) with
-  | [ "OK" ] -> Ok_ ""
-  | [ "OK"; detail ] -> Ok_ (unescape detail)
-  | [ "VAL"; v ] -> Val (decode_value v)
-  | "ERR" :: tag :: rest -> Err { tag; msg = unescape (String.concat " " rest) }
-  | _ -> failwith (Printf.sprintf "wire: bad reply %S" line)
+  let s = line in
+  let lo = trim_lo s 0 in
+  let hi = trim_hi s lo (String.length s) in
+  let e0 = index_to s ' ' lo hi in
+  if sub_is s lo e0 "OK" && e0 = hi then Ok_ ""
+  else if sub_is s lo e0 "OK" && index_to s ' ' (e0 + 1) hi = hi then
+    Ok_ (unescape_sub s (e0 + 1) hi)
+  else if sub_is s lo e0 "VAL" && e0 < hi && index_to s ' ' (e0 + 1) hi = hi
+  then Val (value_sub s (e0 + 1) hi)
+  else if sub_is s lo e0 "ERR" && e0 < hi then
+    (* the message is the rest of the line, spaces included *)
+    let e1 = index_to s ' ' (e0 + 1) hi in
+    Err
+      {
+        tag = String.sub s (e0 + 1) (e1 - e0 - 1);
+        msg = (if e1 < hi then unescape_sub s (e1 + 1) hi else "");
+      }
+  else bad "wire: bad reply %S" line
 
 (* The typed exception an ERR reply stands for. *)
 let exn_of_reply = function
@@ -307,20 +469,19 @@ type reader = {
 let reader fd =
   { fd; buf = Bytes.create 65536; pos = 0; len = 0; scan = 0 }
 
+let rec newline_from r i =
+  if i >= r.len then begin
+    r.scan <- i;
+    -1
+  end
+  else if Bytes.unsafe_get r.buf i = '\n' then begin
+    r.scan <- i;
+    i
+  end
+  else newline_from r (i + 1)
+
 (* Index of the next newline among the buffered bytes, or -1. *)
-let newline r =
-  let rec go i =
-    if i >= r.len then begin
-      r.scan <- i;
-      -1
-    end
-    else if Bytes.unsafe_get r.buf i = '\n' then begin
-      r.scan <- i;
-      i
-    end
-    else go (i + 1)
-  in
-  go r.scan
+let newline r = newline_from r r.scan
 
 let has_line r = newline r >= 0
 

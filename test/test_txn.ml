@@ -410,6 +410,103 @@ let qcheck_wire_printf_free =
       && inverts ~encode:W.encode_reply ~parse:W.parse_reply rep
       && inverts ~encode:W.encode_values ~parse:W.decode_values vs)
 
+(* Decoders built on String.trim, split_on_char and int_of_string per
+   field: the reference grammar the wire codec's in-place decoders must
+   read exactly, kept as their oracle. *)
+module Split_wire = struct
+  module W = Txn.Wire
+
+  let unescape s =
+    if not (String.contains s '%') then s
+    else begin
+      let b = Buffer.create (String.length s) in
+      let n = String.length s in
+      let i = ref 0 in
+      while !i < n do
+        if s.[!i] = '%' && !i + 2 < n then begin
+          match int_of_string_opt ("0x" ^ String.sub s (!i + 1) 2) with
+          | Some code ->
+              Buffer.add_char b (Char.chr code);
+              i := !i + 3
+          | None ->
+              Buffer.add_char b s.[!i];
+              incr i
+        end
+        else begin
+          Buffer.add_char b s.[!i];
+          incr i
+        end
+      done;
+      Buffer.contents b
+    end
+
+  let decode_value s =
+    let payload () = String.sub s 2 (String.length s - 2) in
+    if s = "null" then V.Null
+    else if String.length s < 2 || s.[1] <> ':' then failwith "bad value"
+    else
+      match s.[0] with
+      | 'i' -> (
+          match int_of_string_opt (payload ()) with
+          | Some i -> V.VInt i
+          | None -> failwith "bad int")
+      | 'f' -> (
+          match float_of_string_opt (payload ()) with
+          | Some f -> V.VFloat f
+          | None -> failwith "bad float")
+      | 'b' -> (
+          match payload () with
+          | "true" -> V.VBool true
+          | "false" -> V.VBool false
+          | _ -> failwith "bad bool")
+      | 'd' -> (
+          match int_of_string_opt (payload ()) with
+          | Some d -> V.VDate d
+          | None -> failwith "bad date")
+      | 's' -> V.VStr (unescape (payload ()))
+      | _ -> failwith "bad value tag"
+
+  let decode_values s =
+    Array.of_list (List.map decode_value (String.split_on_char '|' s))
+
+  let int_field s =
+    match int_of_string_opt s with Some i -> i | None -> failwith "bad int"
+
+  let parse_request line =
+    match String.split_on_char ' ' (String.trim line) with
+    | [ "HELLO"; id ] -> W.Hello (unescape id)
+    | [ "BEGIN" ] -> W.Begin
+    | [ "GET"; t; tid; attr ] ->
+        W.Get { table = unescape t; tid = int_field tid; attr = int_field attr }
+    | [ "SET"; t; tid; attr; v ] ->
+        W.Set
+          {
+            table = unescape t;
+            tid = int_field tid;
+            attr = int_field attr;
+            value = decode_value v;
+          }
+    | [ "INSERT"; t; vs ] ->
+        W.Insert { table = unescape t; values = decode_values vs }
+    | [ "ROWS"; t ] -> W.Rows (unescape t)
+    | [ "SUM"; t; attr ] -> W.Sum { table = unescape t; attr = int_field attr }
+    | [ "COMMIT" ] -> W.Commit None
+    | [ "COMMIT"; token ] -> W.Commit (Some (unescape token))
+    | [ "ABORT" ] -> W.Abort
+    | [ "PING" ] -> W.Ping
+    | [ "QUIT" ] -> W.Quit
+    | _ -> failwith "bad request"
+
+  let parse_reply line =
+    match String.split_on_char ' ' (String.trim line) with
+    | [ "OK" ] -> W.Ok_ ""
+    | [ "OK"; detail ] -> W.Ok_ (unescape detail)
+    | [ "VAL"; v ] -> W.Val (decode_value v)
+    | "ERR" :: tag :: rest ->
+        W.Err { tag; msg = unescape (String.concat " " rest) }
+    | _ -> failwith "bad reply"
+end
+
 let test_backoff_deterministic () =
   let b1 = Txn.Backoff.create ~seed:9 () in
   let b2 = Txn.Backoff.create ~seed:9 () in
@@ -1193,6 +1290,144 @@ let test_server_out_of_range_reads () =
           Alcotest.(check bool) "the transaction commits" true
             (Txn.Client.commit c > 0)))
 
+(* After a stop, a session idle in read(2) ends at once: the accept loop
+   returns without waiting for its client to hang up, and the session's
+   open transaction is aborted.  A watchdog makes the test fail, not
+   hang, where the loop waits for the client. *)
+let test_server_stop_ends_idle_sessions () =
+  let srv = S.create (M.create (small_cat ())) in
+  incr sock_ctr;
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "mrdb-test-%d-%d.sock" (Unix.getpid ()) !sock_ctr)
+  in
+  let fd = S.listen_unix path in
+  let returned = Atomic.make false in
+  let dom =
+    Domain.spawn (fun () ->
+        S.accept_loop srv fd;
+        Atomic.set returned true)
+  in
+  let active = Obs.Metrics.gauge "mrdb_txn_active" in
+  let before = Obs.Metrics.gauge_value active in
+  let c = Txn.Client.connect ~id:"idle" (Txn.Client.Unix_sock path) in
+  Txn.Client.begin_ c;
+  S.stop srv;
+  S.poke path;
+  let deadline = Unix.gettimeofday () +. 1.0 in
+  while (not (Atomic.get returned)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.005
+  done;
+  let ended = Atomic.get returned in
+  (* a loop still waiting ends once the client hangs up *)
+  Txn.Client.close c;
+  Domain.join dom;
+  Unix.close fd;
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  Alcotest.(check bool) "the accept loop returns within a second" true ended;
+  Alcotest.(check (float 0.0)) "the idle session's transaction is aborted"
+    before
+    (Obs.Metrics.gauge_value active)
+
+(* Line mutations for the decoder property: the forms the in-place
+   decoders must read exactly as the split-based ones did, or refuse. *)
+let tricky_fields =
+  [ "+5"; "-5"; "0x10"; "0u12"; "0o17"; "0b101"; "1_000"; "1_"; "-0"; "007";
+    "-"; "+"; ""; "123456789012345678"; "-123456789012345678";
+    "1234567890123456789"; "-1234567890123456789"; "9999999999999999999";
+    "4611686018427387903"; "4611686018427387904"; "-4611686018427387904";
+    "-4611686018427387905"; "99999999999999999999999"; "i:+5"; "i:0x10";
+    "d:0u12"; "i:1_000"; "i:-0"; "i:007"; "i:1234567890123456789";
+    "i:9999999999999999999"; "i:4611686018427387904";
+    "d:-4611686018427387905"; "i:"; "d:"; "f:"; "b:"; "s:"; "i:-"; "d:+";
+    "b:tru"; "b:TRUE"; "f:1."; "f:0x1p3"; "f:nan"; "f:-inf"; "null"; "nul";
+    "NULL"; "x:1"; "i1"; "s:%"; "s:a%"; "s:%4"; "s:%1_"; "s:%_1"; "s:%zz";
+    "s:%41%4a"; "%"; "a%"; "%1_"; "%7C"; "%2"; "i:1|"; "|i:1"; "i:1||i:2";
+    "i:1|d:2|s:x" ]
+
+let tricky_verbs =
+  [ "GET"; "SET"; "INSERT"; "ROWS"; "SUM"; "HELLO"; "BEGIN"; "COMMIT";
+    "ABORT"; "PING"; "QUIT"; "OK"; "VAL"; "ERR"; "get"; "GETS"; "G"; "OKAY";
+    "ER"; "VALUE"; "" ]
+
+let blanks = [ " "; "\t"; "  "; " \t"; "\t "; "\r"; "\n"; "\012" ]
+
+(* One mutation, on the fields [line] splits into at a space or a '|'. *)
+let mutate line =
+  let open QCheck.Gen in
+  oneofl [ ' '; ' '; '|' ] >>= fun sep ->
+  let fs = String.split_on_char sep line in
+  let n = List.length fs in
+  let join = String.concat (String.make 1 sep) in
+  let set i x = join (List.mapi (fun j f -> if j = i then x else f) fs) in
+  let field = int_bound (n - 1) in
+  oneof
+    [
+      map (fun i -> set i (List.nth fs i ^ String.make 1 sep)) field;
+      map (fun b -> b ^ line) (oneofl blanks);
+      map (fun b -> line ^ b) (oneofl blanks);
+      map2 (fun i b -> set i (List.nth fs i ^ b)) field (oneofl blanks);
+      map (fun i -> set i "") field;
+      map2 (fun i x -> set i x) field (oneofl tricky_fields);
+      map (fun v -> set 0 v) (oneofl tricky_verbs);
+      map2
+        (fun i x -> set i (List.nth fs i ^ x))
+        field
+        (oneofl [ "%"; "%1_"; "%4"; "%_"; "%%" ]);
+      map (fun k -> String.sub line 0 k) (int_bound (String.length line));
+      map (fun x -> line ^ String.make 1 sep ^ x) (oneofl tricky_fields);
+      map (fun i -> join (List.filteri (fun j _ -> j <> i) fs)) field;
+    ]
+
+let gen_decoder_line =
+  let open QCheck.Gen in
+  let rec muts k line =
+    if k = 0 then return line else mutate line >>= muts (k - 1)
+  in
+  oneof
+    [
+      map Txn.Wire.encode_request gen_wire_request;
+      map Txn.Wire.encode_reply gen_wire_reply;
+      map Txn.Wire.encode_value gen_wire_value;
+      map Txn.Wire.encode_values (array_size (int_range 1 4) gen_wire_value);
+      oneofl tricky_fields;
+    ]
+  >>= fun line -> int_bound 3 >>= fun k -> muts k line
+
+(* [decode] gives what [oracle] gives, by value and by its encoding, or
+   both refuse, [decode] with Bad_request. *)
+let agrees ~oracle ~decode ~encode line =
+  match oracle line with
+  | expected -> (
+      match decode line with
+      | got -> compare got expected = 0 && encode got = encode expected
+      | exception e ->
+          QCheck.Test.fail_reportf
+            "%S: the oracle reads it, the decoder raises %s" line
+            (Printexc.to_string e))
+  | exception _ -> (
+      match decode line with
+      | _ -> QCheck.Test.fail_reportf "%S: accepted, the oracle refuses it" line
+      | exception Errors.Bad_request _ -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "%S: refused with %s, not Bad_request" line
+            (Printexc.to_string e))
+
+let qcheck_wire_decoders_match_split =
+  QCheck.Test.make ~count:5000
+    ~name:"in-place decoders agree with the split-based ones"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_decoder_line)
+    (fun line ->
+      let module W = Txn.Wire in
+      agrees ~oracle:Split_wire.parse_request ~decode:W.parse_request
+        ~encode:W.encode_request line
+      && agrees ~oracle:Split_wire.parse_reply ~decode:W.parse_reply
+           ~encode:W.encode_reply line
+      && agrees ~oracle:Split_wire.decode_value ~decode:W.decode_value
+           ~encode:W.encode_value line
+      && agrees ~oracle:Split_wire.decode_values ~decode:W.decode_values
+           ~encode:W.encode_values line)
+
 let suite =
   [
     Alcotest.test_case "snapshot isolation across commits" `Quick
@@ -1252,4 +1487,7 @@ let suite =
       test_server_no_txn_bad_request;
     Alcotest.test_case "server: out-of-range GET and SUM get BAD_REQUEST" `Quick
       test_server_out_of_range_reads;
+    Alcotest.test_case "server: stop ends idle sessions" `Quick
+      test_server_stop_ends_idle_sessions;
+    QCheck_alcotest.to_alcotest qcheck_wire_decoders_match_split;
   ]
