@@ -3,8 +3,9 @@
    A thin CLI over Txn.Server: one listening socket (unix-domain by
    default, TCP with --port), a domain-per-client accept loop, and the
    line protocol of Txn.Wire.  Commit points are durable when --wal is
-   given: each MVCC commit is one transaction-framed, flushed WAL unit, so
-   a crash recovers to a committed prefix via `mrdb_cli run --recover`.
+   given: each MVCC commit is one transaction-framed, flushed WAL unit, and
+   a server started on an existing log recovers it and serves the
+   recovered catalog, so every acknowledged commit survives a crash.
 
    --smoke runs the whole stack in-process: N update clients (bank
    transfers with bounded retry + seeded exponential backoff) and M
@@ -53,18 +54,39 @@ let load_db name scale ~accounts =
   | "ch" -> (Workloads.Ch.build ~scale ()).Workloads.Ch.cat
   | other -> failwith (Printf.sprintf "unknown database %S" other)
 
+(* The file of each durable store beside the log [wal]. *)
+let store_path wal store =
+  if store = Durability.Wal.store_name then wal
+  else if store = Durability.Snapshot.store_name then wal ^ ".snapshot"
+  else if store = Durability.Snapshot.tmp_name then wal ^ ".snapshot.tmp"
+  else wal ^ "." ^ store
+
+let durability_env wal = Durability.Faultio.files () ~path:(store_path wal)
+
+(* A fresh log for [cat]: snapshot it and truncate the log. *)
 let attach_wal cat = function
   | None -> None
-  | Some wal ->
-      let env =
-        Durability.Faultio.files () ~path:(fun store ->
-            if store = Durability.Wal.store_name then wal
-            else if store = Durability.Snapshot.store_name then wal ^ ".snapshot"
-            else if store = Durability.Snapshot.tmp_name then
-              wal ^ ".snapshot.tmp"
-            else wal ^ "." ^ store)
-      in
-      Some (Durability.Durable.attach env cat)
+  | Some wal -> Some (Durability.Durable.attach (durability_env wal) cat)
+
+(* Serve mode's catalog: the one recovered from the log when the log or its
+   snapshot exists, else the demo database with a fresh log. *)
+let open_catalog ~db ~scale ~accounts = function
+  | Some wal
+    when Sys.file_exists wal
+         || Sys.file_exists (store_path wal Durability.Snapshot.store_name) ->
+      let r, d = Durability.Durable.recover (durability_env wal) in
+      List.iter
+        (Printf.eprintf "mrdb_server: warning: %s\n%!")
+        r.Durability.Recover.warnings;
+      Printf.printf
+        "mrdb_server: recovered %d table(s), replayed %d transaction(s) from \
+         %s\n%!"
+        (List.length (Storage.Catalog.names r.Durability.Recover.cat))
+        r.Durability.Recover.replayed wal;
+      (Durability.Durable.catalog d, Some d)
+  | wal ->
+      let cat = load_db db scale ~accounts in
+      (cat, attach_wal cat wal)
 
 let export_metrics = function
   | Some path -> Obs.Json.write_file path (Obs.Metrics.to_json ())
@@ -215,8 +237,7 @@ let run_smoke ~clients ~transfers ~accounts ~seed ~max_clients ~txn_timeout
 
 let run_serve ~db ~scale ~accounts ~socket ~port ~max_clients ~txn_timeout
     ~wal ~metrics =
-  let cat = load_db db scale ~accounts in
-  let durable = attach_wal cat wal in
+  let cat, durable = open_catalog ~db ~scale ~accounts wal in
   let srv = Server.create ~max_clients ?txn_timeout (Txn.Mvcc.create cat) in
   let listen_fd, where =
     match port with
@@ -240,6 +261,7 @@ let run_serve ~db ~scale ~accounts ~socket ~port ~max_clients ~txn_timeout
     (match wal with Some w -> ", wal " ^ w | None -> "");
   Server.accept_loop srv listen_fd;
   (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+  if port = None then (try Unix.unlink socket with Unix.Unix_error _ -> ());
   (match durable with Some d -> Durability.Durable.detach d | None -> ());
   export_metrics metrics;
   Printf.printf "mrdb_server: clean shutdown\n"
@@ -298,7 +320,10 @@ let cmd =
     Arg.(value & opt (some string) None
          & info [ "wal" ] ~docv:"FILE"
              ~doc:"Write-ahead-log commits to $(docv); every MVCC commit is \
-                   one flushed WAL transaction.")
+                   one flushed WAL transaction.  When $(docv) or its \
+                   snapshot exists, serve the catalog recovered from them \
+                   instead of a fresh database (--smoke always starts \
+                   fresh).")
   in
   let metrics =
     Arg.(value & opt (some string) None

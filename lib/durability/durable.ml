@@ -1,24 +1,20 @@
-(* The durability manager: observes catalog mutations and turns them into
-   write-ahead-log records, flushed at commit boundaries.
+(* The durability manager: logs the ops the catalog reports, flushed at
+   commit boundaries.
 
-   Transactions come from [Catalog.in_txn]; an operation arriving outside
-   one is auto-wrapped in its own Begin/Op/Commit (and flushed), so every
-   durable mutation is covered without forcing callers to open
-   transactions.  Nested [in_txn] frames fold into the outermost one via a
-   depth counter.
+   Transactions come from [Catalog.in_txn]; an op arriving outside one is
+   auto-wrapped in its own Begin/Op/Commit (and flushed), so every durable
+   mutation is covered without forcing callers to open transactions.
+   Nested [in_txn] frames fold into the outermost one via a depth counter.
 
-   Event payload reads (tuple values for appends and loads) happen under
-   [without_tracing], so enabling durability never perturbs the simulated
-   memory counters — logging is strictly additive off the hot path.
+   Each op is logged as the writer handed it: nothing is read back from
+   the relations, so enabling durability never perturbs the simulated
+   memory counters.
 
    A simulated [Faultio.Crash] marks the manager dead: the exception
-   propagates to the workload driver and every later notification is
-   ignored (the process is "gone"; only durable bytes survive). *)
+   propagates to the workload driver and every later event is ignored (the
+   process is "gone"; only durable bytes survive). *)
 
 module Catalog = Storage.Catalog
-module Relation = Storage.Relation
-module Layout = Storage.Layout
-module Write = Storage.Write
 
 type t = {
   env : Faultio.t;
@@ -28,63 +24,23 @@ type t = {
   mutable open_txid : int option;
   mutable depth : int;
   mutable dead : bool;
-  mutable committed : int;
 }
-
-let untraced t f =
-  match Catalog.hier t.cat with
-  | Some h -> Memsim.Hierarchy.without_tracing h f
-  | None -> f ()
-
-let op_of_event t (ev : Catalog.obs_event) : Wal.op option =
-  match ev with
-  | Catalog.Obs_begin | Catalog.Obs_commit | Catalog.Obs_abort -> None
-  | Catalog.Obs_create_relation { table } ->
-      let rel = Catalog.find t.cat table in
-      Some
-        (Write.Create_relation
-           {
-             table;
-             schema = Relation.schema rel;
-             layout = Layout.to_groups (Relation.layout rel);
-             encodings = Relation.encodings rel;
-           })
-  | Catalog.Obs_append { table; rel; tid } ->
-      let values = untraced t (fun () -> Relation.get_tuple rel tid) in
-      Some (Write.Append { table; values })
-  | Catalog.Obs_load { table; row_lo; rows } ->
-      let rel = Catalog.find t.cat table in
-      let rows =
-        untraced t (fun () ->
-            Array.init rows (fun i -> Relation.get_tuple rel (row_lo + i)))
-      in
-      Some (Write.Load { table; rows })
-  | Catalog.Obs_update { table; tid; attr; value } ->
-      Some (Write.Update { table; tid; attr; value })
-  | Catalog.Obs_set_layout { table; layout } ->
-      Some (Write.Set_layout { table; layout = Layout.to_groups layout })
-  | Catalog.Obs_set_physical { table; layout; encodings } ->
-      Some
-        (Write.Set_physical
-           { table; layout = Layout.to_groups layout; encodings })
-  | Catalog.Obs_create_index { table; iname; kind; attrs } ->
-      Some (Write.Create_index { table; iname; kind; attrs })
 
 let fresh_txid t =
   let txid = t.next_txid in
   t.next_txid <- txid + 1;
   txid
 
-let handle t ev =
-  match (ev : Catalog.obs_event) with
-  | Catalog.Obs_begin ->
+let handle t (ev : Catalog.event) =
+  match ev with
+  | Catalog.Begin ->
       t.depth <- t.depth + 1;
       if t.depth = 1 then begin
         let txid = fresh_txid t in
         t.open_txid <- Some txid;
         Wal.write t.w (Wal.Begin txid)
       end
-  | Catalog.Obs_commit ->
+  | Catalog.Commit ->
       t.depth <- t.depth - 1;
       if t.depth = 0 then begin
         match t.open_txid with
@@ -98,10 +54,9 @@ let handle t ev =
             Faultio.point t.env "txn.pre_commit";
             Wal.write t.w (Wal.Commit txid);
             Wal.flush t.w;
-            t.committed <- t.committed + 1;
             Faultio.point t.env "txn.post_commit"
       end
-  | Catalog.Obs_abort ->
+  | Catalog.Abort ->
       t.depth <- t.depth - 1;
       if t.depth = 0 then begin
         match t.open_txid with
@@ -111,21 +66,17 @@ let handle t ev =
             Wal.write t.w (Wal.Abort txid);
             Wal.flush t.w
       end
-  | _ -> (
-      match op_of_event t ev with
-      | None -> ()
-      | Some op -> (
-          match t.open_txid with
-          | Some txid -> Wal.write t.w (Wal.Op { txid; op })
-          | None ->
-              (* auto-wrap: a mutation outside any transaction frame is its
-                 own committed transaction *)
-              let txid = fresh_txid t in
-              Wal.write t.w (Wal.Begin txid);
-              Wal.write t.w (Wal.Op { txid; op });
-              Wal.write t.w (Wal.Commit txid);
-              Wal.flush t.w;
-              t.committed <- t.committed + 1))
+  | Catalog.Op op -> (
+      match t.open_txid with
+      | Some txid -> Wal.write t.w (Wal.Op { txid; op })
+      | None ->
+          (* auto-wrap: a mutation outside any transaction frame is its own
+             committed transaction *)
+          let txid = fresh_txid t in
+          Wal.write t.w (Wal.Begin txid);
+          Wal.write t.w (Wal.Op { txid; op });
+          Wal.write t.w (Wal.Commit txid);
+          Wal.flush t.w)
 
 let observer t ev =
   if not t.dead then
@@ -136,16 +87,7 @@ let observer t ev =
 
 let make env cat w ~next_txid =
   let t =
-    {
-      env;
-      cat;
-      w;
-      next_txid;
-      open_txid = None;
-      depth = 0;
-      dead = false;
-      committed = 0;
-    }
+    { env; cat; w; next_txid; open_txid = None; depth = 0; dead = false }
   in
   Catalog.set_observer cat (observer t);
   t
@@ -158,7 +100,13 @@ let attach env cat =
 
 let recover ?hier env =
   let r = Recover.run ?hier env in
-  let t = make env r.Recover.cat (Wal.append env) ~next_txid:(r.Recover.last_txid + 1) in
+  (* records appended after a torn or corrupt tail would be unreachable by
+     replay: cut the log back to the prefix recovery read *)
+  Wal.cut_to_clean env r.Recover.clean_bytes;
+  let t =
+    make env r.Recover.cat (Wal.append env)
+      ~next_txid:(r.Recover.last_txid + 1)
+  in
   (r, t)
 
 let checkpoint t =
@@ -171,6 +119,3 @@ let detach t =
   Wal.close t.w
 
 let catalog t = t.cat
-let committed t = t.committed
-let wal_records t = Wal.records_written t.w
-let wal_bytes t = Wal.bytes_written t.w

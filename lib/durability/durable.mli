@@ -1,9 +1,10 @@
-(** The durability manager: observes catalog mutations (see
-    {!Storage.Catalog.set_observer}) and writes them ahead to the log,
-    flushing at commit boundaries.  Operations arriving outside a
-    {!Storage.Catalog.in_txn} frame are auto-wrapped in their own committed
-    transaction.  Event payload reads run untraced, so enabling durability
-    leaves the simulated memory counters untouched. *)
+(** The durability manager: observes the catalog (see
+    {!Storage.Catalog.set_observer}) and writes each op it reports ahead to
+    the log, as the writer handed it, flushing at commit boundaries.  Ops
+    arriving outside a {!Storage.Catalog.in_txn} frame are auto-wrapped in
+    their own committed transaction.  Nothing is read back from the
+    relations, so enabling durability leaves the simulated memory counters
+    untouched. *)
 
 type t
 
@@ -12,7 +13,8 @@ val attach : Faultio.t -> Storage.Catalog.t -> t
     its current state, truncate the WAL, and register the observer. *)
 
 val recover : ?hier:Memsim.Hierarchy.t -> Faultio.t -> Recover.result * t
-(** Recover from the env's durable state, then attach to the recovered
+(** Recover from the env's durable state, cut a torn or corrupt log back to
+    the clean prefix recovery replayed, then attach to the recovered
     catalog (appending to the surviving log). *)
 
 val checkpoint : t -> unit
@@ -24,10 +26,3 @@ val detach : t -> unit
 (** Unregister the observer and close the log. *)
 
 val catalog : t -> Storage.Catalog.t
-val committed : t -> int
-(** Transactions committed (and flushed) since attach/recover. *)
-
-val wal_records : t -> int
-val wal_bytes : t -> int
-(** Records/bytes written to the current log segment (resets at
-    {!checkpoint}). *)

@@ -165,9 +165,14 @@ let delete t name =
   | Dir path -> if Sys.file_exists (path name) then Sys.remove (path name)
 
 let durable_size t name =
-  match read_all t name with Some b -> Bytes.length b | None -> 0
+  match t.backend with
+  | Mem tbl -> (
+      match Hashtbl.find_opt tbl name with Some s -> s.len | None -> 0)
+  | Dir path -> (
+      try (Unix.stat (path name)).Unix.st_size with Unix.Unix_error _ -> 0)
 
-(* Test helpers modeling read-side faults: bit rot and short reads. *)
+(* Read-side faults: bit rot (a test helper) and a lost tail, which tests
+   model and recovery cuts away with [truncate_store]. *)
 
 let corrupt_byte t name off =
   match t.backend with
@@ -190,14 +195,9 @@ let truncate_store t name len =
   | Mem tbl ->
       let s = mem_store tbl name in
       s.len <- min s.len (max 0 len)
-  | Dir path -> (
-      match read_all t name with
-      | Some b ->
-          let keep = min (Bytes.length b) (max 0 len) in
-          let oc = open_out_gen [ Open_trunc; Open_binary ] 0o644 (path name) in
-          output_bytes oc (Bytes.sub b 0 keep);
-          close_out oc
-      | None -> ())
+  | Dir path ->
+      let size = durable_size t name in
+      if size > 0 then Unix.truncate (path name) (min size (max 0 len))
 
 (* ------------------------------------------------------------------ *)
 (* Crash points                                                       *)

@@ -69,8 +69,8 @@ val corrupt_byte : t -> string -> int -> unit
     modeling checksum-detectable bit rot). *)
 
 val truncate_store : t -> string -> int -> unit
-(** Cut the durable store to a byte prefix (test helper modeling short
-    reads / lost tails). *)
+(** Cut the durable store to a byte prefix in place: recovery cuts a torn
+    log with it, tests model short reads / lost tails. *)
 
 (** {2 Sinks} *)
 

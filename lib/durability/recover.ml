@@ -21,6 +21,7 @@ type result = {
   cat : Catalog.t;
   last_txid : int;  (** highest transaction id seen (committed or not) *)
   replayed : int;  (** committed transactions applied from the WAL *)
+  clean_bytes : int;  (** byte length of the log prefix recovery read *)
   warnings : string list;
 }
 
@@ -117,5 +118,6 @@ let run ?hier env =
     cat;
     last_txid = !last_txid;
     replayed = !replayed;
+    clean_bytes = scanned.Wal.clean_bytes;
     warnings = List.rev !warnings;
   }

@@ -7,6 +7,9 @@ type result = {
   cat : Storage.Catalog.t;
   last_txid : int;  (** highest transaction id seen (committed or not) *)
   replayed : int;  (** committed transactions applied from the WAL *)
+  clean_bytes : int;
+      (** byte length of the log's clean prefix ({!Wal.scanned.clean_bytes}),
+          where a writer appending to the log must cut it first *)
   warnings : string list;
 }
 

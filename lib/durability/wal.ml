@@ -156,8 +156,6 @@ let decode_string s = decode (Codec.reader (Bytes.unsafe_of_string s))
 type writer = {
   sink : Faultio.sink;
   scratch : Codec.writer;  (* the record being framed *)
-  mutable records : int;
-  mutable bytes : int;
 }
 
 let store_name = "wal"
@@ -170,7 +168,7 @@ let m_bytes =
   Obs.Metrics.counter "mrdb_wal_bytes_total"
     ~help:"Framed WAL bytes written (header + payload + checksum)"
 
-let make sink = { sink; scratch = Codec.writer (); records = 0; bytes = 0 }
+let make sink = { sink; scratch = Codec.writer () }
 let create env = make (Faultio.create env store_name)
 let append env = make (Faultio.append env store_name)
 
@@ -181,17 +179,12 @@ let write w record =
   encode_into c record;
   Codec.frame_close c hdr;
   let n = Codec.length c in
-  w.records <- w.records + 1;
-  w.bytes <- w.bytes + n;
   Obs.Metrics.incr m_records;
   Obs.Metrics.add m_bytes n;
   Faultio.write_sub w.sink (Codec.unsafe_bytes c) ~pos:0 ~len:n
 
 let flush w = Faultio.flush w.sink
 let close w = Faultio.close w.sink
-
-let records_written w = w.records
-let bytes_written w = w.bytes
 
 (* ------------------------------------------------------------------ *)
 (* Scanning                                                           *)
@@ -272,3 +265,7 @@ let scan env =
         clean_bytes = (match !clean_bytes with Some b -> b | None -> !pos);
         warnings = List.rev !warnings;
       }
+
+let cut_to_clean env clean_bytes =
+  if Faultio.durable_size env store_name > clean_bytes then
+    Faultio.truncate_store env store_name clean_bytes

@@ -46,8 +46,6 @@ val write : writer -> record -> unit
 
 val flush : writer -> unit
 val close : writer -> unit
-val records_written : writer -> int
-val bytes_written : writer -> int
 
 (** {2 Scanning} *)
 
@@ -57,9 +55,10 @@ type scanned = {
       (** number of leading records before the first corruption; replay
           must not commit anything at or beyond this index *)
   clean_bytes : int;
-      (** byte length of the clean prefix; a writer that needs appended
-          records to be reachable by replay (in-doubt settlement) must
-          truncate a torn or corrupt log here before appending *)
+      (** byte length of the clean prefix; a writer that appends to the
+          log (a recovered node, in-doubt settlement) must cut a torn or
+          corrupt log here first ({!cut_to_clean}), or replay never
+          reaches what it appends *)
   warnings : string list;
 }
 
@@ -67,3 +66,7 @@ val scan : Faultio.t -> scanned
 (** Read the durable log.  A torn tail ends the scan; a checksum-mismatched
     record is skipped with a warning and taints the remainder (see
     {!scanned.clean}).  Never raises. *)
+
+val cut_to_clean : Faultio.t -> int -> unit
+(** [cut_to_clean env clean_bytes] truncates the durable log to its clean
+    prefix when it is longer. *)

@@ -116,7 +116,7 @@ let columns_mismatch ~(expected : string array) ~(got : string array) =
 
 (* Adds and loads the case's tables into [cat].  Each table is one
    transaction, so a catalog with a durability observer logs the load;
-   without one, [in_txn] and [notify_load] do nothing. *)
+   without one, [in_txn] is just the call. *)
 let load_tables cat (c : Case.t) mode =
   List.iter
     (fun (tab : Case.table) ->
@@ -133,12 +133,10 @@ let load_tables cat (c : Case.t) mode =
         | _ -> ([], layout)
       in
       Catalog.in_txn cat (fun () ->
-          let rel = Catalog.add ~encodings cat schema layout in
-          let n = Array.length rows in
-          if n > 0 then begin
-            Relation.load rel ~n (fun ~row -> rows.(row));
-            Catalog.notify_load cat tab.Case.tname ~row_lo:0 ~rows:n
-          end))
+          ignore (Catalog.add ~encodings cat schema layout);
+          if Array.length rows > 0 then
+            Storage.Write.apply cat
+              (Storage.Write.Load { table = tab.Case.tname; rows })))
     c.Case.tables
 
 let build_catalog ?hier (c : Case.t) mode =

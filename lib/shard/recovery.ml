@@ -89,8 +89,7 @@ let recover_node ?hier ?decisions:ds env =
      settlements would be unreachable and a decided-commit transaction
      would silently abort on this shard only. *)
   if settled <> [] then begin
-    if Faultio.durable_size env Wal.store_name > scanned.Wal.clean_bytes then
-      Faultio.truncate_store env Wal.store_name scanned.Wal.clean_bytes;
+    Wal.cut_to_clean env scanned.Wal.clean_bytes;
     let w = Wal.append env in
     List.iter
       (fun s ->

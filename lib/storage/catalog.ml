@@ -1,39 +1,42 @@
 type entry = {
-  name : string;
   mutable rel : Relation.t;
   mutable indexes : (string * Index.kind * string list * Index.t) list;
 }
 
-(* Observation events for mutating operations.  A registered observer (the
-   durability manager) turns these into write-ahead-log records; with no
-   observer every notification is a single [None] match, so the non-durable
-   hot path is untouched. *)
-type obs_event =
-  | Obs_begin
-  | Obs_commit
-  | Obs_abort
-  | Obs_create_relation of { table : string }
-  | Obs_append of { table : string; rel : Relation.t; tid : int }
-  | Obs_load of { table : string; row_lo : int; rows : int }
-  | Obs_update of { table : string; tid : int; attr : int; value : Value.t }
-  | Obs_set_layout of { table : string; layout : Layout.t }
-  | Obs_set_physical of {
+type op =
+  | Create_relation of {
       table : string;
-      layout : Layout.t;
+      schema : Schema.t;
+      layout : int list list;
       encodings : (int * Encoding.t) list;
     }
-  | Obs_create_index of {
+  | Append of { table : string; values : Value.t array }
+  | Load of { table : string; rows : Value.t array array }
+  | Update of { table : string; tid : int; attr : int; value : Value.t }
+  | Set_layout of { table : string; layout : int list list }
+  | Set_physical of {
+      table : string;
+      layout : int list list;
+      encodings : (int * Encoding.t) list;
+    }
+  | Create_index of {
       table : string;
       iname : string;
       kind : Index.kind;
       attrs : string list;
     }
 
+(* What a registered observer (the durability manager) is told: transaction
+   frames and each op a writer applied, as the writer gave it.  With no
+   observer, reporting is a single [None] match that builds nothing, so the
+   non-durable hot path is untouched. *)
+type event = Begin | Commit | Abort | Op of op
+
 type t = {
   arena : Arena.t;
   hier : Memsim.Hierarchy.t option;
   tbl : (string, entry) Hashtbl.t;
-  mutable obs : (obs_event -> unit) option;
+  mutable obs : (event -> unit) option;
 }
 
 let m_inserts =
@@ -57,7 +60,6 @@ let hier t = t.hier
 
 let set_observer t f = t.obs <- Some f
 let clear_observer t = t.obs <- None
-let observed t = t.obs <> None
 
 let emit t ev = match t.obs with Some f -> f ev | None -> ()
 
@@ -65,19 +67,31 @@ let in_txn t f =
   match t.obs with
   | None -> f ()
   | Some _ -> (
-      emit t Obs_begin;
+      emit t Begin;
       match f () with
       | r ->
-          emit t Obs_commit;
+          emit t Commit;
           r
       | exception e ->
-          emit t Obs_abort;
+          emit t Abort;
           raise e)
 
 let add_relation t rel =
-  let name = (Relation.schema rel).Schema.name in
-  Hashtbl.replace t.tbl name { name; rel; indexes = [] };
-  emit t (Obs_create_relation { table = name })
+  let schema = Relation.schema rel in
+  let name = schema.Schema.name in
+  Hashtbl.replace t.tbl name { rel; indexes = [] };
+  match t.obs with
+  | None -> ()
+  | Some f ->
+      f
+        (Op
+           (Create_relation
+              {
+                table = name;
+                schema;
+                layout = Layout.to_groups (Relation.layout rel);
+                encodings = Relation.encodings rel;
+              }))
 
 let add ?encodings t schema layout =
   let rel = Relation.create ?hier:t.hier ?encodings t.arena schema layout in
@@ -107,16 +121,22 @@ let build_index rel kind attr_names =
       | [ a ] -> Index.build_rb rel ~attr:a
       | _ -> invalid_arg "Catalog: rbtree index takes exactly one attribute")
 
-let set_layout t name layout =
-  let e = entry t name in
-  Obs.Metrics.incr m_layout_changes;
-  emit t (Obs_set_layout { table = name; layout });
-  e.rel <- Relation.repartition e.rel layout;
+let rebuild_all e =
   e.indexes <-
     List.map
       (fun (iname, kind, attr_names, _) ->
         (iname, kind, attr_names, build_index e.rel kind attr_names))
       e.indexes
+
+let set_layout t name layout =
+  let e = entry t name in
+  Obs.Metrics.incr m_layout_changes;
+  e.rel <- Relation.repartition e.rel layout;
+  rebuild_all e;
+  match t.obs with
+  | None -> ()
+  | Some f ->
+      f (Op (Set_layout { table = name; layout = Layout.to_groups layout }))
 
 let m_physical_changes =
   Obs.Metrics.counter "mrdb_catalog_physical_changes_total"
@@ -128,19 +148,23 @@ let set_physical t name ?layout encodings =
     match layout with Some l -> l | None -> Relation.layout e.rel
   in
   Obs.Metrics.incr m_physical_changes;
-  emit t (Obs_set_physical { table = name; layout; encodings });
   e.rel <- Relation.recompress e.rel ~layout encodings;
-  e.indexes <-
-    List.map
-      (fun (iname, kind, attr_names, _) ->
-        (iname, kind, attr_names, build_index e.rel kind attr_names))
-      e.indexes
+  rebuild_all e;
+  match t.obs with
+  | None -> ()
+  | Some f ->
+      f
+        (Op
+           (Set_physical
+              { table = name; layout = Layout.to_groups layout; encodings }))
 
 let create_index t name ~name:iname ~kind ~attrs =
   let e = entry t name in
-  emit t (Obs_create_index { table = name; iname; kind; attrs });
   let idx = build_index e.rel kind attrs in
-  e.indexes <- (iname, kind, attrs, idx) :: e.indexes
+  e.indexes <- (iname, kind, attrs, idx) :: e.indexes;
+  match t.obs with
+  | None -> ()
+  | Some f -> f (Op (Create_index { table = name; iname; kind; attrs }))
 
 let indexes t name =
   List.map (fun (iname, _, _, idx) -> (iname, idx)) (entry t name).indexes
@@ -169,23 +193,23 @@ let rebuild_entry_indexes e ~attrs =
 let rebuild_indexes_for t name ~attrs =
   rebuild_entry_indexes (entry t name) ~attrs
 
-let notify_entry_insert t e ~tid =
-  Obs.Metrics.incr m_inserts;
-  emit t (Obs_append { table = e.name; rel = e.rel; tid });
-  List.iter (fun (_, _, _, idx) -> Index.insert idx e.rel ~tid) e.indexes
+let notify t op =
+  (match op with
+  | Append _ -> Obs.Metrics.incr m_inserts
+  | Update _ -> Obs.Metrics.incr m_updates
+  | Create_relation _ | Load _ | Set_layout _ | Set_physical _
+  | Create_index _ ->
+      ());
+  match t.obs with Some f -> f (Op op) | None -> ()
 
-let notify_insert t name ~tid = notify_entry_insert t (entry t name) ~tid
-
-let notify_update t name ~tid ~attr ~value =
+let notify_update t table ~tid ~attr ~value =
   Obs.Metrics.incr m_updates;
   match t.obs with
   | None -> ()
-  | Some f -> f (Obs_update { table = name; tid; attr; value })
+  | Some f -> f (Op (Update { table; tid; attr; value }))
 
-let notify_load t name ~row_lo ~rows =
-  match t.obs with
-  | None -> ()
-  | Some f -> f (Obs_load { table = name; row_lo; rows })
+let index_insert e ~tid =
+  List.iter (fun (_, _, _, idx) -> Index.insert idx e.rel ~tid) e.indexes
 
 let index_defs t name =
   List.rev_map

@@ -6,31 +6,41 @@
 
 type t
 
-(** Observation events for mutating operations, emitted to a registered
-    observer (see {!set_observer}).  The durability subsystem turns these
-    into write-ahead-log records; with no observer registered every
-    notification is one [None] match and the hot path is untouched. *)
-type obs_event =
-  | Obs_begin  (** outermost {!in_txn} entered *)
-  | Obs_commit  (** outermost {!in_txn} returned normally *)
-  | Obs_abort  (** outermost {!in_txn} raised *)
-  | Obs_create_relation of { table : string }
-  | Obs_append of { table : string; rel : Relation.t; tid : int }
-      (** [rel] is the relation the row was appended to *)
-  | Obs_load of { table : string; row_lo : int; rows : int }
-  | Obs_update of { table : string; tid : int; attr : int; value : Value.t }
-  | Obs_set_layout of { table : string; layout : Layout.t }
-  | Obs_set_physical of {
+(** The catalog's write vocabulary, applied by {!Write} and replayed from
+    the write-ahead log, whose operation payload it is. *)
+type op =
+  | Create_relation of {
       table : string;
-      layout : Layout.t;
+      schema : Schema.t;
+      layout : int list list;
       encodings : (int * Encoding.t) list;
-    }  (** joint layout + per-attribute encoding change *)
-  | Obs_create_index of {
+    }
+  | Append of { table : string; values : Value.t array }
+  | Load of { table : string; rows : Value.t array array }
+  | Update of { table : string; tid : int; attr : int; value : Value.t }
+  | Set_layout of { table : string; layout : int list list }
+  | Set_physical of {
+      table : string;
+      layout : int list list;
+      encodings : (int * Encoding.t) list;
+    }
+  | Create_index of {
       table : string;
       iname : string;
       kind : Index.kind;
       attrs : string list;
     }
+
+(** What a registered observer (see {!set_observer}) is told: transaction
+    frames, and each op a writer applied, after it was applied and with
+    its values as the writer gave them.  The durability subsystem logs
+    these; with no observer registered, reporting is one [None] match and
+    builds nothing. *)
+type event =
+  | Begin  (** an {!in_txn} frame entered *)
+  | Commit  (** an {!in_txn} frame returned normally *)
+  | Abort  (** an {!in_txn} frame raised *)
+  | Op of op
 
 val create : ?hier:Memsim.Hierarchy.t -> ?arena:Arena.t -> unit -> t
 (** [?arena] supplies the address space to allocate from instead of a fresh
@@ -86,33 +96,29 @@ val rebuild_indexes_for : t -> string -> attrs:int list -> unit
 (** Rebuild every index whose key intersects [attrs] (after in-place
     updates).  Index builds run untraced, like all setup work. *)
 
-val notify_insert : t -> string -> tid:int -> unit
-(** Maintain all indexes of the relation after an append (and report the
-    append to the observer). *)
+val notify : t -> op -> unit
+(** Report an op that was just applied to the observer, counting appended
+    rows and updated fields.  {!Write} calls it for every row write; the
+    DDL entry points above report their own op. *)
 
-val notify_entry_insert : t -> entry -> tid:int -> unit
-(** {!notify_insert} for a table already looked up. *)
+val notify_update : t -> string -> tid:int -> attr:int -> value:Value.t -> unit
+(** {!notify} of an [Update] the caller has not built: it is built only
+    when an observer is registered. *)
+
+val index_insert : entry -> tid:int -> unit
+(** Maintain the entry's indexes after tuple [tid] was appended. *)
 
 val rebuild_entry_indexes : entry -> attrs:int list -> unit
 (** {!rebuild_indexes_for} for a table already looked up. *)
-
-val notify_update : t -> string -> tid:int -> attr:int -> value:Value.t -> unit
-(** Report an in-place field update to the observer (no-op otherwise);
-    {!Write.apply} calls it after each {!Relation.set}. *)
-
-val notify_load : t -> string -> row_lo:int -> rows:int -> unit
-(** Report a bulk load of rows [row_lo .. row_lo+rows-1] to the observer
-    (no-op otherwise); callers that bulk-load a durable relation via
-    {!Relation.load} must follow up with this. *)
 
 val index_defs : t -> string -> (string * Index.kind * string list) list
 (** Index definitions (name, kind, key attribute names) in creation order —
     the serialization hook snapshots use to re-register indexes. *)
 
-val set_observer : t -> (obs_event -> unit) -> unit
+val set_observer : t -> (event -> unit) -> unit
 val clear_observer : t -> unit
-val observed : t -> bool
 
 val in_txn : t -> (unit -> 'a) -> 'a
-(** Run [f] framed by [Obs_begin]/[Obs_commit] (or [Obs_abort] if it
-    raises).  Without an observer this is just [f ()]. *)
+(** Run [f] framed by [Begin]/[Commit] (or [Abort] if it raises).  Nested
+    frames report theirs too; the observer folds them into the outermost.
+    Without an observer this is just [f ()]. *)

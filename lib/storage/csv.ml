@@ -116,43 +116,45 @@ let import cat ~table path =
           (split_line header)
       in
       let arity = Schema.arity schema in
-      let count = ref 0 in
-      (* one transaction per file: a crash mid-import recovers to either no
-         rows or the whole file, never a prefix *)
-      Catalog.in_txn cat @@ fun () ->
-      List.iter
-        (fun line ->
-          if not (String.equal (String.trim line) "") then begin
-            let fields = split_line line in
-            if List.length fields <> List.length positions then
-              failwith "Csv: row arity does not match header";
-            let tuple = Array.make arity Value.Null in
-            List.iter2
-              (fun pos field ->
-                let a = Schema.attr schema pos in
-                tuple.(pos) <- value_of_field a.Schema.ty a.Schema.nullable field)
-              positions fields;
-            (* non-nullable attributes missing from the header are an error *)
-            Array.iteri
-              (fun i v ->
-                if Value.is_null v && not (Schema.attr schema i).Schema.nullable
-                then
-                  failwith
-                    (Printf.sprintf "Csv: missing non-nullable column %s"
-                       (Schema.attr schema i).Schema.name))
-              tuple;
-            let tid =
-              match Relation.hier rel with
-              | Some h ->
-                  Memsim.Hierarchy.without_tracing h (fun () ->
-                      Relation.append rel tuple)
-              | None -> Relation.append rel tuple
-            in
-            Catalog.notify_insert cat table ~tid;
-            incr count
-          end)
-        rows;
-      !count
+      let append line =
+        let fields = split_line line in
+        if List.length fields <> List.length positions then
+          failwith "Csv: row arity does not match header";
+        let tuple = Array.make arity Value.Null in
+        List.iter2
+          (fun pos field ->
+            let a = Schema.attr schema pos in
+            tuple.(pos) <- value_of_field a.Schema.ty a.Schema.nullable field)
+          positions fields;
+        (* non-nullable attributes missing from the header are an error *)
+        Array.iteri
+          (fun i v ->
+            if Value.is_null v && not (Schema.attr schema i).Schema.nullable
+            then
+              failwith
+                (Printf.sprintf "Csv: missing non-nullable column %s"
+                   (Schema.attr schema i).Schema.name))
+          tuple;
+        Write.Append { table; values = tuple }
+      in
+      let ops =
+        List.filter_map
+          (fun line ->
+            if String.equal (String.trim line) "" then None
+            else Some (append line))
+          rows
+      in
+      (* one transaction per file, every row parsed and checked before any
+         is applied: a malformed row or a crash mid-import leaves either no
+         rows or the whole file, never a prefix.  Loading is setup work, so
+         the appends and their index maintenance run untraced. *)
+      Catalog.in_txn cat (fun () ->
+          match Relation.hier rel with
+          | Some h ->
+              Memsim.Hierarchy.without_tracing h (fun () ->
+                  Write.apply_all cat ops)
+          | None -> Write.apply_all cat ops);
+      List.length ops
 
 (* column type inference over the data rows *)
 let infer_type fields =
@@ -195,24 +197,20 @@ let import_new cat ~name path =
           names
       in
       let schema = Schema.make_nullable name columns in
+      let rows =
+        Array.of_list
+          (List.map
+             (fun row ->
+               Array.of_list
+                 (List.mapi
+                    (fun i field ->
+                      let a = Schema.attr schema i in
+                      value_of_field a.Schema.ty a.Schema.nullable field)
+                    row))
+             data_rows)
+      in
+      (* one transaction: the table and its rows recover together *)
+      Catalog.in_txn cat @@ fun () ->
       let rel = Catalog.add cat schema (Layout.row schema) in
-      List.iter
-        (fun row ->
-          let tuple =
-            Array.of_list
-              (List.mapi
-                 (fun i field ->
-                   let a = Schema.attr schema i in
-                   value_of_field a.Schema.ty a.Schema.nullable field)
-                 row)
-          in
-          let tid =
-            match Relation.hier rel with
-            | Some h ->
-                Memsim.Hierarchy.without_tracing h (fun () ->
-                    Relation.append rel tuple)
-            | None -> Relation.append rel tuple
-          in
-          ignore tid)
-        data_rows;
+      Write.apply cat (Write.Load { table = name; rows });
       rel

@@ -7,7 +7,7 @@
 
 module Errors = Mrdb_util.Errors
 
-type op =
+type op = Catalog.op =
   | Create_relation of {
       table : string;
       schema : Schema.t;
@@ -68,18 +68,19 @@ let check cat = function
       check_rel (Catalog.find cat table) op
   | Create_relation _ | Set_layout _ | Set_physical _ | Create_index _ -> ()
 
-(* Apply a row write to its table's entry [e]. *)
-let apply_row cat e = function
+(* Apply a row write to its table's entry [e], then report it. *)
+let apply_row cat e op =
+  (match op with
   | Append { values; _ } ->
       let tid = Relation.append (Catalog.relation e) values in
-      Catalog.notify_entry_insert cat e ~tid
+      Catalog.index_insert e ~tid
   | Load { rows; _ } ->
-      let rel = Catalog.relation e in
-      Array.iter (fun row -> ignore (Relation.append rel row)) rows
-  | Update { table; tid; attr; value } ->
-      Relation.set (Catalog.relation e) tid attr value;
-      Catalog.notify_update cat table ~tid ~attr ~value
-  | Create_relation _ | Set_layout _ | Set_physical _ | Create_index _ -> ()
+      Relation.load (Catalog.relation e) ~n:(Array.length rows) (fun ~row ->
+          rows.(row))
+  | Update { tid; attr; value; _ } ->
+      Relation.set (Catalog.relation e) tid attr value
+  | Create_relation _ | Set_layout _ | Set_physical _ | Create_index _ -> ());
+  Catalog.notify cat op
 
 let apply_ddl cat = function
   | Create_relation { table = _; schema; layout; encodings } ->

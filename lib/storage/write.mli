@@ -2,11 +2,13 @@
 
     Every writer changes a catalog through this module: the engines'
     INSERT and UPDATE, the sharded executor's write sets, MVCC commit,
-    two-phase commit and crash recovery.  The op type is also the
-    write-ahead log's operation payload, so a write set is logged, shipped
-    to a shard, replayed and applied under one interpretation. *)
+    two-phase commit, CSV import and crash recovery.  Each applied op is
+    reported to the catalog's observer as given ({!Catalog.notify}), so the
+    write-ahead log records the op the writer was handed, and a write set
+    is logged, shipped to a shard, replayed and applied under one
+    interpretation. *)
 
-type op =
+type op = Catalog.op =
   | Create_relation of {
       table : string;
       schema : Schema.t;
@@ -41,11 +43,11 @@ val check_rel : Relation.t -> op -> unit
 (** {!check} against the relation of the op's table, already looked up. *)
 
 val apply : Catalog.t -> op -> unit
-(** {!check}, then apply one op with its catalog notification: [Append] is
-    {!Relation.append} and {!Catalog.notify_insert}, [Update] is
-    {!Relation.set} and {!Catalog.notify_update}.  [Load] appends its rows
-    without notification (so it maintains no index); DDL ops go through
-    the catalog's own entry points. *)
+(** {!check}, then apply one op and report it with {!Catalog.notify}:
+    [Append] is {!Relation.append} and maintains the table's indexes,
+    [Update] is {!Relation.set}, and [Load] is one untraced
+    {!Relation.load}, like every bulk load, and maintains no index.  DDL
+    ops go through the catalog's own entry points, which report them. *)
 
 val apply_all : Catalog.t -> op list -> unit
 (** Check every op, then apply them all in order, then rebuild, once per
@@ -58,11 +60,11 @@ val statement :
     {!Catalog.in_txn} frame.  [f write] calls [write tid values] once per
     matched tuple with its new [(attr, value)] pairs, so a tuple's writes
     follow its reads.  Each pair is checked like an [Update] op, the cell
-    it overwrites is saved (read untraced), and it is written with
-    {!Catalog.notify_update}.  When [f] returns, the indexes whose key
-    includes a written attribute are rebuilt.  When it raises (a refused
-    value, a failed evaluation), every saved cell is restored untraced,
-    newest first, so a failed statement changes nothing; then the exception
-    propagates.
+    it overwrites is saved (read untraced), and it is written and reported
+    as one [Update] ({!Catalog.notify_update}).  When [f] returns, the
+    indexes whose key includes a written attribute are rebuilt.  When it
+    raises (a refused value, a failed evaluation), every saved cell is
+    restored untraced, newest first, so a failed statement changes
+    nothing; then the exception propagates.
     @raise Mrdb_util.Errors.Bad_request from [write] for a value that does
     not fit its attribute. *)

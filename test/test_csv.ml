@@ -129,6 +129,15 @@ let test_import_errors () =
   (match Csv.import cat ~table:"t" path with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected failure on arity mismatch");
+  (* a malformed row after good ones: the import appends nothing *)
+  let oc = open_out path in
+  output_string oc "id,grp,amount,name,score\n1,0,0,a,0.5\nx,0,0,b,0.5\n";
+  close_out oc;
+  (match Csv.import cat ~table:"t" path with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "expected failure on a malformed row");
+  Alcotest.(check int) "no prefix appended" 0
+    (Storage.Relation.nrows (Storage.Catalog.find cat "t"));
   Sys.remove path
 
 let suite =

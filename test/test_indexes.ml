@@ -135,11 +135,14 @@ let test_index_maintenance () =
   Storage.Catalog.create_index cat "t" ~name:"pk" ~kind:Index.Hash
     ~attrs:[ "id" ];
   let rel = Storage.Catalog.find cat "t" in
-  let tid =
-    Storage.Relation.append rel
-      [| V.VInt 777; V.VInt 0; V.VInt 0; V.VStr "new"; V.VFloat 0.0 |]
-  in
-  Storage.Catalog.notify_insert cat "t" ~tid;
+  let tid = Storage.Relation.nrows rel in
+  Storage.Write.apply cat
+    (Storage.Write.Append
+       {
+         table = "t";
+         values =
+           [| V.VInt 777; V.VInt 0; V.VInt 0; V.VStr "new"; V.VFloat 0.0 |];
+       });
   match Storage.Catalog.find_index cat "t" ~attrs:[ 0 ] with
   | Some idx ->
       Alcotest.(check (list int)) "fresh tuple indexed" [ tid ]

@@ -15,6 +15,7 @@ module Relation = Storage.Relation
 module Layout = Storage.Layout
 module Schema = Storage.Schema
 module Encoding = Storage.Encoding
+module Write = Storage.Write
 module F = Durability.Faultio
 module D = Durability.Durable
 module Wal = Durability.Wal
@@ -54,9 +55,9 @@ let run_script env =
   let d = D.attach env cat in
   mark "attach";
   Catalog.in_txn cat (fun () ->
-      let rel = Catalog.add cat schema (Layout.row schema) in
-      Relation.load rel ~n:40 (fun ~row -> initial_row row);
-      Catalog.notify_load cat "t" ~row_lo:0 ~rows:40);
+      ignore (Catalog.add cat schema (Layout.row schema));
+      Write.apply cat
+        (Write.Load { table = "t"; rows = Array.init 40 initial_row }));
   mark "load";
   Catalog.create_index cat "t" ~name:"pk" ~kind:Storage.Index.Hash
     ~attrs:[ "id" ];
@@ -73,10 +74,8 @@ let run_script env =
   run_update cat "update t set name = 'patched' where id = 7";
   mark "update2";
   Catalog.in_txn cat (fun () ->
-      let rel = Catalog.find cat "t" in
       for row = 40 to 44 do
-        let tid = Relation.append rel (initial_row row) in
-        Catalog.notify_insert cat "t" ~tid
+        Write.apply cat (Write.Append { table = "t"; values = initial_row row })
       done);
   mark "append";
   D.detach d;
@@ -199,9 +198,9 @@ let run_advisor_script env =
   let d = D.attach env cat in
   mark "attach";
   Catalog.in_txn cat (fun () ->
-      let rel = Catalog.add cat schema (Layout.row schema) in
-      Relation.load rel ~n:24 (fun ~row -> initial_row row);
-      Catalog.notify_load cat "t" ~row_lo:0 ~rows:24);
+      ignore (Catalog.add cat schema (Layout.row schema));
+      Write.apply cat
+        (Write.Load { table = "t"; rows = Array.init 24 initial_row }));
   mark "load";
   (* a narrow aggregate mix: decomposing [amount] out is profitable, so a
      trigger-happy advisor reorganizes on the first check *)
@@ -771,6 +770,154 @@ let test_wal_unknown_encoding () =
     (Catalog.names r.Recover.cat)
 
 (* ------------------------------------------------------------------ *)
+(* Every writer is logged, as it was handed its op                     *)
+(* ------------------------------------------------------------------ *)
+
+let csv_file contents =
+  let path = Filename.temp_file "mrdb_logged" ".csv" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+  path
+
+let with_csv contents f =
+  let path = csv_file contents in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+(* Each writer of the catalog, run on ten rows of [t] with an index on
+   [id]. *)
+let writers : (string * (Catalog.t -> unit)) list =
+  let u = Schema.make "u" [ ("a", V.Int) ] in
+  [
+    ("Catalog.add", fun cat -> ignore (Catalog.add cat u (Layout.row u)));
+    ( "Write.apply Append",
+      fun cat ->
+        Write.apply cat (Write.Append { table = "t"; values = initial_row 10 })
+    );
+    ( "Write.apply Update",
+      fun cat ->
+        Write.apply cat
+          (Write.Update { table = "t"; tid = 3; attr = 2; value = V.VInt 77 })
+    );
+    ( "Write.apply Load",
+      fun cat ->
+        Write.apply cat
+          (Write.Load
+             {
+               table = "t";
+               rows = Array.init 3 (fun i -> initial_row (10 + i));
+             })
+    );
+    ( "Write.apply_all",
+      fun cat ->
+        Write.apply_all cat
+          [
+            Write.Update { table = "t"; tid = 4; attr = 0; value = V.VInt 40 };
+            Write.Append { table = "t"; values = initial_row 10 };
+          ] );
+    ( "Jit INSERT",
+      fun cat -> run_update cat "insert into t values (10, 0, 30, 'n010')" );
+    ( "Jit UPDATE",
+      fun cat -> run_update cat "update t set amount = amount + 1 where grp = 0"
+    );
+    ( "MVCC commit",
+      fun cat ->
+        Txn.Mvcc.run (Txn.Mvcc.create cat) (fun txn ->
+            Txn.Mvcc.update txn "t" 1 2 (V.VInt 500);
+            Txn.Mvcc.insert txn "t" (initial_row 11)) );
+    ( "Csv.import",
+      fun cat ->
+        with_csv "id,grp,amount,name\n10,0,1,x\n11,1,2,y\n" (fun path ->
+            ignore (Storage.Csv.import cat ~table:"t" path)) );
+    ( "Csv.import_new",
+      fun cat ->
+        with_csv "k,label\n1,a\n2,b\n" (fun path ->
+            ignore (Storage.Csv.import_new cat ~name:"c" path)) );
+    ( "Catalog.set_layout",
+      fun cat -> Catalog.set_layout cat "t" (Layout.column schema) );
+    ( "Catalog.set_physical",
+      fun cat -> Catalog.set_physical cat "t" [ (1, Encoding.Dict) ] );
+    ( "Catalog.create_index",
+      fun cat ->
+        Catalog.create_index cat "t" ~name:"by_grp" ~kind:Storage.Index.Hash
+          ~attrs:[ "grp" ] );
+  ]
+
+let test_every_writer_logged () =
+  List.iter
+    (fun (name, write) ->
+      let cat = Catalog.create ~hier:(Memsim.Hierarchy.create ()) () in
+      let rel = Catalog.add cat schema (Layout.row schema) in
+      Relation.load rel ~n:10 (fun ~row -> initial_row row);
+      Catalog.create_index cat "t" ~name:"pk" ~kind:Storage.Index.Hash
+        ~attrs:[ "id" ];
+      let before = Snapshot.digest cat in
+      let env = F.memory () in
+      let d = D.attach env cat in
+      write cat;
+      D.detach d;
+      let live = Snapshot.digest cat in
+      Alcotest.(check bool) (name ^ " wrote") true (live <> before);
+      let r = Recover.run env in
+      Alcotest.(check (list string))
+        (name ^ " log clean") [] r.Recover.warnings;
+      Alcotest.(check string) (name ^ " recovered") live
+        (Snapshot.digest r.Recover.cat))
+    writers
+
+(* Storage coerces what the check accepts: a float into an Int, an
+   over-long string into a Varchar 4, an int into a Float.  The log holds
+   the values the writer gave, and replay coerces them the same way. *)
+let test_wal_logs_values_as_given () =
+  let c =
+    Schema.make "c" [ ("i", V.Int); ("s", V.Varchar 4); ("f", V.Float) ]
+  in
+  let values = [| V.VFloat 3.7; V.VStr "abcdefgh"; V.VInt 5 |] in
+  let op = Write.Append { table = "c"; values } in
+  let env = F.memory () in
+  let cat = Catalog.create () in
+  let d = D.attach env cat in
+  ignore (Catalog.add cat c (Layout.row c));
+  Write.apply cat op;
+  D.detach d;
+  Alcotest.(check bool) "storage coerced the row" true
+    (Relation.get_tuple (Catalog.find cat "c") 0 <> values);
+  let logged =
+    List.filter_map
+      (function Wal.Op { op; _ } -> Some op | _ -> None)
+      (Wal.scan env).Wal.records
+  in
+  Alcotest.(check bool) "the applied op is the logged one" true
+    (List.nth logged (List.length logged - 1) = op);
+  Alcotest.(check string) "recovered" (Snapshot.digest cat)
+    (Snapshot.digest (Recover.run env).Recover.cat)
+
+(* A commit acknowledged after recovering a log whose last record is torn
+   must survive the next recovery: the recovered writer cuts the torn tail
+   before appending. *)
+let test_commit_after_torn_recovery () =
+  let a cat = Relation.get (Catalog.find cat "t") 0 0 in
+  let set cat v =
+    Write.apply cat (Write.Update { table = "t"; tid = 0; attr = 0; value = v })
+  in
+  let env = F.memory () in
+  let cat = Catalog.create () in
+  let d = D.attach env cat in
+  ignore (Catalog.add cat one_int (Layout.row one_int));
+  Write.apply cat (Write.Append { table = "t"; values = [| V.VInt 1 |] });
+  set cat (V.VInt 5);
+  D.detach d;
+  F.truncate_store env Wal.store_name (F.durable_size env Wal.store_name - 3);
+  let r, d = D.recover env in
+  Alcotest.(check bool) "the tear is seen" true (r.Recover.warnings <> []);
+  Alcotest.check Helpers.value_testable "torn update dropped" (V.VInt 1)
+    (a r.Recover.cat);
+  set (D.catalog d) (V.VInt 7);
+  D.detach d;
+  let r = Recover.run env in
+  Alcotest.(check (list string)) "log clean" [] r.Recover.warnings;
+  Alcotest.check Helpers.value_testable "acknowledged update survives"
+    (V.VInt 7) (a r.Recover.cat)
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [
@@ -799,4 +946,9 @@ let suite =
       test_snapshot_unknown_index_attr;
     Alcotest.test_case "wal record with unknown encoding skipped" `Quick
       test_wal_unknown_encoding;
+    Alcotest.test_case "every writer is logged" `Quick test_every_writer_logged;
+    Alcotest.test_case "wal logs values as given" `Quick
+      test_wal_logs_values_as_given;
+    Alcotest.test_case "commit after recovering a torn log survives" `Quick
+      test_commit_after_torn_recovery;
   ]

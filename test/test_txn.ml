@@ -600,9 +600,14 @@ let run_chaos env schedule =
   in
   let d = D.attach env cat in
   Catalog.in_txn cat (fun () ->
-      let rel = Catalog.add cat schema_b (Layout.row schema_b) in
-      Relation.load rel ~n:4 (fun ~row -> [| V.VInt row; V.VInt (10 * row) |]);
-      Catalog.notify_load cat "b" ~row_lo:0 ~rows:4);
+      ignore (Catalog.add cat schema_b (Layout.row schema_b));
+      Storage.Write.apply cat
+        (Storage.Write.Load
+           {
+             table = "b";
+             rows =
+               Array.init 4 (fun row -> [| V.VInt row; V.VInt (10 * row) |]);
+           }));
   mark "load";
   let mgr = M.create cat in
   let cur = Array.make 2 None in
