@@ -15,15 +15,21 @@ module F = Durability.Faultio
 module D = Durability.Durable
 module Wal = Durability.Wal
 
-let best_time ?(repeat = 5) f =
+(* The best of [repeat] timings of [f x], each [x] made by [setup] and
+   handed to [teardown] after, neither of them timed. *)
+let best_time_of ?(repeat = 5) ~setup ~teardown f =
   let best = ref infinity in
   for _ = 1 to repeat do
+    let x = setup () in
     let t0 = Unix.gettimeofday () in
-    f ();
+    f x;
     let t = Unix.gettimeofday () -. t0 in
+    teardown x;
     if t < !best then best := t
   done;
   !best
+
+let best_time ?repeat f = best_time_of ?repeat ~setup:ignore ~teardown:ignore f
 
 let update_sql = "update R set B = 7 where A < 500000"
 
@@ -36,14 +42,17 @@ let run_update cat =
   ignore
     (Engines.Engine.run Engines.Engine.Jit cat (update_plan cat) ~params:[||])
 
-(* every measured run updates the same tuples: rebuild the catalog inside
-   the timed closure would swamp the measurement, so rebuild around it *)
+(* Every measured run updates the same tuples on a fresh catalog.  Only
+   the UPDATE is timed: building the catalog, attaching (which writes a
+   full snapshot) and detaching happen around it, so the difference to
+   the plain run is the logging alone. *)
 let time_update ~attach n =
-  best_time (fun () ->
+  best_time_of
+    ~setup:(fun () ->
       let cat = build_catalog n in
-      let d = attach cat in
-      run_update cat;
-      Option.iter D.detach d)
+      (cat, attach cat))
+    ~teardown:(fun (_, d) -> Option.iter D.detach d)
+    (fun (cat, _) -> run_update cat)
 
 let simulated_cycles ~durable n =
   let hier = Memsim.Hierarchy.create () in

@@ -57,16 +57,6 @@ module Db = struct
       (Storage.Relation.schema rel)
       (Storage.Relation.layout rel)
 
-  let export_csv t table path =
-    Storage.Csv.export (Storage.Catalog.find t.cat table) path
-
-  let import_csv t ?table path =
-    match table with
-    | Some table -> Storage.Csv.import t.cat ~table path
-    | None ->
-        let name = Filename.remove_extension (Filename.basename path) in
-        Storage.Relation.nrows (Storage.Csv.import_new t.cat ~name path)
-
   let optimize_layout ?(threshold = 0.005) t workload =
     let plans = List.map (fun (sql, freq) -> (plan_sql t sql, freq)) workload in
     let results =

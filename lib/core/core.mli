@@ -71,13 +71,6 @@ module Db : sig
 
   val layout_of : t -> string -> string list list
 
-  val export_csv : t -> string -> string -> unit
-  (** [export_csv db table path]. *)
-
-  val import_csv : t -> ?table:string -> string -> int
-  (** Load a CSV file: into [table] when given, else into a fresh table
-      named after the file (types inferred).  Returns the row count. *)
-
   val optimize_layout :
     ?threshold:float ->
     t ->

@@ -104,13 +104,10 @@ val remaining : reader -> int
 val ru8 : reader -> int
 val ru32 : reader -> int
 val ri64 : reader -> int
-val rf64 : reader -> float
 val rstr : reader -> string
 val rlist : reader -> (reader -> 'a) -> 'a list
 val rvalue : reader -> Storage.Value.t
-val rty : reader -> Storage.Value.ty
 val rschema : reader -> Storage.Schema.t
 val rlayout_groups : reader -> int list list
-val rencoding : reader -> Storage.Encoding.t
 val rencodings : reader -> (int * Storage.Encoding.t) list
 val rindex_kind : reader -> Storage.Index.kind

@@ -16,7 +16,7 @@ let run_sequential kind cat plan ~params =
   | Volcano -> Volcano.run cat plan ~params
   | Bulk -> Bulk.run cat plan ~params
   | Vectorized -> Vectorized.run cat plan ~params
-  | Hyrise -> Hyrise.run cat plan ~params
+  | Hyrise -> Bulk.run ~per_value:Cpu_model.hyrise_per_value cat plan ~params
   | Jit -> Jit.run cat plan ~params
   | Compiled -> Compiled.run cat plan ~params
 

@@ -11,7 +11,20 @@
     because its traced/simulated behaviour is that of its {!Jit} fallback
     — use {!all_with_compiled} where parity with it matters. *)
 
-type kind = Volcano | Bulk | Vectorized | Hyrise | Jit | Compiled
+type kind =
+  | Volcano
+  | Bulk
+  | Vectorized
+  | Hyrise
+      (** A HYRISE-style hybrid-storage processor.  The paper characterizes
+          HYRISE as "bulk-oriented but still relying on function calls to
+          process multiple attributes within one partition", which gives it
+          the same relative costs across layouts as the JiT engine but a
+          much higher constant factor (Fig. 9).  It is modeled as the bulk
+          dataflow charged {!Cpu_model.hyrise_per_value} per processed
+          value. *)
+  | Jit
+  | Compiled
 
 val all : kind list
 (** The five simulated processing models (excludes [Compiled]). *)

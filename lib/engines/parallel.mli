@@ -37,12 +37,6 @@ type preparer =
     instead of recompiling the pipeline.  Engines without one fall back to
     wrapping [runner]. *)
 
-val default_morsel_size : int
-(** 4096 rows.  Any positive morsel size gives correct results; multiples of
-    4096 additionally start every morsel on a cache-line and TLB-page
-    boundary within each partition, making parallel summed miss counters
-    exactly equal to a sequential run on read-only scans. *)
-
 val parallelizable : Relalg.Physical.t -> bool
 (** Whether the plan has a morsel-parallel execution shape (a full-scan
     scan/select/project pipeline, optionally under one group-by). *)
@@ -52,10 +46,6 @@ val parallelizable : Relalg.Physical.t -> bool
     The sharded executor ({!Shard.Exec}) distributes the same plan shapes
     over cluster nodes instead of morsels and reuses these pieces, so both
     parallel tiers share one merge semantics. *)
-
-val pipeline_driver : Relalg.Physical.t -> string option
-(** The base table a pure full-scan scan/select/project pipeline drives
-    over, if any. *)
 
 val peel_projections :
   (Relalg.Expr.t * string) list list ->

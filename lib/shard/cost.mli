@@ -4,13 +4,6 @@
     Cardinalities are summed over the live per-shard catalogs, so estimates
     track DML instead of going stale with the planning catalog. *)
 
-val row_bytes : Storage.Catalog.t -> Relalg.Physical.t -> int
-(** Estimated wire bytes of one output row (stored widths + codec
-    framing). *)
-
-val est_rows : Cluster.t -> Relalg.Physical.t -> int
-(** Estimated output rows of a subtree, summed over shard catalogs. *)
-
 type method_ = Broadcast | Shuffle
 
 val method_name : method_ -> string

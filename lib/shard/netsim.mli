@@ -9,13 +9,12 @@ type params = {
   cycles_per_byte : int;  (** bandwidth term, cycles per payload byte *)
 }
 
-val default_params : params
-(** ~1 µs hop latency at 2.67 GHz (2670 cycles) and ~10 Gbit/s of bandwidth
-    (2 cycles/byte). *)
-
 type t
 
 val create : ?params:params -> unit -> t
+(** [params] defaults to ~1 µs hop latency at 2.67 GHz (2670 cycles) and
+    ~10 Gbit/s of bandwidth (2 cycles/byte). *)
+
 val params : t -> params
 
 val coordinator : int

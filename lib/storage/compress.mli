@@ -9,7 +9,7 @@ type stat = {
   attr : int;
   rows : int;
   non_null : int;
-  distinct : int;  (** capped at {!distinct_cap} *)
+  distinct : int;  (** capped at 4096 *)
   runs : int;  (** maximal equal-value runs in tid order *)
   int_only : bool;
   int_min : int;  (** meaningful only when [int_only] and [non_null > 0] *)
@@ -19,19 +19,8 @@ type stat = {
           the zigzag window around the column's first non-null value *)
 }
 
-val distinct_cap : int
-
 val analyze : Relation.t -> stat array
 (** One untraced pass per column (statistics gathering is setup work). *)
-
-val analyze_rows : Schema.t -> Value.t array array -> stat array
-(** Same, over materialized rows (the fuzzer's deterministic path). *)
-
-val plain_bytes : Schema.t -> stat -> int
-
-val encoded_bytes : Schema.t -> stat -> Encoding.t -> int
-(** Predicted storage footprint of the column under a scheme — mirrors the
-    actual in-arena representations of {!Relation}. *)
 
 val choose : Schema.t -> stat -> Encoding.t
 (** The scheme with the smallest predicted footprint, if it saves at least
@@ -47,9 +36,6 @@ val singleton_layout :
 (** Split every Sparse/RLE attribute of the plan into its own singleton
     partition (those schemes store the column outside its partition's
     tuples), leaving all other groups as they are. *)
-
-val attr_encoded_bytes : Relation.t -> int -> int
-(** Actual in-arena footprint of one column under its current encoding. *)
 
 val apply :
   Catalog.t -> string -> ?layout:Layout.t -> (int * Encoding.t) list -> unit

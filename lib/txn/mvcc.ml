@@ -1,23 +1,23 @@
 (* Snapshot-isolation MVCC over [Storage.Catalog].
 
-   Design: in-place base + undo chains.  The stored relations always hold
-   the *latest committed* state; every committed overwrite pushes an undo
-   version "before commit [ts] this cell held [prev]".  A transaction reads
-   at its begin timestamp [s]: the value of a cell at [s] is the [prev] of
-   the oldest undo version with [ts > s], or the base value if none.
-   Inserts are append-only, so a snapshot sees a *prefix* of each table's
-   rows; a per-table (commit-ts, nrows) history resolves the visible row
-   count.  Undo versions and conflict bookkeeping older than the oldest
-   active snapshot are garbage-collected at every commit.
+   Design: in-place base + version chains.  The stored relations always
+   hold the *latest committed* state; every committed overwrite pushes a
+   version "before commit [ts] this cell held [prev]", and every commit
+   that appends to a table one "before commit [ts] it had [prev] rows".
+   A transaction reads at its begin timestamp [s]: a cell's value (a
+   table's row count) at [s] is the [prev] of the oldest version with
+   [ts > s], or the base value (the relation's [nrows]) if none.  Inserts
+   are append-only, so a snapshot sees a *prefix* of each table's rows.
+   Versions are freed in commit order (see [gc]).
 
    Writes are checked against their attribute ([Storage.Write.check]) when
    they buffer in the transaction (read-your-own-writes served from the
    write set), so a write that could never apply is refused then and not
    at commit.  They apply at commit under first-committer-wins: if any
-   written cell has a committed write with a timestamp after this
-   transaction's begin, the commit raises [Errors.Txn_conflict] and nothing
-   is applied.  Reads are never validated — write skew is permitted, which
-   is exactly the snapshot-isolation anomaly boundary (DESIGN.md §5h).
+   written cell's newest version is from a commit after this transaction's
+   begin, the commit raises [Errors.Txn_conflict] and nothing is applied.
+   Reads are never validated — write skew is permitted, which is exactly
+   the snapshot-isolation anomaly boundary (DESIGN.md §5h).
 
    Commit applies the write set, updates then inserts, through
    [Storage.Write.apply_all] inside [Catalog.in_txn], so with a durability
@@ -39,15 +39,14 @@ module Value = Storage.Value
 module Errors = Mrdb_util.Errors
 module Write = Storage.Write
 
-(* One table's version bookkeeping.  A request finds it by name once;
-   its cells then hash by the table's number, not by its name. *)
-type table = {
-  name : string;
-  id : int;
-  mutable history : (int * int) list;
-      (* (commit_ts, nrows) newest-first; visible rows at snapshot [s] is
-         the [nrows] of the newest entry with [ts <= s] *)
-}
+(* A version chain, newest first.  Freeing a version cuts its [older]
+   link, so a chain holds at most one freed version, below its oldest
+   live one, which no snapshot walks down to. *)
+type 'a chain = Nil | V of { ts : int; prev : 'a; mutable older : 'a chain }
+
+(* One table's bookkeeping.  A request finds it by name once; its cells
+   then hash by the table's number, not by its name. *)
+type table = { name : string; id : int; mutable counts : int chain }
 
 type cell = { tab : table; tid : int; attr : int }
 
@@ -61,26 +60,38 @@ module Cells = Hashtbl.Make (struct
     h lxor (h lsr 17)
 end)
 
-(* Before commit [ts], the cell held [prev]. *)
-type version = { ts : int; prev : Value.t }
+(* The versions commit [cts] pushed, each the head of its chain then. *)
+type pushed = {
+  cts : int;
+  cells : (cell * Value.t chain) list;
+  tables : (table * int chain) list;
+}
+
+type status = Active | Committed of int | Aborted of string
+
+(* A record of one float is stored flat: a tick then allocates the same
+   words whatever the clock reads. *)
+type wall = { mutable latest : float }
 
 type t = {
   cat : Catalog.t;
   m : Mutex.t;
   mutable clock : int;  (* last assigned commit timestamp *)
+  now : wall;  (* the latest wall-clock reading: never moves back *)
   tables : (string, table) Hashtbl.t;
-  undo : version list Cells.t;  (* newest-first *)
-  last_writer : int Cells.t;  (* latest committed write per cell *)
-  active : (int, int) Hashtbl.t;  (* begin_ts -> live transactions *)
+  undo : Value.t chain Cells.t;
+  commits : pushed Queue.t;  (* oldest first *)
+  mutable versions : int;  (* cell versions retained *)
+  active : (int, txn) Hashtbl.t;  (* live transactions by [id] *)
+  mutable ids : int;
   mutable poisoned : string option;
       (* a commit apply died half-way (simulated crash, I/O error): the
          in-memory state no longer matches storage, every later op refuses *)
 }
 
-type status = Active | Committed of int | Aborted of string
-
-type txn = {
+and txn = {
   mgr : t;
+  id : int;
   begin_ts : int;
   writes : Value.t Cells.t;
   mutable write_order : cell list;  (* first-write order, reversed *)
@@ -123,6 +134,14 @@ let m_versions =
   Obs.Metrics.gauge "mrdb_txn_undo_versions"
     ~help:"Undo versions currently retained (post-GC)"
 
+let m_lag =
+  Obs.Metrics.gauge "mrdb_txn_horizon_lag"
+    ~help:"Commit clock minus the GC horizon (post-GC)"
+
+let m_oldest =
+  Obs.Metrics.gauge "mrdb_txn_oldest_snapshot_seconds"
+    ~help:"Age of the oldest unexpired live transaction (post-GC)"
+
 (* ------------------------------------------------------------------ *)
 (* Manager                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -132,10 +151,13 @@ let create cat =
     cat;
     m = Mutex.create ();
     clock = 0;
+    now = { latest = neg_infinity };
     tables = Hashtbl.create 8;
     undo = Cells.create 64;
-    last_writer = Cells.create 64;
+    commits = Queue.create ();
+    versions = 0;
     active = Hashtbl.create 8;
+    ids = 0;
     poisoned = None;
   }
 
@@ -157,17 +179,20 @@ let check_poisoned t =
   | Some why -> invalid_arg ("Mvcc: manager poisoned: " ^ why)
   | None -> ()
 
-(* The bookkeeping of table [name], begun at its first use with the
-   relation's row count then.
+(* The manager's clock, under the lock: a deadline judged passed stays
+   passed even if the wall clock steps back. *)
+let tick t =
+  t.now.latest <- Float.max t.now.latest (Unix.gettimeofday ());
+  t.now.latest
+
+(* The bookkeeping of table [name].
    @raise Errors.Unknown_table for a table the catalog does not have. *)
 let table t name =
   match Hashtbl.find t.tables name with
   | tab -> tab
   | exception Not_found ->
-      let nrows = Relation.nrows (Catalog.find t.cat name) in
-      let tab =
-        { name; id = Hashtbl.length t.tables; history = [ (0, nrows) ] }
-      in
+      ignore (Catalog.find t.cat name);
+      let tab = { name; id = Hashtbl.length t.tables; counts = Nil } in
       Hashtbl.replace t.tables name tab;
       tab
 
@@ -181,12 +206,17 @@ let base_rel t tab =
   | None -> rel
   | Some _ -> Relation.with_hier rel None
 
-let visible_rows_at tab ~ts =
-  let rec go = function
-    | [] -> 0
-    | (cts, n) :: rest -> if cts <= ts then n else go rest
-  in
-  go tab.history
+(* The version of [chain] snapshot [s] sees, the oldest one newer than
+   [s], or [Nil] if it sees the base.  Versions newer than [s] are a
+   prefix of the chain. *)
+let rec seen_by s chain =
+  match chain with
+  | V { older = V o as next; _ } when o.ts > s -> seen_by s next
+  | V v when v.ts > s -> chain
+  | _ -> Nil
+
+let visible_rows_at tab rel ~ts =
+  match seen_by ts tab.counts with V v -> v.prev | Nil -> Relation.nrows rel
 
 (* A read of an attribute the table does not have is the reader's error. *)
 let check_attr rel table attr =
@@ -206,66 +236,53 @@ let committed_value t rel cell ~ts =
   in
   match Cells.find t.undo cell with
   | exception Not_found -> base ()
-  | versions -> (
-      (* newest-first: versions with [ts' > ts] form a prefix; the oldest
-         of those carries the snapshot value *)
-      let rec go acc = function
-        | v :: rest when v.ts > ts -> go (Some v.prev) rest
-        | _ -> acc
-      in
-      match go None versions with Some v -> v | None -> base ())
+  | chain -> ( match seen_by ts chain with V v -> v.prev | Nil -> base ())
 
-let oldest_active t =
-  Hashtbl.fold (fun ts _ acc -> min ts acc) t.active max_int
-
-(* Drop bookkeeping no live or future snapshot can reach: versions (and
-   writer stamps) at or below the horizon = min(oldest active begin-ts,
-   clock).  Future transactions begin at [clock] or later, so they can
-   never need a version whose ts is at or below it either. *)
-let gc t =
-  let horizon = min (oldest_active t) t.clock in
-  let live_versions = ref 0 in
-  Cells.filter_map_inplace
-    (fun _ versions ->
-      match List.filter (fun v -> v.ts > horizon) versions with
-      | [] -> None
-      | keep ->
-          live_versions := !live_versions + List.length keep;
-          Some keep)
-    t.undo;
-  Cells.filter_map_inplace
-    (fun _ ts -> if ts <= horizon then None else Some ts)
-    t.last_writer;
+(* Free what no live or future snapshot can reach, in commit order.  A
+   version of commit [ts] serves only snapshots older than [ts], so every
+   commit at or below the horizon is popped: the oldest begin timestamp of
+   a live transaction, or the clock.  Future transactions begin at [clock]
+   or later, and an expired one raises [Txn_timeout] at its next operation
+   before any read, so it holds nothing back.  Each version a popped
+   commit pushed is the oldest of its chain by then: freeing it cuts the
+   link below it and, if it heads its chain, drops the chain.  So the work
+   is the versions freed and the live transactions, never the store. *)
+let gc t ~now =
+  let horizon = ref t.clock and oldest = ref now in
   Hashtbl.iter
-    (fun _ tab ->
-      (* keep everything above the horizon plus the newest entry at or
-         below it (the horizon snapshot's row count) *)
-      let rec prune = function
-        | (ts, n) :: rest when ts > horizon -> (ts, n) :: prune rest
-        | (ts, n) :: _ -> [ (ts, n) ]
-        | [] -> []
-      in
-      tab.history <- prune tab.history)
-    t.tables;
-  Obs.Metrics.set m_versions (float_of_int !live_versions)
+    (fun _ txn ->
+      match txn.deadline with
+      | Some d when now > d -> ()
+      | _ ->
+          if txn.begin_ts < !horizon then horizon := txn.begin_ts;
+          if txn.started < !oldest then oldest := txn.started)
+    t.active;
+  let cut = function V v -> v.older <- Nil | Nil -> () in
+  while
+    (not (Queue.is_empty t.commits)) && (Queue.peek t.commits).cts <= !horizon
+  do
+    let c = Queue.pop t.commits in
+    List.iter
+      (fun (cell, v) ->
+        cut v;
+        if Cells.find t.undo cell == v then Cells.remove t.undo cell;
+        t.versions <- t.versions - 1)
+      c.cells;
+    List.iter
+      (fun (tab, v) ->
+        cut v;
+        if tab.counts == v then tab.counts <- Nil)
+      c.tables
+  done;
+  Obs.Metrics.set m_versions (float_of_int t.versions);
+  Obs.Metrics.set m_lag (float_of_int (t.clock - !horizon));
+  Obs.Metrics.set m_oldest (now -. !oldest)
 
-let retained_versions t =
-  locked t (fun () ->
-      Cells.fold (fun _ vs acc -> acc + List.length vs) t.undo 0)
+let retained_versions t = locked t (fun () -> t.versions)
 
 (* ------------------------------------------------------------------ *)
 (* Transactions                                                       *)
 (* ------------------------------------------------------------------ *)
-
-let register_active t ts =
-  Hashtbl.replace t.active ts
-    (1 + match Hashtbl.find_opt t.active ts with Some n -> n | None -> 0)
-
-let unregister_active t ts =
-  match Hashtbl.find_opt t.active ts with
-  | Some n when n > 1 -> Hashtbl.replace t.active ts (n - 1)
-  | Some _ -> Hashtbl.remove t.active ts
-  | None -> ()
 
 let begin_ ?timeout t =
   locked t (fun () ->
@@ -273,19 +290,23 @@ let begin_ ?timeout t =
       Obs.Metrics.incr m_begun;
       Obs.Metrics.set m_active
         (Obs.Metrics.gauge_value m_active +. 1.0);
-      let begin_ts = t.clock in
-      register_active t begin_ts;
-      let now = Unix.gettimeofday () in
-      {
-        mgr = t;
-        begin_ts;
-        writes = Cells.create 8;
-        write_order = [];
-        inserts = [];
-        status = Active;
-        deadline = Option.map (fun d -> now +. d) timeout;
-        started = now;
-      })
+      let now = tick t in
+      let txn =
+        {
+          mgr = t;
+          id = t.ids;
+          begin_ts = t.clock;
+          writes = Cells.create 8;
+          write_order = [];
+          inserts = [];
+          status = Active;
+          deadline = Option.map (fun d -> now +. d) timeout;
+          started = now;
+        }
+      in
+      t.ids <- t.ids + 1;
+      Hashtbl.replace t.active txn.id txn;
+      txn)
 
 let begin_ts txn = txn.begin_ts
 let status txn = txn.status
@@ -293,7 +314,7 @@ let status txn = txn.status
 (* Finish (under the lock): drop from the active set exactly once. *)
 let finish_locked txn st =
   txn.status <- st;
-  unregister_active txn.mgr txn.begin_ts;
+  Hashtbl.remove txn.mgr.active txn.id;
   Obs.Metrics.set m_active (Obs.Metrics.gauge_value m_active -. 1.0);
   Obs.Metrics.incr m_aborted
 
@@ -313,10 +334,12 @@ let ensure_active txn what =
       invalid_arg (Printf.sprintf "Mvcc.%s: transaction aborted (%s)" what why)
 
 (* Deadline check, assumed under the lock: an expired transaction aborts
-   itself and raises the taxonomy's timeout. *)
+   itself and raises the taxonomy's timeout.  Judged on the manager's
+   clock, as [gc] judges it, so a transaction GC has stopped waiting for
+   never reads again. *)
 let check_deadline_locked txn what =
   match txn.deadline with
-  | Some d when Unix.gettimeofday () > d ->
+  | Some d when tick txn.mgr > d ->
       finish_locked txn (Aborted "deadline exceeded");
       Obs.Metrics.incr m_timeouts;
       raise
@@ -333,10 +356,11 @@ let enter txn what =
 let visible_rows txn name =
   locked txn.mgr (fun () ->
       enter txn "visible_rows";
-      visible_rows_at (table txn.mgr name) ~ts:txn.begin_ts)
+      let tab = table txn.mgr name in
+      visible_rows_at tab (Catalog.find txn.mgr.cat name) ~ts:txn.begin_ts)
 
-let check_visible txn tab tid what =
-  let n = visible_rows_at tab ~ts:txn.begin_ts in
+let check_visible txn tab rel tid what =
+  let n = visible_rows_at tab rel ~ts:txn.begin_ts in
   if tid < 0 || tid >= n then
     raise
       (Errors.Bad_request
@@ -354,17 +378,9 @@ let read txn name tid attr =
   locked txn.mgr (fun () ->
       enter txn "read";
       let tab = table txn.mgr name in
-      check_visible txn tab tid "read";
-      cell_value txn (base_rel txn.mgr tab) { tab; tid; attr })
-
-let read_row txn name tid =
-  locked txn.mgr (fun () ->
-      enter txn "read_row";
-      let tab = table txn.mgr name in
-      check_visible txn tab tid "read_row";
       let rel = base_rel txn.mgr tab in
-      let arity = Storage.Schema.arity (Relation.schema rel) in
-      Array.init arity (fun attr -> cell_value txn rel { tab; tid; attr }))
+      check_visible txn tab rel tid "read";
+      cell_value txn rel { tab; tid; attr })
 
 (* Snapshot-consistent read of one attribute of every visible row — the
    analytics path.  One critical section per column, not per row. *)
@@ -372,8 +388,8 @@ let column txn name attr =
   locked txn.mgr (fun () ->
       enter txn "column";
       let tab = table txn.mgr name in
-      let n = visible_rows_at tab ~ts:txn.begin_ts in
       let rel = base_rel txn.mgr tab in
+      let n = visible_rows_at tab rel ~ts:txn.begin_ts in
       check_attr rel name attr;
       Array.init n (fun tid -> cell_value txn rel { tab; tid; attr }))
 
@@ -381,10 +397,9 @@ let update txn name tid attr value =
   locked txn.mgr (fun () ->
       enter txn "update";
       let tab = table txn.mgr name in
-      check_visible txn tab tid "update";
-      Write.check_rel
-        (Catalog.find txn.mgr.cat name)
-        (Write.Update { table = name; tid; attr; value });
+      let rel = Catalog.find txn.mgr.cat name in
+      check_visible txn tab rel tid "update";
+      Write.check_rel rel (Write.Update { table = name; tid; attr; value });
       let cell = { tab; tid; attr } in
       if not (Cells.mem txn.writes cell) then
         txn.write_order <- cell :: txn.write_order;
@@ -410,12 +425,12 @@ let commit txn =
   locked txn.mgr @@ fun () ->
   let t = txn.mgr in
   enter txn "commit";
-  (* first-committer-wins: any committed write after our begin to a cell we
-     also wrote means the first committer already won *)
+  (* first-committer-wins: a cell we also wrote whose newest version is
+     from a commit after our begin means the first committer already won *)
   Cells.iter
     (fun cell _ ->
-      match Cells.find t.last_writer cell with
-      | ts when ts > txn.begin_ts ->
+      match Cells.find t.undo cell with
+      | V v when v.ts > txn.begin_ts ->
           finish_locked txn
             (Aborted
                (Printf.sprintf "write-write conflict on %s[%d].%d"
@@ -426,7 +441,7 @@ let commit txn =
                (Printf.sprintf
                   "%s row %d attr %d was committed at ts %d, after this \
                    transaction's snapshot %d"
-                  cell.tab.name cell.tid cell.attr ts txn.begin_ts))
+                  cell.tab.name cell.tid cell.attr v.ts txn.begin_ts))
       | _ | (exception Not_found) -> ())
     txn.writes;
   let ts = t.clock + 1 in
@@ -442,7 +457,9 @@ let commit txn =
         (fun (tab, values) -> Write.Append { table = tab.name; values })
         inserts
   in
-  (* the overwritten values, each table's relation looked up once *)
+  (* The overwritten values and the row counts before this commit, each
+     table's relation looked up once.  At [clock] no version is newer than
+     the base, so they are read straight from the relations. *)
   let rels = ref [] in
   let rel_of tab =
     match List.assq tab !rels with
@@ -453,8 +470,14 @@ let commit txn =
         rel
   in
   let prevs =
-    List.map (fun cell -> committed_value t (rel_of cell.tab) cell ~ts:t.clock)
-      updates
+    List.map (fun c -> Relation.get (rel_of c.tab) c.tid c.attr) updates
+  in
+  let counts =
+    List.fold_left
+      (fun acc (tab, _) ->
+        if List.mem_assq tab acc then acc
+        else (tab, Relation.nrows (rel_of tab)) :: acc)
+      [] inserts
   in
   (* One catalog transaction frame: with durability attached this is
      exactly one Begin..ops..Commit WAL unit, flushed at the end.  The list
@@ -476,30 +499,38 @@ let commit txn =
                (Printexc.to_string e));
       finish_locked txn (Aborted ("apply failed: " ^ Printexc.to_string e));
       Printexc.raise_with_backtrace (Poison (e, bt)) bt);
-  List.iter2
-    (fun cell prev ->
-      let versions =
-        match Cells.find t.undo cell with vs -> vs | exception Not_found -> []
-      in
-      Cells.replace t.undo cell ({ ts; prev } :: versions);
-      Cells.replace t.last_writer cell ts)
-    updates prevs;
-  (* every insert of a table in this commit ends at the same row count *)
-  List.iter
-    (fun (tab, _) ->
-      match tab.history with
-      | (hts, _) :: _ when hts = ts -> ()
-      | history ->
-          tab.history <-
-            (ts, Relation.nrows (Catalog.find t.cat tab.name)) :: history)
-    inserts;
+  let cells =
+    List.map2
+      (fun cell prev ->
+        let older =
+          match Cells.find t.undo cell with c -> c | exception Not_found -> Nil
+        in
+        let v = V { ts; prev; older } in
+        Cells.replace t.undo cell v;
+        (cell, v))
+      updates prevs
+  in
+  let tables =
+    List.map
+      (fun (tab, prev) ->
+        let v = V { ts; prev; older = tab.counts } in
+        tab.counts <- v;
+        (tab, v))
+      counts
+  in
+  (match (cells, tables) with
+  | [], [] -> ()
+  | _ ->
+      t.versions <- t.versions + List.length cells;
+      Queue.push { cts = ts; cells; tables } t.commits);
   t.clock <- ts;
   txn.status <- Committed ts;
-  unregister_active t txn.begin_ts;
+  Hashtbl.remove t.active txn.id;
   Obs.Metrics.set m_active (Obs.Metrics.gauge_value m_active -. 1.0);
   Obs.Metrics.incr m_committed;
-  Obs.Metrics.observe m_commit_seconds (Unix.gettimeofday () -. txn.started);
-  gc t;
+  let now = tick t in
+  Obs.Metrics.observe m_commit_seconds (now -. txn.started);
+  gc t ~now;
   ts
 
 (* Unwrap the internal poison marker so callers see the original exception

@@ -1,13 +1,16 @@
 (** Snapshot-isolation MVCC over {!Storage.Catalog}.
 
-    In-place base relations plus undo chains: the stored state is the
-    latest committed one; a transaction reads at its begin timestamp by
-    resolving undo versions newer than its snapshot.  Writes buffer in the
-    transaction and apply at commit under first-committer-wins — a commit
-    whose write set overlaps a commit after its begin raises
-    {!Mrdb_util.Errors.Txn_conflict} and applies nothing.  Reads are never
-    validated: write skew is permitted (the SI anomaly boundary, see
-    DESIGN.md §5h).
+    In-place base relations plus one version store: the stored state is
+    the latest committed one; a transaction reads at its begin timestamp
+    by resolving the versions newer than its snapshot, of cells (the
+    values commits overwrote) and of row counts (before commits
+    appended).  Versions are freed in commit order, so a commit pays for
+    the versions it frees, not for those an open snapshot holds.  Writes
+    buffer in the transaction and apply at commit under
+    first-committer-wins — a commit whose write set overlaps a commit
+    after its begin raises {!Mrdb_util.Errors.Txn_conflict} and applies
+    nothing.  Reads are never validated: write skew is permitted (the SI
+    anomaly boundary, see DESIGN.md §5h).
 
     Commit applies run inside [Catalog.in_txn], so with a durability
     manager attached each commit is one transaction-framed, flushed WAL
@@ -27,8 +30,9 @@ type status = Active | Committed of int | Aborted of string
 
 val create : Storage.Catalog.t -> t
 (** Manage transactions over [cat].  Once attached, all mutations of the
-    catalog's relations must go through transactions of this manager
-    (host-side loads or repartitions would bypass versioning). *)
+    catalog's relations must go through transactions of this manager:
+    a cell written or a row appended outside it is seen at once by every
+    snapshot, as no version records it. *)
 
 val catalog : t -> Storage.Catalog.t
 
@@ -38,7 +42,9 @@ val clock : t -> int
 val begin_ : ?timeout:float -> t -> txn
 (** Open a transaction reading at the current commit timestamp.  With
     [timeout] (seconds), any operation past the deadline aborts the
-    transaction and raises {!Mrdb_util.Errors.Txn_timeout}. *)
+    transaction and raises {!Mrdb_util.Errors.Txn_timeout}; from the
+    deadline on, even while idle, it holds no versions back.  Deadlines
+    are judged on a manager clock that never moves back. *)
 
 val begin_ts : txn -> int
 val status : txn -> status
@@ -48,10 +54,6 @@ val read : txn -> string -> int -> int -> Storage.Value.t
     transaction's own buffered writes first.
     @raise Mrdb_util.Errors.Bad_request if the row is not visible at the
     snapshot or the table has no attribute [attr]. *)
-
-val read_row : txn -> string -> int -> Storage.Value.t array
-(** All attributes of a row, as {!read} gives each.
-    @raise Mrdb_util.Errors.Bad_request if the row is not visible. *)
 
 val visible_rows : txn -> string -> int
 (** Rows visible at the snapshot (inserts are append-only, so a snapshot
@@ -107,4 +109,8 @@ val snapshot : t -> (txn -> 'a) -> 'a
     nothing to the WAL. *)
 
 val retained_versions : t -> int
-(** Undo versions currently held (post-GC) — observability for tests. *)
+(** Cell versions currently held (post-GC), as the
+    [mrdb_txn_undo_versions] gauge reports them; row-count versions are
+    not counted.  Each commit also sets [mrdb_txn_horizon_lag] (the clock
+    minus the oldest begin timestamp still held) and
+    [mrdb_txn_oldest_snapshot_seconds]. *)

@@ -39,10 +39,6 @@ val accept_loop : t -> Unix.file_descr -> unit
     which then calls {!stop}, so an idle client cannot hold up the
     return. *)
 
-val handle_client : t -> Unix.file_descr -> unit
-(** Serve one connection on the calling thread (the accept loop uses this;
-    exposed for direct socketpair-style tests). *)
-
 val listen_unix : string -> Unix.file_descr
 val listen_tcp : int -> Unix.file_descr
 

@@ -21,7 +21,5 @@ val build :
 (** [n_extra] optional attributes (default 114 → 120 columns total), of
     which [avg_filled] (default 11) are non-null per tuple. *)
 
-val n_categories : int
-
 val query : t -> string -> Workload.query
 (** "C1".."C4" with the frequencies of Table V (1, 1, 100, 10000). *)

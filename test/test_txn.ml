@@ -1334,6 +1334,57 @@ let test_server_stop_ends_idle_sessions () =
     before
     (Obs.Metrics.gauge_value active)
 
+(* An expired transaction holds no versions back: its next operation
+   raises [Txn_timeout] before any read, so commits behind it free what
+   they replace.  The horizon lag says why versions are held: above 0
+   while a snapshot that has not expired is open, 0 once it ends. *)
+let test_expired_txn_does_not_pin () =
+  let mgr = M.create (small_cat ()) in
+  let lag = Obs.Metrics.gauge "mrdb_txn_horizon_lag" in
+  let idle = M.begin_ ~timeout:0.0 mgr in
+  Unix.sleepf 0.01;
+  for i = 1 to 1000 do
+    M.run mgr (fun txn -> M.update txn "b" (i mod 4) 1 (V.VInt i))
+  done;
+  Alcotest.(check int) "no version kept for the expired transaction" 0
+    (M.retained_versions mgr);
+  (match M.read idle "b" 0 1 with
+  | _ -> Alcotest.fail "the expired transaction must refuse to read"
+  | exception Errors.Txn_timeout _ -> ());
+  let reader = M.begin_ mgr in
+  M.run mgr (fun txn -> M.update txn "b" 0 1 (V.VInt 0));
+  Alcotest.(check bool) "lag above 0 while a snapshot is open" true
+    (Obs.Metrics.gauge_value lag > 0.);
+  Alcotest.(check int) "the open snapshot still reads its value" 1000
+    (vint (M.read reader "b" 0 1));
+  M.abort reader;
+  M.run mgr (fun txn -> M.update txn "b" 1 1 (V.VInt 0));
+  Alcotest.(check (float 0.)) "lag 0 once it ends" 0.
+    (Obs.Metrics.gauge_value lag)
+
+(* The same through the server: a client that sends BEGIN and then idles
+   past its deadline does not make another client's commits keep what
+   they replace. *)
+let test_server_expired_idle_does_not_pin () =
+  with_server ~txn_timeout:0.05 (small_cat ()) (fun mgr addr ->
+      let idle = Txn.Client.connect ~id:"idle" addr in
+      Txn.Client.begin_ idle;
+      Unix.sleepf 0.1;
+      let c = Txn.Client.connect ~id:"busy" addr in
+      for i = 1 to 200 do
+        let src = i mod 4 and dst = (i + 1) mod 4 in
+        Txn.Client.begin_ c;
+        let sb = vint (Txn.Client.get c ~table:"b" ~tid:src ~attr:1) in
+        let db = vint (Txn.Client.get c ~table:"b" ~tid:dst ~attr:1) in
+        Txn.Client.set c ~table:"b" ~tid:src ~attr:1 (V.VInt (sb - 1));
+        Txn.Client.set c ~table:"b" ~tid:dst ~attr:1 (V.VInt (db + 1));
+        ignore (Txn.Client.commit c)
+      done;
+      Alcotest.(check int) "no version kept for the idle transaction" 0
+        (M.retained_versions mgr);
+      Txn.Client.close c;
+      Txn.Client.close idle)
+
 (* Line mutations for the decoder property: the forms the in-place
    decoders must read exactly as the split-based ones did, or refuse. *)
 let tricky_fields =
@@ -1495,4 +1546,9 @@ let suite =
     Alcotest.test_case "server: stop ends idle sessions" `Quick
       test_server_stop_ends_idle_sessions;
     QCheck_alcotest.to_alcotest qcheck_wire_decoders_match_split;
+    Alcotest.test_case "mvcc: an expired transaction does not pin the horizon"
+      `Quick test_expired_txn_does_not_pin;
+    Alcotest.test_case
+      "server: an expired idle transaction does not pin the horizon" `Quick
+      test_server_expired_idle_does_not_pin;
   ]
