@@ -1,8 +1,11 @@
 (* mrdb_server — the concurrent OLTP front door.
 
    A thin CLI over Txn.Server: one listening socket (unix-domain by
-   default, TCP with --port), a domain-per-client accept loop, and the
-   line protocol of Txn.Wire.  Commit points are durable when --wal is
+   default, TCP with --port), an accept loop that serves each client on a
+   thread of the loop's domain (so --max-clients is not bounded by the
+   runtime's 128 domains, though the clients' requests then take turns on
+   one domain: see Txn.Server), and the line protocol of Txn.Wire.  Commit
+   points are durable when --wal is
    given: each MVCC commit is one transaction-framed, flushed WAL unit, and
    a server started on an existing log recovers it and serves the
    recovered catalog, so every acknowledged commit survives a crash.

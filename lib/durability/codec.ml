@@ -70,13 +70,23 @@ let str w s =
   u32 w (String.length s);
   raw w s
 
+(* Loops, not [List.iter (f w)], whose partial application would be
+   allocated at every record. *)
+let rec items w f = function
+  | [] -> ()
+  | x :: rest ->
+      f w x;
+      items w f rest
+
 let list w f xs =
   u32 w (List.length xs);
-  List.iter (f w) xs
+  items w f xs
 
 let array w f xs =
   u32 w (Array.length xs);
-  Array.iter (f w) xs
+  for i = 0 to Array.length xs - 1 do
+    f w (Array.unsafe_get xs i)
+  done
 
 (* Values: a one-byte tag and its payload.  The unboxed emitters below are
    the one owner of the tag format; [value] dispatches to them, and the

@@ -68,13 +68,13 @@ let handle t (ev : Catalog.event) =
       end
   | Catalog.Op op -> (
       match t.open_txid with
-      | Some txid -> Wal.write t.w (Wal.Op { txid; op })
+      | Some txid -> Wal.write_op t.w ~txid op
       | None ->
           (* auto-wrap: a mutation outside any transaction frame is its own
              committed transaction *)
           let txid = fresh_txid t in
           Wal.write t.w (Wal.Begin txid);
-          Wal.write t.w (Wal.Op { txid; op });
+          Wal.write_op t.w ~txid op;
           Wal.write t.w (Wal.Commit txid);
           Wal.flush t.w)
 

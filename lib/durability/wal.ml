@@ -112,6 +112,11 @@ let decode_op r =
       Write.Set_physical { table; layout; encodings }
   | t -> raise (Codec.Truncated (Printf.sprintf "op: unknown tag %d" t))
 
+let encode_op_record w ~txid op =
+  Codec.u8 w 4;
+  Codec.i64 w txid;
+  encode_op w op
+
 let encode_into w = function
   | Begin txid ->
       Codec.u8 w 1;
@@ -122,10 +127,7 @@ let encode_into w = function
   | Abort txid ->
       Codec.u8 w 3;
       Codec.i64 w txid
-  | Op { txid; op } ->
-      Codec.u8 w 4;
-      Codec.i64 w txid;
-      encode_op w op
+  | Op { txid; op } -> encode_op_record w ~txid op
   | Prepare txid ->
       Codec.u8 w 5;
       Codec.i64 w txid
@@ -172,16 +174,29 @@ let make sink = { sink; scratch = Codec.writer () }
 let create env = make (Faultio.create env store_name)
 let append env = make (Faultio.append env store_name)
 
-let write w record =
+(* A record is encoded between [open_record] and [close_record], into
+   the writer's scratch buffer. *)
+let open_record w =
+  Codec.reset w.scratch;
+  Codec.frame_open w.scratch
+
+let close_record w hdr =
   let c = w.scratch in
-  Codec.reset c;
-  let hdr = Codec.frame_open c in
-  encode_into c record;
   Codec.frame_close c hdr;
   let n = Codec.length c in
   Obs.Metrics.incr m_records;
   Obs.Metrics.add m_bytes n;
   Faultio.write_sub w.sink (Codec.unsafe_bytes c) ~pos:0 ~len:n
+
+let write w record =
+  let hdr = open_record w in
+  encode_into w.scratch record;
+  close_record w hdr
+
+let write_op w ~txid op =
+  let hdr = open_record w in
+  encode_op_record w.scratch ~txid op;
+  close_record w hdr
 
 let flush w = Faultio.flush w.sink
 let close w = Faultio.close w.sink

@@ -44,6 +44,10 @@ val append : Faultio.t -> writer
 val write : writer -> record -> unit
 (** Frame and buffer one record (durable only after {!flush}). *)
 
+val write_op : writer -> txid:int -> op -> unit
+(** [write_op w ~txid op] is [write w (Op { txid; op })], with no record
+    built: the durability manager logs every op through it. *)
+
 val flush : writer -> unit
 val close : writer -> unit
 

@@ -1,7 +1,11 @@
+(* A record of one float is stored flat, so adding to it allocates
+   nothing. *)
+type total = { mutable total : float }
+
 type hist_state = {
   bounds : float array;  (* strictly increasing upper bounds, no +Inf *)
   counts : int array;  (* length = Array.length bounds + 1 (+Inf last) *)
-  mutable sum : float;
+  sum : total;
   mutable count : int;
 }
 
@@ -58,7 +62,14 @@ let gauge ?(help = "") name =
           registry := { name; help; value = Gauge g } :: !registry;
           g)
 
-let set g v = with_lock (fun () -> g := v)
+(* [set] and [observe] run on every MVCC commit, so they lock without
+   [with_lock], whose closure would be allocated at each call. *)
+let set g v =
+  Mutex.lock lock;
+  (* an assignment cannot raise, so the unlock is always reached *)
+  g := v;
+  Mutex.unlock lock
+
 let gauge_value g = !g
 
 let default_buckets =
@@ -77,22 +88,30 @@ let histogram ?(help = "") ?(buckets = default_buckets) name =
             {
               bounds;
               counts = Array.make (Array.length bounds + 1) 0;
-              sum = 0.;
+              sum = { total = 0. };
               count = 0;
             }
           in
           registry := { name; help; value = Histogram h } :: !registry;
           h)
 
+let record h v =
+  let i = ref 0 in
+  while !i < Array.length h.bounds && v > h.bounds.(!i) do
+    Stdlib.incr i
+  done;
+  h.counts.(!i) <- h.counts.(!i) + 1;
+  h.sum.total <- h.sum.total +. v;
+  h.count <- h.count + 1
+
 let observe h v =
-  with_lock (fun () ->
-      let i = ref 0 in
-      while !i < Array.length h.bounds && v > h.bounds.(!i) do
-        Stdlib.incr i
-      done;
-      h.counts.(!i) <- h.counts.(!i) + 1;
-      h.sum <- h.sum +. v;
-      h.count <- h.count + 1)
+  Mutex.lock lock;
+  match record h v with
+  | () -> Mutex.unlock lock
+  | exception e ->
+      (* an asynchronous exception, raised at the loop's poll point *)
+      Mutex.unlock lock;
+      raise e
 
 (* Prometheus-style quantile estimate: find the bucket holding the rank
    and interpolate linearly inside it.  The open +Inf bucket extrapolates
@@ -156,7 +175,8 @@ let to_prometheus () =
           cumulative := !cumulative + h.counts.(Array.length h.bounds);
           Buffer.add_string buf
             (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" m.name !cumulative);
-          Buffer.add_string buf (Printf.sprintf "%s_sum %g\n" m.name h.sum);
+          Buffer.add_string buf
+            (Printf.sprintf "%s_sum %g\n" m.name h.sum.total);
           Buffer.add_string buf
             (Printf.sprintf "%s_count %d\n" m.name h.count)))
     (metrics_in_order ());
@@ -198,7 +218,7 @@ let to_json () =
           in
           [
             ("buckets", Json.Arr buckets);
-            ("sum", Json.Num h.sum);
+            ("sum", Json.Num h.sum.total);
             ("count", Json.Num (float_of_int h.count));
           ]
     in
@@ -216,6 +236,6 @@ let reset_values () =
           | Gauge g -> g := 0.
           | Histogram h ->
               Array.fill h.counts 0 (Array.length h.counts) 0;
-              h.sum <- 0.;
+              h.sum.total <- 0.;
               h.count <- 0)
         !registry)

@@ -208,8 +208,15 @@ let notify_update t table ~tid ~attr ~value =
   | None -> ()
   | Some f -> f (Op (Update { table; tid; attr; value }))
 
-let index_insert e ~tid =
-  List.iter (fun (_, _, _, idx) -> Index.insert idx e.rel ~tid) e.indexes
+(* A loop, not [List.iter], whose closure every appended row would
+   allocate. *)
+let rec insert_into rel tid = function
+  | [] -> ()
+  | (_, _, _, idx) :: rest ->
+      Index.insert idx rel ~tid;
+      insert_into rel tid rest
+
+let index_insert e ~tid = insert_into e.rel tid e.indexes
 
 let index_defs t name =
   List.rev_map

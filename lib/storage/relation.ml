@@ -352,10 +352,6 @@ let ensure_capacity t rows =
     t.capacity <- ncap
   end
 
-let field t a =
-  let attr = Schema.attr t.schema a in
-  (attr.Schema.ty, attr.Schema.nullable)
-
 let add_cpu t n =
   match t.hier with Some h -> Memsim.Hierarchy.add_cpu h n | None -> ()
 
@@ -628,8 +624,12 @@ let for_read t f p ~tid ~off ~ty ~nullable =
         | _ -> Value.VInt x)
   end
 
+(* The field readers and writers take an attribute's type and
+   nullability from its schema record field by field: a tuple of the two
+   would be allocated at every access. *)
 let write_field t p ~tid ~off a v =
-  let ty, nullable = field t a in
+  let attr = Schema.attr t.schema a in
+  let ty = attr.Schema.ty and nullable = attr.Schema.nullable in
   match (t.sparses.(a), t.rles.(a), t.fors.(a), t.dicts.(a)) with
   | Some s, _, _, _ -> sparse_write s tid v
   | None, Some r, _, _ -> rle_write t r ~tid v
@@ -665,7 +665,8 @@ let rejects t a v =
   | _ -> None
 
 let read_field t p ~tid ~off a =
-  let ty, nullable = field t a in
+  let attr = Schema.attr t.schema a in
+  let ty = attr.Schema.ty and nullable = attr.Schema.nullable in
   match (t.sparses.(a), t.rles.(a), t.fors.(a), t.dicts.(a)) with
   | Some s, _, _, _ -> sparse_read t s tid
   | None, Some r, _, _ -> rle_read t r tid
@@ -682,15 +683,16 @@ let append t values =
     invalid_arg "Relation.append: arity mismatch";
   ensure_capacity t (t.nrows + 1);
   let tid = t.nrows in
-  Array.iter
-    (fun p ->
-      Array.iteri
-        (fun slot a ->
-          write_field t p ~tid
-            ~off:((tid * p.width) + p.offsets.(slot))
-            a values.(a))
-        p.attrs)
-    t.parts;
+  (* loops, not [Array.iter] closures, which each row would allocate *)
+  for pi = 0 to Array.length t.parts - 1 do
+    let p = t.parts.(pi) in
+    for slot = 0 to Array.length p.attrs - 1 do
+      let a = p.attrs.(slot) in
+      write_field t p ~tid
+        ~off:((tid * p.width) + p.offsets.(slot))
+        a values.(a)
+    done
+  done;
   t.nrows <- tid + 1;
   tid
 
@@ -773,7 +775,7 @@ let read_value_run t ~lo ~count a dst =
     out_of_bounds t "read_value_run" ~lo ~len:count;
   let pi, off = t.loc.(a) in
   let p = t.parts.(pi) in
-  let ty, _ = field t a in
+  let ty = (Schema.attr t.schema a).Schema.ty in
   Buffer.read_value_run p.buf
     (((t.row_base + lo) * p.width) + off)
     ~stride:p.width ~ty ~count dst

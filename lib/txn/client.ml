@@ -74,7 +74,7 @@ let round_trip t =
   Obs.Metrics.incr m_round_trips;
   let first_err = ref None and last = ref (Wire.Ok_ "") in
   while t.pending > 0 do
-    let reply = Wire.parse_reply (Wire.read_line t.reader) in
+    let reply = Wire.read_reply t.reader in
     t.pending <- t.pending - 1;
     if Option.is_none !first_err then first_err := Wire.exn_of_reply reply;
     last := reply
@@ -115,13 +115,14 @@ let close t =
   buffer t Wire.Quit;
   close_out_noerr t.oc
 
-(* Run [f], which sends and reads; on a dead connection, reconnect.  Then
-   [f] runs again only if no write was in flight: pipelined writes die with
-   the old session's transaction, and the fresh session knows nothing of
-   it.  [replay_always] is for COMMIT, whose token makes a replay safe. *)
-let with_reconnect ?(replay_always = false) t f =
+(* Run [f t x], which sends and reads; on a dead connection, reconnect.
+   Then [f] runs again only if no write was in flight: pipelined writes
+   die with the old session's transaction, and the fresh session knows
+   nothing of it.  [replay_always] is for COMMIT, whose token makes a
+   replay safe.  [f] and [x] come apart, so a call allocates no closure. *)
+let with_reconnect ?(replay_always = false) t f x =
   let writes = t.pending in
-  match f () with
+  match f t x with
   | reply -> reply
   | exception (End_of_file | Unix.Unix_error _) ->
       reconnect t;
@@ -131,9 +132,9 @@ let with_reconnect ?(replay_always = false) t f =
              "client: connection lost with %d write(s) unacknowledged; their \
               transaction was aborted"
              writes)
-      else f ()
+      else f t x
 
-let call t req = with_reconnect t (fun () -> exchange t req)
+let call t req = with_reconnect t exchange req
 
 let ok t req = match call t req with Wire.Ok_ d -> d | _ -> unexpected ()
 
@@ -142,7 +143,7 @@ let value t req = match call t req with Wire.Val v -> v | _ -> unexpected ()
 (* A write waits only when [max_pending] are already unacknowledged. *)
 let write t req =
   if t.pending >= max_pending then
-    ignore (with_reconnect t (fun () -> round_trip t));
+    ignore (with_reconnect t (fun t () -> round_trip t) ());
   buffer t req
 
 let begin_ t = ignore (ok t Wire.Begin)
@@ -172,8 +173,7 @@ let commit t =
   t.commit_seq <- t.commit_seq + 1;
   let token = t.id ^ "#" ^ string_of_int t.commit_seq in
   let reply =
-    with_reconnect ~replay_always:true t (fun () ->
-        exchange t (Wire.Commit (Some token)))
+    with_reconnect ~replay_always:true t exchange (Wire.Commit (Some token))
   in
   match reply with
   | Wire.Ok_ detail -> (

@@ -39,14 +39,17 @@ module Value = Storage.Value
 module Errors = Mrdb_util.Errors
 module Write = Storage.Write
 
-(* A version chain, newest first.  Freeing a version cuts its [older]
-   link, so a chain holds at most one freed version, below its oldest
-   live one, which no snapshot walks down to. *)
-type 'a chain = Nil | V of { ts : int; prev : 'a; mutable older : 'a chain }
+(* A version chain, newest first: before commit [ts], [key] held
+   [prev].  Freeing a version cuts its [older] link, so a chain holds at
+   most one freed version, below its oldest live one, which no snapshot
+   walks down to. *)
+type ('k, 'a) chain =
+  | Nil
+  | V of { ts : int; prev : 'a; key : 'k; mutable older : ('k, 'a) chain }
 
 (* One table's bookkeeping.  A request finds it by name once; its cells
    then hash by the table's number, not by its name. *)
-type table = { name : string; id : int; mutable counts : int chain }
+type table = { name : string; id : int; mutable counts : (table, int) chain }
 
 type cell = { tab : table; tid : int; attr : int }
 
@@ -60,11 +63,13 @@ module Cells = Hashtbl.Make (struct
     h lxor (h lsr 17)
 end)
 
+type version = (cell, Value.t) chain
+
 (* The versions commit [cts] pushed, each the head of its chain then. *)
 type pushed = {
   cts : int;
-  cells : (cell * Value.t chain) list;
-  tables : (table * int chain) list;
+  cells : version list;
+  tables : (table, int) chain list;
 }
 
 type status = Active | Committed of int | Aborted of string
@@ -79,7 +84,7 @@ type t = {
   mutable clock : int;  (* last assigned commit timestamp *)
   now : wall;  (* the latest wall-clock reading: never moves back *)
   tables : (string, table) Hashtbl.t;
-  undo : Value.t chain Cells.t;
+  undo : version Cells.t;
   commits : pushed Queue.t;  (* oldest first *)
   mutable versions : int;  (* cell versions retained *)
   active : (int, txn) Hashtbl.t;  (* live transactions by [id] *)
@@ -93,9 +98,11 @@ and txn = {
   mgr : t;
   id : int;
   begin_ts : int;
-  writes : Value.t Cells.t;
+  writes : Write.op Cells.t;
+      (* each written cell's last [Write.Update], as [update] checked it *)
   mutable write_order : cell list;  (* first-write order, reversed *)
-  mutable inserts : (table * Value.t array) list;  (* reversed *)
+  mutable appends : Write.op list;  (* checked [Write.Append]s, reversed *)
+  mutable appended : table list;  (* the tables [appends] go to *)
   mutable status : status;
   deadline : float option;
   started : float;
@@ -164,6 +171,9 @@ let create cat =
 let catalog t = t.cat
 let clock t = t.clock
 
+(* Run [f] under the manager mutex.  The operations a transaction repeats
+   (begin, read, update, insert, commit) lock inline instead, as this
+   closure would be allocated at every call. *)
 let locked t f =
   Mutex.lock t.m;
   match f () with
@@ -230,24 +240,48 @@ let check_attr rel table attr =
    [base_rel].  Only the base path can meet an attribute outside the
    table, as no write to one is accepted. *)
 let committed_value t rel cell ~ts =
-  let base () =
-    check_attr rel cell.tab.name cell.attr;
-    Relation.get rel cell.tid cell.attr
-  in
   match Cells.find t.undo cell with
-  | exception Not_found -> base ()
-  | chain -> ( match seen_by ts chain with V v -> v.prev | Nil -> base ())
+  | chain -> (
+      match seen_by ts chain with
+      | V v -> v.prev
+      | Nil -> Relation.get rel cell.tid cell.attr)
+  | exception Not_found ->
+      check_attr rel cell.tab.name cell.attr;
+      Relation.get rel cell.tid cell.attr
+
+(* The most queued commits one commit frees beyond the one it queued
+   itself: the backlog a long-held snapshot leaves drains by this many
+   per commit, not all in the commit after the snapshot ends. *)
+let backlog_per_commit = 2
+
+(* Free a popped commit's versions, each the oldest of its chain by now:
+   cut the link below it and, if it heads its chain, drop the chain. *)
+let rec free_cells t = function
+  | [] -> ()
+  | (V v as ver) :: rest ->
+      v.older <- Nil;
+      if Cells.find t.undo v.key == ver then Cells.remove t.undo v.key;
+      t.versions <- t.versions - 1;
+      free_cells t rest
+  | Nil :: rest -> free_cells t rest
+
+let rec free_counts = function
+  | [] -> ()
+  | (V v as ver) :: rest ->
+      v.older <- Nil;
+      if v.key.counts == ver then v.key.counts <- Nil;
+      free_counts rest
+  | Nil :: rest -> free_counts rest
 
 (* Free what no live or future snapshot can reach, in commit order.  A
-   version of commit [ts] serves only snapshots older than [ts], so every
-   commit at or below the horizon is popped: the oldest begin timestamp of
+   version of commit [ts] serves only snapshots older than [ts], so the
+   commits at or below the horizon can go: the oldest begin timestamp of
    a live transaction, or the clock.  Future transactions begin at [clock]
    or later, and an expired one raises [Txn_timeout] at its next operation
-   before any read, so it holds nothing back.  Each version a popped
-   commit pushed is the oldest of its chain by then: freeing it cuts the
-   link below it and, if it heads its chain, drops the chain.  So the work
-   is the versions freed and the live transactions, never the store. *)
-let gc t ~now =
+   before any read, so it holds nothing back.  At most [pops] commits are
+   popped, oldest first, so the work is a bounded number of commits'
+   versions and the live transactions, never the store. *)
+let gc t ~now ~pops =
   let horizon = ref t.clock and oldest = ref now in
   Hashtbl.iter
     (fun _ txn ->
@@ -257,22 +291,16 @@ let gc t ~now =
           if txn.begin_ts < !horizon then horizon := txn.begin_ts;
           if txn.started < !oldest then oldest := txn.started)
     t.active;
-  let cut = function V v -> v.older <- Nil | Nil -> () in
+  let pops = ref pops in
   while
-    (not (Queue.is_empty t.commits)) && (Queue.peek t.commits).cts <= !horizon
+    !pops > 0
+    && (not (Queue.is_empty t.commits))
+    && (Queue.peek t.commits).cts <= !horizon
   do
+    decr pops;
     let c = Queue.pop t.commits in
-    List.iter
-      (fun (cell, v) ->
-        cut v;
-        if Cells.find t.undo cell == v then Cells.remove t.undo cell;
-        t.versions <- t.versions - 1)
-      c.cells;
-    List.iter
-      (fun (tab, v) ->
-        cut v;
-        if tab.counts == v then tab.counts <- Nil)
-      c.tables
+    free_cells t c.cells;
+    free_counts c.tables
   done;
   Obs.Metrics.set m_versions (float_of_int t.versions);
   Obs.Metrics.set m_lag (float_of_int (t.clock - !horizon));
@@ -284,29 +312,38 @@ let retained_versions t = locked t (fun () -> t.versions)
 (* Transactions                                                       *)
 (* ------------------------------------------------------------------ *)
 
+let begin_locked t timeout =
+  check_poisoned t;
+  Obs.Metrics.incr m_begun;
+  Obs.Metrics.set m_active (Obs.Metrics.gauge_value m_active +. 1.0);
+  let now = tick t in
+  let txn =
+    {
+      mgr = t;
+      id = t.ids;
+      begin_ts = t.clock;
+      writes = Cells.create 8;
+      write_order = [];
+      appends = [];
+      appended = [];
+      status = Active;
+      deadline = (match timeout with Some d -> Some (now +. d) | None -> None);
+      started = now;
+    }
+  in
+  t.ids <- t.ids + 1;
+  Hashtbl.replace t.active txn.id txn;
+  txn
+
 let begin_ ?timeout t =
-  locked t (fun () ->
-      check_poisoned t;
-      Obs.Metrics.incr m_begun;
-      Obs.Metrics.set m_active
-        (Obs.Metrics.gauge_value m_active +. 1.0);
-      let now = tick t in
-      let txn =
-        {
-          mgr = t;
-          id = t.ids;
-          begin_ts = t.clock;
-          writes = Cells.create 8;
-          write_order = [];
-          inserts = [];
-          status = Active;
-          deadline = Option.map (fun d -> now +. d) timeout;
-          started = now;
-        }
-      in
-      t.ids <- t.ids + 1;
-      Hashtbl.replace t.active txn.id txn;
-      txn)
+  Mutex.lock t.m;
+  match begin_locked t timeout with
+  | txn ->
+      Mutex.unlock t.m;
+      txn
+  | exception e ->
+      Mutex.unlock t.m;
+      raise e
 
 let begin_ts txn = txn.begin_ts
 let status txn = txn.status
@@ -368,19 +405,30 @@ let check_visible txn tab rel tid what =
             "Mvcc.%s: row %d of %S not visible at snapshot %d (%d visible)"
             what tid tab.name txn.begin_ts n))
 
-(* A visible cell as [txn] sees it: its own write, else the snapshot's. *)
+(* A visible cell as [txn] sees it: its own write, else the snapshot's.
+   The write set holds only [Update]s. *)
 let cell_value txn rel cell =
   match Cells.find txn.writes cell with
-  | v -> v
-  | exception Not_found -> committed_value txn.mgr rel cell ~ts:txn.begin_ts
+  | Write.Update { value; _ } -> value
+  | _ | (exception Not_found) ->
+      committed_value txn.mgr rel cell ~ts:txn.begin_ts
+
+let read_locked txn name tid attr =
+  enter txn "read";
+  let tab = table txn.mgr name in
+  let rel = base_rel txn.mgr tab in
+  check_visible txn tab rel tid "read";
+  cell_value txn rel { tab; tid; attr }
 
 let read txn name tid attr =
-  locked txn.mgr (fun () ->
-      enter txn "read";
-      let tab = table txn.mgr name in
-      let rel = base_rel txn.mgr tab in
-      check_visible txn tab rel tid "read";
-      cell_value txn rel { tab; tid; attr })
+  Mutex.lock txn.mgr.m;
+  match read_locked txn name tid attr with
+  | v ->
+      Mutex.unlock txn.mgr.m;
+      v
+  | exception e ->
+      Mutex.unlock txn.mgr.m;
+      raise e
 
 (* Snapshot-consistent read of one attribute of every visible row — the
    analytics path.  One critical section per column, not per row. *)
@@ -393,43 +441,57 @@ let column txn name attr =
       check_attr rel name attr;
       Array.init n (fun tid -> cell_value txn rel { tab; tid; attr }))
 
+(* The write set keeps each op as it was checked, and commit applies
+   those same ops. *)
+let update_locked txn name tid attr value =
+  enter txn "update";
+  let tab = table txn.mgr name in
+  let rel = Catalog.find txn.mgr.cat name in
+  check_visible txn tab rel tid "update";
+  let op = Write.Update { table = tab.name; tid; attr; value } in
+  Write.check_rel rel op;
+  let cell = { tab; tid; attr } in
+  if not (Cells.mem txn.writes cell) then
+    txn.write_order <- cell :: txn.write_order;
+  Cells.replace txn.writes cell op
+
 let update txn name tid attr value =
-  locked txn.mgr (fun () ->
-      enter txn "update";
-      let tab = table txn.mgr name in
-      let rel = Catalog.find txn.mgr.cat name in
-      check_visible txn tab rel tid "update";
-      Write.check_rel rel (Write.Update { table = name; tid; attr; value });
-      let cell = { tab; tid; attr } in
-      if not (Cells.mem txn.writes cell) then
-        txn.write_order <- cell :: txn.write_order;
-      Cells.replace txn.writes cell value)
+  Mutex.lock txn.mgr.m;
+  match update_locked txn name tid attr value with
+  | () -> Mutex.unlock txn.mgr.m
+  | exception e ->
+      Mutex.unlock txn.mgr.m;
+      raise e
+
+let insert_locked txn name values =
+  enter txn "insert";
+  let tab = table txn.mgr name in
+  let rel = Catalog.find txn.mgr.cat name in
+  let arity = Storage.Schema.arity (Relation.schema rel) in
+  if Array.length values <> arity then
+    raise
+      (Errors.Bad_request
+         (Printf.sprintf "Mvcc.insert: %S expects %d values, got %d" name
+            arity (Array.length values)));
+  let op = Write.Append { table = tab.name; values } in
+  Write.check_rel rel op;
+  txn.appends <- op :: txn.appends;
+  if not (List.memq tab txn.appended) then txn.appended <- tab :: txn.appended
 
 let insert txn name values =
-  locked txn.mgr (fun () ->
-      enter txn "insert";
-      let tab = table txn.mgr name in
-      let rel = Catalog.find txn.mgr.cat name in
-      let arity = Storage.Schema.arity (Relation.schema rel) in
-      if Array.length values <> arity then
-        raise
-          (Errors.Bad_request
-             (Printf.sprintf "Mvcc.insert: %S expects %d values, got %d" name
-                arity (Array.length values)));
-      Write.check_rel rel (Write.Append { table = name; values });
-      txn.inserts <- (tab, values) :: txn.inserts)
+  Mutex.lock txn.mgr.m;
+  match insert_locked txn name values with
+  | () -> Mutex.unlock txn.mgr.m
+  | exception e ->
+      Mutex.unlock txn.mgr.m;
+      raise e
 
-exception Poison of exn * Printexc.raw_backtrace
-
-let commit txn =
-  locked txn.mgr @@ fun () ->
-  let t = txn.mgr in
-  enter txn "commit";
-  (* first-committer-wins: a cell we also wrote whose newest version is
-     from a commit after our begin means the first committer already won *)
-  Cells.iter
-    (fun cell _ ->
-      match Cells.find t.undo cell with
+(* First-committer-wins: a cell we also wrote whose newest version is
+   from a commit after our begin means the first committer already won. *)
+let rec check_conflicts txn = function
+  | [] -> ()
+  | cell :: rest -> (
+      match Cells.find txn.mgr.undo cell with
       | V v when v.ts > txn.begin_ts ->
           finish_locked txn
             (Aborted
@@ -442,24 +504,24 @@ let commit txn =
                   "%s row %d attr %d was committed at ts %d, after this \
                    transaction's snapshot %d"
                   cell.tab.name cell.tid cell.attr v.ts txn.begin_ts))
-      | _ | (exception Not_found) -> ())
-    txn.writes;
+      | _ | (exception Not_found) -> check_conflicts txn rest)
+
+(* The write set's ops in apply order, consed onto [acc]: [cells] is the
+   first-write order reversed. *)
+let rec write_ops writes acc = function
+  | [] -> acc
+  | cell :: rest -> write_ops writes (Cells.find writes cell :: acc) rest
+
+let commit_locked txn =
+  let t = txn.mgr in
+  enter txn "commit";
+  check_conflicts txn txn.write_order;
   let ts = t.clock + 1 in
-  let updates = List.rev txn.write_order in
-  let inserts = List.rev txn.inserts in
-  let ops =
-    List.map
-      (fun ({ tab; tid; attr } as cell) ->
-        Write.Update
-          { table = tab.name; tid; attr; value = Cells.find txn.writes cell })
-      updates
-    @ List.map
-        (fun (tab, values) -> Write.Append { table = tab.name; values })
-        inserts
-  in
-  (* The overwritten values and the row counts before this commit, each
-     table's relation looked up once.  At [clock] no version is newer than
-     the base, so they are read straight from the relations. *)
+  let ops = write_ops txn.writes (List.rev txn.appends) txn.write_order in
+  (* The versions this commit pushes, built before the apply: the
+     overwritten values and the row counts before this commit.  At
+     [clock] no version is newer than the base, so they are read straight
+     from the relations, each table's looked up once. *)
   let rels = ref [] in
   let rel_of tab =
     match List.assq tab !rels with
@@ -469,15 +531,32 @@ let commit txn =
         rels := (tab, rel) :: !rels;
         rel
   in
-  let prevs =
-    List.map (fun c -> Relation.get (rel_of c.tab) c.tid c.attr) updates
+  let cells =
+    List.rev_map
+      (fun cell ->
+        let older =
+          match Cells.find t.undo cell with c -> c | exception Not_found -> Nil
+        in
+        V
+          {
+            ts;
+            prev = Relation.get (rel_of cell.tab) cell.tid cell.attr;
+            key = cell;
+            older;
+          })
+      txn.write_order
   in
-  let counts =
-    List.fold_left
-      (fun acc (tab, _) ->
-        if List.mem_assq tab acc then acc
-        else (tab, Relation.nrows (rel_of tab)) :: acc)
-      [] inserts
+  let tables =
+    List.rev_map
+      (fun tab ->
+        V
+          {
+            ts;
+            prev = Relation.nrows (rel_of tab);
+            key = tab;
+            older = tab.counts;
+          })
+      txn.appended
   in
   (* One catalog transaction frame: with durability attached this is
      exactly one Begin..ops..Commit WAL unit, flushed at the end.  The list
@@ -498,31 +577,16 @@ let commit txn =
             (Printf.sprintf "commit of ts %d died mid-apply (%s)" ts
                (Printexc.to_string e));
       finish_locked txn (Aborted ("apply failed: " ^ Printexc.to_string e));
-      Printexc.raise_with_backtrace (Poison (e, bt)) bt);
-  let cells =
-    List.map2
-      (fun cell prev ->
-        let older =
-          match Cells.find t.undo cell with c -> c | exception Not_found -> Nil
-        in
-        let v = V { ts; prev; older } in
-        Cells.replace t.undo cell v;
-        (cell, v))
-      updates prevs
-  in
-  let tables =
-    List.map
-      (fun (tab, prev) ->
-        let v = V { ts; prev; older = tab.counts } in
-        tab.counts <- v;
-        (tab, v))
-      counts
-  in
-  (match (cells, tables) with
-  | [], [] -> ()
-  | _ ->
-      t.versions <- t.versions + List.length cells;
-      Queue.push { cts = ts; cells; tables } t.commits);
+      Printexc.raise_with_backtrace e bt);
+  List.iter
+    (function V v as ver -> Cells.replace t.undo v.key ver | Nil -> ())
+    cells;
+  List.iter (function V v as ver -> v.key.counts <- ver | Nil -> ()) tables;
+  let queued = match (cells, tables) with [], [] -> false | _ -> true in
+  if queued then begin
+    t.versions <- t.versions + List.length cells;
+    Queue.push { cts = ts; cells; tables } t.commits
+  end;
   t.clock <- ts;
   txn.status <- Committed ts;
   Hashtbl.remove t.active txn.id;
@@ -530,14 +594,18 @@ let commit txn =
   Obs.Metrics.incr m_committed;
   let now = tick t in
   Obs.Metrics.observe m_commit_seconds (now -. txn.started);
-  gc t ~now;
+  gc t ~now ~pops:(backlog_per_commit + if queued then 1 else 0);
   ts
 
-(* Unwrap the internal poison marker so callers see the original exception
-   (Faultio.Crash for the chaos tests, the raw error otherwise). *)
 let commit txn =
-  try commit txn
-  with Poison (e, bt) -> Printexc.raise_with_backtrace e bt
+  Mutex.lock txn.mgr.m;
+  match commit_locked txn with
+  | ts ->
+      Mutex.unlock txn.mgr.m;
+      ts
+  | exception e ->
+      Mutex.unlock txn.mgr.m;
+      raise e
 
 (* ------------------------------------------------------------------ *)
 (* Client-layer helpers: retry loop and read-only snapshots           *)

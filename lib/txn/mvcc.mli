@@ -5,12 +5,16 @@
     by resolving the versions newer than its snapshot, of cells (the
     values commits overwrote) and of row counts (before commits
     appended).  Versions are freed in commit order, so a commit pays for
-    the versions it frees, not for those an open snapshot holds.  Writes
-    buffer in the transaction and apply at commit under
-    first-committer-wins — a commit whose write set overlaps a commit
-    after its begin raises {!Mrdb_util.Errors.Txn_conflict} and applies
-    nothing.  Reads are never validated: write skew is permitted (the SI
-    anomaly boundary, see DESIGN.md §5h).
+    the versions it frees, not for those an open snapshot holds; each
+    commit frees at most two queued commits beyond its own, so the
+    backlog a long-held snapshot leaves drains over the commits that
+    follow it, not all in one.  Only commits free: with no snapshot
+    open, versions stay held until enough commits follow.  Writes buffer in the transaction and
+    apply at commit under first-committer-wins — a commit whose write
+    set overlaps a commit after its begin raises
+    {!Mrdb_util.Errors.Txn_conflict} and applies nothing.  Reads are
+    never validated: write skew is permitted (the SI anomaly boundary,
+    see DESIGN.md §5h).
 
     Commit applies run inside [Catalog.in_txn], so with a durability
     manager attached each commit is one transaction-framed, flushed WAL
@@ -111,6 +115,9 @@ val snapshot : t -> (txn -> 'a) -> 'a
 val retained_versions : t -> int
 (** Cell versions currently held (post-GC), as the
     [mrdb_txn_undo_versions] gauge reports them; row-count versions are
-    not counted.  Each commit also sets [mrdb_txn_horizon_lag] (the clock
+    not counted.  It can stay above 0 with no snapshot open, until the
+    commits that follow have drained it.  Each commit also sets [mrdb_txn_horizon_lag] (the clock
     minus the oldest begin timestamp still held) and
-    [mrdb_txn_oldest_snapshot_seconds]. *)
+    [mrdb_txn_oldest_snapshot_seconds].  These gauges are process-wide:
+    with several managers in one process, the last one to commit sets
+    them. *)

@@ -1,6 +1,7 @@
 (* The multi-client server core: session handling, the request executor,
-   and the domain-per-client accept loop.  bin/mrdb_server wraps this in a
-   CLI; the test suite drives it directly over real sockets.
+   and the accept loop, which runs each session as a thread of its own
+   domain.  bin/mrdb_server wraps this in a CLI; the test suite drives it
+   directly over real sockets.
 
    Graceful degradation lives here:
      - admission gate: connections past [max_clients] are shed with a clean
@@ -19,14 +20,14 @@ type t = {
   mgr : Mvcc.t;
   max_clients : int;
   txn_timeout : float option;
-  active : int Atomic.t;
   commit_cache : (string, string * int) Hashtbl.t;
       (* client id -> (last commit token, its commit ts) *)
   cache_m : Mutex.t;
   stop : bool Atomic.t;
   conns : (Unix.file_descr, unit) Hashtbl.t;
-      (* the accept loop's live connections, so [stop] can end them *)
+      (* one per live session, so [stop] can end them *)
   conns_m : Mutex.t;
+  ended : Condition.t;  (* signalled under [conns_m] as a session ends *)
 }
 
 let create ?(max_clients = 8) ?txn_timeout mgr =
@@ -34,12 +35,12 @@ let create ?(max_clients = 8) ?txn_timeout mgr =
     mgr;
     max_clients;
     txn_timeout;
-    active = Atomic.make 0;
     commit_cache = Hashtbl.create 16;
     cache_m = Mutex.create ();
     stop = Atomic.make false;
     conns = Hashtbl.create 8;
     conns_m = Mutex.create ();
+    ended = Condition.create ();
   }
 
 let mgr t = t.mgr
@@ -69,18 +70,6 @@ let stop t =
           with Unix.Unix_error _ -> ())
         t.conns)
 
-(* Register an accepted connection, unless the server is stopping. *)
-let admit t fd =
-  with_conns t (fun () ->
-      let open_ = not (Atomic.get t.stop) in
-      if open_ then Hashtbl.replace t.conns fd ();
-      open_)
-
-let release t fd =
-  with_conns t (fun () ->
-      Hashtbl.remove t.conns fd;
-      try Unix.close fd with Unix.Unix_error _ -> ())
-
 let m_connections =
   Obs.Metrics.counter "mrdb_server_connections_total"
     ~help:"Connections accepted (including shed ones)"
@@ -94,6 +83,36 @@ let m_requests =
 
 let m_active_clients =
   Obs.Metrics.gauge "mrdb_server_active_clients" ~help:"Connected clients"
+
+type admission = Admitted | Full | Stopping
+
+(* Register an accepted connection as a session, unless the server is
+   stopping or [max_clients] sessions are live. *)
+let admit t fd =
+  with_conns t (fun () ->
+      if Atomic.get t.stop then Stopping
+      else if Hashtbl.length t.conns >= t.max_clients then Full
+      else begin
+        Hashtbl.replace t.conns fd ();
+        Obs.Metrics.set m_active_clients
+          (float_of_int (Hashtbl.length t.conns));
+        Admitted
+      end)
+
+(* A session's last act: close its connection and wake an accept loop
+   waiting for the sessions to end. *)
+let release t fd =
+  with_conns t (fun () ->
+      Hashtbl.remove t.conns fd;
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Obs.Metrics.set m_active_clients (float_of_int (Hashtbl.length t.conns));
+      Condition.broadcast t.ended)
+
+let wait_sessions t =
+  with_conns t (fun () ->
+      while Hashtbl.length t.conns > 0 do
+        Condition.wait t.ended t.conns_m
+      done)
 
 (* Per-client commit-latency histogram, registered at the session's first
    commit and kept in the session.  Client ids are free-form; anything
@@ -247,9 +266,9 @@ let err_reply e =
          else String.sub msg 0 max_err_msg);
     }
 
-(* Execute one request line.  [None] ends the session. *)
-let serve srv session line =
-  match Wire.parse_request line with
+(* Execute the request line [r] holds.  [None] ends the session. *)
+let serve srv session r =
+  match Wire.read_request r with
   | exception (Errors.Bad_request _ as e) -> Some (err_reply e)
   | req -> (
       match execute srv session req with
@@ -294,15 +313,15 @@ let handle_client srv fd =
     try flush oc with Sys_error _ -> alive := false
   in
   let rec loop () =
-    match Wire.read_line r with
+    match Wire.await_line r with
     | exception (End_of_file | Unix.Unix_error _) -> ()
     | exception (Errors.Bad_request _ as e) ->
         (* an over-long line: answer once, then drop the connection *)
         send (err_reply e)
-    | line ->
+    | () ->
         Obs.Metrics.incr m_requests;
         let continue =
-          match serve srv session line with
+          match serve srv session r with
           | Some reply ->
               send reply;
               true
@@ -319,9 +338,7 @@ let handle_client srv fd =
          history the GC would otherwise prune): abort anything open *)
       drop_txn session;
       flush_replies ();
-      release srv fd;
-      Atomic.decr srv.active;
-      Obs.Metrics.set m_active_clients (float_of_int (Atomic.get srv.active)))
+      release srv fd)
     loop
 
 let shed fd max_clients =
@@ -338,11 +355,15 @@ let shed fd max_clients =
   (try flush oc with Sys_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
+(* Each session is a thread of this domain, not a domain of its own:
+   every domain more is one more to stop at each minor collection.  The
+   sessions then take turns on this domain's runtime lock for all their
+   OCaml work, which costs throughput with several clients on several
+   cores (see server.mli). *)
 let accept_loop srv listen_fd =
   (* a client that vanishes mid-reply must cost its connection, not the
      process: writes to it then fail with EPIPE *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let domains = ref [] in
   let rec accept () =
     match Unix.accept listen_fd with
     | conn -> Some conn
@@ -359,23 +380,21 @@ let accept_loop srv listen_fd =
       | None -> ()
       | Some (fd, _) ->
           Obs.Metrics.incr m_connections;
-          if
-            Atomic.get srv.active >= srv.max_clients
-            && not (Atomic.get srv.stop)
-          then shed fd srv.max_clients
-          else if admit srv fd then begin
-            Atomic.incr srv.active;
-            Obs.Metrics.set m_active_clients
-              (float_of_int (Atomic.get srv.active));
-            domains := Domain.spawn (fun () -> handle_client srv fd) :: !domains
-          end
-          else (try Unix.close fd with Unix.Unix_error _ -> ());
+          (match admit srv fd with
+          | Admitted -> (
+              try ignore (Thread.create (handle_client srv) fd)
+              with Sys_error _ | Failure _ ->
+                (* no thread to be had: this connection is dropped, the
+                   server goes on *)
+                release srv fd)
+          | Full -> shed fd srv.max_clients
+          | Stopping -> ( try Unix.close fd with Unix.Unix_error _ -> ()));
           loop ()
   in
   loop ();
-  (* however the loop ended, end the sessions so the joins return *)
+  (* however the loop ended, end the sessions and wait for them *)
   stop srv;
-  List.iter Domain.join !domains
+  wait_sessions srv
 
 let listen_unix path =
   (try Unix.unlink path with Unix.Unix_error _ -> ());

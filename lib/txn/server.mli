@@ -1,5 +1,16 @@
-(** The multi-client server core: a domain-per-client accept loop over the
-    {!Wire} line protocol, executing against an {!Mvcc} manager.
+(** The multi-client server core: an accept loop over the {!Wire} line
+    protocol, executing against an {!Mvcc} manager.  Every session is a
+    thread of the accept loop's domain, not a domain of its own, as each
+    domain more is one more to bring to a halt at every minor collection.
+    So the number of clients is bounded by [max_clients] and threads, not
+    by the runtime's 128 domains.  This pays off on a server pinned to
+    one CPU, where several clients read about even with either.  With
+    several clients on a multi-core host it costs throughput: the sessions' wire decoding and encoding, their
+    other OCaml work and the accept loop take turns on the domain's
+    runtime lock, which the manager mutex did not serialize.  On a 2-vCPU
+    host (bench/oltp.ml's served rounds, unpinned) 8 clients commit 41%
+    fewer transfers than with a domain per session, 4 clients 21% and
+    2 clients 17% fewer.
 
     Each session executes every complete request line it has buffered
     before it writes the replies it owes, so a pipelined batch costs one
@@ -18,8 +29,8 @@
 type t
 
 val create : ?max_clients:int -> ?txn_timeout:float -> Mvcc.t -> t
-(** [max_clients] defaults to 8; [txn_timeout] (seconds) is handed to
-    every BEGIN. *)
+(** [max_clients] (the most live sessions, each a thread) defaults to 8;
+    [txn_timeout] (seconds) is handed to every BEGIN. *)
 
 val mgr : t -> Mvcc.t
 
@@ -33,8 +44,10 @@ val stop : t -> unit
     itself). *)
 
 val accept_loop : t -> Unix.file_descr -> unit
-(** Accept clients until {!stop}; each client runs in its own domain, all
-    joined before returning.  A signal interrupting accept(2) is retried.
+(** Accept clients until {!stop}; each client runs in a thread of the
+    calling domain, and the loop keeps no handle on it: a session that
+    ends says so under the server's lock, and the loop returns once every
+    session has ended.  A signal interrupting accept(2) is retried.
     Closing or shutting down the listening socket also ends the loop,
     which then calls {!stop}, so an idle client cannot hold up the
     return. *)

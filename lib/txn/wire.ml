@@ -113,21 +113,23 @@ let rec unescape_into s b i hi n =
       unescape_into s b (i + 1) hi (n + 1)
     end
 
-(* Bytes [lo, hi) of [s] with each escape decoded.  An escape is a '%'
-   followed by two bytes that [int_of_string ("0x" ^ them)] reads: a hex
-   digit, then a hex digit or an '_', which int_of_string skips, so "%1_"
-   is byte 1.  Any other '%' stands for itself. *)
+(* Bytes [lo, hi) of [s] with each escape decoded, as a string of their
+   own: [s] may be a reader's buffer, which the next read overwrites.  An
+   escape is a '%' followed by two bytes that [int_of_string ("0x" ^
+   them)] reads: a hex digit, then a hex digit or an '_', which
+   int_of_string skips, so "%1_" is byte 1.  Any other '%' stands for
+   itself. *)
 let unescape_sub s lo hi =
   let p = index_to s '%' lo hi in
-  if p = hi then
-    if lo = 0 && hi = String.length s then s else String.sub s lo (hi - lo)
+  if p = hi then String.sub s lo (hi - lo)
   else begin
     let b = Bytes.create (hi - lo) in
     Bytes.blit_string s lo b 0 (p - lo);
     Bytes.sub_string b 0 (unescape_into s b p hi (p - lo))
   end
 
-let unescape s = unescape_sub s 0 (String.length s)
+let unescape s =
+  if String.contains s '%' then unescape_sub s 0 (String.length s) else s
 
 (* ------------------------------------------------------------------ *)
 (* Values                                                             *)
@@ -263,6 +265,36 @@ let encode_values = to_string add_values
 let decode_values s = values_sub s 0 (String.length s)
 
 (* ------------------------------------------------------------------ *)
+(* Table names                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The table names a connection sent last, so a name it repeats is not
+   copied again.  Only a name sent without escapes is kept, as its bytes
+   on the wire are then the name itself; a new one takes the slot after
+   the one filled last. *)
+type names = { slots : string array; mutable next : int }
+
+let names () = { slots = Array.make 8 ""; next = 0 }
+
+let rec find_name c s lo hi i =
+  if i >= Array.length c.slots then raise Not_found
+  else
+    let n = Array.unsafe_get c.slots i in
+    if sub_is s lo hi n then n else find_name c s lo hi (i + 1)
+
+(* The table name in bytes [lo, hi) of [s]. *)
+let name_sub c s lo hi =
+  if index_to s '%' lo hi < hi then unescape_sub s lo hi
+  else
+    match find_name c s lo hi 0 with
+    | n -> n
+    | exception Not_found ->
+        let n = String.sub s lo (hi - lo) in
+        c.slots.(c.next) <- n;
+        c.next <- (c.next + 1) mod Array.length c.slots;
+        n
+
+(* ------------------------------------------------------------------ *)
 (* Requests                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -329,9 +361,8 @@ let encode_request = to_string add_request
    make an empty field. *)
 let is_blank c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012'
 
-let rec trim_lo s i =
-  if i < String.length s && is_blank (String.unsafe_get s i) then
-    trim_lo s (i + 1)
+let rec trim_lo s i hi =
+  if i < hi && is_blank (String.unsafe_get s i) then trim_lo s (i + 1) hi
   else i
 
 let rec trim_hi s lo j =
@@ -343,13 +374,14 @@ let int_field what s lo hi =
   | i -> i
   | exception Not_int -> bad "wire: bad %s %S" what (field s lo hi)
 
-let bad_request line = bad "wire: bad request %S" line
+let bad_request s lo hi = bad "wire: bad request %S" (field s lo hi)
 
-(* @raise Errors.Bad_request for a line that is no request. *)
-let parse_request line =
-  let s = line in
-  let lo = trim_lo s 0 in
-  let hi = trim_hi s lo (String.length s) in
+(* The request in bytes [lo0, hi0) of [s], its table names looked up in
+   [names].
+   @raise Errors.Bad_request for a line that is no request. *)
+let parse_request_sub names s lo0 hi0 =
+  let lo = trim_lo s lo0 hi0 in
+  let hi = trim_hi s lo hi0 in
   (* the verb is [lo, e0); field k ends at [ek] *)
   let e0 = index_to s ' ' lo hi in
   match count_in s ' ' e0 hi 1 with
@@ -359,41 +391,46 @@ let parse_request line =
       else if sub_is s lo e0 "ABORT" then Abort
       else if sub_is s lo e0 "PING" then Ping
       else if sub_is s lo e0 "QUIT" then Quit
-      else bad_request line
+      else bad_request s lo0 hi0
   | 2 ->
       if sub_is s lo e0 "HELLO" then Hello (unescape_sub s (e0 + 1) hi)
-      else if sub_is s lo e0 "ROWS" then Rows (unescape_sub s (e0 + 1) hi)
+      else if sub_is s lo e0 "ROWS" then Rows (name_sub names s (e0 + 1) hi)
       else if sub_is s lo e0 "COMMIT" then
         Commit (Some (unescape_sub s (e0 + 1) hi))
-      else bad_request line
+      else bad_request s lo0 hi0
   | 3 ->
       let e1 = index_to s ' ' (e0 + 1) hi in
       if sub_is s lo e0 "INSERT" then
-        let table = unescape_sub s (e0 + 1) e1 in
+        let table = name_sub names s (e0 + 1) e1 in
         Insert { table; values = values_sub s (e1 + 1) hi }
       else if sub_is s lo e0 "SUM" then
-        let table = unescape_sub s (e0 + 1) e1 in
+        let table = name_sub names s (e0 + 1) e1 in
         Sum { table; attr = int_field "attr" s (e1 + 1) hi }
-      else bad_request line
+      else bad_request s lo0 hi0
   | 4 ->
       if sub_is s lo e0 "GET" then
         let e1 = index_to s ' ' (e0 + 1) hi in
         let e2 = index_to s ' ' (e1 + 1) hi in
-        let table = unescape_sub s (e0 + 1) e1 in
+        let table = name_sub names s (e0 + 1) e1 in
         let tid = int_field "tid" s (e1 + 1) e2 in
         Get { table; tid; attr = int_field "attr" s (e2 + 1) hi }
-      else bad_request line
+      else bad_request s lo0 hi0
   | 5 ->
       if sub_is s lo e0 "SET" then
         let e1 = index_to s ' ' (e0 + 1) hi in
         let e2 = index_to s ' ' (e1 + 1) hi in
         let e3 = index_to s ' ' (e2 + 1) hi in
-        let table = unescape_sub s (e0 + 1) e1 in
+        let table = name_sub names s (e0 + 1) e1 in
         let tid = int_field "tid" s (e1 + 1) e2 in
         let attr = int_field "attr" s (e2 + 1) e3 in
         Set { table; tid; attr; value = value_sub s (e3 + 1) hi }
-      else bad_request line
-  | _ -> bad_request line
+      else bad_request s lo0 hi0
+  | _ -> bad_request s lo0 hi0
+
+(* Each table name is decoded afresh: no name is kept past the line.
+   @raise Errors.Bad_request for a line that is no request. *)
+let parse_request line =
+  parse_request_sub (names ()) line 0 (String.length line)
 
 (* ------------------------------------------------------------------ *)
 (* Replies                                                            *)
@@ -420,11 +457,11 @@ let add_reply b = function
 
 let encode_reply = to_string add_reply
 
-(* @raise Errors.Bad_request for a line that is no reply. *)
-let parse_reply line =
-  let s = line in
-  let lo = trim_lo s 0 in
-  let hi = trim_hi s lo (String.length s) in
+(* The reply in bytes [lo0, hi0) of [s].
+   @raise Errors.Bad_request for a line that is no reply. *)
+let parse_reply_sub s lo0 hi0 =
+  let lo = trim_lo s lo0 hi0 in
+  let hi = trim_hi s lo hi0 in
   let e0 = index_to s ' ' lo hi in
   if sub_is s lo e0 "OK" && e0 = hi then Ok_ ""
   else if sub_is s lo e0 "OK" && index_to s ' ' (e0 + 1) hi = hi then
@@ -439,7 +476,10 @@ let parse_reply line =
         tag = String.sub s (e0 + 1) (e1 - e0 - 1);
         msg = (if e1 < hi then unescape_sub s (e1 + 1) hi else "");
       }
-  else bad "wire: bad reply %S" line
+  else bad "wire: bad reply %S" (field s lo0 hi0)
+
+(* @raise Errors.Bad_request for a line that is no reply. *)
+let parse_reply line = parse_reply_sub line 0 (String.length line)
 
 (* The typed exception an ERR reply stands for. *)
 let exn_of_reply = function
@@ -457,17 +497,26 @@ let exn_of_reply = function
 let max_line = 1 lsl 20
 
 (* A buffered line reader over a socket.  Bytes [pos, len) of [buf] are
-   read but not yet consumed, and [pos, scan) of them hold no newline. *)
+   read but not yet consumed, and [pos, scan) of them hold no newline.
+   [names] are the table names its requests sent last. *)
 type reader = {
   fd : Unix.file_descr;
   mutable buf : Bytes.t;
   mutable pos : int;
   mutable len : int;
   mutable scan : int;
+  names : names;
 }
 
 let reader fd =
-  { fd; buf = Bytes.create 65536; pos = 0; len = 0; scan = 0 }
+  {
+    fd;
+    buf = Bytes.create 65536;
+    pos = 0;
+    len = 0;
+    scan = 0;
+    names = names ();
+  }
 
 let rec newline_from r i =
   if i >= r.len then begin
@@ -512,16 +561,39 @@ let fill r =
   | 0 -> raise End_of_file (* an unterminated last line is dropped *)
   | n -> r.len <- r.len + n
 
+(* Return once a complete line is buffered.
+   @raise End_of_file when the peer closed the connection.
+   @raise Errors.Bad_request past [max_line] bytes without a newline. *)
+let rec await_line r =
+  if newline r < 0 then begin
+    fill r;
+    await_line r
+  end
+
+(* Consume the next line, and decode it with [decode] where it lies in
+   the buffer: no line is copied out. *)
+let take r decode =
+  await_line r;
+  let i = newline r in
+  let lo = r.pos in
+  r.pos <- i + 1;
+  r.scan <- r.pos;
+  decode r (Bytes.unsafe_to_string r.buf) lo i
+
 (* The next line, without its newline.
    @raise End_of_file when the peer closed the connection.
    @raise Errors.Bad_request past [max_line] bytes without a newline. *)
-let rec read_line r =
-  match newline r with
-  | -1 ->
-      fill r;
-      read_line r
-  | i ->
-      let line = Bytes.sub_string r.buf r.pos (i - r.pos) in
-      r.pos <- i + 1;
-      r.scan <- r.pos;
-      line
+let read_line r = take r (fun _ s lo hi -> String.sub s lo (hi - lo))
+
+(* The next request, its table names looked up in the reader's.  After
+   [await_line], only a line that is no request raises.
+   @raise End_of_file when the peer closed the connection.
+   @raise Errors.Bad_request past [max_line] bytes without a newline, or
+   for a line that is no request. *)
+let read_request r = take r (fun r s lo hi -> parse_request_sub r.names s lo hi)
+
+(* The next reply.
+   @raise End_of_file when the peer closed the connection.
+   @raise Errors.Bad_request past [max_line] bytes without a newline, or
+   for a line that is no reply. *)
+let read_reply r = take r (fun _ s lo hi -> parse_reply_sub s lo hi)

@@ -349,6 +349,28 @@ let test_glob_match () =
       ("a*c*e", "abde", false);
     ]
 
+(* Gauges and histograms are set at every MVCC commit: with a constant
+   float, [set] and [observe] allocate nothing. *)
+let test_metrics_allocate_nothing () =
+  let g = Metrics.gauge "test_alloc_gauge" in
+  let h = Metrics.histogram "test_alloc_seconds" in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    Metrics.set g 2.5
+  done;
+  let w1 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    Metrics.observe h 2.5e-3
+  done;
+  let w2 = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "minor words per set" 0. ((w1 -. w0) /. 1000.);
+  Alcotest.(check (float 0.)) "minor words per observe" 0.
+    ((w2 -. w1) /. 1000.);
+  Alcotest.(check (float 0.)) "the gauge holds the value" 2.5
+    (Metrics.gauge_value g);
+  Alcotest.(check int) "every observation counted" 1_000
+    (Metrics.histogram_count h)
+
 let suite =
   [
     Alcotest.test_case "span ids" `Quick test_span_ids;
@@ -372,4 +394,6 @@ let suite =
     Alcotest.test_case "glob match" `Quick test_glob_match;
     QCheck_alcotest.to_alcotest qcheck_span_parent_child;
     QCheck_alcotest.to_alcotest qcheck_metrics_json_roundtrip;
+    Alcotest.test_case "obs: set and observe allocate nothing" `Quick
+      test_metrics_allocate_nothing;
   ]

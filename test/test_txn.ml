@@ -1385,6 +1385,67 @@ let test_server_expired_idle_does_not_pin () =
       Txn.Client.close c;
       Txn.Client.close idle)
 
+(* The commit after a long-held snapshot ends frees at most two queued
+   commits beyond its own, so the backlog drains over the commits that
+   follow it instead of in one. *)
+let test_held_snapshot_spreads_frees () =
+  let mgr = M.create (small_cat ()) in
+  let reader = M.begin_ mgr in
+  for i = 1 to 2000 do
+    M.run mgr (fun txn -> M.update txn "b" (i mod 4) 1 (V.VInt i))
+  done;
+  Alcotest.(check int) "every version held" 2000 (M.retained_versions mgr);
+  M.abort reader;
+  M.run mgr (fun txn -> M.update txn "b" 0 1 (V.VInt 0));
+  Alcotest.(check int) "the next commit frees three commits" 1998
+    (M.retained_versions mgr);
+  for i = 1 to 999 do
+    M.run mgr (fun txn -> M.update txn "b" (i mod 4) 1 (V.VInt i))
+  done;
+  Alcotest.(check int) "999 commits later the backlog is gone" 0
+    (M.retained_versions mgr)
+
+(* More clients than the runtime allows domains (128): every session is
+   served.  Each socket gives up reading after 5 s, so a session that
+   never starts fails the test instead of hanging it. *)
+let test_server_many_clients () =
+  let n = 140 in
+  with_server ~max_clients:n (small_cat ()) (fun _mgr addr ->
+      let path =
+        match addr with Txn.Client.Unix_sock p -> p | _ -> assert false
+      in
+      let conns =
+        Array.init n (fun _ ->
+            let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+            Unix.connect fd (Unix.ADDR_UNIX path);
+            (fd, Txn.Wire.reader fd))
+      in
+      let send fd line =
+        let b = Bytes.of_string (line ^ "\n") in
+        ignore (Unix.write fd b 0 (Bytes.length b))
+      in
+      let reply (_, r) =
+        match Txn.Wire.read_line r with
+        | line -> line
+        | exception Unix.Unix_error (e, _, _) ->
+            Alcotest.failf "no reply within 5 s (%s)" (Unix.error_message e)
+      in
+      Array.iter (fun (fd, _) -> send fd "PING") conns;
+      Array.iteri
+        (fun i c ->
+          Alcotest.(check string) (Printf.sprintf "client %d served" i) "OK"
+            (reply c))
+        conns;
+      let ((fd, _) as c) = conns.(n - 1) in
+      send fd "BEGIN";
+      Alcotest.(check string) "BEGIN" "OK 0" (reply c);
+      send fd "GET b 2 1";
+      Alcotest.(check string) "GET" "VAL i:20" (reply c);
+      send fd "COMMIT";
+      Alcotest.(check string) "COMMIT" "OK 1" (reply c);
+      Array.iter (fun (fd, _) -> Unix.close fd) conns)
+
 (* Line mutations for the decoder property: the forms the in-place
    decoders must read exactly as the split-based ones did, or refuse. *)
 let tricky_fields =
@@ -1469,6 +1530,29 @@ let agrees ~oracle ~decode ~encode line =
           QCheck.Test.fail_reportf "%S: refused with %s, not Bad_request" line
             (Printexc.to_string e))
 
+(* One end of a socket pair, and a reader on the other kept across the
+   property's lines, as a session keeps its reader across its requests:
+   a table name a line repeats comes from the reader's names. *)
+let decoder_link =
+  lazy
+    (let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+     (a, Txn.Wire.reader b))
+
+(* [line] decoded as the server decodes a request: sent down the socket
+   pair and read back with [Wire.read_request].  A line holding a newline
+   is two lines on the wire, so it is decoded in place instead. *)
+let read_request_back line =
+  if String.contains line '\n' then Txn.Wire.parse_request line
+  else
+    let fd, r = Lazy.force decoder_link in
+    let b = Bytes.of_string (line ^ "\n") in
+    let rec send off =
+      if off < Bytes.length b then
+        send (off + Unix.write fd b off (Bytes.length b - off))
+    in
+    send 0;
+    Txn.Wire.read_request r
+
 let qcheck_wire_decoders_match_split =
   QCheck.Test.make ~count:5000
     ~name:"in-place decoders agree with the split-based ones"
@@ -1477,6 +1561,8 @@ let qcheck_wire_decoders_match_split =
       let module W = Txn.Wire in
       agrees ~oracle:Split_wire.parse_request ~decode:W.parse_request
         ~encode:W.encode_request line
+      && agrees ~oracle:Split_wire.parse_request ~decode:read_request_back
+           ~encode:W.encode_request line
       && agrees ~oracle:Split_wire.parse_reply ~decode:W.parse_reply
            ~encode:W.encode_reply line
       && agrees ~oracle:Split_wire.decode_value ~decode:W.decode_value
@@ -1551,4 +1637,8 @@ let suite =
     Alcotest.test_case
       "server: an expired idle transaction does not pin the horizon" `Quick
       test_server_expired_idle_does_not_pin;
+    Alcotest.test_case "mvcc: releasing a long-held snapshot spreads its frees"
+      `Quick test_held_snapshot_spreads_frees;
+    Alcotest.test_case "server: 140 concurrent clients are all served" `Quick
+      test_server_many_clients;
   ]
