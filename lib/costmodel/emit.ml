@@ -2,6 +2,7 @@ module Catalog = Storage.Catalog
 module Relation = Storage.Relation
 module Layout = Storage.Layout
 module Schema = Storage.Schema
+module Encoding = Storage.Encoding
 module Physical = Relalg.Physical
 module Expr = Relalg.Expr
 module Aggregate = Relalg.Aggregate
@@ -15,13 +16,7 @@ type access_desc = {
   touches : int;
 }
 
-type enc_hint = {
-  enc : Storage.Encoding.t;
-  distinct : int;  (** predicted dictionary entries (Dict) *)
-  runs : int;  (** predicted run count (Rle) *)
-  filled : int;  (** predicted non-null entries (Sparse) *)
-  exceptions : int;  (** predicted escape-coded values (For_bp) *)
-}
+type enc_hint = { enc : Encoding.t; entries : int }
 
 type env = {
   cat : Catalog.t;
@@ -43,23 +38,29 @@ let nrows env table = Relation.nrows (Catalog.find env.cat table)
    wholesale: attributes absent from a table's hint list are costed plain. *)
 let hints_of env table = List.assoc_opt table env.encodings
 
-let data_width env table a =
-  Storage.Value.data_width (Schema.attr (schema_of env table) a).Schema.ty
+let plain_hint = { enc = Encoding.Plain; entries = 0 }
 
-let enc_of env table a =
+(* The attribute's encoding and side-region entries: hypothesized by the
+   table's hints when it has any, else those of the stored relation. *)
+let hint_of env table a =
   match hints_of env table with
-  | Some l -> (
-      match List.assoc_opt a l with
-      | Some h -> h.enc
-      | None -> Storage.Encoding.Plain)
-  | None -> Relation.encoding (Catalog.find env.cat table) a
+  | Some l -> Option.value (List.assoc_opt a l) ~default:plain_hint
+  | None ->
+      let rel = Catalog.find env.cat table in
+      { enc = Relation.encoding rel a; entries = Relation.side_entries rel a }
+
+let enc_of env table a = (hint_of env table a).enc
+
+let side_width env table a enc =
+  Encoding.side_width (Schema.attr (schema_of env table) a) enc
 
 (* widths are encoding-aware: a dictionary-compressed attribute occupies
    only its code width in the partition, an RLE or sparse one nothing *)
 let stored_width env table a =
-  Storage.Encoding.stored_width
-    (Schema.attr (schema_of env table) a)
-    (enc_of env table a)
+  Encoding.stored_width (Schema.attr (schema_of env table) a) (enc_of env table a)
+
+let outside_partition env table a =
+  Encoding.outside_partition (enc_of env table a)
 
 let part_width env table layout p =
   Array.fold_left
@@ -75,55 +76,18 @@ let conjunct_sel env e =
 let row_width_of_attrs env table attrs =
   List.fold_left (fun acc a -> acc + stored_width env table a) 0 attrs
 
-(* predicted-or-live encoding parameters, each [Some] only when the
-   attribute carries (or is hypothesized to carry) that scheme *)
-let dict_params env table a =
-  match hints_of env table with
-  | Some l -> (
-      match List.assoc_opt a l with
-      | Some { enc = Storage.Encoding.Dict; distinct; _ } ->
-          Some (max 1 distinct, data_width env table a)
-      | _ -> None)
-  | None -> Relation.dict_info (Catalog.find env.cat table) a
-
-let sparse_params env table a =
-  match hints_of env table with
-  | Some l -> (
-      match List.assoc_opt a l with
-      | Some { enc = Storage.Encoding.Sparse; filled; _ } ->
-          Some (max 1 filled, 8 + data_width env table a)
-      | _ -> None)
-  | None -> Relation.sparse_info (Catalog.find env.cat table) a
-
-let rle_params env table a =
-  match hints_of env table with
-  | Some l -> (
-      match List.assoc_opt a l with
-      | Some { enc = Storage.Encoding.Rle; runs; _ } ->
-          Some (max 1 runs, 8 + data_width env table a)
-      | _ -> None)
-  | None -> Relation.rle_info (Catalog.find env.cat table) a
-
-let for_params env table a =
-  match hints_of env table with
-  | Some l -> (
-      match List.assoc_opt a l with
-      | Some { enc = Storage.Encoding.For_bp _; exceptions; _ } ->
-          Some exceptions
-      | _ -> None)
-  | None ->
-      Option.map fst (Relation.for_info (Catalog.find env.cat table) a)
-
 (* decoding a dictionary-compressed attribute is a repetitive random access
    into the dictionary region, once per read value *)
 let dict_decode_atoms env table accesses ~n =
   List.filter_map
     (fun (a, s) ->
-      match dict_params env table a with
-      | Some (ndv, value_width) ->
+      match hint_of env table a with
+      | { enc = Encoding.Dict as enc; entries } ->
           let r = max 1 (int_of_float (s *. float_of_int n)) in
-          Some (Pattern.rr_acc ~n:ndv ~w:value_width ~r ())
-      | None -> None)
+          Some
+            (Pattern.rr_acc ~n:(max 1 entries) ~w:(side_width env table a enc)
+               ~r ())
+      | _ -> None)
     accesses
 
 (* binary-search probes into a side region (sparse pair list, RLE run list,
@@ -137,27 +101,18 @@ let probe_atom ~count ~entry_width ~hits =
   in
   Pattern.rr_acc ~n:count ~w:entry_width ~r:(max 1 hits * log2k) ()
 
-let sparse_atoms env table accesses ~n =
+(* point-wise reads of the attributes stored under [scheme] (Sparse or
+   Rle): binary search of the pair or run list per tuple *)
+let probe_atoms scheme env table accesses ~n =
   List.filter_map
     (fun (a, s) ->
-      match sparse_params env table a with
-      | Some (filled, entry_width) ->
-          Some
-            (probe_atom ~count:filled ~entry_width
-               ~hits:(max 1 (int_of_float (s *. float_of_int n))))
-      | None -> None)
-    accesses
-
-(* point-wise RLE reads: binary search of the run list per tuple *)
-let rle_probe_atoms env table accesses ~n =
-  List.filter_map
-    (fun (a, s) ->
-      match rle_params env table a with
-      | Some (runs, entry_width) ->
-          Some
-            (probe_atom ~count:runs ~entry_width
-               ~hits:(max 1 (int_of_float (s *. float_of_int n))))
-      | None -> None)
+      let h = hint_of env table a in
+      if h.enc = scheme then
+        Some
+          (probe_atom ~count:(max 1 h.entries)
+             ~entry_width:(side_width env table a h.enc)
+             ~hits:(max 1 (int_of_float (s *. float_of_int n))))
+      else None)
     accesses
 
 (* scan-wise RLE reads: an unconditional access is evaluated run-granularly
@@ -167,12 +122,14 @@ let rle_scan_atoms env table accesses ~n =
   let uncond, cond = List.partition (fun (_, s) -> s >= 1.0) accesses in
   List.filter_map
     (fun (a, _) ->
-      match rle_params env table a with
-      | Some (runs, entry_width) ->
-          Some (Pattern.s_trav_rle ~n ~runs ~w:entry_width ())
-      | None -> None)
+      match hint_of env table a with
+      | { enc = Encoding.Rle as enc; entries } ->
+          Some
+            (Pattern.s_trav_rle ~n ~runs:(max 1 entries)
+               ~w:(side_width env table a enc) ())
+      | _ -> None)
     uncond
-  @ rle_probe_atoms env table cond ~n
+  @ probe_atoms Encoding.Rle env table cond ~n
 
 (* frame-of-reference columns travel at code width (already reflected in
    [stored_width]); reconstructing each read value is pure CPU work, plus
@@ -180,21 +137,22 @@ let rle_scan_atoms env table accesses ~n =
 let for_decode_atoms env table accesses ~n =
   List.concat_map
     (fun (a, s) ->
-      match for_params env table a with
-      | None -> []
-      | Some exceptions ->
+      match hint_of env table a with
+      | { enc = Encoding.For_bp _ as enc; entries = exceptions } ->
           let reads = max 1 (int_of_float (s *. float_of_int n)) in
           let dec = Pattern.decode ~n:reads () in
           if exceptions > 0 then
             let hits =
               max 1 (int_of_float (s *. float_of_int exceptions))
             in
-            [ dec; probe_atom ~count:exceptions ~entry_width:16 ~hits ]
-          else [ dec ])
+            [
+              dec;
+              probe_atom ~count:exceptions
+                ~entry_width:(side_width env table a enc) ~hits;
+            ]
+          else [ dec ]
+      | _ -> [])
     accesses
-
-let is_sparse env table a = sparse_params env table a <> None
-let is_rle env table a = rle_params env table a <> None
 
 (* width of one output row of a plan *)
 let out_width env plan =
@@ -212,11 +170,8 @@ let scan_partition_patterns env table (accesses : (int * float) list) =
   let layout = layout_of env table in
   let n = nrows env table in
   let llc_block = Memsim.Params.line_size Memsim.Params.nehalem in
-  let sparse_accs, accesses =
-    List.partition (fun (a, _) -> is_sparse env table a) accesses
-  in
-  let rle_accs, accesses =
-    List.partition (fun (a, _) -> is_rle env table a) accesses
+  let outside, accesses =
+    List.partition (fun (a, _) -> outside_partition env table a) accesses
   in
   let by_part = Hashtbl.create 8 in
   List.iter
@@ -227,8 +182,8 @@ let scan_partition_patterns env table (accesses : (int * float) list) =
     accesses;
   dict_decode_atoms env table accesses ~n
   @ for_decode_atoms env table accesses ~n
-  @ sparse_atoms env table sparse_accs ~n
-  @ rle_scan_atoms env table rle_accs ~n
+  @ probe_atoms Encoding.Sparse env table outside ~n
+  @ rle_scan_atoms env table outside ~n
   @ Hashtbl.fold
     (fun p attrs acc ->
       let w = part_width env table layout p in
@@ -266,8 +221,7 @@ let scan_partition_patterns env table (accesses : (int * float) list) =
 let point_partition_patterns env table ~r attrs =
   let layout = layout_of env table in
   let n = max 1 (nrows env table) in
-  let sparse_as, attrs = List.partition (is_sparse env table) attrs in
-  let rle_as, attrs2 = List.partition (is_rle env table) attrs in
+  let outside, attrs2 = List.partition (outside_partition env table) attrs in
   let by_part = Hashtbl.create 8 in
   List.iter
     (fun a ->
@@ -278,8 +232,8 @@ let point_partition_patterns env table ~r attrs =
   let full a = List.map (fun x -> (x, 1.0)) a in
   dict_decode_atoms env table (full attrs2) ~n:(max 1 r)
   @ for_decode_atoms env table (full attrs2) ~n:(max 1 r)
-  @ sparse_atoms env table (full sparse_as) ~n:(max 1 r)
-  @ rle_probe_atoms env table (full rle_as) ~n:(max 1 r)
+  @ probe_atoms Encoding.Sparse env table (full outside) ~n:(max 1 r)
+  @ probe_atoms Encoding.Rle env table (full outside) ~n:(max 1 r)
   @ Hashtbl.fold
     (fun p attrs acc ->
       let w = part_width env table layout p in

@@ -33,14 +33,15 @@ type access_desc = {
 
 type enc_hint = {
   enc : Storage.Encoding.t;
-  distinct : int;  (** predicted dictionary entries (Dict) *)
-  runs : int;  (** predicted run count (Rle) *)
-  filled : int;  (** predicted non-null entries (Sparse) *)
-  exceptions : int;  (** predicted escape-coded values (For_bp) *)
+  entries : int;
+      (** predicted side-region entries ([Storage.Compress.entries]): the
+          count [Storage.Relation.side_entries] reads once the column is
+          stored under [enc] *)
 }
-(** A hypothetical per-attribute encoding with the statistics the compressed
-    atoms need — lets the optimizer cost compression schemes without
-    materializing them. *)
+(** A hypothetical per-attribute encoding with the side-region size the
+    compressed atoms need — lets the optimizer cost compression schemes
+    without materializing them.  The entry width comes from
+    [Storage.Encoding.side_width], as for a stored column. *)
 
 val emit :
   ?layouts:(string * Storage.Layout.t) list ->

@@ -133,7 +133,7 @@ let compressed_filter_range ?hier ~params ~per_value rel conj =
                     charge hier per_value;
                     if vtest v then emit ~lo ~len (Some v)) )
       else if not (Relation.code_run_readable rel c) then None
-      else if Relation.dict_info rel c <> None then
+      else if Relation.encoding rel c = Storage.Encoding.Dict then
         Some
           ( c,
             fun emit ->
@@ -228,7 +228,7 @@ let compressed_tid_test ?hier ~params ~per_value rel conj =
   | None -> None
   | Some (c, vtest) ->
       if not (Relation.code_run_readable rel c) then None
-      else if Relation.dict_info rel c <> None then
+      else if Relation.encoding rel c = Storage.Encoding.Dict then
         let pass =
           lazy
             (Array.map

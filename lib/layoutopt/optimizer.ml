@@ -18,24 +18,6 @@ type table_result = {
   search : Bpi.stats;
 }
 
-(* The statistics the compressed-traversal atoms need, taken from the same
-   advisor pass that proposes the scheme. *)
-let hint_of_stat (st : Compress.stat) (enc : Encoding.t) : Emit.enc_hint =
-  let exceptions =
-    match enc with
-    | Encoding.For_bp w ->
-        let i = match w with 1 -> 0 | 2 -> 1 | _ -> 2 in
-        st.Compress.for_exceptions.(i)
-    | _ -> 0
-  in
-  {
-    Emit.enc;
-    distinct = st.Compress.distinct;
-    runs = st.Compress.runs;
-    filled = st.Compress.non_null;
-    exceptions;
-  }
-
 let tables cat workload =
   List.concat_map
     (fun (plan, _) -> List.map (fun d -> d.Emit.table) (snd (Emit.emit cat plan)))
@@ -125,7 +107,12 @@ let optimize_table ?(algorithm = Bpi 0.005) ?(extended = true)
           (fun st ->
             match Compress.choose schema st with
             | Encoding.Plain -> None
-            | enc -> Some (st.Compress.attr, hint_of_stat st enc))
+            | enc ->
+                (* the side-region size the compressed atoms need, from the
+                   same advisor pass that proposes the scheme *)
+                Some
+                  ( st.Compress.attr,
+                    { Emit.enc; entries = Compress.entries st enc } ))
           (Array.to_list stats)
       in
       let p0, c0, s0 = plain_search in

@@ -18,8 +18,6 @@ type stat = {
   distinct : int;  (* capped at [distinct_cap] *)
   runs : int;
   int_only : bool;
-  int_min : int;
-  int_max : int;
   for_exceptions : int array;  (* per candidate code width in [for_widths] *)
 }
 
@@ -41,7 +39,6 @@ let analyze_cols schema ~rows col =
       let seen = Hashtbl.create 64 in
       let distinct = ref 0 and non_null = ref 0 and runs = ref 0 in
       let prev = ref None in
-      let imin = ref max_int and imax = ref min_int in
       let base = ref None in
       let exc = Array.make (Array.length for_widths) 0 in
       col a (fun v ->
@@ -57,8 +54,6 @@ let analyze_cols schema ~rows col =
             end;
             if int_only then begin
               let x = Value.to_int v in
-              if x < !imin then imin := x;
-              if x > !imax then imax := x;
               let b =
                 match !base with
                 | Some b -> b
@@ -80,8 +75,6 @@ let analyze_cols schema ~rows col =
         distinct = !distinct;
         runs = !runs;
         int_only;
-        int_min = !imin;
-        int_max = !imax;
         for_exceptions = exc;
       })
 
@@ -104,22 +97,24 @@ let analyze_rows schema rows =
   analyze_cols schema ~rows:(Array.length rows) (fun a f ->
       Array.iter (fun row -> f row.(a)) rows)
 
-let plain_bytes schema s = s.rows * Schema.stored_width (Schema.attr schema s.attr)
-
-(* Predicted storage footprint of the column under a scheme — mirrors the
-   actual in-arena representations of {!Relation}. *)
-let encoded_bytes schema s (e : Encoding.t) =
-  let attr = Schema.attr schema s.attr in
-  let vw = Value.data_width attr.Schema.ty in
-  let nb = if attr.Schema.nullable then 1 else 0 in
+(* Predicted side-region entries of the column under a scheme: what
+   {!Relation.side_entries} reads once the column is stored so. *)
+let entries s (e : Encoding.t) =
   match e with
-  | Plain -> plain_bytes schema s
-  | Dict -> (s.rows * (Encoding.code_width + nb)) + (s.distinct * vw)
-  | Rle -> s.runs * (8 + vw)
-  | Sparse -> s.non_null * (8 + vw)
+  | Plain -> 0
+  | Dict -> s.distinct
+  | Rle -> s.runs
+  | Sparse -> s.non_null
   | For_bp w ->
       let i = match w with 1 -> 0 | 2 -> 1 | _ -> 2 in
-      (s.rows * (w + nb)) + (s.for_exceptions.(i) * 16)
+      s.for_exceptions.(i)
+
+(* Predicted storage footprint of the column under a scheme — the rule
+   {!Relation.storage_bytes} stores it by. *)
+let encoded_bytes schema s e =
+  let attr = Schema.attr schema s.attr in
+  (s.rows * Encoding.stored_width attr e)
+  + (entries s e * Encoding.side_width attr e)
 
 (* Candidate schemes legal for the column. *)
 let candidates schema s =
@@ -128,7 +123,7 @@ let candidates schema s =
   let sparse = if attr.Schema.nullable then [ Encoding.Sparse ] else [] in
   let for_bp =
     if s.int_only && s.non_null > 0 then
-      List.map (fun w -> Encoding.For_bp w) [ 1; 2; 4 ]
+      Array.to_list (Array.map (fun w -> Encoding.For_bp w) for_widths)
     else []
   in
   (Encoding.Rle :: dict) @ sparse @ for_bp
@@ -138,17 +133,15 @@ let candidates schema s =
 let choose schema s =
   if s.rows = 0 then Encoding.Plain
   else
-    let best =
+    let plain = encoded_bytes schema s Encoding.Plain in
+    let e, b =
       List.fold_left
         (fun (be, bb) e ->
           let b = encoded_bytes schema s e in
           if b < bb then (e, b) else (be, bb))
-        (Encoding.Plain, plain_bytes schema s)
-        (candidates schema s)
+        (Encoding.Plain, plain) (candidates schema s)
     in
-    let e, b = best in
-    if float_of_int b < 0.7 *. float_of_int (plain_bytes schema s) then e
-    else Encoding.Plain
+    if float_of_int b < 0.7 *. float_of_int plain then e else Encoding.Plain
 
 let plan_of_stats schema stats =
   Array.to_list stats
@@ -165,8 +158,7 @@ let plan_rows schema rows = plan_of_stats schema (analyze_rows schema rows)
 let singleton_layout schema layout encodings =
   let need =
     List.filter_map
-      (fun (a, e) ->
-        match (e : Encoding.t) with Sparse | Rle -> Some a | _ -> None)
+      (fun (a, e) -> if Encoding.outside_partition e then Some a else None)
       encodings
     |> List.sort_uniq compare
   in
@@ -197,29 +189,11 @@ let bytes_counter which e =
 
 (* Actual in-arena footprint of one encoded column of [rel]. *)
 let attr_encoded_bytes rel a =
-  let n = Relation.nrows rel in
-  match Relation.encoding rel a with
-  | Encoding.Plain -> n * Relation.field_width rel a
-  | Encoding.Dict ->
-      let ndv, vw =
-        match Relation.dict_info rel a with Some i -> i | None -> (0, 0)
-      in
-      (n * Relation.field_width rel a) + (ndv * vw)
-  | Encoding.Sparse ->
-      let filled, ew =
-        match Relation.sparse_info rel a with Some i -> i | None -> (0, 0)
-      in
-      filled * ew
-  | Encoding.Rle ->
-      let runs, ew =
-        match Relation.rle_info rel a with Some i -> i | None -> (0, 0)
-      in
-      runs * ew
-  | Encoding.For_bp _ ->
-      let exc, _ =
-        match Relation.for_info rel a with Some i -> i | None -> (0, 0)
-      in
-      (n * Relation.field_width rel a) + (exc * 16)
+  (Relation.nrows rel * Relation.field_width rel a)
+  + Relation.side_entries rel a
+    * Encoding.side_width
+        (Schema.attr (Relation.schema rel) a)
+        (Relation.encoding rel a)
 
 (* Apply a compression plan through the catalog (splitting Sparse/RLE
    attributes into singleton partitions as required), then account for the

@@ -12,8 +12,6 @@ type stat = {
   distinct : int;  (** capped at 4096 *)
   runs : int;  (** maximal equal-value runs in tid order *)
   int_only : bool;
-  int_min : int;  (** meaningful only when [int_only] and [non_null > 0] *)
-  int_max : int;
   for_exceptions : int array;
       (** per candidate code width (1, 2, 4 bytes): values that do not fit
           the zigzag window around the column's first non-null value *)
@@ -21,6 +19,17 @@ type stat = {
 
 val analyze : Relation.t -> stat array
 (** One untraced pass per column (statistics gathering is setup work). *)
+
+val entries : stat -> Encoding.t -> int
+(** Predicted side-region entries of the column under a scheme: distinct
+    values (Dict), runs (Rle), non-null values (Sparse) or values outside
+    the zigzag window at that code width (For_bp); 0 for Plain.  This is
+    what {!Relation.side_entries} reads once the column is stored so. *)
+
+val encoded_bytes : Schema.t -> stat -> Encoding.t -> int
+(** Predicted footprint of the column under a scheme:
+    [rows * Encoding.stored_width + entries * Encoding.side_width] — the
+    rule {!Relation.storage_bytes} stores a column by. *)
 
 val choose : Schema.t -> stat -> Encoding.t
 (** The scheme with the smallest predicted footprint, if it saves at least

@@ -7,9 +7,16 @@ let valid_for_width w = w = 1 || w = 2 || w = 4
 let stored_width (a : Schema.attr) = function
   | Plain -> Schema.stored_width a
   | Dict -> code_width + if a.Schema.nullable then 1 else 0
-  | Sparse -> 0 (* the attribute lives outside its partition's tuples *)
-  | Rle -> 0 (* the attribute lives in its run list, not in tuples *)
+  | Sparse | Rle -> 0 (* the attribute lives in its side region *)
   | For_bp w -> w + if a.Schema.nullable then 1 else 0
+
+let outside_partition = function Sparse | Rle -> true | _ -> false
+
+let side_width (a : Schema.attr) = function
+  | Plain -> 0
+  | Dict -> Value.data_width a.Schema.ty
+  | Sparse | Rle -> 8 + Value.data_width a.Schema.ty (* tid + value *)
+  | For_bp _ -> 16 (* (tid, int value) exception pair *)
 
 let pp ppf = function
   | Plain -> Format.pp_print_string ppf "plain"

@@ -35,6 +35,20 @@ val stored_width : Schema.attr -> t -> int
 (** Width of the attribute's field under the encoding (including the null
     byte for nullable attributes). *)
 
+val outside_partition : t -> bool
+(** The column is stored only in its side region, outside its partition's
+    tuples (Sparse, Rle), so it must be alone in its partition. *)
+
+val side_width : Schema.attr -> t -> int
+(** Bytes per entry of the attribute's side region: a dictionary value
+    (Dict: the value's data width), a (tid, value) pair (Sparse) or
+    (start tid, value) run (Rle): 8 + data width, and a (tid, value)
+    exception (For_bp: 16).  0 for Plain, which has no side region.
+
+    A column of [n] rows whose side region holds [e] entries occupies
+    [n * stored_width + e * side_width] bytes: {!Relation} stores it so and
+    {!Compress} predicts it so. *)
+
 val pp : Format.formatter -> t -> unit
 
 val to_code : t -> int

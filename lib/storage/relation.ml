@@ -5,66 +5,70 @@ type part = {
   buf : Buffer.t;
 }
 
+(* The side region of an encoded column: a simulator-visible buffer of
+   [entries] entries of [entry] bytes ([Encoding.side_width]) — dictionary
+   values, sparse pairs, runs or FOR exceptions. *)
+type side = {
+  region : Buffer.t;
+  mutable entries : int;
+  entry : int;
+}
+
 (* Per-attribute dictionary for [Encoding.Dict] columns.  The code→value
-   direction lives in a simulator-visible region (decodes generate traffic);
-   the value→code direction is an OCaml hashtable (encoding happens on the
-   untraced load path or on single inserts). *)
+   direction lives in the side region (decodes generate traffic); the
+   value→code direction is an OCaml hashtable (encoding happens on the
+   untraced load path or on single inserts).  Codes are handed out in
+   first-insertion order. *)
 type dict = {
+  side : side;
   mutable values : Value.t array;
-  mutable count : int;
   codes : (Value.t, int) Hashtbl.t;
-  dbuf : Buffer.t;
-  value_width : int;
 }
 
 (* Sparse (key-value) storage for [Encoding.Sparse] columns: only non-null
-   entries exist, as (tid, value) pairs in a simulator-visible region.  The
-   OCaml-side hashtable provides the actual values; the traced region models
-   the binary-search access cost of a sorted pair list. *)
-type sparse = {
-  pairs : (int, Value.t) Hashtbl.t;
-  sbuf : Buffer.t;
-  entry_width : int;
-  mutable filled : int;
-}
+   entries exist, as (tid, value) pairs in the side region.  The OCaml-side
+   hashtable provides the actual values; the traced region models the
+   binary-search access cost of a sorted pair list. *)
+type sparse = { side : side; pairs : (int, Value.t) Hashtbl.t }
 
 (* Run-length storage for [Encoding.Rle] columns: the attribute lives as a
    sorted list of (start tid, value) runs.  The OCaml-side arrays provide the
-   actual run boundaries and values; the traced region models the sorted run
+   actual run boundaries and values; the side region models the sorted run
    list — point reads binary-search it, run scans touch one entry per run. *)
 type rle = {
+  side : side; (* one entry per run *)
   mutable rstarts : int array; (* run start tids, ascending *)
   mutable rvals : Value.t array;
-  mutable rcount : int;
   mutable rtotal : int; (* rows covered so far (owner's append frontier) *)
-  rbuf : Buffer.t;
-  rentry_width : int; (* 8-byte start + value payload *)
 }
 
 (* Frame-of-reference storage for [Encoding.For_bp] columns: each field holds
    a [fwidth]-byte zigzag offset from the column base (the first non-null
-   value stored); the all-ones code is an escape into an exception list of
-   (tid, value) pairs, modeled like the sparse pair list. *)
+   value stored); the all-ones code is an escape into a side region of
+   (tid, value) exception pairs, modeled like the sparse pair list. *)
 type forbp = {
+  side : side; (* one entry per exception *)
   fwidth : int;
   fescape : int; (* 2^(8*fwidth) - 1, reserved as the exception marker *)
   mutable fbase : int option;
   fex : (int, int) Hashtbl.t;
-  fxbuf : Buffer.t;
-  mutable fex_count : int;
   mutable fmin : int; (* widen-only bounds over every value ever stored: *)
   mutable fmax : int; (* a superset of the live values, so range pruning
                          in either direction stays sound *)
 }
 
+(* How one attribute is stored. *)
+type column =
+  | Plain
+  | Dict of dict
+  | Sparse of sparse
+  | Rle of rle
+  | For of forbp
+
 type t = {
   schema : Schema.t;
   layout : Layout.t;
-  encodings : Encoding.t array;
-  dicts : dict option array;
-  sparses : sparse option array;
-  rles : rle option array;
-  fors : forbp option array;
+  cols : column array;
   parts : part array;
   loc : (int * int) array; (* attr -> partition index, offset inside tuple *)
   mutable nrows : int;
@@ -85,90 +89,81 @@ let alone_in_partition layout a =
     (Layout.partition_attrs layout (Layout.partition_of_attr layout a))
   = 1
 
+let side_of = function
+  | Plain -> None
+  | Dict { side; _ } | Sparse { side; _ } | Rle { side; _ } | For { side; _ } ->
+      Some side
+
+(* The stored state of attribute [a] under [enc]; its side region starts
+   with room for a few entries and grows with them. *)
+let column ?hier arena schema layout a (enc : Encoding.t) =
+  let attr = Schema.attr schema a in
+  let side slots =
+    let entry = Encoding.side_width attr enc in
+    { region = Buffer.create arena ?hier (slots * entry); entries = 0; entry }
+  in
+  if enc = Encoding.Sparse && not attr.Schema.nullable then
+    invalid_arg "Relation: sparse encoding requires a nullable attribute";
+  if Encoding.outside_partition enc && not (alone_in_partition layout a) then
+    invalid_arg
+      (Format.asprintf "Relation: a %a attribute must be alone in its partition"
+         Encoding.pp enc);
+  match enc with
+  | Encoding.Plain -> Plain
+  | Encoding.Dict ->
+      Dict
+        {
+          side = side 16;
+          values = Array.make 16 Value.Null;
+          codes = Hashtbl.create 16;
+        }
+  | Encoding.Sparse -> Sparse { side = side 64; pairs = Hashtbl.create 64 }
+  | Encoding.Rle ->
+      Rle
+        {
+          side = side 16;
+          rstarts = Array.make 16 0;
+          rvals = Array.make 16 Value.Null;
+          rtotal = 0;
+        }
+  | Encoding.For_bp w ->
+      if not (Encoding.valid_for_width w) then
+        invalid_arg "Relation: for_bp code width must be 1, 2 or 4";
+      (match attr.Schema.ty with
+      | Value.Int | Value.Date -> ()
+      | _ ->
+          invalid_arg
+            "Relation: for_bp encoding requires an Int or Date attribute");
+      For
+        {
+          side = side 16;
+          fwidth = w;
+          fescape = (1 lsl (8 * w)) - 1;
+          fbase = None;
+          fex = Hashtbl.create 16;
+          fmin = 0;
+          fmax = 0;
+        }
+
 let create ?hier ?(capacity = 1024) ?(encodings = []) arena schema layout =
   let n = Schema.arity schema in
   let enc = Array.make n Encoding.Plain in
   List.iter (fun (a, e) -> enc.(a) <- e) encodings;
-  let dicts =
-    Array.init n (fun a ->
-        match enc.(a) with
-        | Encoding.Dict ->
-            let value_width = Value.data_width (Schema.attr schema a).Schema.ty in
-            Some
-              {
-                values = Array.make 16 Value.Null;
-                count = 0;
-                codes = Hashtbl.create 16;
-                dbuf = Buffer.create arena ?hier (16 * value_width);
-                value_width;
-              }
-        | _ -> None)
+  (* Side regions are allocated scheme by scheme (dictionaries, sparse
+     lists, run lists, exception lists), each in attribute order, before
+     the partitions: arena addresses, and with them the simulated cache
+     counters, follow this order. *)
+  let rank = function
+    | Encoding.Plain -> 0
+    | Encoding.Dict -> 1
+    | Encoding.Sparse -> 2
+    | Encoding.Rle -> 3
+    | Encoding.For_bp _ -> 4
   in
-  let sparses =
-    Array.init n (fun a ->
-        match enc.(a) with
-        | Encoding.Sparse ->
-            let attr = Schema.attr schema a in
-            if not attr.Schema.nullable then
-              invalid_arg "Relation: sparse encoding requires a nullable attribute";
-            if not (alone_in_partition layout a) then
-              invalid_arg
-                "Relation: a sparse attribute must be alone in its partition";
-            let entry_width = 8 + Value.data_width attr.Schema.ty in
-            Some
-              {
-                pairs = Hashtbl.create 64;
-                sbuf = Buffer.create arena ?hier (64 * entry_width);
-                entry_width;
-                filled = 0;
-              }
-        | _ -> None)
-  in
-  let rles =
-    Array.init n (fun a ->
-        match enc.(a) with
-        | Encoding.Rle ->
-            if not (alone_in_partition layout a) then
-              invalid_arg
-                "Relation: an RLE attribute must be alone in its partition";
-            let rentry_width =
-              8 + Value.data_width (Schema.attr schema a).Schema.ty
-            in
-            Some
-              {
-                rstarts = Array.make 16 0;
-                rvals = Array.make 16 Value.Null;
-                rcount = 0;
-                rtotal = 0;
-                rbuf = Buffer.create arena ?hier (16 * rentry_width);
-                rentry_width;
-              }
-        | _ -> None)
-  in
-  let fors =
-    Array.init n (fun a ->
-        match enc.(a) with
-        | Encoding.For_bp w ->
-            if not (Encoding.valid_for_width w) then
-              invalid_arg "Relation: for_bp code width must be 1, 2 or 4";
-            (match (Schema.attr schema a).Schema.ty with
-            | Value.Int | Value.Date -> ()
-            | _ ->
-                invalid_arg
-                  "Relation: for_bp encoding requires an Int or Date attribute");
-            Some
-              {
-                fwidth = w;
-                fescape = (1 lsl (8 * w)) - 1;
-                fbase = None;
-                fex = Hashtbl.create 16;
-                fxbuf = Buffer.create arena ?hier (16 * 16);
-                fex_count = 0;
-                fmin = 0;
-                fmax = 0;
-              }
-        | _ -> None)
-  in
+  let cols = Array.make n Plain in
+  List.init n Fun.id
+  |> List.stable_sort (fun a b -> compare (rank enc.(a)) (rank enc.(b)))
+  |> List.iter (fun a -> cols.(a) <- column ?hier arena schema layout a enc.(a));
   let loc = Array.make n (-1, -1) in
   let parts =
     Array.mapi
@@ -212,11 +207,7 @@ let create ?hier ?(capacity = 1024) ?(encodings = []) arena schema layout =
   {
     schema;
     layout;
-    encodings = enc;
-    dicts;
-    sparses;
-    rles;
-    fors;
+    cols;
     parts;
     loc;
     nrows = 0;
@@ -237,31 +228,21 @@ let out_of_bounds t what ~lo ~len =
                      0 <= len, lo+len <= %d rows)"
        what t.schema.Schema.name lo (lo + len) t.nrows)
 
-let slice t ~lo ~len =
-  if lo < 0 || len < 0 || lo + len > t.nrows then out_of_bounds t "slice" ~lo ~len;
-  {
-    t with
-    row_base = t.row_base + lo;
-    nrows = len;
-    view = true;
-    parent_base = t.row_base;
-    parent_rows = t.nrows;
-  }
-
 let with_hier t hier =
   let part p = { p with buf = Buffer.with_hier p.buf hier } in
-  let dict d = { d with dbuf = Buffer.with_hier d.dbuf hier } in
-  let sparse s = { s with sbuf = Buffer.with_hier s.sbuf hier } in
-  let rle r = { r with rbuf = Buffer.with_hier r.rbuf hier } in
-  let forbp f = { f with fxbuf = Buffer.with_hier f.fxbuf hier } in
+  let side s = { s with region = Buffer.with_hier s.region hier } in
+  let column = function
+    | Plain -> Plain
+    | Dict d -> Dict { d with side = side d.side }
+    | Sparse s -> Sparse { s with side = side s.side }
+    | Rle r -> Rle { r with side = side r.side }
+    | For f -> For { f with side = side f.side }
+  in
   {
     t with
     hier;
     parts = Array.map part t.parts;
-    dicts = Array.map (Option.map dict) t.dicts;
-    sparses = Array.map (Option.map sparse) t.sparses;
-    rles = Array.map (Option.map rle) t.rles;
-    fors = Array.map (Option.map forbp) t.fors;
+    cols = Array.map column t.cols;
     view = true;
     parent_base = t.row_base;
     parent_rows = t.nrows;
@@ -284,66 +265,32 @@ let nrows t = t.nrows
 let hier t = t.hier
 let arena t = t.arena
 
-let encoding t a = t.encodings.(a)
+let encoding t a =
+  match t.cols.(a) with
+  | Plain -> Encoding.Plain
+  | Dict _ -> Encoding.Dict
+  | Sparse _ -> Encoding.Sparse
+  | Rle _ -> Encoding.Rle
+  | For f -> Encoding.For_bp f.fwidth
 
 let encodings t =
-  Array.to_list t.encodings
-  |> List.mapi (fun a e -> (a, e))
+  List.init (Array.length t.cols) (fun a -> (a, encoding t a))
   |> List.filter (fun (_, e) -> e <> Encoding.Plain)
 
-let dict_info t a =
-  match t.dicts.(a) with
-  | Some d -> Some (max 1 d.count, d.value_width)
-  | None -> None
-
-let sparse_info t a =
-  match t.sparses.(a) with
-  | Some s -> Some (max 1 s.filled, s.entry_width)
-  | None -> None
-
-let rle_info t a =
-  match t.rles.(a) with
-  | Some r -> Some (max 1 r.rcount, r.rentry_width)
-  | None -> None
-
-let for_info t a =
-  match t.fors.(a) with
-  | Some f -> Some (f.fex_count, f.fwidth)
-  | None -> None
+let side_entries t a =
+  match side_of t.cols.(a) with Some s -> s.entries | None -> 0
 
 let for_bounds t a =
-  match t.fors.(a) with
-  | Some { fbase = Some _; fmin; fmax; _ } -> Some (fmin, fmax)
+  match t.cols.(a) with
+  | For { fbase = Some _; fmin; fmax; _ } -> Some (fmin, fmax)
   | _ -> None
 
 let storage_bytes t =
-  let parts =
-    Array.fold_left (fun acc p -> acc + (t.nrows * p.width)) 0 t.parts
-  in
-  let dicts =
-    Array.fold_left
-      (fun acc d ->
-        match d with Some d -> acc + (d.count * d.value_width) | None -> acc)
-      0 t.dicts
-  in
-  let sparses =
-    Array.fold_left
-      (fun acc s ->
-        match s with Some s -> acc + (s.filled * s.entry_width) | None -> acc)
-      0 t.sparses
-  in
-  let rles =
-    Array.fold_left
-      (fun acc r ->
-        match r with Some r -> acc + (r.rcount * r.rentry_width) | None -> acc)
-      0 t.rles
-  in
-  let fors =
-    Array.fold_left
-      (fun acc f -> match f with Some f -> acc + (f.fex_count * 16) | None -> acc)
-      0 t.fors
-  in
-  parts + dicts + sparses + rles + fors
+  Array.fold_left (fun acc p -> acc + (t.nrows * p.width)) 0 t.parts
+  + Array.fold_left
+      (fun acc c ->
+        match side_of c with Some s -> acc + (s.entries * s.entry) | None -> acc)
+      0 t.cols
 
 let ensure_capacity t rows =
   if rows > t.capacity then begin
@@ -366,130 +313,113 @@ let decoded f =
   Obs.Metrics.incr m_decodes;
   if Obs.Profile.on () then Obs.Profile.phase "decode" f else f ()
 
+(* --- side regions ------------------------------------------------------ *)
+
+(* Write one side entry: a fresh key appends a new entry, an existing one
+   rewrites the last entry — the traced cost of a sorted-list insert or
+   update. *)
+let side_write s ~fresh =
+  if fresh then begin
+    Buffer.grow s.region ((s.entries + 1) * s.entry);
+    s.entries <- s.entries + 1
+  end;
+  Buffer.touch_write s.region ((s.entries - 1) * s.entry) ~width:s.entry
+
+(* model the binary search over a sorted side region: log2(entries) probes *)
+let search_touch t s =
+  let steps =
+    let rec log2 acc k = if k <= 1 then acc else log2 (acc + 1) (k / 2) in
+    max 1 (log2 0 (max 2 s.entries))
+  in
+  let stride = max 1 (s.entries / (steps + 1)) in
+  for i = 1 to steps do
+    Buffer.touch s.region
+      (min (max 0 (s.entries - 1)) (i * stride) * s.entry)
+      ~width:s.entry
+  done;
+  add_cpu t steps
+
 (* dictionary encode: returns the code for [v], registering it if new *)
-let encode t d v =
+let encode (d : dict) v =
   match Hashtbl.find_opt d.codes v with
   | Some code -> code
   | None ->
-      let code = d.count in
+      let code = d.side.entries in
       if code >= Array.length d.values then begin
         let bigger = Array.make (2 * Array.length d.values) Value.Null in
         Array.blit d.values 0 bigger 0 code;
         d.values <- bigger
       end;
-      Buffer.grow d.dbuf ((code + 1) * d.value_width);
-      (* write the new dictionary entry (traced) *)
-      Buffer.touch_write d.dbuf (code * d.value_width) ~width:d.value_width;
+      side_write d.side ~fresh:true;
       d.values.(code) <- v;
       Hashtbl.add d.codes v code;
-      d.count <- code + 1;
-      ignore t;
       code
 
 (* decode: one random access into the dictionary region *)
-let decode t d code =
+let decode t (d : dict) code =
   decoded (fun () ->
-      Buffer.touch d.dbuf (code * d.value_width) ~width:d.value_width;
+      Buffer.touch d.side.region (code * d.side.entry) ~width:d.side.entry;
       add_cpu t 1;
       d.values.(code))
 
-(* model the binary search over the sorted pair list: log2(filled) probes *)
-let sparse_search_touch t s =
-  let steps =
-    let rec log2 acc k = if k <= 1 then acc else log2 (acc + 1) (k / 2) in
-    max 1 (log2 0 (max 2 s.filled))
-  in
-  let stride = max 1 (s.filled / (steps + 1)) in
-  for i = 1 to steps do
-    Buffer.touch s.sbuf
-      (min (max 0 (s.filled - 1)) (i * stride) * s.entry_width)
-      ~width:s.entry_width
-  done;
-  add_cpu t steps
-
-let sparse_write s tid v =
+let sparse_write (s : sparse) tid v =
   if Value.is_null v then Hashtbl.remove s.pairs tid
   else begin
-    if not (Hashtbl.mem s.pairs tid) then begin
-      Buffer.grow s.sbuf ((s.filled + 1) * s.entry_width);
-      s.filled <- s.filled + 1
-    end;
-    Buffer.touch_write s.sbuf
-      ((s.filled - 1) * s.entry_width)
-      ~width:s.entry_width;
+    side_write s.side ~fresh:(not (Hashtbl.mem s.pairs tid));
     Hashtbl.replace s.pairs tid v
   end
 
-let sparse_read t s tid =
+let sparse_read t (s : sparse) tid =
   decoded (fun () ->
-      sparse_search_touch t s;
+      search_touch t s.side;
       match Hashtbl.find_opt s.pairs tid with Some v -> v | None -> Value.Null)
 
 (* --- run-length storage --------------------------------------------- *)
 
-(* largest k with rstarts.(k) <= tid; requires rcount > 0 *)
-let rle_find r tid =
-  let lo = ref 0 and hi = ref (r.rcount - 1) in
+(* largest k with rstarts.(k) <= tid; requires a run *)
+let rle_find (r : rle) tid =
+  let lo = ref 0 and hi = ref (r.side.entries - 1) in
   while !lo < !hi do
     let mid = (!lo + !hi + 1) / 2 in
     if r.rstarts.(mid) <= tid then lo := mid else hi := mid - 1
   done;
   !lo
 
-let rle_run_end r k = if k + 1 < r.rcount then r.rstarts.(k + 1) else r.rtotal
-
-(* model the binary search over the sorted run list: log2(rcount) probes *)
-let rle_search_touch t r =
-  let steps =
-    let rec log2 acc k = if k <= 1 then acc else log2 (acc + 1) (k / 2) in
-    max 1 (log2 0 (max 2 r.rcount))
-  in
-  let stride = max 1 (r.rcount / (steps + 1)) in
-  for i = 1 to steps do
-    Buffer.touch r.rbuf
-      (min (max 0 (r.rcount - 1)) (i * stride) * r.rentry_width)
-      ~width:r.rentry_width
-  done;
-  add_cpu t steps
-
-let rle_push r ~start v =
-  if r.rcount >= Array.length r.rstarts then begin
-    let n = 2 * Array.length r.rstarts in
-    let ns = Array.make n 0 and nv = Array.make n Value.Null in
-    Array.blit r.rstarts 0 ns 0 r.rcount;
-    Array.blit r.rvals 0 nv 0 r.rcount;
-    r.rstarts <- ns;
-    r.rvals <- nv
-  end;
-  r.rstarts.(r.rcount) <- start;
-  r.rvals.(r.rcount) <- v;
-  r.rcount <- r.rcount + 1
+let rle_run_end (r : rle) k =
+  if k + 1 < r.side.entries then r.rstarts.(k + 1) else r.rtotal
 
 (* append at the frontier: extend the last run or open a new one *)
-let rle_append r ~tid v =
-  if r.rcount > 0 && Value.equal r.rvals.(r.rcount - 1) v then
-    Buffer.touch_write r.rbuf
-      ((r.rcount - 1) * r.rentry_width)
-      ~width:r.rentry_width
-  else begin
-    Buffer.grow r.rbuf ((r.rcount + 1) * r.rentry_width);
-    Buffer.touch_write r.rbuf (r.rcount * r.rentry_width) ~width:r.rentry_width;
-    rle_push r ~start:tid v
+let rle_append (r : rle) ~tid v =
+  let k = r.side.entries in
+  let extend = k > 0 && Value.equal r.rvals.(k - 1) v in
+  side_write r.side ~fresh:(not extend);
+  if not extend then begin
+    if k >= Array.length r.rstarts then begin
+      let n = 2 * Array.length r.rstarts in
+      let ns = Array.make n 0 and nv = Array.make n Value.Null in
+      Array.blit r.rstarts 0 ns 0 k;
+      Array.blit r.rvals 0 nv 0 k;
+      r.rstarts <- ns;
+      r.rvals <- nv
+    end;
+    r.rstarts.(k) <- tid;
+    r.rvals.(k) <- v
   end;
   r.rtotal <- tid + 1
 
 (* in-place update: replace run k by up to three segments and collapse equal
    neighbours — O(runs), modeled as a binary search plus a shifted rewrite of
    the run-list tail *)
-let rle_set t r ~tid v =
-  rle_search_touch t r;
+let rle_set t (r : rle) ~tid v =
+  let side = r.side in
+  search_touch t side;
   let k = rle_find r tid in
   if Value.equal r.rvals.(k) v then
-    Buffer.touch_write r.rbuf (k * r.rentry_width) ~width:r.rentry_width
+    Buffer.touch_write side.region (k * side.entry) ~width:side.entry
   else begin
     let s = r.rstarts.(k) and e = rle_run_end r k and old = r.rvals.(k) in
-    let starts = Array.make (r.rcount + 2) 0 in
-    let vals = Array.make (r.rcount + 2) Value.Null in
+    let starts = Array.make (side.entries + 2) 0 in
+    let vals = Array.make (side.entries + 2) Value.Null in
     let m = ref 0 in
     let emit start value =
       if !m > 0 && Value.equal vals.(!m - 1) value then ()
@@ -505,33 +435,33 @@ let rle_set t r ~tid v =
     if s < tid then emit s old;
     emit tid v;
     if tid + 1 < e then emit (tid + 1) old;
-    for i = k + 1 to r.rcount - 1 do
+    for i = k + 1 to side.entries - 1 do
       emit r.rstarts.(i) r.rvals.(i)
     done;
-    Buffer.grow r.rbuf (!m * r.rentry_width);
-    Buffer.touch_write_run r.rbuf (k * r.rentry_width) ~width:r.rentry_width
+    Buffer.grow side.region (!m * side.entry);
+    Buffer.touch_write_run side.region (k * side.entry) ~width:side.entry
       ~count:(max 1 (!m - k))
-      ~stride:r.rentry_width;
+      ~stride:side.entry;
     r.rstarts <- starts;
     r.rvals <- vals;
-    r.rcount <- !m
+    side.entries <- !m
   end
 
-let rle_write t r ~tid v =
+let rle_write t (r : rle) ~tid v =
   if tid = r.rtotal then rle_append r ~tid v else rle_set t r ~tid v
 
-let rle_read t r tid =
+let rle_read t (r : rle) tid =
   decoded (fun () ->
-      rle_search_touch t r;
+      search_touch t r.side;
       add_cpu t 1;
       r.rvals.(rle_find r tid))
 
 (* --- frame-of-reference storage ------------------------------------- *)
 
-let for_drop_ex f tid =
+let for_drop_ex (f : forbp) tid =
   if Hashtbl.mem f.fex tid then begin
     Hashtbl.remove f.fex tid;
-    f.fex_count <- f.fex_count - 1
+    f.side.entries <- f.side.entries - 1
   end
 
 (* zigzag offset from the base, or None when the value must spill to the
@@ -552,23 +482,7 @@ let for_decode f z =
   let base = match f.fbase with Some b -> b | None -> 0 in
   if z land 1 = 0 then base + (z asr 1) else base - ((z + 1) asr 1)
 
-let for_entry_width = 16 (* (tid, value) exception pair *)
-
-(* model the binary search over the sorted exception list *)
-let for_ex_touch t f =
-  let steps =
-    let rec log2 acc k = if k <= 1 then acc else log2 (acc + 1) (k / 2) in
-    max 1 (log2 0 (max 2 f.fex_count))
-  in
-  let stride = max 1 (f.fex_count / (steps + 1)) in
-  for i = 1 to steps do
-    Buffer.touch f.fxbuf
-      (min (max 0 (f.fex_count - 1)) (i * stride) * for_entry_width)
-      ~width:for_entry_width
-  done;
-  add_cpu t steps
-
-let for_write f p ~tid ~off ~nullable v =
+let for_write (f : forbp) p ~tid ~off ~nullable v =
   if Value.is_null v then begin
     if not nullable then
       invalid_arg "Relation: NULL into non-nullable attribute";
@@ -592,18 +506,12 @@ let for_write f p ~tid ~off ~nullable v =
         for_drop_ex f tid;
         Buffer.write_uint p.buf data_off ~width:f.fwidth z
     | None ->
-        if not (Hashtbl.mem f.fex tid) then begin
-          Buffer.grow f.fxbuf ((f.fex_count + 1) * for_entry_width);
-          f.fex_count <- f.fex_count + 1
-        end;
-        Buffer.touch_write f.fxbuf
-          ((f.fex_count - 1) * for_entry_width)
-          ~width:for_entry_width;
+        side_write f.side ~fresh:(not (Hashtbl.mem f.fex tid));
         Hashtbl.replace f.fex tid x;
         Buffer.write_uint p.buf data_off ~width:f.fwidth f.fescape
   end
 
-let for_read t f p ~tid ~off ~ty ~nullable =
+let for_read t (f : forbp) p ~tid ~off ~ty ~nullable =
   if nullable && Buffer.read_byte p.buf off = 0 then Value.Null
   else begin
     let data_off = if nullable then off + 1 else off in
@@ -611,7 +519,7 @@ let for_read t f p ~tid ~off ~ty ~nullable =
     decoded (fun () ->
         let x =
           if z = f.fescape then begin
-            for_ex_touch t f;
+            search_touch t f.side;
             Hashtbl.find f.fex tid
           end
           else begin
@@ -630,20 +538,20 @@ let for_read t f p ~tid ~off ~ty ~nullable =
 let write_field t p ~tid ~off a v =
   let attr = Schema.attr t.schema a in
   let ty = attr.Schema.ty and nullable = attr.Schema.nullable in
-  match (t.sparses.(a), t.rles.(a), t.fors.(a), t.dicts.(a)) with
-  | Some s, _, _, _ -> sparse_write s tid v
-  | None, Some r, _, _ -> rle_write t r ~tid v
-  | None, None, Some f, _ -> for_write f p ~tid ~off ~nullable v
-  | None, None, None, Some d ->
+  match t.cols.(a) with
+  | Sparse s -> sparse_write s tid v
+  | Rle r -> rle_write t r ~tid v
+  | For f -> for_write f p ~tid ~off ~nullable v
+  | Dict d ->
       let data_off = if nullable then off + 1 else off in
       if Value.is_null v then
         if nullable then Buffer.write_byte p.buf off 0
         else invalid_arg "Relation: NULL into non-nullable attribute"
       else begin
         if nullable then Buffer.write_byte p.buf off 1;
-        Buffer.write_int32 p.buf data_off (encode t d v)
+        Buffer.write_int32 p.buf data_off (encode d v)
       end
-  | None, None, None, None -> Buffer.write_value p.buf off ~ty ~nullable v
+  | Plain -> Buffer.write_value p.buf off ~ty ~nullable v
 
 (* Why [write_field] would refuse [v], without writing or allocating:
    sparse and RLE fields store any value, dictionary fields any non-NULL
@@ -651,31 +559,29 @@ let write_field t p ~tid ~off a v =
    a non-string into a varchar fail. *)
 let rejects t a v =
   let attr = Schema.attr t.schema a in
-  match
-    (t.sparses.(a), t.rles.(a), t.dicts.(a), (v : Value.t), attr.Schema.ty)
-  with
-  | Some _, _, _, _, _ | _, Some _, _, _, _ -> None
-  | _, _, _, Value.Null, _ ->
+  match (t.cols.(a), (v : Value.t), attr.Schema.ty) with
+  | (Sparse _ | Rle _), _, _ -> None
+  | _, Value.Null, _ ->
       if attr.Schema.nullable then None
       else Some "NULL into non-nullable attribute"
-  | _, _, Some _, _, _ -> None
-  | _, _, _, Value.VStr _, Value.Varchar _ -> None
-  | _, _, _, Value.VStr _, _ -> Some "string into a numeric attribute"
-  | _, _, _, _, Value.Varchar _ -> Some "non-string into a varchar attribute"
+  | Dict _, _, _ -> None
+  | _, Value.VStr _, Value.Varchar _ -> None
+  | _, Value.VStr _, _ -> Some "string into a numeric attribute"
+  | _, _, Value.Varchar _ -> Some "non-string into a varchar attribute"
   | _ -> None
 
 let read_field t p ~tid ~off a =
   let attr = Schema.attr t.schema a in
   let ty = attr.Schema.ty and nullable = attr.Schema.nullable in
-  match (t.sparses.(a), t.rles.(a), t.fors.(a), t.dicts.(a)) with
-  | Some s, _, _, _ -> sparse_read t s tid
-  | None, Some r, _, _ -> rle_read t r tid
-  | None, None, Some f, _ -> for_read t f p ~tid ~off ~ty ~nullable
-  | None, None, None, Some d ->
+  match t.cols.(a) with
+  | Sparse s -> sparse_read t s tid
+  | Rle r -> rle_read t r tid
+  | For f -> for_read t f p ~tid ~off ~ty ~nullable
+  | Dict d ->
       let data_off = if nullable then off + 1 else off in
       if nullable && Buffer.read_byte p.buf off = 0 then Value.Null
       else decode t d (Buffer.read_int32 p.buf data_off)
-  | None, None, None, None -> Buffer.read_value p.buf off ~ty ~nullable
+  | Plain -> Buffer.read_value p.buf off ~ty ~nullable
 
 let append t values =
   if t.view then invalid_arg "Relation.append: relation is a read-only view";
@@ -746,7 +652,8 @@ let get_tuple t tid =
   else Array.init (Schema.arity t.schema) (fun a -> get t tid a)
 
 let run_readable t a =
-  t.encodings.(a) = Encoding.Plain && not (Schema.attr t.schema a).Schema.nullable
+  (match t.cols.(a) with Plain -> true | _ -> false)
+  && not (Schema.attr t.schema a).Schema.nullable
 
 let int_run_readable t a =
   run_readable t a
@@ -782,34 +689,35 @@ let read_value_run t ~lo ~count a dst =
 
 (* --- direct access to compressed representations --------------------- *)
 
-let rle_readable t a = t.rles.(a) <> None
+let rle_readable t a = match t.cols.(a) with Rle _ -> true | _ -> false
 
 let iter_rle_runs t ~lo ~count a f =
   if lo < 0 || count < 0 || lo + count > t.nrows then
     out_of_bounds t "iter_rle_runs" ~lo ~len:count;
-  match t.rles.(a) with
-  | None -> invalid_arg "Relation.iter_rle_runs: attribute is not RLE"
-  | Some r ->
+  match t.cols.(a) with
+  | Rle r ->
       if count > 0 then begin
         let abs_lo = t.row_base + lo and abs_hi = t.row_base + lo + count in
+        let side = r.side in
         (* locate the first overlapping run, then walk the run list *)
-        rle_search_touch t r;
+        search_touch t side;
         let k = ref (rle_find r abs_lo) in
-        while !k < r.rcount && r.rstarts.(!k) < abs_hi do
+        while !k < side.entries && r.rstarts.(!k) < abs_hi do
           let s = max r.rstarts.(!k) abs_lo in
           let e = min (rle_run_end r !k) abs_hi in
-          Buffer.touch r.rbuf (!k * r.rentry_width) ~width:r.rentry_width;
+          Buffer.touch side.region (!k * side.entry) ~width:side.entry;
           add_cpu t 1;
           if e > s then f ~lo:(s - t.row_base) ~len:(e - s) r.rvals.(!k);
           incr k
         done
       end
+  | _ -> invalid_arg "Relation.iter_rle_runs: attribute is not RLE"
 
 let code_width_of t a =
-  match (t.dicts.(a), t.fors.(a)) with
-  | Some _, _ -> Some Encoding.code_width
-  | None, Some f -> Some f.fwidth
-  | None, None -> None
+  match t.cols.(a) with
+  | Dict _ -> Some Encoding.code_width
+  | For f -> Some f.fwidth
+  | Plain | Sparse _ | Rle _ -> None
 
 let code_run_readable t a =
   (not (Schema.attr t.schema a).Schema.nullable) && code_width_of t a <> None
@@ -842,41 +750,34 @@ let read_code t tid a =
    predicate bitmap by evaluating once per distinct value instead of once per
    tuple. *)
 let dict_values t a =
-  match t.dicts.(a) with
-  | None -> [||]
-  | Some d ->
-      if d.count > 0 then
-        Buffer.touch_run d.dbuf 0 ~width:d.value_width ~count:d.count
-          ~stride:d.value_width;
-      Array.sub d.values 0 d.count
+  match t.cols.(a) with
+  | Dict { side; values; _ } ->
+      if side.entries > 0 then
+        Buffer.touch_run side.region 0 ~width:side.entry ~count:side.entries
+          ~stride:side.entry;
+      Array.sub values 0 side.entries
+  | _ -> [||]
 
-let for_escape t a =
-  match t.fors.(a) with Some f -> Some f.fescape | None -> None
+let for_escape t a = match t.cols.(a) with For f -> Some f.fescape | _ -> None
 
 let decode_for_code t a z =
-  match t.fors.(a) with
-  | None -> invalid_arg "Relation.decode_for_code: attribute is not for_bp"
-  | Some f ->
+  match t.cols.(a) with
+  | For f ->
       Obs.Metrics.incr m_decodes;
       add_cpu t 1;
       for_decode f z
+  | _ -> invalid_arg "Relation.decode_for_code: attribute is not for_bp"
 
 let for_exception_value t a tid =
-  match t.fors.(a) with
-  | None -> invalid_arg "Relation.for_exception_value: attribute is not for_bp"
-  | Some f ->
+  match t.cols.(a) with
+  | For f ->
       Obs.Metrics.incr m_decodes;
-      for_ex_touch t f;
+      search_touch t f.side;
       Hashtbl.find f.fex (t.row_base + tid)
-
-let addr t tid a =
-  let tid = t.row_base + tid in
-  let pi, off = t.loc.(a) in
-  let p = t.parts.(pi) in
-  Buffer.base p.buf + (tid * p.width) + off
+  | _ -> invalid_arg "Relation.for_exception_value: attribute is not for_bp"
 
 let field_width t a =
-  Encoding.stored_width (Schema.attr t.schema a) t.encodings.(a)
+  Encoding.stored_width (Schema.attr t.schema a) (encoding t a)
 
 let part_of_attr t a = fst t.loc.(a)
 let n_parts t = Array.length t.parts
@@ -890,22 +791,13 @@ let untraced t f =
   | Some h -> Memsim.Hierarchy.without_tracing h f
   | None -> f ()
 
-(* Visit every stored tuple without generating simulated traffic. *)
-let iter_rows t f =
-  untraced t (fun () ->
-      for tid = 0 to t.nrows - 1 do
-        f tid (get_tuple t tid)
-      done)
-
 (* Sparse and RLE attributes must be alone in their partition; when a layout
    change groups them with others they deterministically fall back to plain
    (live repartitions and WAL replay must agree on this). *)
 let sanitize_encodings layout encs =
   List.filter
     (fun (a, e) ->
-      match (e : Encoding.t) with
-      | Sparse | Rle -> alone_in_partition layout a
-      | _ -> true)
+      (not (Encoding.outside_partition e)) || alone_in_partition layout a)
     encs
 
 let copy_into t dst =
@@ -930,7 +822,9 @@ let repartition t layout =
       ~encodings:(sanitize_encodings layout (encodings t))
       t.arena t.schema layout
   in
-  let all_plain = Array.for_all (fun e -> e = Encoding.Plain) t.encodings in
+  let all_plain =
+    Array.for_all (function Plain -> true | _ -> false) t.cols
+  in
   if all_plain then begin
     (* Plain fields have the same stored bytes under any partitioning, so a
        repartition is pure byte movement: copy each attribute's column of
@@ -938,7 +832,7 @@ let repartition t layout =
        get_tuple/append.  (Dict and Sparse columns keep OCaml-side state and
        take the generic path.) *)
     ensure_capacity dst t.nrows;
-    let fw a = Encoding.stored_width (Schema.attr t.schema a) t.encodings.(a) in
+    let fw = field_width t in
     Array.iter
       (fun dp ->
         (* copy maximal attr groups that are contiguous in both the source

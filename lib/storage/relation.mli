@@ -3,7 +3,12 @@
     Each partition is one contiguous region of tuples of the partition's
     width; the address of attribute [a] of tuple [tid] is
     [part_base + tid * part_width + offset(a)] — the PDSM storage scheme of
-    Section III-B. *)
+    Section III-B.
+
+    Each attribute has one storage state: plain, or one of the
+    {!Encoding} schemes with its side region (dictionary values, sparse
+    pairs, runs or FOR exceptions), whose entries are
+    [Encoding.side_width] bytes wide. *)
 
 type t
 
@@ -24,18 +29,13 @@ val nrows : t -> int
 val hier : t -> Memsim.Hierarchy.t option
 val arena : t -> Arena.t
 
-val slice : t -> lo:int -> len:int -> t
-(** A read-only view of rows [lo .. lo+len-1]: tuple id [i] of the slice is
-    tuple [lo + i] of this relation, stored at the same addresses.  The view
-    shares all storage with the original; {!append} and {!load} on it are
-    rejected.  This is the morsel primitive of the parallel executor — a
-    morsel is one engine run over a slice. *)
-
 val with_hier : t -> Memsim.Hierarchy.t option -> t
 (** A read-only view of the same stored data whose traced accesses are
     reported to a different memory hierarchy (or, with [None], untraced).
     Worker domains of a parallel query each read the shared relation through
-    their own view so simulated cache behaviour composes per-domain. *)
+    their own view so simulated cache behaviour composes per-domain; the
+    view shares all storage with the original, and {!append} and {!load} on
+    it are rejected. *)
 
 val reslice : t -> lo:int -> len:int -> unit
 (** Move a view's window to rows [lo .. lo+len-1] of its parent (the window
@@ -58,10 +58,6 @@ val rejects : t -> int -> Value.t -> string option
 (** [rejects t a v] is why {!append} or {!set} would refuse [v] for
     attribute [a] under its type, nullability and encoding, or [None] when
     they accept it.  Pure: no simulated traffic. *)
-
-val iter_rows : t -> (int -> Value.t array -> unit) -> unit
-(** [iter_rows t f] calls [f tid tuple] for every stored tuple in tid order,
-    untraced. *)
 
 val get_tuple : t -> int -> Value.t array
 (** Whole-tuple read.  When every attribute is plain, non-nullable and
@@ -89,29 +85,20 @@ val read_int_run : t -> lo:int -> count:int -> int -> int array -> unit
 val read_value_run : t -> lo:int -> count:int -> int -> Value.t array -> unit
 (** Boxed-value variant; requires {!run_readable}. *)
 
-val addr : t -> int -> int -> int
-(** Virtual address of the stored field (including null byte if present). *)
-
 val field_width : t -> int -> int
 (** Stored width of the attribute's field under its encoding. *)
 
 val encoding : t -> int -> Encoding.t
 
 val encodings : t -> (int * Encoding.t) list
-(** The non-plain encodings, as passable to {!create}. *)
+(** The non-plain encodings in ascending attribute order, as passable to
+    {!create} (snapshots store them in this order). *)
 
-val dict_info : t -> int -> (int * int) option
-(** For a dictionary-encoded attribute: (distinct values so far, value
-    width in bytes) — the parameters of the decode access pattern. *)
-
-val sparse_info : t -> int -> (int * int) option
-(** For a sparse attribute: (non-null entries, pair entry width). *)
-
-val rle_info : t -> int -> (int * int) option
-(** For an RLE attribute: (runs so far, run entry width). *)
-
-val for_info : t -> int -> (int * int) option
-(** For a for_bp attribute: (exception count, code width in bytes). *)
+val side_entries : t -> int -> int
+(** Entries in the attribute's side region: distinct values so far (Dict),
+    non-null entries (Sparse), runs (Rle) or exceptions (For_bp); 0 for a
+    plain attribute.  Each entry is [Encoding.side_width] bytes — together
+    the parameters of the decode and probe access patterns. *)
 
 val for_bounds : t -> int -> (int * int) option
 (** Widen-only (min, max) bounds over every value ever stored in a for_bp
@@ -159,9 +146,11 @@ val for_exception_value : t -> int -> int -> int
     traced exception list. *)
 
 val storage_bytes : t -> int
-(** Bytes occupied by the relation's partitions, dictionaries and sparse
-    pair lists — the storage-footprint metric of the compression and
-    sparse-storage experiments. *)
+(** Bytes occupied by the relation's partitions and side regions
+    ([nrows * part_width] per partition plus
+    [side_entries * Encoding.side_width] per attribute) — the
+    storage-footprint metric of the compression and sparse-storage
+    experiments. *)
 
 val part_of_attr : t -> int -> int
 val part_width : t -> int -> int

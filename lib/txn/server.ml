@@ -115,18 +115,39 @@ let wait_sessions t =
       done)
 
 (* Per-client commit-latency histogram, registered at the session's first
-   commit and kept in the session.  Client ids are free-form; anything
-   non-alphanumeric is mangled to keep the metric name well-formed. *)
+   commit and kept in the session.  Client ids are outside input, and the
+   metrics registry is process-wide and scanned under the lock every
+   commit's metric updates take: the name keeps at most
+   [client_name_bytes] of the id, mangled (anything non-alphanumeric
+   becomes '_') to stay well-formed, and only the first
+   [client_histograms] distinct names get a histogram of their own; later
+   clients share [mrdb_client_other_txn_seconds]. *)
+let client_histograms = 64
+let client_name_bytes = 64
+let client_names : (string, unit) Hashtbl.t = Hashtbl.create client_histograms
+let client_names_m = Mutex.create ()
+
 let client_histogram id =
   let mangled =
     String.map
       (fun c ->
         let c = Char.lowercase_ascii c in
         if (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') then c else '_')
-      id
+      (String.sub id 0 (min client_name_bytes (String.length id)))
+  in
+  let name =
+    Mutex.protect client_names_m (fun () ->
+        if
+          Hashtbl.mem client_names mangled
+          || Hashtbl.length client_names < client_histograms
+        then begin
+          Hashtbl.replace client_names mangled ();
+          mangled
+        end
+        else "other")
   in
   Obs.Metrics.histogram
-    (Printf.sprintf "mrdb_client_%s_txn_seconds" mangled)
+    (Printf.sprintf "mrdb_client_%s_txn_seconds" name)
     ~help:"Begin-to-commit wall latency of this client's committed transactions"
 
 (* ------------------------------------------------------------------ *)

@@ -87,9 +87,7 @@ let check_roundtrip label rel n =
 let test_rle_roundtrip () =
   let _, rel = build ~encodings:[ (1, Encoding.Rle) ] 230 in
   check_roundtrip "rle" rel 230;
-  match Relation.rle_info rel 1 with
-  | Some (runs, _) -> Alcotest.(check int) "5 runs" 5 runs
-  | None -> Alcotest.fail "no run list"
+  Alcotest.(check int) "5 runs" 5 (Relation.side_entries rel 1)
 
 let test_for_roundtrip () =
   let _, rel = build ~encodings:[ (3, Encoding.For_bp 1) ] 210 in
@@ -119,9 +117,7 @@ let test_for_exceptions_roundtrip () =
         (Printf.sprintf "spike %d" i)
         (V.VInt v) (Relation.get rel i 0))
     spikes;
-  match Relation.for_info rel 0 with
-  | Some (exc, _) -> Alcotest.(check bool) "has exceptions" true (exc >= 3)
-  | None -> Alcotest.fail "no FOR store"
+  Alcotest.(check bool) "has exceptions" true (Relation.side_entries rel 0 >= 3)
 
 let test_updates_roundtrip () =
   let _, rel = build ~encodings:all_schemes 120 in
@@ -191,6 +187,77 @@ let qcheck_roundtrips =
           done;
           !ok)
         [ Encoding.Rle; Encoding.Sparse; Encoding.For_bp 1; Encoding.For_bp 2 ])
+
+(* QCheck: the advisor's predicted side region is the stored one.  For a
+   random single column (Int, Date or Varchar, nullable or not, runs and
+   NULLs mixed) stored under every scheme legal for it, which includes all
+   that [Compress.choose] weighs, [Compress.entries] of the column's
+   statistics is the stored side region's entry count and
+   [Compress.encoded_bytes] the stored footprint. *)
+let qcheck_predicted_side_region =
+  let open QCheck in
+  let cell =
+    Gen.frequency
+      [
+        (4, Gen.map Option.some Gen.small_signed_int);
+        (2, Gen.return (Some 42));
+        (1, Gen.oneofl [ Some max_int; Some min_int; Some 100_000 ]);
+        (2, Gen.return None);
+      ]
+  in
+  let gen =
+    Gen.(
+      triple
+        (oneofl [ V.Int; V.Date; V.Varchar 8 ])
+        bool
+        (list_size (int_range 1 40) (pair cell (int_range 1 6))))
+  in
+  let print (ty, nullable, runs) =
+    Format.asprintf "%a%s: %s" V.pp_ty ty
+      (if nullable then " null" else "")
+      (String.concat ";"
+         (List.map
+            (fun (c, len) ->
+              Printf.sprintf "%sx%d"
+                (match c with Some i -> string_of_int i | None -> "_")
+                len)
+            runs))
+  in
+  QCheck.Test.make ~count:200 ~name:"predicted side region is the stored one"
+    (make ~print gen) (fun (ty, nullable, runs) ->
+      let schema = Storage.Schema.make_nullable "p" [ ("v", ty, nullable) ] in
+      let value = function
+        | None when nullable -> V.Null
+        | c -> (
+            let i = Option.value c ~default:0 in
+            match ty with
+            | V.Date -> V.VDate i
+            | V.Varchar _ -> V.VStr (Printf.sprintf "s%d" (abs (i mod 50)))
+            | _ -> V.VInt i)
+      in
+      let rows =
+        Array.of_list
+          (List.concat_map (fun (c, len) -> List.init len (fun _ -> value c)) runs)
+      in
+      let cat = Storage.Catalog.create () in
+      let rel = Storage.Catalog.add cat schema (Storage.Layout.column schema) in
+      Relation.load rel ~n:(Array.length rows) (fun ~row -> [| rows.(row) |]);
+      let st = (Compress.analyze rel).(0) in
+      let schemes =
+        [ Encoding.Plain; Encoding.Dict; Encoding.Rle ]
+        @ (if nullable then [ Encoding.Sparse ] else [])
+        @
+        match ty with
+        | V.Int | V.Date -> List.map (fun w -> Encoding.For_bp w) [ 1; 2; 4 ]
+        | _ -> []
+      in
+      List.for_all
+        (fun e ->
+          let stored = Relation.recompress rel [ (0, e) ] in
+          Relation.encoding stored 0 = e
+          && Relation.side_entries stored 0 = Compress.entries st e
+          && Relation.storage_bytes stored = Compress.encoded_bytes schema st e)
+        schemes)
 
 (* ------------------------------------------------------------------ *)
 (* Direct execution                                                    *)
@@ -307,13 +374,7 @@ let test_hint_costing_matches_live_encoding () =
   let cat0, rel0 = build ~encodings:[] 2_000 in
   let st = (Compress.analyze rel0).(1) in
   let hint =
-    {
-      Costmodel.Emit.enc = Encoding.Rle;
-      distinct = st.Compress.distinct;
-      runs = st.Compress.runs;
-      filled = st.Compress.non_null;
-      exceptions = 0;
-    }
+    { Costmodel.Emit.enc = Encoding.Rle; entries = Compress.entries st Encoding.Rle }
   in
   let plan0 = Relalg.Planner.plan cat0 (Relalg.Sql.parse cat0 sql) in
   let hinted =
@@ -409,6 +470,7 @@ let suite =
     Alcotest.test_case "updates roundtrip" `Quick test_updates_roundtrip;
     Alcotest.test_case "append roundtrip" `Quick test_append_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_roundtrips;
+    QCheck_alcotest.to_alcotest qcheck_predicted_side_region;
     Alcotest.test_case "engines match plain" `Quick test_engines_match_plain;
     Alcotest.test_case "fastpath counter identity" `Quick
       test_fastpath_counter_identity;

@@ -43,11 +43,10 @@ let test_dict_roundtrip () =
       (Printf.sprintf "tuple %d" row)
       (expected_tuple row) (Relation.get_tuple rel row)
   done;
-  (match Relation.dict_info rel 1 with
-  | Some (ndv, w) ->
-      Alcotest.(check int) "dictionary has 13 entries" 13 ndv;
-      Alcotest.(check int) "entry width" 16 w
-  | None -> Alcotest.fail "no dictionary");
+  Alcotest.(check int) "dictionary has 13 entries" 13
+    (Relation.side_entries rel 1);
+  Alcotest.(check int) "entry width" 16
+    (Encoding.side_width (Storage.Schema.attr schema 1) Encoding.Dict);
   Alcotest.(check int) "code field width" 4 (Relation.field_width rel 1)
 
 let test_dict_nullable_roundtrip () =
@@ -66,9 +65,7 @@ let test_sparse_roundtrip () =
       (Printf.sprintf "tuple %d" row)
       (expected_tuple row) (Relation.get_tuple rel row)
   done;
-  match Relation.sparse_info rel 2 with
-  | Some (filled, _) -> Alcotest.(check int) "40 non-null entries" 40 filled
-  | None -> Alcotest.fail "no sparse store"
+  Alcotest.(check int) "40 non-null entries" 40 (Relation.side_entries rel 2)
 
 let test_sparse_update () =
   let _, rel = build ~encodings:[ (2, Encoding.Sparse) ] 50 in

@@ -456,7 +456,7 @@ let qcheck_snapshot_roundtrip =
 
 (* The value-at-a-time snapshot encoder, kept as the oracle of the one that
    copies fields straight from partition bytes: every row boxed through
-   [Relation.iter_rows], every field through [Codec.value]. *)
+   [Relation.get_tuple], every field through [Codec.value]. *)
 let reference_state cat =
   let w = Codec.writer () in
   let names = Catalog.names cat in
@@ -468,7 +468,9 @@ let reference_state cat =
       Codec.layout_groups w (Layout.to_groups (Relation.layout rel));
       Codec.encodings w (Relation.encodings rel);
       Codec.i64 w (Relation.nrows rel);
-      Relation.iter_rows rel (fun _ row -> Array.iter (Codec.value w) row);
+      for tid = 0 to Relation.nrows rel - 1 do
+        Array.iter (Codec.value w) (Relation.get_tuple rel tid)
+      done;
       Codec.list w
         (fun w (iname, kind, attrs) ->
           Codec.str w iname;

@@ -172,9 +172,7 @@ let test_identity_indexed () =
 
 let dump cat table =
   let rel = Catalog.find cat table in
-  let rows = ref [] in
-  Relation.iter_rows rel (fun _ row -> rows := Array.copy row :: !rows);
-  List.rev !rows
+  List.init (Relation.nrows rel) (Relation.get_tuple rel)
 
 (* DML: run the same update/insert against a single-node catalog and a
    cluster scattered from an identical copy; results and final table
@@ -449,10 +447,10 @@ let run_2pc_script envs coord_env =
 let has_marker cat (attr, v) =
   if not (List.mem "t" (Catalog.names cat)) then false
   else begin
-    let found = ref false in
-    Relation.iter_rows (Catalog.find cat "t") (fun _ row ->
-        if V.equal row.(attr) (V.VInt v) then found := true);
-    !found
+    let rel = Catalog.find cat "t" in
+    List.exists
+      (fun tid -> V.equal (Relation.get rel tid attr) (V.VInt v))
+      (List.init (Relation.nrows rel) Fun.id)
   end
 
 (* Recover all envs and check the two 2PC invariants against the floor of

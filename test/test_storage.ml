@@ -216,14 +216,21 @@ let test_relation_addresses_follow_layout () =
       ()
   in
   let rel = Storage.Catalog.find cat "t" in
+  (* part_base + tid * part_width + offset(a), as a compiled scan reads it *)
+  let addr tid a =
+    let p = Relation.part_of_attr rel a in
+    Storage.Buffer.base (Relation.part_buffer rel p)
+    + Relation.part_row_offset rel p
+    + (tid * Relation.part_width rel p)
+    + Relation.attr_offset rel a
+  in
   (* id and grp share a 16-byte partition tuple *)
-  Alcotest.(check int) "id->grp offset" 8
-    (Relation.addr rel 0 1 - Relation.addr rel 0 0);
-  Alcotest.(check int) "next tuple stride" 16
-    (Relation.addr rel 1 0 - Relation.addr rel 0 0);
+  Alcotest.(check int) "id->grp offset" 8 (addr 0 1 - addr 0 0);
+  Alcotest.(check int) "next tuple stride" 16 (addr 1 0 - addr 0 0);
   (* amount..score partition is 28 bytes wide *)
-  Alcotest.(check int) "second partition stride" 28
-    (Relation.addr rel 1 2 - Relation.addr rel 0 2)
+  Alcotest.(check int) "second partition stride" 28 (addr 1 2 - addr 0 2);
+  Alcotest.(check bool) "partitions are disjoint" true
+    (Relation.part_of_attr rel 0 <> Relation.part_of_attr rel 2)
 
 let test_repartition_preserves_data () =
   let cat = Helpers.small_catalog ~n:200 () in
@@ -237,64 +244,56 @@ let test_repartition_preserves_data () =
   Helpers.check_rows "same tuples" before after
 
 (* ------------------------------------------------------------------ *)
-(* Slice / reslice boundaries                                          *)
+(* View windows (with_hier + reslice)                                  *)
 (* ------------------------------------------------------------------ *)
-
-let test_slice_boundaries () =
-  let cat = Helpers.small_catalog ~n:50 () in
-  let rel = Storage.Catalog.find cat "t" in
-  (* zero-length slices are legal at every position, including both ends *)
-  List.iter
-    (fun lo ->
-      let s = Relation.slice rel ~lo ~len:0 in
-      Alcotest.(check int)
-        (Printf.sprintf "empty slice at %d" lo)
-        0 (Relation.nrows s))
-    [ 0; 25; 50 ];
-  (* a full-width slice is the identity on contents *)
-  let full = Relation.slice rel ~lo:0 ~len:50 in
-  Alcotest.(check int) "full slice length" 50 (Relation.nrows full);
-  Alcotest.(check Helpers.row_testable) "full slice last tuple"
-    (Relation.get_tuple rel 49) (Relation.get_tuple full 49);
-  (* one-row slices at both extremes *)
-  let first = Relation.slice rel ~lo:0 ~len:1 in
-  let last = Relation.slice rel ~lo:49 ~len:1 in
-  Alcotest.(check Helpers.value_testable) "first row" (V.VInt 0)
-    (Relation.get first 0 0);
-  Alcotest.(check Helpers.value_testable) "last row" (V.VInt 49)
-    (Relation.get last 0 0)
-
-let test_slice_of_slice () =
-  let cat = Helpers.small_catalog ~n:100 () in
-  let rel = Storage.Catalog.find cat "t" in
-  let mid = Relation.slice rel ~lo:20 ~len:60 in
-  (* nested slice pinned to the parent's low end: tuple 0 = base row 20 *)
-  let lo_end = Relation.slice mid ~lo:0 ~len:5 in
-  Alcotest.(check Helpers.value_testable) "low-end nested origin" (V.VInt 20)
-    (Relation.get lo_end 0 0);
-  (* nested slice pinned to the parent's high end: last tuple = base row 79 *)
-  let hi_end = Relation.slice mid ~lo:55 ~len:5 in
-  Alcotest.(check Helpers.value_testable) "high-end nested last" (V.VInt 79)
-    (Relation.get hi_end 4 0);
-  (* zero-length nested slice exactly at the parent's upper bound *)
-  let empty = Relation.slice mid ~lo:60 ~len:0 in
-  Alcotest.(check int) "empty at parent bound" 0 (Relation.nrows empty)
 
 let test_reslice_boundaries () =
   let cat = Helpers.small_catalog ~n:30 () in
   let rel = Storage.Catalog.find cat "t" in
   let view = Relation.with_hier rel (Relation.hier rel) in
-  (* reslice to a zero-length window, then back out to the full relation *)
-  Relation.reslice view ~lo:0 ~len:0;
-  Alcotest.(check int) "zero window" 0 (Relation.nrows view);
+  (* zero-length windows are legal at every position, including both ends *)
+  List.iter
+    (fun lo ->
+      Relation.reslice view ~lo ~len:0;
+      Alcotest.(check int) (Printf.sprintf "empty window at %d" lo) 0
+        (Relation.nrows view))
+    [ 0; 15; 30 ];
+  (* a full window is the identity on contents *)
   Relation.reslice view ~lo:0 ~len:30;
   Alcotest.(check int) "full window again" 30 (Relation.nrows view);
-  (* zero-length window at the far end is the last legal position *)
-  Relation.reslice view ~lo:30 ~len:0;
-  Alcotest.(check int) "empty at end" 0 (Relation.nrows view);
+  Alcotest.(check Helpers.row_testable) "full window last tuple"
+    (Relation.get_tuple rel 29) (Relation.get_tuple view 29);
+  (* one-row windows at both extremes *)
+  Relation.reslice view ~lo:0 ~len:1;
+  Alcotest.(check Helpers.value_testable) "first row window" (V.VInt 0)
+    (Relation.get view 0 0);
   Relation.reslice view ~lo:29 ~len:1;
   Alcotest.(check Helpers.value_testable) "final row window" (V.VInt 29)
     (Relation.get view 0 0)
+
+let test_view_of_resliced_view () =
+  let cat = Helpers.small_catalog ~n:100 () in
+  let rel = Storage.Catalog.find cat "t" in
+  let mid = Relation.with_hier rel (Relation.hier rel) in
+  Relation.reslice mid ~lo:20 ~len:60;
+  (* a view of [mid] is bounded by [mid]'s window, rows 20..79 *)
+  let nested = Relation.with_hier mid (Relation.hier mid) in
+  (* nested window pinned to the parent's low end: tuple 0 = base row 20 *)
+  Relation.reslice nested ~lo:0 ~len:5;
+  Alcotest.(check Helpers.row_testable) "low-end nested origin"
+    (Relation.get_tuple rel 20) (Relation.get_tuple nested 0);
+  (* nested window pinned to the parent's high end: last tuple = base row 79 *)
+  Relation.reslice nested ~lo:55 ~len:5;
+  Alcotest.(check Helpers.row_testable) "high-end nested last"
+    (Relation.get_tuple rel 79) (Relation.get_tuple nested 4);
+  (* zero-length nested window exactly at the parent's upper bound *)
+  Relation.reslice nested ~lo:60 ~len:0;
+  Alcotest.(check int) "empty at parent bound" 0 (Relation.nrows nested);
+  Alcotest.check_raises "past the parent's window"
+    (Invalid_argument
+       "Relation.reslice(t): rows [56, 61) out of bounds (parent window \
+        holds 60 rows)")
+    (fun () -> Relation.reslice nested ~lo:56 ~len:5)
 
 let qcheck_relation_roundtrip =
   QCheck.Test.make ~count:100
@@ -357,7 +356,7 @@ let suite =
     Alcotest.test_case "repartition preserves data" `Quick
       test_repartition_preserves_data;
     QCheck_alcotest.to_alcotest qcheck_relation_roundtrip;
-    Alcotest.test_case "slice boundaries" `Quick test_slice_boundaries;
-    Alcotest.test_case "slice of slice" `Quick test_slice_of_slice;
     Alcotest.test_case "reslice boundaries" `Quick test_reslice_boundaries;
+    Alcotest.test_case "view of a resliced view" `Quick
+      test_view_of_resliced_view;
   ]

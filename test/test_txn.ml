@@ -1405,6 +1405,32 @@ let test_held_snapshot_spreads_frees () =
   Alcotest.(check int) "999 commits later the backlog is gone" 0
     (M.retained_versions mgr)
 
+(* Client ids are outside input and the metrics registry is process-wide:
+   however many distinct ids commit, the per-client histograms stay
+   capped (64 of their own plus the shared "other" one). *)
+let client_histograms () =
+  String.split_on_char '\n' (Obs.Metrics.to_prometheus ())
+  |> List.filter (fun l ->
+         String.starts_with ~prefix:"# TYPE mrdb_client_" l
+         && String.ends_with ~suffix:"_txn_seconds histogram" l)
+  |> List.length
+
+let test_server_client_histograms_capped () =
+  let before = client_histograms () in
+  with_server (small_cat ()) (fun _mgr addr ->
+      for i = 1 to 200 do
+        (* long ids: the name keeps 64 bytes, still distinct per client *)
+        let id = Printf.sprintf "hist-%d-%s" i (String.make 100 'x') in
+        let c = Txn.Client.connect ~id addr in
+        Txn.Client.begin_ c;
+        ignore (Txn.Client.commit c);
+        Txn.Client.close c
+      done);
+  let added = client_histograms () - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "200 ids add %d client histograms, at most 65" added)
+    true (added <= 65)
+
 (* More clients than the runtime allows domains (128): every session is
    served.  Each socket gives up reading after 5 s, so a session that
    never starts fails the test instead of hanging it. *)
@@ -1641,4 +1667,6 @@ let suite =
       `Quick test_held_snapshot_spreads_frees;
     Alcotest.test_case "server: 140 concurrent clients are all served" `Quick
       test_server_many_clients;
+    Alcotest.test_case "server: per-client histograms are capped" `Quick
+      test_server_client_histograms_capped;
   ]
