@@ -247,26 +247,46 @@ let test_repartition_preserves_data () =
 (* View windows (with_hier + reslice)                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* a window [lo, lo + len) cut from a fresh view of [rel] *)
+let window rel ~lo ~len =
+  let view = Relation.with_hier rel (Relation.hier rel) in
+  Relation.reslice view ~lo ~len;
+  view
+
+let test_slice_boundaries () =
+  let cat = Helpers.small_catalog ~n:50 () in
+  let rel = Storage.Catalog.find cat "t" in
+  (* zero-length windows are legal at every position, including both ends *)
+  List.iter
+    (fun lo ->
+      Alcotest.(check int)
+        (Printf.sprintf "empty window at %d" lo)
+        0
+        (Relation.nrows (window rel ~lo ~len:0)))
+    [ 0; 25; 50 ];
+  (* a full-width window is the identity on contents *)
+  let full = window rel ~lo:0 ~len:50 in
+  Alcotest.(check int) "full window length" 50 (Relation.nrows full);
+  Alcotest.(check Helpers.row_testable) "full window last tuple"
+    (Relation.get_tuple rel 49) (Relation.get_tuple full 49);
+  (* one-row windows at both extremes *)
+  Alcotest.(check Helpers.value_testable) "first row" (V.VInt 0)
+    (Relation.get (window rel ~lo:0 ~len:1) 0 0);
+  Alcotest.(check Helpers.value_testable) "last row" (V.VInt 49)
+    (Relation.get (window rel ~lo:49 ~len:1) 0 0)
+
 let test_reslice_boundaries () =
   let cat = Helpers.small_catalog ~n:30 () in
   let rel = Storage.Catalog.find cat "t" in
   let view = Relation.with_hier rel (Relation.hier rel) in
-  (* zero-length windows are legal at every position, including both ends *)
-  List.iter
-    (fun lo ->
-      Relation.reslice view ~lo ~len:0;
-      Alcotest.(check int) (Printf.sprintf "empty window at %d" lo) 0
-        (Relation.nrows view))
-    [ 0; 15; 30 ];
-  (* a full window is the identity on contents *)
+  (* reslice to a zero-length window, then back out to the full relation *)
+  Relation.reslice view ~lo:0 ~len:0;
+  Alcotest.(check int) "zero window" 0 (Relation.nrows view);
   Relation.reslice view ~lo:0 ~len:30;
   Alcotest.(check int) "full window again" 30 (Relation.nrows view);
-  Alcotest.(check Helpers.row_testable) "full window last tuple"
-    (Relation.get_tuple rel 29) (Relation.get_tuple view 29);
-  (* one-row windows at both extremes *)
-  Relation.reslice view ~lo:0 ~len:1;
-  Alcotest.(check Helpers.value_testable) "first row window" (V.VInt 0)
-    (Relation.get view 0 0);
+  (* zero-length window at the far end is the last legal position *)
+  Relation.reslice view ~lo:30 ~len:0;
+  Alcotest.(check int) "empty at end" 0 (Relation.nrows view);
   Relation.reslice view ~lo:29 ~len:1;
   Alcotest.(check Helpers.value_testable) "final row window" (V.VInt 29)
     (Relation.get view 0 0)
@@ -356,6 +376,7 @@ let suite =
     Alcotest.test_case "repartition preserves data" `Quick
       test_repartition_preserves_data;
     QCheck_alcotest.to_alcotest qcheck_relation_roundtrip;
+    Alcotest.test_case "slice boundaries" `Quick test_slice_boundaries;
     Alcotest.test_case "reslice boundaries" `Quick test_reslice_boundaries;
     Alcotest.test_case "view of a resliced view" `Quick
       test_view_of_resliced_view;
