@@ -16,6 +16,14 @@
    deterministic builds put both paths on byte-identical address streams
    (see test/test_tracefast.ml).
 
+   The sweep_insert cell times the first insert after each layout sweep:
+   CH at scale 0.05 on a default hierarchy, one T1 to grow order_line (as
+   the previous block's T1 does in the paper's experiment loop), then
+   row -> column -> row sweeps of every table, each followed by one traced
+   T1.  It reports the major-heap words and the milliseconds of each of
+   those three inserts; a repartition that sized order_line for exactly
+   its rows made each one copy the table.
+
    Results go to BENCH_trace_fastpath.json. *)
 
 let n_rows = 100_000
@@ -80,6 +88,41 @@ let measure_engine engine =
     identical;
   }
 
+let sweep_scale = 0.05
+
+type sweep_row = { layout : string; major_words : float; ms : float }
+
+let sweep_insert () =
+  let module Ch = Workloads.Ch in
+  let module Layout = Storage.Layout in
+  let ch = Ch.build ~hier:(Memsim.Hierarchy.create ()) ~scale:sweep_scale () in
+  let cat = ch.Ch.cat in
+  let t1 = Ch.query ch "T1" in
+  let insert () =
+    let plan = t1.Workloads.Workload.make_plan ~use_indexes:false in
+    ignore
+      (Engines.Engine.run_measured Engines.Engine.Jit cat plan
+         ~params:t1.Workloads.Workload.params)
+  in
+  insert ();
+  List.map
+    (fun (layout, make) ->
+      List.iter
+        (fun t ->
+          let schema = Storage.Relation.schema (Storage.Catalog.find cat t) in
+          Storage.Catalog.set_layout cat t (make schema))
+        Ch.tables;
+      (* an empty minor heap: the reading holds the insert's own words *)
+      Gc.minor ();
+      let w0 = (Gc.quick_stat ()).Gc.major_words in
+      let (), s = wall insert in
+      {
+        layout;
+        major_words = (Gc.quick_stat ()).Gc.major_words -. w0;
+        ms = 1000. *. s;
+      })
+    [ ("row", Layout.row); ("column", Layout.column); ("row", Layout.row) ]
+
 let run () =
   Common.header "Trace fast path — run-batched vs. per-word access tracing";
   Common.note
@@ -97,6 +140,17 @@ let run () =
     rows;
   Common.note
     "all engines: rows and every simulated counter identical on both paths";
+  Common.note
+    "first T1 after each layout sweep, CH scale %.2f (order_line grown by \
+     one T1 first):"
+    sweep_scale;
+  let sweeps = sweep_insert () in
+  Printf.printf "  %-12s %14s %10s\n" "sweep to" "major words" "ms";
+  List.iter
+    (fun r ->
+      Printf.printf "  %-12s %14.0f %10.2f\n" r.layout r.major_words r.ms)
+    sweeps;
+  let worst f = List.fold_left (fun acc r -> Float.max acc (f r)) 0. sweeps in
   let bench = "trace_fastpath" in
   let pt = Common.pt ~bench in
   Common.write_bench "BENCH_trace_fastpath.json"
@@ -104,6 +158,9 @@ let run () =
        pt ~metric:"rows" ~unit_:"rows" (float_of_int n_rows);
        pt ~metric:"selectivity" sel;
        pt ~metric:"repeats" (float_of_int repeats);
+       pt ~metric:"sweep_insert.major_words" ~unit_:"words"
+         (worst (fun r -> r.major_words));
+       pt ~metric:"sweep_insert.ms" ~unit_:"ms" (worst (fun r -> r.ms));
      ]
     @ List.concat_map
         (fun r ->

@@ -1,25 +1,37 @@
+(* The simulated extent is [base] and [size]; [bytes] backs it and may be
+   longer (host room, zero past [size]). *)
 type t = {
   arena : Arena.t;
   hier : Memsim.Hierarchy.t option;
   mutable base : int;
+  mutable size : int;
   mutable bytes : Bytes.t;
 }
 
-let create arena ?hier size =
-  { arena; hier; base = Arena.alloc arena size; bytes = Bytes.make size '\000' }
+let create arena ?hier ?(room = 0) size =
+  {
+    arena;
+    hier;
+    base = Arena.alloc arena size;
+    size;
+    bytes = Bytes.make (max size room) '\000';
+  }
 
 let base t = t.base
-let size t = Bytes.length t.bytes
+let size t = t.size
 let hier t = t.hier
 
 let with_hier t hier = { t with hier }
 
 let grow t want =
-  if want > Bytes.length t.bytes then begin
-    let nsize = max want (2 * Bytes.length t.bytes) in
-    let nbytes = Bytes.make nsize '\000' in
-    Bytes.blit t.bytes 0 nbytes 0 (Bytes.length t.bytes);
-    t.bytes <- nbytes;
+  if want > t.size then begin
+    let nsize = max want (2 * t.size) in
+    if nsize > Bytes.length t.bytes then begin
+      let nbytes = Bytes.make nsize '\000' in
+      Bytes.blit t.bytes 0 nbytes 0 t.size;
+      t.bytes <- nbytes
+    end;
+    t.size <- nsize;
     t.base <- Arena.alloc t.arena nsize
   end
 

@@ -4,17 +4,25 @@
     materialization buffers through this module; every typed accessor both
     moves real bytes (so queries compute real results) and, when a hierarchy
     is attached, reports the access to the simulator (so the experiment
-    counters match the paper's performance-counter methodology). *)
+    counters match the paper's performance-counter methodology).
+
+    A buffer has a simulated extent, its {!base} and {!size}: the arena
+    region the simulator sees.  The host bytes behind it may be longer than
+    the extent.  This {e host room} is zeroed and invisible to the
+    simulator, and a {!grow} whose new extent fits in it copies nothing. *)
 
 type t
 
-val create : Arena.t -> ?hier:Memsim.Hierarchy.t -> int -> t
-(** [create arena ?hier size] allocates a zeroed buffer of [size] bytes. *)
+val create : Arena.t -> ?hier:Memsim.Hierarchy.t -> ?room:int -> int -> t
+(** [create arena ?hier ?room size] allocates a zeroed buffer whose extent
+    is [size] bytes, backed by [max size room] zeroed host bytes.  The arena
+    region is [size] bytes whatever [room] is. *)
 
 val base : t -> int
 (** Virtual base address. *)
 
 val size : t -> int
+(** Bytes in the simulated extent; host room is not counted. *)
 
 val hier : t -> Memsim.Hierarchy.t option
 
@@ -22,12 +30,16 @@ val with_hier : t -> Memsim.Hierarchy.t option -> t
 (** A view of the same bytes at the same virtual address whose accesses are
     reported to a different hierarchy (or, with [None], not at all).  The
     underlying storage is shared with the original; the view is meant for
-    read-mostly use during one query — do not {!grow} it, and growth of the
-    original is not visible through the view. *)
+    read-mostly use during one query — do not {!grow} it.  The view keeps
+    the extent it was taken with: a {!grow} of the original moves only the
+    original's extent, and while that grow fits in the host room the view
+    still shares its bytes. *)
 
 val grow : t -> int -> unit
-(** [grow t size] enlarges the buffer to at least [size] bytes, moving it to
-    a fresh virtual region (old contents are copied). *)
+(** [grow t size] enlarges the extent to at least [size] bytes, and at
+    least twice the old extent, moving it to a fresh virtual region of that
+    size.  The host bytes are reallocated, and the old extent copied, only
+    when the new extent no longer fits in them. *)
 
 (** {1 Typed accessors}
 
@@ -83,8 +95,9 @@ val stored_varchar_length : t -> int -> len:int -> int
     at most [len]. *)
 
 val unsafe_bytes : t -> Bytes.t
-(** The backing byte store.  Read-only use only: accesses through it are
-    untraced, and {!grow} replaces the backing store, invalidating the
+(** The backing byte store, host room included: it may be longer than
+    {!size}.  Read-only use only: accesses through it are untraced, and a
+    {!grow} past the host room replaces the backing store, invalidating the
     returned value.  The compiled-pipeline FFI passes these bytes to
     generated C code. *)
 

@@ -145,7 +145,10 @@ let column ?hier arena schema layout a (enc : Encoding.t) =
           fmax = 0;
         }
 
-let create ?hier ?(capacity = 1024) ?(encodings = []) arena schema layout =
+(* With [room], each partition is backed by host bytes for twice its
+   extent, the extent its next grow takes (see [empty_copy]). *)
+let create_with ~room ?hier ?(capacity = 1024) ?(encodings = []) arena schema
+    layout =
   let n = Schema.arity schema in
   let enc = Array.make n Encoding.Plain in
   List.iter (fun (a, e) -> enc.(a) <- e) encodings;
@@ -176,7 +179,10 @@ let create ?hier ?(capacity = 1024) ?(encodings = []) arena schema layout =
             loc.(a) <- (pi, !width);
             width := !width + Encoding.stored_width (Schema.attr schema a) enc.(a))
           attrs;
-        let buf = Buffer.create arena ?hier (max 1 (!width * capacity)) in
+        let size = max 1 (!width * capacity) in
+        let buf =
+          Buffer.create arena ?hier ~room:(if room then 2 * size else 0) size
+        in
         { attrs; offsets; width = !width; buf })
       (Layout.partitions layout)
   in
@@ -221,6 +227,9 @@ let create ?hier ?(capacity = 1024) ?(encodings = []) arena schema layout =
     uniform8;
     tuple_parts;
   }
+
+let create ?hier ?capacity ?encodings arena schema layout =
+  create_with ~room:false ?hier ?capacity ?encodings arena schema layout
 
 let out_of_bounds t what ~lo ~len =
   invalid_arg
@@ -806,22 +815,26 @@ let copy_into t dst =
         ignore (append dst (get_tuple t tid))
       done)
 
+(* An empty relation sized for exactly [t]'s rows, the target of a layout
+   or encoding change.  When [t] has grown by appends since it was built, it
+   will likely be appended to again: the copy's partitions then get host
+   room for the extent their next grow takes, so that grow moves no bytes.
+   The simulated extents, and with them every arena address, are the same
+   either way. *)
+let empty_copy t layout encodings =
+  create_with ~room:(t.capacity > t.nrows) ?hier:t.hier
+    ~capacity:(max 1 t.nrows)
+    ~encodings:(sanitize_encodings layout encodings)
+    t.arena t.schema layout
+
 let recompress t ?layout encodings =
   let layout = match layout with Some l -> l | None -> t.layout in
-  let dst =
-    create ?hier:t.hier ~capacity:(max 1 t.nrows)
-      ~encodings:(sanitize_encodings layout encodings)
-      t.arena t.schema layout
-  in
+  let dst = empty_copy t layout encodings in
   copy_into t dst;
   dst
 
 let repartition t layout =
-  let dst =
-    create ?hier:t.hier ~capacity:(max 1 t.nrows)
-      ~encodings:(sanitize_encodings layout (encodings t))
-      t.arena t.schema layout
-  in
+  let dst = empty_copy t layout (encodings t) in
   let all_plain =
     Array.for_all (function Plain -> true | _ -> false) t.cols
   in

@@ -171,13 +171,18 @@ val attr_offset : t -> int -> int
 val repartition : t -> Layout.t -> t
 (** Copy into a new layout (untraced — layout changes are setup work).
     Sparse/RLE attributes that are no longer alone in their partition fall
-    back to plain storage deterministically. *)
+    back to plain storage deterministically.  The copy's partitions are
+    sized for exactly {!nrows} rows.  When the source has spare capacity
+    (it grew by appends since it was built), each partition also gets
+    {!Buffer} host room for twice its rows, the extent its next grow takes,
+    so the first append after the change copies nothing; arena addresses
+    and simulated counters are the same either way. *)
 
 val recompress : t -> ?layout:Layout.t -> (int * Encoding.t) list -> t
 (** Copy into new per-attribute encodings (and optionally a new layout) —
-    untraced, like {!repartition}.  Encodings incompatible with the target
-    layout (a Sparse/RLE attribute not alone in its partition) fall back to
-    plain deterministically. *)
+    untraced, like {!repartition}, and keeping growth room as it does.
+    Encodings incompatible with the target layout (a Sparse/RLE attribute
+    not alone in its partition) fall back to plain deterministically. *)
 
 val load :
   t -> n:int -> (row:int -> Value.t array) -> unit

@@ -21,9 +21,10 @@
 
    Commit applies the write set, updates then inserts, through
    [Storage.Write.apply_all] inside [Catalog.in_txn], so with a durability
-   manager attached every commit is one transaction-framed, flushed WAL
-   unit: the WAL commit point and the MVCC commit point coincide, and a
-   crash at any injected commit-path point recovers to a committed prefix.
+   manager attached every commit that writes is one transaction-framed,
+   flushed WAL unit, and one that writes nothing logs nothing: the WAL
+   commit point and the MVCC commit point coincide, and a crash at any
+   injected commit-path point recovers to a committed prefix.
 
    Concurrency: logical MVCC over coarse physical latching.  One manager
    mutex guards every operation's critical section (begin, each read or
@@ -559,23 +560,26 @@ let commit_locked txn =
       txn.appended
   in
   (* One catalog transaction frame: with durability attached this is
-     exactly one Begin..ops..Commit WAL unit, flushed at the end.  The list
-     apply checks every op before the first lands, so a refusal (the
-     table's encoding changed since the write buffered) applies nothing.
-     If the apply dies half-way (a simulated crash at an injected point),
-     storage and the version bookkeeping disagree — poison the manager so
-     every later operation refuses instead of serving corrupt snapshots. *)
-  (try Catalog.in_txn t.cat (fun () -> Write.apply_all t.cat ops) with
+     exactly one Begin..ops..Commit WAL unit, flushed at the end.  A commit
+     with no ops opens no frame, so it logs nothing.  The list apply checks
+     every op before the first lands, so a refusal (the table's encoding
+     changed since the write buffered) applies nothing.  If the apply dies
+     half-way (a simulated crash at an injected point), storage and the
+     version bookkeeping disagree — poison the manager so every later
+     operation refuses instead of serving corrupt snapshots. *)
+  (try
+     if ops <> [] then
+       Catalog.in_txn t.cat (fun () -> Write.apply_all t.cat ops)
+   with
   | Errors.Bad_request _ as e ->
       finish_locked txn (Aborted "write refused at commit");
       raise e
   | e ->
       let bt = Printexc.get_raw_backtrace () in
-      if ops <> [] then
-        t.poisoned <-
-          Some
-            (Printf.sprintf "commit of ts %d died mid-apply (%s)" ts
-               (Printexc.to_string e));
+      t.poisoned <-
+        Some
+          (Printf.sprintf "commit of ts %d died mid-apply (%s)" ts
+             (Printexc.to_string e));
       finish_locked txn (Aborted ("apply failed: " ^ Printexc.to_string e));
       Printexc.raise_with_backtrace e bt);
   List.iter

@@ -17,8 +17,9 @@
     see DESIGN.md §5h).
 
     Commit applies run inside [Catalog.in_txn], so with a durability
-    manager attached each commit is one transaction-framed, flushed WAL
-    unit — the WAL and MVCC commit points coincide.
+    manager attached each commit that writes is one transaction-framed,
+    flushed WAL unit — the WAL and MVCC commit points coincide.  A commit
+    with nothing to write opens no frame and logs nothing.
 
     All operations are thread-safe: one manager mutex guards each
     operation's critical section (logical MVCC over coarse physical

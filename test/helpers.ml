@@ -20,15 +20,16 @@ let small_schema =
       ("score", V.Float);
     ]
 
-let fill_small rel n =
-  Storage.Relation.load rel ~n (fun ~row ->
-      [|
-        V.VInt row;
-        V.VInt (row mod 7);
-        V.VInt (row * 3 mod 101);
-        V.VStr (Printf.sprintf "name%03d" (row mod 50));
-        V.VFloat (float_of_int (row mod 13) /. 4.0);
-      |])
+let small_row row =
+  [|
+    V.VInt row;
+    V.VInt (row mod 7);
+    V.VInt (row * 3 mod 101);
+    V.VStr (Printf.sprintf "name%03d" (row mod 50));
+    V.VFloat (float_of_int (row mod 13) /. 4.0);
+  |]
+
+let fill_small rel n = Storage.Relation.load rel ~n (fun ~row -> small_row row)
 
 let small_catalog ?(n = 500) ?layout () =
   let hier = Memsim.Hierarchy.create () in

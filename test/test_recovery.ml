@@ -919,6 +919,33 @@ let test_commit_after_torn_recovery () =
   Alcotest.check Helpers.value_testable "acknowledged update survives"
     (V.VInt 7) (a r.Recover.cat)
 
+(* An MVCC commit with nothing to write logs nothing: 100 empty commits on a
+   durable catalog leave the WAL as it was and replay as no transaction,
+   while a commit that writes still replays as one. *)
+let test_empty_commits_log_nothing () =
+  let env = F.memory () in
+  let cat = Catalog.create () in
+  let rel = Catalog.add cat one_int (Layout.row one_int) in
+  ignore (Relation.append rel [| V.VInt 1 |]);
+  let d = D.attach env cat in
+  let wal_length () = F.durable_size env Wal.store_name in
+  let before = wal_length () in
+  let mgr = Txn.Mvcc.create cat in
+  for _ = 1 to 100 do
+    ignore (Txn.Mvcc.commit (Txn.Mvcc.begin_ mgr))
+  done;
+  Alcotest.(check int) "wal length unchanged" before (wal_length ());
+  D.detach d;
+  let r, d = D.recover env in
+  Alcotest.(check int) "empty commits replay nothing" 0 r.Recover.replayed;
+  Txn.Mvcc.run (Txn.Mvcc.create (D.catalog d)) (fun txn ->
+      Txn.Mvcc.update txn "t" 0 0 (V.VInt 2));
+  D.detach d;
+  let r = Recover.run env in
+  Alcotest.(check int) "a commit that writes replays" 1 r.Recover.replayed;
+  Alcotest.check Helpers.value_testable "its write survives" (V.VInt 2)
+    (Relation.get (Catalog.find r.Recover.cat "t") 0 0)
+
 (* ------------------------------------------------------------------ *)
 
 let suite =
@@ -953,4 +980,6 @@ let suite =
       test_wal_logs_values_as_given;
     Alcotest.test_case "commit after recovering a torn log survives" `Quick
       test_commit_after_torn_recovery;
+    Alcotest.test_case "empty commits log nothing" `Quick
+      test_empty_commits_log_nothing;
   ]

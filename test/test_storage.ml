@@ -244,6 +244,111 @@ let test_repartition_preserves_data () =
   Helpers.check_rows "same tuples" before after
 
 (* ------------------------------------------------------------------ *)
+(* Growth room across a layout change                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* [n] rows at a capacity of exactly [n], then one append when [grown]:
+   a relation that has grown since it was built has spare capacity. *)
+let sized_catalog ~n ~grown =
+  let hier = Memsim.Hierarchy.create () in
+  let cat = Storage.Catalog.create ~hier () in
+  let rel =
+    Relation.create ~hier ~capacity:n (Storage.Catalog.arena cat)
+      Helpers.small_schema
+      (Layout.row Helpers.small_schema)
+  in
+  Storage.Catalog.add_relation cat rel;
+  Helpers.fill_small rel n;
+  if grown then ignore (Relation.append rel (Helpers.small_row n));
+  cat
+
+let part_buffers rel =
+  Array.init (Relation.n_parts rel) (Relation.part_buffer rel)
+
+(* Append rows until the relation holds [upto], then check every row. *)
+let append_upto rel upto =
+  for tid = Relation.nrows rel to upto - 1 do
+    ignore (Relation.append rel (Helpers.small_row tid))
+  done;
+  Helpers.check_rows "rows read back"
+    (List.init upto Helpers.small_row)
+    (List.init upto (Relation.get_tuple rel))
+
+let column = Layout.column Helpers.small_schema
+
+let set_layout cat = Storage.Catalog.set_layout cat "t" column
+
+let set_physical cat =
+  Storage.Catalog.set_physical cat "t" ~layout:column
+    [ (3, Storage.Encoding.Dict) ]
+
+(* After a relation that grew goes through [change], the first append
+   grows every partition's extent as before (doubled, at the arena's next
+   regions in partition order) but keeps its host bytes; an append past
+   that room copies them. *)
+let check_room_kept change () =
+  let cat = sized_catalog ~n:8 ~grown:true in
+  change cat;
+  let rel = Storage.Catalog.find cat "t" in
+  let n = Relation.nrows rel in
+  let bufs = part_buffers rel in
+  let host = Array.map Buffer.unsafe_bytes bufs in
+  let size = Array.map Buffer.size bufs in
+  let next =
+    Storage.Arena.create ~start:(Storage.Arena.mark (Relation.arena rel)) ()
+  in
+  ignore (Relation.append rel (Helpers.small_row n));
+  Array.iteri
+    (fun p b ->
+      Alcotest.(check bool)
+        (Printf.sprintf "partition %d keeps its host bytes" p)
+        true
+        (Buffer.unsafe_bytes b == host.(p));
+      Alcotest.(check int)
+        (Printf.sprintf "partition %d extent doubles" p)
+        (2 * size.(p)) (Buffer.size b);
+      Alcotest.(check int)
+        (Printf.sprintf "partition %d takes the next region" p)
+        (Storage.Arena.alloc next (2 * size.(p)))
+        (Buffer.base b))
+    bufs;
+  append_upto rel ((2 * n) + 1);
+  Array.iteri
+    (fun p b ->
+      Alcotest.(check bool)
+        (Printf.sprintf "partition %d regrew past its room" p)
+        false
+        (Buffer.unsafe_bytes b == host.(p));
+      Alcotest.(check int)
+        (Printf.sprintf "partition %d extent doubles again" p)
+        (4 * size.(p)) (Buffer.size b))
+    bufs
+
+(* A relation at exactly its capacity gets no room: its first append after
+   the change copies every partition, as before. *)
+let check_no_room change () =
+  let cat = sized_catalog ~n:8 ~grown:false in
+  change cat;
+  let rel = Storage.Catalog.find cat "t" in
+  let bufs = part_buffers rel in
+  let host = Array.map Buffer.unsafe_bytes bufs in
+  Array.iteri
+    (fun p b ->
+      Alcotest.(check int)
+        (Printf.sprintf "partition %d host bytes = extent" p)
+        (Buffer.size b)
+        (Bytes.length host.(p)))
+    bufs;
+  append_upto rel (Relation.nrows rel + 1);
+  Array.iteri
+    (fun p b ->
+      Alcotest.(check bool)
+        (Printf.sprintf "partition %d copied on its first grow" p)
+        false
+        (Buffer.unsafe_bytes b == host.(p)))
+    bufs
+
+(* ------------------------------------------------------------------ *)
 (* View windows (with_hier + reslice)                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -375,6 +480,14 @@ let suite =
       test_relation_addresses_follow_layout;
     Alcotest.test_case "repartition preserves data" `Quick
       test_repartition_preserves_data;
+    Alcotest.test_case "set_layout keeps growth room" `Quick
+      (check_room_kept set_layout);
+    Alcotest.test_case "set_physical keeps growth room" `Quick
+      (check_room_kept set_physical);
+    Alcotest.test_case "set_layout of an ungrown relation: no room" `Quick
+      (check_no_room set_layout);
+    Alcotest.test_case "set_physical of an ungrown relation: no room" `Quick
+      (check_no_room set_physical);
     QCheck_alcotest.to_alcotest qcheck_relation_roundtrip;
     Alcotest.test_case "slice boundaries" `Quick test_slice_boundaries;
     Alcotest.test_case "reslice boundaries" `Quick test_reslice_boundaries;
