@@ -11,12 +11,18 @@
    Every stream starts on a cold hierarchy (Hierarchy.reset).  The time is
    the best of [repeats] runs on the batched walk; one run on the reference
    per-word tracer (Memsim_ref, a test-only library) must give the same
-   per-level counts.  Results go to BENCH_memsim_walk.json. *)
+   per-level counts.
+
+   The cold cell times that reset itself, the clear a cold measured op
+   starts with: host ns of one Hierarchy.reset right after the seq stream
+   has filled every level, best of [resets] rounds.  Results go to
+   BENCH_memsim_walk.json. *)
 
 module H = Memsim.Hierarchy
 module S = Memsim.Stats
 
 let repeats = 3
+let resets = 10
 let base = 1 lsl 20
 let mb = 1 lsl 20
 
@@ -91,11 +97,23 @@ let measure (name, prepare) =
     identical = !stats = ref_stats;
   }
 
+let reset_ns () =
+  let h = H.create () and fill = seq () in
+  let best = ref infinity in
+  for _ = 1 to resets do
+    fill h;
+    let t0 = Unix.gettimeofday () in
+    H.reset h;
+    best := Float.min !best (Unix.gettimeofday () -. t0)
+  done;
+  1e9 *. !best
+
 let run () =
   Common.header "Memsim walk — host ns per simulated access";
   Common.note "four fixed streams, cold hierarchy, best of %d; Nehalem geometry"
     repeats;
   let rows = List.map measure streams in
+  let cold = reset_ns () in
   Printf.printf "  %-7s %9s %8s %8s %9s %9s %9s %9s %9s %9s %9s %5s\n" "stream"
     "accesses" "ns/acc" "ref ns" "L1 miss" "L2 miss" "LLC acc" "LLC seq"
     "LLC rand" "TLB miss" "prefetch" "same";
@@ -107,6 +125,8 @@ let run () =
         s.S.llc_accesses s.S.llc_seq_misses s.S.llc_rand_misses s.S.tlb_misses
         s.S.prefetches r.identical)
     rows;
+  Printf.printf "  cold: Hierarchy.reset after the seq stream, best of %d: %.0f ns\n"
+    resets cold;
   let pt = Common.pt ~bench:"memsim_walk" in
   Common.write_bench "BENCH_memsim_walk.json"
     (List.concat_map
@@ -128,6 +148,7 @@ let run () =
            pt ~metric:(m "counts_identical") ~unit_:"bool"
              (if r.identical then 1. else 0.);
          ])
-       rows);
+       rows
+    @ [ pt ~metric:"cold.reset_ns" ~unit_:"ns" cold ]);
   if List.exists (fun r -> not r.identical) rows then
     failwith "memsim_walk: fast and reference walks counted differently"

@@ -264,16 +264,17 @@ let predicate_accesses env pred =
       (1.0, []) terms
   in
   (* a column read by several conjuncts keeps its earliest (largest)
-     probability *)
+     probability: [accesses] lists the last conjunct's columns first *)
   let seen = Hashtbl.create 8 in
-  List.fold_right
-    (fun (c, s) acc ->
-      match Hashtbl.find_opt seen c with
-      | Some _ -> acc
-      | None ->
-          Hashtbl.add seen c ();
-          (c, s) :: acc)
-    (List.rev accesses) []
+  List.fold_left
+    (fun acc (c, s) ->
+      if Hashtbl.mem seen c then acc
+      else begin
+        Hashtbl.add seen c ();
+        (c, s) :: acc
+      end)
+    [] (List.rev accesses)
+  |> List.rev
 
 let descs_of_accesses table ~n accesses =
   (* group layout-independent descriptors by access probability *)

@@ -12,7 +12,7 @@ type t = {
       (* a test oracle that replaces the walk below, see [create] *)
   l1 : Cache.t;
   l2 : Cache.t;
-  l3 : Cache.t;
+  l3 : Cache.Llc.t;
   tlb : Cache.t;
   pf : Prefetcher.t;
   stats : Stats.t;
@@ -41,7 +41,7 @@ let create ?(params = Params.nehalem) ?reference () =
   assert (Array.length params.levels = 3);
   let l1 = Cache.create params.levels.(0) in
   let l2 = Cache.create params.levels.(1) in
-  let l3 = Cache.create params.levels.(2) in
+  let l3 = Cache.Llc.create params.levels.(2) in
   let tlb = Cache.create params.tlb in
   let stats = Stats.create () in
   {
@@ -56,7 +56,7 @@ let create ?(params = Params.nehalem) ?reference () =
     stats;
     l1_bits = Cache.block_bits l1;
     l2_bits = Cache.block_bits l2;
-    l3_bits = Cache.block_bits l3;
+    l3_bits = Cache.Llc.block_bits l3;
     tlb_bits = Cache.block_bits tlb;
     l1_lat = params.levels.(0).latency;
     l2_lat = params.levels.(1).latency;
@@ -107,19 +107,20 @@ let probe_word_no_tlb t a =
       let line = a lsr t.l3_bits in
       s.llc_accesses <- s.llc_accesses + 1;
       let mem_cost =
-        match Cache.access_pending t.l3 line with
-        | Cache.Hit -> 0
-        | Cache.Hit_pending ->
+        match Cache.Llc.access_pending t.l3 line with
+        | Cache.Llc.Hit -> 0
+        | Cache.Llc.Hit_pending ->
             (* first demand touch of a prefetched line: its memory latency
                was hidden behind processing — the paper's "sequential miss" *)
             s.llc_seq_misses <- s.llc_seq_misses + 1;
             0
-        | Cache.Miss ->
+        | Cache.Llc.Miss ->
             s.llc_rand_misses <- s.llc_rand_misses + 1;
             t.mem_lat
       in
       let p = Prefetcher.observe t.pf line in
-      if p >= 0 && Cache.prefetch t.l3 p then s.prefetches <- s.prefetches + 1;
+      if p >= 0 && Cache.Llc.prefetch t.l3 p then
+        s.prefetches <- s.prefetches + 1;
       t.l1_lat + t.l2_lat + t.l3_lat + mem_cost
     end
   end
@@ -338,7 +339,7 @@ let reset t =
   Stats.reset t.stats;
   Cache.clear t.l1;
   Cache.clear t.l2;
-  Cache.clear t.l3;
+  Cache.Llc.clear t.l3;
   Cache.clear t.tlb;
   Prefetcher.clear t.pf;
   Option.iter (fun r -> r.clear ()) t.reference;

@@ -73,7 +73,10 @@ val reset_stats : t -> unit
 (** Zero the counters, keeping cache contents (to measure warm behaviour). *)
 
 val reset : t -> unit
-(** Zero counters and flush all caches, TLB, prefetcher state. *)
+(** Zero counters and flush all caches, TLB, prefetcher state.  The cost
+    does not grow with the LLC, which clears in O(1)
+    ({!Cache.Llc.clear}): only the L1, L2 and TLB tag words are written,
+    8,200 under {!Params.nehalem} against the LLC's 131,072. *)
 
 val set_enabled : t -> bool -> unit
 (** When disabled, {!read}, {!write} and {!add_cpu} are no-ops.  Used to

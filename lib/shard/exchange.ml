@@ -14,6 +14,7 @@
 
 module Wire = Txn.Wire
 module Wal = Durability.Wal
+module Errors = Mrdb_util.Errors
 
 type msg =
   | Rows of Storage.Value.t array list
@@ -31,20 +32,24 @@ let encode_row row =
 let decode_row s =
   if s = "~" then [||] else Wire.decode_values s
 
+(* Every refusal of [parse] is a [Bad_request], as [Wire]'s are. *)
+let bad fmt = Printf.ksprintf (fun s -> raise (Errors.Bad_request s)) fmt
+
 let verdict b = if b then "commit" else "abort"
 
 let parse_verdict = function
   | "commit" -> true
   | "abort" -> false
-  | s -> failwith (Printf.sprintf "exchange: bad verdict %S" s)
+  | s -> bad "exchange: bad verdict %S" s
 
 let encode_op op = Wire.escape (Wal.encode (Wal.Op { txid = 0; op }))
 
 let decode_op s =
   match Wal.decode_string (Wire.unescape s) with
   | Wal.Op { op; _ } -> op
-  | _ -> failwith "exchange: PREPARE field is not an operation record"
-  | exception _ -> failwith "exchange: undecodable operation field"
+  | _ -> bad "exchange: PREPARE field is not an operation record"
+  | exception Durability.Codec.Truncated what ->
+      bad "exchange: undecodable operation field (%s)" what
 
 let encode = function
   | Rows rows ->
@@ -62,7 +67,7 @@ let encode = function
 let int_field what s =
   match int_of_string_opt s with
   | Some i -> i
-  | None -> failwith (Printf.sprintf "exchange: bad %s %S" what s)
+  | None -> bad "exchange: bad %s %S" what s
 
 let parse line =
   match String.split_on_char ' ' (String.trim line) with
@@ -85,7 +90,7 @@ let parse line =
       Decide { txid = int_field "txid" txid; commit = parse_verdict v }
   | [ "ACK"; txid; shard ] ->
       Ack { txid = int_field "txid" txid; shard = int_field "shard" shard }
-  | _ -> failwith (Printf.sprintf "exchange: bad message %S" line)
+  | _ -> bad "exchange: bad message %S" line
 
 let bytes m = String.length (encode m)
 

@@ -15,7 +15,10 @@ val encode : msg -> string
 (** One line, newline-free. *)
 
 val parse : string -> msg
-(** Inverse of {!encode}.  @raise Failure on malformed lines. *)
+(** Inverse of {!encode}.
+    @raise Mrdb_util.Errors.Bad_request on a malformed line, and nothing
+    else: a bad field, a bad value, or a [PREPARE] operation that does not
+    decode as a {!Durability.Wal} operation record. *)
 
 val bytes : msg -> int
 (** Wire size of the encoded message — the unit the {!Netsim} bandwidth

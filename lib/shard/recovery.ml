@@ -36,7 +36,7 @@ let decisions env =
           match Exchange.parse l with
           | Exchange.Decide { txid; commit } -> Some (txid, commit)
           | _ -> None
-          | exception _ -> None)
+          | exception Errors.Bad_request _ -> None)
         (complete lines)
 
 (* Prepared-but-undecided transaction ids in the clean prefix of a log. *)

@@ -216,6 +216,23 @@ let test_emit_insert_pattern () =
        (Pattern.atoms pattern));
   Alcotest.(check int) "one descriptor over all attrs" 1 (List.length descs)
 
+(* Under short-circuit evaluation the first conjunct reads every row, so a
+   column that a later conjunct reads again is still a full traversal. *)
+let test_emit_repeated_column_is_seq () =
+  let cat = Helpers.small_catalog ~n:1000 () in
+  let plan =
+    Relalg.Planner.plan cat
+      (Relalg.Sql.parse cat
+         "select id from t where amount >= $1 and amount <= $2")
+  in
+  let _, descs = Emit.emit cat plan in
+  let amount = Storage.Schema.attr_index Helpers.small_schema "amount" in
+  match List.filter (fun d -> List.mem amount d.Emit.attrs) descs with
+  | [ d ] ->
+      Alcotest.(check bool) "amount is a full traversal" true
+        (d.Emit.kind = Emit.Seq)
+  | ds -> Alcotest.failf "%d descriptors read amount" (List.length ds)
+
 let test_model_tracks_simulator_trend () =
   let hier = Memsim.Hierarchy.create () in
   let cat = Workloads.Microbench.build ~hier ~n:50_000 () in
@@ -292,6 +309,8 @@ let suite =
     Alcotest.test_case "emit layout sensitivity" `Quick test_emit_layout_sensitivity;
     Alcotest.test_case "emit index scan" `Quick test_emit_index_scan_pattern;
     Alcotest.test_case "emit insert" `Quick test_emit_insert_pattern;
+    Alcotest.test_case "emit conjuncts on one column" `Quick
+      test_emit_repeated_column_is_seq;
     Alcotest.test_case "model tracks simulator" `Quick
       test_model_tracks_simulator_trend;
     Alcotest.test_case "workload weighting" `Quick test_workload_cost_weighted;

@@ -36,17 +36,87 @@ let test_cache_lru_refresh () =
   Alcotest.(check bool) "refreshed survives" true (Cache.mem c 0);
   Alcotest.(check bool) "stale evicted" false (Cache.mem c 8)
 
+let probe_testable =
+  Alcotest.testable
+    (fun ppf p ->
+      Format.pp_print_string ppf
+        (match p with
+        | Cache.Llc.Miss -> "Miss"
+        | Cache.Llc.Hit -> "Hit"
+        | Cache.Llc.Hit_pending -> "Hit_pending"))
+    ( = )
+
 let test_cache_insert_no_demand () =
-  let c = Cache.create tiny_level in
-  Alcotest.(check bool) "absent line prefetched" true (Cache.prefetch c 3);
-  Alcotest.(check bool) "prefetch-inserted line hits" true (Cache.access c 3);
-  Alcotest.(check bool) "resident line not refilled" false (Cache.prefetch c 3)
+  let c = Cache.Llc.create tiny_level in
+  Alcotest.(check bool) "absent line prefetched" true (Cache.Llc.prefetch c 3);
+  Alcotest.check probe_testable "prefetch-inserted line hits" Cache.Llc.Hit_pending
+    (Cache.Llc.access_pending c 3);
+  Alcotest.(check bool) "resident line not refilled" false
+    (Cache.Llc.prefetch c 3)
 
 let test_cache_clear () =
   let c = Cache.create tiny_level in
   ignore (Cache.access c 1);
   Cache.clear c;
   Alcotest.(check bool) "cleared" false (Cache.mem c 1)
+
+(* The LLC's clear only starts an epoch.  Every line it held, demand-filled
+   or prefetched and still pending, must then read as absent to [mem], to
+   [prefetch] and to a demand probe, and over several clears.  [mem] must
+   change nothing, in a live set or a stale one: no recency, no pending
+   bit, no freshening that would make a later probe differ. *)
+let test_llc_clear () =
+  let module L = Cache.Llc in
+  (* tiny_level: 8 sets of 2 ways; lines l and l + 8 share set l mod 8 *)
+  let lines = List.init 16 Fun.id in
+  let c = L.create tiny_level in
+  let fill () =
+    List.iter
+      (fun l ->
+        if l land 1 = 0 then ignore (L.access_pending c l)
+        else ignore (L.prefetch c l))
+      lines
+  in
+  let check_mem what want =
+    List.iter
+      (fun l ->
+        Alcotest.(check bool) (Printf.sprintf "%s: mem %d" what l) want
+          (L.mem c l))
+      lines
+  in
+  for round = 1 to 3 do
+    let what = Printf.sprintf "round %d" round in
+    fill ();
+    check_mem (what ^ ", filled") true;
+    L.clear c;
+    check_mem (what ^ ", cleared") false;
+    check_mem (what ^ ", cleared, mem again") false;
+    (* a pending line from before the clear is absent to a prefetch... *)
+    Alcotest.(check bool) (what ^ ": prefetch of a cleared line") true
+      (L.prefetch c 1);
+    (* ...and to a demand probe, pending or not *)
+    Alcotest.check probe_testable (what ^ ": cleared pending line")
+      L.Miss (L.access_pending c 3);
+    Alcotest.check probe_testable (what ^ ": cleared demand line")
+      L.Miss (L.access_pending c 0);
+    Alcotest.(check bool) (what ^ ": set-mate of a reprobed line") false
+      (L.mem c 8);
+    Alcotest.check probe_testable (what ^ ": prefetched after the clear")
+      L.Hit_pending (L.access_pending c 1);
+    L.clear c
+  done;
+  (* [mem] in a live set: no recency change, no pending bit consumed *)
+  let c = L.create tiny_level in
+  ignore (L.access_pending c 0);
+  ignore (L.access_pending c 8);
+  Alcotest.(check bool) "mem of the LRU line" true (L.mem c 0);
+  ignore (L.access_pending c 16);
+  Alcotest.(check bool) "mem did not refresh it" false (L.mem c 0);
+  Alcotest.(check bool) "MRU line kept" true (L.mem c 8);
+  ignore (L.prefetch c 5);
+  Alcotest.(check bool) "mem of a pending line" true (L.mem c 5);
+  Alcotest.check probe_testable "mem left it pending" L.Hit_pending
+    (L.access_pending c 5)
 
 (* [observe] as an option: the line to prefetch, if any *)
 let observe p line =
@@ -360,6 +430,7 @@ let suite =
     Alcotest.test_case "cache LRU refresh" `Quick test_cache_lru_refresh;
     Alcotest.test_case "cache prefetch insert" `Quick test_cache_insert_no_demand;
     Alcotest.test_case "cache clear" `Quick test_cache_clear;
+    Alcotest.test_case "LLC clear starts an epoch" `Quick test_llc_clear;
     Alcotest.test_case "prefetcher adjacent line" `Quick test_prefetcher_adjacent;
     Alcotest.test_case "prefetcher stride detection" `Quick test_prefetcher_stride;
     Alcotest.test_case "prefetcher same line" `Quick test_prefetcher_same_line_quiet;

@@ -375,6 +375,63 @@ let qcheck_exchange_one_line =
     (QCheck.make gen_msg)
     (fun msg -> not (String.contains (Exchange.encode msg) '\n'))
 
+(* Hostile lines: an encoded message with 1-3 edits, each a truncation, a
+   byte flipped to any byte, or a space-separated field dropped or added
+   (tokens that are fields elsewhere, bad numbers and escapes, or random
+   bytes).  [parse] must answer or raise [Bad_request], nothing else. *)
+let gen_damaged_line =
+  let open QCheck.Gen in
+  let token =
+    oneof
+      [
+        oneofl
+          [
+            "commit"; "abort"; "-1"; "99999999999999999999"; "0x1f"; "~";
+            "null"; "i:1"; "i:x"; "s:%"; "%"; "%0"; "%zz"; "f:nan"; "b:maybe";
+            "ROWS"; "PREPARE"; "";
+          ];
+        string_size ~gen:char (int_range 0 12);
+      ]
+  in
+  let edit line =
+    let n = String.length line in
+    let fields = String.split_on_char ' ' line in
+    let nf = List.length fields in
+    let keep p = List.filteri (fun j _ -> p j) fields in
+    frequency
+      [
+        (2, map (fun p -> String.sub line 0 (p mod (n + 1))) nat);
+        ( 3,
+          map2
+            (fun p c ->
+              if n = 0 then line
+              else String.mapi (fun i x -> if i = p mod n then c else x) line)
+            nat char );
+        (2, map (fun i -> String.concat " " (keep (fun j -> j <> i mod nf))) nat);
+        ( 2,
+          map2
+            (fun i f ->
+              let i = i mod (nf + 1) in
+              String.concat " " (keep (fun j -> j < i) @ (f :: keep (fun j -> j >= i))))
+            nat token );
+      ]
+  in
+  let* line = map Exchange.encode gen_msg in
+  let* k = int_range 1 3 in
+  let rec damage k line =
+    if k = 0 then return line else edit line >>= damage (k - 1)
+  in
+  damage k line
+
+let qcheck_exchange_hostile =
+  QCheck.Test.make ~count:2000
+    ~name:"exchange parse of a damaged line: a message or Bad_request"
+    (QCheck.make ~print:String.escaped gen_damaged_line)
+    (fun line ->
+      match Exchange.parse line with
+      | _ -> true
+      | exception Errors.Bad_request _ -> true)
+
 (* ------------------------------------------------------------------ *)
 (* The 2PC crash matrix                                               *)
 (* ------------------------------------------------------------------ *)
@@ -716,6 +773,7 @@ let suite =
        test_error_codes
   :: QCheck_alcotest.to_alcotest qcheck_exchange_roundtrip
   :: QCheck_alcotest.to_alcotest qcheck_exchange_one_line
+  :: QCheck_alcotest.to_alcotest qcheck_exchange_hostile
   :: Helpers.across_engines "single-table plans identical" test_identity_single_table
   @ Helpers.across_engines "distributed join identical" test_identity_join
   @ Helpers.across_engines "DML via 2PC identical" test_identity_dml

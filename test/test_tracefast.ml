@@ -119,28 +119,72 @@ let qcheck_run_identity_tiny =
     (same_stats ~params:tiny_params)
 
 (* A stream run after [reset] counts exactly what it counts on a fresh
-   hierarchy, on both paths and both geometries: a clear that left a line
-   resident or pending, or lost the prefetcher's slot-allocation order,
-   shows here. *)
+   hierarchy, on both paths and both geometries, after each of 1-5 resets:
+   a clear that left a line resident or pending, or lost the prefetcher's
+   slot-allocation order, shows here.  A segment between resets mixes
+   random runs with a sweep that touches every line of an LLC-sized region
+   (so it fills every LLC set) and interleaved sequential streams that
+   each leave their next line prefetched and pending.  Segments are drawn
+   from a small pool, so a segment after a reset often replays the lines
+   that were resident or pending before it. *)
+type traffic =
+  | Runs of op list
+  | Sweep (* one word per line of an LLC-sized region *)
+  | Streams of int * int (* [k] streams of [len] lines, interleaved *)
+
+let traffic_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, map (fun ops -> Runs ops) (list_size (int_range 1 20) op_gen));
+        (1, return Sweep);
+        (2, map2 (fun k len -> Streams (k, len)) (int_range 1 16) (int_range 1 6));
+      ])
+
+let drive (params : Memsim.Params.t) h = function
+  | Runs ops -> List.iter (apply h) ops
+  | Sweep ->
+      let line = Memsim.Params.line_size params in
+      Hierarchy.read_run h ~addr:262_144 ~width:8
+        ~count:(params.levels.(2).capacity / line)
+        ~stride:line
+  | Streams (k, len) ->
+      let line = Memsim.Params.line_size params in
+      for i = 0 to len - 1 do
+        for s = 0 to k - 1 do
+          Hierarchy.read h ~addr:(262_144 + (s * 65_536) + (i * line)) ~width:8
+        done
+      done
+
 let qcheck_reset_is_fresh =
-  let ops = QCheck.Gen.(list_size (int_range 1 30) op_gen) in
-  QCheck.Test.make ~count:40
+  let segment = QCheck.Gen.list_size (QCheck.Gen.int_range 1 3) traffic_gen in
+  let gen =
+    QCheck.Gen.(
+      let* pool = list_size (int_range 1 3) segment in
+      let* picks = list_size (int_range 2 6) (int_bound (List.length pool - 1)) in
+      return (List.map (List.nth pool) picks))
+  in
+  QCheck.Test.make ~count:30
     ~name:"a stream after reset counts as on a fresh hierarchy"
-    (QCheck.make QCheck.Gen.(pair ops ops))
-    (fun (before, after) ->
+    (QCheck.make gen)
+    (fun segments ->
       List.for_all
         (fun (params, reference) ->
           let create () =
             if reference then Memsim_ref.hierarchy ~params ()
             else Hierarchy.create ~params ()
           in
+          let run h segment = List.iter (drive params h) segment in
           let used = create () in
-          List.iter (apply used) before;
-          Hierarchy.reset used;
-          List.iter (apply used) after;
-          let fresh = create () in
-          List.iter (apply fresh) after;
-          stats_equal (Hierarchy.snapshot used) (Hierarchy.snapshot fresh))
+          run used (List.hd segments);
+          List.for_all
+            (fun segment ->
+              Hierarchy.reset used;
+              run used segment;
+              let fresh = create () in
+              run fresh segment;
+              stats_equal (Hierarchy.snapshot used) (Hierarchy.snapshot fresh))
+            (List.tl segments))
         [
           (Memsim.Params.nehalem, false);
           (Memsim.Params.nehalem, true);
