@@ -3,7 +3,10 @@
     The distinction between [llc_seq_misses] (lines that were prefetched
     before their first demand access — "sequential misses" in the paper's
     terminology) and [llc_rand_misses] (demand misses) mirrors what the paper
-    reads from the Nehalem performance counters in Section IV-C1. *)
+    reads from the Nehalem performance counters in Section IV-C1.
+
+    The cache walk ([memsim_walk.c]) adds into the fields of a live [t] by
+    position, [accesses] to [mem_cycles]: keep their order. *)
 
 type t = {
   mutable accesses : int;  (** word-granularity memory operations *)

@@ -371,8 +371,15 @@ let decode t (d : dict) code =
       add_cpu t 1;
       d.values.(code))
 
+(* A NULL over a present pair removes it and its entry, so the side region
+   holds one entry per non-NULL value. *)
 let sparse_write (s : sparse) tid v =
-  if Value.is_null v then Hashtbl.remove s.pairs tid
+  if Value.is_null v then begin
+    if Hashtbl.mem s.pairs tid then begin
+      Hashtbl.remove s.pairs tid;
+      s.side.entries <- s.side.entries - 1
+    end
+  end
   else begin
     side_write s.side ~fresh:(not (Hashtbl.mem s.pairs tid));
     Hashtbl.replace s.pairs tid v

@@ -1,13 +1,108 @@
 (* The reference tracer: the original (pre-batching) per-word walk, kept
    verbatim — mod-based set indexing, two-pass find/victim walks over tags
    and LRU timestamps, the prefetched-line side table, a TLB probe per
-   L1-line group.  It is the independent implementation the identity tests
-   compare the batched walk against, and the "before" the tracefast bench
-   times.  It shares only the prefetcher with the batched walk. *)
+   L1-line group, a record per prefetcher stream.  It is the independent
+   implementation the identity tests compare the batched walk against, and
+   the "before" the tracefast bench times.  It shares no code with the
+   batched walk: only [Params] and [Stats]. *)
 
 module Params = Memsim.Params
-module Prefetcher = Memsim.Prefetcher
 module Stats = Memsim.Stats
+
+(* The adjacent-line and stride prefetcher, one record per stream: a line
+   is prefetched when an access is adjacent to its stream's previous one,
+   or repeats the stream's stride.  An access joins the nearest stream at
+   most [max_stream_delta] lines away, the lowest index among equally near
+   ones; a new stream takes the highest-index invalid slot, else the least
+   recently used one. *)
+module Prefetcher = struct
+  type stream = {
+    mutable last : int;
+    mutable stride : int;
+    mutable age : int;
+    mutable valid : bool;
+  }
+
+  type t = { streams : stream array; mutable clock : int }
+
+  let max_stream_delta = 64
+
+  let create ~streams =
+    {
+      streams =
+        Array.init streams (fun _ ->
+            { last = 0; stride = 0; age = 0; valid = false });
+      clock = 0;
+    }
+
+  let clear t =
+    Array.iter (fun s -> s.valid <- false) t.streams;
+    t.clock <- 0
+
+  let find_stream t line =
+    let n = Array.length t.streams in
+    let best = ref (-1) in
+    let best_delta = ref max_int in
+    for i = 0 to n - 1 do
+      let s = Array.unsafe_get t.streams i in
+      if s.valid then begin
+        let d = abs (line - s.last) in
+        if d <= max_stream_delta && d < !best_delta then begin
+          best := i;
+          best_delta := d
+        end
+      end
+    done;
+    !best
+
+  let lru_slot t =
+    let n = Array.length t.streams in
+    let best = ref 0 in
+    let best_age = ref max_int in
+    for i = 0 to n - 1 do
+      let s = Array.unsafe_get t.streams i in
+      if not s.valid then begin
+        best := i;
+        best_age := -1
+      end
+      else if s.age < !best_age then begin
+        best := i;
+        best_age := s.age
+      end
+    done;
+    !best
+
+  (* The line to prefetch after a demand access to LLC [line], if any. *)
+  let observe t line =
+    t.clock <- t.clock + 1;
+    let i = find_stream t line in
+    if i < 0 then begin
+      let s = t.streams.(lru_slot t) in
+      s.last <- line;
+      s.stride <- 0;
+      s.age <- t.clock;
+      s.valid <- true;
+      None
+    end
+    else begin
+      let s = t.streams.(i) in
+      s.age <- t.clock;
+      let delta = line - s.last in
+      if delta = 0 then None
+      else begin
+        s.last <- line;
+        if delta = 1 then begin
+          s.stride <- 1;
+          Some (line + 1)
+        end
+        else if delta = s.stride then Some (line + s.stride)
+        else begin
+          s.stride <- delta;
+          None
+        end
+      end
+    end
+end
 
 (* One cache level: per set, separate find and victim walks over a tag
    array and LRU timestamps.  A miss fills an invalid way if the set has
@@ -162,12 +257,12 @@ let probe_word_ref t a =
         s.llc_rand_misses <- s.llc_rand_misses + 1;
         cost := !cost + t.mem_lat
       end;
-      let p = Prefetcher.observe t.pf line in
-      if p >= 0 && not (Cache.mem_ref t.l3 p) then begin
-        Cache.insert_ref t.l3 p;
-        Hashtbl.replace t.pending_ref p ();
-        s.prefetches <- s.prefetches + 1
-      end
+      match Prefetcher.observe t.pf line with
+      | Some p when p >= 0 && not (Cache.mem_ref t.l3 p) ->
+          Cache.insert_ref t.l3 p;
+          Hashtbl.replace t.pending_ref p ();
+          s.prefetches <- s.prefetches + 1
+      | _ -> ()
     end
   end;
   !cost

@@ -1,157 +1,159 @@
 (* Tests for the memory-hierarchy simulator: cache behaviour, prefetcher,
-   cycle accounting, calibration staircase. *)
+   cycle accounting, calibration staircase, and the boundary to the walk's
+   C kernel. *)
 
-module Cache = Memsim.Cache
 module Params = Memsim.Params
 module Hierarchy = Memsim.Hierarchy
-module Prefetcher = Memsim.Prefetcher
 module Stats = Memsim.Stats
+
+(* The cache and prefetcher cases run on the hierarchy and read its
+   counters, on geometries small enough to tell each level apart. *)
 
 let tiny_level : Params.level =
   { name = "T"; capacity = 1024; block = 64; latency = 1; assoc = 2 }
 
+(* An L1 of [tiny_level]'s 8 sets of 2 ways, lines of 64 bytes: lines 0, 8
+   and 16 share set 0. *)
+let l1_params =
+  let n = Params.nehalem in
+  { n with levels = [| tiny_level; n.levels.(1); n.levels.(2) |] }
+
+let read_line h line = Hierarchy.read h ~addr:(line * 64) ~width:8
+
+(* Whether a read of L1 line [line] hits, by the L1 miss count. *)
+let l1_hit h line =
+  let before = (Hierarchy.stats h).Stats.l1_misses in
+  read_line h line;
+  (Hierarchy.stats h).Stats.l1_misses = before
+
 let test_cache_hit_after_insert () =
-  let c = Cache.create tiny_level in
-  Alcotest.(check bool) "cold miss" false (Cache.access c 5);
-  Alcotest.(check bool) "warm hit" true (Cache.access c 5)
+  let h = Hierarchy.create ~params:l1_params () in
+  Alcotest.(check bool) "cold miss" false (l1_hit h 5);
+  Alcotest.(check bool) "other set" false (l1_hit h 6);
+  Alcotest.(check bool) "warm hit" true (l1_hit h 5)
 
 let test_cache_lru_eviction () =
-  (* 1024/64/2 = 8 sets, 2-way; lines 0, 8, 16 map to set 0 *)
-  let c = Cache.create tiny_level in
-  ignore (Cache.access c 0);
-  ignore (Cache.access c 8);
-  ignore (Cache.access c 16);
-  (* line 0 is LRU and must have been evicted *)
-  Alcotest.(check bool) "lru gone" false (Cache.mem c 0);
-  Alcotest.(check bool) "recent kept" true (Cache.mem c 16)
+  let h = Hierarchy.create ~params:l1_params () in
+  List.iter (read_line h) [ 0; 8; 16 ];
+  (* line 0 was least recently used when 16 filled set 0 *)
+  Alcotest.(check bool) "lru gone" false (l1_hit h 0);
+  Alcotest.(check bool) "recent kept" true (l1_hit h 16)
 
 let test_cache_lru_refresh () =
-  let c = Cache.create tiny_level in
-  ignore (Cache.access c 0);
-  ignore (Cache.access c 8);
-  ignore (Cache.access c 0);
-  (* refresh 0 *)
-  ignore (Cache.access c 16);
-  (* now 8 is LRU *)
-  Alcotest.(check bool) "refreshed survives" true (Cache.mem c 0);
-  Alcotest.(check bool) "stale evicted" false (Cache.mem c 8)
-
-let probe_testable =
-  Alcotest.testable
-    (fun ppf p ->
-      Format.pp_print_string ppf
-        (match p with
-        | Cache.Llc.Miss -> "Miss"
-        | Cache.Llc.Hit -> "Hit"
-        | Cache.Llc.Hit_pending -> "Hit_pending"))
-    ( = )
-
-let test_cache_insert_no_demand () =
-  let c = Cache.Llc.create tiny_level in
-  Alcotest.(check bool) "absent line prefetched" true (Cache.Llc.prefetch c 3);
-  Alcotest.check probe_testable "prefetch-inserted line hits" Cache.Llc.Hit_pending
-    (Cache.Llc.access_pending c 3);
-  Alcotest.(check bool) "resident line not refilled" false
-    (Cache.Llc.prefetch c 3)
+  let h = Hierarchy.create ~params:l1_params () in
+  (* the hit on 0 makes 8 the least recently used line *)
+  List.iter (read_line h) [ 0; 8; 0; 16 ];
+  Alcotest.(check bool) "refreshed survives" true (l1_hit h 0);
+  Alcotest.(check bool) "stale evicted" false (l1_hit h 8)
 
 let test_cache_clear () =
-  let c = Cache.create tiny_level in
-  ignore (Cache.access c 1);
-  Cache.clear c;
-  Alcotest.(check bool) "cleared" false (Cache.mem c 1)
+  let h = Hierarchy.create ~params:l1_params () in
+  Alcotest.(check bool) "cold" false (l1_hit h 1);
+  read_line h 2;
+  Alcotest.(check bool) "warm" true (l1_hit h 1);
+  Hierarchy.reset h;
+  Alcotest.(check bool) "cleared" false (l1_hit h 1)
+
+(* The L1 and L2 hold one word each, so every read of a word other than the
+   one read before it probes the LLC: LLC line [n] is read at [n * 64], and
+   again, with no read between, at another of its words. *)
+let llc_params (l3 : Params.level) =
+  let word name =
+    { Params.name; capacity = 8; block = 8; latency = 1; assoc = 1 }
+  in
+  { Params.nehalem with levels = [| word "L1"; word "L2"; l3 |] }
+
+let llc_line ?(word = 0) h line =
+  Hierarchy.read h ~addr:((line * 64) + (word * 8)) ~width:8
+
+(* The change of (random misses, sequential misses, prefetches) that a read
+   of LLC line [line] makes. *)
+let llc_step ?word h line =
+  let s = Hierarchy.stats h in
+  let r, q, p = (s.llc_rand_misses, s.llc_seq_misses, s.prefetches) in
+  llc_line ?word h line;
+  (s.llc_rand_misses - r, s.llc_seq_misses - q, s.prefetches - p)
+
+let step = Alcotest.(triple int int int)
+
+let test_cache_insert_no_demand () =
+  let h = Hierarchy.create ~params:(llc_params tiny_level) () in
+  llc_line h 20;
+  Alcotest.check step "adjacent read prefetches the absent next line" (1, 0, 1)
+    (llc_step h 21);
+  Alcotest.check step "the prefetched line hits pending" (0, 1, 1)
+    (llc_step h 22);
+  (* a stream far away: 1000, then 998 (stride -2), then 999 is adjacent
+     and asks for 1000, which is resident *)
+  llc_line h 1000;
+  llc_line h 998;
+  Alcotest.check step "resident line not refilled" (1, 0, 0) (llc_step h 999);
+  (* a hit, not pending; adjacent to 999, it prefetches 1001 *)
+  Alcotest.check step "and not made pending" (0, 0, 1) (llc_step h 1000)
 
 (* The LLC's clear only starts an epoch.  Every line it held, demand-filled
-   or prefetched and still pending, must then read as absent to [mem], to
-   [prefetch] and to a demand probe, and over several clears.  [mem] must
-   change nothing, in a live set or a stale one: no recency, no pending
-   bit, no freshening that would make a later probe differ. *)
+   or prefetched and still pending, must then be absent to a demand probe
+   and to a prefetch, over several clears, each set written by the first
+   probe that may change it. *)
 let test_llc_clear () =
-  let module L = Cache.Llc in
-  (* tiny_level: 8 sets of 2 ways; lines l and l + 8 share set l mod 8 *)
-  let lines = List.init 16 Fun.id in
-  let c = L.create tiny_level in
-  let fill () =
-    List.iter
-      (fun l ->
-        if l land 1 = 0 then ignore (L.access_pending c l)
-        else ignore (L.prefetch c l))
-      lines
-  in
-  let check_mem what want =
-    List.iter
-      (fun l ->
-        Alcotest.(check bool) (Printf.sprintf "%s: mem %d" what l) want
-          (L.mem c l))
-      lines
-  in
+  (* tiny_level: 8 sets of 2 ways.  0, 1 prefetch 2; 4 (stride 3), 5
+     prefetch 6: both stay pending *)
+  let fill h = List.iter (llc_line h) [ 0; 1; 4; 5 ] in
+  let control = Hierarchy.create ~params:(llc_params tiny_level) () in
+  fill control;
+  Alcotest.check step "without a clear: the demand line hits" (0, 0, 0)
+    (llc_step control 0);
+  Alcotest.check step "without a clear: the prefetched line is pending"
+    (0, 1, 0) (llc_step control 2);
+  let h = Hierarchy.create ~params:(llc_params tiny_level) () in
   for round = 1 to 3 do
-    let what = Printf.sprintf "round %d" round in
-    fill ();
-    check_mem (what ^ ", filled") true;
-    L.clear c;
-    check_mem (what ^ ", cleared") false;
-    check_mem (what ^ ", cleared, mem again") false;
-    (* a pending line from before the clear is absent to a prefetch... *)
-    Alcotest.(check bool) (what ^ ": prefetch of a cleared line") true
-      (L.prefetch c 1);
-    (* ...and to a demand probe, pending or not *)
-    Alcotest.check probe_testable (what ^ ": cleared pending line")
-      L.Miss (L.access_pending c 3);
-    Alcotest.check probe_testable (what ^ ": cleared demand line")
-      L.Miss (L.access_pending c 0);
-    Alcotest.(check bool) (what ^ ": set-mate of a reprobed line") false
-      (L.mem c 8);
-    Alcotest.check probe_testable (what ^ ": prefetched after the clear")
-      L.Hit_pending (L.access_pending c 1);
-    L.clear c
-  done;
-  (* [mem] in a live set: no recency change, no pending bit consumed *)
-  let c = L.create tiny_level in
-  ignore (L.access_pending c 0);
-  ignore (L.access_pending c 8);
-  Alcotest.(check bool) "mem of the LRU line" true (L.mem c 0);
-  ignore (L.access_pending c 16);
-  Alcotest.(check bool) "mem did not refresh it" false (L.mem c 0);
-  Alcotest.(check bool) "MRU line kept" true (L.mem c 8);
-  ignore (L.prefetch c 5);
-  Alcotest.(check bool) "mem of a pending line" true (L.mem c 5);
-  Alcotest.check probe_testable "mem left it pending" L.Hit_pending
-    (L.access_pending c 5)
+    let what s = Printf.sprintf "round %d: %s" round s in
+    fill h;
+    Alcotest.(check int) (what "filled") 2 (Hierarchy.stats h).Stats.prefetches;
+    Hierarchy.reset h;
+    Alcotest.check step (what "cleared demand line") (1, 0, 0) (llc_step h 0);
+    Alcotest.check step (what "cleared pending line") (1, 0, 0)
+      (llc_step h 2);
+    (* 4 repeats the stride 2 and asks for 6, pending before the clear, in
+       a set no probe has written since *)
+    Alcotest.check step (what "prefetch of a cleared line") (1, 0, 1)
+      (llc_step h 4);
+    Alcotest.check step (what "prefetched after the clear") (0, 1, 1)
+      (llc_step h 6);
+    Hierarchy.reset h
+  done
 
-(* [observe] as an option: the line to prefetch, if any *)
-let observe p line =
-  let l = Prefetcher.observe p line in
-  if l < 0 then None else Some l
+let nehalem_llc = llc_params Params.nehalem.levels.(2)
 
 let test_prefetcher_adjacent () =
-  let p = Prefetcher.create ~streams:4 in
-  Alcotest.(check (option int)) "first access: nothing" None (observe p 10);
-  Alcotest.(check (option int)) "adjacent: prefetch next" (Some 12)
-    (observe p 11)
+  let h = Hierarchy.create ~params:nehalem_llc () in
+  Alcotest.check step "first access: nothing" (1, 0, 0) (llc_step h 10);
+  Alcotest.check step "adjacent: prefetch" (1, 0, 1) (llc_step h 11);
+  Alcotest.check step "the next line was prefetched" (0, 1, 1) (llc_step h 12)
 
 let test_prefetcher_stride () =
-  let p = Prefetcher.create ~streams:4 in
-  ignore (Prefetcher.observe p 100);
-  Alcotest.(check (option int)) "stride not yet confirmed" None
-    (observe p 104);
-  Alcotest.(check (option int)) "confirmed stride 4" (Some 112)
-    (observe p 108)
+  let h = Hierarchy.create ~params:nehalem_llc () in
+  llc_line h 100;
+  Alcotest.check step "stride not yet confirmed" (1, 0, 0) (llc_step h 104);
+  Alcotest.check step "confirmed stride 4" (1, 0, 1) (llc_step h 108);
+  Alcotest.check step "line + stride was prefetched" (0, 1, 1) (llc_step h 112)
 
 let test_prefetcher_same_line_quiet () =
-  let p = Prefetcher.create ~streams:4 in
-  ignore (Prefetcher.observe p 50);
-  Alcotest.(check (option int)) "repeat access silent" None
-    (observe p 50)
+  let h = Hierarchy.create ~params:nehalem_llc () in
+  llc_line h 50;
+  Alcotest.check step "repeat access silent" (0, 0, 0) (llc_step ~word:1 h 50);
+  Alcotest.(check int) "both reads reached the LLC" 2
+    (Hierarchy.stats h).Stats.llc_accesses
 
 let test_prefetcher_multiple_streams () =
-  let p = Prefetcher.create ~streams:4 in
-  ignore (Prefetcher.observe p 1000);
-  ignore (Prefetcher.observe p 5000);
+  let h = Hierarchy.create ~params:nehalem_llc () in
+  llc_line h 1000;
+  llc_line h 5000;
   (* both streams stay tracked *)
-  Alcotest.(check (option int)) "stream A advances" (Some 1002)
-    (observe p 1001);
-  Alcotest.(check (option int)) "stream B advances" (Some 5002)
-    (observe p 5001)
+  Alcotest.check step "stream A advances" (1, 0, 1) (llc_step h 1001);
+  Alcotest.check step "stream B advances" (1, 0, 1) (llc_step h 5001);
+  Alcotest.check step "A's next line" (0, 1, 1) (llc_step h 1002);
+  Alcotest.check step "B's next line" (0, 1, 1) (llc_step h 5002)
 
 let test_hierarchy_l1_hit_cost () =
   let h = Hierarchy.create () in
@@ -264,103 +266,12 @@ let test_fit_latencies_recovers () =
   | None -> Alcotest.fail "no L3 fit"
 
 (* ------------------------------------------------------------------ *)
-(* Flat prefetcher vs the record-based one it replaced                  *)
+(* The walk's prefetcher against the reference tracer's record-based one  *)
 (* ------------------------------------------------------------------ *)
-
-(* The record-per-stream prefetcher, verbatim: the reference for the flat
-   one's decisions, tie rules included (nearest stream: lowest index wins;
-   new stream: highest-index invalid slot, else the LRU one). *)
-module Record_prefetcher = struct
-  type stream = {
-    mutable last : int;
-    mutable stride : int;
-    mutable age : int;
-    mutable valid : bool;
-  }
-
-  type t = { streams : stream array; mutable clock : int }
-
-  let max_stream_delta = 64
-
-  let create ~streams =
-    {
-      streams =
-        Array.init streams (fun _ ->
-            { last = 0; stride = 0; age = 0; valid = false });
-      clock = 0;
-    }
-
-  let clear t =
-    Array.iter (fun s -> s.valid <- false) t.streams;
-    t.clock <- 0
-
-  let find_stream t line =
-    let n = Array.length t.streams in
-    let best = ref (-1) in
-    let best_delta = ref max_int in
-    for i = 0 to n - 1 do
-      let s = Array.unsafe_get t.streams i in
-      if s.valid then begin
-        let d = abs (line - s.last) in
-        if d <= max_stream_delta && d < !best_delta then begin
-          best := i;
-          best_delta := d
-        end
-      end
-    done;
-    !best
-
-  let lru_slot t =
-    let n = Array.length t.streams in
-    let best = ref 0 in
-    let best_age = ref max_int in
-    for i = 0 to n - 1 do
-      let s = Array.unsafe_get t.streams i in
-      if not s.valid then begin
-        best := i;
-        best_age := -1
-      end
-      else if s.age < !best_age then begin
-        best := i;
-        best_age := s.age
-      end
-    done;
-    !best
-
-  let observe t line =
-    t.clock <- t.clock + 1;
-    let i = find_stream t line in
-    if i < 0 then begin
-      let s = t.streams.(lru_slot t) in
-      s.last <- line;
-      s.stride <- 0;
-      s.age <- t.clock;
-      s.valid <- true;
-      None
-    end
-    else begin
-      let s = t.streams.(i) in
-      s.age <- t.clock;
-      let delta = line - s.last in
-      if delta = 0 then None
-      else begin
-        s.last <- line;
-        if delta = 1 then begin
-          s.stride <- 1;
-          Some (line + 1)
-        end
-        else if delta = s.stride then Some (line + s.stride)
-        else begin
-          s.stride <- delta;
-          None
-        end
-      end
-    end
-end
 
 (* A move of one of several interleaved cursors: a +-1 step, a run of a
    repeated stride, a repeat of the same line, a jump anywhere, a far jump
-   back, or (rarely) a clear of both prefetchers. *)
+   back, or (rarely) a reset of both hierarchies. *)
 type pf_move =
   | Step of int
   | Strided of int * int
@@ -381,6 +292,9 @@ let pf_move_gen =
         (1, return Clear);
       ])
 
+(* Every visit reads another word of its line than the visit before, so
+   each one reaches the LLC and the prefetcher; the 256 KiB LLC also
+   evicts prefetched lines.  The two walks share no code. *)
 let qcheck_prefetcher_matches_records =
   let gen =
     QCheck.Gen.(
@@ -391,16 +305,30 @@ let qcheck_prefetcher_matches_records =
     ~name:"flat prefetcher decides as the record-based one"
     (QCheck.make gen)
     (fun (streams, cursors, moves) ->
-      let flat = Prefetcher.create ~streams in
-      let records = Record_prefetcher.create ~streams in
+      let params =
+        {
+          (llc_params
+             {
+               name = "L3";
+               capacity = 256 * 1024;
+               block = 64;
+               latency = 8;
+               assoc = 16;
+             })
+          with
+          prefetch_streams = streams;
+        }
+      in
+      let walk = Hierarchy.create ~params () in
+      let records = Memsim_ref.hierarchy ~params () in
       let pos = Array.init cursors (fun c -> (1 lsl 20) + (c * 1000)) in
+      let visits = ref 0 in
       let same line =
-        let expected =
-          match Record_prefetcher.observe records line with
-          | Some l -> l
-          | None -> Prefetcher.none
-        in
-        Prefetcher.observe flat line = expected
+        incr visits;
+        List.iter
+          (fun h -> llc_line ~word:(!visits land 7) h line)
+          [ walk; records ];
+        Hierarchy.stats walk = Hierarchy.stats records
       in
       List.for_all
         (fun (c, move) ->
@@ -418,10 +346,113 @@ let qcheck_prefetcher_matches_records =
           | Jump l -> visit l
           | Back d -> visit (pos.(c) - d)
           | Clear ->
-              Prefetcher.clear flat;
-              Record_prefetcher.clear records;
+              Hierarchy.reset walk;
+              Hierarchy.reset records;
               true)
         moves)
+
+(* ------------------------------------------------------------------ *)
+(* The C boundary                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Each entry point of the walk, at one call per step [i]. *)
+let entry_points =
+  [
+    ("read", fun h i -> Hierarchy.read h ~addr:(i * 72) ~width:8);
+    ("write", fun h i -> Hierarchy.write h ~addr:(i * 40) ~width:12);
+    ( "read_run",
+      fun h i -> Hierarchy.read_run h ~addr:(i * 64) ~width:8 ~count:4 ~stride:24
+    );
+    ( "write_run",
+      fun h i ->
+        Hierarchy.write_run h ~addr:(4096 + (i * 96)) ~width:20 ~count:3
+          ~stride:(-40) );
+    ("reset", fun h i -> if i land 1023 = 0 then Hierarchy.reset h);
+  ]
+
+let test_walk_allocates_nothing () =
+  let h = Hierarchy.create () in
+  List.iter
+    (fun (name, call) ->
+      let a0 = (Hierarchy.stats h).Stats.accesses in
+      let w0 = Gc.minor_words () in
+      for i = 1 to 100_000 do
+        call h i
+      done;
+      let w1 = Gc.minor_words () in
+      Alcotest.(check (float 0.)) (name ^ ": minor words") 0. (w1 -. w0);
+      if name <> "reset" then
+        Alcotest.(check bool) (name ^ ": traced") true
+          ((Hierarchy.stats h).Stats.accesses > a0))
+    entry_points
+
+(* Each call's [unit] result is stored in the heap, which a full major
+   collection then scans: a stub returning garbage instead of [Val_unit]
+   crashes here. *)
+let test_walk_results_are_values () =
+  let h = Hierarchy.create () in
+  let results =
+    List.map (fun (_, call) -> Array.init 20_000 (fun i -> call h i)) entry_points
+  in
+  Gc.full_major ();
+  Alcotest.(check bool) "every result is ()" true
+    (List.for_all (Array.for_all (fun () -> true)) results)
+
+(* A seeded stream of reads, writes and runs over 32 MiB. *)
+let replay seed h =
+  let st = Random.State.make [| seed |] in
+  for _ = 1 to 20_000 do
+    let addr = (1 lsl 20) + Random.State.int st (32 lsl 20) in
+    let width = 1 + Random.State.int st 24 in
+    match Random.State.int st 4 with
+    | 0 -> Hierarchy.read h ~addr ~width
+    | 1 -> Hierarchy.write h ~addr ~width
+    | 2 ->
+        Hierarchy.read_run h ~addr ~width
+          ~count:(Random.State.int st 64)
+          ~stride:8
+    | _ ->
+        Hierarchy.write_run h ~addr ~width
+          ~count:(Random.State.int st 16)
+          ~stride:(Random.State.int st 200 - 100)
+  done;
+  Hierarchy.snapshot h
+
+let test_walk_per_domain () =
+  let seeds = [ 3; 11 ] in
+  let alone = List.map (fun seed -> replay seed (Hierarchy.create ())) seeds in
+  let together =
+    List.map
+      (fun seed -> Domain.spawn (fun () -> replay seed (Hierarchy.create ())))
+      seeds
+    |> List.map Domain.join
+  in
+  List.iter2
+    (fun a b ->
+      Alcotest.(check bool) "same stats on a domain of its own" true (a = b))
+    alone together
+
+let test_create_rejects_geometry () =
+  let nehalem = Params.nehalem in
+  let with_l1 f =
+    let l = nehalem.levels in
+    { nehalem with levels = [| f l.(0); l.(1); l.(2) |] }
+  in
+  List.iter
+    (fun (what, params) ->
+      match Hierarchy.create ~params () with
+      | _ -> Alcotest.failf "%s: accepted" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("assoc 0", with_l1 (fun l -> { l with assoc = 0 }));
+      ("block 48", with_l1 (fun l -> { l with block = 48 }));
+      ("block 4", with_l1 (fun l -> { l with block = 4 }));
+      ("TLB block 0", { nehalem with tlb = { nehalem.tlb with block = 0 } });
+      ("0 streams", { nehalem with prefetch_streams = 0 });
+      ("65 streams", { nehalem with prefetch_streams = 65 });
+      ("two levels", { nehalem with levels = Array.sub nehalem.levels 0 2 });
+    ];
+  ignore (Hierarchy.create ~params:{ nehalem with prefetch_streams = 64 } ())
 
 let suite =
   [
@@ -447,4 +478,11 @@ let suite =
     Alcotest.test_case "calibrator sequential flat" `Slow test_calibrator_sequential_flat;
     Alcotest.test_case "calibrator fit" `Slow test_fit_latencies_recovers;
     QCheck_alcotest.to_alcotest qcheck_prefetcher_matches_records;
+    Alcotest.test_case "walk calls allocate nothing" `Quick
+      test_walk_allocates_nothing;
+    Alcotest.test_case "walk results survive a major GC" `Quick
+      test_walk_results_are_values;
+    Alcotest.test_case "walk per domain" `Quick test_walk_per_domain;
+    Alcotest.test_case "create rejects bad geometry" `Quick
+      test_create_rejects_geometry;
   ]

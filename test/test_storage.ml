@@ -453,8 +453,40 @@ let qcheck_relation_roundtrip =
         rows
         (List.init (List.length rows) Fun.id))
 
+(* A NULL over a present Sparse pair removes the pair's entry: a row
+   rewritten NULL then a value, over and over, leaves the side region at
+   one entry per live value, the footprint the compression advisor
+   predicts for the live content. *)
+let test_sparse_null_rewrite () =
+  let schema =
+    Schema.make_nullable "sp" [ ("id", V.Int, false); ("v", V.Int, true) ]
+  in
+  let cat = Storage.Catalog.create () in
+  let rel = Storage.Catalog.add cat schema (Layout.column schema) in
+  Relation.load rel ~n:10 (fun ~row -> [| V.VInt row; V.VInt row |]);
+  let rel = Relation.recompress rel [ (1, Storage.Encoding.Sparse) ] in
+  for _ = 1 to 1_000 do
+    Relation.set rel 3 1 V.Null;
+    Relation.set rel 3 1 (V.VInt 21)
+  done;
+  Alcotest.(check int) "one entry per live value" 10
+    (Relation.side_entries rel 1);
+  Alcotest.(check int) "storage bytes" 240 (Relation.storage_bytes rel);
+  let st = Storage.Compress.analyze rel in
+  Alcotest.(check int) "the advisor's footprint of the live content"
+    (Storage.Compress.encoded_bytes schema st.(0) Storage.Encoding.Plain
+    + Storage.Compress.encoded_bytes schema st.(1) Storage.Encoding.Sparse)
+    (Relation.storage_bytes rel);
+  Relation.set rel 3 1 V.Null;
+  Alcotest.(check int) "a NULL drops its entry" 9 (Relation.side_entries rel 1);
+  Relation.set rel 3 1 V.Null;
+  Alcotest.(check int) "a NULL over NULL changes nothing" 9
+    (Relation.side_entries rel 1)
+
 let suite =
   [
+    Alcotest.test_case "sparse NULL rewrite keeps one entry per value" `Quick
+      test_sparse_null_rewrite;
     Alcotest.test_case "value widths" `Quick test_value_widths;
     Alcotest.test_case "value compare" `Quick test_value_compare_numeric;
     Alcotest.test_case "value hash" `Quick test_value_hash_consistent;
