@@ -71,11 +71,15 @@ type row = {
   identical : bool;
 }
 
+(* Seconds since [t0] on the monotonic ns clock: the reset takes 1-4 us, so
+   a clock that steps in whole microseconds cannot time it. *)
+let since t0 = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9
+
 let timed h stream =
   H.reset h;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   stream h;
-  let t = Unix.gettimeofday () -. t0 in
+  let t = since t0 in
   (t, H.snapshot h)
 
 let measure (name, prepare) =
@@ -102,9 +106,9 @@ let reset_ns () =
   let best = ref infinity in
   for _ = 1 to resets do
     fill h;
-    let t0 = Unix.gettimeofday () in
+    let t0 = Monotonic_clock.now () in
     H.reset h;
-    best := Float.min !best (Unix.gettimeofday () -. t0)
+    best := Float.min !best (since t0)
   done;
   1e9 *. !best
 

@@ -6,12 +6,13 @@
 
    Second, the raw-speed sweep this PR's scaling work is gated on: a
    hand-timed best-of-N grid over (engine x domains x morsel size), one
-   trajectory point per cell, plus the autotuned cell and the compiled
-   engine.  On a multi-core host the 2-domain best cell should beat
-   serial; on a single-CPU container (CI) the physical ceiling is parity,
-   so the gate asserts the parallel path costs at most ~10% over serial
-   (MRDB_WALLCLOCK_ASSERT overrides the threshold; unset skips the hard
-   assert and only the gates file judges the trajectory). *)
+   trajectory point per cell, plus the cell that gives no morsel size
+   (Parallel derives it) and the compiled engine.  On a multi-core host
+   the 2-domain best cell should beat serial; on a single-CPU container
+   (CI) the physical ceiling is parity, so the gate asserts the parallel
+   path costs at most ~10% over serial (MRDB_WALLCLOCK_ASSERT overrides
+   the threshold; unset skips the hard assert and only the gates file
+   judges the trajectory). *)
 
 open Bechamel
 open Toolkit
@@ -171,11 +172,12 @@ let sweep_points () =
                    morsel_size)
                 speedup)
             [ 4096; 65536; 262144 ];
-          (* the autotuned cell: morsel size picked from a measured probe *)
+          (* the no-size cell: the morsel size Parallel derives from the
+             table's rows and the domain count (kept under the [auto]
+             metric names the trajectory has always used) *)
           let t =
             best_of reps (fun () ->
-                Engines.Engine.run ~domains ~autotune:true engine cat plan
-                  ~params)
+                Engines.Engine.run ~domains engine cat plan ~params)
           in
           let speedup = serial /. t in
           if speedup > !best_speedup then best_speedup := speedup;
@@ -184,7 +186,7 @@ let sweep_points () =
               (Obs.Metrics.gauge_value
                  (Obs.Metrics.gauge "parallel_morsel_size"))
           in
-          Common.note "%-9s d%d autotune(%d) %8.4f s  %5.2fx" ename domains
+          Common.note "%-9s d%d auto(%d)  %8.4f s  %5.2fx" ename domains
             chosen t speedup;
           add (Printf.sprintf "%s.d%d.auto.seconds" ename domains) ~unit_:"s"
             t;

@@ -81,7 +81,10 @@ let domains_arg =
        & info [ "j"; "domains" ] ~docv:"N"
            ~doc:"Worker domains for morsel-parallel execution (1 = \
                  sequential).  Parallelizable plans report merged per-domain \
-                 stats: summed misses, slowest-domain cycles.")
+                 stats: summed misses, slowest-domain cycles.  The morsel \
+                 size is derived from the scanned table's rows and $(docv): \
+                 a multiple of 4096 rows, about a 32nd of each domain's \
+                 share.")
 
 let shards_arg =
   Arg.(value & opt int 1
@@ -99,13 +102,13 @@ let make_cluster ~shards cat =
   else if shards = 1 then None
   else Some (Shard.Cluster.create ~durable:true ~shards cat)
 
-let autotune_flag =
+let untraced_flag =
   Arg.(value & flag
-       & info [ "autotune" ]
-           ~doc:"Pick the morsel size from a measured probe of the prepared \
-                 pipeline (see the parallel_morsel_size metric).  Implies \
-                 untraced wall-clock execution: the run reports elapsed \
-                 time instead of simulated cycles.")
+       & info [ "untraced" ]
+           ~doc:"Run with the simulator off and report elapsed wall-clock \
+                 time instead of simulated cycles, at any $(b,-j).  A \
+                 morsel-parallel run also reports its morsel size (the \
+                 parallel_morsel_size metric).")
 
 let sample_flag =
   Arg.(value & flag
@@ -200,7 +203,7 @@ let export_metrics = function
       else Obs.Json.write_file path (Obs.Metrics.to_json ())
 
 let run_cmd =
-  let run db scale engine domains autotune shards sql params sample wal
+  let run db scale engine domains untraced shards sql params sample wal
       snapshot recover metrics =
     (with_catalog db scale ~wal ~snapshot ~recover @@ fun cat _hier ->
      let plan = plan_of ~sample cat sql (parse_params params) in
@@ -225,19 +228,23 @@ let run_cmd =
                m.Shard.Exec.net_cycles
                (Shard.Exec.total_cycles m))
      | None ->
-     if autotune then begin
+     if untraced then begin
        let t0 = Unix.gettimeofday () in
        let result =
-         Engines.Engine.run ~domains ~autotune:true engine cat plan
-           ~params:(parse_params params)
+         Memsim.Hierarchy.untraced (Storage.Catalog.hier cat) (fun () ->
+             Engines.Engine.run ~domains engine cat plan
+               ~params:(parse_params params))
        in
        let dt = Unix.gettimeofday () -. t0 in
        Format.printf "%a" Engines.Runtime.pp_result result;
        Printf.printf "-- %d rows\n" (List.length result.Engines.Runtime.rows);
-       Printf.printf "-- %.6fs wall (untraced; morsel size %d)\n" dt
-         (int_of_float
-            (Obs.Metrics.gauge_value
-               (Obs.Metrics.gauge "parallel_morsel_size")))
+       Printf.printf "-- %.6fs wall (untraced%s)\n" dt
+         (if domains > 1 && Engines.Parallel.parallelizable plan then
+            Printf.sprintf "; morsel size %d"
+              (int_of_float
+                 (Obs.Metrics.gauge_value
+                    (Obs.Metrics.gauge "parallel_morsel_size")))
+          else "")
      end
      else begin
        let result, st =
@@ -251,10 +258,13 @@ let run_cmd =
     export_metrics metrics
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Execute a SQL statement and report simulated cycles.")
+    (Cmd.info "run"
+       ~doc:
+         "Execute a SQL statement and report simulated cycles, or with \
+          $(b,--untraced) the wall-clock time.")
     Term.(
       const run $ db_arg $ scale_arg $ engine_arg $ domains_arg
-      $ autotune_flag $ shards_arg $ sql_arg $ param_arg $ sample_flag
+      $ untraced_flag $ shards_arg $ sql_arg $ param_arg $ sample_flag
       $ wal_arg $ snapshot_arg $ recover_flag $ metrics_arg)
 
 let checkpoint_cmd =

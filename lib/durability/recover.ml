@@ -54,11 +54,6 @@ let run ?hier env =
   let last_txid = ref watermark in
   let replayed = ref 0 in
   let poisoned = ref false in
-  let untraced f =
-    match hier with
-    | Some h -> Memsim.Hierarchy.without_tracing h f
-    | None -> f ()
-  in
   let commit txid =
     match Hashtbl.find_opt pending txid with
     | None -> ()
@@ -66,7 +61,7 @@ let run ?hier env =
         Hashtbl.remove pending txid;
         if txid > watermark && not !poisoned then begin
           (try
-             untraced (fun () ->
+             Memsim.Hierarchy.untraced hier (fun () ->
                  List.iter (Storage.Write.apply cat) (List.rev ops))
            with e ->
              warn
@@ -102,7 +97,7 @@ let run ?hier env =
     scanned.Wal.records;
   (* discard still-open transactions (uncommitted at the crash) silently —
      that is exactly the contract; rebuild every index from its definition *)
-  untraced (fun () ->
+  Memsim.Hierarchy.untraced hier (fun () ->
       List.iter
         (fun name ->
           let rel = Catalog.find cat name in

@@ -87,9 +87,7 @@ let write_rows w rel =
       done
     done
   in
-  match Relation.hier rel with
-  | Some h -> Memsim.Hierarchy.without_tracing h rows
-  | None -> rows ()
+  Memsim.Hierarchy.untraced (Relation.hier rel) rows
 
 (* Canonical serialization of the catalog state (no watermark): tables in
    sorted name order, rows in tid order, index definitions sorted by name.
@@ -194,9 +192,7 @@ let deserialize_state ?hier r =
         defs
     done
   in
-  (match hier with
-  | Some h -> Memsim.Hierarchy.without_tracing h apply
-  | None -> apply ());
+  Memsim.Hierarchy.untraced hier apply;
   cat
 
 (* watermark, then state *)

@@ -37,19 +37,20 @@ val name : kind -> string
 val run :
   ?domains:int ->
   ?morsel_size:int ->
-  ?autotune:bool ->
   kind ->
   Storage.Catalog.t ->
   Relalg.Physical.t ->
   params:Storage.Value.t array ->
   Runtime.result
-(** Execute the plan.  With [domains > 1] the plan runs morsel-parallel and
-    untraced (results are identical to a sequential run; see {!Parallel.run}
-    for the fallback and determinism rules); the default is one domain, i.e.
-    the plain sequential engine. *)
+(** Execute the plan through {!Parallel.run}, the one way into the
+    executor for every engine: Jit and Compiled hand it their
+    compile-once pipeline ({!Jit.prepare}, {!Compiled.prepare}), the other
+    engines a thunk that runs the plan afresh on every call.  With
+    [domains > 1] a plan with a morsel shape runs morsel-parallel and
+    untraced (results are identical to a sequential run); the default is
+    one domain, one call of the thunk. *)
 
 val run_measured :
-  ?cold:bool ->
   ?domains:int ->
   ?morsel_size:int ->
   kind ->
@@ -57,12 +58,13 @@ val run_measured :
   Relalg.Physical.t ->
   params:Storage.Value.t array ->
   Runtime.result * Memsim.Stats.t
-(** Reset the simulator counters (and, when [cold] — the default — the cache
-    contents), run the query, and return the result together with the
-    counters it produced.  If the catalog has no hierarchy attached the
-    stats are all zero.
+(** Reset the simulator (counters and cache contents), run the query, and
+    return the result together with the counters it produced
+    ({!Parallel.run_measured}).  If the catalog has no hierarchy attached
+    the stats are all zero.  To measure a warm run, call
+    {!Memsim.Hierarchy.reset_stats} and {!run}, then read the counters.
 
-    With [domains > 1] each worker domain simulates its own hierarchy
-    (fresh, hence always cold) and the returned stats are their
+    With [domains > 1] and a plan with a morsel shape each worker domain
+    simulates its own fresh hierarchy and the returned stats are their
     {!Memsim.Stats.merge}: summed traffic and miss counters, max-over-domain
     cycle cost — the simulated analogue of parallel wall-clock time. *)

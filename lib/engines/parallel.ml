@@ -13,24 +13,43 @@ module Expr = Relalg.Expr
    aligned offset (lo * width mod 4096 = 0) for any tuple width.  Results are
    correct for any morsel size; only the miss-counter equality with a
    sequential run relies on the alignment. *)
-let default_morsel_size = 4096
+let morsel_quantum = 4096
+
+(* Morsels per domain a derived size aims at: enough that a domain the host
+   runs slower leaves at most a 32nd of its share for the others to wait
+   on, few enough that a morsel of a large table is long next to the fixed
+   cost of one prepared-pipeline call. *)
+let morsels_per_domain = 32
+
+let derived_morsel_size ~rows ~domains =
+  let per = rows / (morsels_per_domain * max 1 domains) in
+  max morsel_quantum (per / morsel_quantum * morsel_quantum)
 
 (* Address-space stride carved out per worker domain for intermediates
    (selection vectors, hash tables, materialization buffers). *)
 let domain_arena_stride = 1 lsl 36
 
-type runner = Storage.Catalog.t -> Relalg.Physical.t -> Runtime.result
-
 type preparer =
   Storage.Catalog.t -> Relalg.Physical.t -> unit -> Runtime.result
 
-(* Engines without a prepared (compile-once, run-many) entry point fall
-   back to full recompilation per morsel. *)
-let preparer_of_runner (runner : runner) : preparer =
- fun cat plan () -> runner cat plan
+(* Reset every hierarchy (counters and caches), run [f], and return its
+   result with the merge of their counters. *)
+let measure hiers f =
+  match hiers with
+  | [] -> (f (), Memsim.Stats.create ())
+  | h :: rest ->
+      List.iter Memsim.Hierarchy.reset hiers;
+      (* a profiling session started before this reset must re-base its
+         counter mark or it would see a negative delta *)
+      Obs.Profile.resync ();
+      let r = f () in
+      ( r,
+        List.fold_left
+          (fun acc h -> Memsim.Stats.merge acc (Memsim.Hierarchy.snapshot h))
+          (Memsim.Hierarchy.snapshot h) rest )
 
-(* The shapes the morsel executor accepts.  Everything else falls back to a
-   plain sequential run of the base engine. *)
+(* The shapes the morsel executor accepts.  Everything else runs as one
+   prepared pipeline over the whole catalog. *)
 type strategy =
   | Sequential
   | Concat of { driver : string }
@@ -228,30 +247,39 @@ and steal ranges d =
 (* The morsel loop                                                     *)
 (* ------------------------------------------------------------------ *)
 
+let morsel_size_gauge =
+  lazy
+    (Obs.Metrics.gauge "parallel_morsel_size"
+       ~help:"Rows per morsel of the last morsel-parallel run")
+
 (* Run [morsel_plan] over every morsel of [driver], fanned out to [domains]
    pool workers through per-domain chunked ranges with stealing, and return
-   the per-morsel results in morsel order plus each domain's hierarchy.
-   Each worker builds its shadow catalog and compiles the pipeline once
-   ([prepare]); the claim loop itself only reslices the driver view and
-   re-steps the prepared pipeline. *)
-let run_morsels ~domains ~morsel_size ~(prepare : preparer) ~measured cat
-    ~driver morsel_plan =
+   the per-morsel results in morsel order with the merged counters of the
+   domains' hierarchies.  Each worker builds its shadow catalog and
+   compiles the pipeline once ([prepare]); the claim loop itself only
+   reslices the driver view and re-steps the prepared pipeline.  Workers
+   simulate a private hierarchy with [hier]'s parameters, or none when
+   [hier] is [None]. *)
+let run_morsels ~domains ?morsel_size ~(prepare : preparer) ~hier cat ~driver
+    morsel_plan =
   let n = Relation.nrows (Catalog.find cat driver) in
+  let morsel_size =
+    match morsel_size with
+    | Some m -> m
+    | None -> derived_morsel_size ~rows:n ~domains
+  in
+  Obs.Metrics.set (Lazy.force morsel_size_gauge) (float_of_int morsel_size);
   let n_morsels = max 1 ((n + morsel_size - 1) / morsel_size) in
   let domains = max 1 (min domains n_morsels) in
-  let hier_params =
-    match Catalog.hier cat with
-    | Some h -> Memsim.Hierarchy.params h
-    | None -> Memsim.Params.nehalem
-  in
   let base_mark = Arena.mark (Catalog.arena cat) in
   let states =
     Array.init domains (fun d ->
         {
           d_hier =
-            (if measured then
-               Some (Memsim.Hierarchy.create ~params:hier_params ())
-             else None);
+            Option.map
+              (fun h ->
+                Memsim.Hierarchy.create ~params:(Memsim.Hierarchy.params h) ())
+              hier;
           d_arena =
             Arena.create ~start:(base_mark + ((d + 1) * domain_arena_stride)) ();
         })
@@ -295,7 +323,11 @@ let run_morsels ~domains ~morsel_size ~(prepare : preparer) ~measured cat
         in
         loop ())
   in
-  Pool.parallel_run ~domains worker;
+  let (), stats =
+    measure
+      (List.filter_map (fun st -> st.d_hier) (Array.to_list states))
+      (fun () -> Pool.parallel_run ~domains worker)
+  in
   if prof then
     Obs.Profile.add_domains
       (List.filter_map Fun.id (Array.to_list profiles));
@@ -306,14 +338,7 @@ let run_morsels ~domains ~morsel_size ~(prepare : preparer) ~measured cat
         | None -> invalid_arg "Parallel: unexecuted morsel")
       results
   in
-  (partials, states)
-
-let merged_stats states =
-  Array.to_list states
-  |> List.filter_map (fun st -> Option.map Memsim.Hierarchy.snapshot st.d_hier)
-  |> function
-  | [] -> Memsim.Stats.create ()
-  | s :: rest -> List.fold_left Memsim.Stats.merge s rest
+  (partials, stats)
 
 let result_columns cat plan =
   Array.map (fun (a : Schema.attr) -> a.Schema.name) (Physical.schema cat plan)
@@ -330,126 +355,39 @@ let apply_projections ~params post rows =
         rows)
     rows post
 
-(* ------------------------------------------------------------------ *)
-(* Morsel-size autotuning                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Target wall time per morsel: long enough that claim/reslice overhead is
-   noise, short enough that stealing still balances skew. *)
-let autotune_target_seconds = 0.001
-let morsel_size_gauge = lazy (Obs.Metrics.gauge "parallel_morsel_size")
-
-(* Pick the morsel size from one measured probe morsel instead of the
-   fixed default: prepare the pipeline over an untraced shadow catalog,
-   time [default_morsel_size] rows, and size morsels to
-   [autotune_target_seconds] of work — rounded to a multiple of 4096 (the
-   line/page-alignment quantum) and clamped so every domain still gets at
-   least two morsels to balance with. *)
-let autotune_morsel_size ~domains ~(prepare : preparer) cat ~driver
-    morsel_plan =
-  let n = Relation.nrows (Catalog.find cat driver) in
-  let chosen =
-    if n <= default_morsel_size then default_morsel_size
-    else begin
-      let st =
-        {
-          d_hier = None;
-          d_arena =
-            Arena.create
-              ~start:
-                (Arena.mark (Catalog.arena cat)
-                + ((domains + 1) * domain_arena_stride))
-              ();
-        }
-      in
-      let vcat, drv = domain_catalog cat st ~driver in
-      let step = prepare vcat morsel_plan in
-      Relation.reslice drv ~lo:0 ~len:default_morsel_size;
-      let t0 = Unix.gettimeofday () in
-      ignore (step ());
-      let dt = Unix.gettimeofday () -. t0 in
-      let per_row = dt /. float_of_int default_morsel_size in
-      let upper =
-        max default_morsel_size
-          (n / (2 * max 1 domains) / default_morsel_size * default_morsel_size)
-      in
-      if per_row <= 0. then upper
-      else
-        let want = autotune_target_seconds /. per_row in
-        let quantized =
-          int_of_float (want /. float_of_int default_morsel_size)
-          * default_morsel_size
-        in
-        min upper (max default_morsel_size quantized)
-    end
-  in
-  Obs.Metrics.set (Lazy.force morsel_size_gauge) (float_of_int chosen);
-  chosen
-
-(* Execute [plan] morsel-parallel; [None] if the plan shape is sequential-
-   only and the caller should fall back. *)
-let exec ~domains ~morsel_size ~autotune ~prepare ~params ~measured cat plan =
-  let morsels ~driver morsel_plan =
-    let morsel_size =
-      if autotune && not measured then
-        autotune_morsel_size ~domains ~prepare cat ~driver morsel_plan
-      else morsel_size
-    in
-    run_morsels ~domains ~morsel_size ~prepare ~measured cat ~driver
-      morsel_plan
-  in
-  match strategy plan with
-  | Sequential -> None
+(* Execute [plan] on [domains] domains, counting into [hier]'s counters
+   (or, split into morsels, into per-domain copies of it) when given: one
+   prepared-pipeline run when the plan has no morsel shape or one domain
+   is asked for, else the morsel loop and its merge. *)
+let exec ~domains ?morsel_size ~prepare ~params ~hier cat plan =
+  match if domains <= 1 then Sequential else strategy plan with
+  | Sequential -> measure (Option.to_list hier) (fun () -> prepare cat plan ())
   | Concat { driver } ->
-      let partials, states = morsels ~driver plan in
-      Some
-        (Runtime.concat_results (Array.to_list partials), merged_stats states)
+      let partials, stats =
+        run_morsels ~domains ?morsel_size ~prepare ~hier cat ~driver plan
+      in
+      (Runtime.concat_results (Array.to_list partials), stats)
   | Group { driver; morsel_plan; n_keys; aggs; post } ->
-      let partials, states = morsels ~driver morsel_plan in
+      let partials, stats =
+        run_morsels ~domains ?morsel_size ~prepare ~hier cat ~driver
+          morsel_plan
+      in
       let merged = merge_group_rows ~n_keys ~aggs partials in
       let rows = apply_projections ~params post merged in
-      Some
-        ( { Runtime.columns = result_columns cat plan; rows },
-          merged_stats states )
+      ({ Runtime.columns = result_columns cat plan; rows }, stats)
 
-let run ~domains ?(morsel_size = default_morsel_size) ?(autotune = false)
-    ~(runner : runner) ?prepare ?(params = [||]) cat plan =
-  if morsel_size <= 0 then invalid_arg "Parallel.run: morsel_size must be > 0";
-  let prepare =
-    match prepare with Some p -> p | None -> preparer_of_runner runner
-  in
-  if domains <= 1 then runner cat plan
-  else
-    match
-      exec ~domains ~morsel_size ~autotune ~prepare ~params ~measured:false
-        cat plan
-    with
-    | Some (result, _) -> result
-    | None -> runner cat plan
+let check_morsel_size = function
+  | Some m when m <= 0 -> invalid_arg "Parallel: morsel_size must be > 0"
+  | _ -> ()
 
-let run_measured ?(cold = true) ~domains
-    ?(morsel_size = default_morsel_size) ~(runner : runner) ?prepare
-    ?(params = [||]) cat plan =
-  if morsel_size <= 0 then
-    invalid_arg "Parallel.run_measured: morsel_size must be > 0";
-  let prepare =
-    match prepare with Some p -> p | None -> preparer_of_runner runner
-  in
-  let sequential () =
-    match Catalog.hier cat with
-    | None -> (runner cat plan, Memsim.Stats.create ())
-    | Some h ->
-        if cold then Memsim.Hierarchy.reset h
-        else Memsim.Hierarchy.reset_stats h;
-        Obs.Profile.resync ();
-        let r = runner cat plan in
-        (r, Memsim.Hierarchy.snapshot h)
-  in
-  if domains <= 1 || Option.is_none (Catalog.hier cat) then sequential ()
-  else
-    match
-      exec ~domains ~morsel_size ~autotune:false ~prepare ~params
-        ~measured:true cat plan
-    with
-    | Some rs -> rs
-    | None -> sequential ()
+let run ~domains ?morsel_size ~prepare ?(params = [||]) cat plan =
+  check_morsel_size morsel_size;
+  (* what [exec] does at one domain, without building an empty stats
+     record on every untraced call *)
+  if domains <= 1 then prepare cat plan ()
+  else fst (exec ~domains ?morsel_size ~prepare ~params ~hier:None cat plan)
+
+let run_measured ~domains ?morsel_size ~prepare ?(params = [||]) cat plan =
+  check_morsel_size morsel_size;
+  exec ~domains ?morsel_size ~prepare ~params ~hier:(Catalog.hier cat) cat
+    plan

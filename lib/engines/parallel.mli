@@ -1,10 +1,10 @@
 (** Morsel-driven parallel query execution on OCaml 5 domains.
 
     The scanned relation is split into fixed-size row ranges (morsels);
-    worker domains pull morsel indices from an atomic work-stealing counter
-    and run the unchanged base engine (Volcano, Bulk, Vectorized, HYRISE or
-    JiT) over a shadow catalog in which the driver table is a {!type:
-    Storage.Relation.t} slice of the morsel's rows.  Per-morsel partial
+    worker domains pull morsel indices from per-domain ranges with
+    stealing and step the base engine's prepared pipeline (see
+    {!preparer}) over a shadow catalog in which the driver table is a
+    {!type:Storage.Relation.t} slice of the morsel's rows.  Per-morsel partial
     results merge deterministically in morsel order:
 
     - scan/select/project pipelines concatenate their row lists, and
@@ -17,7 +17,7 @@
     the last bits because addition is reassociated).
 
     Plans without a full-scan driver pipeline (joins, sorts, limits, index
-    access, DML) fall back to one sequential run of the base engine.
+    access, DML) run as one prepared pipeline over the whole catalog.
 
     Simulated measurement composes per domain: every worker gets a private
     {!Memsim.Hierarchy.t} (same parameters as the catalog's) plus a private
@@ -27,15 +27,13 @@
     catalogs carry no hierarchy at all, so worker domains share nothing
     mutable and real multicore speedups are measurable. *)
 
-type runner = Storage.Catalog.t -> Relalg.Physical.t -> Runtime.result
-(** One sequential engine run; {!Engine} supplies [Engine.run kind]. *)
-
 type preparer =
   Storage.Catalog.t -> Relalg.Physical.t -> unit -> Runtime.result
-(** Compile-once, run-many entry point ({!Jit.prepare}): the morsel loop
-    calls the returned thunk per morsel over the resliced driver view
-    instead of recompiling the pipeline.  Engines without one fall back to
-    wrapping [runner]. *)
+(** An engine's way in: the returned thunk is one run of the plan over
+    the catalog's current contents.  Jit and Compiled compile once and
+    re-step ({!Jit.prepare}, {!Compiled.prepare}); {!Engine} gives the
+    other engines [fun () -> run].  The morsel loop prepares once per
+    worker and calls the thunk per morsel over the resliced driver view. *)
 
 val parallelizable : Relalg.Physical.t -> bool
 (** Whether the plan has a morsel-parallel execution shape (a full-scan
@@ -74,41 +72,50 @@ val apply_projections :
 val result_columns : Storage.Catalog.t -> Relalg.Physical.t -> string array
 (** Output column names of a plan (from {!Relalg.Physical.schema}). *)
 
+val derived_morsel_size : rows:int -> domains:int -> int
+(** The morsel size a run uses when the caller gives none: a 32nd of each
+    domain's share of the driver table's [rows], rounded down to a
+    multiple of 4096 and at least 4096.  Starting every morsel
+    at a multiple of 4096 rows keeps it cache-line and TLB-page aligned
+    in every partition, so a measured parallel scan counts the same
+    misses as a sequential one. *)
+
+val measure :
+  Memsim.Hierarchy.t list -> (unit -> 'a) -> 'a * Memsim.Stats.t
+(** [measure hiers f] resets each hierarchy (counters and caches), runs
+    [f] and returns its result with the {!Memsim.Stats.merge} of their
+    counters: traffic sums, cycles are the slowest hierarchy's.  With no
+    hierarchy it only runs [f], and the stats are all zero. *)
+
 val run :
   domains:int ->
   ?morsel_size:int ->
-  ?autotune:bool ->
-  runner:runner ->
-  ?prepare:preparer ->
+  prepare:preparer ->
   ?params:Storage.Value.t array ->
   Storage.Catalog.t ->
   Relalg.Physical.t ->
   Runtime.result
-(** Execute untraced with [domains] workers (clamped to the morsel count;
-    [domains <= 1] or a non-parallelizable plan degrade to one plain
-    sequential run).  [params] are needed only to evaluate projections the
-    planner placed above a group-by (applied once to the merged groups).
-    Worker catalogs are untraced views, so a hierarchy attached to [cat]
-    records nothing during a parallel run.
-
-    With [autotune] the morsel size is picked from one measured probe
-    morsel (sized to ~1ms of work, rounded to the 4096-row alignment
-    quantum, clamped so each domain keeps at least two morsels) and
-    exported through the [parallel_morsel_size] gauge; an explicit
-    [morsel_size] is only used when [autotune] is off. *)
+(** Execute untraced with [domains] workers (clamped to the morsel count).
+    With [domains <= 1], or a plan without a morsel shape, the plan runs
+    as one prepared pipeline over [cat].  [morsel_size] defaults to
+    {!derived_morsel_size} of the driver table; every morsel-parallel run
+    records the size it used in the [parallel_morsel_size] gauge.
+    [params] are needed only to evaluate projections the planner placed
+    above a group-by (applied once to the merged groups).  Worker catalogs
+    are untraced views, so a hierarchy attached to [cat] records nothing
+    from the morsels; a run on one domain traces as [cat] does (wrap it in
+    {!Memsim.Hierarchy.without_tracing} for a wall-clock run). *)
 
 val run_measured :
-  ?cold:bool ->
   domains:int ->
   ?morsel_size:int ->
-  runner:runner ->
-  ?prepare:preparer ->
+  prepare:preparer ->
   ?params:Storage.Value.t array ->
   Storage.Catalog.t ->
   Relalg.Physical.t ->
   Runtime.result * Memsim.Stats.t
-(** Execute with per-domain hierarchy simulation and return the
-    {!Memsim.Stats.merge} of all domains.  Parallel measured runs are always
-    cold (each domain starts with empty caches); [cold] only controls the
-    sequential fallback, as in {!Engine.run_measured}.  Without a hierarchy
-    on [cat] the stats are all zero. *)
+(** {!run}, measured cold: a one-pipeline run resets [cat]'s hierarchy
+    first and returns its counters; a morsel-parallel run gives every
+    worker a fresh hierarchy with the same parameters and returns their
+    {!measure}d merge.  Without a hierarchy on [cat] the stats are all
+    zero. *)

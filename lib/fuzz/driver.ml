@@ -281,8 +281,7 @@ let run_combo ?mutate ?(domains = 1) ?morsel_size
     if not query then Engine.run ~domains ?morsel_size engine cat phys ~params
     else begin
       let r, st =
-        Engine.run_measured ~cold:true ~domains ?morsel_size engine cat phys
-          ~params
+        Engine.run_measured ~domains ?morsel_size engine cat phys ~params
       in
       if domains = 1 then stats := st :: !stats;
       r

@@ -147,7 +147,11 @@ let partition_of asgn n m =
   done;
   Array.to_list (Array.sub parts 0 m)
 
-let solve ?(top_k = 8) ?(max_nodes = 200_000) problem =
+(* Partitionings [solve] returns, and the search nodes it may visit. *)
+let top_k = 8
+let max_nodes = 200_000
+
+let solve problem =
   let n = problem.n_attrs in
   if n = 0 then
     ([ ([], 0.0) ], { nodes_visited = 0; bounds_pruned = 0; evaluations = 0 })

@@ -16,8 +16,9 @@
     Unlike {!Bpi}, the search is not restricted to reasonable cuts: it
     ranges over the full set-partition lattice (restricted-growth-string
     enumeration), so on small tables it is exactly optimal for the stated
-    objective.  [max_nodes] caps the search on wide tables, degrading to an
-    anytime solver that still returns the best partitions found. *)
+    objective.  A cap of 200,000 search nodes bounds the search on wide
+    tables, degrading to an anytime solver that still returns the best
+    partitions found. *)
 
 type term = {
   attrs : int list;  (** attribute indices the descriptor touches *)
@@ -56,9 +57,8 @@ val objective : problem -> int list list -> float
     given in any order; the same summation order is used internally by
     {!solve} and {!brute_force}, so their costs are directly comparable. *)
 
-val solve :
-  ?top_k:int -> ?max_nodes:int -> problem -> (int list list * float) list * stats
-(** Branch and bound.  Returns up to [top_k] partitionings in ascending
+val solve : problem -> (int list list * float) list * stats
+(** Branch and bound.  Returns up to 8 partitionings in ascending
     cost order (normalized: groups sorted, attrs ascending).  The head of
     the list is exactly optimal for {!objective} when the node budget is
     not exhausted (anytime otherwise); the tail is a candidate frontier —

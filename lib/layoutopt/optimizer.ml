@@ -71,7 +71,7 @@ let optimize_table ?(algorithm = Bpi 0.005) ?(extended = true)
            the two models can disagree — taking the min keeps Ip never
            worse than Bpi on the model's own estimate *)
         let problem = Ip.problem_of_workload ?estimate ?params cat table workload in
-        let frontier, ip_stats = Ip.solve ~top_k:8 problem in
+        let frontier, ip_stats = Ip.solve problem in
         let bpi_p, bpi_c, bpi_stats =
           Bpi.optimize ~cost ~n_attrs ~cuts ~threshold:0.005
         in

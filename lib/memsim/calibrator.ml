@@ -4,12 +4,13 @@ type point = {
   accesses : int;
 }
 
-let sizes ~min_bytes ~max_bytes =
+(* Region sizes: powers of two from 1 KiB to 32 MiB, four times the
+   Nehalem L3. *)
+let sizes =
   let rec go acc s =
-    if s > max_bytes then List.rev acc
-    else go (s :: acc) (s * 2)
+    if s > 32 * 1024 * 1024 then List.rev acc else go (s :: acc) (s * 2)
   in
-  go [] min_bytes
+  go [] 1024
 
 let measure hier ~base ~region_bytes ~accesses ~order =
   Hierarchy.reset hier;
@@ -32,26 +33,25 @@ let measure hier ~base ~region_bytes ~accesses ~order =
     accesses;
   }
 
-let run ~order ?(accesses = 200_000) ?(min_bytes = 1024)
-    ?(max_bytes = 32 * 1024 * 1024) params =
+let run ~order ?(accesses = 200_000) params =
   let hier = Hierarchy.create ~params () in
   List.map
     (fun region_bytes ->
       measure hier ~base:0 ~region_bytes ~accesses ~order:(order region_bytes))
-    (sizes ~min_bytes ~max_bytes)
+    sizes
 
-let run_random ?accesses ?min_bytes ?max_bytes params =
+let run_random ?accesses params =
   let order region_bytes =
     let n = region_bytes / 8 in
     let rng = Mrdb_util.Rng.create (0x5EED + region_bytes) in
     let perm = Mrdb_util.Rng.permutation rng n in
     fun _n i -> perm.(i mod n)
   in
-  run ~order ?accesses ?min_bytes ?max_bytes params
+  run ~order ?accesses params
 
-let run_sequential ?accesses ?min_bytes ?max_bytes params =
+let run_sequential ?accesses params =
   let order _region_bytes = fun n i -> i mod n in
-  run ~order ?accesses ?min_bytes ?max_bytes params
+  run ~order ?accesses params
 
 (* Pick, for each level, the measured point whose region is half the level's
    capacity (fits entirely), and attribute the increase over the previous

@@ -11,13 +11,12 @@ type point = {
   accesses : int;
 }
 
-val run_random :
-  ?accesses:int -> ?min_bytes:int -> ?max_bytes:int -> Params.t -> point list
-(** Random permutation walk (pointer-chase style): defeats the prefetcher, so
-    plateaus show the full (non-hidden) latencies. *)
+val run_random : ?accesses:int -> Params.t -> point list
+(** Random permutation walk (pointer-chase style) over regions of 1 KiB to
+    32 MiB, doubling: defeats the prefetcher, so plateaus show the full
+    (non-hidden) latencies. *)
 
-val run_sequential :
-  ?accesses:int -> ?min_bytes:int -> ?max_bytes:int -> Params.t -> point list
+val run_sequential : ?accesses:int -> Params.t -> point list
 (** Sequential scan of the region (wrapping): prefetching hides most LLC
     latency; included to contrast with {!run_random}. *)
 

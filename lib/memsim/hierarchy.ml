@@ -125,6 +125,8 @@ let without_tracing t f =
   t.tracing <- false;
   Fun.protect ~finally:(fun () -> t.tracing <- prev) f
 
+let untraced t f = match t with Some t -> without_tracing t f | None -> f ()
+
 let stats t = t.stats
 let snapshot t = Stats.copy t.stats
 

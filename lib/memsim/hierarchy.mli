@@ -138,3 +138,8 @@ val enabled : t -> bool
 
 val without_tracing : t -> (unit -> 'a) -> 'a
 (** Run a thunk with tracing disabled, restoring the previous state. *)
+
+val untraced : t option -> (unit -> 'a) -> 'a
+(** {!without_tracing} on the hierarchy when there is one; without one the
+    thunk just runs.  For setup work on a catalog or relation that may
+    carry no hierarchy. *)

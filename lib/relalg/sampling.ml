@@ -1,28 +1,26 @@
 module Relation = Storage.Relation
 module Catalog = Storage.Catalog
 
-let untraced cat f =
-  match Catalog.hier cat with
-  | Some h -> Memsim.Hierarchy.without_tracing h f
-  | None -> f ()
+(* Tuples drawn per estimate. *)
+let samples = 512
 
 (* A deterministic pseudo-random sample.  Plain striding aliases with
    periodic data (e.g. a column holding tid mod k when the stride is a
    multiple of k), so we draw uniformly with a fixed seed instead. *)
-let sample_tids n samples =
+let sample_tids n =
   if n <= samples then List.init n Fun.id
   else begin
     let rng = Mrdb_util.Rng.create (0x5A11CE + n) in
     List.init samples (fun _ -> Mrdb_util.Rng.int rng n)
   end
 
-let selectivity ?(samples = 512) cat table pred ~params =
+let selectivity cat table pred ~params =
   let rel = Catalog.find cat table in
   let n = Relation.nrows rel in
   if n = 0 then Expr.default_selectivity pred
   else
-    untraced cat (fun () ->
-        let tids = sample_tids n samples in
+    Memsim.Hierarchy.untraced (Catalog.hier cat) (fun () ->
+        let tids = sample_tids n in
         let matched =
           List.fold_left
             (fun acc tid ->
@@ -37,13 +35,13 @@ let selectivity ?(samples = 512) cat table pred ~params =
           (0.5 /. float_of_int total)
           (float_of_int matched /. float_of_int total))
 
-let n_distinct ?(samples = 512) cat table attr =
+let n_distinct cat table attr =
   let rel = Catalog.find cat table in
   let n = Relation.nrows rel in
   if n = 0 then 1.0
   else
-    untraced cat (fun () ->
-        let tids = sample_tids n samples in
+    Memsim.Hierarchy.untraced (Catalog.hier cat) (fun () ->
+        let tids = sample_tids n in
         let seen = Hashtbl.create 64 in
         List.iter
           (fun tid -> Hashtbl.replace seen (Relation.get rel tid attr) ())

@@ -8,20 +8,18 @@
     {!Expr.default_selectivity}. *)
 
 val selectivity :
-  ?samples:int ->
   Storage.Catalog.t ->
   string ->
   Expr.t ->
   params:Storage.Value.t array ->
   float
-(** [selectivity cat table pred ~params] evaluates [pred] on up to
-    [samples] (default 512) deterministically drawn tuples, tracing
-    disabled, and returns the matching fraction.  An empty table yields the
-    heuristic estimate.  Results are clamped away from exactly 0 so
-    downstream cardinalities stay positive. *)
+(** [selectivity cat table pred ~params] evaluates [pred] on up to 512
+    deterministically drawn tuples, tracing disabled, and returns the
+    matching fraction.  An empty table yields the heuristic estimate.
+    Results are clamped away from exactly 0 so downstream cardinalities
+    stay positive. *)
 
-val n_distinct :
-  ?samples:int -> Storage.Catalog.t -> string -> int -> float
-(** Estimated number of distinct values of an attribute, from a sample
-    (observed distincts, scaled up by the sampling fraction when the sample
-    looks near-unique, capped at the row count). *)
+val n_distinct : Storage.Catalog.t -> string -> int -> float
+(** Estimated number of distinct values of an attribute, from a sample of
+    up to 512 tuples (observed distincts, scaled up by the sampling
+    fraction when the sample looks near-unique, capped at the row count). *)

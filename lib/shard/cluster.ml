@@ -64,7 +64,7 @@ let scatter_into ~shards ~shard src dst =
         (Catalog.index_defs src name))
     (Catalog.names src)
 
-let create ?(durable = false) ?net_params ?envs ?coord_env ~shards cat =
+let create ?(durable = false) ?envs ?coord_env ~shards cat =
   if shards < 1 then invalid_arg "Cluster.create: shards must be >= 1";
   (match envs with
   | Some e when Array.length e <> shards ->
@@ -100,7 +100,7 @@ let create ?(durable = false) ?net_params ?envs ?coord_env ~shards cat =
   in
   {
     nodes;
-    net = Netsim.create ?params:net_params ();
+    net = Netsim.create ();
     coord;
     coord_sink;
     durable;

@@ -28,7 +28,6 @@ val shard_range : shards:int -> shard:int -> int -> (int * int)
 
 val create :
   ?durable:bool ->
-  ?net_params:Netsim.params ->
   ?envs:Durability.Faultio.t array ->
   ?coord_env:Durability.Faultio.t ->
   shards:int ->

@@ -72,15 +72,81 @@ let rec scan_pipe = function
   | _ -> None
 
 (* A hash join of two base-table pipelines, possibly under select/project
-   layers. *)
-let rec join_parts = function
+   layers, and the exchange the cost model chose for it. *)
+type join = {
+  build : Physical.t;
+  probe : Physical.t;
+  build_keys : int list;
+  probe_keys : int list;
+  costing : Cost.join_costing;
+}
+
+let rec join_of cl = function
   | Physical.Hash_join { build; probe; build_keys; probe_keys; _ } ->
       if scan_pipe build <> None && scan_pipe probe <> None then
-        Some (build, probe, build_keys, probe_keys)
+        Some
+          {
+            build;
+            probe;
+            build_keys;
+            probe_keys;
+            costing = Cost.join_costing cl ~build ~probe;
+          }
       else None
   | Physical.Select { child; _ } | Physical.Project { child; _ } ->
-      join_parts child
+      join_of cl child
   | _ -> None
+
+(* What each shard runs of a distributable subtree: the subtree itself, a
+   pipeline over one table, or its hash join over exchanged inputs. *)
+type local = Pipeline of string | Exchanged of join
+
+let local_of cl plan =
+  match scan_pipe plan with
+  | Some table -> Some (Pipeline table)
+  | None -> Option.map (fun j -> Exchanged j) (join_of cl plan)
+
+(* How a plan runs over the cluster, worked out once by [strategy]: [exec]
+   runs it and [describe] prints it. *)
+type strategy =
+  | Limit of { n : int; child : strategy }  (** at the coordinator *)
+  | Sort of {
+      keys : (int * Relalg.Plan.dir) list;
+      input : Physical.t;  (** the sorted subtree *)
+      child : strategy;
+    }  (** at the coordinator, over the gathered union *)
+  | Dml of Physical.t  (** through two-phase commit *)
+  | Gather of { plan : Physical.t; local : local }
+      (** per shard, unioned at the coordinator *)
+  | Partial_agg of {
+      plan : Physical.t;
+      post : (Relalg.Expr.t * string) list list;
+      child : Physical.t;
+      keys : (Relalg.Expr.t * string) list;
+      aggs : Aggregate.t list;
+      n_groups : float;
+      local : local;
+    }  (** decomposed per shard over [child], merged at the coordinator *)
+  | Pull_all of Physical.t
+      (** every base table shipped to the coordinator *)
+
+let rec strategy cl plan =
+  match plan with
+  | Physical.Limit { child; n } -> Limit { n; child = strategy cl child }
+  | Physical.Sort { child; keys } ->
+      Sort { keys; input = child; child = strategy cl child }
+  | Physical.Insert _ | Physical.Update _ -> Dml plan
+  | _ -> (
+      match local_of cl plan with
+      | Some local -> Gather { plan; local }
+      | None -> (
+          match Parallel.peel_projections [] plan with
+          | post, Physical.Group_by { child; keys; aggs; n_groups } -> (
+              match local_of cl child with
+              | Some local ->
+                  Partial_agg { plan; post; child; keys; aggs; n_groups; local }
+              | None -> Pull_all plan)
+          | _ -> Pull_all plan))
 
 (* Rebuild the select/project spine above the join core with the core
    replaced. *)
@@ -172,18 +238,17 @@ let bucket_of ~keys n row =
 (* Run [wrap subtree'] on every shard, where [subtree'] is the per-shard
    localization of [subtree] — unchanged for pipelines, exchange-localized
    for joins.  Returns per-shard results in shard order. *)
-let per_shard ctx subtree ~wrap =
+let per_shard ctx subtree local ~wrap =
   let nodes = live_nodes ctx in
-  match join_parts subtree with
-  | None ->
+  match local with
+  | Pipeline _ ->
       Array.map
         (fun (nd : Cluster.node) ->
           Engine.run ctx.engine nd.cat (wrap subtree) ~params:ctx.params)
         nodes
-  | Some (build, probe, _, probe_keys) ->
+  | Exchanged { build; probe; build_keys; probe_keys; costing } ->
       let net = Cluster.net ctx.cl in
       let n = Array.length nodes in
-      let costing = Cost.join_costing ctx.cl ~build ~probe in
       let build_attrs = Physical.schema nodes.(0).cat build in
       let run_rows side =
         Array.map
@@ -226,11 +291,6 @@ let per_shard ctx subtree ~wrap =
             nodes
       | Cost.Shuffle ->
           let probe_attrs = Physical.schema nodes.(0).cat probe in
-          let build_keys =
-            match join_parts subtree with
-            | Some (_, _, bk, _) -> bk
-            | None -> assert false
-          in
           let partition keys parts =
             let mat = Array.make_matrix n n [] in
             Array.iteri
@@ -287,17 +347,17 @@ let ship_to_coordinator ctx (partials : Runtime.result array) =
       Exchange.send_rows net ~src ~dst:Netsim.coordinator r.Runtime.rows)
     partials
 
-let gather ctx plan =
-  let partials = per_shard ctx plan ~wrap:Fun.id in
+let gather ctx plan local =
+  let partials = per_shard ctx plan local ~wrap:Fun.id in
   ship_to_coordinator ctx partials;
   Runtime.concat_results (Array.to_list partials)
 
-let partial_agg ctx ~post ~keys ~aggs ~n_groups ~child plan =
+let partial_agg ctx ~post ~keys ~aggs ~n_groups ~child ~local plan =
   let decomposed = List.concat_map Aggregate.decompose aggs in
   let wrap c =
     Physical.Group_by { child = c; keys; aggs = decomposed; n_groups }
   in
-  let partials = per_shard ctx child ~wrap in
+  let partials = per_shard ctx child local ~wrap in
   ship_to_coordinator ctx partials;
   let merged =
     Parallel.merge_group_rows ~n_keys:(List.length keys) ~aggs partials
@@ -376,18 +436,17 @@ let exec_dml ctx plan =
 
 (* {2 Top level} *)
 
-let rec exec ctx plan : Runtime.result =
-  match plan with
-  | Physical.Limit { child; n } ->
+let rec exec ctx : strategy -> Runtime.result = function
+  | Limit { n; child } ->
       let r = exec ctx child in
       let rec take k = function
         | [] -> []
         | x :: tl -> if k <= 0 then [] else x :: take (k - 1) tl
       in
       { r with Runtime.rows = take n r.Runtime.rows }
-  | Physical.Sort { child; keys } ->
+  | Sort { keys; input; child } ->
       let r = exec ctx child in
-      let attrs = Physical.schema (node0 ctx).cat child in
+      let attrs = Physical.schema (node0 ctx).cat input in
       let row_width =
         Array.fold_left (fun acc a -> acc + Schema.stored_width a) 0 attrs
       in
@@ -396,18 +455,11 @@ let rec exec ctx plan : Runtime.result =
           r.Runtime.rows
       in
       { r with Runtime.rows }
-  | Physical.Insert _ | Physical.Update _ -> exec_dml ctx plan
-  | _ -> (
-      match scan_pipe plan with
-      | Some _ -> gather ctx plan
-      | None -> (
-          match Parallel.peel_projections [] plan with
-          | post, Physical.Group_by { child; keys; aggs; n_groups }
-            when scan_pipe child <> None || join_parts child <> None ->
-              partial_agg ctx ~post ~keys ~aggs ~n_groups ~child plan
-          | _ ->
-              if join_parts plan <> None then gather ctx plan
-              else pull_all ctx plan))
+  | Dml plan -> exec_dml ctx plan
+  | Gather { plan; local } -> gather ctx plan local
+  | Partial_agg { plan; post; child; keys; aggs; n_groups; local } ->
+      partial_agg ctx ~post ~keys ~aggs ~n_groups ~child ~local plan
+  | Pull_all plan -> pull_all ctx plan
 
 let make_ctx ?coord ~engine ~params cl =
   let coord_hier = Option.bind coord Catalog.hier in
@@ -417,7 +469,7 @@ let make_ctx ?coord ~engine ~params cl =
   { cl; engine; params; coord_hier; coord_arena }
 
 let run ?(engine = Engine.Jit) ?(params = [||]) ?coord cl plan =
-  exec (make_ctx ?coord ~engine ~params cl) plan
+  exec (make_ctx ?coord ~engine ~params cl) (strategy cl plan)
 
 type measured = {
   stats : Memsim.Stats.t;
@@ -430,27 +482,16 @@ type measured = {
 
 let total_cycles m = Memsim.Stats.total_cycles m.stats + m.net_cycles
 
-let run_measured ?(cold = true) ?(engine = Engine.Jit) ?(params = [||]) ?coord
-    cl plan =
-  let nodes = Cluster.nodes cl in
-  Array.iter
-    (fun (nd : Cluster.node) ->
-      if cold then Memsim.Hierarchy.reset nd.hier
-      else Memsim.Hierarchy.reset_stats nd.hier)
-    nodes;
+let run_measured ?(engine = Engine.Jit) ?(params = [||]) ?coord cl plan =
   let net = Cluster.net cl in
   let snap = Netsim.snapshot net in
   let ctx = make_ctx ?coord ~engine ~params cl in
-  let r = exec ctx plan in
-  let stats =
-    match Array.to_list nodes with
-    | [] -> assert false
-    | n0 :: rest ->
-        List.fold_left
-          (fun acc (nd : Cluster.node) ->
-            Memsim.Stats.merge acc (Memsim.Hierarchy.snapshot nd.hier))
-          (Memsim.Hierarchy.snapshot n0.hier)
-          rest
+  let hiers =
+    Array.to_list (Cluster.nodes cl)
+    |> List.map (fun (nd : Cluster.node) -> nd.hier)
+  in
+  let r, stats =
+    Parallel.measure hiers (fun () -> exec ctx (strategy cl plan))
   in
   let net_messages, net_bytes, net_cycles = Netsim.since net snap in
   (* surface the interconnect as its own phase (and charge the coordinator
@@ -464,56 +505,44 @@ let run_measured ?(cold = true) ?(engine = Engine.Jit) ?(params = [||]) ?coord
 (* {2 Plan description (explain)} *)
 
 let describe cl plan =
-  let n = Cluster.shards cl in
   let b = Buffer.create 256 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
-  line "shards: %d" n;
-  let rec go plan =
-    match plan with
-    | Physical.Limit { child; n } ->
+  line "shards: %d" (Cluster.shards cl);
+  let join_lines = function
+    | Pipeline _ -> ()
+    | Exchanged { costing = c; _ } ->
+        line "distributed hash join: %s" (Cost.method_name c.Cost.chosen);
+        line "  shuffle   est %d B, %d msgs, %d net cycles" c.Cost.shuffle_bytes
+          c.Cost.shuffle_msgs c.Cost.shuffle_cycles;
+        line "  broadcast est %d B, %d msgs, %d cycles (net + extra build)"
+          c.Cost.broadcast_bytes c.Cost.broadcast_msgs c.Cost.broadcast_cycles
+  in
+  let rec go = function
+    | Limit { n; child } ->
         line "limit %d: at coordinator" n;
         go child
-    | Physical.Sort { child; _ } ->
+    | Sort { child; _ } ->
         line "sort: at coordinator, over the gathered union";
         go child
-    | Physical.Insert _ ->
+    | Dml (Physical.Insert _) ->
         line "insert: hash-routed to one shard, two-phase commit"
-    | Physical.Update _ ->
+    | Dml _ ->
         line
           "update: per-shard operation lists, two-phase commit across \
            matching shards"
-    | _ -> (
-        match scan_pipe plan with
-        | Some table ->
-            line "gather: per-shard pipeline over %s, union at coordinator"
-              table
-        | None -> (
-            match Parallel.peel_projections [] plan with
-            | _, (Physical.Group_by { child; _ } as gb)
-              when scan_pipe child <> None || join_parts child <> None ->
-                let c = Cost.agg_costing cl ~child ~gb in
-                line
-                  "partial aggregation: decomposed per shard, merged at \
-                   coordinator";
-                line "  est naive gather %d B, partial %d B" c.Cost.naive_bytes
-                  c.Cost.partial_bytes;
-                (match join_parts child with
-                | Some (build, probe, _, _) -> join_lines build probe
-                | None -> ())
-            | _ -> (
-                match join_parts plan with
-                | Some (build, probe, _, _) -> join_lines build probe
-                | None ->
-                    line
-                      "pull-all fallback: every base table shipped to the \
-                       coordinator")))
-  and join_lines build probe =
-    let c = Cost.join_costing cl ~build ~probe in
-    line "distributed hash join: %s" (Cost.method_name c.Cost.chosen);
-    line "  shuffle   est %d B, %d msgs, %d net cycles" c.Cost.shuffle_bytes
-      c.Cost.shuffle_msgs c.Cost.shuffle_cycles;
-    line "  broadcast est %d B, %d msgs, %d cycles (net + extra build)"
-      c.Cost.broadcast_bytes c.Cost.broadcast_msgs c.Cost.broadcast_cycles
+    | Gather { local = Pipeline table; _ } ->
+        line "gather: per-shard pipeline over %s, union at coordinator" table
+    | Gather { local; _ } -> join_lines local
+    | Partial_agg { child; keys; aggs; n_groups; local; _ } ->
+        let gb = Physical.Group_by { child; keys; aggs; n_groups } in
+        let c = Cost.agg_costing cl ~child ~gb in
+        line
+          "partial aggregation: decomposed per shard, merged at coordinator";
+        line "  est naive gather %d B, partial %d B" c.Cost.naive_bytes
+          c.Cost.partial_bytes;
+        join_lines local
+    | Pull_all _ ->
+        line "pull-all fallback: every base table shipped to the coordinator"
   in
-  go plan;
+  go (strategy cl plan);
   Buffer.contents b

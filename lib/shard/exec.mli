@@ -34,19 +34,20 @@ val total_cycles : measured -> int
 (** Slowest shard's simulated cycles plus the interconnect cycles. *)
 
 val run_measured :
-  ?cold:bool ->
   ?engine:Engines.Engine.kind ->
   ?params:Storage.Value.t array ->
   ?coord:Storage.Catalog.t ->
   Cluster.t ->
   Relalg.Physical.t ->
   Engines.Runtime.result * measured
-(** Reset per-shard hierarchies ([cold], the default, also empties caches),
-    execute, and collect merged shard stats plus the interconnect delta.
+(** Reset per-shard hierarchies (counters and caches), execute, and
+    collect merged shard stats ({!Engines.Parallel.measure}) plus the
+    interconnect delta.
     When [coord] carries a hierarchy the net cycles are charged to it
     inside an [Obs.Profile] ["#net"] phase, so [explain --analyze] shows
     the interconnect as its own span. *)
 
 val describe : Cluster.t -> Relalg.Physical.t -> string
 (** The distributed strategy, with the cost model's shuffle/broadcast and
-    naive/partial-aggregation estimates — the [explain] section. *)
+    naive/partial-aggregation estimates — the [explain] section.  It is
+    worked out by the same function {!run} executes, so it names what runs. *)

@@ -16,7 +16,6 @@ type params = {
   cycles_per_byte : int;  (** bandwidth term, cycles per payload byte *)
 }
 
-let default_params = { latency_cycles = 2670; cycles_per_byte = 2 }
 
 type t = {
   params : params;
@@ -32,7 +31,12 @@ let m_bytes =
   Obs.Metrics.counter "mrdb_shard_net_bytes_total"
     ~help:"Inter-shard payload bytes sent over the simulated interconnect"
 
-let create ?(params = default_params) () = { params; messages = 0; bytes = 0 }
+let create () =
+  {
+    params = { latency_cycles = 2670; cycles_per_byte = 2 };
+    messages = 0;
+    bytes = 0;
+  }
 
 let params t = t.params
 

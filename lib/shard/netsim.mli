@@ -11,8 +11,8 @@ type params = {
 
 type t
 
-val create : ?params:params -> unit -> t
-(** [params] defaults to ~1 µs hop latency at 2.67 GHz (2670 cycles) and
+val create : unit -> t
+(** An interconnect of ~1 µs hop latency at 2.67 GHz (2670 cycles) and
     ~10 Gbit/s of bandwidth (2 cycles/byte). *)
 
 val params : t -> params

@@ -82,13 +82,7 @@ let analyze rel =
   let n = Relation.nrows rel in
   analyze_cols (Relation.schema rel) ~rows:n (fun a f ->
       (* statistics gathering is setup work, untraced like loads *)
-      (match Relation.hier rel with
-      | Some h ->
-          Memsim.Hierarchy.without_tracing h (fun () ->
-              for tid = 0 to n - 1 do
-                f (Relation.get rel tid a)
-              done)
-      | None ->
+      Memsim.Hierarchy.untraced (Relation.hier rel) (fun () ->
           for tid = 0 to n - 1 do
             f (Relation.get rel tid a)
           done))

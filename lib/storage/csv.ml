@@ -149,11 +149,8 @@ let import cat ~table path =
          rows or the whole file, never a prefix.  Loading is setup work, so
          the appends and their index maintenance run untraced. *)
       Catalog.in_txn cat (fun () ->
-          match Relation.hier rel with
-          | Some h ->
-              Memsim.Hierarchy.without_tracing h (fun () ->
-                  Write.apply_all cat ops)
-          | None -> Write.apply_all cat ops);
+          Memsim.Hierarchy.untraced (Relation.hier rel) (fun () ->
+              Write.apply_all cat ops));
       List.length ops
 
 (* column type inference over the data rows *)

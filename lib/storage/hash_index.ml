@@ -44,12 +44,7 @@ let rec insert_raw t ~key ~tid =
 
 and rehash t =
   let old_buf = t.buf and old_slots = t.slots in
-  let untraced f =
-    match t.hier with
-    | Some h -> Memsim.Hierarchy.without_tracing h f
-    | None -> f ()
-  in
-  untraced (fun () ->
+  Memsim.Hierarchy.untraced t.hier (fun () ->
       t.slots <- old_slots * 2;
       t.buf <- Buffer.create t.arena ?hier:t.hier (t.slots * entry_width);
       t.count <- 0;

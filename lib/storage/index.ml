@@ -7,11 +7,6 @@ type t = { impl : impl; attrs : int list }
 let kind t = match t.impl with H _ -> Hash | R _ -> Rbtree
 let attrs t = t.attrs
 
-let untraced rel f =
-  match Relation.hier rel with
-  | Some h -> Memsim.Hierarchy.without_tracing h f
-  | None -> f ()
-
 let key_of rel tid attrs =
   Hash_index.key_of_values (List.map (fun a -> Relation.get rel tid a) attrs)
 
@@ -22,7 +17,7 @@ let build_hash rel ~attrs =
       ~capacity:(max 16 (Relation.nrows rel))
       ()
   in
-  untraced rel (fun () ->
+  Memsim.Hierarchy.untraced (Relation.hier rel) (fun () ->
       for tid = 0 to Relation.nrows rel - 1 do
         Hash_index.insert idx ~key:(key_of rel tid attrs) ~tid
       done);
@@ -30,7 +25,7 @@ let build_hash rel ~attrs =
 
 let build_rb rel ~attr =
   let idx = Rb_index.create (Relation.arena rel) ?hier:(Relation.hier rel) () in
-  untraced rel (fun () ->
+  Memsim.Hierarchy.untraced (Relation.hier rel) (fun () ->
       for tid = 0 to Relation.nrows rel - 1 do
         Rb_index.insert idx ~key:(Value.to_int (Relation.get rel tid attr)) ~tid
       done);

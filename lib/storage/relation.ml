@@ -802,11 +802,6 @@ let part_width t pi = t.parts.(pi).width
 let part_buffer t pi = t.parts.(pi).buf
 let attr_offset t a = snd t.loc.(a)
 
-let untraced t f =
-  match t.hier with
-  | Some h -> Memsim.Hierarchy.without_tracing h f
-  | None -> f ()
-
 (* Sparse and RLE attributes must be alone in their partition; when a layout
    change groups them with others they deterministically fall back to plain
    (live repartitions and WAL replay must agree on this). *)
@@ -817,7 +812,7 @@ let sanitize_encodings layout encs =
     encs
 
 let copy_into t dst =
-  untraced t (fun () ->
+  Memsim.Hierarchy.untraced t.hier (fun () ->
       for tid = 0 to t.nrows - 1 do
         ignore (append dst (get_tuple t tid))
       done)
@@ -894,7 +889,7 @@ let repartition t layout =
 
 let load t ~n f =
   if t.view then invalid_arg "Relation.load: relation is a read-only view";
-  untraced t (fun () ->
+  Memsim.Hierarchy.untraced t.hier (fun () ->
       ensure_capacity t (t.nrows + n);
       if t.uniform8 then
         (* every field is a plain non-nullable 8-byte int/date: store the
@@ -932,7 +927,7 @@ let load_int_rows t ~n f =
     invalid_arg "Relation.load_int_rows: relation is a read-only view";
   if not t.uniform8 then
     invalid_arg "Relation.load_int_rows: not an all-plain-int relation";
-  untraced t (fun () ->
+  Memsim.Hierarchy.untraced t.hier (fun () ->
       ensure_capacity t (t.nrows + n);
       let dst = Array.make (Schema.arity t.schema) 0 in
       for row = 0 to n - 1 do

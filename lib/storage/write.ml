@@ -150,11 +150,6 @@ let apply_all cat ops =
     (fun (e, attrs) -> Catalog.rebuild_entry_indexes e ~attrs:!attrs)
     !touched
 
-let untraced rel f =
-  match Relation.hier rel with
-  | Some h -> Memsim.Hierarchy.without_tracing h f
-  | None -> f ()
-
 let statement cat table f =
   let rel = Catalog.find cat table in
   (* the overwritten cells, newest first, and the attributes written *)
@@ -163,7 +158,10 @@ let statement cat table f =
     List.iter
       (fun (attr, value) ->
         check_update rel table ~tid ~attr value;
-        let old = untraced rel (fun () -> Relation.get rel tid attr) in
+        let old =
+          Memsim.Hierarchy.untraced (Relation.hier rel) (fun () ->
+              Relation.get rel tid attr)
+        in
         saved := (tid, attr, old) :: !saved;
         if not (List.mem attr !attrs) then attrs := attr :: !attrs;
         Relation.set rel tid attr value;
@@ -179,6 +177,7 @@ let statement cat table f =
       let bt = Printexc.get_raw_backtrace () in
       List.iter
         (fun (tid, attr, old) ->
-          untraced rel (fun () -> Relation.set rel tid attr old))
+          Memsim.Hierarchy.untraced (Relation.hier rel) (fun () ->
+              Relation.set rel tid attr old))
         !saved;
       Printexc.raise_with_backtrace e bt

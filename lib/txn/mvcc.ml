@@ -623,10 +623,8 @@ let m_retries =
    exponential backoff, up to [retries] retries.  [f] may abort its
    transaction to bail out (the result is still returned, nothing commits).
    Timeouts are not retried: the deadline is a promise to the caller. *)
-let run ?(retries = 8) ?timeout ?backoff t f =
-  let backoff =
-    match backoff with Some b -> b | None -> Backoff.create ~seed:1 ()
-  in
+let run ?(retries = 8) ?timeout t f =
+  let backoff = Backoff.create ~seed:1 () in
   let rec attempt n =
     let txn = begin_ ?timeout t in
     match

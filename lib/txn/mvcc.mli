@@ -99,13 +99,11 @@ val abort : txn -> unit
 val run :
   ?retries:int ->
   ?timeout:float ->
-  ?backoff:Backoff.t ->
   t ->
   (txn -> 'a) ->
   'a
 (** Run [f] in a transaction and commit it, retrying conflicts up to
-    [retries] times (default 8) with seeded exponential backoff (default
-    seed 1; pass your own {!Backoff.t} for a per-client schedule).
+    [retries] times (default 8) with exponential backoff seeded with 1.
     Timeouts are never retried.  If [f] aborts its transaction, the result
     is returned without committing. *)
 

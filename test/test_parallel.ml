@@ -151,6 +151,114 @@ let test_measured_parity () =
     (fun (name, a) (_, b) -> Alcotest.(check int) name a b)
     (counters seq) (counters par)
 
+(* ------------------------------------------------------------------ *)
+(* (d) one prepared path: unsplittable plans, untraced runs, sizes     *)
+(* ------------------------------------------------------------------ *)
+
+let stats_testable = Alcotest.testable Stats.pp ( = )
+
+(* A join and a sort have no morsel shape: measured at two domains they run
+   as one prepared pipeline on the catalog's own hierarchy, cold, exactly
+   as a one-domain run does.  Each run gets a fresh catalog so that both
+   allocate their intermediates at the same simulated addresses. *)
+let test_unsplittable_measured () =
+  List.iter
+    (fun sql ->
+      let run domains =
+        let cat = join_catalog () in
+        let plan = Relalg.Planner.plan cat (Relalg.Sql.parse cat sql) in
+        Alcotest.(check bool)
+          (sql ^ ": no morsel shape") false
+          (Parallel.parallelizable plan);
+        Engine.run_measured ~domains Engine.Jit cat plan ~params:[||]
+      in
+      let r1, s1 = run 1 in
+      let r2, s2 = run 2 in
+      check_result sql r1 r2;
+      Alcotest.check stats_testable (sql ^ ": stats") s1 s2;
+      Alcotest.(check bool) (sql ^ ": traced") true (s1.Stats.accesses > 0))
+    [
+      "select region, total from cust join ord on cid = ocid";
+      "select oid, total from ord order by total, oid";
+    ]
+
+(* An untraced run ([mrdb_cli run --untraced]) at any domain count leaves
+   the catalog's hierarchy untouched, whether the plan splits into morsels
+   (the scan) or runs as one pipeline (the join). *)
+let test_untraced_counts_nothing () =
+  let hier = Memsim.Hierarchy.create () in
+  let cat = Workloads.Microbench.build ~hier ~n:20_000 () in
+  let jcat = join_catalog () in
+  let jhier = Option.get (Storage.Catalog.hier jcat) in
+  let plan cat sql = Relalg.Planner.plan cat (Relalg.Sql.parse cat sql) in
+  List.iter
+    (fun (what, cat, h, plan) ->
+      List.iter
+        (fun domains ->
+          Memsim.Hierarchy.reset_stats h;
+          let r =
+            Memsim.Hierarchy.without_tracing h (fun () ->
+                Engine.run ~domains Engine.Jit cat plan ~params:[||])
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s d%d: rows" what domains)
+            true (r.Engines.Runtime.rows <> []);
+          Alcotest.check stats_testable
+            (Printf.sprintf "%s d%d: counters" what domains)
+            (Stats.create ())
+            (Memsim.Hierarchy.snapshot h))
+        [ 1; 2 ])
+    [
+      ("scan", cat, hier, plan cat "select A, B from R where A < 5000");
+      ( "join",
+        jcat,
+        jhier,
+        plan jcat "select region, total from cust join ord on cid = ocid" );
+    ]
+
+let qcheck_derived_morsel_size =
+  QCheck.Test.make ~count:1000
+    ~name:"derived morsel size is a positive multiple of 4096"
+    QCheck.(pair (int_bound 100_000_000) (int_range 1 256))
+    (fun (rows, domains) ->
+      let m = Parallel.derived_morsel_size ~rows ~domains in
+      m >= 4096 && m mod 4096 = 0)
+
+(* With no size given the run derives one from the driver table's rows and
+   the domain count; over a table of many such morsels the result equals
+   the sequential run, and the gauge reads the size used (also when the
+   caller gives one).  The table is large enough for a size above the
+   4096 floor. *)
+let test_derived_size_run () =
+  let n = 600_000 and domains = 2 in
+  let schema = Storage.Schema.make "t" [ ("id", V.Int); ("grp", V.Int) ] in
+  let cat = Storage.Catalog.create () in
+  let rel = Storage.Catalog.add cat schema (Storage.Layout.row schema) in
+  Storage.Relation.load_int_rows rel ~n (fun ~row dst ->
+      dst.(0) <- row;
+      dst.(1) <- row mod 7);
+  let gauge () =
+    int_of_float
+      (Obs.Metrics.gauge_value (Obs.Metrics.gauge "parallel_morsel_size"))
+  in
+  let size = Parallel.derived_morsel_size ~rows:n ~domains in
+  Alcotest.(check int) "derived size" 8192 size;
+  List.iter
+    (fun sql ->
+      let plan = Relalg.Planner.plan cat (Relalg.Sql.parse cat sql) in
+      let expected = Engine.run Engine.Jit cat plan ~params:[||] in
+      let got = Engine.run ~domains Engine.Jit cat plan ~params:[||] in
+      check_result sql expected got;
+      Alcotest.(check int) (sql ^ ": gauge") size (gauge ());
+      ignore
+        (Engine.run ~domains ~morsel_size:64 Engine.Jit cat plan ~params:[||]);
+      Alcotest.(check int) (sql ^ ": given size") 64 (gauge ()))
+    [
+      "select id from t where grp < 2";
+      "select grp, sum(id), count(*) from t group by grp";
+      "select sum(id), min(grp) from t";
+    ]
+
 let suite =
   [
     Alcotest.test_case "parallel equals sequential (all engines)" `Quick
@@ -161,4 +269,10 @@ let suite =
     Alcotest.test_case "Stats.merge identity" `Quick test_merge_identity;
     Alcotest.test_case "measured parallel miss parity" `Quick
       test_measured_parity;
+    Alcotest.test_case "unsplittable plans measure as one domain" `Quick
+      test_unsplittable_measured;
+    Alcotest.test_case "untraced runs count nothing" `Quick
+      test_untraced_counts_nothing;
+    QCheck_alcotest.to_alcotest qcheck_derived_morsel_size;
+    Alcotest.test_case "derived morsel size run" `Quick test_derived_size_run;
   ]
