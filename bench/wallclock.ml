@@ -183,8 +183,7 @@ let sweep_points () =
           if speedup > !best_speedup then best_speedup := speedup;
           let chosen =
             int_of_float
-              (Obs.Metrics.gauge_value
-                 (Obs.Metrics.gauge "parallel_morsel_size"))
+              (Obs.Metrics.gauge_value (Engines.Parallel.morsel_size_gauge ()))
           in
           Common.note "%-9s d%d auto(%d)  %8.4f s  %5.2fx" ename domains
             chosen t speedup;

@@ -229,6 +229,10 @@ let run_cmd =
                (Shard.Exec.total_cycles m))
      | None ->
      if untraced then begin
+       (* every morsel-parallel run sets the gauge; one that is not split
+          leaves the 0 *)
+       let morsel_size = Engines.Parallel.morsel_size_gauge () in
+       Obs.Metrics.set morsel_size 0.;
        let t0 = Unix.gettimeofday () in
        let result =
          Memsim.Hierarchy.untraced (Storage.Catalog.hier cat) (fun () ->
@@ -238,13 +242,9 @@ let run_cmd =
        let dt = Unix.gettimeofday () -. t0 in
        Format.printf "%a" Engines.Runtime.pp_result result;
        Printf.printf "-- %d rows\n" (List.length result.Engines.Runtime.rows);
+       let m = int_of_float (Obs.Metrics.gauge_value morsel_size) in
        Printf.printf "-- %.6fs wall (untraced%s)\n" dt
-         (if domains > 1 && Engines.Parallel.parallelizable plan then
-            Printf.sprintf "; morsel size %d"
-              (int_of_float
-                 (Obs.Metrics.gauge_value
-                    (Obs.Metrics.gauge "parallel_morsel_size")))
-          else "")
+         (if m > 0 then Printf.sprintf "; morsel size %d" m else "")
      end
      else begin
        let result, st =

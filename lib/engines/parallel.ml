@@ -247,10 +247,9 @@ and steal ranges d =
 (* The morsel loop                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let morsel_size_gauge =
-  lazy
-    (Obs.Metrics.gauge "parallel_morsel_size"
-       ~help:"Rows per morsel of the last morsel-parallel run")
+let morsel_size_gauge () =
+  Obs.Metrics.gauge "parallel_morsel_size"
+    ~help:"Rows per morsel of the last morsel-parallel run"
 
 (* Run [morsel_plan] over every morsel of [driver], fanned out to [domains]
    pool workers through per-domain chunked ranges with stealing, and return
@@ -268,7 +267,7 @@ let run_morsels ~domains ?morsel_size ~(prepare : preparer) ~hier cat ~driver
     | Some m -> m
     | None -> derived_morsel_size ~rows:n ~domains
   in
-  Obs.Metrics.set (Lazy.force morsel_size_gauge) (float_of_int morsel_size);
+  Obs.Metrics.set (morsel_size_gauge ()) (float_of_int morsel_size);
   let n_morsels = max 1 ((n + morsel_size - 1) / morsel_size) in
   let domains = max 1 (min domains n_morsels) in
   let base_mark = Arena.mark (Catalog.arena cat) in
@@ -359,7 +358,10 @@ let apply_projections ~params post rows =
    (or, split into morsels, into per-domain copies of it) when given: one
    prepared-pipeline run when the plan has no morsel shape or one domain
    is asked for, else the morsel loop and its merge. *)
-let exec ~domains ?morsel_size ~prepare ~params ~hier cat plan =
+let exec ~domains ?morsel_size ~prepare ?(params = [||]) ~hier cat plan =
+  (match morsel_size with
+   | Some m when m <= 0 -> invalid_arg "Parallel: morsel_size must be > 0"
+   | _ -> ());
   match if domains <= 1 then Sequential else strategy plan with
   | Sequential -> measure (Option.to_list hier) (fun () -> prepare cat plan ())
   | Concat { driver } ->
@@ -376,18 +378,9 @@ let exec ~domains ?morsel_size ~prepare ~params ~hier cat plan =
       let rows = apply_projections ~params post merged in
       ({ Runtime.columns = result_columns cat plan; rows }, stats)
 
-let check_morsel_size = function
-  | Some m when m <= 0 -> invalid_arg "Parallel: morsel_size must be > 0"
-  | _ -> ()
+let run ~domains ?morsel_size ~prepare ?params cat plan =
+  fst (exec ~domains ?morsel_size ~prepare ?params ~hier:None cat plan)
 
-let run ~domains ?morsel_size ~prepare ?(params = [||]) cat plan =
-  check_morsel_size morsel_size;
-  (* what [exec] does at one domain, without building an empty stats
-     record on every untraced call *)
-  if domains <= 1 then prepare cat plan ()
-  else fst (exec ~domains ?morsel_size ~prepare ~params ~hier:None cat plan)
-
-let run_measured ~domains ?morsel_size ~prepare ?(params = [||]) cat plan =
-  check_morsel_size morsel_size;
-  exec ~domains ?morsel_size ~prepare ~params ~hier:(Catalog.hier cat) cat
+let run_measured ~domains ?morsel_size ~prepare ?params cat plan =
+  exec ~domains ?morsel_size ~prepare ?params ~hier:(Catalog.hier cat) cat
     plan

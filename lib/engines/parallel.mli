@@ -80,6 +80,11 @@ val derived_morsel_size : rows:int -> domains:int -> int
     in every partition, so a measured parallel scan counts the same
     misses as a sequential one. *)
 
+val morsel_size_gauge : unit -> Obs.Metrics.gauge
+(** The [parallel_morsel_size] gauge: every morsel-parallel run sets it to
+    the rows per morsel it used; a run that is not split leaves it as it
+    was. *)
+
 val measure :
   Memsim.Hierarchy.t list -> (unit -> 'a) -> 'a * Memsim.Stats.t
 (** [measure hiers f] resets each hierarchy (counters and caches), runs

@@ -238,8 +238,7 @@ let test_derived_size_run () =
       dst.(0) <- row;
       dst.(1) <- row mod 7);
   let gauge () =
-    int_of_float
-      (Obs.Metrics.gauge_value (Obs.Metrics.gauge "parallel_morsel_size"))
+    int_of_float (Obs.Metrics.gauge_value (Parallel.morsel_size_gauge ()))
   in
   let size = Parallel.derived_morsel_size ~rows:n ~domains in
   Alcotest.(check int) "derived size" 8192 size;
