@@ -420,8 +420,7 @@ and eval_raw ctx path (plan : Physical.t) ~(needed : int list) : src =
       Prof.phase "probe" (fun () ->
           for i = 0 to pn - 1 do
             let key = List.map (fun c -> src_get ctx psrc i c) probe_keys in
-            List.iter
-              (fun bi ->
+            Runtime.Sim_hash.iter_matches ht ~key (fun bi ->
                 Array.iteri
                   (fun j v ->
                     match v with
@@ -434,7 +433,6 @@ and eval_raw ctx path (plan : Physical.t) ~(needed : int list) : src =
                         colvec_push ctx v value)
                   out_cols;
                 incr out_n)
-              (Runtime.Sim_hash.find_all ht ~key)
           done);
       Mat (out_cols, !out_n)
   | Physical.Group_by { child; keys; aggs; _ } ->

@@ -33,11 +33,12 @@ let rec compile ctx path (plan : Physical.t) ~(consume : row -> unit) :
       let cur_tid = ref (-1) in
       let cache = Array.make n_attrs Value.Null in
       let gen = Array.make n_attrs (-1) in
+      let readers = Array.init n_attrs (Relation.value_reader rel) in
       let getcol i =
         if gen.(i) = !cur_tid then cache.(i)
         else begin
           charge ctx Cpu_model.jit_per_value;
-          let v = Relation.get rel !cur_tid i in
+          let v = readers.(i) !cur_tid in
           cache.(i) <- v;
           gen.(i) <- !cur_tid;
           v
@@ -194,19 +195,24 @@ let rec compile ctx path (plan : Physical.t) ~(consume : row -> unit) :
                  let payload = Array.init build_arity row in
                  Runtime.Sim_hash.add ht ~key payload))
       in
+      (* one output row and one match callback for the whole probe: a
+         consumer reads the row before it returns *)
+      let probe_row = ref (fun (_ : int) -> Value.Null) in
+      let matched = ref [||] in
+      let out i =
+        if i < build_arity then !matched.(i) else !probe_row (i - build_arity)
+      in
+      let on_match payload =
+        matched := payload;
+        consume out
+      in
       let run_probe =
         compile ctx (Prof.child path 1) probe
           ~consume:
             (Prof.consume_phase path "probe" (fun row ->
+                 probe_row := row;
                  let key = List.map row probe_keys in
-                 List.iter
-                   (fun payload ->
-                     let out i =
-                       if i < build_arity then payload.(i)
-                       else row (i - build_arity)
-                     in
-                     consume out)
-                   (Runtime.Sim_hash.find_all ht ~key)))
+                 Runtime.Sim_hash.iter_matches ht ~key on_match))
       in
       fun () ->
         Runtime.Sim_hash.clear ht;
@@ -248,6 +254,9 @@ let rec compile ctx path (plan : Physical.t) ~(consume : row -> unit) :
       in
       let agg_fn_arr = Array.of_list agg_fns in
       let per_row_charge = Cpu_model.jit_per_value * (1 + List.length aggs) in
+      (* one input array for every row: the table steps its states from it
+         and keeps none of it *)
+      let inputs = Array.make (Array.length agg_fn_arr) Value.Null in
       let run_child =
         compile ctx (Prof.child path 0) child
           ~consume:
@@ -255,7 +264,9 @@ let rec compile ctx path (plan : Physical.t) ~(consume : row -> unit) :
                  cur_row := row;
                  charge ctx per_row_charge;
                  let key = List.map (fun f -> f ()) key_fns in
-                 let inputs = Array.map (fun f -> f ()) agg_fn_arr in
+                 for i = 0 to Array.length agg_fn_arr - 1 do
+                   inputs.(i) <- agg_fn_arr.(i) ()
+                 done;
                  Runtime.Agg_table.update table ~key ~inputs))
       in
       let n_keys = List.length keys in

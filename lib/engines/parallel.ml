@@ -189,7 +189,9 @@ let merge_group_rows ~n_keys ~aggs (partials : Runtime.result array) =
    domain-private cache line instead of every worker hammering one shared
    counter.  An exhausted domain steals the upper half of the richest
    victim's remaining range; morsels stay the unit of work, so result
-   ordering and per-domain measured-traffic invariants are unchanged. *)
+   ordering and per-domain measured-traffic invariants are unchanged.  A
+   measured run does not steal ([~stealing:false]): which domain's private
+   hierarchy counts a morsel would then depend on host scheduling. *)
 let range_bits = 30
 let range_mask = (1 lsl range_bits) - 1
 let pack next hi = (hi lsl range_bits) lor next
@@ -202,14 +204,15 @@ let make_ranges ~domains n_morsels =
       let hi = (d + 1) * n_morsels / domains in
       Atomic.make (pack lo hi))
 
-let rec claim ranges d =
+let rec claim ~stealing ranges d =
   let r = ranges.(d) in
   let x = Atomic.get r in
   let nx = next_of x and hi = hi_of x in
   if nx < hi then
     if Atomic.compare_and_set r x (pack (nx + 1) hi) then Some nx
-    else claim ranges d
-  else steal ranges d
+    else claim ~stealing ranges d
+  else if stealing then steal ranges d
+  else None
 
 and steal ranges d =
   let domains = Array.length ranges in
@@ -239,7 +242,7 @@ and steal ranges d =
         (* our own range is empty (that is why we are stealing) and no one
            else ever refills it, so a plain store cannot lose work *)
         Atomic.set ranges.(d) (pack mid hi);
-        claim ranges d
+        claim ~stealing:true ranges d
       end
       else steal ranges d
 
@@ -252,9 +255,9 @@ let morsel_size_gauge () =
     ~help:"Rows per morsel of the last morsel-parallel run"
 
 (* Run [morsel_plan] over every morsel of [driver], fanned out to [domains]
-   pool workers through per-domain chunked ranges with stealing, and return
-   the per-morsel results in morsel order with the merged counters of the
-   domains' hierarchies.  Each worker builds its shadow catalog and
+   pool workers through per-domain chunked ranges, with stealing when
+   untraced, and return the per-morsel results in morsel order with the
+   merged counters of the domains' hierarchies.  Each worker builds its shadow catalog and
    compiles the pipeline once ([prepare]); the claim loop itself only
    reslices the driver view and re-steps the prepared pipeline.  Workers
    simulate a private hierarchy with [hier]'s parameters, or none when
@@ -285,6 +288,7 @@ let run_morsels ~domains ?morsel_size ~(prepare : preparer) ~hier cat ~driver
   in
   let results : Runtime.result option array = Array.make n_morsels None in
   let ranges = make_ranges ~domains n_morsels in
+  let stealing = Option.is_none hier in
   (* decided on the parent domain: workers run on domains with no session
      installed, so they can't consult Profile.on themselves *)
   let prof = Obs.Profile.on () in
@@ -311,7 +315,7 @@ let run_morsels ~domains ?morsel_size ~(prepare : preparer) ~hier cat ~driver
         let vcat, drv = domain_catalog cat st ~driver in
         let step = prepare vcat morsel_plan in
         let rec loop () =
-          match claim ranges d with
+          match claim ~stealing ranges d with
           | None -> ()
           | Some m ->
               let lo = m * morsel_size in

@@ -254,32 +254,33 @@ let compressed_tid_test ?hier ~params ~per_value rel conj =
                 vtest (box v))
 
 module Sim_hash = struct
-  (* The host table, keyed by the int fold without [caml_hash] or
-     [compare_val]; the bucket hash only spreads the fold's bits (a float
-     fold's low bits are often all zero). *)
-  module Folds = Hashtbl.Make (struct
-    type t = int
-
-    let equal (a : int) b = a = b
-
-    let hash (x : int) =
-      let x = (x lxor (x lsr 31)) * 0x9E3779B97F4A7C1 in
-      x lxor (x lsr 29)
-  end)
-
+  (* The host table is flat parallel arrays with one entry per [add] or per
+     distinct [find_or_add] key: the key fold, the key, the value, and a link
+     to the next entry of the same host bucket, newest first (-1 ends a
+     chain).  Entry [i] is the [i]th inserted, so [0 .. count-1] is
+     insertion order.  The host buckets are sized with the host capacity,
+     which [clear] keeps; only [touch] reaches the simulator, at the
+     simulated slot of the fold, so the simulated side ([slots], [base],
+     [count]) is the same whatever the host structure. *)
   type 'v t = {
     hier : Memsim.Hierarchy.t option;
     arena : Storage.Arena.t;
     entry_width : int;
     touch_width : int; (* bytes one touch reads or writes *)
-    tbl : (Value.t list * 'v) list ref Folds.t;
-    mutable order : Value.t list list; (* insertion order of distinct keys *)
+    mutable folds : int array;
+    mutable keys : Value.t list array;
+    mutable values : 'v array; (* grown by [set_value], so it may lag *)
+    mutable next : int array;
+    mutable heads : int array; (* host bucket -> newest entry or -1 *)
+    mutable matches : int array; (* stack of [iter_matches] *)
+    mutable top : int;
     mutable base : int;
-    mutable slots : int; (* always a power of two *)
+    mutable slots : int; (* simulated; always a power of two *)
     mutable count : int;
   }
 
   let initial_slots = 64
+  let initial_capacity = 16
 
   let create ?hier arena ~entry_width () =
     {
@@ -287,14 +288,25 @@ module Sim_hash = struct
       arena;
       entry_width;
       touch_width = (if entry_width < 64 then entry_width else 64);
-      tbl = Folds.create 64;
-      order = [];
+      folds = Array.make initial_capacity 0;
+      keys = Array.make initial_capacity [];
+      values = [||];
+      next = Array.make initial_capacity (-1);
+      heads = Array.make initial_capacity (-1);
+      matches = Array.make initial_capacity 0;
+      top = 0;
       base = Storage.Arena.alloc arena (initial_slots * 16);
       slots = initial_slots;
       count = 0;
     }
 
   let key_hash key = Storage.Hash_index.key_of_values key
+
+  (* The host bucket of a fold: the mix only spreads the fold's bits (a
+     float fold's low bits are often all zero). *)
+  let bucket t h =
+    let x = (h lxor (h lsr 31)) * 0x9E3779B97F4A7C1 in
+    (x lxor (x lsr 29)) land (Array.length t.heads - 1)
 
   let touch t ~write h =
     match t.hier with
@@ -308,85 +320,136 @@ module Sim_hash = struct
     | None -> ()
 
   let clear t =
-    Folds.reset t.tbl;
-    t.order <- [];
+    for i = 0 to t.count - 1 do
+      Array.unsafe_set t.heads (bucket t (Array.unsafe_get t.folds i)) (-1)
+    done;
+    t.top <- 0;
     t.count <- 0;
     t.slots <- initial_slots
 
+  (* The simulated table doubles when more than half full, at a fresh
+     arena region. *)
   let maybe_grow t =
     if 2 * t.count > t.slots then begin
       t.slots <- t.slots * 2;
       t.base <- Storage.Arena.alloc t.arena (t.slots * t.entry_width)
     end
 
+  let widen a n fill =
+    let b = Array.make n fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+
+  (* Append entry [count] for [key] and link it at the head of its bucket;
+     untraced.  Full arrays double, and the buckets are relinked in entry
+     order, which leaves every chain newest first. *)
+  let push t h key =
+    let i = t.count in
+    if i = Array.length t.folds then begin
+      let n = 2 * i in
+      t.folds <- widen t.folds n 0;
+      t.keys <- widen t.keys n [];
+      t.next <- widen t.next n (-1);
+      t.heads <- Array.make n (-1);
+      for j = 0 to i - 1 do
+        let b = bucket t t.folds.(j) in
+        t.next.(j) <- t.heads.(b);
+        t.heads.(b) <- j
+      done
+    end;
+    let b = bucket t h in
+    t.folds.(i) <- h;
+    t.keys.(i) <- key;
+    t.next.(i) <- t.heads.(b);
+    t.heads.(b) <- i;
+    t.count <- i + 1;
+    i
+
+  let set_value t i v =
+    if i < Array.length t.values then t.values.(i) <- v
+    else t.values <- widen t.values (Array.length t.folds) v
+
+  let value t i = t.values.(i)
+
   let add t ~key v =
     maybe_grow t;
     let h = key_hash key in
     touch t ~write:true h;
-    (match Folds.find_opt t.tbl h with
-    | Some cell -> (
-        match List.assoc_opt key !cell with
-        | Some _ -> cell := !cell @ [ (key, v) ]
-        | None ->
-            t.order <- key :: t.order;
-            cell := !cell @ [ (key, v) ])
-    | None ->
-        Folds.add t.tbl h (ref [ (key, v) ]);
-        t.order <- key :: t.order);
-    t.count <- t.count + 1
+    set_value t (push t h key) v
 
-  let find_all t ~key =
+  (* [compare a b = 0] on key lists, as [List.assoc] decides it, without
+     the polymorphic compare: NaN equals itself, [0.] equals [-0.], and
+     values of different constructors ([VInt 1], [VDate 1]) differ. *)
+  let rec same_key a b =
+    match (a, b) with
+    | [], [] -> true
+    | x :: a, y :: b -> (
+        match ((x : Value.t), (y : Value.t)) with
+        | Null, Null -> same_key a b
+        | VInt x, VInt y | VDate x, VDate y -> x = y && same_key a b
+        | VFloat x, VFloat y ->
+            (x = y || (x <> x && y <> y)) && same_key a b
+        | VBool x, VBool y -> x = y && same_key a b
+        | VStr x, VStr y -> String.equal x y && same_key a b
+        | _ -> false)
+    | _ -> false
+
+  let rec equal_key a b =
+    match (a, b) with
+    | [], [] -> true
+    | x :: a, y :: b -> Value.equal x y && equal_key a b
+    | _ -> false
+
+  let iter_matches t ~key f =
     let h = key_hash key in
     touch t ~write:false h;
-    match Folds.find_opt t.tbl h with
-    | None -> []
-    | Some cell ->
-        List.filter_map
-          (fun (k, v) -> if List.for_all2 Value.equal k key then Some v else None)
-          (try !cell with _ -> [])
+    let bottom = t.top in
+    let i = ref t.heads.(bucket t h) in
+    while !i >= 0 do
+      let e = !i in
+      if t.folds.(e) = h && equal_key t.keys.(e) key then begin
+        if t.top = Array.length t.matches then
+          t.matches <- widen t.matches (2 * t.top) 0;
+        t.matches.(t.top) <- e;
+        t.top <- t.top + 1
+      end;
+      i := t.next.(e)
+    done;
+    (* the chain is newest first, so the oldest match is on top; a probe
+       that [f] makes pushes above this one's matches *)
+    for j = t.top - 1 downto bottom do
+      f t.values.(t.matches.(j))
+    done;
+    t.top <- bottom
 
-  let update t ~key ~init f =
+  let find_or_add t ~key =
     let h = key_hash key in
     touch t ~write:false h;
     touch t ~write:true h;
-    let cell =
-      match Folds.find_opt t.tbl h with
-      | Some c -> c
-      | None ->
-          let c = ref [] in
-          Folds.add t.tbl h c;
-          c
-    in
-    match List.assoc_opt key !cell with
-    | Some v -> f v
-    | None ->
-        maybe_grow t;
-        let v = init () in
-        f v;
-        cell := (key, v) :: !cell;
-        t.order <- key :: t.order;
-        t.count <- t.count + 1
+    let i = ref t.heads.(bucket t h) in
+    while !i >= 0 && not (t.folds.(!i) = h && same_key t.keys.(!i) key) do
+      i := t.next.(!i)
+    done;
+    if !i >= 0 then !i
+    else begin
+      maybe_grow t;
+      lnot (push t h key)
+    end
 
-  (* The simulated traffic of an {!update} that finds its key — one probe-read
-     and one write-back of the entry — without the OCaml-side lookup.  The
-     global-aggregate fast path uses it once the single state is resolved. *)
+  (* The simulated traffic of a {!find_or_add} that finds its key — one
+     probe-read and one write-back of the entry — without the host lookup.
+     The global-aggregate fast path uses it once the single state is
+     resolved. *)
   let retouch t ~hash =
     touch t ~write:false hash;
     touch t ~write:true hash
 
   let iter t f =
-    List.iter
-      (fun key ->
-        let h = key_hash key in
-        match Folds.find_opt t.tbl h with
-        | None -> ()
-        | Some cell -> (
-            match List.assoc_opt key !cell with
-            | Some v -> f key v
-            | None -> ()))
-      (List.rev t.order)
+    for i = 0 to t.count - 1 do
+      f t.keys.(i) t.values.(i)
+    done
 
-  let length t = List.length t.order
+  let length t = t.count
 end
 
 module Agg_table = struct
@@ -430,8 +493,26 @@ module Agg_table = struct
         count
     done
 
-  (* Run-granular accumulation: one entry lookup (one probe-read plus one
-     write-back of traffic) absorbs [count] identical rows. *)
+  (* The state row of [key]: one entry lookup (one probe-read plus one
+     write-back of traffic), fresh initial states on a miss.  The empty
+     key's row is cached for the global-aggregate fast path. *)
+  let states t key =
+    let i = Sim_hash.find_or_add t.table ~key in
+    let states =
+      if i >= 0 then Sim_hash.value t.table i
+      else begin
+        let fresh =
+          Array.map (fun (a : Aggregate.t) -> Aggregate.init a.func) t.agg_arr
+        in
+        Sim_hash.set_value t.table (lnot i) fresh;
+        fresh
+      end
+    in
+    if key == [] then t.gstates <- Some states;
+    states
+
+  (* Run-granular accumulation: one entry lookup absorbs [count] identical
+     rows. *)
   let update_n t ~key ~inputs ~count =
     if count > 0 then begin
       t.saw_row <- true;
@@ -439,15 +520,7 @@ module Agg_table = struct
       | [], Some states ->
           Sim_hash.retouch t.table ~hash:t.empty_hash;
           step_all_n t states inputs count
-      | _ ->
-          Sim_hash.update t.table ~key
-            ~init:(fun () ->
-              Array.map
-                (fun (a : Aggregate.t) -> Aggregate.init a.func)
-                t.agg_arr)
-            (fun states ->
-              if key == [] then t.gstates <- Some states;
-              step_all_n t states inputs count)
+      | _ -> step_all_n t (states t key) inputs count
     end
 
   let update t ~key ~inputs =
@@ -455,16 +528,10 @@ module Agg_table = struct
     match (key, t.gstates) with
     | [], Some states ->
         (* the empty key always hits its one entry: same read + write-back
-           touches as the generic lookup, minus the OCaml-side search *)
+           touches as the generic lookup, minus the host search *)
         Sim_hash.retouch t.table ~hash:t.empty_hash;
         step_all t states inputs
-    | _ ->
-        Sim_hash.update t.table ~key
-          ~init:(fun () ->
-            Array.map (fun (a : Aggregate.t) -> Aggregate.init a.func) t.agg_arr)
-          (fun states ->
-            if key == [] then t.gstates <- Some states;
-            step_all t states inputs)
+    | _ -> step_all t (states t key) inputs
 
   let emit t f =
     if t.global && (not t.saw_row) && Sim_hash.length t.table = 0 then begin

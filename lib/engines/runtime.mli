@@ -57,8 +57,10 @@ val compressed_tid_test :
 
 (** A hash table whose probe/update traffic is modeled as repetitive random
     accesses into a simulator region (the [rr_acc] of the cost model).  The
-    actual key/value storage is an OCaml hashtable — the simulator only
-    needs the addresses. *)
+    host side is flat arrays of entries (key fold, key, value, bucket chain
+    link) that the simulator never sees: it only needs the addresses, and
+    every call touches them in a fixed order (add: grow, then write; a
+    match probe: read; find_or_add: read, write, then grow on a miss). *)
 module Sim_hash : sig
   type 'v t
 
@@ -71,24 +73,34 @@ module Sim_hash : sig
   (** [entry_width] is the modeled bytes per entry (key plus payload). *)
 
   val add : 'v t -> key:Value.t list -> 'v -> unit
+  (** Add an entry; keys may repeat (a join build). *)
 
-  val find_all : 'v t -> key:Value.t list -> 'v list
-  (** All values added under an equal key, oldest first. *)
+  val iter_matches : 'v t -> key:Value.t list -> ('v -> unit) -> unit
+  (** Apply [f] to the value of every entry whose key fold agrees and whose
+      keys are pairwise {!Value.equal} to [key], oldest first: the join
+      probe, which builds no list. *)
 
-  val update :
-    'v t -> key:Value.t list -> init:(unit -> 'v) -> ('v -> unit) -> unit
-  (** Find-or-create the entry for [key], then mutate it in place (one read
-      plus one write of the entry). *)
+  val find_or_add : 'v t -> key:Value.t list -> int
+  (** The index of the newest entry whose key compares equal to [key] under
+      [compare k key = 0] (the group rule: NaN keys group together, [VInt 1]
+      and [VDate 1] stay apart), or [lnot i] for a fresh entry [i] added
+      under [key], whose value the caller must {!set_value} before any other
+      call on the table. *)
+
+  val value : 'v t -> int -> 'v
+  val set_value : 'v t -> int -> 'v -> unit
 
   val iter : 'v t -> (Value.t list -> 'v -> unit) -> unit
-  (** Iterate entries in insertion order of their keys (deterministic). *)
+  (** Iterate entries in insertion order (deterministic). *)
 
   val length : 'v t -> int
+  (** Entries added since creation or the last {!clear}. *)
 
   val clear : 'v t -> unit
   (** Drop all entries (untraced, like {!create}) so a prepared pipeline can
-      reuse the table across executions.  The simulated base address is
-      kept; capacity returns to the initial slot count. *)
+      reuse the table across executions.  The simulated base address and the
+      host capacity are kept; the simulated capacity returns to the initial
+      slot count. *)
 end
 
 (** Aggregation table: one {!Aggregate.state} vector per key. *)

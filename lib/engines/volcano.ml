@@ -119,9 +119,10 @@ and open_raw ctx path (plan : Physical.t) : iter =
             | None -> None
             | Some tuple ->
                 let key = List.map (fun i -> tuple.(i)) probe_keys in
-                let matches = Runtime.Sim_hash.find_all ht ~key in
-                pending :=
-                  List.map (fun b -> Array.append b tuple) matches;
+                let matches = ref [] in
+                Runtime.Sim_hash.iter_matches ht ~key (fun b ->
+                    matches := Array.append b tuple :: !matches);
+                pending := List.rev !matches;
                 next ())
       in
       next

@@ -146,6 +146,16 @@ let read_value t off ~ty ~nullable =
     | Date -> Value.VDate (read_int t data_off)
     | Varchar n -> Value.VStr (read_string t data_off ~len:n)
 
+let value_reader t ~ty ~nullable =
+  if nullable then fun off -> read_value t off ~ty ~nullable
+  else
+    match (ty : Value.ty) with
+    | Int -> fun off -> Value.VInt (read_int t off)
+    | Date -> fun off -> Value.VDate (read_int t off)
+    | Float -> fun off -> Value.VFloat (read_float t off)
+    | Bool -> fun off -> Value.VBool (read_byte t off <> 0)
+    | Varchar n -> fun off -> Value.VStr (read_string t off ~len:n)
+
 let write_value t off ~ty ~nullable v =
   let data_off = if nullable then off + 1 else off in
   (match (v, nullable) with

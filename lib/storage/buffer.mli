@@ -70,6 +70,12 @@ val write_string : t -> int -> len:int -> string -> unit
 (** Zero-pads (or truncates) the string to [len] bytes. *)
 
 val read_value : t -> int -> ty:Value.ty -> nullable:bool -> Value.t
+
+val value_reader : t -> ty:Value.ty -> nullable:bool -> int -> Value.t
+(** [read_value] with the type and nullability fixed once: the returned
+    reader traces and returns exactly what [read_value] does at each
+    offset, and follows the buffer when {!grow} moves it. *)
+
 val write_value : t -> int -> ty:Value.ty -> nullable:bool -> Value.t -> unit
 
 (** {1 Untraced stored fields}

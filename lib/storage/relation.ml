@@ -631,6 +631,24 @@ let get t tid a =
   let p = t.parts.(pi) in
   read_field t p ~tid ~off:((tid * p.width) + off) a
 
+(* [get t tid a] with the partition, offset, type and encoding fixed once;
+   [row_base] is read per call, since [reslice] moves it. *)
+let value_reader t a =
+  match t.cols.(a) with
+  | Plain ->
+      let pi, off = t.loc.(a) in
+      let p = t.parts.(pi) in
+      let width = p.width in
+      let attr = Schema.attr t.schema a in
+      let read =
+        Buffer.value_reader p.buf ~ty:attr.Schema.ty
+          ~nullable:attr.Schema.nullable
+      in
+      fun tid ->
+        check_tid t "get" tid;
+        read (((t.row_base + tid) * width) + off)
+  | Dict _ | Sparse _ | Rle _ | For _ -> fun tid -> get t tid a
+
 let set t tid a v =
   check_tid t "set" tid;
   let tid = t.row_base + tid in

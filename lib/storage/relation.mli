@@ -52,6 +52,12 @@ val get : t -> int -> int -> Value.t
     @raise Invalid_argument (naming the relation and tuple) when [tid] is
     out of bounds. *)
 
+val value_reader : t -> int -> int -> Value.t
+(** [value_reader t a] is [fun tid -> get t tid a], with the attribute's
+    partition, offset, type and encoding resolved once: the same value, the
+    same traced access and the same bounds check per call, following
+    {!reslice} and appends.  An encoded attribute's reader calls {!get}. *)
+
 val set : t -> int -> int -> Value.t -> unit
 
 val rejects : t -> int -> Value.t -> string option

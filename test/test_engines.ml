@@ -489,3 +489,199 @@ let suite =
         test_index_scan_vs_full_scan_cycles;
     ]
   @ per_engine "index scans" test_index_scans
+
+(* ------------------------------------------------------------------ *)
+(* The engines' host hash table against an assoc-list model            *)
+(* ------------------------------------------------------------------ *)
+
+(* [Runtime.Sim_hash] against a model of its rules: entries in an
+   association list; a match probe keeps the entries whose fold agrees and
+   whose keys are pairwise [Value.equal], oldest first; [find_or_add] takes
+   the newest entry whose fold agrees and whose key list compares equal
+   under [compare]; the simulated table holds 64 slots at first and doubles
+   into a fresh arena region when more than half full; each call touches
+   [slot * entry_width] bytes into it in a fixed order.  The key pool
+   collides in the fold: [VInt 1], [VDate 1] and [VBool true] share one, as
+   do [VInt 0], [0.], [-0.] and [VBool false]; NaNs with and without their
+   sign bit share one, and 64 and 128 share a slot. *)
+module Sim_hash = Runtime.Sim_hash
+
+type hash_op =
+  | Add of V.t list
+  | Find of V.t list
+  | Find_or_add of V.t list
+  | Clear
+
+let key_pool =
+  [|
+    V.VInt 1; V.VDate 1; V.VBool true; V.VFloat 1.0; V.VInt 0; V.VFloat 0.;
+    V.VFloat (-0.); V.VBool false; V.Null; V.VFloat Float.nan;
+    V.VFloat (-.Float.nan); V.VFloat (Int64.float_of_bits 0x7FF0000000000001L);
+    V.VStr "a"; V.VInt 64; V.VInt 128;
+  |]
+
+let pp_key k = "[" ^ String.concat "; " (List.map V.to_display k) ^ "]"
+
+let pp_hash_op = function
+  | Add k -> "add " ^ pp_key k
+  | Find k -> "find " ^ pp_key k
+  | Find_or_add k -> "find_or_add " ^ pp_key k
+  | Clear -> "clear"
+
+let hash_ops_arb =
+  let open QCheck.Gen in
+  let value = map (Array.get key_pool) (int_bound (Array.length key_pool - 1)) in
+  (* one key arity per table, as in a join or a group-by; clears are rare
+     enough that a table often grows past 64 and 128 slots *)
+  let ops arity =
+    let key = list_repeat arity value in
+    list_size (int_range 1 400)
+      (frequency
+         [
+           (40, map (fun k -> Add k) key);
+           (30, map (fun k -> Find k) key);
+           (40, map (fun k -> Find_or_add k) key);
+           (1, return Clear);
+         ])
+  in
+  QCheck.make
+    ~print:(fun (w, ops) ->
+      Printf.sprintf "entry_width %d: %s" w
+        (String.concat ", " (List.map pp_hash_op ops)))
+    ~shrink:QCheck.Shrink.(pair nil list)
+    (pair (oneofl [ 16; 24; 72 ]) (int_range 1 2 >>= ops))
+
+type hash_model = {
+  arena : Storage.Arena.t;
+  width : int;
+  mutable entries : (int * V.t list * int ref) list; (* newest first *)
+  mutable count : int;
+  mutable slots : int;
+  mutable base : int;
+  mutable touches : (int * int * bool) list; (* newest first *)
+}
+
+let model_touch m ~write fold =
+  m.touches <-
+    (m.base + (fold land (m.slots - 1) * m.width), min m.width 64, write)
+    :: m.touches
+
+let model_grow m =
+  if 2 * m.count > m.slots then begin
+    m.slots <- 2 * m.slots;
+    m.base <- Storage.Arena.alloc m.arena (m.slots * m.width)
+  end
+
+let qcheck_sim_hash_model =
+  QCheck.Test.make ~count:300 ~name:"host hash table follows its model"
+    hash_ops_arb (fun (width, ops) ->
+      let recorded = ref [] in
+      let walker _params _stats =
+        {
+          Memsim.Hierarchy.touch =
+            (fun ~addr ~width ~is_write ->
+              recorded := (addr, width, is_write) :: !recorded);
+          touch_run =
+            (fun ~addr:_ ~width:_ ~count:_ ~stride:_ ~is_write:_ ->
+              failwith "the table traces no runs");
+          clear = ignore;
+        }
+      in
+      let hier = Memsim.Hierarchy.create ~reference:walker () in
+      let t =
+        Sim_hash.create ~hier (Storage.Arena.create ()) ~entry_width:width ()
+      in
+      let arena = Storage.Arena.create () in
+      let m =
+        {
+          arena;
+          width;
+          entries = [];
+          count = 0;
+          slots = 64;
+          base = Storage.Arena.alloc arena (64 * 16);
+          touches = [];
+        }
+      in
+      let fold = Storage.Hash_index.key_of_values in
+      let fresh = ref 0 in
+      List.iteri
+        (fun step op ->
+          let fail fmt =
+            Printf.ksprintf
+              (fun s -> QCheck.Test.fail_reportf "op %d (%s): %s" step
+                          (pp_hash_op op) s)
+              fmt
+          in
+          match op with
+          | Add key ->
+              incr fresh;
+              Sim_hash.add t ~key !fresh;
+              model_grow m;
+              model_touch m ~write:true (fold key);
+              m.entries <- (fold key, key, ref !fresh) :: m.entries;
+              m.count <- m.count + 1
+          | Find key ->
+              let got = ref [] in
+              Sim_hash.iter_matches t ~key (fun v -> got := v :: !got);
+              model_touch m ~write:false (fold key);
+              let want =
+                List.filter_map
+                  (fun (f, k, v) ->
+                    if f = fold key && List.for_all2 V.equal k key then
+                      Some !v
+                    else None)
+                  (List.rev m.entries)
+              in
+              if List.rev !got <> want then
+                fail "matches [%s], model [%s]"
+                  (String.concat "; " (List.rev_map string_of_int !got))
+                  (String.concat "; " (List.map string_of_int want))
+          | Find_or_add key -> (
+              let i = Sim_hash.find_or_add t ~key in
+              model_touch m ~write:false (fold key);
+              model_touch m ~write:true (fold key);
+              match
+                List.find_opt
+                  (fun (f, k, _) -> f = fold key && compare k key = 0)
+                  m.entries
+              with
+              | Some (_, _, v) ->
+                  if i < 0 then fail "added, model found %d" !v
+                  else if Sim_hash.value t i <> !v then
+                    fail "found %d, model %d" (Sim_hash.value t i) !v;
+                  incr v;
+                  Sim_hash.set_value t i !v
+              | None ->
+                  if i >= 0 then fail "found %d, model added" (Sim_hash.value t i);
+                  incr fresh;
+                  Sim_hash.set_value t (lnot i) !fresh;
+                  model_grow m;
+                  m.entries <- (fold key, key, ref !fresh) :: m.entries;
+                  m.count <- m.count + 1)
+          | Clear ->
+              Sim_hash.clear t;
+              m.entries <- [];
+              m.count <- 0;
+              m.slots <- 64)
+        ops;
+      let got = ref [] in
+      Sim_hash.iter t (fun k v -> got := (k, v) :: !got);
+      let want = List.map (fun (_, k, v) -> (k, !v)) m.entries in
+      if compare !got want <> 0 then
+        QCheck.Test.fail_report "entries differ from the model's";
+      if Sim_hash.length t <> m.count then
+        QCheck.Test.fail_reportf "length %d, model %d" (Sim_hash.length t)
+          m.count;
+      if !recorded <> m.touches then
+        QCheck.Test.fail_reportf "%d touches, model %d (first difference at %d)"
+          (List.length !recorded) (List.length m.touches)
+          (let rec diff i a b =
+             match (a, b) with
+             | x :: a, y :: b when x = y -> diff (i + 1) a b
+             | _ -> i
+           in
+           diff 0 (List.rev !recorded) (List.rev m.touches));
+      true)
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest qcheck_sim_hash_model ]

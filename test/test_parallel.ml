@@ -258,6 +258,31 @@ let test_derived_size_run () =
       "select sum(id), min(grp) from t";
     ]
 
+(* A measured run splits the morsels by domain up front, with no
+   stealing: which domain's private hierarchy counts a morsel must not
+   depend on how the host schedules the domains.  20,000 micro rows at two
+   domains are five 4,096-row morsels, two for one domain and three for
+   the other; with stealing the cycle count varied between runs. *)
+let test_measured_morsels_repeat () =
+  let run () =
+    let hier = Memsim.Hierarchy.create () in
+    let cat = Workloads.Microbench.build ~hier ~n:20_000 () in
+    let plan =
+      Relalg.Planner.plan cat
+        (Relalg.Sql.parse cat
+           "select sum(b), sum(c), count(*) from r where a < 2000")
+    in
+    Alcotest.(check bool) "splits into morsels" true
+      (Parallel.parallelizable plan);
+    Engine.run_measured ~domains:2 Engine.Jit cat plan ~params:[||]
+  in
+  let r0, s0 = run () in
+  for i = 2 to 5 do
+    let r, s = run () in
+    check_result (Printf.sprintf "run %d rows" i) r0 r;
+    Alcotest.check stats_testable (Printf.sprintf "run %d stats" i) s0 s
+  done
+
 let suite =
   [
     Alcotest.test_case "parallel equals sequential (all engines)" `Quick
@@ -274,4 +299,6 @@ let suite =
       test_untraced_counts_nothing;
     QCheck_alcotest.to_alcotest qcheck_derived_morsel_size;
     Alcotest.test_case "derived morsel size run" `Quick test_derived_size_run;
+    Alcotest.test_case "measured morsel runs repeat" `Quick
+      test_measured_morsels_repeat;
   ]
