@@ -257,11 +257,11 @@ let morsel_size_gauge () =
 (* Run [morsel_plan] over every morsel of [driver], fanned out to [domains]
    pool workers through per-domain chunked ranges, with stealing when
    untraced, and return the per-morsel results in morsel order with the
-   merged counters of the domains' hierarchies.  Each worker builds its shadow catalog and
-   compiles the pipeline once ([prepare]); the claim loop itself only
-   reslices the driver view and re-steps the prepared pipeline.  Workers
-   simulate a private hierarchy with [hier]'s parameters, or none when
-   [hier] is [None]. *)
+   merged counters of the domains' hierarchies.  Each worker builds its
+   shadow catalog and compiles the pipeline once ([prepare]); the claim
+   loop itself only reslices the driver view and re-steps the prepared
+   pipeline.  Workers simulate a private hierarchy with [hier]'s
+   parameters, or none when [hier] is [None]. *)
 let run_morsels ~domains ?morsel_size ~(prepare : preparer) ~hier cat ~driver
     morsel_plan =
   let n = Relation.nrows (Catalog.find cat driver) in

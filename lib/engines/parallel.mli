@@ -4,9 +4,8 @@
     worker domains pull morsel indices from per-domain ranges, stealing
     from each other when untraced (a measured run keeps each domain to its
     own share, so its counts repeat), and step the base engine's prepared
-    pipeline (see
-    {!preparer}) over a shadow catalog in which the driver table is a
-    {!type:Storage.Relation.t} slice of the morsel's rows.  Per-morsel partial
+    pipeline (see {!preparer}) over a shadow catalog in which the driver
+    table is a {!type:Storage.Relation.t} slice of the morsel's rows.  Per-morsel partial
     results merge deterministically in morsel order:
 
     - scan/select/project pipelines concatenate their row lists, and

@@ -321,7 +321,7 @@ module Sim_hash = struct
 
   let clear t =
     for i = 0 to t.count - 1 do
-      Array.unsafe_set t.heads (bucket t (Array.unsafe_get t.folds i)) (-1)
+      t.heads.(bucket t t.folds.(i)) <- -1
     done;
     t.top <- 0;
     t.count <- 0;

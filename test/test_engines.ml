@@ -563,7 +563,7 @@ type hash_model = {
 
 let model_touch m ~write fold =
   m.touches <-
-    (m.base + (fold land (m.slots - 1) * m.width), min m.width 64, write)
+    (m.base + ((fold land (m.slots - 1)) * m.width), min m.width 64, write)
     :: m.touches
 
 let model_grow m =
