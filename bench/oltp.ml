@@ -177,27 +177,23 @@ let minor_words () =
    counted whole. *)
 let served ?(clients = 1) cat ~id f =
   let srv = Txn.Server.create ~max_clients:clients (Mvcc.create cat) in
-  let sock =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mrdb-%s-%d.sock" id (Unix.getpid ()))
+  let words0 = ref 0. in
+  let r =
+    Txn.Server.in_process srv (fun sock ->
+        let cs =
+          Array.init clients (fun ci ->
+              (* a client id of its own each, so no commit token is shared *)
+              let id =
+                if clients = 1 then id else Printf.sprintf "%s-%d" id ci
+              in
+              Txn.Client.connect ~id (Txn.Client.Unix_sock sock))
+        in
+        words0 := minor_words ();
+        let r = f cs in
+        Array.iter Txn.Client.close cs;
+        r)
   in
-  let listen = Txn.Server.listen_unix sock in
-  let server = Domain.spawn (fun () -> Txn.Server.accept_loop srv listen) in
-  let cs =
-    Array.init clients (fun ci ->
-        (* a client id of its own each, so no commit token is shared *)
-        let id = if clients = 1 then id else Printf.sprintf "%s-%d" id ci in
-        Txn.Client.connect ~id (Txn.Client.Unix_sock sock))
-  in
-  let words0 = minor_words () in
-  let r = f cs in
-  Array.iter Txn.Client.close cs;
-  Txn.Server.stop srv;
-  Txn.Server.poke sock;
-  (try Unix.close listen with Unix.Unix_error _ -> ());
-  Domain.join server;
-  let words = minor_words () -. words0 in
-  (try Unix.unlink sock with Unix.Unix_error _ -> ());
+  let words = minor_words () -. !words0 in
   (Txn.Server.mgr srv, r, words)
 
 (* One transfer attempt over the wire: the two sets travel with the

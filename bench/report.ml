@@ -3,8 +3,9 @@
    Subcommands:
 
      report.exe consolidate [-o OUT] [FILE...]
-         Normalize every BENCH_*.json (legacy shapes included) into one
-         BENCH_trajectory.json.  With no FILE arguments, discovers
+         Join the points of every BENCH_*.json trajectory run into one
+         BENCH_trajectory.json; a file that is not a trajectory run fails
+         the command with its name.  With no FILE arguments, discovers
          BENCH_*.json in the current directory.
 
      report.exe diff BASELINE CURRENT [--threshold R]
@@ -28,14 +29,6 @@ let fail fmt =
 
 let trajectory_file = "BENCH_trajectory.json"
 
-let bench_of_filename path =
-  let base = Filename.remove_extension (Filename.basename path) in
-  let prefix = "BENCH_" in
-  let plen = String.length prefix in
-  if String.length base > plen && String.sub base 0 plen = prefix then
-    String.sub base plen (String.length base - plen)
-  else base
-
 let discover () =
   Sys.readdir "." |> Array.to_list
   |> List.filter (fun f ->
@@ -45,24 +38,10 @@ let discover () =
          && f <> trajectory_file)
   |> List.sort compare
 
-let load_points file =
-  match J.parse_file file with
-  | j -> T.normalize_legacy ~bench:(bench_of_filename file) j
-  | exception Sys_error e -> fail "%s" e
-  | exception J.Parse_error e -> fail "%s: %s" file e
-
 let commit () =
   match Sys.getenv_opt "MRDB_COMMIT" with
   | Some c -> c
   | None -> ( match Sys.getenv_opt "GITHUB_SHA" with Some c -> c | None -> "")
-
-let consolidate ~out files =
-  let files = match files with [] -> discover () | fs -> fs in
-  if files = [] then fail "no BENCH_*.json files found";
-  let points = List.concat_map load_points files in
-  T.save out (T.make_run ~commit:(commit ()) points);
-  Printf.printf "consolidated %d file(s), %d point(s) -> %s\n"
-    (List.length files) (List.length points) out
 
 let load_run file =
   match T.load file with
@@ -70,6 +49,14 @@ let load_run file =
   | exception Sys_error e -> fail "%s" e
   | exception Failure e -> fail "%s: %s" file e
   | exception J.Parse_error e -> fail "%s: %s" file e
+
+let consolidate ~out files =
+  let files = match files with [] -> discover () | fs -> fs in
+  if files = [] then fail "no BENCH_*.json files found";
+  let points = List.concat_map (fun f -> (load_run f).T.points) files in
+  T.save out (T.make_run ~commit:(commit ()) points);
+  Printf.printf "consolidated %d file(s), %d point(s) -> %s\n"
+    (List.length files) (List.length points) out
 
 let diff ~threshold baseline current =
   let deltas = T.diff ~baseline:(load_run baseline) (load_run current) in

@@ -55,36 +55,6 @@ let of_json j =
 let save path r = Json.write_file path (to_json r)
 let load path = of_json (Json.parse_file path)
 
-let is_trajectory j =
-  match (Json.member "schema_version" j, Json.member "points" j) with
-  | Some (Json.Num _), Some (Json.Arr _) -> true
-  | _ -> false
-
-let normalize_legacy ~bench j =
-  if is_trajectory j then
-    List.map
-      (fun p -> if String.equal p.bench "" then { p with bench } else p)
-      (of_json j).points
-  else
-    let points = ref [] in
-    let emit path value unit_ =
-      points := { bench; metric = path; value; unit_ } :: !points
-    in
-    let join prefix key =
-      if String.equal prefix "" then key else prefix ^ "." ^ key
-    in
-    let rec walk prefix = function
-      | Json.Num v -> emit prefix v ""
-      | Json.Bool b -> emit prefix (if b then 1. else 0.) "bool"
-      | Json.Obj fields ->
-          List.iter (fun (k, v) -> walk (join prefix k) v) fields
-      | Json.Arr items ->
-          List.iteri (fun i v -> walk (join prefix (string_of_int i)) v) items
-      | Json.Str _ | Json.Null -> ()
-    in
-    walk "" j;
-    List.rev !points
-
 (* ------------------------------------------------------------------ *)
 (* Diffing                                                             *)
 (* ------------------------------------------------------------------ *)

@@ -1,15 +1,12 @@
 (** The normalized benchmark-trajectory schema.
 
-    Every bench run — old hand-rolled [BENCH_*.json] files included —
-    normalizes into one flat shape: a list of points
+    Every bench run writes one flat shape: a list of points
     [(bench, metric, value, unit)] plus run-level provenance
     ([schema_version], [commit]).  That single schema is what
     [bench/report.exe] consolidates, diffs between runs, and gates in CI.
-
-    Legacy files are absorbed by flattening every numeric leaf into a
-    dotted metric path (["variants.0.cycles"]); booleans flatten to 0/1
-    with unit ["bool"], which is how identity checks like the tracefast
-    bench's [counters_identical] become gateable metrics. *)
+    A boolean check is a point of value 0 or 1 with unit ["bool"], which
+    is how identity checks like the tracefast bench's
+    [counters_identical] become gateable metrics. *)
 
 type point = {
   bench : string;
@@ -35,11 +32,6 @@ val of_json : Obs.Json.t -> run
 
 val save : string -> run -> unit
 val load : string -> run
-
-val normalize_legacy : bench:string -> Obs.Json.t -> point list
-(** Flatten a legacy bench file into points (see module doc).  A file
-    already in trajectory shape contributes its points unchanged,
-    re-labelled under [bench] only if their bench field is empty. *)
 
 (** {1 Diffing} *)
 

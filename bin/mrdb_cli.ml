@@ -6,33 +6,18 @@
 
 open Cmdliner
 
-let demo_databases = [ "micro"; "sd"; "ch"; "cnet" ]
+(* A demo database with its query mix, on a simulated memory hierarchy. *)
+let load_workload db scale =
+  Workloads.build ~hier:(Memsim.Hierarchy.create ()) db ~scale
 
-let load_db name scale =
-  let hier = Memsim.Hierarchy.create () in
-  let cat =
-    match name with
-    | "micro" ->
-        Workloads.Microbench.build ~hier
-          ~n:(int_of_float (200_000.0 *. scale))
-          ()
-    | "sd" -> (Workloads.Sap_sd.build ~hier ~scale ()).Workloads.Sap_sd.cat
-    | "ch" -> (Workloads.Ch.build ~hier ~scale ()).Workloads.Ch.cat
-    | "cnet" ->
-        (Workloads.Cnet.build ~hier
-           ~n_products:(int_of_float (20_000.0 *. scale))
-           ())
-          .Workloads.Cnet.cat
-    | other -> failwith (Printf.sprintf "unknown database %S" other)
-  in
-  (cat, hier)
+let load_db db scale = fst (load_workload db scale)
 
 let db_arg =
   let doc =
     Printf.sprintf "Demo database to load (%s)."
-      (String.concat ", " demo_databases)
+      (String.concat ", " Workloads.names)
   in
-  Arg.(value & opt (enum (List.map (fun d -> (d, d)) demo_databases)) "sd"
+  Arg.(value & opt (enum (List.map (fun d -> (d, d)) Workloads.names)) "sd"
        & info [ "d"; "db" ] ~docv:"DB" ~doc)
 
 let scale_arg =
@@ -135,16 +120,6 @@ let recover_flag =
            ~doc:"Rebuild the catalog from the snapshot and WAL instead of \
                  loading a demo database (requires $(b,--wal)).")
 
-let durability_env ~wal ~snapshot =
-  let snap =
-    match snapshot with Some s -> s | None -> wal ^ ".snapshot"
-  in
-  Durability.Faultio.files () ~path:(fun store ->
-      if store = Durability.Wal.store_name then wal
-      else if store = Durability.Snapshot.store_name then snap
-      else if store = Durability.Snapshot.tmp_name then snap ^ ".tmp"
-      else wal ^ "." ^ store)
-
 let print_warnings ws =
   List.iter (fun w -> Printf.eprintf "mrdb: warning: %s\n%!" w) ws
 
@@ -154,11 +129,10 @@ let with_catalog db scale ~wal ~snapshot ~recover k =
   match wal with
   | None ->
       if recover then failwith "--recover requires --wal FILE";
-      let cat, hier = load_db db scale in
-      k cat hier
+      k (load_db db scale)
   | Some wal ->
-      let env = durability_env ~wal ~snapshot in
-      let hier, d =
+      let env = Durability.Durable.files ?snapshot wal in
+      let d =
         if recover then begin
           let hier = Memsim.Hierarchy.create () in
           let r, d = Durability.Durable.recover ~hier env in
@@ -167,15 +141,13 @@ let with_catalog db scale ~wal ~snapshot ~recover k =
             "mrdb: recovered %d table(s), replayed %d transaction(s)\n%!"
             (List.length (Storage.Catalog.names r.Durability.Recover.cat))
             r.Durability.Recover.replayed;
-          (hier, d)
+          d
         end
-        else
-          let cat, hier = load_db db scale in
-          (hier, Durability.Durable.attach env cat)
+        else Durability.Durable.attach env (load_db db scale)
       in
       Fun.protect
         ~finally:(fun () -> Durability.Durable.detach d)
-        (fun () -> k (Durability.Durable.catalog d) hier)
+        (fun () -> k (Durability.Durable.catalog d))
 
 let plan_of ~sample cat sql params =
   let logical = Relalg.Sql.parse cat sql in
@@ -191,21 +163,12 @@ let metrics_arg =
                  $(docv): Prometheus text format if it ends in $(b,.prom), \
                  JSON otherwise.")
 
-let export_metrics = function
-  | None -> ()
-  | Some path ->
-      if Filename.check_suffix path ".prom" then begin
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> output_string oc (Obs.Metrics.to_prometheus ()))
-      end
-      else Obs.Json.write_file path (Obs.Metrics.to_json ())
+let export_metrics = Option.iter Obs.Metrics.export
 
 let run_cmd =
   let run db scale engine domains untraced shards sql params sample wal
       snapshot recover metrics =
-    (with_catalog db scale ~wal ~snapshot ~recover @@ fun cat _hier ->
+    (with_catalog db scale ~wal ~snapshot ~recover @@ fun cat ->
      let plan = plan_of ~sample cat sql (parse_params params) in
      match make_cluster ~shards cat with
      | Some cl ->
@@ -269,8 +232,9 @@ let run_cmd =
 
 let checkpoint_cmd =
   let checkpoint wal snapshot =
-    let env = durability_env ~wal ~snapshot in
-    let r, d = Durability.Durable.recover env in
+    let r, d =
+      Durability.Durable.recover (Durability.Durable.files ?snapshot wal)
+    in
     print_warnings r.Durability.Recover.warnings;
     Durability.Durable.checkpoint d;
     Durability.Durable.detach d;
@@ -323,7 +287,7 @@ let advisor_flag =
 let explain_cmd =
   let explain db scale engine domains shards sql params sample analyze
       advisor compress =
-    let cat, _ = load_db db scale in
+    let cat = load_db db scale in
     if compress then compress_all cat;
     let params = parse_params params in
     let plan = plan_of ~sample cat sql params in
@@ -349,7 +313,7 @@ let explain_cmd =
 
 let codegen_cmd =
   let codegen db scale sql params =
-    let cat, _ = load_db db scale in
+    let cat = load_db db scale in
     let plan = Relalg.Planner.plan cat (Relalg.Sql.parse cat sql) in
     match Engines.C_emitter.emit_unit cat plan ~params:(parse_params params) with
     | Ok info -> print_string info.Engines.C_emitter.source
@@ -366,7 +330,7 @@ let codegen_cmd =
 
 let layout_cmd =
   let show db scale =
-    let cat, _ = load_db db scale in
+    let cat = load_db db scale in
     List.iter
       (fun name ->
         let rel = Storage.Catalog.find cat name in
@@ -381,29 +345,16 @@ let layout_cmd =
     (Cmd.info "layout" ~doc:"Show the stored layout of every table.")
     Term.(const show $ db_arg $ scale_arg)
 
-(* build the workload together with its own catalog so queries and data
-   always match *)
-let load_workload ~cmd db scale =
-  let hier = Memsim.Hierarchy.create () in
-  match db with
-  | "sd" ->
-      let sd = Workloads.Sap_sd.build ~hier ~scale () in
-      (sd.Workloads.Sap_sd.cat, sd.Workloads.Sap_sd.queries)
-  | "ch" ->
-      let ch = Workloads.Ch.build ~hier ~scale () in
-      (ch.Workloads.Ch.cat, ch.Workloads.Ch.queries @ ch.Workloads.Ch.transactions)
-  | "cnet" ->
-      let cn =
-        Workloads.Cnet.build ~hier
-          ~n_products:(int_of_float (20_000.0 *. scale))
-          ()
-      in
-      (cn.Workloads.Cnet.cat, cn.Workloads.Cnet.queries)
-  | _ -> failwith (cmd ^ " supports --db sd, ch or cnet")
+(* The demo mix of [db], built with its own catalog so queries and data
+   always match. *)
+let demo_mix ~cmd db scale =
+  match load_workload db scale with
+  | _, [] -> failwith (cmd ^ " supports --db sd, ch or cnet")
+  | mix -> mix
 
 let optimize_cmd =
   let optimize db scale threshold compress apply =
-    let cat, queries = load_workload ~cmd:"optimize" db scale in
+    let cat, queries = demo_mix ~cmd:"optimize" db scale in
     let wl = Workloads.Workload.plans ~use_indexes:false queries in
     let results =
       Layoutopt.Optimizer.optimize ~compress
@@ -473,7 +424,7 @@ let advise_cmd =
       recs
   in
   let advise db scale bpi threshold apply watch metrics =
-    let cat, queries = load_workload ~cmd:"advise" db scale in
+    let cat, queries = demo_mix ~cmd:"advise" db scale in
     let wl = Workloads.Workload.plans ~use_indexes:false queries in
     let algorithm =
       if bpi then Layoutopt.Optimizer.Bpi threshold
@@ -520,13 +471,6 @@ let advise_cmd =
              ~doc:"Advise with the BPi heuristic instead of the exact \
                    integer-programming solver.")
   in
-  let ip_flag =
-    (* the default; accepted so scripts can be explicit *)
-    Arg.(value & flag
-         & info [ "ip" ]
-             ~doc:"Advise with the exact IP branch-and-bound solver \
-                   (default).")
-  in
   let threshold_arg =
     Arg.(value & opt float 0.005
          & info [ "t"; "threshold" ] ~docv:"T"
@@ -547,10 +491,6 @@ let advise_cmd =
                    reporting) whenever the projected saving beats the copy \
                    cost.")
   in
-  let advise_with_flags db scale bpi ip threshold apply watch metrics =
-    if bpi && ip then failwith "advise: pick one of --ip and --bpi";
-    advise db scale bpi threshold apply watch metrics
-  in
   Cmd.v
     (Cmd.info "advise"
        ~doc:
@@ -558,8 +498,8 @@ let advise_cmd =
           partitioning per touched table, with projected savings weighed \
           against the reorganization copy cost.  One-shot by default; \
           $(b,--watch) runs the online loop.")
-    Term.(const advise_with_flags $ db_arg $ scale_arg $ bpi_flag $ ip_flag
-          $ threshold_arg $ apply_arg $ watch_arg $ metrics_arg)
+    Term.(const advise $ db_arg $ scale_arg $ bpi_flag $ threshold_arg
+          $ apply_arg $ watch_arg $ metrics_arg)
 
 let export_cmd =
   let table_arg =
@@ -569,7 +509,7 @@ let export_cmd =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"FILE" ~doc:"Output CSV path.")
   in
   let export db scale table path =
-    let cat, _ = load_db db scale in
+    let cat = load_db db scale in
     Storage.Csv.export (Storage.Catalog.find cat table) path;
     Printf.printf "wrote %s\n" path
   in

@@ -48,36 +48,25 @@ let build_bank ~accounts () =
   ignore (Storage.Catalog.add cat xfer_schema (Storage.Layout.row xfer_schema));
   cat
 
+(* The demo databases are served without a simulated memory hierarchy. *)
 let load_db name scale ~accounts =
-  match name with
-  | "bank" -> build_bank ~accounts ()
-  | "micro" ->
-      Workloads.Microbench.build ~n:(int_of_float (200_000.0 *. scale)) ()
-  | "sd" -> (Workloads.Sap_sd.build ~scale ()).Workloads.Sap_sd.cat
-  | "ch" -> (Workloads.Ch.build ~scale ()).Workloads.Ch.cat
-  | other -> failwith (Printf.sprintf "unknown database %S" other)
-
-(* The file of each durable store beside the log [wal]. *)
-let store_path wal store =
-  if store = Durability.Wal.store_name then wal
-  else if store = Durability.Snapshot.store_name then wal ^ ".snapshot"
-  else if store = Durability.Snapshot.tmp_name then wal ^ ".snapshot.tmp"
-  else wal ^ "." ^ store
-
-let durability_env wal = Durability.Faultio.files () ~path:(store_path wal)
+  if name = "bank" then build_bank ~accounts ()
+  else fst (Workloads.build name ~scale)
 
 (* A fresh log for [cat]: snapshot it and truncate the log. *)
-let attach_wal cat = function
-  | None -> None
-  | Some wal -> Some (Durability.Durable.attach (durability_env wal) cat)
+let attach_wal cat =
+  Option.map (fun wal ->
+      Durability.Durable.attach (Durability.Durable.files wal) cat)
 
 (* Serve mode's catalog: the one recovered from the log when the log or its
    snapshot exists, else the demo database with a fresh log. *)
 let open_catalog ~db ~scale ~accounts = function
   | Some wal
-    when Sys.file_exists wal
-         || Sys.file_exists (store_path wal Durability.Snapshot.store_name) ->
-      let r, d = Durability.Durable.recover (durability_env wal) in
+    when List.exists
+           (fun store ->
+             Sys.file_exists (Durability.Durable.store_path wal store))
+           [ Durability.Wal.store_name; Durability.Snapshot.store_name ] ->
+      let r, d = Durability.Durable.recover (Durability.Durable.files wal) in
       List.iter
         (Printf.eprintf "mrdb_server: warning: %s\n%!")
         r.Durability.Recover.warnings;
@@ -91,9 +80,7 @@ let open_catalog ~db ~scale ~accounts = function
       let cat = load_db db scale ~accounts in
       (cat, attach_wal cat wal)
 
-let export_metrics = function
-  | Some path -> Obs.Json.write_file path (Obs.Metrics.to_json ())
-  | None -> ()
+let export_metrics = Option.iter Obs.Metrics.export
 
 (* ------------------------------------------------------------------ *)
 (* Smoke mode: concurrent clients over real sockets, checked invariants *)
@@ -158,36 +145,29 @@ let run_smoke ~clients ~transfers ~accounts ~seed ~max_clients ~txn_timeout
   let cat = build_bank ~accounts () in
   let durable = attach_wal cat wal in
   let srv = Server.create ~max_clients ?txn_timeout (Txn.Mvcc.create cat) in
-  let sock_path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mrdb-smoke-%d.sock" (Unix.getpid ()))
-  in
-  let listen_fd = Server.listen_unix sock_path in
-  let server_domain = Domain.spawn (fun () -> Server.accept_loop srv listen_fd) in
-  let addr = Txn.Client.Unix_sock sock_path in
   let analytics = max 1 (clients / 2) in
   let updaters = max 1 (clients - analytics) in
   Printf.printf
     "smoke: %d updater(s) x %d transfers, %d analytics reader(s), %d \
      accounts, seed %d\n%!"
     updaters transfers analytics accounts seed;
-  let upd_domains =
-    List.init updaters (fun i ->
-        Domain.spawn (fun () ->
-            smoke_update_client ~addr ~transfers ~accounts ~seed i))
+  let upd, ana =
+    Server.in_process srv (fun sock ->
+        let addr = Txn.Client.Unix_sock sock in
+        let upd_domains =
+          List.init updaters (fun i ->
+              Domain.spawn (fun () ->
+                  smoke_update_client ~addr ~transfers ~accounts ~seed i))
+        in
+        let ana_domains =
+          List.init analytics (fun i ->
+              Domain.spawn (fun () ->
+                  smoke_analytics_client ~addr ~reads:((transfers / 2) + 5)
+                    ~accounts i))
+        in
+        let upd = List.map Domain.join upd_domains in
+        (upd, List.map Domain.join ana_domains))
   in
-  let ana_domains =
-    List.init analytics (fun i ->
-        Domain.spawn (fun () ->
-            smoke_analytics_client ~addr ~reads:((transfers / 2) + 5) ~accounts i))
-  in
-  let upd = List.map Domain.join upd_domains in
-  let ana = List.map Domain.join ana_domains in
-  Server.stop srv;
-  (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-  Server.poke sock_path;
-  Domain.join server_domain;
-  (try Unix.unlink sock_path with Unix.Unix_error _ -> ());
   (* final divergence audit on the quiesced state *)
   let mgr = Server.mgr srv in
   let final_total =
@@ -284,9 +264,14 @@ let main db scale accounts socket port max_clients txn_timeout wal metrics
 
 let cmd =
   let db =
-    Arg.(value & opt string "bank"
+    let dbs = "bank" :: Workloads.names in
+    Arg.(value & opt (enum (List.map (fun d -> (d, d)) dbs)) "bank"
          & info [ "d"; "db" ] ~docv:"DB"
-             ~doc:"Database to serve: bank (synthetic accounts), micro, sd, ch.")
+             ~doc:
+               (Printf.sprintf
+                  "Database to serve: bank (synthetic accounts) or a demo \
+                   database (%s)."
+                  (String.concat ", " Workloads.names)))
   in
   let scale =
     Arg.(value & opt float 0.2

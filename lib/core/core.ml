@@ -40,10 +40,7 @@ module Db = struct
   let exec_measured ?(engine = Engines.Engine.Jit) ?(params = [||]) t sql =
     Engines.Engine.run_measured engine t.cat (plan_sql t sql) ~params
 
-  let explain ?params:_ t sql =
-    let plan = plan_sql t sql in
-    Format.asprintf "@[<v>plan:@,%a@,%s@]" Relalg.Physical.pp plan
-      (Costmodel.Model.explain t.cat plan)
+  let explain ?params t sql = Obs_explain.render ?params t.cat (plan_sql t sql)
 
   let set_layout t name groups =
     let rel = Storage.Catalog.find t.cat name in

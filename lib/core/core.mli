@@ -63,8 +63,9 @@ module Db : sig
     Engines.Runtime.result * Memsim.Stats.t
 
   val explain : ?params:Storage.Value.t array -> t -> string -> string
-  (** The physical plan, its access-pattern program and the model's cost
-      estimate. *)
+  (** EXPLAIN, as [mrdb_cli explain] prints it ({!Obs_explain.render}):
+      the operator tree with each operator's predicted cycles, the
+      access-pattern program and the whole-query estimate. *)
 
   val set_layout : t -> string -> string list list -> unit
   (** Repartition a table into the given attribute-name groups. *)

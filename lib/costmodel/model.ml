@@ -12,15 +12,3 @@ let workload_cost ?layouts ?encodings ?estimate ?params ?additive cat
          *. query_cost ?layouts ?encodings ?estimate ?params ?additive cat
               plan)
     0.0 queries
-
-let explain ?layouts ?encodings ?estimate ?(params = Memsim.Params.nehalem)
-    cat plan =
-  let pattern, descs = Emit.emit ?layouts ?encodings ?estimate cat plan in
-  let cost = Cost_function.cost params pattern in
-  Format.asprintf
-    "@[<v>pattern: %a@,descriptors: %a@,estimated cycles: %.0f@]" Pattern.pp
-    pattern
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
-       (Emit.pp_desc cat))
-    descs cost

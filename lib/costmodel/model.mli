@@ -23,14 +23,3 @@ val workload_cost :
   (Relalg.Physical.t * float) list ->
   float
 (** Frequency-weighted sum over a workload of (plan, frequency) pairs. *)
-
-val explain :
-  ?layouts:(string * Storage.Layout.t) list ->
-  ?encodings:(string * (int * Emit.enc_hint) list) list ->
-  ?estimate:(Relalg.Expr.t -> float option) ->
-  ?params:Memsim.Params.t ->
-  Storage.Catalog.t ->
-  Relalg.Physical.t ->
-  string
-(** Human-readable emission: the pattern program, the access descriptors,
-    and the cost estimate. *)

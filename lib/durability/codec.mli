@@ -57,10 +57,8 @@ val vdate : writer -> int -> unit
 val vstr_sub : writer -> Bytes.t -> pos:int -> len:int -> unit
 (** A string value copied from a byte range. *)
 
-val ty : writer -> Storage.Value.ty -> unit
 val schema : writer -> Storage.Schema.t -> unit
 val layout_groups : writer -> int list list -> unit
-val encoding : writer -> Storage.Encoding.t -> unit
 val encodings : writer -> (int * Storage.Encoding.t) list -> unit
 val index_kind : writer -> Storage.Index.kind -> unit
 
@@ -99,7 +97,6 @@ val read_frame : ?max_len:int -> Bytes.t -> pos:int -> frame
 type reader
 
 val reader : ?pos:int -> ?len:int -> Bytes.t -> reader
-val remaining : reader -> int
 
 val ru8 : reader -> int
 val ru32 : reader -> int

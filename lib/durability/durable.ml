@@ -16,6 +16,15 @@
 
 module Catalog = Storage.Catalog
 
+let store_path ?snapshot wal store =
+  let snap = Option.value snapshot ~default:(wal ^ ".snapshot") in
+  if store = Wal.store_name then wal
+  else if store = Snapshot.store_name then snap
+  else if store = Snapshot.tmp_name then snap ^ ".tmp"
+  else wal ^ "." ^ store
+
+let files ?snapshot wal = Faultio.files ~path:(store_path ?snapshot wal) ()
+
 type t = {
   env : Faultio.t;
   cat : Catalog.t;

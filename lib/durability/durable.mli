@@ -8,6 +8,15 @@
 
 type t
 
+val store_path : ?snapshot:string -> string -> string -> string
+(** [store_path ?snapshot wal store] is the file that holds durable store
+    [store] of the log [wal]: [wal] for the log, [snapshot] (default
+    [wal ^ ".snapshot"]) for the snapshot, that name with [".tmp"] for the
+    snapshot being written, and [wal ^ "." ^ store] for any other. *)
+
+val files : ?snapshot:string -> string -> Faultio.t
+(** The file-backed env over {!store_path}. *)
+
 val attach : Faultio.t -> Storage.Catalog.t -> t
 (** Start durability for a (possibly non-empty) catalog: seed a snapshot of
     its current state, truncate the WAL, and register the observer. *)

@@ -157,13 +157,6 @@ let read_all t name =
       end
       else None
 
-let exists t name = read_all t name <> None
-
-let delete t name =
-  match t.backend with
-  | Mem tbl -> Hashtbl.remove tbl name
-  | Dir path -> if Sys.file_exists (path name) then Sys.remove (path name)
-
 let durable_size t name =
   match t.backend with
   | Mem tbl -> (

@@ -58,8 +58,6 @@ val point : t -> string -> unit
 (** {2 Durable reads and store management} *)
 
 val read_all : t -> string -> Bytes.t option
-val exists : t -> string -> bool
-val delete : t -> string -> unit
 val durable_size : t -> string -> int
 val rename : t -> src:string -> dst:string -> unit
 (** Atomic; one crash point (the crash lands before or after, never mid). *)

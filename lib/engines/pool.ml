@@ -50,6 +50,7 @@ let worker_loop w () =
   loop ();
   Mutex.unlock w.m
 
+(* Stop and join all workers; the [at_exit] hook. *)
 let shutdown () =
   Mutex.lock pool_m;
   let to_join = ref [] in
@@ -96,8 +97,6 @@ let submit w f =
   w.job <- Some f;
   Condition.broadcast w.cv;
   Mutex.unlock w.m
-
-let size () = !spawned
 
 let parallel_run ~domains (f : int -> unit) =
   if domains <= 1 then f 0

@@ -11,9 +11,3 @@ val parallel_run : domains:int -> (int -> unit) -> unit
     calling domain and the rest on pool workers, and returns when all are
     done.  The first exception raised by any share is re-raised (after all
     shares finished).  Nested calls run inline sequentially. *)
-
-val size : unit -> int
-(** Workers currently spawned (for tests and metrics). *)
-
-val shutdown : unit -> unit
-(** Stop and join all workers.  Subsequent [parallel_run]s respawn. *)

@@ -227,6 +227,12 @@ let to_json () =
   Json.Obj
     [ ("metrics", Json.Arr (List.map metric_json (metrics_in_order ()))) ]
 
+let export path =
+  if Filename.check_suffix path ".prom" then
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc (to_prometheus ()))
+  else Json.write_file path (to_json ())
+
 let reset_values () =
   with_lock (fun () ->
       List.iter

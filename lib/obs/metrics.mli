@@ -42,6 +42,10 @@ val to_json : unit -> Json.t
 (** [{ "metrics": [ {name; type; help; ...} ] }] — same data as
     {!to_prometheus}; parses back with {!Json.parse} losslessly. *)
 
+val export : string -> unit
+(** Write the registry to a file: {!to_prometheus}'s text for a path that
+    ends in [.prom], {!to_json} otherwise. *)
+
 val reset_values : unit -> unit
 (** Zero every registered instrument (registry membership unchanged).
     For tests and for per-run exports from long-lived processes. *)

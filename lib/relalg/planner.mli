@@ -21,7 +21,3 @@ val plan :
     {!Sampling}); [n_groups] overrides the group-by cardinality estimate;
     [use_indexes] (default true) can be switched off to force full scans
     (Fig. 10's "unindexed" configurations). *)
-
-val selectivity :
-  ?estimate:(Expr.t -> float option) -> Expr.t -> float
-(** The selectivity the planner would assign to a predicate. *)

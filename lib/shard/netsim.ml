@@ -51,16 +51,8 @@ let send t ~src ~dst ~bytes =
     Obs.Metrics.add m_bytes bytes
   end
 
-let messages t = t.messages
-let bytes t = t.bytes
-
 let cost_of params ~messages ~bytes =
   (messages * params.latency_cycles) + (bytes * params.cycles_per_byte)
-
-let cycles t = cost_of t.params ~messages:t.messages ~bytes:t.bytes
-let reset t =
-  t.messages <- 0;
-  t.bytes <- 0
 
 type snapshot = { msg : int; byt : int }
 

@@ -24,17 +24,10 @@ val send : t -> src:int -> dst:int -> bytes:int -> unit
 (** Account one message of [bytes] payload.  [src = dst] is a local handoff
     and costs nothing. *)
 
-val messages : t -> int
-val bytes : t -> int
-
-val cycles : t -> int
-(** [messages * latency + bytes * cycles_per_byte] so far. *)
-
 val cost_of : params -> messages:int -> bytes:int -> int
-(** The same formula applied to hypothetical traffic — the planner's
-    what-if evaluation of shuffle vs broadcast. *)
-
-val reset : t -> unit
+(** [messages * latency + bytes * cycles_per_byte]: the cost of traffic,
+    sent or hypothetical — the planner's what-if evaluation of shuffle vs
+    broadcast. *)
 
 (** {2 Scoped deltas} *)
 

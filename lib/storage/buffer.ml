@@ -19,8 +19,6 @@ let create arena ?hier ?(room = 0) size =
 
 let base t = t.base
 let size t = t.size
-let hier t = t.hier
-
 let with_hier t hier = { t with hier }
 
 let grow t want =
@@ -240,30 +238,6 @@ let read_uint_run t off ~width ?stride ~count dst =
   for i = 0 to count - 1 do
     Array.unsafe_set dst i (get_uint t (off + (i * stride)) ~width)
   done
-
-let read_float_run t off ?(stride = 8) ~count dst =
-  touch_run t off ~width:8 ~count ~stride;
-  let b = t.bytes in
-  for i = 0 to count - 1 do
-    Array.unsafe_set dst i
-      (Int64.float_of_bits (Bytes.get_int64_le b (off + (i * stride))))
-  done
-
-let write_float_run t off ?(stride = 8) ~count src =
-  touch_write_run t off ~width:8 ~count ~stride;
-  let b = t.bytes in
-  for i = 0 to count - 1 do
-    Bytes.set_int64_le b (off + (i * stride))
-      (Int64.bits_of_float (Array.unsafe_get src i))
-  done
-
-let read_bytes_run t off ~len dst =
-  touch_run t off ~width:len ~count:1 ~stride:len;
-  Bytes.blit t.bytes off dst 0 len
-
-let write_bytes_run t off ~len src =
-  touch_write_run t off ~width:len ~count:1 ~stride:len;
-  Bytes.blit src 0 t.bytes off len
 
 (* Run variants of [read_value]/[write_value] for non-nullable attributes
    only: a nullable field is two separate touches per element (null byte and

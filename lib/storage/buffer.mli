@@ -24,8 +24,6 @@ val base : t -> int
 val size : t -> int
 (** Bytes in the simulated extent; host room is not counted. *)
 
-val hier : t -> Memsim.Hierarchy.t option
-
 val with_hier : t -> Memsim.Hierarchy.t option -> t
 (** A view of the same bytes at the same virtual address whose accesses are
     reported to a different hierarchy (or, with [None], not at all).  The
@@ -162,15 +160,6 @@ val read_uint_run :
 (** Unsigned narrow-field variant of {!read_int_run} ([stride] defaults to
     [width]) — the code-scan primitive for dictionary and
     frame-of-reference partitions. *)
-
-val read_float_run : t -> int -> ?stride:int -> count:int -> float array -> unit
-val write_float_run : t -> int -> ?stride:int -> count:int -> float array -> unit
-
-val read_bytes_run : t -> int -> len:int -> Bytes.t -> unit
-(** [read_bytes_run t off ~len dst] traces one [len]-byte read and blits the
-    bytes into [dst.(0..len-1)]. *)
-
-val write_bytes_run : t -> int -> len:int -> Bytes.t -> unit
 
 val read_value_run :
   t -> int -> stride:int -> ty:Value.ty -> count:int -> Value.t array -> unit

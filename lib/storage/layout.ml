@@ -45,7 +45,6 @@ let partitions t = t.parts
 let to_groups t =
   Array.to_list (Array.map Array.to_list t.parts)
 
-let n_attrs t = t.n_attrs
 let n_partitions t = Array.length t.parts
 let partition_of_attr t a = t.attr_to_part.(a)
 let partition_attrs t p = t.parts.(p)

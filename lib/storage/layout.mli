@@ -26,8 +26,6 @@ val to_groups : t -> int list list
     used by durability; [of_indices schema (to_groups t)] rebuilds an
     identical layout. *)
 
-val n_attrs : t -> int
-
 val n_partitions : t -> int
 
 val partition_of_attr : t -> int -> int

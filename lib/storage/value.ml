@@ -47,16 +47,6 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-let hash = function
-  | Null -> 0
-  | VInt x -> Hashtbl.hash x
-  | VFloat x -> Hashtbl.hash x
-  | VBool x -> Hashtbl.hash x
-  (* dates hash like their day number: consistent with [compare] treating
-     VDate and VInt as the same numeric value *)
-  | VDate x -> Hashtbl.hash x
-  | VStr s -> Hashtbl.hash s
-
 let to_int = function
   | VInt x -> x
   | VBool b -> if b then 1 else 0

@@ -34,9 +34,6 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
-val hash : t -> int
-(** Hash consistent with {!equal}. *)
-
 val to_int : t -> int
 (** Numeric view; raises [Invalid_argument] for non-numeric values. *)
 

@@ -169,28 +169,21 @@ let drop_txn session =
   | None -> ());
   session.txn <- None
 
-let value_sum vs =
-  (* SUM over a column: ints (and dates) sum to VInt, any float makes it
-     VFloat, NULLs are skipped — matching the engines' SUM aggregate. *)
-  let acc_i = ref 0 and acc_f = ref 0.0 and is_float = ref false in
-  let seen = ref false in
-  Array.iter
-    (fun v ->
-      match (v : Value.t) with
-      | Value.VInt i | Value.VDate i ->
-          seen := true;
-          acc_i := !acc_i + i
-      | Value.VFloat f ->
-          seen := true;
-          is_float := true;
-          acc_f := !acc_f +. f
-      | Value.Null -> ()
-      | Value.VBool _ | Value.VStr _ ->
-          raise (Errors.Bad_request "SUM over a non-numeric column"))
-    vs;
-  if not !seen then Value.Null
-  else if !is_float then Value.VFloat (!acc_f +. float_of_int !acc_i)
-  else Value.VInt !acc_i
+(* SUM over a column is the engines' SUM aggregate: NULLs skipped, ints
+   and dates sum to VInt, floats to VFloat.  Only those types are summed,
+   as the aggregate would add a Bool column's values up as 0 and 1. *)
+let column_sum srv txn table attr =
+  let vs = Mvcc.column txn table attr in
+  let schema =
+    Storage.Relation.schema (Storage.Catalog.find (Mvcc.catalog srv.mgr) table)
+  in
+  (match (Storage.Schema.attr schema attr).Storage.Schema.ty with
+  | Value.Int | Value.Float | Value.Date -> ()
+  | Value.Bool | Value.Varchar _ ->
+      raise (Errors.Bad_request "SUM over a non-numeric column"));
+  let sum = Relalg.Aggregate.init Relalg.Aggregate.Sum in
+  Array.iter (Relalg.Aggregate.step sum) vs;
+  Relalg.Aggregate.finish sum
 
 (* A request that needs an open transaction, sent without BEGIN, is the
    client's error: it answers ERR BAD_REQUEST and the session goes on. *)
@@ -246,8 +239,7 @@ let execute srv session (req : Wire.request) : Wire.reply option =
         (Wire.Val
            (Value.VInt (Mvcc.visible_rows (require_txn session "ROWS") table)))
   | Wire.Sum { table; attr } ->
-      let txn = require_txn session "SUM" in
-      Some (Wire.Val (value_sum (Mvcc.column txn table attr)))
+      Some (Wire.Val (column_sum srv (require_txn session "SUM") table attr))
   | Wire.Abort ->
       (match session.txn with Some txn -> Mvcc.abort txn | None -> ());
       session.txn <- None;
@@ -439,3 +431,24 @@ let poke path =
     (try Unix.connect fd (Unix.ADDR_UNIX path) with Unix.Unix_error _ -> ());
     Unix.close fd
   with Unix.Unix_error _ -> ()
+
+(* Numbers [in_process]'s sockets, so that servers run one after another
+   or side by side in one process never share a path. *)
+let sockets = Atomic.make 0
+
+let in_process srv f =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "mrdb-%d-%d.sock" (Unix.getpid ())
+         (Atomic.fetch_and_add sockets 1))
+  in
+  let listen_fd = listen_unix path in
+  let loop = Domain.spawn (fun () -> accept_loop srv listen_fd) in
+  Fun.protect
+    ~finally:(fun () ->
+      stop srv;
+      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+      poke path;
+      Domain.join loop;
+      try Unix.unlink path with Unix.Unix_error _ -> ())
+    (fun () -> f path)

@@ -58,3 +58,10 @@ val listen_tcp : int -> Unix.file_descr
 val poke : string -> unit
 (** Connect-and-close to a unix socket so a stopped accept loop blocked in
     accept(2) wakes up. *)
+
+val in_process : t -> (string -> 'a) -> 'a
+(** [in_process srv f] runs {!accept_loop} for [srv] on a domain of its
+    own, over a fresh unix socket in the temporary directory, and [f] on
+    the socket's path.  When [f] returns or raises, it stops the server,
+    closes the listening socket, {!poke}s the loop, joins its domain and
+    unlinks the socket, and only then returns [f]'s result. *)

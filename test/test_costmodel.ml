@@ -281,7 +281,7 @@ let test_explain_mentions_pattern () =
     Relalg.Planner.plan cat
       (Relalg.Sql.parse cat "select id from t where grp = $1")
   in
-  let s = Model.explain cat plan in
+  let s = Obs_explain.render cat plan in
   Alcotest.(check bool) "explain has pattern and cycles" true
     (String.length s > 40)
 

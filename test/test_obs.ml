@@ -226,6 +226,29 @@ let test_metrics_histogram () =
     "sum" (Some 56.05)
     (Option.bind (Json.member "sum" entry) Json.to_num)
 
+(* One writer for every front end: Prometheus text for a .prom path, and
+   for any other path JSON that parses back to the registry. *)
+let test_metrics_export () =
+  let c = Metrics.counter "test_obs_export_total" ~help:"Counted by a test" in
+  Metrics.incr c;
+  let prom = Filename.temp_file "test_obs_metrics" ".prom" in
+  let json = Filename.temp_file "test_obs_metrics" ".json" in
+  Metrics.export prom;
+  Metrics.export json;
+  let text = In_channel.with_open_bin prom In_channel.input_all in
+  let parsed = Json.parse_file json in
+  Sys.remove prom;
+  Sys.remove json;
+  let lines = String.split_on_char '\n' text in
+  Alcotest.(check bool) "text starts with a comment" true
+    (String.starts_with ~prefix:"# " text);
+  Alcotest.(check bool) "# HELP line" true
+    (List.mem "# HELP test_obs_export_total Counted by a test" lines);
+  Alcotest.(check bool) "# TYPE line" true
+    (List.mem "# TYPE test_obs_export_total counter" lines);
+  Alcotest.(check bool) "JSON parses to the registry" true
+    (Json.equal parsed (Metrics.to_json ()))
+
 let qcheck_metrics_json_roundtrip =
   QCheck.Test.make ~count:50 ~name:"metrics JSON export round-trips"
     QCheck.(
@@ -281,27 +304,6 @@ let test_trajectory_roundtrip () =
   Alcotest.(check string) "commit" "abc123" back.Traj.commit;
   Alcotest.(check int) "points" 2 (List.length back.Traj.points);
   Alcotest.(check bool) "points preserved" true (back.Traj.points = run.Traj.points)
-
-let test_trajectory_normalize_legacy () =
-  let legacy =
-    Json.parse
-      {| { "benchmark": "old", "rows": 50000,
-           "runs": [ { "domains": 1, "seconds": 0.5 },
-                     { "domains": 2, "seconds": 0.3 } ],
-           "ok": true } |}
-  in
-  let points = Traj.normalize_legacy ~bench:"para" legacy in
-  let find m =
-    List.find_opt (fun p -> p.Traj.metric = m) points
-    |> Option.map (fun p -> p.Traj.value)
-  in
-  Alcotest.(check (option (float 0.))) "scalar" (Some 50000.) (find "rows");
-  Alcotest.(check (option (float 0.)))
-    "nested array" (Some 0.3) (find "runs.1.seconds");
-  Alcotest.(check (option (float 0.))) "bool as 0/1" (Some 1.) (find "ok");
-  Alcotest.(check bool) "strings skipped" true (find "benchmark" = None);
-  Alcotest.(check bool) "all labelled" true
-    (List.for_all (fun p -> p.Traj.bench = "para") points)
 
 let test_trajectory_diff_and_gates () =
   let base =
@@ -387,8 +389,6 @@ let suite =
       test_metrics_histogram;
     Alcotest.test_case "json parse/round-trip" `Quick test_json_parse;
     Alcotest.test_case "trajectory save/load" `Quick test_trajectory_roundtrip;
-    Alcotest.test_case "trajectory legacy normalization" `Quick
-      test_trajectory_normalize_legacy;
     Alcotest.test_case "trajectory diff and gates" `Quick
       test_trajectory_diff_and_gates;
     Alcotest.test_case "glob match" `Quick test_glob_match;
@@ -396,4 +396,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_metrics_json_roundtrip;
     Alcotest.test_case "obs: set and observe allocate nothing" `Quick
       test_metrics_allocate_nothing;
+    Alcotest.test_case "metrics export: .prom text, JSON otherwise" `Quick
+      test_metrics_export;
   ]

@@ -210,7 +210,7 @@ let qcheck_codegen_and_explain_total =
         | Ok info -> String.length info.Engines.C_emitter.source > 0
         | Error reason -> String.length reason > 0
       in
-      let explanation = Costmodel.Model.explain cat plan in
+      let explanation = Obs_explain.render cat plan in
       emitted && String.length explanation > 0)
 
 let suite =

@@ -19,10 +19,6 @@ let test_value_compare_numeric () =
     (V.compare (V.VInt 2) (V.VFloat 2.0) = 0);
   Alcotest.(check bool) "null first" true (V.compare V.Null (V.VInt (-100)) < 0)
 
-let test_value_hash_consistent () =
-  Alcotest.(check int) "equal values hash equal" (V.hash (V.VStr "abc"))
-    (V.hash (V.VStr "abc"))
-
 let test_like () =
   let s = V.VStr "hello world" in
   Alcotest.(check bool) "prefix" true (V.like s ~pattern:"hello%");
@@ -489,7 +485,6 @@ let suite =
       test_sparse_null_rewrite;
     Alcotest.test_case "value widths" `Quick test_value_widths;
     Alcotest.test_case "value compare" `Quick test_value_compare_numeric;
-    Alcotest.test_case "value hash" `Quick test_value_hash_consistent;
     Alcotest.test_case "LIKE matcher" `Quick test_like;
     QCheck_alcotest.to_alcotest qcheck_like;
     Alcotest.test_case "schema lookup" `Quick test_schema_lookup;

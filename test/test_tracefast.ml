@@ -294,10 +294,6 @@ type accessor =
   | Read_int
   | Write_int
   | Read_uint
-  | Read_float
-  | Write_float
-  | Read_bytes
-  | Write_bytes
   | Read_value
   | Write_value
 
@@ -306,7 +302,7 @@ type run_case = {
   off : int;
   count : int;
   stride : int;
-  width : int; (* Touch*, Read_uint and *_bytes only *)
+  width : int; (* Touch* and Read_uint only *)
   ty : V.ty; (* *_value only *)
   seed : int; (* buffer contents and written values *)
 }
@@ -317,10 +313,6 @@ let accessor_name = function
   | Read_int -> "read_int_run"
   | Write_int -> "write_int_run"
   | Read_uint -> "read_uint_run"
-  | Read_float -> "read_float_run"
-  | Write_float -> "write_float_run"
-  | Read_bytes -> "read_bytes_run"
-  | Write_bytes -> "write_bytes_run"
   | Read_value -> "read_value_run"
   | Write_value -> "write_value_run"
 
@@ -335,8 +327,8 @@ let run_case_gen =
     let* acc =
       oneofl
         [
-          Touch; Touch_write; Read_int; Write_int; Read_uint; Read_float;
-          Write_float; Read_bytes; Write_bytes; Read_value; Write_value;
+          Touch; Touch_write; Read_int; Write_int; Read_uint; Read_value;
+          Write_value;
         ]
     in
     let* width =
@@ -413,33 +405,6 @@ let run_both c =
         let dst = Array.make n 0 in
         Buffer.read_uint_run b_run off ~width:c.width ~stride ~count:n dst;
         same dst (loop (fun o -> Buffer.read_uint b_loop o ~width:c.width))
-    | Read_float ->
-        let dst = Array.make n 0. in
-        Buffer.read_float_run b_run off ~stride ~count:n dst;
-        same dst (loop (Buffer.read_float b_loop))
-    | Write_float ->
-        let src = Array.init n (fun _ -> Random.State.float st 1e9) in
-        Buffer.write_float_run b_run off ~stride ~count:n src;
-        Array.iteri (fun i v -> Buffer.write_float b_loop (at i) v) src;
-        true
-    | Read_bytes ->
-        let dst = Bytes.make c.width '?' in
-        Buffer.read_bytes_run b_run off ~len:c.width dst;
-        (* [read_string] drops everything from the first NUL on *)
-        let s = Bytes.to_string dst in
-        let s =
-          match String.index_opt s '\000' with
-          | Some j -> String.sub s 0 j
-          | None -> s
-        in
-        s = Buffer.read_string b_loop off ~len:c.width
-    | Write_bytes ->
-        let src =
-          Bytes.init c.width (fun _ -> Char.chr (Random.State.int st 256))
-        in
-        Buffer.write_bytes_run b_run off ~len:c.width src;
-        Buffer.write_string b_loop off ~len:c.width (Bytes.to_string src);
-        true
     | Read_value ->
         let dst = Array.make n V.Null in
         Buffer.read_value_run b_run off ~stride ~ty:c.ty ~count:n dst;

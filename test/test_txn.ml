@@ -757,23 +757,8 @@ let test_commit_boundary_recovery () =
 let sock_ctr = ref 0
 
 let with_server ?(max_clients = 4) ?txn_timeout cat f =
-  let mgr = M.create cat in
-  let srv = S.create ~max_clients ?txn_timeout mgr in
-  incr sock_ctr;
-  let path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mrdb-test-%d-%d.sock" (Unix.getpid ()) !sock_ctr)
-  in
-  let fd = S.listen_unix path in
-  let dom = Domain.spawn (fun () -> S.accept_loop srv fd) in
-  Fun.protect
-    ~finally:(fun () ->
-      S.stop srv;
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      S.poke path;
-      Domain.join dom;
-      try Unix.unlink path with Unix.Unix_error _ -> ())
-    (fun () -> f mgr (Txn.Client.Unix_sock path))
+  let srv = S.create ~max_clients ?txn_timeout (M.create cat) in
+  S.in_process srv (fun path -> f (S.mgr srv) (Txn.Client.Unix_sock path))
 
 let str_schema =
   Schema.make "s" [ ("id", V.Int); ("name", V.Varchar 12) ]
@@ -1264,11 +1249,15 @@ let test_advisor_repartition_races_mvcc () =
 (* Reads out of range are the client's error: GET of a row or an
    attribute the table does not have, and SUM of a missing or non-numeric
    column, answer BAD_REQUEST (a typed [Errors.Bad_request] at the
-   client), and the session and its transaction go on. *)
+   client), and the session and its transaction go on.  A Bool column is
+   not summed, though the SUM aggregate would add it up as 0 and 1. *)
 let test_server_out_of_range_reads () =
   let cat = small_cat () in
   let rel = Catalog.add cat str_schema (Layout.row str_schema) in
   ignore (Relation.append rel [| V.VInt 0; V.VStr "plain" |]);
+  let flags = Schema.make "f" [ ("id", V.Int); ("on", V.Bool) ] in
+  let rel = Catalog.add cat flags (Layout.row flags) in
+  ignore (Relation.append rel [| V.VInt 0; V.VBool true |]);
   with_server cat (fun _mgr addr ->
       let c = Txn.Client.connect ~id:"oob" addr in
       Fun.protect
@@ -1287,6 +1276,7 @@ let test_server_out_of_range_reads () =
               ("GET of attribute -1", Txn.Client.get ~table:"b" ~tid:0 ~attr:(-1));
               ("SUM past the last attribute", Txn.Client.sum ~table:"b" ~attr:9);
               ("SUM over a varchar", Txn.Client.sum ~table:"s" ~attr:1);
+              ("SUM over a bool", Txn.Client.sum ~table:"f" ~attr:1);
             ];
           Alcotest.(check int) "GET after the refusals" 20
             (vint (Txn.Client.get c ~table:"b" ~tid:2 ~attr:1));

@@ -195,6 +195,53 @@ let test_determinism_across_builds () =
   in
   Helpers.check_rows "generator deterministic" (build ()) (build ())
 
+(* Every front end loads a demo database by name through
+   [Workloads.build], with or without a memory hierarchy.  The scale rules
+   are written out here, so that moving them changes what every front end
+   loads and fails this test: micro has 200,000 x scale rows, cnet 20,000 x
+   scale products, and sd and ch take the scale as theirs; CH's mix is its
+   queries then its transactions. *)
+let test_demo_databases () =
+  let scale = 0.01 in
+  let direct = function
+    | "micro" ->
+        ( Workloads.Microbench.build
+            ~n:(int_of_float (200_000.0 *. scale))
+            (),
+          [] )
+    | "sd" ->
+        let sd = Workloads.Sap_sd.build ~scale () in
+        (sd.Workloads.Sap_sd.cat, sd.Workloads.Sap_sd.queries)
+    | "ch" ->
+        let ch = Workloads.Ch.build ~scale () in
+        ( ch.Workloads.Ch.cat,
+          ch.Workloads.Ch.queries @ ch.Workloads.Ch.transactions )
+    | "cnet" ->
+        let cn =
+          Workloads.Cnet.build ~n_products:(int_of_float (20_000.0 *. scale)) ()
+        in
+        (cn.Workloads.Cnet.cat, cn.Workloads.Cnet.queries)
+    | other -> Alcotest.failf "no direct builder for %s" other
+  in
+  let digest = Durability.Snapshot.digest in
+  let names = List.map (fun (q : Workloads.Workload.query) -> q.name) in
+  Alcotest.(check (list string)) "demo databases"
+    [ "micro"; "sd"; "ch"; "cnet" ] Workloads.names;
+  List.iter
+    (fun db ->
+      let want_cat, want_queries = direct db in
+      let cat, queries = Workloads.build db ~scale in
+      let traced, _ =
+        Workloads.build ~hier:(Memsim.Hierarchy.create ()) db ~scale
+      in
+      Alcotest.(check string) (db ^ " digest") (digest want_cat) (digest cat);
+      Alcotest.(check string)
+        (db ^ " digest with a hierarchy")
+        (digest want_cat) (digest traced);
+      Alcotest.(check (list string))
+        (db ^ " queries") (names want_queries) (names queries))
+    Workloads.names
+
 let suite =
   [
     Alcotest.test_case "microbench selectivity" `Quick test_microbench_selectivity;
@@ -212,4 +259,6 @@ let suite =
     Alcotest.test_case "cnet frequencies" `Quick test_cnet_c4_frequency;
     Alcotest.test_case "generator determinism" `Quick
       test_determinism_across_builds;
+    Alcotest.test_case "demo databases match the binaries' builders" `Quick
+      test_demo_databases;
   ]
