@@ -9,9 +9,11 @@
              then a 3-word entry at a random place in a 16 MB heap.
 
    Every stream starts on a cold hierarchy (Hierarchy.reset).  The time is
-   the best of [repeats] runs on the batched walk; one run on the reference
-   per-word tracer (Memsim_ref, a test-only library) must give the same
-   per-level counts.
+   the best of [repeats] runs on the batched walk, taken round-robin across
+   the four streams, so that one slow spell of a shared host spreads over
+   every stream instead of covering all the repeats of one; one run on the
+   reference per-word tracer (Memsim_ref, a test-only library) must give
+   the same per-level counts.
 
    The cold cell times that reset itself, the clear a cold measured op
    starts with: host ns of one Hierarchy.reset right after the seq stream
@@ -21,7 +23,7 @@
 module H = Memsim.Hierarchy
 module S = Memsim.Stats
 
-let repeats = 3
+let repeats = 9
 let resets = 10
 let base = 1 lsl 20
 let mb = 1 lsl 20
@@ -82,24 +84,34 @@ let timed h stream =
   let t = since t0 in
   (t, H.snapshot h)
 
-let measure (name, prepare) =
-  let stream = prepare () in
-  let fast = H.create () in
-  let best = ref infinity and stats = ref (S.create ()) in
+(* Round [r] times every stream once, in order, each on its own hierarchy. *)
+let measure streams =
+  let prepared =
+    List.map (fun (name, prepare) -> (name, prepare (), H.create ())) streams
+  in
+  let best = Hashtbl.create 4 and stats = Hashtbl.create 4 in
   for _ = 1 to repeats do
-    let t, st = timed fast stream in
-    if t < !best then best := t;
-    stats := st
+    List.iter
+      (fun (name, stream, fast) ->
+        let t, st = timed fast stream in
+        Hashtbl.replace best name
+          (Float.min t (Option.value (Hashtbl.find_opt best name) ~default:t));
+        Hashtbl.replace stats name st)
+      prepared
   done;
-  let ref_t, ref_stats = timed (Memsim_ref.hierarchy ()) stream in
-  let per_access t = 1e9 *. t /. float_of_int !stats.S.accesses in
-  {
-    name;
-    stats = !stats;
-    ns = per_access !best;
-    ref_ns = per_access ref_t;
-    identical = !stats = ref_stats;
-  }
+  List.map
+    (fun (name, stream, _) ->
+      let stats = Hashtbl.find stats name in
+      let ref_t, ref_stats = timed (Memsim_ref.hierarchy ()) stream in
+      let per_access t = 1e9 *. t /. float_of_int stats.S.accesses in
+      {
+        name;
+        stats;
+        ns = per_access (Hashtbl.find best name);
+        ref_ns = per_access ref_t;
+        identical = stats = ref_stats;
+      })
+    prepared
 
 let reset_ns () =
   let h = H.create () and fill = seq () in
@@ -114,9 +126,11 @@ let reset_ns () =
 
 let run () =
   Common.header "Memsim walk — host ns per simulated access";
-  Common.note "four fixed streams, cold hierarchy, best of %d; Nehalem geometry"
+  Common.note
+    "four fixed streams, cold hierarchy, best of %d round-robin; Nehalem \
+     geometry"
     repeats;
-  let rows = List.map measure streams in
+  let rows = measure streams in
   let cold = reset_ns () in
   Printf.printf "  %-7s %9s %8s %8s %9s %9s %9s %9s %9s %9s %9s %5s\n" "stream"
     "accesses" "ns/acc" "ref ns" "L1 miss" "L2 miss" "LLC acc" "LLC seq"

@@ -726,18 +726,9 @@ let main_cmd =
       fuzz_cmd;
     ]
 
-(* User mistakes (malformed SQL, unknown tables, bad arguments) become a
-   one-line diagnostic and a nonzero exit; anything else keeps its
-   backtrace.  Taxonomy exceptions exit with their distinct codes
+(* User mistakes (malformed SQL, unknown tables, bad arguments, an unusable
+   WAL path) become a one-line diagnostic and a nonzero exit; anything else
+   keeps its backtrace.  Taxonomy exceptions exit with their distinct codes
    (conflict 3, timeout 4, busy 5) so scripts can branch on the outcome. *)
 let () =
-  try exit (Cmd.eval ~catch:false main_cmd) with
-  | Relalg.Sql.Parse_error msg ->
-      Printf.eprintf "mrdb: %s\n" msg;
-      exit 1
-  | e -> (
-      match Mrdb_util.Errors.to_diagnostic e with
-      | Some msg ->
-          Printf.eprintf "mrdb: %s\n" msg;
-          exit (match Mrdb_util.Errors.exit_code_of e with Some c -> c | None -> 1)
-      | None -> raise e)
+  Mrdb_util.Errors.main ~prog:"mrdb" (fun () -> Cmd.eval ~catch:false main_cmd)

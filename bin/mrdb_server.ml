@@ -352,13 +352,5 @@ let cmd =
       $ txn_timeout $ wal $ metrics $ smoke $ clients $ transfers $ seed)
 
 let () =
-  try exit (Cmd.eval ~catch:false cmd) with
-  | e -> (
-      match Mrdb_util.Errors.exit_code_of e with
-      | Some code ->
-          Printf.eprintf "mrdb_server: %s\n"
-            (match Mrdb_util.Errors.to_diagnostic e with
-            | Some m -> m
-            | None -> Printexc.to_string e);
-          exit code
-      | None -> raise e)
+  Mrdb_util.Errors.main ~prog:"mrdb_server" (fun () ->
+      Cmd.eval ~catch:false cmd)

@@ -111,23 +111,38 @@ let mem_append s chunk pos n =
   Bytes.blit chunk pos s.data s.len n;
   s.len <- s.len + n
 
+(* The file backend's failures (a missing directory, an unwritable file)
+   are user errors: [Io_error] with the system's message. *)
+let on_disk f =
+  try f () with
+  | Sys_error msg -> raise (Mrdb_util.Errors.Io_error msg)
+  | Unix.Unix_error (e, _, arg) ->
+      raise
+        (Mrdb_util.Errors.Io_error
+           (Printf.sprintf "%s: %s" arg (Unix.error_message e)))
+
 let durable_append t name chunk pos n =
   if n > 0 then
     match t.backend with
     | Mem tbl -> mem_append (mem_store tbl name) chunk pos n
     | Dir path ->
-        let oc =
-          open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 (path name)
-        in
-        output_substring oc (Bytes.unsafe_to_string chunk) pos n;
-        close_out oc
+        on_disk (fun () ->
+            let oc =
+              open_out_gen
+                [ Open_append; Open_creat; Open_binary ]
+                0o644 (path name)
+            in
+            output_substring oc (Bytes.unsafe_to_string chunk) pos n;
+            close_out oc)
 
 let durable_truncate t name =
   match t.backend with
   | Mem tbl -> (mem_store tbl name).len <- 0
   | Dir path ->
-      let oc = open_out_gen [ Open_trunc; Open_creat; Open_binary ] 0o644 (path name) in
-      close_out oc
+      on_disk (fun () ->
+          close_out
+            (open_out_gen [ Open_trunc; Open_creat; Open_binary ] 0o644
+               (path name)))
 
 let durable_rename t ~src ~dst =
   match t.backend with
@@ -137,7 +152,9 @@ let durable_rename t ~src ~dst =
           Hashtbl.replace tbl dst s;
           Hashtbl.remove tbl src
       | None -> ())
-  | Dir path -> if Sys.file_exists (path src) then Sys.rename (path src) (path dst)
+  | Dir path ->
+      on_disk (fun () ->
+          if Sys.file_exists (path src) then Sys.rename (path src) (path dst))
 
 let read_all t name =
   match t.backend with
@@ -147,14 +164,14 @@ let read_all t name =
       | None -> None)
   | Dir path ->
       let file = path name in
-      if Sys.file_exists file then begin
-        let ic = open_in_bin file in
-        let n = in_channel_length ic in
-        let b = Bytes.create n in
-        really_input ic b 0 n;
-        close_in ic;
-        Some b
-      end
+      if Sys.file_exists file then
+        on_disk (fun () ->
+            let ic = open_in_bin file in
+            let n = in_channel_length ic in
+            let b = Bytes.create n in
+            really_input ic b 0 n;
+            close_in ic;
+            Some b)
       else None
 
 let durable_size t name =
@@ -178,9 +195,12 @@ let corrupt_byte t name off =
       match read_all t name with
       | Some b when off < Bytes.length b ->
           Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0xFF));
-          let oc = open_out_gen [ Open_trunc; Open_binary ] 0o644 (path name) in
-          output_bytes oc b;
-          close_out oc
+          on_disk (fun () ->
+              let oc =
+                open_out_gen [ Open_trunc; Open_binary ] 0o644 (path name)
+              in
+              output_bytes oc b;
+              close_out oc)
       | _ -> ())
 
 let truncate_store t name len =
@@ -190,7 +210,8 @@ let truncate_store t name len =
       s.len <- min s.len (max 0 len)
   | Dir path ->
       let size = durable_size t name in
-      if size > 0 then Unix.truncate (path name) (min size (max 0 len))
+      if size > 0 then
+        on_disk (fun () -> Unix.truncate (path name) (min size (max 0 len)))
 
 (* ------------------------------------------------------------------ *)
 (* Crash points                                                       *)

@@ -34,7 +34,9 @@ type t
 
 val memory : ?plan:plan -> unit -> t
 val files : ?plan:plan -> path:(string -> string) -> unit -> t
-(** [files ~path] stores [name] at file [path name]. *)
+(** [files ~path] stores [name] at file [path name].  A file operation the
+    system refuses (a missing directory, an unwritable file) raises
+    {!Mrdb_util.Errors.Io_error} with the system's message. *)
 
 val in_dir : ?plan:plan -> string -> t
 (** File backend mapping store [name] to [dir/name]. *)

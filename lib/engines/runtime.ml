@@ -280,20 +280,26 @@ module Sim_hash = struct
   }
 
   let initial_slots = 64
-  let initial_capacity = 16
 
-  let create ?hier arena ~entry_width () =
+  (* Host room for [capacity] entries, a power of two from 16 to 2^17: a
+     larger table grows as it fills. *)
+  let host_capacity capacity =
+    let rec up n = if n >= capacity || n >= 1 lsl 17 then n else up (2 * n) in
+    up 16
+
+  let create ?hier ?(capacity = 0) arena ~entry_width () =
+    let n = host_capacity capacity in
     {
       hier;
       arena;
       entry_width;
       touch_width = (if entry_width < 64 then entry_width else 64);
-      folds = Array.make initial_capacity 0;
-      keys = Array.make initial_capacity [];
+      folds = Array.make n 0;
+      keys = Array.make n [];
       values = [||];
-      next = Array.make initial_capacity (-1);
-      heads = Array.make initial_capacity (-1);
-      matches = Array.make initial_capacity 0;
+      next = Array.make n (-1);
+      heads = Array.make n (-1);
+      matches = Array.make 16 0;
       top = 0;
       base = Storage.Arena.alloc arena (initial_slots * 16);
       slots = initial_slots;
@@ -371,11 +377,17 @@ module Sim_hash = struct
 
   let value t i = t.values.(i)
 
-  let add t ~key v =
+  let add_folded t h key v =
     maybe_grow t;
-    let h = key_hash key in
     touch t ~write:true h;
     set_value t (push t h key) v
+
+  let add t ~key v = add_folded t (key_hash key) key v
+
+  (* A one-column int key folds to itself, so an int-keyed entry keeps the
+     key list [[]] and its fold is its key: an int probe of fold [k] passes
+     [[]] too, which every int-keyed entry's list equals. *)
+  let add_int t k v = add_folded t k [] v
 
   (* [compare a b = 0] on key lists, as [List.assoc] decides it, without
      the polymorphic compare: NaN equals itself, [0.] equals [-0.], and
@@ -400,8 +412,7 @@ module Sim_hash = struct
     | x :: a, y :: b -> Value.equal x y && equal_key a b
     | _ -> false
 
-  let iter_matches t ~key f =
-    let h = key_hash key in
+  let iter_folded t h key f =
     touch t ~write:false h;
     let bottom = t.top in
     let i = ref t.heads.(bucket t h) in
@@ -422,8 +433,10 @@ module Sim_hash = struct
     done;
     t.top <- bottom
 
-  let find_or_add t ~key =
-    let h = key_hash key in
+  let iter_matches t ~key f = iter_folded t (key_hash key) key f
+  let iter_matches_int t k f = iter_folded t k [] f
+
+  let find_or_add_folded t h key =
     touch t ~write:false h;
     touch t ~write:true h;
     let i = ref t.heads.(bucket t h) in
@@ -436,10 +449,13 @@ module Sim_hash = struct
       lnot (push t h key)
     end
 
+  let find_or_add t ~key = find_or_add_folded t (key_hash key) key
+  let find_or_add_int t k = find_or_add_folded t k []
+
   (* The simulated traffic of a {!find_or_add} that finds its key — one
-     probe-read and one write-back of the entry — without the host lookup.
-     The global-aggregate fast path uses it once the single state is
-     resolved. *)
+     probe-read and one write-back of the entry — without the host lookup,
+     for a caller that already knows the entry: the global aggregate's one
+     group, and a group a groupjoin's build entry remembers. *)
   let retouch t ~hash =
     touch t ~write:false hash;
     touch t ~write:true hash
@@ -449,6 +465,7 @@ module Sim_hash = struct
       f t.keys.(i) t.values.(i)
     done
 
+  let fold t i = t.folds.(i)
   let length t = t.count
 end
 
@@ -460,78 +477,81 @@ module Agg_table = struct
     global : bool;
     empty_hash : int; (* hash of the empty key, precomputed *)
     mutable saw_row : bool;
-    mutable gstates : Aggregate.state array option;
-        (* the single state row of an all-rows aggregate, cached so the
-           per-row path skips the hash-table lookup (traffic unchanged) *)
+    mutable gslot : int;
+        (* the one group of an all-rows aggregate once it exists, so the
+           per-row path skips the host lookup (traffic unchanged) *)
   }
 
-  let create ?hier arena ~aggs ?(global = false) ~key_width () =
+  let create ?hier ?capacity arena ~aggs ?(global = false) ~key_width () =
     let entry_width = key_width + (16 * List.length aggs) in
     {
       aggs;
       agg_arr = Array.of_list aggs;
-      table = Sim_hash.create ?hier arena ~entry_width:(max 16 entry_width) ();
+      table =
+        Sim_hash.create ?hier ?capacity arena
+          ~entry_width:(max 16 entry_width) ();
       global;
       empty_hash = Sim_hash.key_hash [];
       saw_row = false;
-      gstates = None;
+      gslot = -1;
     }
 
   let clear t =
     Sim_hash.clear t.table;
     t.saw_row <- false;
-    t.gstates <- None
+    t.gslot <- -1
 
-  let step_all t states inputs =
+  let states t i = Sim_hash.value t.table i
+
+  (* A found group, or a fresh one with initial states. *)
+  let resolve t i =
+    if i >= 0 then i
+    else begin
+      let i = lnot i in
+      Sim_hash.set_value t.table i
+        (Array.map (fun (a : Aggregate.t) -> Aggregate.init a.func) t.agg_arr);
+      i
+    end
+
+  (* One entry lookup: one probe-read plus one write-back of traffic.  The
+     empty key's group is remembered for the global-aggregate fast path,
+     which makes the same two touches without the host search. *)
+  let group t ~key =
+    t.saw_row <- true;
+    if key == [] && t.gslot >= 0 then begin
+      Sim_hash.retouch t.table ~hash:t.empty_hash;
+      t.gslot
+    end
+    else begin
+      let i = resolve t (Sim_hash.find_or_add t.table ~key) in
+      if key == [] then t.gslot <- i;
+      i
+    end
+
+  let group_int t k =
+    t.saw_row <- true;
+    resolve t (Sim_hash.find_or_add_int t.table k)
+
+  let regroup t i =
+    t.saw_row <- true;
+    Sim_hash.retouch t.table ~hash:(Sim_hash.fold t.table i)
+
+  let update t ~key ~inputs =
+    let states = states t (group t ~key) in
     for i = 0 to Array.length t.agg_arr - 1 do
       Aggregate.step (Array.unsafe_get states i) (Array.unsafe_get inputs i)
     done
-
-  let step_all_n t states inputs count =
-    for i = 0 to Array.length t.agg_arr - 1 do
-      Aggregate.step_n (Array.unsafe_get states i) (Array.unsafe_get inputs i)
-        count
-    done
-
-  (* The state row of [key]: one entry lookup (one probe-read plus one
-     write-back of traffic), fresh initial states on a miss.  The empty
-     key's row is cached for the global-aggregate fast path. *)
-  let states t key =
-    let i = Sim_hash.find_or_add t.table ~key in
-    let states =
-      if i >= 0 then Sim_hash.value t.table i
-      else begin
-        let fresh =
-          Array.map (fun (a : Aggregate.t) -> Aggregate.init a.func) t.agg_arr
-        in
-        Sim_hash.set_value t.table (lnot i) fresh;
-        fresh
-      end
-    in
-    if key == [] then t.gstates <- Some states;
-    states
 
   (* Run-granular accumulation: one entry lookup absorbs [count] identical
      rows. *)
   let update_n t ~key ~inputs ~count =
     if count > 0 then begin
-      t.saw_row <- true;
-      match (key, t.gstates) with
-      | [], Some states ->
-          Sim_hash.retouch t.table ~hash:t.empty_hash;
-          step_all_n t states inputs count
-      | _ -> step_all_n t (states t key) inputs count
+      let states = states t (group t ~key) in
+      for i = 0 to Array.length t.agg_arr - 1 do
+        Aggregate.step_n (Array.unsafe_get states i) (Array.unsafe_get inputs i)
+          count
+      done
     end
-
-  let update t ~key ~inputs =
-    t.saw_row <- true;
-    match (key, t.gstates) with
-    | [], Some states ->
-        (* the empty key always hits its one entry: same read + write-back
-           touches as the generic lookup, minus the host search *)
-        Sim_hash.retouch t.table ~hash:t.empty_hash;
-        step_all t states inputs
-    | _ -> step_all t (states t key) inputs
 
   let emit t f =
     if t.global && (not t.saw_row) && Sim_hash.length t.table = 0 then begin
@@ -545,6 +565,12 @@ module Agg_table = struct
     else
       Sim_hash.iter t.table (fun key states ->
           f key (Array.map Aggregate.finish states))
+
+  let emit_int t f =
+    for i = 0 to Sim_hash.length t.table - 1 do
+      f (Sim_hash.fold t.table i)
+        (Array.map Aggregate.finish (Sim_hash.value t.table i))
+    done
 end
 
 let sort_rows ?hier arena ~row_width ~keys rows =

@@ -66,11 +66,14 @@ module Sim_hash : sig
 
   val create :
     ?hier:Memsim.Hierarchy.t ->
+    ?capacity:int ->
     Storage.Arena.t ->
     entry_width:int ->
     unit ->
     'v t
-  (** [entry_width] is the modeled bytes per entry (key plus payload). *)
+  (** [entry_width] is the modeled bytes per entry (key plus payload).
+      [capacity] presizes the host arrays for that many entries (up to
+      2{^17}); it moves nothing simulated. *)
 
   val add : 'v t -> key:Value.t list -> 'v -> unit
   (** Add an entry; keys may repeat (a join build). *)
@@ -79,6 +82,24 @@ module Sim_hash : sig
   (** Apply [f] to the value of every entry whose key fold agrees and whose
       keys are pairwise {!Value.equal} to [key], oldest first: the join
       probe, which builds no list. *)
+
+  (** {2 Int keys}
+
+      A one-column key [VInt k] or [VDate k] folds to [k], and two such
+      keys are equal exactly when their ints are, so an int-keyed entry
+      keeps no key list and matches by its fold.  These calls trace what
+      their list counterparts trace for that key.  A table takes int keys
+      or key lists, not both; {!iter} gives an int-keyed entry the key
+      [[]]. *)
+
+  val add_int : 'v t -> int -> 'v -> unit
+  val iter_matches_int : 'v t -> int -> ('v -> unit) -> unit
+
+  val find_or_add_int : 'v t -> int -> int
+  (** {!find_or_add}; a group's keys all box alike, so ints decide. *)
+
+  val fold : 'v t -> int -> int
+  (** The key fold of entry [i]: an int-keyed entry's key. *)
 
   val find_or_add : 'v t -> key:Value.t list -> int
   (** The index of the newest entry whose key compares equal to [key] under
@@ -103,12 +124,14 @@ module Sim_hash : sig
       slot count. *)
 end
 
-(** Aggregation table: one {!Aggregate.state} vector per key. *)
+(** Aggregation table: one {!Aggregate.state} vector per key, each a
+    group with an index in insertion order. *)
 module Agg_table : sig
   type t
 
   val create :
     ?hier:Memsim.Hierarchy.t ->
+    ?capacity:int ->
     Storage.Arena.t ->
     aggs:Relalg.Aggregate.t list ->
     ?global:bool ->
@@ -116,14 +139,29 @@ module Agg_table : sig
     unit ->
     t
   (** [global] marks a group-by without keys: on empty input it emits one
-      all-initial group (SQL semantics for global aggregates). *)
+      all-initial group (SQL semantics for global aggregates).  [capacity]
+      is {!Sim_hash.create}'s. *)
 
   val clear : t -> unit
   (** Reset to the freshly-created state (untraced); see {!Sim_hash.clear}. *)
 
+  val group : t -> key:Value.t list -> int
+  (** The index of [key]'s group, added with initial states if new: one
+      {!Sim_hash.find_or_add} of traffic. *)
+
+  val group_int : t -> int -> int
+  (** {!group} of the int key [k] ({!Sim_hash.find_or_add_int}). *)
+
+  val regroup : t -> int -> unit
+  (** The traffic of {!group} finding the existing group [i] again,
+      without the host lookup. *)
+
+  val states : t -> int -> Relalg.Aggregate.state array
+  (** Group [i]'s states, one per aggregate, for the caller to step. *)
+
   val update : t -> key:Value.t list -> inputs:Value.t array -> unit
-  (** [inputs] holds, positionally per aggregate, the evaluated argument
-      ([Null] for count-star). *)
+  (** Step [key]'s group: [inputs] holds, positionally per aggregate, the
+      evaluated argument ([Null] for count-star). *)
 
   val update_n :
     t -> key:Value.t list -> inputs:Value.t array -> count:int -> unit
@@ -134,6 +172,9 @@ module Agg_table : sig
   val emit : t -> (Value.t list -> Value.t array -> unit) -> unit
   (** Iterate groups as (key values, finished aggregate values); a global
       table that consumed no rows emits a single group of initial states. *)
+
+  val emit_int : t -> (int -> Value.t array -> unit) -> unit
+  (** {!emit} for a table of int keys, which it gives unboxed. *)
 end
 
 val sort_rows :

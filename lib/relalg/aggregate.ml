@@ -24,6 +24,8 @@ type state = {
 let init func =
   { func; count = 0; sum_i = 0; sum_f = 0.0; is_float = false; best = Value.Null }
 
+let box_int ~date v = if date then Value.VDate v else Value.VInt v
+
 let step st v =
   match st.func with
   | Count_star -> st.count <- st.count + 1
@@ -43,6 +45,24 @@ let step st v =
   | Max ->
       if not (Value.is_null v) then
         if Value.is_null st.best || Value.compare v st.best > 0 then st.best <- v
+
+(* [step st] of [v] boxed as [VDate] when [date], else [VInt]: no box
+   unless a min or max keeps [v] (its best is the same kind of box, so
+   comparing the ints is [Value.compare]). *)
+let step_int st ~date v =
+  match st.func with
+  | Count_star | Count -> st.count <- st.count + 1
+  | Sum | Avg ->
+      st.count <- st.count + 1;
+      st.sum_i <- st.sum_i + v
+  | Min -> (
+      match st.best with
+      | Value.VInt b | Value.VDate b -> if v < b then st.best <- box_int ~date v
+      | _ -> step st (box_int ~date v))
+  | Max -> (
+      match st.best with
+      | Value.VInt b | Value.VDate b -> if v > b then st.best <- box_int ~date v
+      | _ -> step st (box_int ~date v))
 
 (* [step_n st v k] = k repetitions of [step st v].  Counts and integer sums
    use the closed form (native-int arithmetic wraps mod 2^63, so [k * v]

@@ -16,6 +16,11 @@ type state
 val init : func -> state
 val step : state -> Storage.Value.t -> unit
 
+val step_int : state -> date:bool -> int -> unit
+(** [step_int st ~date v] is [step st] of [v] boxed as a [VDate] when
+    [date], a [VInt] otherwise, for a state that only ever steps values of
+    that kind; it boxes nothing unless a min or max keeps [v]. *)
+
 val step_n : state -> Storage.Value.t -> int -> unit
 (** [step_n st v k] accumulates [v] [k] times, exactly equal to [k] calls of
     {!step}: counts and integer sums take the closed form, min/max step

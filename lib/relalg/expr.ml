@@ -73,45 +73,144 @@ let rec eval t ~params col =
   | IsNull e -> Value.VBool (Value.is_null (eval e ~params col))
   | Arith (op, a, b) -> apply_arith op (eval a ~params col) (eval b ~params col)
 
-(* Closure compilation: resolve parameters/constants once, return a thunk
-   free of dispatch on the expression tree. *)
-let specialize t ~params col =
-  let rec comp t : unit -> Value.t =
+(* Closure compilation: resolve parameters and constants once, and return
+   closures free of dispatch on the expression tree.  An operand that is an
+   int never NULL (a [VInt], or a [VDate] when [date]) stays unboxed: it is
+   boxed only where it meets a value of another kind or leaves the
+   expression.  Operands are evaluated right to left, as the application
+   [f (fa ()) (fb ())] of the boxed closures evaluates them, so a column read
+   through a traced slot is read in the same order on every path. *)
+type compiled =
+  | Int of (unit -> int) * bool
+  | Bool of (unit -> bool)
+  | Value of (unit -> Value.t)
+
+let vtrue = Value.VBool true
+let vfalse = Value.VBool false
+
+let boxed = function
+  | Int (f, true) -> fun () -> Value.VDate (f ())
+  | Int (f, false) -> fun () -> Value.VInt (f ())
+  | Bool f -> fun () -> if f () then vtrue else vfalse
+  | Value f -> f
+
+let truth = function
+  | Int (f, _) ->
+      fun () ->
+        ignore (f ());
+        false
+  | Bool f -> f
+  | Value f -> fun () -> truthy (f ())
+
+let int_cmp op : int -> int -> bool =
+  match op with
+  | Eq -> fun x y -> x = y
+  | Ne -> fun x y -> x <> y
+  | Lt -> fun x y -> x < y
+  | Le -> fun x y -> x <= y
+  | Gt -> fun x y -> x > y
+  | Ge -> fun x y -> x >= y
+
+let int_arith op x y =
+  match op with
+  | Add -> x + y
+  | Sub -> x - y
+  | Mul -> x * y
+  | Div -> if y = 0 then 0 else x / y
+  | Mod -> if y = 0 then 0 else x mod y
+
+let compile t ~params col =
+  let rec comp t =
     match t with
-    | Col i -> fun () -> col i
+    | Col i -> col i
     | Param n ->
         if n < 1 || n > Array.length params then
-          invalid_arg (Printf.sprintf "Expr.specialize: parameter $%d not bound" n)
-        else
-          let v = params.(n - 1) in
-          fun () -> v
-    | Const v -> fun () -> v
-    | Cmp (op, a, b) ->
-        let fa = comp a and fb = comp b in
-        fun () -> apply_cmp op (fa ()) (fb ())
+          invalid_arg
+            (Printf.sprintf "Expr.specialize: parameter $%d not bound" n)
+        else constant params.(n - 1)
+    | Const v -> constant v
+    | Cmp (op, a, b) -> (
+        match (comp a, comp b) with
+        | Int (fa, _), Int (fb, _) -> (
+            match b with
+            | Param _ | Const _ ->
+                let y = fb () in
+                Bool
+                  (match op with
+                  | Eq -> fun () -> fa () = y
+                  | Ne -> fun () -> fa () <> y
+                  | Lt -> fun () -> fa () < y
+                  | Le -> fun () -> fa () <= y
+                  | Gt -> fun () -> fa () > y
+                  | Ge -> fun () -> fa () >= y)
+            | _ ->
+                let test = int_cmp op in
+                Bool
+                  (fun () ->
+                    let y = fb () in
+                    test (fa ()) y))
+        | ca, cb ->
+            let fa = boxed ca and fb = boxed cb and test = int_cmp op in
+            Bool
+              (fun () ->
+                let y = fb () in
+                let x = fa () in
+                (not (Value.is_null x || Value.is_null y))
+                && test (Value.compare x y) 0))
     | Like (e, p) ->
-        let fe = comp e and fp = comp p in
-        fun () ->
-          let pat = fp () in
-          if Value.is_null pat then Value.VBool false
-          else Value.VBool (Value.like (fe ()) ~pattern:(Value.to_string_exn pat))
-    | And es ->
-        let fs = List.map comp es in
-        fun () -> Value.VBool (List.for_all (fun f -> truthy (f ())) fs)
-    | Or es ->
-        let fs = List.map comp es in
-        fun () -> Value.VBool (List.exists (fun f -> truthy (f ())) fs)
+        let fe = boxed (comp e) and fp = boxed (comp p) in
+        Bool
+          (fun () ->
+            let pat = fp () in
+            (not (Value.is_null pat))
+            && Value.like (fe ()) ~pattern:(Value.to_string_exn pat))
+    | And es -> (
+        match List.map (fun e -> truth (comp e)) es with
+        | [ a; b ] -> Bool (fun () -> a () && b ())
+        | fs -> Bool (fun () -> List.for_all (fun f -> f ()) fs))
+    | Or es -> (
+        match List.map (fun e -> truth (comp e)) es with
+        | [ a; b ] -> Bool (fun () -> a () || b ())
+        | fs -> Bool (fun () -> List.exists (fun f -> f ()) fs))
     | Not e ->
-        let fe = comp e in
-        fun () -> Value.VBool (not (truthy (fe ())))
-    | IsNull e ->
-        let fe = comp e in
-        fun () -> Value.VBool (Value.is_null (fe ()))
-    | Arith (op, a, b) ->
-        let fa = comp a and fb = comp b in
-        fun () -> apply_arith op (fa ()) (fb ())
+        let f = truth (comp e) in
+        Bool (fun () -> not (f ()))
+    | IsNull e -> (
+        match comp e with
+        | Int (f, _) ->
+            Bool
+              (fun () ->
+                ignore (f ());
+                false)
+        | Bool f ->
+            Bool
+              (fun () ->
+                ignore (f ());
+                false)
+        | Value f -> Bool (fun () -> Value.is_null (f ())))
+    | Arith (op, a, b) -> (
+        match (comp a, comp b) with
+        | Int (fa, _), Int (fb, _) ->
+            Int
+              ( (fun () ->
+                  let y = fb () in
+                  int_arith op (fa ()) y),
+                false )
+        | ca, cb ->
+            let fa = boxed ca and fb = boxed cb in
+            Value
+              (fun () ->
+                let y = fb () in
+                apply_arith op (fa ()) y))
+  and constant = function
+    | Value.VInt x -> Int ((fun () -> x), false)
+    | Value.VDate x -> Int ((fun () -> x), true)
+    | v -> Value (fun () -> v)
   in
   comp t
+
+let specialize t ~params col =
+  boxed (compile t ~params (fun i -> Value (fun () -> col i)))
 
 let cols t =
   let acc = ref [] in

@@ -26,11 +26,32 @@ val eval : t -> params:Storage.Value.t array -> (int -> Storage.Value.t) -> Stor
 val truthy : Storage.Value.t -> bool
 (** SQL boolean coercion: [VBool true] is true, everything else false. *)
 
+type compiled =
+  | Int of (unit -> int) * bool
+      (** never NULL: a [VInt], or a [VDate] when the flag is set *)
+  | Bool of (unit -> bool)  (** a [VBool] *)
+  | Value of (unit -> Storage.Value.t)
+
+val compile :
+  t -> params:Storage.Value.t array -> (int -> compiled) -> compiled
+(** Closure compilation — our stand-in for JiT code generation: parameters
+    and constants are resolved once, and the result evaluates the
+    expression with no dispatch on expression structure, with {!eval}'s
+    semantics.  Columns are read through the given slots; an expression
+    whose int operands are all [Int] slots, parameters or constants
+    computes on unboxed ints ([x / 0 = 0]).  And/Or short-circuit left to
+    right; the two operands of a comparison or an arithmetic node are
+    evaluated right to left, on every path. *)
+
+val boxed : compiled -> unit -> Storage.Value.t
+(** The value a compiled expression stands for, boxed. *)
+
+val truth : compiled -> unit -> bool
+(** {!truthy} of the compiled expression's value, without boxing it. *)
+
 val specialize :
   t -> params:Storage.Value.t array -> (int -> Storage.Value.t) -> unit -> Storage.Value.t
-(** Closure compilation — our stand-in for JiT code generation: parameters
-    and constants are resolved once, and the returned thunk evaluates the
-    expression with no dispatch on expression structure. *)
+(** {!compile} over boxed columns, boxed. *)
 
 val cols : t -> int list
 (** Referenced column positions, sorted, without duplicates. *)

@@ -1,9 +1,8 @@
 module Value = Storage.Value
 module Schema = Storage.Schema
 
-exception Parse_error of string
-
-let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
+let fail fmt =
+  Printf.ksprintf (fun s -> raise (Mrdb_util.Errors.Parse_error s)) fmt
 
 (* ------------------------------------------------------------------ *)
 (* Lexer                                                              *)
@@ -566,7 +565,7 @@ let build_from_where cat stmt : Plan.t * env =
     (fun (jt, (lq, lc), (rq, rc)) ->
       let right_local = env_of_table cat jt 0 in
       let find_in e q c =
-        try Some (resolve_col e q c) with Parse_error _ -> None
+        try Some (resolve_col e q c) with Mrdb_util.Errors.Parse_error _ -> None
       in
       let lpos, rpos =
         match (find_in !env lq lc, find_in right_local rq rc) with

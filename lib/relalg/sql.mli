@@ -13,8 +13,6 @@
     (count-star, [sum(e)], [min], [max], [avg]).  [$n] denotes a query
     parameter.  Identifiers are case-insensitive. *)
 
-exception Parse_error of string
-
 val parse : Storage.Catalog.t -> string -> Plan.t
 (** Parse and resolve names against the catalog.
-    @raise Parse_error on syntax or resolution errors. *)
+    @raise Mrdb_util.Errors.Parse_error on syntax or resolution errors. *)

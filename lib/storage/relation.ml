@@ -649,6 +649,34 @@ let value_reader t a =
         read (((t.row_base + tid) * width) + off)
   | Dict _ | Sparse _ | Rle _ | For _ -> fun tid -> get t tid a
 
+let int_reader t a =
+  let pi, off = t.loc.(a) in
+  let p = t.parts.(pi) in
+  let width = p.width in
+  fun tid ->
+    check_tid t "get" tid;
+    Buffer.read_int p.buf (((t.row_base + tid) * width) + off)
+
+(* The traced accesses of [value_reader t a tid] without the value: the
+   null byte, then the payload if the byte says it is there. *)
+let touch_reader t a =
+  match t.cols.(a) with
+  | Plain ->
+      let pi, off = t.loc.(a) in
+      let p = t.parts.(pi) in
+      let width = p.width in
+      let attr = Schema.attr t.schema a in
+      let data = Value.data_width attr.Schema.ty in
+      if attr.Schema.nullable then (fun tid ->
+        check_tid t "get" tid;
+        let o = ((t.row_base + tid) * width) + off in
+        if Buffer.read_byte p.buf o <> 0 then
+          Buffer.touch p.buf (o + 1) ~width:data)
+      else fun tid ->
+        check_tid t "get" tid;
+        Buffer.touch p.buf (((t.row_base + tid) * width) + off) ~width:data
+  | Dict _ | Sparse _ | Rle _ | For _ -> fun tid -> ignore (get t tid a)
+
 let set t tid a v =
   check_tid t "set" tid;
   let tid = t.row_base + tid in

@@ -58,6 +58,15 @@ val value_reader : t -> int -> int -> Value.t
     same traced access and the same bounds check per call, following
     {!reslice} and appends.  An encoded attribute's reader calls {!get}. *)
 
+val int_reader : t -> int -> int -> int
+(** {!value_reader} of an {!int_run_readable} attribute, unboxed: the same
+    traced access and bounds check per call. *)
+
+val touch_reader : t -> int -> int -> unit
+(** [touch_reader t a tid] makes the traced accesses of [value_reader t a
+    tid], at the same addresses and widths and with the same bounds check,
+    without building the value. *)
+
 val set : t -> int -> int -> Value.t -> unit
 
 val rejects : t -> int -> Value.t -> string option

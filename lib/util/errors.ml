@@ -44,6 +44,13 @@ exception Bad_request of string
     parse, one longer than the line cap, or a write that does not fit its
     attribute. *)
 
+exception Parse_error of string
+(** SQL text that does not parse or does not resolve against the catalog. *)
+
+exception Io_error of string
+(** A durability file could not be opened, written, renamed, truncated or
+    read; the message is the operating system's. *)
+
 let to_diagnostic = function
   | Unknown_table t -> Some (Printf.sprintf "unknown table %S" t)
   | Corrupt_log msg -> Some (Printf.sprintf "corrupt durability file: %s" msg)
@@ -53,12 +60,16 @@ let to_diagnostic = function
   | Shard_unavailable msg -> Some (Printf.sprintf "shard unavailable: %s" msg)
   | Txn_indoubt msg -> Some (Printf.sprintf "transaction in doubt: %s" msg)
   | Bad_request msg -> Some (Printf.sprintf "bad request: %s" msg)
+  | Parse_error msg -> Some msg
+  | Io_error msg -> Some (Printf.sprintf "cannot use durability file: %s" msg)
   | Invalid_argument msg -> Some msg
   | Failure msg -> Some msg
   | _ -> None
 
 let exit_code_of = function
-  | Unknown_table _ | Corrupt_log _ | Invalid_argument _ | Failure _ -> Some 1
+  | Unknown_table _ | Corrupt_log _ | Parse_error _ | Io_error _
+  | Invalid_argument _ | Failure _ ->
+      Some 1
   | Txn_conflict _ -> Some 3
   | Txn_timeout _ -> Some 4
   | Server_busy _ -> Some 5
@@ -78,6 +89,8 @@ let wire_tag_of = function
   | Shard_unavailable _ -> Some "SHARD_UNAVAILABLE"
   | Txn_indoubt _ -> Some "TXN_INDOUBT"
   | Bad_request _ -> Some "BAD_REQUEST"
+  | Parse_error _ -> Some "PARSE_ERROR"
+  | Io_error _ -> Some "IO_ERROR"
   | _ -> None
 
 let of_wire_tag tag msg =
@@ -90,4 +103,18 @@ let of_wire_tag tag msg =
   | "SHARD_UNAVAILABLE" -> Some (Shard_unavailable msg)
   | "TXN_INDOUBT" -> Some (Txn_indoubt msg)
   | "BAD_REQUEST" -> Some (Bad_request msg)
+  | "PARSE_ERROR" -> Some (Parse_error msg)
+  | "IO_ERROR" -> Some (Io_error msg)
   | _ -> None
+
+(* The one top-level handler of the binaries: a user-facing exception is a
+   line on stderr and its exit code; anything else keeps its backtrace. *)
+let main ~prog run =
+  match run () with
+  | code -> exit code
+  | exception e -> (
+      match to_diagnostic e with
+      | Some msg ->
+          Printf.eprintf "%s: %s\n%!" prog msg;
+          exit (Option.value (exit_code_of e) ~default:1)
+      | None -> raise e)

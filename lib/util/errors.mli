@@ -29,6 +29,14 @@ exception Bad_request of string
     attribute (wrong arity, attribute or row out of range, NULL into a
     non-nullable attribute, a value the attribute's type cannot take). *)
 
+exception Parse_error of string
+(** SQL text that does not parse or does not resolve against the catalog;
+    the message is the whole diagnostic. *)
+
+exception Io_error of string
+(** A durability file could not be opened, written, renamed, truncated or
+    read; the message is the operating system's. *)
+
 val to_diagnostic : exn -> string option
 (** A one-line human-readable description for user-facing errors;
     [None] for unexpected exceptions (which should keep their backtrace). *)
@@ -37,7 +45,7 @@ val exit_code_of : exn -> int option
 (** Distinct process exit code per taxonomy member: generic user errors 1,
     [Txn_conflict] 3, [Txn_timeout] 4, [Server_busy] 5,
     [Shard_unavailable] 6, [Txn_indoubt] 7, [Bad_request] 8 (2 is
-    cmdliner's).
+    cmdliner's; [Parse_error] and [Io_error] are user errors).
     [None] for unexpected exceptions. *)
 
 val wire_tag_of : exn -> string option
@@ -46,3 +54,10 @@ val wire_tag_of : exn -> string option
 val of_wire_tag : string -> string -> exn option
 (** [of_wire_tag tag msg] inverts {!wire_tag_of}, rebuilding the exception a
     server ERR reply stands for. *)
+
+val main : prog:string -> (unit -> int) -> unit
+(** [main ~prog run] exits with [run ()]'s code.  If [run] raises a
+    user-facing exception ({!to_diagnostic} is [Some msg]), it prints
+    [prog: msg] on stderr and exits with {!exit_code_of}'s code (1 when it
+    has none); any other exception is re-raised with its backtrace.  Both
+    binaries' top level. *)

@@ -572,9 +572,11 @@ let model_grow m =
     m.base <- Storage.Arena.alloc m.arena (m.slots * m.width)
   end
 
-let qcheck_sim_hash_model =
-  QCheck.Test.make ~count:300 ~name:"host hash table follows its model"
-    hash_ops_arb (fun (width, ops) ->
+(* The table under test is driven through [add], [find] and [find_or_add],
+   the model through the key lists the ops carry; [entry_key t i k] is the
+   key list of entry [i], which {!Sim_hash.iter} gives as [k]. *)
+let sim_hash_model ~name arb ~add ~find ~find_or_add ~entry_key =
+  QCheck.Test.make ~count:300 ~name arb (fun (width, ops) ->
       let recorded = ref [] in
       let walker _params _stats =
         {
@@ -616,14 +618,14 @@ let qcheck_sim_hash_model =
           match op with
           | Add key ->
               incr fresh;
-              Sim_hash.add t ~key !fresh;
+              add t key !fresh;
               model_grow m;
               model_touch m ~write:true (fold key);
               m.entries <- (fold key, key, ref !fresh) :: m.entries;
               m.count <- m.count + 1
           | Find key ->
               let got = ref [] in
-              Sim_hash.iter_matches t ~key (fun v -> got := v :: !got);
+              find t key (fun v -> got := v :: !got);
               model_touch m ~write:false (fold key);
               let want =
                 List.filter_map
@@ -638,7 +640,7 @@ let qcheck_sim_hash_model =
                   (String.concat "; " (List.rev_map string_of_int !got))
                   (String.concat "; " (List.map string_of_int want))
           | Find_or_add key -> (
-              let i = Sim_hash.find_or_add t ~key in
+              let i = find_or_add t key in
               model_touch m ~write:false (fold key);
               model_touch m ~write:true (fold key);
               match
@@ -665,8 +667,10 @@ let qcheck_sim_hash_model =
               m.count <- 0;
               m.slots <- 64)
         ops;
-      let got = ref [] in
-      Sim_hash.iter t (fun k v -> got := (k, v) :: !got);
+      let got = ref [] and i = ref 0 in
+      Sim_hash.iter t (fun k v ->
+          got := (entry_key t !i k, v) :: !got;
+          incr i);
       let want = List.map (fun (_, k, v) -> (k, !v)) m.entries in
       if compare !got want <> 0 then
         QCheck.Test.fail_report "entries differ from the model's";
@@ -684,4 +688,51 @@ let qcheck_sim_hash_model =
            diff 0 (List.rev !recorded) (List.rev m.touches));
       true)
 
-let suite = suite @ [ QCheck_alcotest.to_alcotest qcheck_sim_hash_model ]
+let qcheck_sim_hash_model =
+  sim_hash_model ~name:"host hash table follows its model" hash_ops_arb
+    ~add:(fun t key v -> Sim_hash.add t ~key v)
+    ~find:(fun t key f -> Sim_hash.iter_matches t ~key f)
+    ~find_or_add:(fun t key -> Sim_hash.find_or_add t ~key)
+    ~entry_key:(fun _ _ key -> key)
+
+(* One int key per entry, through the int calls: the model sees the key
+   [[VInt k]], whose fold is [k]; 64 and 128 share a slot, and min_int / 2
+   is the fold of a NULL key. *)
+let int_hash_ops_arb =
+  let open QCheck.Gen in
+  let key =
+    map
+      (fun k -> [ V.VInt k ])
+      (oneofl [ 0; 1; -1; 64; 128; 7; min_int / 2; max_int ])
+  in
+  QCheck.make
+    ~print:(fun (w, ops) ->
+      Printf.sprintf "entry_width %d: %s" w
+        (String.concat ", " (List.map pp_hash_op ops)))
+    ~shrink:QCheck.Shrink.(pair nil list)
+    (pair (oneofl [ 16; 24; 72 ])
+       (list_size (int_range 1 400)
+          (frequency
+             [
+               (40, map (fun k -> Add k) key);
+               (30, map (fun k -> Find k) key);
+               (40, map (fun k -> Find_or_add k) key);
+               (1, return Clear);
+             ])))
+
+let int_of_key = function [ V.VInt k ] -> k | _ -> assert false
+
+let qcheck_int_sim_hash_model =
+  sim_hash_model ~name:"int-keyed host hash table follows its model"
+    int_hash_ops_arb
+    ~add:(fun t key v -> Sim_hash.add_int t (int_of_key key) v)
+    ~find:(fun t key f -> Sim_hash.iter_matches_int t (int_of_key key) f)
+    ~find_or_add:(fun t key -> Sim_hash.find_or_add_int t (int_of_key key))
+    ~entry_key:(fun t i _ -> [ V.VInt (Sim_hash.fold t i) ])
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest qcheck_sim_hash_model;
+      QCheck_alcotest.to_alcotest qcheck_int_sim_hash_model;
+    ]

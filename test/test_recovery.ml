@@ -948,6 +948,24 @@ let test_empty_commits_log_nothing () =
 
 (* ------------------------------------------------------------------ *)
 
+(* A WAL path in a directory that does not exist is a user error, not a
+   bare [Sys_error]: the binaries turn it into one line and exit code 1. *)
+let test_missing_directory () =
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "mrdb-no-such-dir" in
+  if Sys.file_exists dir then Alcotest.fail (dir ^ " exists");
+  let cat = Catalog.create () in
+  ignore (Catalog.add cat schema (Layout.row schema));
+  match D.attach (F.in_dir dir) cat with
+  | _ -> Alcotest.fail "attach to a missing directory succeeded"
+  | exception Mrdb_util.Errors.Io_error msg ->
+      Alcotest.(check bool)
+        "the message names the file" true
+        (String.length msg > String.length dir
+        && String.sub msg 0 (String.length dir) = dir);
+      Alcotest.(check (option int))
+        "a user error" (Some 1)
+        (Mrdb_util.Errors.exit_code_of (Mrdb_util.Errors.Io_error msg))
+
 let suite =
   [
     Alcotest.test_case "exhaustive crash-point matrix" `Slow test_crash_matrix;
@@ -982,4 +1000,6 @@ let suite =
       test_commit_after_torn_recovery;
     Alcotest.test_case "empty commits log nothing" `Quick
       test_empty_commits_log_nothing;
+    Alcotest.test_case "attach to a missing directory raises Io_error" `Quick
+      test_missing_directory;
   ]

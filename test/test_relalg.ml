@@ -174,7 +174,7 @@ let test_sql_case_insensitive () =
   List.iter
     (fun sql ->
       match Sql.parse cat sql with
-      | exception Sql.Parse_error _ -> ()
+      | exception Mrdb_util.Errors.Parse_error _ -> ()
       | _ -> Alcotest.fail ("expected an unknown column in " ^ sql))
     [ "select grpx from t"; "select GRPX from t"; "select gr from t";
       "select t.grpx from t" ]
@@ -267,7 +267,7 @@ let test_sql_errors () =
   let cat = Helpers.small_catalog () in
   let expect_failure sql =
     match Sql.parse cat sql with
-    | exception Sql.Parse_error _ -> ()
+    | exception Mrdb_util.Errors.Parse_error _ -> ()
     | _ -> Alcotest.fail (Printf.sprintf "expected parse error for %s" sql)
   in
   expect_failure "select nope from t";
@@ -327,6 +327,97 @@ let test_cardinality_estimates () =
   Alcotest.(check (float 1.0)) "card = sel * n" 50.0
     (Physical.cardinality cat plan)
 
+(* Expressions over a row of a non-null int, a non-null date, a nullable
+   int and a string; the first two are typed slots for [Expr.compile]. *)
+let expr_gen =
+  let open QCheck.Gen in
+  let const =
+    oneof
+      [
+        map (fun i -> V.VInt i) (int_range (-5) 5);
+        map (fun i -> V.VDate i) (int_range (-5) 5);
+        return V.Null;
+        map (fun f -> V.VFloat f) (oneofl [ 0.; 0.5; -2. ]);
+        map (fun s -> V.VStr s) (oneofl [ ""; "a"; "ab" ]);
+      ]
+  in
+  let leaf =
+    oneof
+      [
+        map (fun i -> Expr.Col i) (int_range 0 3);
+        map (fun n -> Expr.Param n) (int_range 1 2);
+        map (fun v -> Expr.Const v) const;
+      ]
+  in
+  let cmp = oneofl Expr.[ Eq; Ne; Lt; Le; Gt; Ge ] in
+  let arith = oneofl Expr.[ Add; Sub; Mul; Div; Mod ] in
+  sized_size (int_bound 4)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           let sub = self (n - 1) in
+           oneof
+             [
+               leaf;
+               map3 (fun op a b -> Expr.Cmp (op, a, b)) cmp sub sub;
+               map3 (fun op a b -> Expr.Arith (op, a, b)) arith sub sub;
+               map2 (fun a b -> Expr.And [ a; b ]) sub sub;
+               map2 (fun a b -> Expr.Or [ a; b ]) sub sub;
+               map (fun a -> Expr.Not a) sub;
+               map (fun a -> Expr.IsNull a) sub;
+               map
+                 (fun p -> Expr.Like (Expr.Col 3, Expr.Const (V.VStr p)))
+                 (oneofl [ "a%"; "_"; "%" ]);
+             ])
+
+let row_gen =
+  let open QCheck.Gen in
+  map
+    (fun (a, b, c, d) ->
+      [| V.VInt a; V.VDate b; (if c = 0 then V.Null else V.VInt c); V.VStr d |])
+    (quad (int_range (-3) 3) (int_range (-3) 3) (int_range (-2) 2)
+       (oneofl [ ""; "a"; "ba" ]))
+
+let qcheck_compile_typed =
+  QCheck.Test.make ~count:2000
+    ~name:"expr compile over typed slots = specialize, reads in its order"
+    (QCheck.make
+       ~print:(fun (e, _) -> Expr.to_string e)
+       QCheck.Gen.(pair expr_gen row_gen))
+    (fun (e, row) ->
+      let params = [| V.VInt 2; V.VDate (-1) |] in
+      let run f =
+        let log = ref [] in
+        let read i =
+          log := i :: !log;
+          row.(i)
+        in
+        let out = match f read () with v -> Ok v | exception x -> Error x in
+        (out, !log)
+      in
+      let typed read =
+        Expr.boxed
+          (Expr.compile e ~params (fun i ->
+               match row.(i) with
+               | V.VInt _ when i = 0 -> Expr.Int ((fun () -> V.to_int (read i)), false)
+               | V.VDate _ when i = 1 -> Expr.Int ((fun () -> V.to_int (read i)), true)
+               | _ -> Expr.Value (fun () -> read i)))
+      in
+      let same a b =
+        match (a, b) with
+        | Ok a, Ok b -> V.type_of a = V.type_of b && V.compare a b = 0
+        | Error _, Error _ -> true
+        | _ -> false
+      in
+      let got, got_log = run typed in
+      let want, want_log = run (fun read -> Expr.specialize e ~params read) in
+      let direct =
+        match Expr.eval e ~params (fun i -> row.(i)) with
+        | v -> Ok v
+        | exception x -> Error x
+      in
+      same got want && same got direct && got_log = want_log)
+
 let suite =
   [
     Alcotest.test_case "expr arithmetic" `Quick test_expr_arith;
@@ -358,4 +449,5 @@ let suite =
     Alcotest.test_case "planner estimate override" `Quick
       test_planner_estimate_override;
     Alcotest.test_case "planner cardinality" `Quick test_cardinality_estimates;
+    QCheck_alcotest.to_alcotest qcheck_compile_typed;
   ]
