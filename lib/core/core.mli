@@ -9,9 +9,11 @@
     - {!Memsim} — the memory-hierarchy simulator (caches, TLB, prefetcher)
     - {!Storage} — values, schemas, layouts, relations, indexes
     - {!Relalg} — expressions, plans, planner, SQL front end
-    - {!Engines} — Volcano / bulk / HYRISE-style / JiT execution
+    - {!Engines} — Volcano / bulk / vectorized / HYRISE-style / JiT
+      execution, a compiled engine that emits C, and morsel-parallel runs
     - {!Costmodel} — the extended Generic Cost Model
-    - {!Layoutopt} — extended reasonable cuts, OBP and BPi
+    - {!Layoutopt} — extended reasonable cuts, OBP, BPi, the exact IP
+      partitioner and the online layout advisor
     - {!Workloads} — the paper's three benchmarks plus the microbenchmark *)
 
 module Memsim = Memsim

@@ -172,15 +172,15 @@ let filter_base ctx rel pos pred =
           if Expr.truthy v then posvec_push ctx keep tid
         done
       in
-      let compressed_scan =
-        match pos with
-        | None ->
-            Option.map snd
-              (Runtime.compressed_filter_range ?hier:ctx.hier
-                 ~params:ctx.params ~per_value:ctx.per_value rel conj)
-        | Some _ -> None
+      let analysed = Runtime.conjunct ~params:ctx.params rel conj in
+      let charge_values k = charge ctx (ctx.per_value * k) in
+      let stored_scan =
+        match (pos, analysed) with
+        | None, Some { col; test; bounds; _ } ->
+            Relation.filter_scan rel col ~test ~bounds ~charge:charge_values
+        | _ -> None
       in
-      (match compressed_scan with
+      (match stored_scan with
       | Some scan ->
           (* survivors arrive as ascending tid ranges; push them as runs *)
           let surv = Array.make block 0 in
@@ -195,8 +195,8 @@ let filter_base ctx rel pos pred =
                 off := !off + m
               done)
       | None ->
-      match Runtime.simple_int_cmp ~params:ctx.params rel conj with
-      | Some (c, test) when n > 0 -> (
+      match analysed with
+      | Some { col = c; int_test = Some test; _ } when n > 0 -> (
           (* Per-tuple charges mirror the generic loop below: one evaluation
              charge, one column-read charge, plus (for a position input) one
              posvec-read charge; each survivor adds one push charge. *)
@@ -220,6 +220,7 @@ let filter_base ctx rel pos pred =
                 lo := !lo + m
               done
           | Some p ->
+              let read = Relation.int_reader rel c in
               let tids = Array.make (min block n) 0 in
               let lo = ref 0 in
               while !lo < n do
@@ -229,7 +230,7 @@ let filter_base ctx rel pos pred =
                 let k = ref 0 in
                 for i = 0 to m - 1 do
                   let tid = Array.unsafe_get tids i in
-                  if test (Relation.get_int rel tid c) then begin
+                  if test (read tid) then begin
                     Array.unsafe_set surv !k tid;
                     incr k
                   end
@@ -240,12 +241,12 @@ let filter_base ctx rel pos pred =
       | _ -> (
           match
             ( pos,
-              Runtime.compressed_tid_test ?hier:ctx.hier ~params:ctx.params
-                ~per_value:ctx.per_value rel conj )
+              Option.bind analysed (fun { Runtime.col; test; _ } ->
+                  Relation.point_test rel col ~test ~charge:charge_values) )
           with
           | Some p, Some test when n > 0 ->
-              (* position input over a coded column: per-tid narrow code
-                 test, charges mirroring the generic loop *)
+              (* position input over a column whose storage tests one row
+                 by its stored code: charges mirroring the generic loop *)
               for i = 0 to n - 1 do
                 let tid = posvec_get ctx p i in
                 charge ctx (2 * ctx.per_value);
@@ -448,26 +449,24 @@ and eval_raw ctx path (plan : Physical.t) ~(needed : int list) : src =
       let src = eval ctx (Prof.child path 0) child ~needed:child_needed in
       let n = src_count src in
       let child_schema = src_schema ctx child in
-      (* run-granular aggregation: grouping by a whole RLE column with every
-         aggregate argument on that same column folds each run into one
-         accumulator update *)
-      let rle_group =
+      (* run-granular aggregation: grouping by a whole column its storage
+         gives as runs, with every aggregate argument on that same column,
+         folds each run into one accumulator update *)
+      let run_group =
         match (src, key_exprs) with
-        | Base (rel, None), [ Expr.Col g ] when Relation.rle_readable rel g ->
-            if
-              List.for_all
-                (fun (a : Aggregate.t) ->
-                  match a.Aggregate.expr with
-                  | None -> true
-                  | Some (Expr.Col c) -> c = g
-                  | Some _ -> false)
-                aggs
-            then Some (rel, g)
-            else None
+        | Base (rel, None), [ Expr.Col g ]
+          when List.for_all
+                 (fun (a : Aggregate.t) ->
+                   match a.Aggregate.expr with
+                   | None -> true
+                   | Some (Expr.Col c) -> c = g
+                   | Some _ -> false)
+                 aggs ->
+            Relation.runs rel g
         | _ -> None
       in
-      (match rle_group with
-      | Some (rel, g) ->
+      (match run_group with
+      | Some runs ->
           let table =
             Runtime.Agg_table.create ?hier:ctx.hier ctx.arena ~aggs
               ~global:false ~key_width:16 ()
@@ -475,20 +474,18 @@ and eval_raw ctx path (plan : Physical.t) ~(needed : int list) : src =
           let agg_arr = Array.of_list aggs in
           let per_run_charge = ctx.per_value * (1 + Array.length agg_arr) in
           Prof.phase "accumulate" (fun () ->
-              if n > 0 then
-                Relation.iter_rle_runs rel ~lo:0 ~count:n g
-                  (fun ~lo:_ ~len v ->
-                    charge ctx per_run_charge;
-                    let inputs =
-                      Array.map
-                        (fun (a : Aggregate.t) ->
-                          match a.Aggregate.expr with
-                          | Some _ -> v
-                          | None -> Value.Null)
-                        agg_arr
-                    in
-                    Runtime.Agg_table.update_n table ~key:[ v ] ~inputs
-                      ~count:len));
+              runs (fun ~lo:_ ~len v ->
+                  charge ctx per_run_charge;
+                  let inputs =
+                    Array.map
+                      (fun (a : Aggregate.t) ->
+                        match a.Aggregate.expr with
+                        | Some _ -> v
+                        | None -> Value.Null)
+                      agg_arr
+                  in
+                  Runtime.Agg_table.update_n table ~key:[ v ] ~inputs
+                    ~count:len));
           group_emit ctx plan keys table
       | None ->
       (* bulk style: materialize key and argument vectors first *)

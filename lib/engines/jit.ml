@@ -165,13 +165,17 @@ let rec compile ?gj ctx path (plan : Physical.t) ~(need : bool array)
          predicate charge plus one first-use charge for the predicate column
          — and survivors pre-populate the lazy column cache exactly as the
          generic path leaves it, so downstream consumers behave the same.
-         Multi-conjunct predicates keep the generic short-circuit path: its
-         access volume depends on where each conjunct fails. *)
+         Any other one-column predicate is evaluated by the column's
+         storage when it can filter its stored form ({!Relation.filter_scan}),
+         and the scan visits the surviving tid ranges; a range's known value
+         pre-populates the lazy column cache as the generic path would leave
+         it.  Multi-conjunct predicates keep the generic short-circuit path:
+         its access volume depends on where each conjunct fails. *)
       let fast_scan =
         match (access, post) with
         | Physical.Full_scan, Some conj -> (
-            match Runtime.simple_int_cmp ~params:ctx.params rel conj with
-            | Some (c, test) ->
+            match Runtime.conjunct ~params:ctx.params rel conj with
+            | Some { col = c; int_test = Some test; _ } ->
                 let block = 1024 in
                 (* shared across executions: a prepared pipeline re-runs
                    this thunk per morsel and must not allocate per run *)
@@ -196,30 +200,21 @@ let rec compile ?gj ctx path (plan : Physical.t) ~(need : bool array)
                       done;
                       lo := !lo + m
                     done)
-            | None -> (
-                (* single-column predicate over a compressed column: evaluate
-                   it on the compressed representation and visit surviving
-                   tid ranges; a known run value pre-populates the lazy
-                   column cache exactly as the generic path would leave it *)
-                match
-                  Runtime.compressed_filter_range ?hier:ctx.hier
-                    ~params:ctx.params ~per_value:Cpu_model.jit_per_value rel
-                    conj
-                with
-                | Some (c, scan) ->
-                    Some
-                      (fun () ->
-                        scan (fun ~lo ~len v ->
-                            for tid = lo to lo + len - 1 do
-                              cur_tid := tid;
-                              (match v with
-                              | Some value ->
-                                  vals.(c) <- value;
-                                  gen.(c) <- tid
-                              | None -> ());
-                              k ()
-                            done))
-                | None -> None))
+            | Some { col = c; test; bounds; _ } ->
+                Relation.filter_scan rel c ~test ~bounds
+                  ~charge:(fun n -> charge (Cpu_model.jit_per_value * n))
+                |> Option.map (fun scan () ->
+                       scan (fun ~lo ~len v ->
+                           for tid = lo to lo + len - 1 do
+                             cur_tid := tid;
+                             (match v with
+                             | Some value ->
+                                 vals.(c) <- value;
+                                 gen.(c) <- tid
+                             | None -> ());
+                             k ()
+                           done))
+            | None -> None)
         | _ -> None
       in
       Prof.thunk path plan (fun () ->

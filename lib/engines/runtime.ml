@@ -28,230 +28,73 @@ let concat_results = function
 let charge hier n =
   match hier with Some h -> Memsim.Hierarchy.add_cpu h n | None -> ()
 
-(* Recognize a predicate conjunct of the shape [Col c <op> rhs] with [rhs]
-   column-free and integer-valued, over a plain non-nullable int column of
-   [rel]: engines can then evaluate it on unboxed ints read in runs.
-   [Value.compare] on any mix of [VInt]/[VDate] is plain int comparison, so
-   the unboxed test is exact. *)
-let simple_int_cmp ~params rel conj =
+type conjunct = {
+  col : int;
+  test : Value.t -> bool;
+  int_test : (int -> bool) option;
+  bounds : min:int -> max:int -> Storage.Relation.verdict;
+}
+
+(* [Col c <op> rhs] with [rhs] column-free and int-valued: [op] and the
+   value. *)
+let int_cmp ~params conj =
   let module Expr = Relalg.Expr in
   match conj with
-  | Expr.Cmp (op, Expr.Col c, rhs)
-    when Expr.cols rhs = [] && Storage.Relation.int_run_readable rel c -> (
+  | Expr.Cmp (op, Expr.Col _, rhs) when Expr.cols rhs = [] -> (
       match Expr.eval rhs ~params (fun _ -> assert false) with
-      | Value.VInt r | Value.VDate r ->
-          let test : int -> bool =
-            match op with
-            | Expr.Eq -> fun v -> v = r
-            | Expr.Ne -> fun v -> v <> r
-            | Expr.Lt -> fun v -> v < r
-            | Expr.Le -> fun v -> v <= r
-            | Expr.Gt -> fun v -> v > r
-            | Expr.Ge -> fun v -> v >= r
-          in
-          Some (c, test)
+      | Value.VInt r | Value.VDate r -> Some (op, r)
       | _ -> None)
   | _ -> None
 
-(* ------------------------------------------------------------------ *)
-(* Execution directly on compressed partitions                         *)
-(* ------------------------------------------------------------------ *)
+(* [Value.compare] on any mix of [VInt]/[VDate] is plain int comparison,
+   so the unboxed test is exact. *)
+let int_test (op : Relalg.Expr.cmp) r : int -> bool =
+  match op with
+  | Eq -> fun v -> v = r
+  | Ne -> fun v -> v <> r
+  | Lt -> fun v -> v < r
+  | Le -> fun v -> v <= r
+  | Gt -> fun v -> v > r
+  | Ge -> fun v -> v >= r
 
-(* A predicate whose only column is [c]: evaluating it against a candidate
-   value of that column is exact for any conjunct shape. *)
-let single_col_pred ~params conj =
+let verdict (op : Relalg.Expr.cmp) r ~min ~max : Storage.Relation.verdict =
+  match op with
+  | Lt -> if max < r then All else if min >= r then Nothing else Scan
+  | Le -> if max <= r then All else if min > r then Nothing else Scan
+  | Gt -> if min > r then All else if max <= r then Nothing else Scan
+  | Ge -> if min >= r then All else if max < r then Nothing else Scan
+  | Eq ->
+      if min = r && max = r then All
+      else if r < min || r > max then Nothing
+      else Scan
+  | Ne ->
+      if r < min || r > max then All
+      else if min = r && max = r then Nothing
+      else Scan
+
+(* The comparison's operand is evaluated only when a path uses its value:
+   at analysis for a plain int column, and each time [bounds] is asked
+   otherwise. *)
+let conjunct ~params rel conj =
   let module Expr = Relalg.Expr in
   match Expr.cols conj with
   | [ c ] ->
-      let vtest v =
+      let test v =
         Expr.truthy
-          (Expr.eval conj ~params (fun col ->
-               if col = c then v else Value.Null))
+          (Expr.eval conj ~params (fun col -> if col = c then v else Value.Null))
       in
-      Some (c, vtest)
+      let int_test =
+        if Storage.Relation.int_run_readable rel c then
+          Option.map (fun (op, r) -> int_test op r) (int_cmp ~params conj)
+        else None
+      in
+      let bounds ~min ~max : Storage.Relation.verdict =
+        match int_cmp ~params conj with
+        | Some (op, r) -> verdict op r ~min ~max
+        | None -> Scan
+      in
+      Some { col = c; test; int_test; bounds }
   | _ -> None
-
-let box_of rel c =
-  match (Storage.Schema.attr (Storage.Relation.schema rel) c).Storage.Schema.ty
-  with
-  | Value.Date -> fun v -> Value.VDate v
-  | _ -> fun v -> Value.VInt v
-
-(* Range pruning against the widen-only FOR bounds: the bounds are a
-   superset of the live values, so both the all-pass and the none-pass
-   verdicts are sound. *)
-let prune_for op r (fmin, fmax) =
-  let module Expr = Relalg.Expr in
-  match (op : Expr.cmp) with
-  | Expr.Lt -> if fmax < r then `All else if fmin >= r then `None else `Scan
-  | Expr.Le -> if fmax <= r then `All else if fmin > r then `None else `Scan
-  | Expr.Gt -> if fmin > r then `All else if fmax <= r then `None else `Scan
-  | Expr.Ge -> if fmin >= r then `All else if fmax < r then `None else `Scan
-  | Expr.Eq ->
-      if fmin = r && fmax = r then `All
-      else if r < fmin || r > fmax then `None
-      else `Scan
-  | Expr.Ne ->
-      if r < fmin || r > fmax then `All
-      else if fmin = r && fmax = r then `None
-      else `Scan
-
-let int_cmp_shape ~params conj =
-  let module Expr = Relalg.Expr in
-  match conj with
-  | Expr.Cmp (op, Expr.Col c, rhs) when Expr.cols rhs = [] -> (
-      match Expr.eval rhs ~params (fun _ -> assert false) with
-      | Value.VInt r | Value.VDate r -> Some (c, op, r)
-      | _ -> None)
-  | _ -> None
-
-let scan_block = 1024
-
-(* Evaluate a single-column predicate directly on the column's compressed
-   representation during a full scan, emitting maximal ranges of surviving
-   tids (ascending, view-relative).  The third emission argument carries the
-   column's value when the whole range is known to share it (RLE runs), so
-   callers can pre-populate row caches.  Returns [None] when the column is
-   not stored in a scannable compressed form — callers fall back to their
-   generic (decode-per-tuple) paths. *)
-let compressed_filter_range ?hier ~params ~per_value rel conj =
-  let module Relation = Storage.Relation in
-  match single_col_pred ~params conj with
-  | None -> None
-  | Some (c, vtest) ->
-      if Relation.rle_readable rel c then
-        Some
-          ( c,
-            fun emit ->
-              (* one boxed predicate evaluation per maximal run.  The row
-                 count is read per invocation: a prepared pipeline re-runs
-                 this scan over a resliced morsel view. *)
-              let n = Relation.nrows rel in
-              if n > 0 then
-                Relation.iter_rle_runs rel ~lo:0 ~count:n c
-                  (fun ~lo ~len v ->
-                    charge hier per_value;
-                    if vtest v then emit ~lo ~len (Some v)) )
-      else if not (Relation.code_run_readable rel c) then None
-      else if Relation.encoding rel c = Storage.Encoding.Dict then
-        Some
-          ( c,
-            fun emit ->
-              let n = Relation.nrows rel in
-              (* predicate once per distinct value, then a narrow code scan *)
-              let pass =
-                Array.map
-                  (fun v ->
-                    charge hier per_value;
-                    vtest v)
-                  (Relation.dict_values rel c)
-              in
-              let codes = Array.make scan_block 0 in
-              let rs = ref (-1) in
-              let flush hi =
-                if !rs >= 0 then begin
-                  emit ~lo:!rs ~len:(hi - !rs) None;
-                  rs := -1
-                end
-              in
-              let lo = ref 0 in
-              while !lo < n do
-                let m = min scan_block (n - !lo) in
-                Relation.read_code_run rel ~lo:!lo ~count:m c codes;
-                charge hier (per_value * m);
-                for i = 0 to m - 1 do
-                  let tid = !lo + i in
-                  if Array.unsafe_get pass (Array.unsafe_get codes i) then begin
-                    if !rs < 0 then rs := tid
-                  end
-                  else flush tid
-                done;
-                lo := !lo + m
-              done;
-              flush n )
-      else
-        match Relation.for_escape rel c with
-        | None -> None
-        | Some esc ->
-            let box = box_of rel c in
-            let verdict =
-              match (int_cmp_shape ~params conj, Relation.for_bounds rel c)
-              with
-              | Some (_, op, r), Some bounds -> prune_for op r bounds
-              | _ -> `Scan
-            in
-            Some
-              ( c,
-                fun emit ->
-                  let n = Relation.nrows rel in
-                  charge hier per_value;
-                  match verdict with
-                  | `All -> if n > 0 then emit ~lo:0 ~len:n None
-                  | `None -> ()
-                  | `Scan ->
-                      let codes = Array.make scan_block 0 in
-                      let rs = ref (-1) in
-                      let flush hi =
-                        if !rs >= 0 then begin
-                          emit ~lo:!rs ~len:(hi - !rs) None;
-                          rs := -1
-                        end
-                      in
-                      let lo = ref 0 in
-                      while !lo < n do
-                        let m = min scan_block (n - !lo) in
-                        Relation.read_code_run rel ~lo:!lo ~count:m c codes;
-                        charge hier (per_value * m);
-                        for i = 0 to m - 1 do
-                          let tid = !lo + i in
-                          let z = Array.unsafe_get codes i in
-                          let v =
-                            if z = esc then
-                              Relation.for_exception_value rel c tid
-                            else Relation.decode_for_code rel c z
-                          in
-                          if vtest (box v) then begin
-                            if !rs < 0 then rs := tid
-                          end
-                          else flush tid
-                        done;
-                        lo := !lo + m
-                      done;
-                      flush n )
-
-(* Point-wise variant for position-list inputs: test one tid against the
-   compressed representation (narrow code read plus bitmap test or decode)
-   without fetching through the generic accessor. *)
-let compressed_tid_test ?hier ~params ~per_value rel conj =
-  let module Relation = Storage.Relation in
-  match single_col_pred ~params conj with
-  | None -> None
-  | Some (c, vtest) ->
-      if not (Relation.code_run_readable rel c) then None
-      else if Relation.encoding rel c = Storage.Encoding.Dict then
-        let pass =
-          lazy
-            (Array.map
-               (fun v ->
-                 charge hier per_value;
-                 vtest v)
-               (Relation.dict_values rel c))
-        in
-        Some
-          (fun tid -> (Lazy.force pass).(Relation.read_code rel tid c))
-      else
-        match Relation.for_escape rel c with
-        | None -> None
-        | Some esc ->
-            let box = box_of rel c in
-            Some
-              (fun tid ->
-                let z = Relation.read_code rel tid c in
-                let v =
-                  if z = esc then Relation.for_exception_value rel c tid
-                  else Relation.decode_for_code rel c z
-                in
-                vtest (box v))
 
 module Sim_hash = struct
   (* The host table is flat parallel arrays with one entry per [add] or per

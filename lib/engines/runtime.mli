@@ -1,6 +1,7 @@
 (** Shared runtime facilities for the execution engines: query results,
-    simulator-resident hash tables, aggregation tables, and a sort helper
-    whose memory traffic is visible to the simulator. *)
+    the analysis of a one-column selection conjunct, simulator-resident
+    hash tables, aggregation tables, and a sort helper whose memory traffic
+    is visible to the simulator. *)
 
 module Value = Storage.Value
 
@@ -17,43 +18,25 @@ val concat_results : result list -> result
 val charge : Memsim.Hierarchy.t option -> int -> unit
 (** Charge CPU cycles if a hierarchy is attached. *)
 
-val simple_int_cmp :
-  params:Value.t array ->
-  Storage.Relation.t ->
-  Relalg.Expr.t ->
-  (int * (int -> bool)) option
-(** Recognize a conjunct of the shape [Col c <op> rhs] with [rhs] column-free
-    and integer-valued, over a plain non-nullable int column: returns the
-    column index and an unboxed test exactly equivalent to the boxed
-    evaluation.  Engines use it to run selections over column runs. *)
+(** A selection conjunct over one column, analysed once for the filters
+    that test it on the column's stored representation. *)
+type conjunct = {
+  col : int;  (** the conjunct's only column *)
+  test : Value.t -> bool;
+      (** the conjunct on a value of [col], exactly as {!Relalg.Expr.eval}
+          decides it *)
+  int_test : (int -> bool) option;
+      (** [test] on unboxed ints, for [Col col <op> rhs] with [rhs]
+          column-free and int-valued over a column that
+          {!Storage.Relation.int_run_readable} *)
+  bounds : min:int -> max:int -> Storage.Relation.verdict;
+      (** what an int comparison [Col col <op> rhs] says of every value in
+          [[min, max]]; [Scan] for any other conjunct *)
+}
 
-val compressed_filter_range :
-  ?hier:Memsim.Hierarchy.t ->
-  params:Value.t array ->
-  per_value:int ->
-  Storage.Relation.t ->
-  Relalg.Expr.t ->
-  (int * ((lo:int -> len:int -> Value.t option -> unit) -> unit)) option
-(** Evaluate a predicate whose only column is stored compressed directly on
-    the compressed representation during a full scan: per-run evaluation for
-    RLE, a distinct-value bitmap plus narrow code scan for dictionaries, and
-    pure-CPU reconstruction with range pruning for frame-of-reference
-    columns.  Returns the column index and a driver that emits maximal
-    surviving tid ranges in ascending order (the value argument is [Some v]
-    when the whole range shares the known value [v] — RLE runs).  [None]
-    when no compressed fast path applies; results are always identical to
-    the generic decode-per-tuple evaluation. *)
-
-val compressed_tid_test :
-  ?hier:Memsim.Hierarchy.t ->
-  params:Value.t array ->
-  per_value:int ->
-  Storage.Relation.t ->
-  Relalg.Expr.t ->
-  (int -> bool) option
-(** Point-wise variant for position-list inputs: test one tid against a
-    dictionary bitmap or a reconstructed frame-of-reference value, reading
-    only the narrow stored code. *)
+val conjunct :
+  params:Value.t array -> Storage.Relation.t -> Relalg.Expr.t -> conjunct option
+(** [None] unless the conjunct reads exactly one column. *)
 
 (** A hash table whose probe/update traffic is modeled as repetitive random
     accesses into a simulator region (the [rr_acc] of the cost model).  The
@@ -166,7 +149,8 @@ module Agg_table : sig
   val update_n :
     t -> key:Value.t list -> inputs:Value.t array -> count:int -> unit
   (** Accumulate [count] identical rows with one entry lookup — the
-      run-granular aggregation path over RLE columns.  Exactly equal to
+      run-granular aggregation path over a column's stored runs
+      ({!Storage.Relation.runs}).  Exactly equal to
       [count] calls of {!update} (see {!Relalg.Aggregate.step_n}). *)
 
   val emit : t -> (Value.t list -> Value.t array -> unit) -> unit

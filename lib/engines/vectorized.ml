@@ -160,28 +160,33 @@ let run_pipeline ctx (p : pipeline) : Value.t array list =
         wrap conj_path "select" (fun () ->
             Buffer.read_int_run selvec 0 ~count:!count tids_arr;
             let kept = ref 0 in
-            (match Runtime.simple_int_cmp ~params:ctx.params rel conj with
-            | Some (c, test) ->
+            (* the conjunct is analysed, and its point test made, for
+               every vector, so a dictionary column's verdicts are taken
+               once per vector: the pinned traced counts include that *)
+            let analysed = Runtime.conjunct ~params:ctx.params rel conj in
+            (match analysed with
+            | Some { col = c; int_test = Some test; _ } ->
                 (* unboxed comparison; charges equal the generic evaluation:
                    one expression charge plus one column-read charge per
                    tuple *)
+                let read = Relation.int_reader rel c in
                 charge ctx (2 * Cpu_model.bulk_per_value * !count);
                 for i = 0 to !count - 1 do
                   let tid = Array.unsafe_get tids_arr i in
-                  if test (Relation.get_int rel tid c) then begin
+                  if test (read tid) then begin
                     Array.unsafe_set keep_arr !kept tid;
                     incr kept
                   end
                 done
-            | None -> (
+            | _ -> (
                 match
-                  Runtime.compressed_tid_test ?hier:ctx.hier
-                    ~params:ctx.params ~per_value:Cpu_model.bulk_per_value rel
-                    conj
+                  Option.bind analysed (fun { Runtime.col; test; _ } ->
+                      Relation.point_test rel col ~test ~charge:(fun k ->
+                          charge ctx (Cpu_model.bulk_per_value * k)))
                 with
                 | Some test ->
-                    (* coded column: narrow code read + bitmap test/decode
-                       per tid; eval charges mirror the generic pass *)
+                    (* the column's storage tests one row by its stored
+                       code; eval charges mirror the generic pass *)
                     charge ctx (2 * Cpu_model.bulk_per_value * !count);
                     for i = 0 to !count - 1 do
                       let tid = Array.unsafe_get tids_arr i in

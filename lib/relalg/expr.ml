@@ -126,7 +126,7 @@ let compile t ~params col =
     | Param n ->
         if n < 1 || n > Array.length params then
           invalid_arg
-            (Printf.sprintf "Expr.specialize: parameter $%d not bound" n)
+            (Printf.sprintf "Expr.compile: parameter $%d not bound" n)
         else constant params.(n - 1)
     | Const v -> constant v
     | Cmp (op, a, b) -> (
@@ -208,9 +208,6 @@ let compile t ~params col =
     | v -> Value (fun () -> v)
   in
   comp t
-
-let specialize t ~params col =
-  boxed (compile t ~params (fun i -> Value (fun () -> col i)))
 
 let cols t =
   let acc = ref [] in

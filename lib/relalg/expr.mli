@@ -49,10 +49,6 @@ val boxed : compiled -> unit -> Storage.Value.t
 val truth : compiled -> unit -> bool
 (** {!truthy} of the compiled expression's value, without boxing it. *)
 
-val specialize :
-  t -> params:Storage.Value.t array -> (int -> Storage.Value.t) -> unit -> Storage.Value.t
-(** {!compile} over boxed columns, boxed. *)
-
 val cols : t -> int list
 (** Referenced column positions, sorted, without duplicates. *)
 

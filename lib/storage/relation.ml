@@ -289,11 +289,6 @@ let encodings t =
 let side_entries t a =
   match side_of t.cols.(a) with Some s -> s.entries | None -> 0
 
-let for_bounds t a =
-  match t.cols.(a) with
-  | For { fbase = Some _; fmin; fmax; _ } -> Some (fmin, fmax)
-  | _ -> None
-
 let storage_bytes t =
   Array.fold_left (fun acc p -> acc + (t.nrows * p.width)) 0 t.parts
   + Array.fold_left
@@ -527,25 +522,28 @@ let for_write (f : forbp) p ~tid ~off ~nullable v =
         Buffer.write_uint p.buf data_off ~width:f.fwidth f.fescape
   end
 
+(* The value behind code [z] of stored row [tid]: an escape resolves
+   through the traced exception list, any other code is one cycle of
+   arithmetic. *)
+let for_value t (f : forbp) ~tid z =
+  if z = f.fescape then begin
+    search_touch t f.side;
+    Hashtbl.find f.fex tid
+  end
+  else begin
+    add_cpu t 1;
+    for_decode f z
+  end
+
+let box_int (ty : Value.ty) x =
+  match ty with Value.Date -> Value.VDate x | _ -> Value.VInt x
+
 let for_read t (f : forbp) p ~tid ~off ~ty ~nullable =
   if nullable && Buffer.read_byte p.buf off = 0 then Value.Null
   else begin
     let data_off = if nullable then off + 1 else off in
     let z = Buffer.read_uint p.buf data_off ~width:f.fwidth in
-    decoded (fun () ->
-        let x =
-          if z = f.fescape then begin
-            search_touch t f.side;
-            Hashtbl.find f.fex tid
-          end
-          else begin
-            add_cpu t 1;
-            for_decode f z
-          end
-        in
-        match (ty : Value.ty) with
-        | Value.Date -> Value.VDate x
-        | _ -> Value.VInt x)
+    decoded (fun () -> box_int ty (for_value t f ~tid z))
   end
 
 (* The field readers and writers take an attribute's type and
@@ -724,12 +722,6 @@ let int_run_readable t a =
   | Value.Int | Value.Date -> true
   | _ -> false
 
-let get_int t tid a =
-  let tid = t.row_base + tid in
-  let pi, off = t.loc.(a) in
-  let p = t.parts.(pi) in
-  Buffer.read_int p.buf ((tid * p.width) + off)
-
 let read_int_run t ~lo ~count a dst =
   if lo < 0 || count < 0 || lo + count > t.nrows then
     out_of_bounds t "read_int_run" ~lo ~len:count;
@@ -749,94 +741,146 @@ let read_value_run t ~lo ~count a dst =
     (((t.row_base + lo) * p.width) + off)
     ~stride:p.width ~ty ~count dst
 
-(* --- direct access to compressed representations --------------------- *)
+(* --- predicates on the stored representation ----------------------------- *)
 
-let rle_readable t a = match t.cols.(a) with Rle _ -> true | _ -> false
+type verdict = All | Nothing | Scan
 
-let iter_rle_runs t ~lo ~count a f =
-  if lo < 0 || count < 0 || lo + count > t.nrows then
-    out_of_bounds t "iter_rle_runs" ~lo ~len:count;
+(* Every run of [r] over this view's rows, ascending and view-relative: one
+   binary search locates the first, then one run-entry touch per run. *)
+let rle_runs t (r : rle) f =
+  let n = t.nrows in
+  if n > 0 then begin
+    let abs_lo = t.row_base and abs_hi = t.row_base + n in
+    let side = r.side in
+    search_touch t side;
+    let k = ref (rle_find r abs_lo) in
+    while !k < side.entries && r.rstarts.(!k) < abs_hi do
+      let s = max r.rstarts.(!k) abs_lo in
+      let e = min (rle_run_end r !k) abs_hi in
+      Buffer.touch side.region (!k * side.entry) ~width:side.entry;
+      add_cpu t 1;
+      if e > s then f ~lo:(s - t.row_base) ~len:(e - s) r.rvals.(!k);
+      incr k
+    done
+  end
+
+let runs t a = match t.cols.(a) with Rle r -> Some (rle_runs t r) | _ -> None
+
+(* The verdict of every dictionary code: one traced sequential pass over
+   the dictionary, then [test] and one [charge] per distinct value. *)
+let dict_pass (d : dict) ~test ~charge =
+  let side = d.side in
+  if side.entries > 0 then
+    Buffer.touch_run side.region 0 ~width:side.entry ~count:side.entries
+      ~stride:side.entry;
+  Array.init side.entries (fun code ->
+      charge 1;
+      test d.values.(code))
+
+(* The stored code of a Dict or For_bp attribute at [tid]: its field is
+   [width] bytes, with no null byte in front (the attribute is
+   non-nullable). *)
+let read_code t a ~width tid =
+  check_tid t "point_test" tid;
+  let pi, off = t.loc.(a) in
+  let p = t.parts.(pi) in
+  Buffer.read_uint p.buf (((t.row_base + tid) * p.width) + off) ~width
+
+let scan_block = 1024
+
+(* Emit the maximal ranges of this view's rows whose code [keep] accepts,
+   reading the codes in [scan_block]-row runs: one traced run and one
+   [charge] per code. *)
+let code_scan t a ~width ~charge keep emit =
+  let n = t.nrows in
+  let codes = Array.make scan_block 0 in
+  let rs = ref (-1) in
+  let flush hi =
+    if !rs >= 0 then begin
+      emit ~lo:!rs ~len:(hi - !rs) None;
+      rs := -1
+    end
+  in
+  let pi, off = t.loc.(a) in
+  let p = t.parts.(pi) in
+  let lo = ref 0 in
+  while !lo < n do
+    let m = min scan_block (n - !lo) in
+    Buffer.read_uint_run p.buf
+      (((t.row_base + !lo) * p.width) + off)
+      ~width ~stride:p.width ~count:m codes;
+    charge m;
+    for i = 0 to m - 1 do
+      let tid = !lo + i in
+      if keep (Array.unsafe_get codes i) tid then begin
+        if !rs < 0 then rs := tid
+      end
+      else flush tid
+    done;
+    lo := !lo + m
+  done;
+  flush n
+
+(* [for_value] of a view-relative row, counted as a decode. *)
+let for_tid_value t f ~tid z =
+  Obs.Metrics.incr m_decodes;
+  for_value t f ~tid:(t.row_base + tid) z
+
+let filter_scan t a ~test ~bounds ~charge =
+  let attr = Schema.attr t.schema a in
   match t.cols.(a) with
   | Rle r ->
-      if count > 0 then begin
-        let abs_lo = t.row_base + lo and abs_hi = t.row_base + lo + count in
-        let side = r.side in
-        (* locate the first overlapping run, then walk the run list *)
-        search_touch t side;
-        let k = ref (rle_find r abs_lo) in
-        while !k < side.entries && r.rstarts.(!k) < abs_hi do
-          let s = max r.rstarts.(!k) abs_lo in
-          let e = min (rle_run_end r !k) abs_hi in
-          Buffer.touch side.region (!k * side.entry) ~width:side.entry;
-          add_cpu t 1;
-          if e > s then f ~lo:(s - t.row_base) ~len:(e - s) r.rvals.(!k);
-          incr k
-        done
-      end
-  | _ -> invalid_arg "Relation.iter_rle_runs: attribute is not RLE"
+      (* [test] once per run; a passing run is one range with its value *)
+      Some
+        (fun emit ->
+          rle_runs t r (fun ~lo ~len v ->
+              charge 1;
+              if test v then emit ~lo ~len (Some v)))
+  | Dict d when not attr.Schema.nullable ->
+      Some
+        (fun emit ->
+          let pass = dict_pass d ~test ~charge in
+          code_scan t a ~width:Encoding.code_width ~charge
+            (fun z _ -> Array.unsafe_get pass z)
+            emit)
+  | For f when not attr.Schema.nullable ->
+      (* the bounds are widen-only, a superset of the live values, so
+         either pruning verdict is sound *)
+      let verdict =
+        match f.fbase with
+        | Some _ -> bounds ~min:f.fmin ~max:f.fmax
+        | None -> Scan
+      in
+      Some
+        (fun emit ->
+          let n = t.nrows in
+          charge 1;
+          match verdict with
+          | All -> if n > 0 then emit ~lo:0 ~len:n None
+          | Nothing -> ()
+          | Scan ->
+              code_scan t a ~width:f.fwidth ~charge
+                (fun z tid ->
+                  test (box_int attr.Schema.ty (for_tid_value t f ~tid z)))
+                emit)
+  | Plain | Sparse _ | Dict _ | For _ -> None
 
-let code_width_of t a =
+let point_test t a ~test ~charge =
+  let attr = Schema.attr t.schema a in
   match t.cols.(a) with
-  | Dict _ -> Some Encoding.code_width
-  | For f -> Some f.fwidth
-  | Plain | Sparse _ | Rle _ -> None
-
-let code_run_readable t a =
-  (not (Schema.attr t.schema a).Schema.nullable) && code_width_of t a <> None
-
-let coded_loc t what a =
-  match code_width_of t a with
-  | Some w -> (w, t.loc.(a))
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Relation.%s(%s): attribute %d is not code-stored" what
-           t.schema.Schema.name a)
-
-let read_code_run t ~lo ~count a dst =
-  if lo < 0 || count < 0 || lo + count > t.nrows then
-    out_of_bounds t "read_code_run" ~lo ~len:count;
-  let w, (pi, off) = coded_loc t "read_code_run" a in
-  let p = t.parts.(pi) in
-  Buffer.read_uint_run p.buf
-    (((t.row_base + lo) * p.width) + off)
-    ~width:w ~stride:p.width ~count dst
-
-let read_code t tid a =
-  check_tid t "read_code" tid;
-  let w, (pi, off) = coded_loc t "read_code" a in
-  let tid = t.row_base + tid in
-  let p = t.parts.(pi) in
-  Buffer.read_uint p.buf ((tid * p.width) + off) ~width:w
-
-(* One traced sequential pass over the dictionary region — pushdown builds a
-   predicate bitmap by evaluating once per distinct value instead of once per
-   tuple. *)
-let dict_values t a =
-  match t.cols.(a) with
-  | Dict { side; values; _ } ->
-      if side.entries > 0 then
-        Buffer.touch_run side.region 0 ~width:side.entry ~count:side.entries
-          ~stride:side.entry;
-      Array.sub values 0 side.entries
-  | _ -> [||]
-
-let for_escape t a = match t.cols.(a) with For f -> Some f.fescape | _ -> None
-
-let decode_for_code t a z =
-  match t.cols.(a) with
-  | For f ->
-      Obs.Metrics.incr m_decodes;
-      add_cpu t 1;
-      for_decode f z
-  | _ -> invalid_arg "Relation.decode_for_code: attribute is not for_bp"
-
-let for_exception_value t a tid =
-  match t.cols.(a) with
-  | For f ->
-      Obs.Metrics.incr m_decodes;
-      search_touch t f.side;
-      Hashtbl.find f.fex (t.row_base + tid)
-  | _ -> invalid_arg "Relation.for_exception_value: attribute is not for_bp"
+  | Dict d when not attr.Schema.nullable ->
+      (* the verdicts are taken on the first test *)
+      let pass = lazy (dict_pass d ~test ~charge) in
+      Some
+        (fun tid ->
+          let z = read_code t a ~width:Encoding.code_width tid in
+          (Lazy.force pass).(z))
+  | For f when not attr.Schema.nullable ->
+      Some
+        (fun tid ->
+          let z = read_code t a ~width:f.fwidth tid in
+          test (box_int attr.Schema.ty (for_tid_value t f ~tid z)))
+  | Plain | Sparse _ | Rle _ | Dict _ | For _ -> None
 
 let field_width t a =
   Encoding.stored_width (Schema.attr t.schema a) (encoding t a)

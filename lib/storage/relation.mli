@@ -87,11 +87,6 @@ val run_readable : t -> int -> bool
 val int_run_readable : t -> int -> bool
 (** {!run_readable} and 8-byte integer-valued ([Int] or [Date]). *)
 
-val get_int : t -> int -> int -> int
-(** [get_int t tid a] reads attribute [a] of tuple [tid] as an unboxed int —
-    same traced access as {!get}, no allocation.  Requires
-    {!int_run_readable}. *)
-
 val read_int_run : t -> lo:int -> count:int -> int -> int array -> unit
 (** [read_int_run t ~lo ~count a dst] reads attribute [a] of tuples
     [lo .. lo+count-1] into [dst.(0..count-1)] as unboxed ints, tracing the
@@ -115,50 +110,62 @@ val side_entries : t -> int -> int
     plain attribute.  Each entry is [Encoding.side_width] bytes — together
     the parameters of the decode and probe access patterns. *)
 
-val for_bounds : t -> int -> (int * int) option
-(** Widen-only (min, max) bounds over every value ever stored in a for_bp
-    attribute — a superset of the live values, so range pruning against them
-    is sound in both the prune-empty and the prune-all direction.  [None]
-    until a first non-null value is stored. *)
+(** {2 Predicates on the stored representation}
 
-val rle_readable : t -> int -> bool
+    How an encoded attribute is scanned is this module's business: a
+    caller hands over a test on values and its own per-value charge, and
+    gets back the surviving rows of a scan or a test on one row.
+    [charge k] is called wherever the caller's evaluation of [k] values
+    is due. *)
 
-val iter_rle_runs :
-  t -> lo:int -> count:int -> int -> (lo:int -> len:int -> Value.t -> unit) ->
-  unit
-(** [iter_rle_runs t ~lo ~count a f] calls [f ~lo ~len v] for each maximal
-    run of attribute [a] intersected with rows [lo .. lo+count-1] (run
-    bounds relative to this view), in ascending order.  Traces one binary
-    search to locate the first run plus one run-entry touch per run —
-    run-granular instead of tuple-granular. *)
+(** What a predicate says of every value in a closed int range: all pass,
+    none pass, or each must be tested. *)
+type verdict = All | Nothing | Scan
 
-val code_run_readable : t -> int -> bool
-(** The attribute is non-nullable and stored as fixed-width codes (Dict or
-    For_bp), so a range of tuples is one narrow-field code run. *)
+val filter_scan :
+  t ->
+  int ->
+  test:(Value.t -> bool) ->
+  bounds:(min:int -> max:int -> verdict) ->
+  charge:(int -> unit) ->
+  ((lo:int -> len:int -> Value.t option -> unit) -> unit) option
+(** [filter_scan t a ~test ~bounds ~charge] is a full scan of attribute
+    [a] that keeps the rows whose value passes [test], evaluated on the
+    stored representation.  The scan [f emit] reads the view's row count
+    each time it runs and calls [emit ~lo ~len v] for ranges of kept
+    rows, ascending and disjoint.
+    - Runs: each run is tested once (one charge) and a passing run is one
+      range, with [v = Some x], its value.
+    - Dictionary: each distinct value is tested once (one charge each),
+      then the codes are scanned.
+    - Frame of reference: [bounds] is asked once, when the scan is made,
+      about the widen-only range of every value the column has stored (a
+      superset of the live values; no question before a value is stored,
+      which counts as [Scan]).  The scan charges one value each time it
+      runs, then emits every row on [All], none on [Nothing], and on
+      [Scan] decodes or escapes each code.
+    A code scan reads codes in runs of 1,024 rows, charges one value per
+    code and emits maximal ranges with [v = None].  [None] for any other
+    storage, and for nullable dictionary and frame-of-reference columns:
+    their values are read through {!get}. *)
 
-val read_code_run : t -> lo:int -> count:int -> int -> int array -> unit
-(** [read_code_run t ~lo ~count a dst] reads the stored codes of attribute
-    [a] for tuples [lo .. lo+count-1], tracing the whole narrow-field run
-    with one simulator call.  Requires {!code_run_readable}. *)
+val point_test :
+  t ->
+  int ->
+  test:(Value.t -> bool) ->
+  charge:(int -> unit) ->
+  (int -> bool) option
+(** [point_test t a ~test ~charge] tests the row [tid] of attribute [a] by
+    reading its stored code alone: against the dictionary's verdicts,
+    which the first call takes as {!filter_scan} does, after reading its
+    code, or through a frame-of-reference decode.  [None] for any storage
+    but non-nullable dictionary and frame-of-reference columns. *)
 
-val read_code : t -> int -> int -> int
-(** [read_code t tid a]: one traced code read (no decode). *)
-
-val dict_values : t -> int -> Value.t array
-(** The dictionary contents in code order, traced as one sequential pass
-    over the dictionary region — predicate pushdown evaluates once per
-    distinct value instead of once per tuple. *)
-
-val for_escape : t -> int -> int option
-(** The reserved exception marker code of a for_bp attribute. *)
-
-val decode_for_code : t -> int -> int -> int
-(** [decode_for_code t a z] reconstructs the value behind non-escape code
-    [z] — pure arithmetic (one cpu cycle), no memory traffic. *)
-
-val for_exception_value : t -> int -> int -> int
-(** [for_exception_value t a tid] resolves an escape marker through the
-    traced exception list. *)
+val runs : t -> int -> ((lo:int -> len:int -> Value.t -> unit) -> unit) option
+(** [runs t a] gives each maximal run of attribute [a] over the view's rows
+    as [f ~lo ~len v], ascending: one traced binary search to the first run
+    and one run-entry touch per run.  [None] unless [a] is stored as
+    runs. *)
 
 val storage_bytes : t -> int
 (** Bytes occupied by the relation's partitions and side regions

@@ -4,9 +4,11 @@ type query = {
   name : string;
   description : string;
   freq : float;  (** relative execution frequency in the mix *)
-  sql : string;  (** the query text (documentation; plans are prebuilt) *)
+  sql : string;
+      (** the query text: parsed against the workload's catalog once, when
+          the query is built, and planned by [make_plan] *)
   make_plan : use_indexes:bool -> Relalg.Physical.t;
-      (** planned against the workload's catalog *)
+      (** plans the parsed [sql] against the workload's catalog *)
   params : Storage.Value.t array;
   modifies : bool;
 }

@@ -1,16 +1,19 @@
-(* The Jit's traced call sequence, pinned.  For each Fuzz.Gen case of seeds
-   1-100 under the nsm, dsm, pdsm and comp layouts, every statement of the
-   episode, followed by eight more join queries of [Gen.gen_join_query] when
-   the case has two tables, runs on the Jit over a hierarchy whose walk is the reference
-   tracer behind a recorder.  The recorder keeps every [touch], [touch_run]
-   and [clear] the statement makes, in order; the statement's digest covers
-   that record and the final [Stats.t], [cpu_cycles] included.  One line per
-   case and layout lists the digests in episode order.
+(* An engine's traced call sequence, pinned.  [engine_pin.exe ENGINE] runs,
+   for each Fuzz.Gen case of seeds 1-100 under the nsm, dsm, pdsm and comp
+   layouts, every statement of the episode, followed by eight more join
+   queries of [Gen.gen_join_query] when the case has two tables, on the
+   named engine (an {!Engines.Engine.name} of {!Engines.Engine.all}) over a
+   hierarchy whose walk is the reference tracer behind a recorder.  The
+   recorder keeps every [touch], [touch_run] and [clear] the statement
+   makes, in order; the statement's digest covers that record and the final
+   [Stats.t], [cpu_cycles] included.  One line per case and layout lists
+   the digests in episode order.
 
-   Host structures may change; traced touches may not: a change to the Jit
-   must leave every line as it is.  The digests are a function of the cases
-   too, so a change to Fuzz.Gen regenerates them, on a tree whose Jit is
-   unchanged (see dune). *)
+   Host structures may change; traced touches may not: a change to an
+   engine, or to the storage calls it makes, must leave every line as it
+   is.  The digests are a function of the cases too, so a change to
+   Fuzz.Gen regenerates them, on a tree whose engines are unchanged (see
+   dune). *)
 
 module Driver = Fuzz.Driver
 module Case = Fuzz.Case
@@ -58,7 +61,7 @@ let add_stats record (s : Stats.t) =
 
 (* The digests of one case's episode under one layout, in episode order.
    Queries run measured (cold caches), DML as the fuzz driver runs it. *)
-let digests (c : Case.t) mode =
+let digests engine (c : Case.t) mode =
   let record = Buffer.create 4096 in
   let hier = Memsim.Hierarchy.create ~reference:(recorder record) () in
   let cat = Driver.build_catalog ~hier c mode in
@@ -73,9 +76,9 @@ let digests (c : Case.t) mode =
       let phys = Relalg.Planner.plan cat logical in
       Buffer.clear record;
       (match
-         if query then snd (Engine.run_measured Engine.Jit cat phys ~params)
+         if query then snd (Engine.run_measured engine cat phys ~params)
          else begin
-           ignore (Engine.run Engine.Jit cat phys ~params);
+           ignore (Engine.run engine cat phys ~params);
            Memsim.Hierarchy.snapshot hier
          end
        with
@@ -85,12 +88,23 @@ let digests (c : Case.t) mode =
     c.Case.episode
 
 let () =
+  let engine =
+    match
+      List.find_opt
+        (fun k -> Array.length Sys.argv = 2 && Engine.name k = Sys.argv.(1))
+        Engine.all
+    with
+    | Some k -> k
+    | None ->
+        prerr_endline "usage: engine_pin.exe volcano|bulk|vectorized|hyrise|jit";
+        exit 2
+  in
   List.iter
     (fun seed ->
       let c = with_joins (Fuzz.Gen.case seed) in
       List.iter
         (fun mode ->
           Printf.printf "%d %s %s\n" seed (Case.layout_mode_name mode)
-            (String.concat " " (digests c mode)))
+            (String.concat " " (digests engine c mode)))
         Driver.modes)
     seeds

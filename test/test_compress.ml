@@ -91,12 +91,7 @@ let test_rle_roundtrip () =
 
 let test_for_roundtrip () =
   let _, rel = build ~encodings:[ (3, Encoding.For_bp 1) ] 210 in
-  check_roundtrip "for" rel 210;
-  match Relation.for_bounds rel 3 with
-  | Some (lo, hi) ->
-      Alcotest.(check bool) "bounds cover data" true
-        (lo <= 100_000 && hi >= 100_089)
-  | None -> Alcotest.fail "no FOR bounds"
+  check_roundtrip "for" rel 210
 
 let test_for_exceptions_roundtrip () =
   (* values outside the zigzag window of a 1-byte code must escape to the
@@ -258,6 +253,273 @@ let qcheck_predicted_side_region =
           && Relation.side_entries stored 0 = Compress.entries st e
           && Relation.storage_bytes stored = Compress.encoded_bytes schema st e)
         schemes)
+
+(* ------------------------------------------------------------------ *)
+(* Predicates on the stored representation                             *)
+(* ------------------------------------------------------------------ *)
+
+(* One draw for the stored-form filters: a column [v] beside a plain int
+   [k] (in [k]'s partition under [row] where the scheme allows it), loaded
+   in runs, overwritten (a FOR value pushed out of its code window and back
+   in, RLE runs split and merged) and appended to, then read through an
+   optional window of its rows.  A cell is an int, boxed by the column's
+   type, or NULL. *)
+type filter_case = {
+  ty : V.ty;
+  nullable : bool;
+  enc : Encoding.t;
+  row : bool;
+  loaded : (int option * int) list; (* (cell, run length) *)
+  writes : (int * int option) list; (* (tid modulo the loaded rows, cell) *)
+  appended : int option list;
+  window : (int * int) option; (* (lo, len) in thousandths of the rows *)
+  pred : Relalg.Expr.t;
+  params : V.t array;
+}
+
+let box_cell ty = function
+  | None -> V.Null
+  | Some k -> (
+      match ty with
+      | V.Date -> V.VDate k
+      | V.Varchar _ -> V.VStr (Printf.sprintf "s%d" k)
+      | _ -> V.VInt k)
+
+let gen_filter_case =
+  let open QCheck.Gen in
+  let module Expr = Relalg.Expr in
+  let* ty = oneofl [ V.Int; V.Date; V.Varchar 24 ] in
+  let* nullable = bool in
+  let* enc =
+    oneofl
+      ([ Encoding.Plain; Encoding.Dict; Encoding.Rle ]
+      @ (if nullable then [ Encoding.Sparse ] else [])
+      @
+      match ty with
+      | V.Int | V.Date -> List.map (fun w -> Encoding.For_bp w) [ 1; 2; 4 ]
+      | _ -> [])
+  in
+  let* row = bool in
+  let* base = oneofl [ -1_000; 0; 5_000 ] in
+  let near = map (fun d -> base + d) (int_range 0 15) in
+  let far = oneofl [ base + 100_000; base - 40_000; max_int; min_int ] in
+  let cell =
+    frequency
+      ((if nullable then [ (1, return None) ] else [])
+      @ [ (8, map Option.some near); (1, map Option.some far) ])
+  in
+  let* loaded = list_size (int_range 0 30) (pair cell (int_range 1 20)) in
+  let* writes = list_size (int_range 0 12) (pair nat cell) in
+  let* out_and_back = list_size (int_range 0 4) (triple nat far near) in
+  let writes =
+    writes
+    @ List.concat_map
+        (fun (tid, x, y) -> [ (tid, Some x); (tid, Some y) ])
+        out_and_back
+  in
+  let* appended = list_size (int_range 0 10) cell in
+  let* window = opt (pair (int_range 0 1000) (int_range 0 1000)) in
+  (* constants at and beside the widen-only bounds, and at stored values *)
+  let ints =
+    List.filter_map fst loaded
+    @ List.filter_map snd writes
+    @ List.filter_map Fun.id appended
+  in
+  let at_bounds =
+    match ints with
+    | [] -> [ base ]
+    | k :: ks ->
+        let lo = List.fold_left min k ks and hi = List.fold_left max k ks in
+        [ lo; hi; lo - 1; hi + 1 ]
+  in
+  let const =
+    map
+      (fun k -> box_cell ty (Some k))
+      (frequency
+         [ (3, oneofl at_bounds); (2, oneofl (base :: ints)); (1, near) ])
+  in
+  let* op = oneofl Expr.[ Eq; Ne; Lt; Le; Gt; Ge ] in
+  let* c = const in
+  let* c' = const in
+  let v = Expr.Col 1 in
+  let* pred, params =
+    oneofl
+      ([
+         (Expr.Cmp (op, v, Expr.Const c), [||]);
+         (Expr.Cmp (op, v, Expr.Param 1), [| c |]);
+         (Expr.Cmp (op, Expr.Const c, v), [||]);
+         (Expr.IsNull v, [||]);
+         (Expr.Not (Expr.IsNull v), [||]);
+         (Expr.Or [ Expr.Cmp (Expr.Eq, v, Expr.Const c); Expr.Cmp (Expr.Eq, v, Expr.Const c') ], [||]);
+         (Expr.And [ Expr.Cmp (Expr.Ge, v, Expr.Const c); Expr.Cmp (Expr.Le, v, Expr.Const c') ], [||]);
+       ]
+      @
+      match ty with
+      | V.Varchar _ -> []
+      | _ ->
+          [
+            ( Expr.Cmp
+                (op, v, Expr.Arith (Expr.Add, Expr.Const c, Expr.Const (V.VInt 1))),
+              [||] );
+          ])
+  in
+  return
+    { ty; nullable; enc; row; loaded; writes; appended; window; pred; params }
+
+let print_filter_case c =
+  let cell = function Some k -> string_of_int k | None -> "_" in
+  Format.asprintf
+    "%a%s %a %s; loaded %s; writes %s; appended %s; window %s; %s [%s]" V.pp_ty
+    c.ty
+    (if c.nullable then " null" else "")
+    Encoding.pp c.enc
+    (if c.row then "row" else "column")
+    (String.concat ";"
+       (List.map (fun (k, len) -> Printf.sprintf "%sx%d" (cell k) len) c.loaded))
+    (String.concat ";"
+       (List.map (fun (tid, k) -> Printf.sprintf "%d:=%s" tid (cell k)) c.writes))
+    (String.concat ";" (List.map cell c.appended))
+    (match c.window with
+    | Some (a, b) -> Printf.sprintf "%d/%d" a b
+    | None -> "none")
+    (Relalg.Expr.to_string c.pred)
+    (String.concat ";" (Array.to_list (Array.map V.to_display c.params)))
+
+(* QCheck: [Relation.filter_scan], [point_test] and [runs] answer what a
+   per-tuple [Relation.get] plus the predicate answers.  The scan's ranges
+   are ascending and disjoint, hold exactly the passing rows of the view,
+   and a code scan's ranges are maximal; a range given with its value holds
+   it on every row.  The point test agrees row by row.  Runs tile the view
+   with maximal runs.  The calls answer [None] for every other storage:
+   plain, sparse, and a nullable dictionary or frame of reference.  The
+   conjunct's bounds verdict over the widen-only range of every value
+   written never drops a live row: [All] only when every live value
+   passes, [Nothing] only when none does. *)
+let qcheck_stored_filters =
+  QCheck.Test.make ~count:500
+    ~name:"stored-form filters = get plus the predicate"
+    (QCheck.make ~print:print_filter_case gen_filter_case)
+    (fun c ->
+      let module Expr = Relalg.Expr in
+      let schema =
+        Storage.Schema.make_nullable "f"
+          [ ("k", V.Int, false); ("v", c.ty, c.nullable) ]
+      in
+      let encodings = if c.enc = Encoding.Plain then [] else [ (1, c.enc) ] in
+      let layout =
+        Compress.singleton_layout schema
+          ((if c.row then Storage.Layout.row else Storage.Layout.column) schema)
+          encodings
+      in
+      let cat = Storage.Catalog.create () in
+      let owner = Storage.Catalog.add ~encodings cat schema layout in
+      let written = ref [] in
+      let store k = Option.iter (fun k -> written := k :: !written) k in
+      let loaded =
+        Array.of_list
+          (List.concat_map (fun (k, len) -> List.init len (fun _ -> k)) c.loaded)
+      in
+      let n0 = Array.length loaded in
+      Array.iter store loaded;
+      Relation.load owner ~n:n0 (fun ~row ->
+          [| V.VInt row; box_cell c.ty loaded.(row) |]);
+      if n0 > 0 then
+        List.iter
+          (fun (tid, k) ->
+            store k;
+            Relation.set owner (tid mod n0) 1 (box_cell c.ty k))
+          c.writes;
+      List.iter
+        (fun k ->
+          store k;
+          ignore (Relation.append owner [| V.VInt 0; box_cell c.ty k |]))
+        c.appended;
+      let rel =
+        match c.window with
+        | None -> owner
+        | Some (a, b) ->
+            let n = Relation.nrows owner in
+            let lo = n * a / 1000 in
+            let view = Relation.with_hier owner None in
+            Relation.reslice view ~lo ~len:((n - lo) * b / 1000);
+            view
+      in
+      let n = Relation.nrows rel in
+      let value tid = Relation.get rel tid 1 in
+      let want =
+        Array.init n (fun tid ->
+            Expr.truthy (Expr.eval c.pred ~params:c.params (fun _ -> value tid)))
+      in
+      let cj = Option.get (Engines.Runtime.conjunct ~params:c.params rel c.pred) in
+      let coded =
+        (not c.nullable)
+        && match c.enc with Encoding.Dict | Encoding.For_bp _ -> true | _ -> false
+      in
+      let scan_ok =
+        match
+          Relation.filter_scan rel 1 ~test:cj.test ~bounds:cj.bounds
+            ~charge:ignore
+        with
+        | None -> not (coded || c.enc = Encoding.Rle)
+        | Some scan ->
+            let got = Array.make n false and last = ref (-1) and ok = ref true in
+            scan (fun ~lo ~len v ->
+                let disjoint =
+                  match v with Some _ -> lo >= !last | None -> lo > !last
+                in
+                if len < 1 || not disjoint || lo + len > n then ok := false
+                else
+                  for tid = lo to lo + len - 1 do
+                    got.(tid) <- true;
+                    match v with
+                    | Some x when not (V.equal x (value tid)) -> ok := false
+                    | _ -> ()
+                  done;
+                last := lo + len);
+            (coded || c.enc = Encoding.Rle) && !ok && got = want
+      in
+      let point_ok =
+        match Relation.point_test rel 1 ~test:cj.test ~charge:ignore with
+        | None -> not coded
+        | Some test ->
+            coded && List.for_all (fun tid -> test tid = want.(tid)) (List.init n Fun.id)
+      in
+      let runs_ok =
+        match Relation.runs rel 1 with
+        | None -> c.enc <> Encoding.Rle
+        | Some runs ->
+            let next = ref 0 and prev = ref None and ok = ref true in
+            runs (fun ~lo ~len x ->
+                if lo <> !next || len < 1 then ok := false;
+                (match !prev with
+                | Some p when V.equal p x -> ok := false
+                | _ -> ());
+                for tid = lo to min n (lo + len) - 1 do
+                  if not (V.equal x (value tid)) then ok := false
+                done;
+                next := lo + len;
+                prev := Some x);
+            c.enc = Encoding.Rle && !ok && !next = n
+      in
+      let verdict_ok =
+        match !written with
+        | [] -> true
+        | k :: ks -> (
+            let live =
+              List.filter_map
+                (fun tid ->
+                  match value tid with V.Null -> None | v -> Some v)
+                (List.init n Fun.id)
+            in
+            match
+              cj.bounds ~min:(List.fold_left min k ks)
+                ~max:(List.fold_left max k ks)
+            with
+            | Storage.Relation.All -> List.for_all cj.test live
+            | Nothing -> not (List.exists cj.test live)
+            | Scan -> true)
+      in
+      scan_ok && point_ok && runs_ok && verdict_ok)
 
 (* ------------------------------------------------------------------ *)
 (* Direct execution                                                    *)
@@ -471,6 +733,7 @@ let suite =
     Alcotest.test_case "append roundtrip" `Quick test_append_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_roundtrips;
     QCheck_alcotest.to_alcotest qcheck_predicted_side_region;
+    QCheck_alcotest.to_alcotest qcheck_stored_filters;
     Alcotest.test_case "engines match plain" `Quick test_engines_match_plain;
     Alcotest.test_case "fastpath counter identity" `Quick
       test_fastpath_counter_identity;

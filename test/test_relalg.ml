@@ -52,7 +52,7 @@ let test_expr_params () =
     (Invalid_argument "Expr.eval: parameter $3 not bound") (fun () ->
       ignore (eval (Expr.Param 3)))
 
-let test_expr_specialize_matches_eval () =
+let test_expr_boxed_compile_matches_eval () =
   let e =
     Expr.And
       [
@@ -77,8 +77,10 @@ let test_expr_specialize_matches_eval () =
     (fun row ->
       let col i = row.(i) in
       let direct = Expr.eval e ~params col in
-      let compiled = Expr.specialize e ~params col in
-      Alcotest.(check Helpers.value_testable) "specialize = eval" direct
+      let compiled =
+        Expr.boxed (Expr.compile e ~params (fun i -> Expr.Value (fun () -> col i)))
+      in
+      Alcotest.(check Helpers.value_testable) "boxed compile = eval" direct
         (compiled ()))
     rows
 
@@ -380,7 +382,7 @@ let row_gen =
 
 let qcheck_compile_typed =
   QCheck.Test.make ~count:2000
-    ~name:"expr compile over typed slots = specialize, reads in its order"
+    ~name:"expr compile over typed slots = boxed slots, reads in its order"
     (QCheck.make
        ~print:(fun (e, _) -> Expr.to_string e)
        QCheck.Gen.(pair expr_gen row_gen))
@@ -410,7 +412,11 @@ let qcheck_compile_typed =
         | _ -> false
       in
       let got, got_log = run typed in
-      let want, want_log = run (fun read -> Expr.specialize e ~params read) in
+      let want, want_log =
+        run (fun read ->
+            Expr.boxed
+              (Expr.compile e ~params (fun i -> Expr.Value (fun () -> read i))))
+      in
       let direct =
         match Expr.eval e ~params (fun i -> row.(i)) with
         | v -> Ok v
@@ -425,8 +431,8 @@ let suite =
     Alcotest.test_case "expr null propagation" `Quick test_expr_null_propagation;
     Alcotest.test_case "expr boolean logic" `Quick test_expr_boolean_logic;
     Alcotest.test_case "expr params" `Quick test_expr_params;
-    Alcotest.test_case "expr specialize = eval" `Quick
-      test_expr_specialize_matches_eval;
+    Alcotest.test_case "expr boxed compile = eval" `Quick
+      test_expr_boxed_compile_matches_eval;
     Alcotest.test_case "expr cols/remap" `Quick test_expr_cols_and_remap;
     Alcotest.test_case "expr default selectivity" `Quick test_default_selectivity;
     Alcotest.test_case "plan join schema" `Quick test_plan_schema_join;
